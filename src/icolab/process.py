@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
 
 import numpy as np
@@ -43,7 +44,6 @@ from .linalg import (
     partial_trace,
     permute_factors,
     permute_vector_factors,
-    projector,
     tensor,
 )
 
@@ -260,26 +260,122 @@ def _coerce(w, layout: SpaceLayout | None) -> tuple[np.ndarray, SpaceLayout]:
     return m, layout
 
 
-def reset_factors(w: np.ndarray, layout: SpaceLayout, labels: tuple[str, ...]) -> np.ndarray:
-    """Trace out the given factors and replace them by identity/d.
+def _factor_basis(d: int) -> np.ndarray:
+    """Real orthogonal d^2 x d^2 matrix whose row 0 is vec(I)/sqrt(d): minus
+    the Householder reflection that swaps vec(I)/sqrt(d) and -e_0."""
+    v = np.eye(d).reshape(-1) / np.sqrt(d)
+    u = v.copy()
+    u[0] += 1.0
+    return 2.0 * np.outer(u, u) / (u @ u) - np.eye(d * d)
 
-    This is the map X -> (I_X / d_X) (x) tr_X[W] (factors kept in place),
-    the building block of the validity and causal-order projectors.
+
+class HSBasis:
+    """Product Hilbert-Schmidt basis of one layout.
+
+    Each factor k carries a real orthonormal basis of its d_k x d_k entries
+    whose element 0 is I/sqrt(d_k); the product basis acts on the real and
+    imaginary parts of a matrix alike, so it is orthogonal and Frobenius
+    norms agree in both forms. Resetting factor k (trace it out, put back
+    I/d_k) keeps exactly the coefficients with index 0 on k, so every
+    projector built from resets is a 0/1 mask on the coefficients
+    (Oreshkov, Costa and Brukner 2012; Araujo et al. 2015).
+
+    Coefficients are a real array of shape (2, n_left, n_right): real and
+    imaginary part, then the factors grouped into two Kronecker blocks of
+    balanced size, so a change of basis is one interleaving transpose and
+    one two-sided matmul. Use :func:`hs_basis` for the cached instance.
     """
-    if not labels:
-        return np.array(w, copy=True)
-    keep = tuple(lab for lab in layout.labels if lab not in labels)
-    reset = tuple(lab for lab in layout.labels if lab in labels)
-    if len(reset) != len(labels):
-        missing = set(labels) - set(layout.labels)
-        raise KeyError(f"unknown subsystem labels {sorted(missing)}; have {layout.labels}")
-    d_reset = prod(layout.dim_of(lab) for lab in reset)
-    reduced = partial_trace(w, layout, keep)
-    combined = tensor(reduced, np.eye(d_reset) / d_reset)
-    inter = SpaceLayout(
-        keep + reset, tuple(layout.dim_of(lab) for lab in keep + reset)
-    )
-    out, _ = permute_factors(combined, inter, layout.labels)
+
+    def __init__(self, layout: SpaceLayout) -> None:
+        dims = layout.dims
+        n = len(dims)
+        split = min(range(n + 1), key=lambda k: abs(prod(dims[:k]) - prod(dims[k:])))
+        self.layout = layout
+        self._blocks = (prod(dims[:split]), prod(dims[split:]))
+        self.shape = (self._blocks[0] ** 2, self._blocks[1] ** 2)
+        self._left = _block_basis(dims[:split])
+        self._right = _block_basis(dims[split:])
+        self._grid = tuple(d * d for d in dims)
+
+    def to_coef(self, m: np.ndarray) -> np.ndarray:
+        """Coefficients of a complex128 matrix on the layout."""
+        dl, dr = self._blocks
+        t = np.ascontiguousarray(m).view(np.float64).reshape(dl, dr, dl, dr, 2)
+        t = t.transpose(4, 0, 2, 1, 3).reshape((2,) + self.shape)
+        return self._left @ t @ self._right.T
+
+    def to_mat(self, c: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`to_coef`."""
+        dl, dr = self._blocks
+        t = (self._left.T @ c @ self._right).reshape(2, dl, dl, dr, dr)
+        t = np.ascontiguousarray(t.transpose(1, 3, 2, 4, 0))
+        return t.view(np.complex128).reshape(self.layout.dim, self.layout.dim)
+
+    def mask(self, labels: tuple[str, ...]) -> np.ndarray:
+        """0/1 mask of the reset of ``labels``: 1 where every reset factor
+        has index 0."""
+        keep = np.ones(self._grid)
+        for lab in labels:
+            keep[(slice(None),) * self.layout.index(lab) + (slice(1, None),)] = 0.0
+        return keep.reshape(self.shape)
+
+    def project(self, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Apply the projector with the given mask to a matrix."""
+        m = as_matrix(w)
+        if m.shape != (self.layout.dim, self.layout.dim):
+            raise ValueError(
+                f"matrix shape {m.shape} does not match layout dim {self.layout.dim}"
+            )
+        return self.to_mat(mask * self.to_coef(m))
+
+
+def _block_basis(dims: tuple[int, ...]) -> np.ndarray:
+    """Kronecker product of the factor bases of one block, with its columns
+    reordered from per-factor (row, column) pairs to (all rows, all columns)
+    so that it acts on the block's matrix entries directly."""
+    out = np.ones((1, 1))
+    for d in dims:
+        out = np.kron(out, _factor_basis(d))
+    n = len(dims)
+    pairs = out.reshape((-1,) + tuple(np.repeat(dims, 2)))
+    rows_then_cols = (0,) + tuple(range(1, 2 * n, 2)) + tuple(range(2, 2 * n + 1, 2))
+    return pairs.transpose(rows_then_cols).reshape(out.shape)
+
+
+@lru_cache(maxsize=32)
+def hs_basis(layout: SpaceLayout) -> HSBasis:
+    """The cached :class:`HSBasis` of a layout."""
+    return HSBasis(layout)
+
+
+@lru_cache(maxsize=32)
+def _validity_mask(layout: SpaceLayout) -> np.ndarray:
+    # inclusion-exclusion over the trace-out conditions, one reset per factor
+    m = hs_basis(layout).mask
+    ai, ao, bi, bo = (m((lab,)) for lab in PARTY_LABELS)
+    out = ao + bo - ao * bo - bi * bo + ao * bi * bo - ai * ao + ai * ao * bo
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=64)
+def _order_mask(layout: SpaceLayout, order: str) -> np.ndarray:
+    if order == "AB":
+        first_o, second_i, second_o = "A_O", "B_I", "B_O"
+    elif order == "BA":
+        first_o, second_i, second_o = "B_O", "A_I", "A_O"
+    else:
+        raise ValueError(f"order must be 'AB' or 'BA', got {order!r}")
+    m = hs_basis(layout).mask
+    fo, si, so = m((first_o,)), m((second_i,)), m((second_o,))
+    if "F" in layout.labels:
+        # P = id - R_F(id - R_so) - R_F R_so R_si (id - R_fo)
+        f = m(("F",))
+        out = 1.0 - f * (1.0 - so) - f * so * si * (1.0 - fo)
+    else:
+        # P = R_so [id - R_si (id - R_fo)]
+        out = so * (1.0 - si * (1.0 - fo))
+    out.flags.writeable = False
     return out
 
 
@@ -289,21 +385,12 @@ def validity_projection(w: np.ndarray, layout: SpaceLayout) -> np.ndarray:
 
     The subspace is characterized by normalization on every pair of CPTP
     instruments; expanding instruments around the depolarizing point turns
-    that into linear trace-out conditions, whose projector is the inclusion-
-    exclusion combination below.
+    that into linear trace-out conditions, whose projector is an inclusion-
+    exclusion combination of resets, applied as a mask in :class:`HSBasis`.
     """
     if layout.labels != PARTY_LABELS:
         raise ValueError(f"expected exactly the party factors, got {layout.labels}")
-    r = lambda labs: reset_factors(w, layout, labs)  # noqa: E731
-    return (
-        r(("A_O",))
-        + r(("B_O",))
-        - r(("A_O", "B_O"))
-        - r(("B_I", "B_O"))
-        + r(("A_O", "B_I", "B_O"))
-        - r(("A_I", "A_O"))
-        + r(("A_I", "A_O", "B_O"))
-    )
+    return hs_basis(layout).project(w, _validity_mask(layout))
 
 
 @dataclass(frozen=True)
@@ -541,24 +628,9 @@ def order_projection(w: np.ndarray, layout: SpaceLayout, order: str) -> np.ndarr
     everything after a party's output leaves that output maximally mixed
     and uncorrelated. With a future factor the chain is first-party,
     second-party, future; without it the second output itself terminates
-    the chain.
+    the chain. The projector is a mask in :class:`HSBasis`.
     """
-    if order == "AB":
-        first_i, first_o, second_i, second_o = "A_I", "A_O", "B_I", "B_O"
-    elif order == "BA":
-        first_i, first_o, second_i, second_o = "B_I", "B_O", "A_I", "A_O"
-    else:
-        raise ValueError(f"order must be 'AB' or 'BA', got {order!r}")
-    r = lambda x, labs: reset_factors(x, layout, labs)  # noqa: E731
-    if "F" in layout.labels:
-        # P = id - R_F(id - R_so) - R_F R_so R_si (id - R_fo)
-        t1 = r(w - r(w, (second_o,)), ("F",))
-        inner = w - r(w, (first_o,))
-        t2 = r(inner, ("F", second_o, second_i))
-        return w - t1 - t2
-    # P = R_so [id - R_si (id - R_fo)]
-    inner = w - r(w, (first_o,))
-    return r(w, (second_o,)) - r(inner, (second_o, second_i))
+    return hs_basis(layout).project(w, _order_mask(layout, order))
 
 
 def _psd_clip(m: np.ndarray) -> np.ndarray:
@@ -604,7 +676,7 @@ class SeparabilityReport:
 
 
 def _certificate_components(
-    x: np.ndarray, y: np.ndarray, layout: SpaceLayout, tol: float
+    x: np.ndarray, y: np.ndarray, layout: SpaceLayout
 ) -> tuple[float, ProcessMatrix, ProcessMatrix] | None:
     expected = layout.dim_of("A_O") * layout.dim_of("B_O")
     q = float(np.real(np.trace(x)) / expected)
@@ -638,12 +710,27 @@ def _certificate_components(
     return q, parts[0], parts[1]
 
 
+def _order_split(
+    w: np.ndarray, x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal projection of (x, y) onto {X in AB, Y in BA, X + Y = W},
+    all in :class:`HSBasis` coefficients with a, b the AB and BA masks.
+
+    The correction is (P_A + P_B)^+ applied to the defect. The two masks
+    commute, so P_A + P_B is diagonal with entries 0, 1 or 2 and its
+    pseudo-inverse is exactly a + b - 1.5 a b."""
+    lam = (a + b - 1.5 * a * b) * (w - a * x - b * y)
+    return a * (x + lam), b * (y + lam)
+
+
 def separability_heuristic(w, iters: int = 2000, tol: float = 1e-7, layout: SpaceLayout | None = None) -> SeparabilityReport:
     """Search for a decomposition W = q W_AB + (1-q) W_BA with each part a
     valid process compatible with the corresponding order.
 
     Alternating projection between the PSD cone (componentwise) and the
-    affine set {X in AB-subspace, Y in BA-subspace, X + Y = W}. On success
+    affine set {X in AB-subspace, Y in BA-subspace, X + Y = W}. The iterates
+    live in :class:`HSBasis` coefficients, where the affine step is
+    elementwise; only the PSD clip works on matrices. On success
     the decomposition is re-validated from scratch — each component must
     pass validate_process and sit in its order subspace, and the mixture
     must reproduce W — before a certificate is claimed. On failure the
@@ -654,28 +741,25 @@ def separability_heuristic(w, iters: int = 2000, tol: float = 1e-7, layout: Spac
     if not report.is_valid:
         raise ValueError(f"input is not a valid process: {report}")
     scale = max(1.0, frobenius(m))
-    p_a = lambda z: order_projection(z, lay, "AB")  # noqa: E731
-    p_b = lambda z: order_projection(z, lay, "BA")  # noqa: E731
+    basis = hs_basis(lay)
+    a, b = _order_mask(lay, "AB"), _order_mask(lay, "BA")
+    cw = basis.to_coef(m)
 
-    def affine(x0: np.ndarray, y0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pax, pby = p_a(x0), p_b(y0)
-        d = m - pax - pby
-        pad, pbd = p_a(d), p_b(d)
-        both = p_a(pbd)
-        lam = pad + pbd - 1.5 * both  # pseudo-inverse of (P_A + P_B) applied to d
-        return pax + p_a(lam), pby + p_b(lam)
+    def clip(c: np.ndarray) -> np.ndarray:
+        return basis.to_coef(_psd_clip(basis.to_mat(c)))
 
-    x = y = m / 2.0
+    x = y = cw / 2.0
     used = 0
     for it in range(1, iters + 1):
         used = it
-        xa, ya = affine(x, y)
-        x_new, y_new = _psd_clip(xa), _psd_clip(ya)
-        delta = frobenius(x_new - x) + frobenius(y_new - y)
+        xa, ya = _order_split(cw, x, y, a, b)
+        x_new, y_new = clip(xa), clip(ya)
+        # the basis is orthogonal: coefficient norms are Frobenius norms
+        delta = np.linalg.norm(x_new - x) + np.linalg.norm(y_new - y)
         x, y = x_new, y_new
         if delta < tol * scale:
             break
-    xf, yf = affine(x, y)
+    xf, yf = (basis.to_mat(c) for c in _order_split(cw, x, y, a, b))
     neg = max(
         0.0,
         -float(eig_hermitian(xf)[0][-1]),
@@ -684,7 +768,7 @@ def separability_heuristic(w, iters: int = 2000, tol: float = 1e-7, layout: Spac
     sum_res = frobenius(xf + yf - m)
     residual = max(neg, sum_res) / scale
     if residual <= max(10 * tol, 1e-8):
-        cert = _certificate_components(xf, yf, lay, tol)
+        cert = _certificate_components(xf, yf, lay)
         if cert is not None:
             q, w_ab, w_ba = cert
             recon = frobenius(q * w_ab.matrix + (1 - q) * w_ba.matrix - m) / scale

@@ -460,7 +460,17 @@ def _scenario_process(cfg: ScenarioConfig, spec: DoubleSwitchSpec) -> tuple[Proc
         w = quantum_switch_process(
             spec.control_amplitudes, v0=sw.v0, v1=sw.v1, **common
         )
-        return w, "coherent switch process (one target line)"
+        if spec.visibility == 1.0:
+            return w, "coherent switch process (one target line)"
+        # Dephasing the control damps only the AB/BA cross terms:
+        # W(eta) = eta |w><w| + (1 - eta) (|alpha|^2 W_AB + |beta|^2 W_BA)
+        w_ab = quantum_switch_process((1.0, 0.0), v0=sw.v0, v1=sw.v1, **common)
+        w_ba = quantum_switch_process((0.0, 1.0), v0=sw.v0, v1=sw.v1, **common)
+        dephased = mix(w_ab, w_ba, abs(spec.control_amplitudes[0]) ** 2)
+        return (
+            mix(w, dephased, spec.visibility),
+            "partially dephased coherent switch process (one target line)",
+        )
     if spec.order_mode == "classical-mixture":
         w_ab = quantum_switch_process((1.0, 0.0), v0=sw.v0, v1=sw.v1, **common)
         w_ba = quantum_switch_process((0.0, 1.0), v0=sw.v0, v1=sw.v1, **common)

@@ -175,6 +175,55 @@ def measure_reprepare_kraus(povm_effect, reprep_state, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
+# process-matrix subspaces by trace-and-replace
+
+
+def reset_factors(w, layout, labels):
+    """Trace out the factors named in ``labels`` and put back identity/d in
+    place: X -> (I_X / d_X) (x) tr_X[W]. ``layout`` needs ``labels`` and
+    ``dims``; the factors are big-endian like ``numpy.kron``."""
+    dims = tuple(layout.dims)
+    n = len(dims)
+    t = np.asarray(w, dtype=np.complex128).reshape(dims + dims)
+    for lab in labels:
+        k = list(layout.labels).index(lab)
+        reduced = np.expand_dims(np.trace(t, axis1=k, axis2=n + k), (k, n + k))
+        eye = np.eye(dims[k]).reshape([dims[k] if i in (k, n + k) else 1 for i in range(2 * n)])
+        t = reduced * eye / dims[k]
+    return t.reshape(np.shape(w))
+
+
+def validity_projection(w, layout):
+    """Projection onto the valid bipartite processes (no future factor), as
+    the inclusion-exclusion sum of resets."""
+    r = lambda labs: reset_factors(w, layout, labs)  # noqa: E731
+    return (
+        r(("A_O",))
+        + r(("B_O",))
+        - r(("A_O", "B_O"))
+        - r(("B_I", "B_O"))
+        + r(("A_O", "B_I", "B_O"))
+        - r(("A_I", "A_O"))
+        + r(("A_I", "A_O", "B_O"))
+    )
+
+
+def order_projection(w, layout, order):
+    """Projection onto the processes of one causal order ("AB" or "BA"):
+    a channel with memory from the first party to the second (and on to the
+    future factor "F" when there is one)."""
+    first_o, second_i, second_o = ("A_O", "B_I", "B_O") if order == "AB" else ("B_O", "A_I", "A_O")
+    w = np.asarray(w, dtype=np.complex128)
+    r = lambda x, labs: reset_factors(x, layout, labs)  # noqa: E731
+    inner = w - r(w, (first_o,))
+    if "F" in layout.labels:
+        # P = id - R_F(id - R_so) - R_F R_so R_si (id - R_fo)
+        return w - r(w - r(w, (second_o,)), ("F",)) - r(inner, ("F", second_o, second_i))
+    # P = R_so [id - R_si (id - R_fo)]
+    return r(w, (second_o,)) - r(inner, (second_o, second_i))
+
+
+# ---------------------------------------------------------------------------
 # causal polytope by vertex enumeration (1-bit alphabets)
 
 

@@ -4,6 +4,7 @@ import pytest
 import oracles
 from icolab.linalg import SpaceLayout, frobenius, ket, partial_trace, projector, tensor
 from icolab.process import (
+    PARTY_LABELS,
     Instrument,
     ProcessMatrix,
     apply_choi,
@@ -11,7 +12,11 @@ from icolab.process import (
     born_probabilities_with_future,
     choi_of_kraus,
     choi_of_unitary,
+    _order_mask,
+    _order_split,
+    _validity_mask,
     depolarizing_choi,
+    hs_basis,
     identity_choi,
     mix,
     neutral_process,
@@ -227,6 +232,77 @@ def test_order_projection_is_idempotent():
         for order in ("AB", "BA"):
             once = order_projection(h, lay, order)
             assert frobenius(order_projection(once, lay, order) - once) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Hilbert-Schmidt masks against the reset formulas in oracles.py
+
+MASK_LAYOUT_DIMS = [(2, 2, 2, 2), (2, 2, 2, 2, 4), (3, 3, 2, 2), (2, 2, 2, 2, 2)]
+
+
+def _layout(dims):
+    return SpaceLayout(PARTY_LABELS + ("F",) * (len(dims) - 4), dims)
+
+
+@pytest.mark.parametrize("dims", MASK_LAYOUT_DIMS, ids=lambda d: "x".join(map(str, d)))
+def test_mask_projectors_match_reset_oracle(dims):
+    rng = np.random.default_rng(len(dims) * 10 + dims[0])
+    lay = _layout(dims)
+    for _ in range(3):
+        h = random_hermitian(rng, lay.dim)
+        for order in ("AB", "BA"):
+            ref = oracles.order_projection(h, lay, order)
+            assert np.abs(order_projection(h, lay, order) - ref).max() <= 1e-12
+        if "F" not in lay.labels:
+            ref = oracles.validity_projection(h, lay)
+            assert np.abs(validity_projection(h, lay) - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("dims", MASK_LAYOUT_DIMS, ids=lambda d: "x".join(map(str, d)))
+def test_masks_are_commuting_zero_one_projectors(dims):
+    rng = np.random.default_rng(len(dims) * 10 + dims[0] + 1)
+    lay = _layout(dims)
+    a, b = _order_mask(lay, "AB"), _order_mask(lay, "BA")
+    masks = [a, b] + ([_validity_mask(lay)] if "F" not in lay.labels else [])
+    for m in masks:
+        assert m.shape == hs_basis(lay).shape
+        assert set(np.unique(m)) <= {0.0, 1.0}
+        assert np.array_equal(m * m, m)
+    # The reset projectors behind the two order masks commute; that is what
+    # makes the elementwise pseudo-inverse of P_A + P_B exact.
+    h = random_hermitian(rng, lay.dim)
+    ab = oracles.order_projection(oracles.order_projection(h, lay, "BA"), lay, "AB")
+    ba = oracles.order_projection(oracles.order_projection(h, lay, "AB"), lay, "BA")
+    assert np.abs(ab - ba).max() <= 1e-12
+    assert np.abs(hs_basis(lay).project(h, a * b) - ab).max() <= 1e-12
+
+
+def test_basis_change_is_orthogonal_and_invertible():
+    rng = np.random.default_rng(40)
+    for dims in MASK_LAYOUT_DIMS:
+        lay = _layout(dims)
+        basis = hs_basis(lay)
+        h = random_hermitian(rng, lay.dim)
+        c = basis.to_coef(h)
+        assert np.linalg.norm(c) == pytest.approx(frobenius(h), rel=1e-13)
+        assert np.abs(basis.to_mat(c) - h).max() <= 1e-13
+        assert hs_basis(lay) is basis
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2, 2), (2, 2, 2, 2, 4)], ids=["2x2x2x2", "2x2x2x2x4"])
+def test_order_split_gives_ordered_parts_summing_to_w(dims):
+    rng = np.random.default_rng(41)
+    lay = _layout(dims)
+    w = random_valid_process(rng).matrix if len(dims) == 4 else quantum_switch_process().matrix
+    basis = hs_basis(lay)
+    a, b = _order_mask(lay, "AB"), _order_mask(lay, "BA")
+    x0 = basis.to_coef(random_hermitian(rng, lay.dim))
+    y0 = basis.to_coef(random_hermitian(rng, lay.dim))
+    xc, yc = _order_split(basis.to_coef(w), x0, y0, a, b)
+    x, y = basis.to_mat(xc), basis.to_mat(yc)
+    assert np.abs(x + y - w).max() <= 1e-12
+    assert np.abs(oracles.order_projection(x, lay, "AB") - x).max() <= 1e-12
+    assert np.abs(oracles.order_projection(y, lay, "BA") - y).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

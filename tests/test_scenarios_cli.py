@@ -5,10 +5,12 @@ import sys
 import numpy as np
 import pytest
 
+from icolab.process import quantum_switch_process
 from icolab.scenarios import (
     BUILTIN_SCENARIOS,
     ConfigError,
     ScenarioConfig,
+    _scenario_process,
     list_scenarios,
     load_config,
     run_scenario,
@@ -154,6 +156,48 @@ def test_a5_violated_report_content():
     assert rep["assumptions"]["a5_satisfied"] is False
     # definite order throughout: the process view stays separable
     assert rep["process"]["separability"]["separable"] is True
+
+
+@pytest.mark.parametrize(
+    "name, iterations, separable, q",
+    [
+        ("double-switch-coherent", 145, False, None),
+        ("classical-order-baseline", 614, True, 0.5),
+        ("a5-violated-definite-order", 399, True, 0.99999842440536),
+    ],
+)
+def test_builtin_separability_is_pinned(name, iterations, separable, q):
+    rep = run_scenario(ScenarioConfig.from_dict({"scenario": name, "restarts": 8})).report
+    sep = rep["process"]["separability"]
+    assert sep["iterations"] == iterations
+    assert sep["separable"] is separable
+    if q is None:
+        assert "q" not in sep
+    else:
+        assert sep["q"] == pytest.approx(q, abs=1e-9)
+
+
+def test_dephased_coherent_process_certifies_at_zero_visibility():
+    amps = [np.sqrt(0.3), np.sqrt(0.7)]
+    rep = run_scenario(make_config(visibility=0.0, control_amplitudes=amps, restarts=8)).report
+    assert rep["states"]["negativity"] == pytest.approx(0.0, abs=1e-9)
+    assert rep["causal"]["verdict"] == "causal"
+    sep = rep["process"]["separability"]
+    assert sep["separable"] is True
+    assert sep["q"] == pytest.approx(0.3, abs=1e-6)  # |alpha|^2
+    assert "definite or mixed" in rep["notes"][1]
+
+
+def test_full_visibility_process_is_the_pure_switch():
+    cfg = make_config()
+    spec = cfg.build_spec()
+    w, construction = _scenario_process(cfg, spec)
+    sw = spec.switch1
+    pure = quantum_switch_process(
+        spec.control_amplitudes, sw.target_dim, v0=sw.v0, v1=sw.v1, psi_t0=sw.psi_t0
+    )
+    assert np.array_equal(w.matrix, pure.matrix)
+    assert construction == "coherent switch process (one target line)"
 
 
 def test_fixed_settings_path():
