@@ -1,5 +1,5 @@
-"""Behavior tables, CHSH evaluation, the classical bound, and seesaw
-optimization of measurement settings.
+"""Behavior tables, CHSH evaluation, the classical bound, and the
+closed-form optimal CHSH settings of a two-qubit state.
 
 Outcomes are labeled 0 and 1 and carry eigenvalues +1 and -1, so the
 correlator for one input pair is E = p00 - p01 - p10 + p11. The CHSH
@@ -13,18 +13,12 @@ from itertools import product
 
 import numpy as np
 
-from . import _seesaw
 from .linalg import SpaceLayout, X, Y, Z, as_matrix, is_psd, projector, tensor
 from .switch import ControlMeasurement, condition_on_control
 
 PAULI = np.stack([X, Y, Z])
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
-
-DEFAULT_RESTARTS = 32
-DEFAULT_SEESAW_TOL = 1e-10
-DEFAULT_SEESAW_SEED = 7041776
-MAX_SEESAW_ITER = 500
 
 
 def bloch_observable(theta: float, phi: float) -> np.ndarray:
@@ -139,8 +133,6 @@ class CHSHResult:
     value: float
     correlators: np.ndarray
     settings: tuple[MeasurementSetting, MeasurementSetting] | None = None
-    seed: int | None = None
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         e = np.asarray(self.correlators, dtype=np.float64)
@@ -205,25 +197,22 @@ def correlation_matrix(rho: np.ndarray) -> np.ndarray:
 
 def optimize_chsh(
     rho: np.ndarray,
-    restarts: int = DEFAULT_RESTARTS,
-    tol: float = DEFAULT_SEESAW_TOL,
     conditioning: tuple[ControlMeasurement, str] | None = None,
-    seed: int = DEFAULT_SEESAW_SEED,
 ) -> CHSHResult:
-    """Best CHSH value over measurement settings, by multi-start seesaw.
+    """Best CHSH value over measurement settings, in closed form.
 
-    Each restart alternates closed-form per-party updates (the optimal
-    observable given the other party is the unit Bloch direction of its
-    conditional correlation vector), which is monotone in S; restarts are
-    seeded from ``seed``. With ``conditioning=(m, outcome)`` the input must
-    be a control (x) two-qubit-targets state, which is first conditioned on
-    the control outcome.
+    With T = U diag(s) V^T the SVD of the correlation matrix and
+    tan(theta) = s2/s1, the settings a0 = u1, a1 = u2 and
+    b0,1 = cos(theta) v1 +- sin(theta) v2 reach S = 2 sqrt(s1^2 + s2^2),
+    the Horodecki maximum (Phys. Lett. A 200, 340, 1995). The full SVD
+    returns orthonormal U and V even when T has rank <= 1, so every
+    setting is a unit Bloch vector. With ``conditioning=(m, outcome)`` the
+    input must be a control (x) two-qubit-targets state, which is first
+    conditioned on the control outcome.
 
     The returned value is recomputed from the Born-rule behavior at the
     optimal settings, so it can never exceed the quantum bound.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     arr = np.asarray(rho, dtype=np.complex128)
     if arr.ndim == 1:
         arr = projector(arr)
@@ -242,22 +231,9 @@ def optimize_chsh(
     if not is_psd(arr, 1e-8):
         raise ValueError("input must be positive semidefinite")
 
-    t = correlation_matrix(arr)
-    rng = np.random.default_rng(seed)
-    b0 = rng.normal(size=(restarts, 3))
-    b0 /= np.linalg.norm(b0, axis=1, keepdims=True)
-    b1 = rng.normal(size=(restarts, 3))
-    b1 /= np.linalg.norm(b1, axis=1, keepdims=True)
-    backend = _seesaw.backend_name()
-    s, a0, a1, b0, b1 = _seesaw.run_seesaw(t, b0, b1, MAX_SEESAW_ITER, tol)
-    best = int(np.argmax(s))
-    c1 = MeasurementSetting.from_bloch_vectors(np.stack([a0[best], a1[best]]))
-    c2 = MeasurementSetting.from_bloch_vectors(np.stack([b0[best], b1[best]]))
-    result = chsh(behavior(arr, c1, c2), settings=(c1, c2))
-    return CHSHResult(
-        value=result.value,
-        correlators=result.correlators,
-        settings=(c1, c2),
-        seed=seed,
-        backend=backend,
-    )
+    u, s, vt = np.linalg.svd(correlation_matrix(arr))
+    theta = np.arctan2(s[1], s[0])
+    along, across = np.cos(theta) * vt[0], np.sin(theta) * vt[1]
+    c1 = MeasurementSetting.from_bloch_vectors(u[:, :2].T)
+    c2 = MeasurementSetting.from_bloch_vectors(np.stack([along + across, along - across]))
+    return chsh(behavior(arr, c1, c2), settings=(c1, c2))

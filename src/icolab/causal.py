@@ -593,8 +593,8 @@ def behavior_from_switch_scenario(
     optionally conditioning on a control/environment outcome.
 
     ``settings`` is a pair of measurement settings or the string
-    "optimize", which runs the CHSH seesaw on the conditioned state and
-    uses the settings it finds.
+    "optimize", which uses the closed-form optimal CHSH settings of the
+    conditioned state.
     """
     if conditioning is None:
         rho = reduced_target_state(spec)

@@ -5,9 +5,10 @@ environment qubit), conditions on a control outcome, and runs the full
 analysis chain: CHSH optimization, negativity, causal-polytope membership
 of the conditioned behavior, the temporal-locality audit (when a definite-
 order model exists), and a process-matrix view with validity and
-separability evidence. Reports are canonical JSON: identical config + seed
+separability evidence. Reports are canonical JSON: an identical config
 gives byte-identical bytes (wall-clock duration is kept out of the report
-and sent to stderr by the CLI).
+and sent to stderr by the CLI). The config's ``seed`` is echoed in the
+report, but no stage draws random numbers.
 """
 from __future__ import annotations
 
@@ -50,7 +51,7 @@ from .switch import (
     target_entanglement,
 )
 
-REPORT_SCHEMA = "icolab/run-report/v1"
+REPORT_SCHEMA = "icolab/run-report/v2"
 
 NAMED_STATES = {
     "0": np.array([1.0, 0.0]),
@@ -66,79 +67,51 @@ class ConfigError(ValueError):
     """Configuration could not be parsed or validated."""
 
 
-BUILTIN_SCENARIOS: dict[str, dict] = {
-    "double-switch-coherent": {
-        "scenario": "double-switch-coherent",
-        "description": "Coherent-order double switch (H/Z), conditioned on control +",
-        "u_a": "H",
-        "u_b": "Z",
-        "v0": "I",
-        "v1": "I",
-        "psi_t0": "0",
-        "control_amplitudes": [_INV_SQRT2, _INV_SQRT2],
-        "order_mode": "coherent",
-        "mixture_q": 0.5,
-        "a5_satisfied": True,
-        "env_flag": False,
-        "visibility": 1.0,
-        "settings": "optimize",
-        "conditioning": {"basis": "plus_minus", "outcome": "+"},
-        "audit_mode": "strict",
-        "seed": 20260815,
-        "restarts": 32,
-        "separability_iters": 2000,
-        "tolerances": {"causal": 1e-9, "audit": 1e-10},
-        "out": None,
-    },
-    "classical-order-baseline": {
-        "scenario": "classical-order-baseline",
-        "description": "Classical mixture of the two orders with trivial free evolution",
-        "u_a": "H",
-        "u_b": "Z",
-        "v0": "I",
-        "v1": "I",
-        "psi_t0": "0",
-        "control_amplitudes": [_INV_SQRT2, _INV_SQRT2],
-        "order_mode": "classical-mixture",
-        "mixture_q": 0.5,
-        "a5_satisfied": True,
-        "env_flag": False,
-        "visibility": 1.0,
-        "settings": "optimize",
-        "conditioning": None,
-        "audit_mode": "strict",
-        "seed": 20260815,
-        "restarts": 32,
-        "separability_iters": 2000,
-        "tolerances": {"causal": 1e-9, "audit": 1e-10},
-        "out": None,
-    },
-    "a5-violated-definite-order": {
-        "scenario": "a5-violated-definite-order",
-        "description": "Definite order with an environment flag selecting the free evolution",
-        "u_a": "H",
-        "u_b": "Z",
-        "v0": "I",
-        "v1": "Z",
-        "psi_t0": "0",
-        "control_amplitudes": [_INV_SQRT2, _INV_SQRT2],
-        "order_mode": "definite-AB",
-        "mixture_q": 0.5,
-        "a5_satisfied": False,
-        "env_flag": True,
-        "visibility": 1.0,
-        "settings": "optimize",
-        "conditioning": {"basis": "plus_minus", "outcome": "+"},
-        "audit_mode": "strict",
-        "seed": 20260815,
-        "restarts": 32,
-        "separability_iters": 2000,
-        "tolerances": {"causal": 1e-9, "audit": 1e-10},
-        "out": None,
-    },
+# Every knob a config may set, at its default: the coherent preset and the
+# base of each built-in and of "custom".
+_BASE_SCENARIO = {
+    "scenario": "double-switch-coherent",
+    "description": "Coherent-order double switch (H/Z), conditioned on control +",
+    "u_a": "H",
+    "u_b": "Z",
+    "v0": "I",
+    "v1": "I",
+    "psi_t0": "0",
+    "control_amplitudes": [_INV_SQRT2, _INV_SQRT2],
+    "order_mode": "coherent",
+    "mixture_q": 0.5,
+    "a5_satisfied": True,
+    "env_flag": False,
+    "visibility": 1.0,
+    "settings": "optimize",
+    "conditioning": {"basis": "plus_minus", "outcome": "+"},
+    "audit_mode": "strict",
+    "seed": 20260815,
+    "separability_iters": 2000,
+    "tolerances": {"causal": 1e-9, "audit": 1e-10},
+    "out": None,
 }
 
-_CONFIG_KEYS = set(BUILTIN_SCENARIOS["double-switch-coherent"])
+_CONFIG_KEYS = set(_BASE_SCENARIO)
+
+BUILTIN_SCENARIOS: dict[str, dict] = {
+    name: {**_BASE_SCENARIO, "scenario": name, **diff}
+    for name, diff in {
+        "double-switch-coherent": {},
+        "classical-order-baseline": {
+            "description": "Classical mixture of the two orders with trivial free evolution",
+            "order_mode": "classical-mixture",
+            "conditioning": None,
+        },
+        "a5-violated-definite-order": {
+            "description": "Definite order with an environment flag selecting the free evolution",
+            "v1": "Z",
+            "order_mode": "definite-AB",
+            "a5_satisfied": False,
+            "env_flag": True,
+        },
+    }.items()
+}
 
 
 def _resolve_matrix(value, what: str) -> np.ndarray:
@@ -236,7 +209,6 @@ class ScenarioConfig:
     conditioning: tuple[ControlMeasurement, str] | None
     audit_mode: str
     seed: int
-    restarts: int
     separability_iters: int
     tol_causal: float
     tol_audit: float
@@ -251,7 +223,7 @@ class ScenarioConfig:
         if name in BUILTIN_SCENARIOS:
             merged = {**BUILTIN_SCENARIOS[name], **data}
         elif name == "custom":
-            merged = {**BUILTIN_SCENARIOS["double-switch-coherent"], **data}
+            merged = {**_BASE_SCENARIO, **data}
             merged["description"] = data.get("description", "custom scenario")
         else:
             raise ConfigError(
@@ -269,14 +241,13 @@ class ScenarioConfig:
             raise ConfigError("tolerances must be positive")
         try:
             seed = int(merged["seed"])
-            restarts = int(merged["restarts"])
             iters = int(merged["separability_iters"])
             visibility = float(merged["visibility"])
             mixture_q = float(merged["mixture_q"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad numeric field: {exc}") from None
-        if restarts < 1 or iters < 1:
-            raise ConfigError("restarts and separability_iters must be >= 1")
+        if iters < 1:
+            raise ConfigError("separability_iters must be >= 1")
         amps = merged["control_amplitudes"]
         if not isinstance(amps, (list, tuple)) or len(amps) != 2:
             raise ConfigError("control_amplitudes must be a pair")
@@ -301,7 +272,6 @@ class ScenarioConfig:
                 conditioning=_resolve_conditioning(merged["conditioning"]),
                 audit_mode=str(merged["audit_mode"]),
                 seed=seed,
-                restarts=restarts,
                 separability_iters=iters,
                 tol_causal=tol_causal,
                 tol_audit=tol_audit,
@@ -368,8 +338,6 @@ def _chsh_section(result: CHSHResult) -> dict:
             "party1": [list(a) for a in c1.angles],
             "party2": [list(a) for a in c2.angles],
         },
-        "seed": result.seed,
-        "backend": result.backend,
         "classical_bound": classical_chsh_bound(),
         "tsirelson_bound": float(TSIRELSON),
     }
@@ -493,7 +461,7 @@ def _scenario_process(cfg: ScenarioConfig, spec: DoubleSwitchSpec) -> tuple[Proc
 
 
 def run_scenario(config: ScenarioConfig) -> RunReport:
-    """Execute one scenario end to end; deterministic given config + seed."""
+    """Execute one scenario end to end; deterministic given the config."""
     t0 = time.perf_counter()
     spec = config.build_spec()
     out = double_switch_output(spec)
@@ -518,7 +486,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     negativity = target_entanglement(rho, (d1, d2))
 
     if config.settings == "optimize":
-        result = optimize_chsh(rho, restarts=config.restarts, seed=config.seed)
+        result = optimize_chsh(rho)
     else:
         c1, c2 = config.settings
         result = chsh(behavior(rho, c1, c2), settings=(c1, c2))

@@ -118,11 +118,11 @@ def test_criterion_5_tsirelson_property():
     rng = np.random.default_rng(20260815)
     worst_any = 0.0
     for _ in range(200):
-        r = optimize_chsh(random_two_qubit_state(rng), restarts=4)
+        r = optimize_chsh(random_two_qubit_state(rng))
         worst_any = max(worst_any, r.value)
     worst_sep = 0.0
     for _ in range(200):
-        r = optimize_chsh(random_separable_two_qubit(rng), restarts=4)
+        r = optimize_chsh(random_separable_two_qubit(rng))
         worst_sep = max(worst_sep, r.value)
     _report(
         5,
@@ -242,7 +242,7 @@ def test_criterion_8_temporal_locality_audit():
 def test_criterion_9_byte_identical_reports(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
-        json.dumps({"scenario": "double-switch-coherent", "seed": 424242, "restarts": 8})
+        json.dumps({"scenario": "double-switch-coherent", "seed": 424242})
     )
     runs = [
         subprocess.run(
