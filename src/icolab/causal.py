@@ -39,6 +39,10 @@ CELL_FLOOR = 1e-12
 
 GAMMA_VALUES = ("A<B", "B<A", "A||B")
 
+# HiGHS meets its rows to its primal feasibility tolerance (default 1e-7);
+# causal_membership re-validates at 1e-8, so solve well inside that gate.
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10}
+
 MAX_ALPHABET = 4
 
 
@@ -183,6 +187,7 @@ def causal_membership(t: BehaviorTable, tol: float = 1e-9) -> CausalDecompositio
         b_eq=b_eq,
         bounds=[(0, None)] * (2 * n) + [(0, None)],
         method="highs",
+        options=_HIGHS_OPTIONS,
     )
     if not res.success:
         raise RuntimeError(f"LP solver failed: {res.message}")

@@ -33,7 +33,7 @@ from .causal import (
     lambda_model_from_definite_order,
     temporal_locality_audit,
 )
-from .linalg import NAMED_UNITARIES, SpaceLayout, as_matrix, ket, projector, tensor
+from .linalg import NAMED_UNITARIES, SpaceLayout, ket, projector, tensor
 from .process import (
     ProcessMatrix,
     mix,
@@ -355,7 +355,7 @@ _AUDIT_PROBES = ("Z", "X")
 
 
 def _audit_section(cfg: ScenarioConfig, spec: DoubleSwitchSpec) -> dict:
-    if spec.order_mode == "coherent":
+    if spec.indefinite_order:
         return {
             "applicable": False,
             "mode": cfg.audit_mode,
@@ -366,51 +366,23 @@ def _audit_section(cfg: ScenarioConfig, spec: DoubleSwitchSpec) -> dict:
             ),
         }
     sw = spec.switch1
-    d = sw.target_dim
-    if d != 2:
-        return {
-            "applicable": False,
-            "mode": cfg.audit_mode,
-            "reason": "audit probes are defined for qubit targets only",
-        }
     probes = [NAMED_UNITARIES["I"], NAMED_UNITARIES["H"]]
-    order = "BA" if spec.order_mode == "definite-BA" else "AB"
-    first_u = sw.u_a if order == "AB" else sw.u_b
-    if spec.env_flag:
-        alpha, beta = spec.control_amplitudes
-        layout = SpaceLayout(("env", "target"), (2, d))
-        initial = alpha * tensor(ket(0), sw.psi_t0) + beta * tensor(ket(1), sw.psi_t0)
-        controlled = tensor(projector(ket(0)), sw.v0 @ first_u) + tensor(
-            projector(ket(1)), sw.v1 @ first_u
-        )
-        evolutions = [(1.0, controlled)]
-        orders = ["A<B" if order == "AB" else "B<A"]
-        probes_full = probes
-        model = lambda_model_from_definite_order(
-            initial, layout, "target", probes_full, probes_full, evolutions, orders=orders
-        )
-    elif spec.order_mode == "classical-mixture":
-        layout = SpaceLayout(("target",), (d,))
-        evolutions = [
-            (spec.mixture_q, sw.v0 @ sw.u_a),
-            (1.0 - spec.mixture_q, sw.v1 @ sw.u_b),
-        ]
-        model = lambda_model_from_definite_order(
-            sw.psi_t0, layout, "target", probes, probes, evolutions, orders=["A<B", "B<A"]
-        )
+    branches = spec.branches
+    steps = [(sw.v0, sw.v1)[b.index] @ (sw.u_a if b.order == "AB" else sw.u_b) for b in branches]
+    orders = ["A<B" if b.order == "AB" else "B<A" for b in branches]
+    if spec.coherent:
+        # same-order branches of a retained environment: one controlled unitary
+        b0, b1 = branches
+        initial = b0.amplitude * tensor(ket(0), sw.psi_t0) + b1.amplitude * tensor(ket(1), sw.psi_t0)
+        layout = SpaceLayout(("env", "target"), (2, sw.target_dim))
+        controlled = tensor(projector(ket(0)), steps[0]) + tensor(projector(ket(1)), steps[1])
+        evolutions, orders = [(1.0, controlled)], orders[:1]
     else:
-        layout = SpaceLayout(("target",), (d,))
-        v = sw.v0 if order == "AB" else sw.v1
-        evolutions = [(1.0, v @ first_u)]
-        model = lambda_model_from_definite_order(
-            sw.psi_t0,
-            layout,
-            "target",
-            probes,
-            probes,
-            evolutions,
-            orders=["A<B" if order == "AB" else "B<A"],
-        )
+        initial, layout = sw.psi_t0, SpaceLayout(("target",), (sw.target_dim,))
+        evolutions = [(b.weight, u) for b, u in zip(branches, steps)]
+    model = lambda_model_from_definite_order(
+        initial, layout, "target", probes, probes, evolutions, orders=orders
+    )
     audit = temporal_locality_audit(model, cfg.tol_audit, cfg.audit_mode)
     return {
         "applicable": True,
@@ -422,68 +394,45 @@ def _audit_section(cfg: ScenarioConfig, spec: DoubleSwitchSpec) -> dict:
 
 def _scenario_process(cfg: ScenarioConfig, spec: DoubleSwitchSpec) -> tuple[ProcessMatrix, str]:
     sw = spec.switch1
-    d = sw.target_dim
-    common = {"target_dim": d, "psi_t0": sw.psi_t0}
-    if spec.order_mode == "coherent":
-        w = quantum_switch_process(
-            spec.control_amplitudes, v0=sw.v0, v1=sw.v1, **common
-        )
-        if spec.visibility == 1.0:
-            return w, "coherent switch process (one target line)"
-        # Dephasing the control damps only the AB/BA cross terms:
-        # W(eta) = eta |w><w| + (1 - eta) (|alpha|^2 W_AB + |beta|^2 W_BA)
-        w_ab = quantum_switch_process((1.0, 0.0), v0=sw.v0, v1=sw.v1, **common)
-        w_ba = quantum_switch_process((0.0, 1.0), v0=sw.v0, v1=sw.v1, **common)
-        dephased = mix(w_ab, w_ba, abs(spec.control_amplitudes[0]) ** 2)
-        return (
-            mix(w, dephased, spec.visibility),
-            "partially dephased coherent switch process (one target line)",
-        )
-    if spec.order_mode == "classical-mixture":
-        w_ab = quantum_switch_process((1.0, 0.0), v0=sw.v0, v1=sw.v1, **common)
-        w_ba = quantum_switch_process((0.0, 1.0), v0=sw.v0, v1=sw.v1, **common)
-        return (
-            mix(w_ab, w_ba, spec.mixture_q),
-            "classical mixture of the two ordered processes",
-        )
-    order = "BA" if spec.order_mode == "definite-BA" else "AB"
-    amps = (1.0, 0.0) if order == "AB" else (0.0, 1.0)
-    if spec.env_flag:
-        w0 = quantum_switch_process(amps, v0=sw.v0, v1=sw.v0, **common)
-        w1 = quantum_switch_process(amps, v0=sw.v1, v1=sw.v1, **common)
-        alpha, _ = spec.control_amplitudes
-        return (
-            mix(w0, w1, abs(alpha) ** 2),
-            "environment-weighted mixture of same-order processes",
-        )
-    w = quantum_switch_process(amps, v0=sw.v0, v1=sw.v1, **common)
-    return w, f"definite-order process ({order})"
+    common = {"target_dim": sw.target_dim, "psi_t0": sw.psi_t0}
+    branches = spec.branches
+    vs = [(sw.v0, sw.v1)[b.index] for b in branches]
+    # each branch alone: the switch process that runs its order only
+    ordered = [
+        quantum_switch_process((1.0, 0.0) if b.order == "AB" else (0.0, 1.0), v0=v, v1=v, **common)
+        for b, v in zip(branches, vs)
+    ]
+    if len(branches) == 1:
+        return ordered[0], f"definite-order process ({branches[0].order})"
+    b0, b1 = branches
+    mixed = mix(ordered[0], ordered[1], b0.weight)
+    if b0.order == b1.order:
+        return mixed, "environment-weighted mixture of same-order processes"
+    if b0.amplitude is None:
+        return mixed, "classical mixture of the two ordered processes"
+    w = quantum_switch_process((b0.amplitude, b1.amplitude), v0=vs[0], v1=vs[1], **common)
+    if spec.visibility == 1.0:
+        return w, "coherent switch process (one target line)"
+    # Dephasing the control damps only the AB/BA cross terms:
+    # W(eta) = eta |w><w| + (1 - eta) (|alpha|^2 W_AB + |beta|^2 W_BA)
+    return mix(w, mixed, spec.visibility), "partially dephased coherent switch process (one target line)"
 
 
-def run_scenario(config: ScenarioConfig) -> RunReport:
-    """Execute one scenario end to end; deterministic given the config."""
-    t0 = time.perf_counter()
-    spec = config.build_spec()
+def _correlation_sections(config: ScenarioConfig, spec: DoubleSwitchSpec) -> dict:
+    """The ``states``, ``chsh`` and ``causal`` report sections: the (conditioned)
+    target state, its CHSH value at optimized or fixed settings, and the
+    causal-polytope verdict of the behavior at those settings."""
     out = double_switch_output(spec)
-    if out.ndim == 1:
-        norm = float(np.linalg.norm(out))
-    else:
-        norm = float(np.real(np.trace(out)))
+    norm = float(np.linalg.norm(out)) if out.ndim == 1 else float(np.real(np.trace(out)))
 
     if config.conditioning is None:
         rho = reduced_target_state(spec)
         conditioning_info = None
-        p_cond = 1.0
     else:
         m, outcome = config.conditioning
         p_cond, rho = conditioned_target_state(spec, m, outcome)
-        conditioning_info = {
-            "measured": spec.layout.labels[0],
-            "outcome": outcome,
-            "probability": p_cond,
-        }
-    d1, d2 = spec.switch1.target_dim, spec.switch2.target_dim
-    negativity = target_entanglement(rho, (d1, d2))
+        conditioning_info = {"measured": spec.layout.labels[0], "outcome": outcome, "probability": p_cond}
+    negativity = target_entanglement(rho, (spec.switch1.target_dim, spec.switch2.target_dim))
 
     if config.settings == "optimize":
         result = optimize_chsh(rho)
@@ -491,7 +440,22 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         c1, c2 = config.settings
         result = chsh(behavior(rho, c1, c2), settings=(c1, c2))
     table = behavior(rho, *result.settings)
-    causal_sec = _causal_section(table, config.tol_causal)
+    return {
+        "states": {
+            "output_norm": norm,
+            "conditioning": conditioning_info,
+            "negativity": negativity,
+        },
+        "chsh": _chsh_section(result),
+        "causal": _causal_section(table, config.tol_causal),
+    }
+
+
+def run_scenario(config: ScenarioConfig) -> RunReport:
+    """Execute one scenario end to end; deterministic given the config."""
+    t0 = time.perf_counter()
+    spec = config.build_spec()
+    sections = _correlation_sections(config, spec)
     audit_sec = _audit_section(config, spec)
     w, construction = _scenario_process(config, spec)
     validity = validate_process(w)
@@ -501,7 +465,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         (
             "CHSH exceeds the classical bound 2: conditioned target statistics"
             " admit no temporally local model"
-            if result.value > classical_chsh_bound() + 1e-9
+            if sections["chsh"]["value"] > classical_chsh_bound() + 1e-9
             else "CHSH within the classical bound"
         ),
         (
@@ -523,15 +487,9 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
             "a5_satisfied": config.a5_satisfied,
             "order_mode": config.order_mode,
             "env_flag": config.env_flag,
-            "classical_order_variable": config.order_mode != "coherent",
+            "classical_order_variable": not spec.indefinite_order,
         },
-        "states": {
-            "output_norm": norm,
-            "conditioning": conditioning_info,
-            "negativity": negativity,
-        },
-        "chsh": _chsh_section(result),
-        "causal": causal_sec,
+        **sections,
         "temporal_locality": audit_sec,
         "process": {
             "construction": construction,
@@ -545,7 +503,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
 
 
 def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> str:
-    """One CSV row per grid point: param,S_opt,negativity,causal_verdict."""
+    """One CSV row per grid point, from the state, CHSH and causal stages only."""
     if parameter not in ("eta", "q"):
         raise ConfigError(f"sweep parameter must be 'eta' or 'q', got {parameter!r}")
     if not grid:
@@ -556,18 +514,12 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> str:
         f"# scenario={config.name} seed={config.seed} parameter={parameter}",
         "param,S_opt,negativity,causal_verdict",
     ]
+    key = "visibility" if parameter == "eta" else "mixture_q"
     for value in grid:
-        merged = dict(config.echo)
-        if parameter == "eta":
-            merged["visibility"] = value
-        else:
-            merged["mixture_q"] = value
-        point = ScenarioConfig.from_dict(merged)
-        run = run_scenario(point)
-        s_opt = run.report["chsh"]["value"]
-        neg = run.report["states"]["negativity"]
-        verdict = run.report["causal"]["verdict"]
-        lines.append(f"{value!r},{s_opt!r},{neg!r},{verdict}")
+        point = ScenarioConfig.from_dict({**config.echo, key: value})
+        sec = _correlation_sections(point, point.build_spec())
+        s_opt, neg = sec["chsh"]["value"], sec["states"]["negativity"]
+        lines.append(f"{value!r},{s_opt!r},{neg!r},{sec['causal']['verdict']}")
     return "\n".join(lines) + "\n"
 
 

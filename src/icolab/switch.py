@@ -9,22 +9,24 @@ in between. States live on control (x) target with the control first
 (most significant), so a switch output for target dimension d is a vector of
 length 2*d.
 
-The double switch drives two independent targets with one shared control.
-Its ``order_mode`` selects the regime:
+The double switch drives two independent targets with one shared first
+factor: the order control, or with ``env_flag`` a retained environment that
+coherently selects the free evolution under a definite order (a different
+physical story with the same algebra, reusing the control amplitudes).
+``DoubleSwitchSpec.branches`` is the one place that reads ``order_mode``,
+``env_flag`` and ``mixture_q``. A branch is a first-factor basis state |k>,
+an order (AB or BA), the free evolution v_k, and an amplitude (superposed
+branches) or a classical weight (mixed branches):
 
-- ``"coherent"``: the superposed-control state vector (optionally decohered
-  by ``visibility`` < 1, which damps the control off-diagonal block and then
-  returns a density operator);
-- ``"classical-mixture"``: the weight-``mixture_q`` probabilistic mixture of
-  the two definite-order branch densities;
-- ``"definite-AB"`` / ``"definite-BA"``: a single branch.
+    coherent            (0, AB, alpha), (1, BA, beta)
+    classical-mixture   (0, AB, q), (1, BA, 1 - q)      mixed
+    definite-AB / -BA   (0, AB, 1) / (1, BA, 1)         one branch
+    env_flag            (0, X, alpha), (1, X, beta)     X the definite order
 
-``env_flag=True`` (definite modes only) models a different physical story
-with the same algebra: the order is definite, but a retained two-valued
-environment coherently selects which free evolution (v0 vs v1) acts, with
-the shared control amplitudes reused as the environment amplitudes. The
-first factor of the output is then the environment instead of the order
-control; either way it is the system the final party measures.
+``visibility`` < 1 damps superposed branches (the output is then a density
+operator). They are coherent while it is above 0; at 0 they are a mixture
+with weights |alpha|^2, |beta|^2. Only coherent branches of both orders make
+the order indefinite.
 """
 from __future__ import annotations
 
@@ -39,7 +41,6 @@ from .linalg import (
     PLUS,
     SpaceLayout,
     as_matrix,
-    dagger,
     eig_hermitian,
     is_psd,
     is_unitary,
@@ -98,20 +99,22 @@ class SwitchSpec:
     def layout(self) -> SpaceLayout:
         return SpaceLayout(("control", "target"), (2, self.target_dim))
 
-    def branch_unitary(self, order: str) -> np.ndarray:
-        """Composed target evolution for one definite order ("AB" or "BA")."""
+    def branch_unitary(self, order: str, free: int) -> np.ndarray:
+        """Composed target evolution for one order ("AB" or "BA") with free
+        evolution v0 (``free`` 0) or v1 (1) in between."""
+        v = (self.v0, self.v1)[free]
         if order == "AB":
-            return self.u_b @ self.v0 @ self.u_a
+            return self.u_b @ v @ self.u_a
         if order == "BA":
-            return self.u_a @ self.v1 @ self.u_b
+            return self.u_a @ v @ self.u_b
         raise ValueError(f"order must be 'AB' or 'BA', got {order!r}")
 
 
 def switch_output(spec: SwitchSpec) -> np.ndarray:
     """Final control (x) target state vector of the switch."""
     alpha, beta = spec.control_amplitudes
-    branch0 = spec.branch_unitary("AB") @ spec.psi_t0
-    branch1 = spec.branch_unitary("BA") @ spec.psi_t0
+    branch0 = spec.branch_unitary("AB", 0) @ spec.psi_t0
+    branch1 = spec.branch_unitary("BA", 1) @ spec.psi_t0
     return alpha * tensor(ket(0), branch0) + beta * tensor(ket(1), branch1)
 
 
@@ -228,6 +231,17 @@ def condition_on_control(
 
 
 @dataclass(frozen=True)
+class Branch:
+    """One branch of a double switch (see the module docstring); ``amplitude``
+    is None for mixed branches, ``weight`` is |amplitude|^2 or the mixture weight."""
+
+    index: int
+    order: str
+    amplitude: complex | None
+    weight: float
+
+
+@dataclass(frozen=True)
 class DoubleSwitchSpec:
     """Two switches driven by one shared control (or environment) qubit.
 
@@ -274,68 +288,58 @@ class DoubleSwitchSpec:
             (2, self.switch1.target_dim, self.switch2.target_dim),
         )
 
-    def branch_vector(self, order: str) -> np.ndarray:
-        """Joint target1 (x) target2 state for one definite order."""
-        t1 = self.switch1.branch_unitary(order) @ self.switch1.psi_t0
-        t2 = self.switch2.branch_unitary(order) @ self.switch2.psi_t0
+    @property
+    def branches(self) -> tuple[Branch, ...]:
+        """The branches of this spec, in first-factor order."""
+        a, b = self.control_amplitudes
+        mode = self.order_mode
+        if self.env_flag:
+            return Branch(0, mode[-2:], a, abs(a) ** 2), Branch(1, mode[-2:], b, abs(b) ** 2)
+        if mode == "coherent":
+            return Branch(0, "AB", a, abs(a) ** 2), Branch(1, "BA", b, abs(b) ** 2)
+        if mode == "classical-mixture":
+            q = self.mixture_q
+            return Branch(0, "AB", None, q), Branch(1, "BA", None, 1.0 - q)
+        return (Branch(0, "AB", None, 1.0),) if mode == "definite-AB" else (Branch(1, "BA", None, 1.0),)
+
+    @property
+    def coherent(self) -> bool:
+        """Whether the branches are superposed with visibility > 0."""
+        return self.branches[0].amplitude is not None and self.visibility > 0.0
+
+    @property
+    def indefinite_order(self) -> bool:
+        """Whether coherent branches run the operations in different orders."""
+        return self.coherent and len({b.order for b in self.branches}) > 1
+
+    def branch_vector(self, branch: Branch) -> np.ndarray:
+        """Joint target1 (x) target2 state of one branch."""
+        t1 = self.switch1.branch_unitary(branch.order, branch.index) @ self.switch1.psi_t0
+        t2 = self.switch2.branch_unitary(branch.order, branch.index) @ self.switch2.psi_t0
         return tensor(t1, t2)
-
-    def env_branch_vector(self, env_value: int) -> np.ndarray:
-        """Joint target state when the environment selects v0 (0) or v1 (1)
-        under this spec's definite order."""
-        order = "AB" if self.order_mode == "definite-AB" else "BA"
-        vs = []
-        for sw in (self.switch1, self.switch2):
-            v = sw.v0 if env_value == 0 else sw.v1
-            if order == "AB":
-                vs.append(sw.u_b @ v @ sw.u_a @ sw.psi_t0)
-            else:
-                vs.append(sw.u_a @ v @ sw.u_b @ sw.psi_t0)
-        return tensor(vs[0], vs[1])
-
-
-def _damp_control_coherence(state: np.ndarray, visibility: float, d_t: int) -> np.ndarray:
-    rho = np.outer(state, state.conj())
-    blocks = rho.reshape(2, d_t, 2, d_t)
-    blocks[0, :, 1, :] *= visibility
-    blocks[1, :, 0, :] *= visibility
-    return blocks.reshape(2 * d_t, 2 * d_t)
 
 
 def double_switch_output(spec: DoubleSwitchSpec) -> np.ndarray:
-    """Joint control (x) target1 (x) target2 state of the double switch.
+    """Joint first factor (x) target1 (x) target2 state of the double switch.
 
-    Returns a state vector in coherent mode (and in definite/env-flag modes),
-    a density operator in classical-mixture mode or when visibility < 1.
+    Returns a state vector for a single branch or fully visible superposed
+    branches, and a density operator for mixed branches or visibility < 1.
     """
-    alpha, beta = spec.control_amplitudes
-    mode = spec.order_mode
-
-    if spec.env_flag:
-        out = alpha * tensor(ket(0), spec.env_branch_vector(0)) + beta * tensor(
-            ket(1), spec.env_branch_vector(1)
-        )
-        if spec.visibility < 1.0:
-            return _damp_control_coherence(out, spec.visibility, out.size // 2)
+    branches = spec.branches
+    kets = [tensor(ket(b.index), spec.branch_vector(b)) for b in branches]
+    if len(branches) == 1:
+        return kets[0]
+    (b0, b1), (k0, k1) = branches, kets
+    if b0.amplitude is None:
+        return b0.weight * projector(k0) + b1.weight * projector(k1)
+    out = b0.amplitude * k0 + b1.amplitude * k1
+    if spec.visibility == 1.0:
         return out
-
-    if mode == "coherent":
-        out = alpha * tensor(ket(0), spec.branch_vector("AB")) + beta * tensor(
-            ket(1), spec.branch_vector("BA")
-        )
-        if spec.visibility < 1.0:
-            return _damp_control_coherence(out, spec.visibility, out.size // 2)
-        return out
-
-    if mode == "classical-mixture":
-        q = spec.mixture_q
-        rho_ab = projector(tensor(ket(0), spec.branch_vector("AB")))
-        rho_ba = projector(tensor(ket(1), spec.branch_vector("BA")))
-        return q * rho_ab + (1.0 - q) * rho_ba
-
-    if mode == "definite-AB":
-        return tensor(ket(0), spec.branch_vector("AB"))
-    return tensor(ket(1), spec.branch_vector("BA"))
+    # damp the first factor's off-diagonal blocks
+    blocks = np.outer(out, out.conj()).reshape(2, out.size // 2, 2, out.size // 2)
+    blocks[0, :, 1, :] *= spec.visibility
+    blocks[1, :, 0, :] *= spec.visibility
+    return blocks.reshape(out.size, out.size)
 
 
 def target_entanglement(rho: np.ndarray, dims: tuple[int, int] | None = None) -> float:
@@ -368,20 +372,19 @@ def target_entanglement(rho: np.ndarray, dims: tuple[int, int] | None = None) ->
     return max(0.0, (trace_norm - 1.0) / 2.0)
 
 
+def _output_density(spec: DoubleSwitchSpec) -> np.ndarray:
+    out = double_switch_output(spec)
+    return projector(out) if out.ndim == 1 else out
+
+
 def conditioned_target_state(
     spec: DoubleSwitchSpec, m: ControlMeasurement, outcome: str
 ) -> tuple[float, np.ndarray]:
     """Probability of the control outcome and the resulting joint target
     density operator, for any order mode."""
-    out = double_switch_output(spec)
-    if out.ndim == 1:
-        out = projector(out)
-    return condition_on_control(out, m, outcome, spec.layout)
+    return condition_on_control(_output_density(spec), m, outcome, spec.layout)
 
 
 def reduced_target_state(spec: DoubleSwitchSpec) -> np.ndarray:
     """Joint target density operator with the control traced out."""
-    out = double_switch_output(spec)
-    if out.ndim == 1:
-        out = projector(out)
-    return partial_trace(out, spec.layout, ("target1", "target2"))
+    return partial_trace(_output_density(spec), spec.layout, ("target1", "target2"))

@@ -84,8 +84,8 @@ def test_membership_matches_vertex_oracle():
 
 # A near-deterministic Born-rule table (smallest entry 9e-6): the conditioned
 # target pair of a coherent double switch under its optimal CHSH settings.
-# It is no-signaling, hence causal, but HiGHS meets the equality rows only to
-# about 1e-8, the same as the re-validation gate.
+# It is no-signaling, hence causal; at HiGHS's default feasibility tolerance
+# the equality rows were met only to about 1e-8, the re-validation gate.
 NEAR_DETERMINISTIC = [
     [
         [
@@ -110,12 +110,6 @@ NEAR_DETERMINISTIC = [
 ]
 
 
-@pytest.mark.xfail(
-    raises=RuntimeError,
-    strict=True,
-    reason="causal_membership re-validates its LP solution at 1e-8, tighter than "
-    "HiGHS meets the equality rows on near-deterministic behaviors",
-)
 def test_near_deterministic_causal_table_is_accepted():
     t = BehaviorTable(np.array(NEAR_DETERMINISTIC))
     assert oracles.causal_polytope_member(t.probs)

@@ -1,16 +1,20 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from icolab import scenarios
 from icolab.process import quantum_switch_process
 from icolab.scenarios import (
     BUILTIN_SCENARIOS,
     ConfigError,
     ScenarioConfig,
+    _audit_section,
     _scenario_process,
     list_scenarios,
     load_config,
@@ -192,6 +196,24 @@ def test_dephased_coherent_process_certifies_at_zero_visibility():
     assert "definite or mixed" in rep["notes"][1]
 
 
+def test_sections_agree_at_zero_visibility():
+    # At eta = 0 the coherent branches are a mixture with weights |alpha|^2,
+    # |beta|^2, so the audit applies the classical-mixture model.
+    amps = [np.sqrt(0.3), np.sqrt(0.7)]
+    rep = run_scenario(
+        make_config(visibility=0.0, control_amplitudes=amps, separability_iters=20)
+    ).report
+    assert rep["assumptions"]["classical_order_variable"] is True
+    audit = rep["temporal_locality"]
+    assert audit["applicable"] is True and audit["passed"] is True
+    assert rep["notes"][2].startswith("within-switch events admit a definite-order")
+    mixture = make_config(order_mode="classical-mixture", mixture_q=abs(amps[0]) ** 2)
+    assert audit == _audit_section(mixture, mixture.build_spec())
+    # any visibility above 0 keeps the order coherently indefinite
+    faint = make_config(visibility=0.01, control_amplitudes=amps)
+    assert _audit_section(faint, faint.build_spec())["applicable"] is False
+
+
 def test_full_visibility_process_is_the_pure_switch():
     cfg = make_config()
     spec = cfg.build_spec()
@@ -247,6 +269,48 @@ def test_sweep_eta_dampens_violation():
     assert s_half == pytest.approx(np.sqrt(5), abs=1e-6)  # 2 sqrt(1 + eta^2)
     neg_half = float(rows[1].split(",")[2])
     assert neg_half == pytest.approx(0.25, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "scenario, parameter, grid",
+    [
+        ("double-switch-coherent", "eta", [0.0, 0.5, 1.0]),
+        ("classical-order-baseline", "q", [0.2, 0.8]),
+    ],
+)
+def test_sweep_runs_only_the_correlation_stages(monkeypatch, scenario, parameter, grid):
+    def no_separability(*args, **kwargs):
+        raise AssertionError("sweep ran the separability search")
+
+    cfg = ScenarioConfig.from_dict({"scenario": scenario, "separability_iters": 20})
+    with monkeypatch.context() as m:
+        m.setattr(scenarios, "separability_heuristic", no_separability)
+        rows = sweep(cfg, parameter, grid).strip().split("\n")[2:]
+    assert len(rows) == len(grid)
+    key = "visibility" if parameter == "eta" else "mixture_q"
+    for value, row in zip(grid, rows):
+        rep = run_scenario(ScenarioConfig.from_dict({**cfg.echo, key: value})).report
+        assert row.split(",") == [
+            repr(value),
+            repr(rep["chsh"]["value"]),
+            repr(rep["states"]["negativity"]),
+            rep["causal"]["verdict"],
+        ]
+
+
+def test_tracer_patches_only_names_the_scenarios_module_has():
+    # perfbench/tracing.py swaps the names in its SCENARIO_LAYERS on
+    # icolab.scenarios by getattr; a name missing there breaks a traced run.
+    source = (Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text()
+    layers = next(
+        node.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "SCENARIO_LAYERS" for t in node.targets)
+    )
+    names = [ast.literal_eval(key) for key in layers.keys]
+    assert "run_scenario" in names and "separability_heuristic" in names
+    assert [n for n in names if not hasattr(scenarios, n)] == []
 
 
 def test_sweep_validation():

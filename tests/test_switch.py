@@ -4,6 +4,7 @@ import pytest
 import oracles
 from icolab.linalg import H, I2, MINUS, PLUS, X, Z, ket, projector, tensor
 from icolab.switch import (
+    Branch,
     ControlMeasurement,
     DoubleSwitchSpec,
     SwitchSpec,
@@ -138,6 +139,48 @@ def test_env_flag_branches():
     assert np.abs(out - expected).max() < 1e-12
     p, rho = conditioned_target_state(spec, ControlMeasurement.plus_minus(), "+")
     assert target_entanglement(rho, (2, 2)) == pytest.approx(0.5, abs=1e-9)
+
+
+AMP = (0.6, 0.8j)
+SUPERPOSED = [Branch(0, "AB", 0.6, 0.36), Branch(1, "BA", 0.8j, 0.64)]
+
+
+@pytest.mark.parametrize(
+    "kw, branches, coherent, indefinite",
+    [
+        ({}, SUPERPOSED, True, True),
+        ({"visibility": 0.0}, SUPERPOSED, False, False),
+        (
+            {"order_mode": "classical-mixture", "mixture_q": 0.3},
+            [Branch(0, "AB", None, 0.3), Branch(1, "BA", None, 0.7)],
+            False,
+            False,
+        ),
+        ({"order_mode": "definite-AB"}, [Branch(0, "AB", None, 1.0)], False, False),
+        ({"order_mode": "definite-BA"}, [Branch(1, "BA", None, 1.0)], False, False),
+        (
+            {"order_mode": "definite-AB", "env_flag": True},
+            [Branch(0, "AB", 0.6, 0.36), Branch(1, "AB", 0.8j, 0.64)],
+            True,
+            False,
+        ),
+        (
+            {"order_mode": "definite-BA", "env_flag": True},
+            [Branch(0, "BA", 0.6, 0.36), Branch(1, "BA", 0.8j, 0.64)],
+            True,
+            False,
+        ),
+    ],
+)
+def test_branch_list_of_each_mode(kw, branches, coherent, indefinite):
+    spec = double_switch(H, Z, v0=I2, v1=Z, control_amplitudes=AMP, **kw)
+    got = spec.branches
+    assert [(b.index, b.order, b.amplitude) for b in got] == [
+        (b.index, b.order, b.amplitude) for b in branches
+    ]
+    assert [b.weight for b in got] == pytest.approx([b.weight for b in branches], abs=1e-15)
+    assert spec.coherent is coherent
+    assert spec.indefinite_order is indefinite
 
 
 def test_env_flag_requires_definite_mode():
