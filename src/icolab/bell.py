@@ -13,8 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import SpaceLayout, X, Y, Z, as_matrix, is_psd, projector, tensor
-from .switch import ControlMeasurement, condition_on_control
+from .linalg import X, Y, Z, as_matrix, is_psd, projector, tensor
 
 PAULI = np.stack([X, Y, Z])
 
@@ -195,10 +194,7 @@ def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     )
 
 
-def optimize_chsh(
-    rho: np.ndarray,
-    conditioning: tuple[ControlMeasurement, str] | None = None,
-) -> CHSHResult:
+def optimize_chsh(rho: np.ndarray) -> CHSHResult:
     """Best CHSH value over measurement settings, in closed form.
 
     With T = U diag(s) V^T the SVD of the correlation matrix and
@@ -206,9 +202,10 @@ def optimize_chsh(
     b0,1 = cos(theta) v1 +- sin(theta) v2 reach S = 2 sqrt(s1^2 + s2^2),
     the Horodecki maximum (Phys. Lett. A 200, 340, 1995). The full SVD
     returns orthonormal U and V even when T has rank <= 1, so every
-    setting is a unit Bloch vector. With ``conditioning=(m, outcome)`` the
-    input must be a control (x) two-qubit-targets state, which is first
-    conditioned on the control outcome.
+    setting is a unit Bloch vector. ``rho`` is a two-qubit density operator
+    or state vector; to optimize the targets of a switch after a control
+    outcome, condition first (``switch.conditioned_target_state`` or
+    ``switch.condition_on_control``).
 
     The returned value is recomputed from the Born-rule behavior at the
     optimal settings, so it can never exceed the quantum bound.
@@ -216,15 +213,6 @@ def optimize_chsh(
     arr = np.asarray(rho, dtype=np.complex128)
     if arr.ndim == 1:
         arr = projector(arr)
-    if conditioning is not None:
-        m, outcome = conditioning
-        d = arr.shape[0]
-        if d % (4 * m.dim) != 0:
-            raise ValueError(
-                f"conditioned input of dimension {d} is not control x two qubits"
-            )
-        layout = SpaceLayout(("control", "target1", "target2"), (m.dim, 2, d // (2 * m.dim)))
-        _, arr = condition_on_control(arr, m, outcome, layout)
     arr = as_matrix(arr)
     if arr.shape != (4, 4):
         raise ValueError(f"expected a two-qubit density operator, got shape {arr.shape}")

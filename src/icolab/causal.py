@@ -22,16 +22,9 @@ from dataclasses import dataclass
 from math import prod
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .bell import BehaviorTable, MeasurementSetting, behavior, optimize_chsh
+from .bell import BehaviorTable
 from .linalg import SpaceLayout, as_matrix, projector, tensor
-from .switch import (
-    ControlMeasurement,
-    DoubleSwitchSpec,
-    conditioned_target_state,
-    reduced_target_state,
-)
 
 LAMBDA_SCHEMA = "icolab/lambda-model/v1"
 
@@ -158,6 +151,9 @@ def causal_membership(t: BehaviorTable, tol: float = 1e-9) -> CausalDecompositio
     feasibility at epsilon <= tol yields a decomposition, which is
     re-validated arithmetically before being returned.
     """
+    # scipy.optimize takes most of a second to import; load it only here
+    from scipy.optimize import linprog
+
     shape = t.shape
     if max(shape) > MAX_ALPHABET:
         raise ValueError(
@@ -586,30 +582,3 @@ def lambda_model_from_definite_order(
     gamma = tuple(tuple(orders[e] for _ in range(n_lb)) for e in range(n_e))
     return LambdaModel(lambda_a, lambda_b, prior, joint, marginal_i, marginal_j, gamma)
 
-
-# --- glue from the switch simulator ----------------------------------------
-
-def behavior_from_switch_scenario(
-    spec: DoubleSwitchSpec,
-    settings: tuple[MeasurementSetting, MeasurementSetting] | str,
-    conditioning: tuple[ControlMeasurement, str] | None = None,
-) -> BehaviorTable:
-    """Behavior table of the two target qubits of a double switch, after
-    optionally conditioning on a control/environment outcome.
-
-    ``settings`` is a pair of measurement settings or the string
-    "optimize", which uses the closed-form optimal CHSH settings of the
-    conditioned state.
-    """
-    if conditioning is None:
-        rho = reduced_target_state(spec)
-    else:
-        m, outcome = conditioning
-        _, rho = conditioned_target_state(spec, m, outcome)
-    if isinstance(settings, str):
-        if settings != "optimize":
-            raise ValueError(f"settings must be a pair or 'optimize', got {settings!r}")
-        result = optimize_chsh(rho)
-        settings = result.settings
-    c1, c2 = settings
-    return behavior(rho, c1, c2)

@@ -160,11 +160,13 @@ def _resolve_settings(value):
     try:
         pair = tuple(MeasurementSetting(tuple(map(tuple, party))) for party in value)
     except (TypeError, ValueError):
+        pair = None
+    if pair is None or len(pair) != 2 or any(
+        c.inputs != 2 or not np.all(np.isfinite(c.angles)) for c in pair
+    ):
         raise ConfigError(
-            "settings must be 'optimize' or two lists of [theta, phi] pairs"
-        ) from None
-    if len(pair) != 2:
-        raise ConfigError("settings needs exactly two parties")
+            "settings must be 'optimize' or, for each of two parties, two finite [theta, phi] pairs"
+        )
     return pair
 
 
@@ -191,20 +193,12 @@ def _resolve_conditioning(value):
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully resolved scenario parameters plus the merged raw config dict
-    (the echo), which is reproduced verbatim in every report."""
+    (the echo), which is reproduced verbatim in every report. ``spec``, built
+    once by ``from_dict``, is the one description of the double switch; both
+    target lines share its unitaries and input state."""
 
     name: str
-    u_a: np.ndarray
-    u_b: np.ndarray
-    v0: np.ndarray
-    v1: np.ndarray
-    psi_t0: np.ndarray
-    control_amplitudes: tuple[complex, complex]
-    order_mode: str
-    mixture_q: float
-    a5_satisfied: bool
-    env_flag: bool
-    visibility: float
+    spec: DoubleSwitchSpec
     settings: object
     conditioning: tuple[ControlMeasurement, str] | None
     audit_mode: str
@@ -235,39 +229,43 @@ class ScenarioConfig:
         tols = merged.get("tolerances") or {}
         if not isinstance(tols, dict) or set(tols) - {"causal", "audit"}:
             raise ConfigError("tolerances must be a dict with keys 'causal'/'audit'")
-        tol_causal = float(tols.get("causal", 1e-9))
-        tol_audit = float(tols.get("audit", 1e-10))
-        if tol_causal <= 0 or tol_audit <= 0:
-            raise ConfigError("tolerances must be positive")
         try:
+            tol_causal = float(tols.get("causal", 1e-9))
+            tol_audit = float(tols.get("audit", 1e-10))
             seed = int(merged["seed"])
             iters = int(merged["separability_iters"])
             visibility = float(merged["visibility"])
             mixture_q = float(merged["mixture_q"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad numeric field: {exc}") from None
+        if not all(np.isfinite(t) and t > 0 for t in (tol_causal, tol_audit)):
+            raise ConfigError("tolerances must be finite and positive")
         if iters < 1:
             raise ConfigError("separability_iters must be >= 1")
         amps = merged["control_amplitudes"]
         if not isinstance(amps, (list, tuple)) or len(amps) != 2:
             raise ConfigError("control_amplitudes must be a pair")
         try:
-            cfg = cls(
-                name=merged["scenario"],
+            switch = SwitchSpec(
                 u_a=_resolve_matrix(merged["u_a"], "u_a"),
                 u_b=_resolve_matrix(merged["u_b"], "u_b"),
                 v0=_resolve_matrix(merged["v0"], "v0"),
                 v1=_resolve_matrix(merged["v1"], "v1"),
                 psi_t0=_resolve_state(merged["psi_t0"], "psi_t0"),
-                control_amplitudes=(
-                    _resolve_amplitude(amps[0]),
-                    _resolve_amplitude(amps[1]),
-                ),
+            )
+            spec = DoubleSwitchSpec(
+                switch1=switch,
+                switch2=switch,
+                control_amplitudes=(_resolve_amplitude(amps[0]), _resolve_amplitude(amps[1])),
                 order_mode=str(merged["order_mode"]),
                 mixture_q=mixture_q,
                 a5_satisfied=bool(merged["a5_satisfied"]),
                 env_flag=bool(merged["env_flag"]),
                 visibility=visibility,
+            )
+            return cls(
+                name=merged["scenario"],
+                spec=spec,
                 settings=_resolve_settings(merged["settings"]),
                 conditioning=_resolve_conditioning(merged["conditioning"]),
                 audit_mode=str(merged["audit_mode"]),
@@ -278,31 +276,8 @@ class ScenarioConfig:
                 out=merged.get("out"),
                 echo=merged,
             )
-        except ConfigError:
-            raise
-        except ValueError as exc:
+        except ValueError as exc:  # ConfigError included
             raise ConfigError(str(exc)) from None
-        try:
-            cfg.build_spec()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        return cfg
-
-    def build_spec(self) -> DoubleSwitchSpec:
-        """Both switch lines share the configured unitaries and input state."""
-        sw = SwitchSpec(
-            u_a=self.u_a, u_b=self.u_b, v0=self.v0, v1=self.v1, psi_t0=self.psi_t0
-        )
-        return DoubleSwitchSpec(
-            switch1=sw,
-            switch2=sw,
-            control_amplitudes=self.control_amplitudes,
-            order_mode=self.order_mode,
-            mixture_q=self.mixture_q,
-            a5_satisfied=self.a5_satisfied,
-            env_flag=self.env_flag,
-            visibility=self.visibility,
-        )
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -354,7 +329,8 @@ def _causal_section(table, tol: float) -> dict:
 _AUDIT_PROBES = ("Z", "X")
 
 
-def _audit_section(cfg: ScenarioConfig, spec: DoubleSwitchSpec) -> dict:
+def _audit_section(cfg: ScenarioConfig) -> dict:
+    spec = cfg.spec
     if spec.indefinite_order:
         return {
             "applicable": False,
@@ -392,7 +368,7 @@ def _audit_section(cfg: ScenarioConfig, spec: DoubleSwitchSpec) -> dict:
     }
 
 
-def _scenario_process(cfg: ScenarioConfig, spec: DoubleSwitchSpec) -> tuple[ProcessMatrix, str]:
+def _scenario_process(spec: DoubleSwitchSpec) -> tuple[ProcessMatrix, str]:
     sw = spec.switch1
     common = {"target_dim": sw.target_dim, "psi_t0": sw.psi_t0}
     branches = spec.branches
@@ -418,10 +394,11 @@ def _scenario_process(cfg: ScenarioConfig, spec: DoubleSwitchSpec) -> tuple[Proc
     return mix(w, mixed, spec.visibility), "partially dephased coherent switch process (one target line)"
 
 
-def _correlation_sections(config: ScenarioConfig, spec: DoubleSwitchSpec) -> dict:
+def _correlation_sections(config: ScenarioConfig) -> dict:
     """The ``states``, ``chsh`` and ``causal`` report sections: the (conditioned)
     target state, its CHSH value at optimized or fixed settings, and the
     causal-polytope verdict of the behavior at those settings."""
+    spec = config.spec
     out = double_switch_output(spec)
     norm = float(np.linalg.norm(out)) if out.ndim == 1 else float(np.real(np.trace(out)))
 
@@ -431,6 +408,11 @@ def _correlation_sections(config: ScenarioConfig, spec: DoubleSwitchSpec) -> dic
     else:
         m, outcome = config.conditioning
         p_cond, rho = conditioned_target_state(spec, m, outcome)
+        if p_cond <= 1e-12:
+            raise ValueError(
+                f"conditioning outcome {outcome!r} has probability {p_cond:.3g};"
+                " the conditioned target state is undefined"
+            )
         conditioning_info = {"measured": spec.layout.labels[0], "outcome": outcome, "probability": p_cond}
     negativity = target_entanglement(rho, (spec.switch1.target_dim, spec.switch2.target_dim))
 
@@ -454,10 +436,10 @@ def _correlation_sections(config: ScenarioConfig, spec: DoubleSwitchSpec) -> dic
 def run_scenario(config: ScenarioConfig) -> RunReport:
     """Execute one scenario end to end; deterministic given the config."""
     t0 = time.perf_counter()
-    spec = config.build_spec()
-    sections = _correlation_sections(config, spec)
-    audit_sec = _audit_section(config, spec)
-    w, construction = _scenario_process(config, spec)
+    spec = config.spec
+    sections = _correlation_sections(config)
+    audit_sec = _audit_section(config)
+    w, construction = _scenario_process(spec)
     validity = validate_process(w)
     sep = separability_heuristic(w, iters=config.separability_iters)
 
@@ -484,9 +466,9 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         "schema": REPORT_SCHEMA,
         "scenario": config.echo,
         "assumptions": {
-            "a5_satisfied": config.a5_satisfied,
-            "order_mode": config.order_mode,
-            "env_flag": config.env_flag,
+            "a5_satisfied": spec.a5_satisfied,
+            "order_mode": spec.order_mode,
+            "env_flag": spec.env_flag,
             "classical_order_variable": not spec.indefinite_order,
         },
         **sections,
@@ -508,7 +490,7 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> str:
         raise ConfigError(f"sweep parameter must be 'eta' or 'q', got {parameter!r}")
     if not grid:
         raise ConfigError("sweep grid must not be empty")
-    if parameter == "q" and config.order_mode != "classical-mixture":
+    if parameter == "q" and config.spec.order_mode != "classical-mixture":
         raise ConfigError("parameter 'q' applies to classical-mixture scenarios only")
     lines = [
         f"# scenario={config.name} seed={config.seed} parameter={parameter}",
@@ -517,7 +499,7 @@ def sweep(config: ScenarioConfig, parameter: str, grid: list[float]) -> str:
     key = "visibility" if parameter == "eta" else "mixture_q"
     for value in grid:
         point = ScenarioConfig.from_dict({**config.echo, key: value})
-        sec = _correlation_sections(point, point.build_spec())
+        sec = _correlation_sections(point)
         s_opt, neg = sec["chsh"]["value"], sec["states"]["negativity"]
         lines.append(f"{value!r},{s_opt!r},{neg!r},{sec['causal']['verdict']}")
     return "\n".join(lines) + "\n"

@@ -85,10 +85,10 @@ class SwitchSpec:
         d = psi.size
         for name in ("u_a", "u_b", "v0", "v1"):
             object.__setattr__(self, name, _check_unitary(name, getattr(self, name), d))
-        if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError("psi_t0 must be a unit vector")
         a, b = self.control_amplitudes
-        if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
+        if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-9:
             raise ValueError("control amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
 
     @property
@@ -151,7 +151,7 @@ class ControlMeasurement:
             raise ValueError("one label per basis vector required")
         d = vecs[0].size
         completeness = sum(projector(v) for v in vecs)
-        if np.max(np.abs(completeness - np.eye(d))) > 1e-10:
+        if not np.max(np.abs(completeness - np.eye(d))) <= 1e-10:  # NaN fails too
             raise ValueError("basis vectors must form a complete orthonormal set")
 
     @property
@@ -265,7 +265,7 @@ class DoubleSwitchSpec:
         if self.order_mode not in ORDER_MODES:
             raise ValueError(f"order_mode must be one of {ORDER_MODES}, got {self.order_mode!r}")
         a, b = self.control_amplitudes
-        if abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) > 1e-9:
+        if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError("control amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
         if not 0.0 <= self.mixture_q <= 1.0:
             raise ValueError(f"mixture_q must lie in [0, 1], got {self.mixture_q}")

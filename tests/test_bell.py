@@ -14,9 +14,9 @@ from icolab.bell import (
     correlation_matrix,
     optimize_chsh,
 )
-from icolab.linalg import H, MINUS, PLUS, X, Y, Z, ket, projector, tensor
+from icolab.linalg import H, MINUS, PLUS, SpaceLayout, X, Y, Z, ket, projector, tensor
 from icolab.sampling import random_separable_two_qubit, random_two_qubit_state
-from icolab.switch import ControlMeasurement
+from icolab.switch import ControlMeasurement, condition_on_control
 
 SINGLET = (tensor(ket(0), ket(1)) - tensor(ket(1), ket(0))) / np.sqrt(2.0)
 PHI_PLUS = (tensor(ket(0), ket(0)) + tensor(ket(1), ket(1))) / np.sqrt(2.0)
@@ -120,11 +120,14 @@ def test_optimize_is_deterministic_for_fixed_seed():
 
 
 def test_optimize_with_conditioning():
-    # conditioning splits off the control qubit before optimizing
+    # conditioning on the control splits it off before optimizing
     psi = (
         tensor(ket(0), MINUS, MINUS) + tensor(ket(1), PLUS, PLUS)
     ) / np.sqrt(2.0)
-    r = optimize_chsh(psi, conditioning=(ControlMeasurement.plus_minus(), "+"))
+    layout = SpaceLayout(("control", "target1", "target2"), (2, 2, 2))
+    p, rho = condition_on_control(projector(psi), ControlMeasurement.plus_minus(), "+", layout)
+    assert p == pytest.approx(0.5, abs=1e-12)
+    r = optimize_chsh(rho)
     assert r.value == pytest.approx(TSIRELSON, abs=1e-6)
 
 

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 import oracles
-from icolab.bell import BehaviorTable, MeasurementSetting, behavior
+from icolab.bell import BehaviorTable
 from icolab.causal import (
     CausalDecomposition,
     LambdaModel,
     NotCausal,
     audit_deviations_csv,
-    behavior_from_switch_scenario,
     causal_membership,
     lambda_model_from_definite_order,
     signaling_directions,
@@ -16,7 +15,6 @@ from icolab.causal import (
 )
 from icolab.linalg import H, I2, SpaceLayout, Z, ket
 from icolab.sampling import random_behavior, random_causal_behavior
-from icolab.switch import ControlMeasurement, DoubleSwitchSpec, SwitchSpec
 
 
 def det_table(o1_of, o2_of):
@@ -334,18 +332,3 @@ def test_generator_input_validation():
         lambda_model_from_definite_order(
             ket(0), lay, "target", [skewed], PROBES, [(1.0, H)]
         )
-
-
-def test_behavior_from_switch_scenario():
-    sw = SwitchSpec(u_a=H, u_b=Z, v0=I2, v1=I2, psi_t0=ket(0))
-    spec = DoubleSwitchSpec(switch1=sw, switch2=sw)
-    settings = (MeasurementSetting.z_x(), MeasurementSetting.z_x())
-    t = behavior_from_switch_scenario(
-        spec, settings, conditioning=(ControlMeasurement.plus_minus(), "+")
-    )
-    # reproduces behavior() on the conditioned state
-    from icolab.switch import conditioned_target_state
-
-    _, rho = conditioned_target_state(spec, ControlMeasurement.plus_minus(), "+")
-    ref = behavior(rho, *settings)
-    assert np.abs(t.probs - ref.probs).max() < 1e-12

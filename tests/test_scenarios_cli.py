@@ -46,13 +46,13 @@ def test_unknown_scenario_rejected():
 
 def test_override_merging():
     cfg = make_config(seed=7, mixture_q=0.25)
-    assert cfg.seed == 7 and cfg.mixture_q == 0.25
+    assert cfg.seed == 7 and cfg.spec.mixture_q == 0.25
     assert cfg.echo["u_a"] == "H"  # preset survives
 
 
 def test_matrix_resolution():
     cfg = make_config(u_a=[[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
-    assert np.allclose(cfg.u_a, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.allclose(cfg.spec.switch1.u_a, np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ConfigError):
         make_config(u_a="Q")
     with pytest.raises(ConfigError):
@@ -61,7 +61,7 @@ def test_matrix_resolution():
 
 def test_state_resolution():
     cfg = make_config(psi_t0="+")
-    assert np.allclose(cfg.psi_t0, np.array([1.0, 1.0]) / np.sqrt(2.0))
+    assert np.allclose(cfg.spec.switch1.psi_t0, np.array([1.0, 1.0]) / np.sqrt(2.0))
     with pytest.raises(ConfigError):
         make_config(psi_t0="up")
 
@@ -75,6 +75,14 @@ def test_physical_consistency_checked_at_parse_time():
         make_config(order_mode="sideways")
     with pytest.raises(ConfigError):
         make_config(visibility=1.5)
+    with pytest.raises(ConfigError):
+        make_config(control_amplitudes=[float("nan"), 1.0])
+    one, three = [[0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]
+    pair = [[0.0, 0.0], [1.0, 0.0]]
+    nan_angle = [[0.0, float("nan")], [1.0, 0.0]]
+    for settings in ([one, pair], [pair, three], [[], []], [pair, nan_angle]):
+        with pytest.raises(ConfigError):
+            make_config(settings=settings)
 
 
 def test_tolerances_validated():
@@ -82,6 +90,9 @@ def test_tolerances_validated():
         make_config(tolerances={"causal": -1.0})
     with pytest.raises(ConfigError):
         make_config(tolerances={"weird": 1.0})
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            make_config(tolerances={"audit": bad})
 
 
 def test_conditioning_validation():
@@ -91,6 +102,8 @@ def test_conditioning_validation():
         make_config(conditioning={"basis": "plus_minus", "outcome": "up"})
     with pytest.raises(ConfigError):
         make_config(conditioning={"basis": "plus_minus"})
+    with pytest.raises(ConfigError):
+        make_config(conditioning={"basis": [float("nan"), 0.0], "outcome": "+"})
 
 
 def test_list_scenarios_is_stable():
@@ -208,16 +221,16 @@ def test_sections_agree_at_zero_visibility():
     assert audit["applicable"] is True and audit["passed"] is True
     assert rep["notes"][2].startswith("within-switch events admit a definite-order")
     mixture = make_config(order_mode="classical-mixture", mixture_q=abs(amps[0]) ** 2)
-    assert audit == _audit_section(mixture, mixture.build_spec())
+    assert audit == _audit_section(mixture)
     # any visibility above 0 keeps the order coherently indefinite
     faint = make_config(visibility=0.01, control_amplitudes=amps)
-    assert _audit_section(faint, faint.build_spec())["applicable"] is False
+    assert _audit_section(faint)["applicable"] is False
 
 
 def test_full_visibility_process_is_the_pure_switch():
     cfg = make_config()
-    spec = cfg.build_spec()
-    w, construction = _scenario_process(cfg, spec)
+    spec = cfg.spec
+    w, construction = _scenario_process(spec)
     sw = spec.switch1
     pure = quantum_switch_process(
         spec.control_amplitudes, sw.target_dim, v0=sw.v0, v1=sw.v1, psi_t0=sw.psi_t0
@@ -411,6 +424,7 @@ def test_cli_numeric_failure_exits_3(tmp_path):
     out = run_cli("run", "--config", str(cfg))
     assert out.returncode == 3
     assert out.stderr.decode().startswith("error")
+    assert "outcome '1' has probability 0" in out.stderr.decode()
 
 
 def test_cli_sweep(tmp_path):
@@ -425,6 +439,14 @@ def test_cli_sweep(tmp_path):
     assert bad.returncode == 2
     wrong = run_cli("sweep", "--config", str(cfg), "--param", "x", "--grid", "0.5")
     assert wrong.returncode == 2  # argparse rejects the choice
+
+
+def test_import_does_not_load_scipy_optimize():
+    # only causal_membership needs scipy.optimize, which is slow to import
+    code = "import sys, icolab; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=600)
+    assert out.returncode == 0, out.stderr.decode()
+    assert out.stdout.decode().strip() == "False"
 
 
 def test_cli_usage_error(tmp_path):
