@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import X, Y, Z, as_matrix, is_psd, projector, tensor
+from .linalg import X, Y, Z, as_matrix, is_psd, tensor
 
 PAULI = np.stack([X, Y, Z])
 
@@ -101,10 +101,6 @@ class BehaviorTable:
     def second_marginals(self) -> np.ndarray:
         """p(o2 | i1, i2) as an [i1, i2, o2] array."""
         return self.probs.sum(axis=2)
-
-    @classmethod
-    def uniform(cls, nx: int = 2, ny: int = 2, no1: int = 2, no2: int = 2) -> "BehaviorTable":
-        return cls(np.full((nx, ny, no1, no2), 1.0 / (no1 * no2)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,20 +198,17 @@ def optimize_chsh(rho: np.ndarray) -> CHSHResult:
     b0,1 = cos(theta) v1 +- sin(theta) v2 reach S = 2 sqrt(s1^2 + s2^2),
     the Horodecki maximum (Phys. Lett. A 200, 340, 1995). The full SVD
     returns orthonormal U and V even when T has rank <= 1, so every
-    setting is a unit Bloch vector. ``rho`` is a two-qubit density operator
-    or state vector; to optimize the targets of a switch after a control
-    outcome, condition first (``switch.conditioned_target_state`` or
+    setting is a unit Bloch vector. ``rho`` is a two-qubit density operator;
+    to optimize the targets of a switch after a control outcome, condition
+    first (``switch.conditioned_target_state`` or
     ``switch.condition_on_control``).
 
     The returned value is recomputed from the Born-rule behavior at the
     optimal settings, so it can never exceed the quantum bound.
     """
-    arr = np.asarray(rho, dtype=np.complex128)
-    if arr.ndim == 1:
-        arr = projector(arr)
-    arr = as_matrix(arr)
+    arr = as_matrix(rho)
     if arr.shape != (4, 4):
-        raise ValueError(f"expected a two-qubit density operator, got shape {arr.shape}")
+        raise ValueError(f"expected a two-qubit density operator, got shape {np.shape(rho)}")
     if not is_psd(arr, 1e-8):
         raise ValueError("input must be positive semidefinite")
 

@@ -29,6 +29,7 @@ from .linalg import SpaceLayout, as_matrix, projector, tensor
 LAMBDA_SCHEMA = "icolab/lambda-model/v1"
 
 CELL_FLOOR = 1e-12
+AUDIT_MODES = ("strict", "relaxed")
 
 GAMMA_VALUES = ("A<B", "B<A", "A||B")
 
@@ -267,10 +268,6 @@ class LambdaModel:
         object.__setattr__(self, "marginal_i", mi)
         object.__setattr__(self, "marginal_j", mj)
 
-    @property
-    def n_settings(self) -> tuple[int, int]:
-        return self.joint.shape[0], self.joint.shape[1]
-
     @classmethod
     def factorized(
         cls,
@@ -384,7 +381,7 @@ def temporal_locality_audit(
     earlier-time description); the arithmetic is identical, reports must
     name the mode.
     """
-    if mode not in ("strict", "relaxed"):
+    if mode not in AUDIT_MODES:
         raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
     n_a, n_b, n_la, n_lb, _, _ = m.joint.shape
     max_dev = 0.0
@@ -453,7 +450,6 @@ def lambda_model_from_definite_order(
     evolutions: list[tuple[float, np.ndarray]] | None = None,
     *,
     orders: list[str] | None = None,
-    atol: float = 1e-12,
 ) -> LambdaModel:
     """Build the lambda model of a definite-order two-measurement circuit
     with lambda set to the full pre-measurement state description.
@@ -517,7 +513,7 @@ def lambda_model_from_definite_order(
             p_i = float(np.real(np.vdot(branch, branch)))
             for e, (_, u) in enumerate(evolutions):
                 marginal_i[a, e, i] = p_i
-                if p_i <= atol:
+                if p_i <= CELL_FLOOR:
                     post_states[(e, a, i)] = None
                 else:
                     post_states[(e, a, i)] = as_matrix(u) @ (branch / np.sqrt(p_i))
@@ -570,7 +566,7 @@ def lambda_model_from_definite_order(
                 if a_k != a:
                     continue
                 forward[i_k] += prior[e, k] * n_a * marginal_j[b, k]
-            if np.max(np.abs(forward - direct)) > max(atol, 1e-12):
+            if np.max(np.abs(forward - direct)) > 1e-12:
                 raise RuntimeError(
                     "generated model fails forward consistency against the circuit"
                 )

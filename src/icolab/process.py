@@ -54,6 +54,7 @@ PARTY_LABELS = ("A_I", "A_O", "B_I", "B_O")
 PSD_ATOL = 1e-9
 TRACE_ATOL = 1e-8
 SUBSPACE_ATOL = 1e-8
+SEARCH_TOL = 1e-7  # separability search: stop when an iteration moves less (relative)
 
 
 def vec(u: np.ndarray) -> np.ndarray:
@@ -158,13 +159,6 @@ class Instrument:
         return cls(((choi_of_unitary(u),),), u.shape[0], u.shape[0])
 
     @classmethod
-    def unitaries(cls, us: list[np.ndarray] | tuple[np.ndarray, ...]) -> "Instrument":
-        """One classical input per unitary, each with a single outcome."""
-        mats = [as_matrix(u) for u in us]
-        d = mats[0].shape[0]
-        return cls(tuple((choi_of_unitary(u),) for u in mats), d, d)
-
-    @classmethod
     def measure_reprepare(cls, povms, states) -> "Instrument":
         """Per input x and outcome o: measure POVM element E_{x,o}, then
         reprepare the state sigma_{x,o}; Choi is E^T (x) sigma."""
@@ -210,10 +204,6 @@ class ProcessMatrix:
         object.__setattr__(self, "matrix", m)
 
     @property
-    def has_future(self) -> bool:
-        return "F" in self.layout.labels
-
-    @property
     def expected_trace(self) -> float:
         return float(self.layout.dim_of("A_O") * self.layout.dim_of("B_O"))
 
@@ -247,17 +237,6 @@ def standard_layout(d: int = 2, d_f: int | None = None) -> SpaceLayout:
     if d_f is None:
         return SpaceLayout(PARTY_LABELS, (d,) * 4)
     return SpaceLayout(PARTY_LABELS + ("F",), (d,) * 4 + (d_f,))
-
-
-def _coerce(w, layout: SpaceLayout | None) -> tuple[np.ndarray, SpaceLayout]:
-    if isinstance(w, ProcessMatrix):
-        return w.matrix, w.layout
-    if layout is None:
-        raise ValueError("a raw matrix needs an explicit layout")
-    m = as_matrix(w)
-    if m.shape != (layout.dim, layout.dim):
-        raise ValueError(f"matrix shape {m.shape} does not match layout dim {layout.dim}")
-    return m, layout
 
 
 def _factor_basis(d: int) -> np.ndarray:
@@ -415,14 +394,7 @@ class ValidityReport:
         }
 
 
-def validate_process(
-    w,
-    layout: SpaceLayout | None = None,
-    *,
-    tol_psd: float = PSD_ATOL,
-    tol_trace: float = TRACE_ATOL,
-    tol_subspace: float = SUBSPACE_ATOL,
-) -> ValidityReport:
+def validate_process(w: ProcessMatrix) -> ValidityReport:
     """Check PSD, normalization, and valid-subspace membership.
 
     With a future factor, positivity and trace are checked on the full
@@ -430,7 +402,7 @@ def validate_process(
     valid exactly when discarding the future leaves a valid bipartite
     process); the residual is scaled by sqrt(d_F) to stay comparable.
     """
-    m, lay = _coerce(w, layout)
+    m, lay = w.matrix, w.layout
     if not is_hermitian(m):
         return ValidityReport(-np.inf, np.inf, np.inf, "invalid")
     eigvals, _ = eig_hermitian(m)
@@ -444,7 +416,7 @@ def validate_process(
     else:
         reduced, sub_layout, scale = m, lay, 1.0
     residual = frobenius(validity_projection(reduced, sub_layout) - reduced) / scale
-    ok = psd_margin >= -tol_psd and abs(trace_error) <= tol_trace and residual <= tol_subspace
+    ok = psd_margin >= -PSD_ATOL and abs(trace_error) <= TRACE_ATOL and residual <= SUBSPACE_ATOL
     return ValidityReport(psd_margin, trace_error, float(residual), "valid" if ok else "invalid")
 
 
@@ -547,10 +519,10 @@ def quantum_switch_process(
     return ProcessMatrix(np.outer(w_vec, np.conj(w_vec)), layout)
 
 
-def born_probabilities(w, a: Instrument, b: Instrument, layout: SpaceLayout | None = None) -> BehaviorTable:
+def born_probabilities(w: ProcessMatrix, a: Instrument, b: Instrument) -> BehaviorTable:
     """Outcome statistics p(o_a, o_b | i_a, i_b) of two instruments on a
     process; a future factor, if present, is discarded (traced out)."""
-    m, lay = _coerce(w, layout)
+    m, lay = w.matrix, w.layout
     if "F" in lay.labels:
         m = partial_trace(m, lay, PARTY_LABELS)
         lay = lay.subset(PARTY_LABELS)
@@ -566,15 +538,14 @@ def born_probabilities(w, a: Instrument, b: Instrument, layout: SpaceLayout | No
 
 
 def born_probabilities_with_future(
-    w,
+    w: ProcessMatrix,
     a: Instrument,
     b: Instrument,
     future_povm: list[np.ndarray] | tuple[np.ndarray, ...],
-    layout: SpaceLayout | None = None,
 ) -> np.ndarray:
     """Joint statistics p(o_a, o_b, k | i_a, i_b) including a POVM on the
     future factor, indexed [i_a, i_b, o_a, o_b, k]."""
-    m, lay = _coerce(w, layout)
+    m, lay = w.matrix, w.layout
     if "F" not in lay.labels:
         raise ValueError("process has no future factor to measure")
     _check_party_dims(lay, a, b)
@@ -607,9 +578,9 @@ def _check_party_dims(lay: SpaceLayout, a: Instrument, b: Instrument) -> None:
             )
 
 
-def witness_value(w, s: np.ndarray, layout: SpaceLayout | None = None) -> float:
+def witness_value(w: ProcessMatrix, s: np.ndarray) -> float:
     """tr(S W) for a Hermitian witness S on the process's space."""
-    m, lay = _coerce(w, layout)
+    m = w.matrix
     s = as_matrix(s)
     if s.shape != m.shape:
         raise ValueError(f"witness shape {s.shape} does not match process {m.shape}")
@@ -723,7 +694,7 @@ def _order_split(
     return a * (x + lam), b * (y + lam)
 
 
-def separability_heuristic(w, iters: int = 2000, tol: float = 1e-7, layout: SpaceLayout | None = None) -> SeparabilityReport:
+def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityReport:
     """Search for a decomposition W = q W_AB + (1-q) W_BA with each part a
     valid process compatible with the corresponding order.
 
@@ -736,8 +707,8 @@ def separability_heuristic(w, iters: int = 2000, tol: float = 1e-7, layout: Spac
     must reproduce W — before a certificate is claimed. On failure the
     terminal infeasibility is reported.
     """
-    m, lay = _coerce(w, layout)
-    report = validate_process(m, lay)
+    m, lay = w.matrix, w.layout
+    report = validate_process(w)
     if not report.is_valid:
         raise ValueError(f"input is not a valid process: {report}")
     scale = max(1.0, frobenius(m))
@@ -757,7 +728,7 @@ def separability_heuristic(w, iters: int = 2000, tol: float = 1e-7, layout: Spac
         # the basis is orthogonal: coefficient norms are Frobenius norms
         delta = np.linalg.norm(x_new - x) + np.linalg.norm(y_new - y)
         x, y = x_new, y_new
-        if delta < tol * scale:
+        if delta < SEARCH_TOL * scale:
             break
     xf, yf = (basis.to_mat(c) for c in _order_split(cw, x, y, a, b))
     neg = max(
@@ -767,7 +738,7 @@ def separability_heuristic(w, iters: int = 2000, tol: float = 1e-7, layout: Spac
     )
     sum_res = frobenius(xf + yf - m)
     residual = max(neg, sum_res) / scale
-    if residual <= max(10 * tol, 1e-8):
+    if residual <= 10 * SEARCH_TOL:
         cert = _certificate_components(xf, yf, lay)
         if cert is not None:
             q, w_ab, w_ba = cert
@@ -775,7 +746,7 @@ def separability_heuristic(w, iters: int = 2000, tol: float = 1e-7, layout: Spac
             # The in-subspace eigenvalue lift can inflate the reconstruction
             # error by a factor of order sqrt(dim) over the terminal
             # infeasibility, so the gate carries that factor.
-            if recon <= max(10 * tol, 1e-8) * (1.0 + 2.0 * np.sqrt(lay.dim)):
+            if recon <= 10 * SEARCH_TOL * (1.0 + 2.0 * np.sqrt(lay.dim)):
                 return SeparabilityReport(
                     (q, w_ab, w_ba), float(max(residual, recon)), used
                 )

@@ -28,6 +28,7 @@ from .bell import (
     optimize_chsh,
 )
 from .causal import (
+    AUDIT_MODES,
     CausalDecomposition,
     causal_membership,
     lambda_model_from_definite_order,
@@ -214,6 +215,8 @@ class ScenarioConfig:
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         name = data.get("scenario")
+        if not isinstance(name, str):
+            raise ConfigError(f"scenario must be a string, got {name!r}")
         if name in BUILTIN_SCENARIOS:
             merged = {**BUILTIN_SCENARIOS[name], **data}
         elif name == "custom":
@@ -226,21 +229,30 @@ class ScenarioConfig:
         unknown = set(merged) - _CONFIG_KEYS
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        # JSON types are checked, not coerced, so the echo says what ran
+        for key in ("a5_satisfied", "env_flag"):
+            if not isinstance(merged[key], bool):
+                raise ConfigError(f"{key} must be true or false, got {merged[key]!r}")
+        for key in ("seed", "separability_iters"):
+            if isinstance(merged[key], bool) or not isinstance(merged[key], int):
+                raise ConfigError(f"{key} must be an integer, got {merged[key]!r}")
+        if merged["audit_mode"] not in AUDIT_MODES:
+            raise ConfigError(f"audit_mode must be 'strict' or 'relaxed', got {merged['audit_mode']!r}")
+        if not isinstance(merged["out"], (str, type(None))):
+            raise ConfigError(f"out must be a path string or null, got {merged['out']!r}")
         tols = merged.get("tolerances") or {}
         if not isinstance(tols, dict) or set(tols) - {"causal", "audit"}:
             raise ConfigError("tolerances must be a dict with keys 'causal'/'audit'")
         try:
             tol_causal = float(tols.get("causal", 1e-9))
             tol_audit = float(tols.get("audit", 1e-10))
-            seed = int(merged["seed"])
-            iters = int(merged["separability_iters"])
             visibility = float(merged["visibility"])
             mixture_q = float(merged["mixture_q"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad numeric field: {exc}") from None
         if not all(np.isfinite(t) and t > 0 for t in (tol_causal, tol_audit)):
             raise ConfigError("tolerances must be finite and positive")
-        if iters < 1:
+        if merged["separability_iters"] < 1:
             raise ConfigError("separability_iters must be >= 1")
         amps = merged["control_amplitudes"]
         if not isinstance(amps, (list, tuple)) or len(amps) != 2:
@@ -259,8 +271,8 @@ class ScenarioConfig:
                 control_amplitudes=(_resolve_amplitude(amps[0]), _resolve_amplitude(amps[1])),
                 order_mode=str(merged["order_mode"]),
                 mixture_q=mixture_q,
-                a5_satisfied=bool(merged["a5_satisfied"]),
-                env_flag=bool(merged["env_flag"]),
+                a5_satisfied=merged["a5_satisfied"],
+                env_flag=merged["env_flag"],
                 visibility=visibility,
             )
             return cls(
@@ -268,15 +280,15 @@ class ScenarioConfig:
                 spec=spec,
                 settings=_resolve_settings(merged["settings"]),
                 conditioning=_resolve_conditioning(merged["conditioning"]),
-                audit_mode=str(merged["audit_mode"]),
-                seed=seed,
-                separability_iters=iters,
+                audit_mode=merged["audit_mode"],
+                seed=merged["seed"],
+                separability_iters=merged["separability_iters"],
                 tol_causal=tol_causal,
                 tol_audit=tol_audit,
-                out=merged.get("out"),
+                out=merged["out"],
                 echo=merged,
             )
-        except ValueError as exc:  # ConfigError included
+        except (TypeError, ValueError) as exc:  # ConfigError included
             raise ConfigError(str(exc)) from None
 
 
@@ -326,7 +338,8 @@ def _causal_section(table, tol: float) -> dict:
     return {"verdict": "not-causal", "violation_margin": outcome.violation_margin}
 
 
-_AUDIT_PROBES = ("Z", "X")
+# the audit's probe observables, each with its eigenbasis (+1 eigenvector first)
+_AUDIT_PROBES = {"Z": NAMED_UNITARIES["I"], "X": NAMED_UNITARIES["H"]}
 
 
 def _audit_section(cfg: ScenarioConfig) -> dict:
@@ -342,7 +355,7 @@ def _audit_section(cfg: ScenarioConfig) -> dict:
             ),
         }
     sw = spec.switch1
-    probes = [NAMED_UNITARIES["I"], NAMED_UNITARIES["H"]]
+    probes = list(_AUDIT_PROBES.values())
     branches = spec.branches
     steps = [(sw.v0, sw.v1)[b.index] @ (sw.u_a if b.order == "AB" else sw.u_b) for b in branches]
     orders = ["A<B" if b.order == "AB" else "B<A" for b in branches]

@@ -342,25 +342,16 @@ def double_switch_output(spec: DoubleSwitchSpec) -> np.ndarray:
     return blocks.reshape(out.size, out.size)
 
 
-def target_entanglement(rho: np.ndarray, dims: tuple[int, int] | None = None) -> float:
-    """Negativity (||rho^T1||_1 - 1) / 2 across the target1 : target2 cut.
-
-    Accepts a density operator (validated PSD and unit trace) or a state
-    vector. ``dims`` defaults to an equal split.
-    """
-    arr = np.asarray(rho, dtype=np.complex128)
-    if arr.ndim == 1:
-        arr = projector(arr)
-    arr = as_matrix(arr)
-    n = arr.shape[0]
-    if dims is None:
-        d1 = int(round(np.sqrt(n)))
-        if d1 * d1 != n:
-            raise ValueError(f"cannot infer an equal factor split for dimension {n}")
-        dims = (d1, d1)
+def target_entanglement(rho: np.ndarray, dims: tuple[int, int]) -> float:
+    """Negativity (||rho^T1||_1 - 1) / 2 across the target1 : target2 cut
+    of a density operator (validated PSD and unit trace) on d1 (x) d2."""
     d1, d2 = dims
-    if d1 * d2 != n:
-        raise ValueError(f"dims {dims} do not match operator dimension {n}")
+    n = d1 * d2
+    arr = as_matrix(rho)
+    if arr.shape != (n, n):
+        raise ValueError(
+            f"expected a {n}x{n} density operator for dims {tuple(dims)}, got shape {np.shape(rho)}"
+        )
     if abs(np.trace(arr).real - 1.0) > 1e-8 or abs(np.trace(arr).imag) > 1e-8:
         raise ValueError("input must have unit trace")
     if not is_psd(arr, 1e-8):

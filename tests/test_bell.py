@@ -76,6 +76,11 @@ def test_optimize_chsh_on_product_state_stays_at_two():
     assert r.value == pytest.approx(2.0, abs=1e-12)
 
 
+def test_optimize_chsh_takes_only_a_density_operator():
+    with pytest.raises(ValueError, match=r"shape \(4,\)"):
+        optimize_chsh(SINGLET)
+
+
 def test_optimize_matches_horodecki_on_random_states():
     rng = np.random.default_rng(11)
     degenerate = [

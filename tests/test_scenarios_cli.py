@@ -83,6 +83,15 @@ def test_physical_consistency_checked_at_parse_time():
     for settings in ([one, pair], [pair, three], [[], []], [pair, nan_angle]):
         with pytest.raises(ConfigError):
             make_config(settings=settings)
+    # JSON types are checked, not coerced into something the echo contradicts
+    for key, value in (
+        ("a5_satisfied", "false"), ("env_flag", "false"), ("seed", 1.7), ("seed", "7"),
+        ("separability_iters", 2.5), ("separability_iters", True), ("audit_mode", "bogus"),
+    ):
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            make_config(**{key: value})
+    with pytest.raises(ConfigError, match="audit_mode must be"):
+        ScenarioConfig.from_dict({"scenario": "classical-order-baseline", "audit_mode": "bogus"})
 
 
 def test_tolerances_validated():
@@ -406,6 +415,18 @@ def test_cli_config_errors_exit_2(tmp_path):
     out = run_cli("run", "--config", str(unknown))
     assert out.returncode == 2
     assert "error" in out.stderr.decode()
+    coherent = {"scenario": "double-switch-coherent"}
+    for config in (
+        {**coherent, "conditioning": {"basis": [None, 0], "outcome": "+"}},
+        {**coherent, "control_amplitudes": [[None, 0], 0.7]},
+        {"scenario": ["x"]},
+        {**coherent, "out": 7},
+    ):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(config))
+        out = run_cli("run", "--config", str(path))
+        assert out.returncode == 2, config
+        assert out.stderr.decode().startswith("error:") and "Traceback" not in out.stderr.decode()
 
 
 def test_cli_numeric_failure_exits_3(tmp_path):
@@ -447,6 +468,15 @@ def test_import_does_not_load_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=600)
     assert out.returncode == 0, out.stderr.decode()
     assert out.stdout.decode().strip() == "False"
+
+
+def test_readme_api_quick_start_runs():
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Quick start (API)", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=600)
+    assert out.returncode == 0, out.stderr.decode()
 
 
 def test_cli_usage_error(tmp_path):

@@ -209,6 +209,8 @@ def test_target_entanglement_validates_input():
         target_entanglement(np.eye(4), (2, 2))  # trace 4
     with pytest.raises(ValueError):
         target_entanglement(np.diag([1.5, -0.5, 0.0, 0.0]), (2, 2))
+    with pytest.raises(ValueError, match=r"shape \(4,\)"):
+        target_entanglement(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0), (2, 2))  # a state vector
 
 
 def test_measure_control_probabilities_sum_to_one():
