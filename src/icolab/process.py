@@ -26,7 +26,7 @@ pairing gives tr[(rho (x) I)(E (x) sigma^T)] = tr[rho E], as it must.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import prod
 
@@ -55,6 +55,7 @@ PSD_ATOL = 1e-9
 TRACE_ATOL = 1e-8
 SUBSPACE_ATOL = 1e-8
 SEARCH_TOL = 1e-7  # separability search: stop when an iteration moves less (relative)
+WITNESS_RTOL = 1e-12  # witness test: rounding allowance, relative to ||P_AB|| + ||P_BA||
 
 
 def vec(u: np.ndarray) -> np.ndarray:
@@ -605,9 +606,14 @@ def order_projection(w: np.ndarray, layout: SpaceLayout, order: str) -> np.ndarr
 
 
 def _psd_clip(m: np.ndarray) -> np.ndarray:
-    vals, vecs = eig_hermitian(m)
-    clipped = np.clip(vals, 0.0, None)
-    return (vecs * clipped) @ np.conj(vecs).T
+    """Positive part of a Hermitian matrix. The search clips twice per
+    iteration, always a matrix that is finite and Hermitian by construction,
+    so this skips eig_hermitian's input checks. It keeps eig_hermitian's
+    descending order, and with it the summation order of the product."""
+    vals, vecs = np.linalg.eigh(m)
+    order = np.argsort(vals)[::-1]
+    vecs = vecs[:, order]
+    return (vecs * np.clip(vals[order], 0.0, None)) @ np.conj(vecs).T
 
 
 def neutral_process(layout: SpaceLayout) -> ProcessMatrix:
@@ -619,36 +625,84 @@ def neutral_process(layout: SpaceLayout) -> ProcessMatrix:
 
 @dataclass(frozen=True)
 class SeparabilityReport:
-    """Outcome of the decomposition search. A certificate (q, w_ab, w_ba)
-    is only reported after independent re-validation; absence of one is
-    inconclusive evidence, never a proof of nonseparability.
+    """Outcome of a separability check, with one of three verdicts.
 
-    With a certificate, ``residual`` is the relative Frobenius distance of
-    the claimed mixture from the input; without one it is the terminal
-    infeasibility of the alternating projection."""
+    - ``separable``: ``certificate`` holds a decomposition (q, W_AB, W_BA)
+      that passed :func:`certify_decomposition`.
+    - ``nonseparable``: ``witness`` holds (S, P_AB, P_BA), a causal
+      nonseparability witness that passed the witness test of
+      :func:`separability_heuristic`; ``witness_value`` is tr(S W)/||S||.
+    - ``inconclusive``: the search stalled or hit its iteration cap with
+      neither certificate.
+
+    With a decomposition, ``residual`` is the relative Frobenius distance of
+    the claimed mixture from the input (at least the search's terminal
+    infeasibility when the search found it); otherwise it is the terminal
+    infeasibility of the alternating projection. ``iterations`` is 0 for a
+    decomposition certified without a search."""
 
     certificate: tuple[float, ProcessMatrix, ProcessMatrix] | None
     residual: float
     iterations: int
+    witness: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    witness_value: float | None = None
 
     @property
     def separable(self) -> bool:
         return self.certificate is not None
 
+    @property
+    def verdict(self) -> str:
+        if self.certificate is not None:
+            return "separable"
+        return "inconclusive" if self.witness is None else "nonseparable"
+
     def to_json_dict(self) -> dict:
         out = {
             "separable": self.separable,
+            "verdict": self.verdict,
             "residual": self.residual,
             "iterations": self.iterations,
         }
         if self.certificate is not None:
             out["q"] = self.certificate[0]
+        if self.witness is not None:
+            out["witness_value"] = self.witness_value
         return out
+
+
+def certify_decomposition(
+    w: ProcessMatrix, q: float, w_ab: ProcessMatrix, w_ba: ProcessMatrix
+) -> SeparabilityReport | None:
+    """Re-validate a claimed decomposition W = q W_AB + (1-q) W_BA from
+    scratch, whatever proposed it: each part must pass validate_process and
+    lie in its order subspace, and the mixture must reproduce W. Returns the
+    certificate, with ``iterations`` 0 and ``residual`` the relative
+    reconstruction error, or None."""
+    m, lay = w.matrix, w.layout
+    if not 0.0 <= q <= 1.0 or w_ab.layout != lay or w_ba.layout != lay:
+        return None
+    for part, order in ((w_ab, "AB"), (w_ba, "BA")):
+        if not validate_process(part).is_valid:
+            return None
+        mat = part.matrix
+        if frobenius(order_projection(mat, lay, order) - mat) > 1e-9 * max(1.0, frobenius(mat)):
+            return None
+    recon = frobenius(q * w_ab.matrix + (1 - q) * w_ba.matrix - m) / max(1.0, frobenius(m))
+    # The search's in-subspace eigenvalue lift can inflate the reconstruction
+    # error by a factor of order sqrt(dim) over its terminal infeasibility,
+    # so the gate carries that factor.
+    if recon > 10 * SEARCH_TOL * (1.0 + 2.0 * np.sqrt(lay.dim)):
+        return None
+    return SeparabilityReport((q, w_ab, w_ba), float(recon), 0)
 
 
 def _certificate_components(
     x: np.ndarray, y: np.ndarray, layout: SpaceLayout
 ) -> tuple[float, ProcessMatrix, ProcessMatrix] | None:
+    """Candidate decomposition from the search's terminal pair: q from the
+    trace of x, each part put back into its order subspace, lifted to PSD and
+    renormalized. :func:`certify_decomposition` decides whether it holds."""
     expected = layout.dim_of("A_O") * layout.dim_of("B_O")
     q = float(np.real(np.trace(x)) / expected)
     q = min(max(q, 0.0), 1.0)
@@ -670,15 +724,33 @@ def _certificate_components(
         if tr <= 0:
             return None
         mat *= expected / tr
-        pm = ProcessMatrix(mat, layout)
-        if not validate_process(pm).is_valid:
-            return None
-        if frobenius(order_projection(mat, layout, order) - mat) > 1e-9 * max(
-            1.0, frobenius(mat)
-        ):
-            return None
-        parts.append(pm)
+        parts.append(ProcessMatrix(mat, layout))
     return q, parts[0], parts[1]
+
+
+def _certify_witness(
+    w: ProcessMatrix, s: np.ndarray, p_ab: np.ndarray, p_ba: np.ndarray
+) -> float | None:
+    """Check a causal nonseparability witness (Araujo et al., "Witnessing
+    causal nonseparability", NJP 17, 102001, 2015) on its matrices alone.
+
+    For each order X, write S = P_X + R_X + Q_X with R_X the part of S - P_X
+    inside order X's subspace and Q_X orthogonal to it. With eps_X the
+    negative part of lambda_min(P_X) plus ||R_X||, every separable
+    W' = X' + Y' (trace d_O, each part PSD in its subspace, so ||X'|| <=
+    tr X') has tr(S W') >= -max(eps_AB, eps_BA) d_O. The witness certifies
+    when tr(S W) lies below that bound by more than a rounding allowance.
+    Returns tr(S W)/||S|| or None."""
+    lay = w.layout
+    eps = 0.0
+    for p, order in ((p_ab, "AB"), (p_ba, "BA")):
+        inside = frobenius(order_projection(s - p, lay, order))
+        eps = max(eps, max(0.0, -float(np.linalg.eigvalsh(p)[0])) + inside)
+    slack = WITNESS_RTOL * (frobenius(p_ab) + frobenius(p_ba))
+    value = witness_value(w, s)
+    if value < -(eps + slack) * w.expected_trace:
+        return value / frobenius(s)
+    return None
 
 
 def _order_split(
@@ -696,31 +768,45 @@ def _order_split(
 
 def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityReport:
     """Search for a decomposition W = q W_AB + (1-q) W_BA with each part a
-    valid process compatible with the corresponding order.
+    valid process compatible with the corresponding order, or for a witness
+    that none exists; stop at the first certificate of either kind.
 
     Alternating projection between the PSD cone (componentwise) and the
     affine set {X in AB-subspace, Y in BA-subspace, X + Y = W}. The iterates
     live in :class:`HSBasis` coefficients, where the affine step is
-    elementwise; only the PSD clip works on matrices. On success
-    the decomposition is re-validated from scratch — each component must
-    pass validate_process and sit in its order subspace, and the mixture
-    must reproduce W — before a certificate is claimed. On failure the
-    terminal infeasibility is reported.
+    elementwise; only the PSD clip works on matrices.
+
+    Every clip of an affine point (xa, ya) to (x, y) leaves PSD gaps
+    dx = x - xa and dy = y - ya. They give a witness S = where(a, dx,
+    where(b, dy, 0)) that agrees with P_AB = dx on the AB subspace and with
+    P_BA = where(a b, dx, dy) on the BA subspace. Each iteration tests it
+    cheaply: tr(S W) is two dot products in coefficients, dx is PSD and
+    Weyl's inequality bounds the negative part of lambda_min(P_BA) by
+    ||(dx - dy) a b||. Only when that passes is the witness rebuilt as
+    matrices and checked by :func:`_certify_witness`.
+
+    When the iteration converges with a small enough infeasibility, the
+    terminal pair is turned into a candidate decomposition and re-validated
+    by :func:`certify_decomposition` before a certificate is claimed.
     """
     m, lay = w.matrix, w.layout
     report = validate_process(w)
     if not report.is_valid:
         raise ValueError(f"input is not a valid process: {report}")
     scale = max(1.0, frobenius(m))
+    d_o = w.expected_trace
     basis = hs_basis(lay)
     a, b = _order_mask(lay, "AB"), _order_mask(lay, "BA")
+    both = a * b
     cw = basis.to_coef(m)
+    # tr(S W) = <dx, a cw> + <dy, (1 - a) b cw>
+    cw_a, cw_b = (a * cw).ravel(), ((1.0 - a) * b * cw).ravel()
 
     def clip(c: np.ndarray) -> np.ndarray:
         return basis.to_coef(_psd_clip(basis.to_mat(c)))
 
     x = y = cw / 2.0
-    used = 0
+    used, witness, value = 0, None, None
     for it in range(1, iters + 1):
         used = it
         xa, ya = _order_split(cw, x, y, a, b)
@@ -728,6 +814,17 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
         # the basis is orthogonal: coefficient norms are Frobenius norms
         delta = np.linalg.norm(x_new - x) + np.linalg.norm(y_new - y)
         x, y = x_new, y_new
+        dx, dy = x - xa, y - ya
+        trace_sw = dx.ravel() @ cw_a + dy.ravel() @ cw_b
+        if trace_sw < 0.0 and trace_sw < -np.linalg.norm(both * (dx - dy)) * d_o:
+            s, p_ab, p_ba = (
+                basis.to_mat(c)
+                for c in (np.where(a, dx, np.where(b, dy, 0.0)), dx, np.where(both, dx, dy))
+            )
+            value = _certify_witness(w, s, p_ab, p_ba)
+            if value is not None:
+                witness = (s, p_ab, p_ba)
+                break
         if delta < SEARCH_TOL * scale:
             break
     xf, yf = (basis.to_mat(c) for c in _order_split(cw, x, y, a, b))
@@ -737,17 +834,12 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
         -float(eig_hermitian(yf)[0][-1]),
     )
     sum_res = frobenius(xf + yf - m)
-    residual = max(neg, sum_res) / scale
+    residual = float(max(neg, sum_res) / scale)
+    if witness is not None:
+        return SeparabilityReport(None, residual, used, witness, value)
     if residual <= 10 * SEARCH_TOL:
-        cert = _certificate_components(xf, yf, lay)
+        candidate = _certificate_components(xf, yf, lay)
+        cert = None if candidate is None else certify_decomposition(w, *candidate)
         if cert is not None:
-            q, w_ab, w_ba = cert
-            recon = frobenius(q * w_ab.matrix + (1 - q) * w_ba.matrix - m) / scale
-            # The in-subspace eigenvalue lift can inflate the reconstruction
-            # error by a factor of order sqrt(dim) over the terminal
-            # infeasibility, so the gate carries that factor.
-            if recon <= 10 * SEARCH_TOL * (1.0 + 2.0 * np.sqrt(lay.dim)):
-                return SeparabilityReport(
-                    (q, w_ab, w_ba), float(max(residual, recon)), used
-                )
-    return SeparabilityReport(None, float(residual), used)
+            return replace(cert, residual=max(residual, cert.residual), iterations=used)
+    return SeparabilityReport(None, residual, used)

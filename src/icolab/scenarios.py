@@ -34,10 +34,12 @@ from .causal import (
     lambda_model_from_definite_order,
     temporal_locality_audit,
 )
-from .linalg import NAMED_UNITARIES, SpaceLayout, ket, projector, tensor
+from .linalg import NAMED_UNITARIES, SpaceLayout, ket, partial_trace, projector, tensor
 from .process import (
     ProcessMatrix,
+    certify_decomposition,
     mix,
+    neutral_process,
     quantum_switch_process,
     separability_heuristic,
     validate_process,
@@ -46,13 +48,19 @@ from .switch import (
     ControlMeasurement,
     DoubleSwitchSpec,
     SwitchSpec,
+    condition_on_control,
     conditioned_target_state,
     double_switch_output,
     reduced_target_state,
     target_entanglement,
 )
 
-REPORT_SCHEMA = "icolab/run-report/v2"
+# conditioned_target_state and reduced_target_state are not called here: the
+# double-switch state is built once per run and conditioned in place. They
+# stay names of this module because perfbench/tracing.py instruments every
+# name in its SCENARIO_LAYERS here.
+
+REPORT_SCHEMA = "icolab/run-report/v3"
 
 NAMED_STATES = {
     "0": np.array([1.0, 0.0]),
@@ -147,26 +155,34 @@ def _resolve_state(value, what: str) -> np.ndarray:
         raise ConfigError(f"{what}: expected a state name or [re, im] amplitude pairs") from None
 
 
-def _resolve_amplitude(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
+def _number(value, key: str) -> float:
+    """A JSON number, not a bool or a numeric string, so the echo says what ran."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _resolve_amplitude(value, key: str) -> complex:
+    """A number or an [re, im] pair of numbers."""
     if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"control amplitude must be a number or [re, im], got {value!r}")
+        return complex(_number(value[0], key), _number(value[1], key))
+    return complex(_number(value, key))
 
 
 def _resolve_settings(value):
     if value == "optimize":
         return "optimize"
     try:
-        pair = tuple(MeasurementSetting(tuple(map(tuple, party))) for party in value)
+        angles = [[[_number(t, "settings") for t in pair] for pair in party] for party in value]
+        pair = tuple(MeasurementSetting(tuple(map(tuple, party))) for party in angles)
     except (TypeError, ValueError):
         pair = None
     if pair is None or len(pair) != 2 or any(
         c.inputs != 2 or not np.all(np.isfinite(c.angles)) for c in pair
     ):
         raise ConfigError(
-            "settings must be 'optimize' or, for each of two parties, two finite [theta, phi] pairs"
+            "settings must be 'optimize' or, for each of two parties, two [theta, phi]"
+            " pairs of finite numbers"
         )
     return pair
 
@@ -183,7 +199,9 @@ def _resolve_conditioning(value):
     elif basis == "computational":
         m = ControlMeasurement.computational()
     elif isinstance(basis, (list, tuple)) and len(basis) == 2:
-        m = ControlMeasurement.from_bloch(float(basis[0]), float(basis[1]))
+        m = ControlMeasurement.from_bloch(
+            _number(basis[0], "conditioning.basis"), _number(basis[1], "conditioning.basis")
+        )
     else:
         raise ConfigError(f"unknown conditioning basis {basis!r}")
     if outcome not in m.labels:
@@ -243,13 +261,10 @@ class ScenarioConfig:
         tols = merged.get("tolerances") or {}
         if not isinstance(tols, dict) or set(tols) - {"causal", "audit"}:
             raise ConfigError("tolerances must be a dict with keys 'causal'/'audit'")
-        try:
-            tol_causal = float(tols.get("causal", 1e-9))
-            tol_audit = float(tols.get("audit", 1e-10))
-            visibility = float(merged["visibility"])
-            mixture_q = float(merged["mixture_q"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad numeric field: {exc}") from None
+        tol_causal = _number(tols.get("causal", 1e-9), "tolerances.causal")
+        tol_audit = _number(tols.get("audit", 1e-10), "tolerances.audit")
+        visibility = _number(merged["visibility"], "visibility")
+        mixture_q = _number(merged["mixture_q"], "mixture_q")
         if not all(np.isfinite(t) and t > 0 for t in (tol_causal, tol_audit)):
             raise ConfigError("tolerances must be finite and positive")
         if merged["separability_iters"] < 1:
@@ -268,7 +283,9 @@ class ScenarioConfig:
             spec = DoubleSwitchSpec(
                 switch1=switch,
                 switch2=switch,
-                control_amplitudes=(_resolve_amplitude(amps[0]), _resolve_amplitude(amps[1])),
+                control_amplitudes=tuple(
+                    _resolve_amplitude(amp, f"control_amplitudes[{i}]") for i, amp in enumerate(amps)
+                ),
                 order_mode=str(merged["order_mode"]),
                 mixture_q=mixture_q,
                 a5_satisfied=merged["a5_satisfied"],
@@ -381,7 +398,19 @@ def _audit_section(cfg: ScenarioConfig) -> dict:
     }
 
 
-def _scenario_process(spec: DoubleSwitchSpec) -> tuple[ProcessMatrix, str]:
+Decomposition = tuple[float, ProcessMatrix, ProcessMatrix]
+
+
+def _one_order(w: ProcessMatrix, order: str) -> Decomposition:
+    """The decomposition of a process of one order, padded with the neutral process."""
+    neutral = neutral_process(w.layout)
+    return (1.0, w, neutral) if order == "AB" else (0.0, neutral, w)
+
+
+def _scenario_process(spec: DoubleSwitchSpec) -> tuple[ProcessMatrix, str, Decomposition | None]:
+    """The scenario's process matrix, its construction label, and the
+    decomposition (q, W_AB, W_BA) it was built from when it is a mixture of
+    ordered processes (None when coherent branches run both orders)."""
     sw = spec.switch1
     common = {"target_dim": sw.target_dim, "psi_t0": sw.psi_t0}
     branches = spec.branches
@@ -392,19 +421,26 @@ def _scenario_process(spec: DoubleSwitchSpec) -> tuple[ProcessMatrix, str]:
         for b, v in zip(branches, vs)
     ]
     if len(branches) == 1:
-        return ordered[0], f"definite-order process ({branches[0].order})"
+        order = branches[0].order
+        return ordered[0], f"definite-order process ({order})", _one_order(ordered[0], order)
     b0, b1 = branches
     mixed = mix(ordered[0], ordered[1], b0.weight)
     if b0.order == b1.order:
-        return mixed, "environment-weighted mixture of same-order processes"
+        return mixed, "environment-weighted mixture of same-order processes", _one_order(mixed, b0.order)
+    # two orders: branch 0 runs AB
+    both = (b0.weight, ordered[0], ordered[1])
     if b0.amplitude is None:
-        return mixed, "classical mixture of the two ordered processes"
+        return mixed, "classical mixture of the two ordered processes", both
     w = quantum_switch_process((b0.amplitude, b1.amplitude), v0=vs[0], v1=vs[1], **common)
     if spec.visibility == 1.0:
-        return w, "coherent switch process (one target line)"
+        return w, "coherent switch process (one target line)", None
     # Dephasing the control damps only the AB/BA cross terms:
     # W(eta) = eta |w><w| + (1 - eta) (|alpha|^2 W_AB + |beta|^2 W_BA)
-    return mix(w, mixed, spec.visibility), "partially dephased coherent switch process (one target line)"
+    return (
+        mix(w, mixed, spec.visibility),
+        "partially dephased coherent switch process (one target line)",
+        both if spec.visibility == 0.0 else None,
+    )
 
 
 def _correlation_sections(config: ScenarioConfig) -> dict:
@@ -413,14 +449,17 @@ def _correlation_sections(config: ScenarioConfig) -> dict:
     causal-polytope verdict of the behavior at those settings."""
     spec = config.spec
     out = double_switch_output(spec)
-    norm = float(np.linalg.norm(out)) if out.ndim == 1 else float(np.real(np.trace(out)))
+    if out.ndim == 1:
+        norm, density = float(np.linalg.norm(out)), projector(out)
+    else:
+        norm, density = float(np.real(np.trace(out))), out
 
     if config.conditioning is None:
-        rho = reduced_target_state(spec)
+        rho = partial_trace(density, spec.layout, ("target1", "target2"))
         conditioning_info = None
     else:
         m, outcome = config.conditioning
-        p_cond, rho = conditioned_target_state(spec, m, outcome)
+        p_cond, rho = condition_on_control(density, m, outcome, spec.layout)
         if p_cond <= 1e-12:
             raise ValueError(
                 f"conditioning outcome {outcome!r} has probability {p_cond:.3g};"
@@ -446,15 +485,27 @@ def _correlation_sections(config: ScenarioConfig) -> dict:
     }
 
 
+_ORDER_NOTES = {
+    "separable": "definite or mixed (separable decomposition certified)",
+    "nonseparable": "indefinite (causal nonseparability witness certified)",
+    "inconclusive": "undetermined (neither a decomposition nor a witness was certified)",
+}
+
+
 def run_scenario(config: ScenarioConfig) -> RunReport:
     """Execute one scenario end to end; deterministic given the config."""
     t0 = time.perf_counter()
     spec = config.spec
     sections = _correlation_sections(config)
     audit_sec = _audit_section(config)
-    w, construction = _scenario_process(spec)
+    w, construction, candidate = _scenario_process(spec)
     validity = validate_process(w)
-    sep = separability_heuristic(w, iters=config.separability_iters)
+    # a process built as a mixture of ordered ones carries its own certificate;
+    # the search runs only without one
+    sep = None if candidate is None else certify_decomposition(w, *candidate)
+    source = "construction"
+    if sep is None:
+        sep, source = separability_heuristic(w, iters=config.separability_iters), "search"
 
     notes = [
         (
@@ -463,10 +514,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
             if sections["chsh"]["value"] > classical_chsh_bound() + 1e-9
             else "CHSH within the classical bound"
         ),
-        (
-            "process-level order is "
-            + ("indefinite (no separable decomposition found)" if not sep.separable else "definite or mixed (separable decomposition certified)")
-        ),
+        "process-level order is " + _ORDER_NOTES[sep.verdict],
         (
             "within-switch events admit a definite-order lambda model; see"
             " temporal_locality section"
@@ -489,7 +537,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
         "process": {
             "construction": construction,
             "validity": validity.to_json_dict(),
-            "separability": sep.to_json_dict(),
+            "separability": {**sep.to_json_dict(), "source": source},
         },
         "notes": notes,
         "seed": config.seed,

@@ -223,6 +223,23 @@ def order_projection(w, layout, order):
     return r(w, (second_o,)) - r(inner, (second_o, second_i))
 
 
+def witness_margin(w, layout, s, p_ab, p_ba, tol=1e-9):
+    """Check a causal nonseparability witness S with its parts P_AB, P_BA
+    (Araujo et al., NJP 17, 102001, 2015) by the reset projectors above:
+    S - P_X must have no component in order X's subspace (up to tol ||S||).
+    Returns tr(S W) + max(eps_AB, eps_BA) d_O, eps_X the negative part of
+    lambda_min(P_X): negative when S certifies W nonseparable, and +inf when
+    the decomposition of S fails."""
+    s = np.asarray(s, dtype=np.complex128)
+    eps = 0.0
+    for p, order in ((p_ab, "AB"), (p_ba, "BA")):
+        if np.linalg.norm(order_projection(s - p, layout, order)) > tol * np.linalg.norm(s):
+            return np.inf
+        eps = max(eps, -float(np.linalg.eigvalsh(p)[0]))
+    d_o = dict(zip(layout.labels, layout.dims))
+    return float(np.real(np.trace(s @ w))) + eps * d_o["A_O"] * d_o["B_O"]
+
+
 # ---------------------------------------------------------------------------
 # causal polytope by vertex enumeration (1-bit alphabets)
 

@@ -170,13 +170,18 @@ def test_criterion_6_process_matrix_soundness():
     q_ok = max(q_errs) <= 1e-4
     qs_rep = separability_heuristic(w_qs)
     residual_ok = (not qs_rep.separable) and qs_rep.residual > 1e-3
+    # the witness, checked with the reset projectors instead of the mask basis
+    margin = np.inf
+    if qs_rep.witness is not None:
+        margin = oracles.witness_margin(w_qs.matrix, w_qs.layout, *qs_rep.witness)
+    witness_ok = qs_rep.verdict == "nonseparable" and margin < 0.0
     _report(
         6,
         f"born normalization max err {max_norm_err:.2e} (1e-10); circuit agreement "
         f"max err {max_circ_err:.2e} (1e-10); W_QS valid={valid_ok}; mixture q "
         f"recovered within {max(q_errs):.2e} (1e-4); W_QS residual "
-        f"{qs_rep.residual:.4f} > 1e-3",
-        norm_ok and circ_ok and valid_ok and q_ok and residual_ok,
+        f"{qs_rep.residual:.4f} > 1e-3; W_QS witness tr(SW) + eps*d_O = {margin:.4f} < 0",
+        norm_ok and circ_ok and valid_ok and q_ok and residual_ok and witness_ok,
     )
 
 

@@ -12,9 +12,11 @@ from icolab.process import (
     born_probabilities_with_future,
     choi_of_kraus,
     choi_of_unitary,
+    _certify_witness,
     _order_mask,
     _order_split,
     _validity_mask,
+    certify_decomposition,
     depolarizing_choi,
     hs_basis,
     identity_choi,
@@ -388,12 +390,90 @@ def test_separability_recovers_mixture_weight():
         assert validate_process(part_ba).is_valid
         recon = q_hat * part_ab.matrix + (1 - q_hat) * part_ba.matrix
         assert frobenius(recon - mix(w_ab, w_ba, q).matrix) < 1e-4
+        assert rep.verdict == "separable" and rep.witness is None
 
 
 def test_switch_process_is_not_separable():
     rep = separability_heuristic(quantum_switch_process())
     assert not rep.separable
-    assert rep.residual > 1e-3  # evidence, not proof
+    assert rep.residual > 1e-3
+
+
+def ocb_process(noise: float = 0.0) -> ProcessMatrix:
+    """The Oreshkov-Costa-Brukner process (Nat. Commun. 3, 1092, 2012) with
+    white noise."""
+    x, z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    terms = tensor(np.eye(2), z, z, np.eye(2)) + tensor(z, np.eye(2), x, z)
+    return ProcessMatrix((np.eye(16) + (1.0 - noise) * terms / np.sqrt(2.0)) / 4.0, standard_layout(2))
+
+
+def dephased_switch(eta: float) -> ProcessMatrix:
+    ordered = mix(quantum_switch_process((1.0, 0.0)), quantum_switch_process((0.0, 1.0)), 0.5)
+    return mix(quantum_switch_process(), ordered, eta)
+
+
+NONSEPARABLE = {
+    "switch": quantum_switch_process,
+    "ocb": ocb_process,
+    "switch-eta-0.5": lambda: dephased_switch(0.5),
+}
+
+
+@pytest.mark.parametrize("name", list(NONSEPARABLE))
+def test_witness_passes_the_mask_free_oracle(name):
+    w = NONSEPARABLE[name]()
+    rep = separability_heuristic(w)
+    assert rep.verdict == "nonseparable" and not rep.separable
+    s, p_ab, p_ba = rep.witness
+    assert oracles.witness_margin(w.matrix, w.layout, s, p_ab, p_ba) < 0.0
+    value = float(np.real(np.trace(s @ w.matrix)))
+    assert rep.witness_value == pytest.approx(value / frobenius(s), abs=1e-12)
+    assert rep.to_json_dict()["witness_value"] == rep.witness_value
+
+
+def test_witness_with_one_entry_perturbed_fails_verification():
+    w = quantum_switch_process()
+    rep = separability_heuristic(w)
+    s, p_ab, p_ba = rep.witness
+    assert _certify_witness(w, s, p_ab, p_ba) == pytest.approx(rep.witness_value, abs=1e-12)
+    # move S's largest coefficient inside the AB mask by ||S||, in the
+    # direction that does not lower tr(S W): S - P_AB then has a part in the
+    # AB subspace, so S is no longer a witness of the stated form
+    basis, a = hs_basis(w.layout), _order_mask(w.layout, "AB")
+    coef = basis.to_coef(s)
+    k = np.unravel_index(np.argmax(np.abs(coef) * a), coef.shape)
+    bump = np.zeros_like(coef)
+    bump[k] = 1.0
+    h = basis.to_mat(bump)
+    h = (h + h.conj().T) / 2.0
+    sign = 1.0 if np.real(np.trace(h @ w.matrix)) >= 0.0 else -1.0
+    s_bad = s + sign * frobenius(s) * h
+    assert oracles.witness_margin(w.matrix, w.layout, s_bad, p_ab, p_ba) == np.inf
+    assert _certify_witness(w, s_bad, p_ab, p_ba) is None
+
+
+def test_no_witness_on_separable_inputs():
+    w_ab = quantum_switch_process((1.0, 0.0))
+    w_ba = quantum_switch_process((0.0, 1.0))
+    for noise in (0.5, 0.8):
+        rep = separability_heuristic(ocb_process(noise))
+        assert rep.witness is None and rep.verdict == "separable", noise
+    rep = separability_heuristic(mix(w_ab, w_ba, 0.3))
+    assert rep.witness is None and rep.verdict == "separable"
+
+
+def test_certify_decomposition_gates():
+    w_ab = quantum_switch_process((1.0, 0.0))
+    w_ba = quantum_switch_process((0.0, 1.0))
+    w = mix(w_ab, w_ba, 0.3)
+    rep = certify_decomposition(w, 0.3, w_ab, w_ba)
+    assert rep.verdict == "separable" and rep.iterations == 0 and rep.residual <= 1e-15
+    assert certify_decomposition(w, 0.35, w_ab, w_ba) is None  # reconstruction
+    assert certify_decomposition(w, 0.7, w_ba, w_ab) is None  # parts out of their orders
+    assert certify_decomposition(w, 1.3, w_ab, w_ba) is None  # weight out of [0, 1]
+    switch = quantum_switch_process()
+    assert validate_process(switch).is_valid
+    assert certify_decomposition(switch, 0.5, switch, switch) is None
 
 
 def test_traced_future_switch_is_separable():

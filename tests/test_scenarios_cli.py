@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icolab import scenarios
-from icolab.process import quantum_switch_process
+from icolab import scenarios, switch
+from icolab.process import certify_decomposition, quantum_switch_process
 from icolab.scenarios import (
     BUILTIN_SCENARIOS,
     ConfigError,
@@ -92,6 +93,23 @@ def test_physical_consistency_checked_at_parse_time():
             make_config(**{key: value})
     with pytest.raises(ConfigError, match="audit_mode must be"):
         ScenarioConfig.from_dict({"scenario": "classical-order-baseline", "audit_mode": "bogus"})
+    # real-valued keys take JSON numbers only: no bools, no numeric strings
+    pair = [[0.0, 0.0], [1.0, 0.0]]
+    for key, overrides in (
+        ("mixture_q", {"mixture_q": True}),
+        ("visibility", {"visibility": "0.5"}),
+        ("visibility", {"visibility": False}),
+        ("control_amplitudes[0]", {"control_amplitudes": [True, 0]}),
+        ("control_amplitudes[1]", {"control_amplitudes": [1.0, [False, 0.0]]}),
+        ("control_amplitudes[0]", {"control_amplitudes": [["0.6", 0.0], 0.8]}),
+        ("tolerances.causal", {"tolerances": {"causal": True}}),
+        ("tolerances.audit", {"tolerances": {"audit": "1e-10"}}),
+        ("settings", {"settings": [pair, [[0.0, 0.0], [True, 0.0]]]}),
+        ("settings", {"settings": [pair, [[0.0, "0.5"], [1.0, 0.0]]]}),
+        ("conditioning.basis", {"conditioning": {"basis": [True, 0.0], "outcome": "+"}}),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(key) + " must be"):
+            make_config(**overrides)
 
 
 def test_tolerances_validated():
@@ -142,7 +160,7 @@ def test_report_structure_and_determinism():
         "seed",
     ):
         assert key in rep
-    assert rep["schema"] == "icolab/run-report/v2"
+    assert rep["schema"] == "icolab/run-report/v3"
     assert set(rep["chsh"]) == {
         "value", "correlators", "settings", "classical_bound", "tsirelson_bound"
     }
@@ -189,22 +207,73 @@ def test_a5_violated_report_content():
 
 
 @pytest.mark.parametrize(
-    "name, iterations, separable, q",
+    "name, verdict, source, iterations, q",
     [
-        ("double-switch-coherent", 145, False, None),
-        ("classical-order-baseline", 614, True, 0.5),
-        ("a5-violated-definite-order", 399, True, 0.99999842440536),
+        pytest.param(*case, id=case[0])
+        for case in (
+            ("double-switch-coherent", "nonseparable", "search", 16, None),
+            ("classical-order-baseline", "separable", "construction", 0, 0.5),
+            ("a5-violated-definite-order", "separable", "construction", 0, 1.0),
+        )
     ],
 )
-def test_builtin_separability_is_pinned(name, iterations, separable, q):
+def test_builtin_separability_is_pinned(name, verdict, source, iterations, q):
     rep = run_scenario(ScenarioConfig.from_dict({"scenario": name})).report
     sep = rep["process"]["separability"]
-    assert sep["iterations"] == iterations
-    assert sep["separable"] is separable
+    assert (sep["verdict"], sep["source"], sep["iterations"]) == (verdict, source, iterations)
+    assert sep["separable"] is (verdict == "separable")
     if q is None:
         assert "q" not in sep
+        assert sep["witness_value"] == pytest.approx(-0.6268759579673608, abs=1e-9)
+        assert rep["notes"][1].endswith("(causal nonseparability witness certified)")
     else:
         assert sep["q"] == pytest.approx(q, abs=1e-9)
+        assert "witness_value" not in sep
+        assert sep["residual"] <= 1e-12  # relative reconstruction error of the construction
+
+
+def test_tampered_construction_falls_back_to_the_search(monkeypatch):
+    cfg = ScenarioConfig.from_dict({"scenario": "a5-violated-definite-order"})
+    w, construction, (q, w_ab, w_ba) = _scenario_process(cfg.spec)
+    assert certify_decomposition(w, q, w_ab, w_ba) is not None
+    tampered = (q - 0.05, w_ab, w_ba)
+    assert certify_decomposition(w, *tampered) is None
+    monkeypatch.setattr(scenarios, "_scenario_process", lambda spec: (w, construction, tampered))
+    sep = run_scenario(cfg).report["process"]["separability"]
+    assert (sep["verdict"], sep["source"], sep["iterations"]) == ("separable", "search", 399)
+    assert sep["q"] == pytest.approx(0.99999842440536, abs=1e-9)
+
+
+def test_process_candidate_follows_the_branches():
+    # a mixture of ordered processes comes with its decomposition; a coherent
+    # superposition of both orders does not
+    for overrides, q in (
+        ({"order_mode": "classical-mixture", "mixture_q": 0.3}, 0.3),
+        ({"order_mode": "definite-AB"}, 1.0),
+        ({"order_mode": "definite-BA"}, 0.0),
+        ({"visibility": 0.0, "control_amplitudes": [0.6, 0.8]}, 0.36),
+        ({"env_flag": True, "order_mode": "definite-BA", "a5_satisfied": False, "v1": "Z"}, 0.0),
+    ):
+        w, _, candidate = _scenario_process(make_config(**overrides).spec)
+        assert candidate[0] == pytest.approx(q, abs=1e-15), overrides
+        assert certify_decomposition(w, *candidate).residual <= 1e-12, overrides
+    for eta in (1.0, 0.5):
+        assert _scenario_process(make_config(visibility=eta).spec)[2] is None
+
+
+def test_correlation_stage_builds_the_state_once(monkeypatch):
+    original, calls = switch.double_switch_output, []
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(switch, "double_switch_output", counted)
+    monkeypatch.setattr(scenarios, "double_switch_output", counted)
+    for cfg in (make_config(), ScenarioConfig.from_dict({"scenario": "classical-order-baseline"})):
+        calls.clear()
+        scenarios._correlation_sections(cfg)
+        assert len(calls) == 1
 
 
 def test_dephased_coherent_process_certifies_at_zero_visibility():
@@ -239,13 +308,14 @@ def test_sections_agree_at_zero_visibility():
 def test_full_visibility_process_is_the_pure_switch():
     cfg = make_config()
     spec = cfg.spec
-    w, construction = _scenario_process(spec)
+    w, construction, candidate = _scenario_process(spec)
     sw = spec.switch1
     pure = quantum_switch_process(
         spec.control_amplitudes, sw.target_dim, v0=sw.v0, v1=sw.v1, psi_t0=sw.psi_t0
     )
     assert np.array_equal(w.matrix, pure.matrix)
     assert construction == "coherent switch process (one target line)"
+    assert candidate is None
 
 
 def test_fixed_settings_path():
@@ -380,7 +450,7 @@ def test_cli_run_is_byte_identical(coherent_config, tmp_path):
     assert out_path.read_bytes() == r1.stdout
     assert "duration_s=" in r1.stderr.decode()
     rep = json.loads(r1.stdout)
-    assert rep["schema"] == "icolab/run-report/v2"
+    assert rep["schema"] == "icolab/run-report/v3"
 
 
 def test_cli_run_bytes_do_not_depend_on_blas_threads(coherent_config):
@@ -416,17 +486,18 @@ def test_cli_config_errors_exit_2(tmp_path):
     assert out.returncode == 2
     assert "error" in out.stderr.decode()
     coherent = {"scenario": "double-switch-coherent"}
-    for config in (
-        {**coherent, "conditioning": {"basis": [None, 0], "outcome": "+"}},
-        {**coherent, "control_amplitudes": [[None, 0], 0.7]},
-        {"scenario": ["x"]},
-        {**coherent, "out": 7},
+    for key, config in (
+        ("conditioning.basis", {**coherent, "conditioning": {"basis": [None, 0], "outcome": "+"}}),
+        ("control_amplitudes[0]", {**coherent, "control_amplitudes": [[None, 0], 0.7]}),
+        ("scenario", {"scenario": ["x"]}),
+        ("out", {**coherent, "out": 7}),
     ):
         path = tmp_path / "typed.json"
         path.write_text(json.dumps(config))
         out = run_cli("run", "--config", str(path))
         assert out.returncode == 2, config
         assert out.stderr.decode().startswith("error:") and "Traceback" not in out.stderr.decode()
+        assert key in out.stderr.decode(), (key, out.stderr.decode())
 
 
 def test_cli_numeric_failure_exits_3(tmp_path):
