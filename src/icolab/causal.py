@@ -1,5 +1,6 @@
-"""Correlation-level causal analysis: signaling detection, LP membership in
-the definite-order (causal) polytope, and the temporal-locality audit.
+"""Correlation-level causal analysis: signaling detection, membership in the
+definite-order (causal) polytope (a linear program for signaling tables
+only), and the temporal-locality audit.
 
 The audit checks the factorization conditions
 
@@ -33,6 +34,9 @@ AUDIT_MODES = ("strict", "relaxed")
 
 GAMMA_VALUES = ("A<B", "B<A", "A||B")
 
+# the LP's largest accepted slack, and the largest no-signaling marginal dependence
+CAUSAL_TOL = 1e-9
+
 # HiGHS meets its rows to its primal feasibility tolerance (default 1e-7);
 # causal_membership re-validates at 1e-8, so solve well inside that gate.
 _HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10}
@@ -48,14 +52,17 @@ class SignalingDirections:
     b_to_a: bool
 
 
-def signaling_directions(t: BehaviorTable, tol: float = 1e-9) -> SignalingDirections:
+def marginal_dependence(t: BehaviorTable) -> tuple[float, float]:
+    """(a_to_b, b_to_a): the largest change of each party's marginal over the other's input."""
+    pb, pa = t.second_marginals(), t.first_marginals()  # [i1, i2, o2], [i1, i2, o1]
+    return float(np.max(np.ptp(pb, axis=0))), float(np.max(np.ptp(pa, axis=1)))
+
+
+def signaling_directions(t: BehaviorTable, tol: float = CAUSAL_TOL) -> SignalingDirections:
     """Which way the table signals: a_to_b iff B's marginal depends on A's
     input by more than tol (and symmetrically)."""
-    pb = t.second_marginals()  # [i1, i2, o2]
-    pa = t.first_marginals()  # [i1, i2, o1]
-    a_to_b = float(np.max(pb.max(axis=0) - pb.min(axis=0))) > tol
-    b_to_a = float(np.max(pa.max(axis=1) - pa.min(axis=1))) > tol
-    return SignalingDirections(a_to_b=a_to_b, b_to_a=b_to_a)
+    a_to_b, b_to_a = marginal_dependence(t)
+    return SignalingDirections(a_to_b=a_to_b > tol, b_to_a=b_to_a > tol)
 
 
 # --- causal polytope membership -------------------------------------------
@@ -143,23 +150,28 @@ def _component_table(r: np.ndarray, shape: tuple[int, int, int, int]) -> Behavio
     return BehaviorTable(out)
 
 
-def causal_membership(t: BehaviorTable, tol: float = 1e-9) -> CausalDecomposition | NotCausal:
-    """LP test of membership in the causal polytope (mixtures of one-way
-    signaling behaviors).
+def causal_membership(t: BehaviorTable) -> CausalDecomposition | NotCausal:
+    """Membership in the causal polytope (mixtures of one-way signaling behaviors).
 
-    Solves min epsilon over subnormalized components r1 (A-first) and r2
-    (B-first) with r1 + r2 matching the table within epsilon elementwise;
-    feasibility at epsilon <= tol yields a decomposition, which is
-    re-validated arithmetically before being returned.
+    A no-signaling table (marginal dependence <= CAUSAL_TOL both ways), such
+    as every table of a quantum switch (Araujo et al., NJP 17, 102001, 2015),
+    is its own A-first and B-first component: every q works, and q = 1.0 is
+    fixed so that no solver picks it. A signaling table goes to an LP: min
+    epsilon over subnormalized components r1 (A-first) and r2 (B-first)
+    with r1 + r2 matching the table within epsilon elementwise; feasibility
+    at epsilon <= CAUSAL_TOL yields a decomposition, which is re-validated
+    arithmetically before being returned.
     """
-    # scipy.optimize takes most of a second to import; load it only here
-    from scipy.optimize import linprog
-
     shape = t.shape
     if max(shape) > MAX_ALPHABET:
         raise ValueError(
             f"alphabets up to {MAX_ALPHABET} supported, got table shape {shape}"
         )
+    if max(marginal_dependence(t)) <= CAUSAL_TOL:
+        return CausalDecomposition(q=1.0, component_ab=t, component_ba=t)
+    # scipy.optimize takes most of a second to import; load it only here
+    from scipy.optimize import linprog
+
     p = t.probs.reshape(-1)
     n = p.size
     rows = _one_way_rows(shape, 0, "AB") + _one_way_rows(shape, 1, "BA")
@@ -182,22 +194,20 @@ def causal_membership(t: BehaviorTable, tol: float = 1e-9) -> CausalDecompositio
         b_ub=b_ub,
         A_eq=a_eq,
         b_eq=b_eq,
-        bounds=[(0, None)] * (2 * n) + [(0, None)],
         method="highs",
         options=_HIGHS_OPTIONS,
     )
     if not res.success:
         raise RuntimeError(f"LP solver failed: {res.message}")
     margin = float(res.x[-1])
-    if margin > tol:
+    if margin > CAUSAL_TOL:
         return NotCausal(violation_margin=margin)
     r1 = res.x[:n].reshape(shape)
-    r2 = res.x[n : 2 * n].reshape(shape)
     q = float(np.clip(r1.sum() / (shape[0] * shape[1]), 0.0, 1.0))
     comp_ab = _component_table(res.x[:n], shape)
     comp_ba = _component_table(res.x[n : 2 * n], shape)
     decomp = CausalDecomposition(q=q, component_ab=comp_ab, component_ba=comp_ba)
-    check = 10.0 * max(tol, 1e-9)
+    check = 10.0 * CAUSAL_TOL
     if np.max(np.abs(decomp.reconstruction() - t.probs)) > check:
         raise RuntimeError("solver returned a decomposition that fails re-validation")
     if q > check and signaling_directions(comp_ab, check).b_to_a:

@@ -32,6 +32,7 @@ from .causal import (
     CausalDecomposition,
     causal_membership,
     lambda_model_from_definite_order,
+    marginal_dependence,
     temporal_locality_audit,
 )
 from .linalg import NAMED_UNITARIES, SpaceLayout, ket, partial_trace, projector, tensor
@@ -60,7 +61,7 @@ from .switch import (
 # stay names of this module because perfbench/tracing.py instruments every
 # name in its SCENARIO_LAYERS here.
 
-REPORT_SCHEMA = "icolab/run-report/v3"
+REPORT_SCHEMA = "icolab/run-report/v4"
 
 NAMED_STATES = {
     "0": np.array([1.0, 0.0]),
@@ -97,7 +98,7 @@ _BASE_SCENARIO = {
     "audit_mode": "strict",
     "seed": 20260815,
     "separability_iters": 2000,
-    "tolerances": {"causal": 1e-9, "audit": 1e-10},
+    "tolerances": {"audit": 1e-10},
     "out": None,
 }
 
@@ -223,7 +224,6 @@ class ScenarioConfig:
     audit_mode: str
     seed: int
     separability_iters: int
-    tol_causal: float
     tol_audit: float
     out: str | None
     echo: dict
@@ -244,7 +244,10 @@ class ScenarioConfig:
             raise ConfigError(
                 f"unknown scenario {name!r}; choose from {sorted(BUILTIN_SCENARIOS)} or 'custom'"
             )
-        unknown = set(merged) - _CONFIG_KEYS
+        tols = merged["tolerances"] or {}
+        if not isinstance(tols, dict):
+            raise ConfigError("tolerances must be a dict with the key 'audit'")
+        unknown = set(merged) - _CONFIG_KEYS | {f"tolerances.{k}" for k in set(tols) - {"audit"}}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         # JSON types are checked, not coerced, so the echo says what ran
@@ -258,15 +261,11 @@ class ScenarioConfig:
             raise ConfigError(f"audit_mode must be 'strict' or 'relaxed', got {merged['audit_mode']!r}")
         if not isinstance(merged["out"], (str, type(None))):
             raise ConfigError(f"out must be a path string or null, got {merged['out']!r}")
-        tols = merged.get("tolerances") or {}
-        if not isinstance(tols, dict) or set(tols) - {"causal", "audit"}:
-            raise ConfigError("tolerances must be a dict with keys 'causal'/'audit'")
-        tol_causal = _number(tols.get("causal", 1e-9), "tolerances.causal")
         tol_audit = _number(tols.get("audit", 1e-10), "tolerances.audit")
         visibility = _number(merged["visibility"], "visibility")
         mixture_q = _number(merged["mixture_q"], "mixture_q")
-        if not all(np.isfinite(t) and t > 0 for t in (tol_causal, tol_audit)):
-            raise ConfigError("tolerances must be finite and positive")
+        if not (np.isfinite(tol_audit) and tol_audit > 0):
+            raise ConfigError("tolerances.audit must be finite and positive")
         if merged["separability_iters"] < 1:
             raise ConfigError("separability_iters must be >= 1")
         amps = merged["control_amplitudes"]
@@ -300,7 +299,6 @@ class ScenarioConfig:
                 audit_mode=merged["audit_mode"],
                 seed=merged["seed"],
                 separability_iters=merged["separability_iters"],
-                tol_causal=tol_causal,
                 tol_audit=tol_audit,
                 out=merged["out"],
                 echo=merged,
@@ -345,14 +343,6 @@ def _chsh_section(result: CHSHResult) -> dict:
         "classical_bound": classical_chsh_bound(),
         "tsirelson_bound": float(TSIRELSON),
     }
-
-
-def _causal_section(table, tol: float) -> dict:
-    outcome = causal_membership(table, tol)
-    if isinstance(outcome, CausalDecomposition):
-        recon = float(np.max(np.abs(outcome.reconstruction() - table.probs)))
-        return {"verdict": "causal", "q": outcome.q, "reconstruction_error": recon}
-    return {"verdict": "not-causal", "violation_margin": outcome.violation_margin}
 
 
 # the audit's probe observables, each with its eigenbasis (+1 eigenvector first)
@@ -468,12 +458,10 @@ def _correlation_sections(config: ScenarioConfig) -> dict:
         conditioning_info = {"measured": spec.layout.labels[0], "outcome": outcome, "probability": p_cond}
     negativity = target_entanglement(rho, (spec.switch1.target_dim, spec.switch2.target_dim))
 
-    if config.settings == "optimize":
-        result = optimize_chsh(rho)
-    else:
-        c1, c2 = config.settings
-        result = chsh(behavior(rho, c1, c2), settings=(c1, c2))
-    table = behavior(rho, *result.settings)
+    settings = optimize_chsh(rho).settings if config.settings == "optimize" else config.settings
+    table = behavior(rho, *settings)
+    result = chsh(table, settings=settings)
+    verdict = "causal" if isinstance(causal_membership(table), CausalDecomposition) else "not-causal"
     return {
         "states": {
             "output_norm": norm,
@@ -481,7 +469,7 @@ def _correlation_sections(config: ScenarioConfig) -> dict:
             "negativity": negativity,
         },
         "chsh": _chsh_section(result),
-        "causal": _causal_section(table, config.tol_causal),
+        "causal": {"verdict": verdict, "marginal_dependence": max(marginal_dependence(table))},
     }
 
 

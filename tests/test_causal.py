@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from icolab.bell import BehaviorTable
+from icolab.bell import BehaviorTable, MeasurementSetting, behavior
 from icolab.causal import (
     CausalDecomposition,
     LambdaModel,
@@ -10,11 +10,12 @@ from icolab.causal import (
     audit_deviations_csv,
     causal_membership,
     lambda_model_from_definite_order,
+    marginal_dependence,
     signaling_directions,
     temporal_locality_audit,
 )
 from icolab.linalg import H, I2, SpaceLayout, Z, ket
-from icolab.sampling import random_behavior, random_causal_behavior
+from icolab.sampling import random_behavior, random_causal_behavior, random_two_qubit_state
 
 
 def det_table(o1_of, o2_of):
@@ -110,15 +111,41 @@ NEAR_DETERMINISTIC = [
 
 def test_near_deterministic_causal_table_is_accepted():
     t = BehaviorTable(np.array(NEAR_DETERMINISTIC))
-    assert oracles.causal_polytope_member(t.probs)
-    assert isinstance(causal_membership(t), CausalDecomposition)
+    # 1e-3 of a one-way table makes it signal, so the LP decides it
+    signaling = BehaviorTable(0.999 * t.probs + 0.001 * AB_TABLE.probs)
+    assert signaling_directions(signaling).a_to_b
+    for table in (t, signaling):
+        assert oracles.causal_polytope_member(table.probs)
+        assert isinstance(causal_membership(table), CausalDecomposition)
+
+
+def test_born_tables_are_certified_without_the_lp():
+    # a local measurement of a bipartite state cannot signal, so the table
+    # is its own one-way component in both orders
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        rho = random_two_qubit_state(rng)
+        settings = [
+            MeasurementSetting(tuple(map(tuple, rng.uniform(0.0, np.pi, size=(2, 2)))))
+            for _ in range(2)
+        ]
+        t = behavior(rho, *settings)
+        assert max(marginal_dependence(t)) <= 1e-12
+        out = causal_membership(t)
+        assert isinstance(out, CausalDecomposition)
+        assert out.q == 1.0
+        assert out.component_ab is t and out.component_ba is t
+        assert oracles.causal_polytope_member(t.probs)
 
 
 def test_membership_capacity_guard():
     rng = np.random.default_rng(1)
     big = random_behavior(rng, shape=(5, 2, 2, 2))
-    with pytest.raises(ValueError):
-        causal_membership(big)
+    # no-signaling: a product of local laws, with five inputs for A
+    local = np.einsum("xi,yj->xyij", rng.dirichlet(np.ones(2), 5), rng.dirichlet(np.ones(2), 2))
+    for t in (big, BehaviorTable(local)):
+        with pytest.raises(ValueError, match="alphabets up to 4"):
+            causal_membership(t)
 
 
 def test_causal_components_are_one_way():

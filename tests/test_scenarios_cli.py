@@ -102,7 +102,6 @@ def test_physical_consistency_checked_at_parse_time():
         ("control_amplitudes[0]", {"control_amplitudes": [True, 0]}),
         ("control_amplitudes[1]", {"control_amplitudes": [1.0, [False, 0.0]]}),
         ("control_amplitudes[0]", {"control_amplitudes": [["0.6", 0.0], 0.8]}),
-        ("tolerances.causal", {"tolerances": {"causal": True}}),
         ("tolerances.audit", {"tolerances": {"audit": "1e-10"}}),
         ("settings", {"settings": [pair, [[0.0, 0.0], [True, 0.0]]]}),
         ("settings", {"settings": [pair, [[0.0, "0.5"], [1.0, 0.0]]]}),
@@ -110,13 +109,19 @@ def test_physical_consistency_checked_at_parse_time():
     ):
         with pytest.raises(ConfigError, match=re.escape(key) + " must be"):
             make_config(**overrides)
+    # the causal tolerance is a module constant: a config cannot set it
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['tolerances.causal'\]"):
+        make_config(tolerances={"causal": True})
 
 
 def test_tolerances_validated():
-    with pytest.raises(ConfigError):
-        make_config(tolerances={"causal": -1.0})
-    with pytest.raises(ConfigError):
+    for tols in ({"causal": -1.0}, {"causal": 1e-9, "audit": 1e-10}):
+        with pytest.raises(ConfigError, match="tolerances.causal"):
+            make_config(tolerances=tols)
+    with pytest.raises(ConfigError, match="tolerances.weird"):
         make_config(tolerances={"weird": 1.0})
+    with pytest.raises(ConfigError, match="tolerances must be a dict"):
+        make_config(tolerances=[1e-10])
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             make_config(tolerances={"audit": bad})
@@ -160,7 +165,8 @@ def test_report_structure_and_determinism():
         "seed",
     ):
         assert key in rep
-    assert rep["schema"] == "icolab/run-report/v3"
+    assert rep["schema"] == "icolab/run-report/v4"
+    assert set(rep["causal"]) == {"verdict", "marginal_dependence"}
     assert set(rep["chsh"]) == {
         "value", "correlators", "settings", "classical_bound", "tsirelson_bound"
     }
@@ -318,9 +324,17 @@ def test_full_visibility_process_is_the_pure_switch():
     assert candidate is None
 
 
-def test_fixed_settings_path():
+def test_fixed_settings_path(monkeypatch):
     angles = [[[0.0, 0.0], [np.pi / 2, 0.0]], [[np.pi / 4, 0.0], [np.pi / 4, np.pi]]]
+    original, calls = scenarios.behavior, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(scenarios, "behavior", counted)
     rep = run_scenario(make_config(settings=angles)).report
+    assert len(calls) == 1  # one table serves CHSH and the causal verdict
     assert rep["chsh"]["settings"]["party1"][0] == [0.0, 0.0]
     assert rep["chsh"]["settings"]["party2"][1] == [np.pi / 4, np.pi]
 
@@ -450,7 +464,7 @@ def test_cli_run_is_byte_identical(coherent_config, tmp_path):
     assert out_path.read_bytes() == r1.stdout
     assert "duration_s=" in r1.stderr.decode()
     rep = json.loads(r1.stdout)
-    assert rep["schema"] == "icolab/run-report/v3"
+    assert rep["schema"] == "icolab/run-report/v4"
 
 
 def test_cli_run_bytes_do_not_depend_on_blas_threads(coherent_config):
@@ -491,6 +505,7 @@ def test_cli_config_errors_exit_2(tmp_path):
         ("control_amplitudes[0]", {**coherent, "control_amplitudes": [[None, 0], 0.7]}),
         ("scenario", {"scenario": ["x"]}),
         ("out", {**coherent, "out": 7}),
+        ("tolerances.causal", {**coherent, "tolerances": {"causal": 1e-9}}),
     ):
         path = tmp_path / "typed.json"
         path.write_text(json.dumps(config))
@@ -534,11 +549,22 @@ def test_cli_sweep(tmp_path):
 
 
 def test_import_does_not_load_scipy_optimize():
-    # only causal_membership needs scipy.optimize, which is slow to import
-    code = "import sys, icolab; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=600)
-    assert out.returncode == 0, out.stderr.decode()
-    assert out.stdout.decode().strip() == "False"
+    # only causal_membership's LP needs scipy.optimize, which is slow to
+    # import, and the tables of run and sweep never signal
+    runs = [
+        "import icolab",
+        *(
+            f"icolab.run_scenario(icolab.ScenarioConfig.from_dict({{'scenario': {name!r}}}))"
+            for name in BUILTIN_SCENARIOS
+        ),
+        "icolab.sweep(icolab.ScenarioConfig.from_dict({'scenario': 'double-switch-coherent'}),"
+        " 'eta', [0.0, 0.5, 1.0])",
+    ]
+    for run in runs:
+        code = f"import sys, icolab; {run}; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=600)
+        assert out.returncode == 0, out.stderr.decode()
+        assert out.stdout.decode().strip() == "False", run
 
 
 def test_readme_api_quick_start_runs():
