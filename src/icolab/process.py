@@ -630,16 +630,18 @@ class SeparabilityReport:
     - ``separable``: ``certificate`` holds a decomposition (q, W_AB, W_BA)
       that passed :func:`certify_decomposition`.
     - ``nonseparable``: ``witness`` holds (S, P_AB, P_BA), a causal
-      nonseparability witness that passed the witness test of
-      :func:`separability_heuristic`; ``witness_value`` is tr(S W)/||S||.
-    - ``inconclusive``: the search stalled or hit its iteration cap with
-      neither certificate.
+      nonseparability witness that passed :func:`_certify_witness`;
+      ``witness_value`` is tr(S W)/||S||.
+    - ``inconclusive``: the search reached its fixed point or its iteration
+      cap with neither certificate.
 
-    With a decomposition, ``residual`` is the relative Frobenius distance of
-    the claimed mixture from the input (at least the search's terminal
-    infeasibility when the search found it); otherwise it is the terminal
-    infeasibility of the alternating projection. ``iterations`` is 0 for a
-    decomposition certified without a search."""
+    After a search, ``residual`` is the search's last gap ||b - a||/max(1, ||W||)
+    between its PSD point and its affine point (see
+    :func:`separability_heuristic`); on an infeasible problem it tends to
+    the distance between the two sets. With a decomposition it is at least
+    the relative reconstruction error of the claimed mixture. A
+    decomposition certified without a search has ``iterations`` 0 and that
+    error alone as ``residual``."""
 
     certificate: tuple[float, ProcessMatrix, ProcessMatrix] | None
     residual: float
@@ -771,24 +773,36 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     valid process compatible with the corresponding order, or for a witness
     that none exists; stop at the first certificate of either kind.
 
-    Alternating projection between the PSD cone (componentwise) and the
-    affine set {X in AB-subspace, Y in BA-subspace, X + Y = W}. The iterates
-    live in :class:`HSBasis` coefficients, where the affine step is
-    elementwise; only the PSD clip works on matrices.
+    Douglas-Rachford splitting between the affine set {X in AB-subspace,
+    Y in BA-subspace, X + Y = W} and the PSD cone (componentwise). The
+    iterates live in :class:`HSBasis` coefficients, where the affine
+    projection is elementwise; only the PSD clip works on matrices. From z
+    on the affine set, each step takes the affine point a = P_aff(z), its
+    reflection r = 2a - z and the PSD point b = clip(r), and moves
+    z += b - a. The start z = P_aff(W/2, W/2) lies on the affine set, so
+    the first step clips the order split itself, and a split that is
+    already PSD stops after one iteration.
 
-    Every clip of an affine point (xa, ya) to (x, y) leaves PSD gaps
-    dx = x - xa and dy = y - ya. They give a witness S = where(a, dx,
-    where(b, dy, 0)) that agrees with P_AB = dx on the AB subspace and with
-    P_BA = where(a b, dx, dy) on the BA subspace. Each iteration tests it
-    cheaply: tr(S W) is two dot products in coefficients, dx is PSD and
-    Weyl's inequality bounds the negative part of lambda_min(P_BA) by
-    ||(dx - dy) a b||. Only when that passes is the witness rebuilt as
-    matrices and checked by :func:`_certify_witness`.
-
-    When the iteration converges with a small enough infeasibility, the
-    terminal pair is turned into a candidate decomposition and re-validated
-    by :func:`certify_decomposition` before a certificate is claimed.
+    On a feasible problem z converges to a fixed point, where b = a is a
+    decomposition: when ||b - a|| < SEARCH_TOL max(1, ||W||), b is projected
+    onto the affine set, turned into a candidate decomposition and
+    re-validated by :func:`certify_decomposition` before a certificate is
+    claimed. On an infeasible one the steps b - a tend to the minimal
+    displacement vector between the two sets (Bauschke & Moursi, "On the
+    Douglas-Rachford algorithm", Math. Program. 164, 2017), and the
+    reflected gap (gx, gy) = b - r, which is the clipped-off negative part
+    of r with its sign flipped and so PSD, points across it. With in_AB,
+    in_BA the order masks, it gives a witness
+    S = where(in_AB, gx, where(in_BA, gy, 0)) that agrees with P_AB = gx on
+    the AB subspace and with P_BA = where(in_AB in_BA, gx, gy) on the BA
+    subspace. Each iteration tests it cheaply: tr(S W) is two dot products
+    in coefficients, gx is PSD and Weyl's inequality bounds the negative
+    part of lambda_min(P_BA) by ||(gx - gy) in_AB in_BA||. Only when that
+    passes is the witness rebuilt as matrices and checked by
+    :func:`_certify_witness`.
     """
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
     m, lay = w.matrix, w.layout
     report = validate_process(w)
     if not report.is_valid:
@@ -796,48 +810,42 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     scale = max(1.0, frobenius(m))
     d_o = w.expected_trace
     basis = hs_basis(lay)
-    a, b = _order_mask(lay, "AB"), _order_mask(lay, "BA")
-    both = a * b
+    in_ab, in_ba = _order_mask(lay, "AB"), _order_mask(lay, "BA")
+    both = in_ab * in_ba
     cw = basis.to_coef(m)
-    # tr(S W) = <dx, a cw> + <dy, (1 - a) b cw>
-    cw_a, cw_b = (a * cw).ravel(), ((1.0 - a) * b * cw).ravel()
+    # tr(S W) = <gx, in_ab cw> + <gy, (1 - in_ab) in_ba cw>
+    cw_a, cw_b = (in_ab * cw).ravel(), ((1.0 - in_ab) * in_ba * cw).ravel()
 
     def clip(c: np.ndarray) -> np.ndarray:
         return basis.to_coef(_psd_clip(basis.to_mat(c)))
 
-    x = y = cw / 2.0
-    used, witness, value = 0, None, None
-    for it in range(1, iters + 1):
-        used = it
-        xa, ya = _order_split(cw, x, y, a, b)
-        x_new, y_new = clip(xa), clip(ya)
+    zx, zy = _order_split(cw, cw / 2.0, cw / 2.0, in_ab, in_ba)
+    witness, value = None, None
+    for used in range(1, iters + 1):
+        xa, ya = _order_split(cw, zx, zy, in_ab, in_ba)
+        xr, yr = 2.0 * xa - zx, 2.0 * ya - zy
+        xb, yb = clip(xr), clip(yr)
         # the basis is orthogonal: coefficient norms are Frobenius norms
-        delta = np.linalg.norm(x_new - x) + np.linalg.norm(y_new - y)
-        x, y = x_new, y_new
-        dx, dy = x - xa, y - ya
-        trace_sw = dx.ravel() @ cw_a + dy.ravel() @ cw_b
-        if trace_sw < 0.0 and trace_sw < -np.linalg.norm(both * (dx - dy)) * d_o:
+        gap = float(np.hypot(np.linalg.norm(xb - xa), np.linalg.norm(yb - ya)))
+        zx, zy = zx + xb - xa, zy + yb - ya
+        gx, gy = xb - xr, yb - yr
+        trace_sw = gx.ravel() @ cw_a + gy.ravel() @ cw_b
+        if trace_sw < 0.0 and trace_sw < -np.linalg.norm(both * (gx - gy)) * d_o:
             s, p_ab, p_ba = (
                 basis.to_mat(c)
-                for c in (np.where(a, dx, np.where(b, dy, 0.0)), dx, np.where(both, dx, dy))
+                for c in (np.where(in_ab, gx, np.where(in_ba, gy, 0.0)), gx, np.where(both, gx, gy))
             )
             value = _certify_witness(w, s, p_ab, p_ba)
             if value is not None:
                 witness = (s, p_ab, p_ba)
                 break
-        if delta < SEARCH_TOL * scale:
+        if gap < SEARCH_TOL * scale:
             break
-    xf, yf = (basis.to_mat(c) for c in _order_split(cw, x, y, a, b))
-    neg = max(
-        0.0,
-        -float(eig_hermitian(xf)[0][-1]),
-        -float(eig_hermitian(yf)[0][-1]),
-    )
-    sum_res = frobenius(xf + yf - m)
-    residual = float(max(neg, sum_res) / scale)
+    residual = gap / scale
     if witness is not None:
         return SeparabilityReport(None, residual, used, witness, value)
-    if residual <= 10 * SEARCH_TOL:
+    if gap < SEARCH_TOL * scale:
+        xf, yf = (basis.to_mat(c) for c in _order_split(cw, xb, yb, in_ab, in_ba))
         candidate = _certificate_components(xf, yf, lay)
         cert = None if candidate is None else certify_decomposition(w, *candidate)
         if cert is not None:
