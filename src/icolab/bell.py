@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import X, Y, Z, as_matrix, is_psd, tensor
+from .linalg import X, Y, Z, as_matrix, is_psd
 
 PAULI = np.stack([X, Y, Z])
 
@@ -148,13 +148,12 @@ def behavior(
     rho = as_matrix(rho)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a two-qubit density operator, got shape {rho.shape}")
-    probs = np.empty((c1.inputs, c2.inputs, 2, 2))
-    for x in range(c1.inputs):
-        pa = c1.projectors(x)
-        for y in range(c2.inputs):
-            pb = c2.projectors(y)
-            for o1, o2 in product(range(2), range(2)):
-                probs[x, y, o1, o2] = np.real(np.trace(rho @ tensor(pa[o1], pb[o2])))
+    # projectors indexed [input, outcome, 2, 2]; every cell's P_a (x) P_b at
+    # once, indexed [x, y, o1, o2, 4, 4]
+    pa = np.array([c1.projectors(x) for x in range(c1.inputs)])
+    pb = np.array([c2.projectors(y) for y in range(c2.inputs)])
+    k = pa[:, None, :, None, :, None, :, None] * pb[None, :, None, :, None, :, None, :]
+    probs = _expectations(rho, k.reshape(c1.inputs, c2.inputs, 2, 2, 4, 4))
     return BehaviorTable(np.clip(probs, 0.0, 1.0))
 
 
@@ -179,19 +178,20 @@ def classical_chsh_bound() -> float:
     return float(best)
 
 
+def _expectations(rho: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """Re tr[rho K] for every 4x4 operator K in the last two axes of ``ops``."""
+    return np.real(np.trace(rho @ ops, axis1=-2, axis2=-1))
+
+
 def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     """3x3 spin correlation matrix T_ij = tr[rho (sigma_i x sigma_j)]."""
     rho = as_matrix(rho)
-    return np.array(
-        [
-            [np.real(np.trace(rho @ tensor(PAULI[i], PAULI[j]))) for j in range(3)]
-            for i in range(3)
-        ]
-    )
+    k = PAULI[:, None, :, None, :, None] * PAULI[None, :, None, :, None, :]
+    return _expectations(rho, k.reshape(3, 3, 4, 4))
 
 
-def optimize_chsh(rho: np.ndarray) -> CHSHResult:
-    """Best CHSH value over measurement settings, in closed form.
+def chsh_settings(rho: np.ndarray) -> tuple[MeasurementSetting, MeasurementSetting]:
+    """Optimal CHSH settings of a two-qubit state, in closed form.
 
     With T = U diag(s) V^T the SVD of the correlation matrix and
     tan(theta) = s2/s1, the settings a0 = u1, a1 = u2 and
@@ -202,9 +202,6 @@ def optimize_chsh(rho: np.ndarray) -> CHSHResult:
     to optimize the targets of a switch after a control outcome, condition
     first (``switch.conditioned_target_state`` or
     ``switch.condition_on_control``).
-
-    The returned value is recomputed from the Born-rule behavior at the
-    optimal settings, so it can never exceed the quantum bound.
     """
     arr = as_matrix(rho)
     if arr.shape != (4, 4):
@@ -217,4 +214,14 @@ def optimize_chsh(rho: np.ndarray) -> CHSHResult:
     along, across = np.cos(theta) * vt[0], np.sin(theta) * vt[1]
     c1 = MeasurementSetting.from_bloch_vectors(u[:, :2].T)
     c2 = MeasurementSetting.from_bloch_vectors(np.stack([along + across, along - across]))
-    return chsh(behavior(arr, c1, c2), settings=(c1, c2))
+    return c1, c2
+
+
+def optimize_chsh(rho: np.ndarray) -> CHSHResult:
+    """Best CHSH value over measurement settings, at ``chsh_settings(rho)``.
+
+    The returned value is recomputed from the Born-rule behavior at the
+    optimal settings, so it can never exceed the quantum bound.
+    """
+    settings = chsh_settings(rho)
+    return chsh(behavior(rho, *settings), settings=settings)

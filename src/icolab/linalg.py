@@ -90,9 +90,11 @@ def tensor(*operands: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"tensor result of shape ({rows}, {cols}) exceeds capacity {MAX_DIM}"
         )
+    # One broadcast product per pair: the entrywise products np.kron forms.
     out = mats[0]
     for m in mats[1:]:
-        out = np.kron(out, m)
+        r, c = out.shape[0] * m.shape[0], out.shape[1] * m.shape[1]
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(r, c)
     return out.reshape(-1) if all_vectors else out
 
 

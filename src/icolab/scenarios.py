@@ -24,6 +24,7 @@ from .bell import (
     TSIRELSON,
     behavior,
     chsh,
+    chsh_settings,
     classical_chsh_bound,
     optimize_chsh,
 )
@@ -57,9 +58,10 @@ from .switch import (
 )
 
 # conditioned_target_state and reduced_target_state are not called here: the
-# double-switch state is built once per run and conditioned in place. They
-# stay names of this module because perfbench/tracing.py instruments every
-# name in its SCENARIO_LAYERS here.
+# double-switch state is built once per run and conditioned in place. Nor is
+# optimize_chsh: the correlation stage takes chsh_settings and builds its one
+# Born table itself. All three stay names of this module because
+# perfbench/tracing.py instruments every name in its SCENARIO_LAYERS here.
 
 REPORT_SCHEMA = "icolab/run-report/v4"
 
@@ -458,7 +460,7 @@ def _correlation_sections(config: ScenarioConfig) -> dict:
         conditioning_info = {"measured": spec.layout.labels[0], "outcome": outcome, "probability": p_cond}
     negativity = target_entanglement(rho, (spec.switch1.target_dim, spec.switch2.target_dim))
 
-    settings = optimize_chsh(rho).settings if config.settings == "optimize" else config.settings
+    settings = chsh_settings(rho) if config.settings == "optimize" else config.settings
     table = behavior(rho, *settings)
     result = chsh(table, settings=settings)
     verdict = "causal" if isinstance(causal_membership(table), CausalDecomposition) else "not-causal"

@@ -80,14 +80,29 @@ _PAULI = [
 ]
 
 
-def horodecki_chsh_max(rho):
-    """Maximal CHSH value of a two-qubit state: 2 sqrt(t1^2 + t2^2) with
-    t1 >= t2 the two largest singular values of the correlation matrix."""
+def correlation_matrix(rho):
+    """T_ij = Re tr[rho (sigma_i (x) sigma_j)], one Kronecker product per entry."""
     t = np.empty((3, 3))
     for i in range(3):
         for j in range(3):
             t[i, j] = np.real(np.trace(np.asarray(rho) @ kron(_PAULI[i], _PAULI[j])))
-    s = np.linalg.svd(t, compute_uv=False)
+    return t
+
+
+def born_table(rho, proj_a, proj_b):
+    """Born-rule table [x, y, o1, o2] = Re tr[rho (P^x_o1 (x) P^y_o2)], cell by
+    cell, from each party's projectors given as proj[input][outcome]; clipped
+    to [0, 1] like the package's tables."""
+    probs = np.empty((len(proj_a), len(proj_b), 2, 2))
+    for x, y, o1, o2 in product(range(len(proj_a)), range(len(proj_b)), range(2), range(2)):
+        probs[x, y, o1, o2] = np.real(np.trace(np.asarray(rho) @ kron(proj_a[x][o1], proj_b[y][o2])))
+    return np.clip(probs, 0.0, 1.0)
+
+
+def horodecki_chsh_max(rho):
+    """Maximal CHSH value of a two-qubit state: 2 sqrt(t1^2 + t2^2) with
+    t1 >= t2 the two largest singular values of the correlation matrix."""
+    s = np.linalg.svd(correlation_matrix(rho), compute_uv=False)
     return 2.0 * np.sqrt(s[0] ** 2 + s[1] ** 2)
 
 
@@ -273,7 +288,10 @@ _VERTICES = causal_polytope_vertices()
 
 def causal_polytope_member(table, tol=1e-9):
     """Hull membership of a binary behavior table via LP feasibility over the
-    enumerated vertices."""
+    enumerated vertices. With its default options HiGHS reports some
+    near-deterministic no-signaling tables (entries down to 1e-17) as
+    infeasible; at a primal feasibility tolerance of 1e-10 it finds their
+    decomposition, which the reconstruction bound below still checks."""
     p = np.asarray(table, dtype=np.float64).ravel()
     n = _VERTICES.shape[1]
     a_eq = np.vstack([_VERTICES, np.ones((1, n))])
@@ -284,6 +302,7 @@ def causal_polytope_member(table, tol=1e-9):
         b_eq=b_eq,
         bounds=[(0.0, None)] * n,
         method="highs",
+        options={"primal_feasibility_tolerance": 1e-10},
     )
     if res.status == 0:
         recon = _VERTICES @ res.x

@@ -10,6 +10,7 @@ from icolab.bell import (
     behavior,
     bloch_observable,
     chsh,
+    chsh_settings,
     classical_chsh_bound,
     correlation_matrix,
     optimize_chsh,
@@ -58,6 +59,44 @@ def test_chsh_result_consistency_guard():
 def test_correlation_matrix_of_phi_plus():
     t = correlation_matrix(projector(PHI_PLUS))
     assert np.allclose(t, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
+
+
+def _projector_lists(setting):
+    return [setting.projectors(x) for x in range(setting.inputs)]
+
+
+def test_behavior_matches_the_per_cell_oracle_exactly():
+    rng = np.random.default_rng(17)
+    for k in range(30):
+        rho = random_two_qubit_state(rng)
+        c1, c2 = (
+            MeasurementSetting(tuple(map(tuple, rng.uniform(0.0, 2 * np.pi, size=(n, 2)))))
+            for n in ((3, 2) if k % 3 == 0 else (2, 2))
+        )
+        want = oracles.born_table(rho, _projector_lists(c1), _projector_lists(c2))
+        got = behavior(rho, c1, c2).probs
+        assert got.shape == want.shape == (c1.inputs, 2, 2, 2)
+        assert np.array_equal(got, want)
+
+
+def test_correlation_matrix_matches_the_per_cell_oracle_exactly():
+    rng = np.random.default_rng(19)
+    for rho in [random_two_qubit_state(rng) for _ in range(30)] + [projector(SINGLET)]:
+        assert np.array_equal(correlation_matrix(rho), oracles.correlation_matrix(rho))
+
+
+def test_optimize_chsh_is_chsh_at_the_closed_form_settings():
+    rng = np.random.default_rng(23)
+    for rho in [random_two_qubit_state(rng) for _ in range(20)] + [projector(SINGLET)]:
+        settings = chsh_settings(rho)
+        r = optimize_chsh(rho)
+        assert r.value == chsh(behavior(rho, *settings)).value
+        assert [c.angles for c in r.settings] == [c.angles for c in settings]
+        assert r.value == pytest.approx(oracles.horodecki_chsh_max(rho), abs=1e-9)
+    with pytest.raises(ValueError, match=r"shape \(4,\)"):
+        chsh_settings(SINGLET)
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        chsh_settings(-projector(SINGLET))
 
 
 def test_optimize_chsh_reaches_tsirelson_on_bell_state():

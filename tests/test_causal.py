@@ -119,6 +119,41 @@ def test_near_deterministic_causal_table_is_accepted():
         assert isinstance(causal_membership(table), CausalDecomposition)
 
 
+# Born table of a seeded coherent double switch at its optimal CHSH settings
+# (perfbench switch-family, seed 301, input 628): no-signaling, so causal,
+# with entries down to about 1e-17. HiGHS at its default options calls the
+# vertex LP of this table infeasible.
+NEAR_DETERMINISTIC_BORN = [
+    [
+        [
+            [5.625678327174366e-08, 3.1953606427492787e-15],
+            [5.625677058896349e-08, 0.999999887486443],
+        ],
+        [
+            [5.6256783270008937e-08, 3.207070026212122e-15],
+            [5.625677059395082e-08, 0.999999887486443],
+        ],
+    ],
+    [
+        [
+            [1.1251355388493907e-07, 0.499999887486106],
+            [-1.452830911130576e-17, 0.50000000000034],
+        ],
+        [
+            [2.6075062248276382e-17, 0.4999999999996599],
+            [1.1251355384119151e-07, 0.4999998874867862],
+        ],
+    ],
+]
+
+
+def test_near_deterministic_born_table_is_causal_for_the_oracle_too():
+    t = BehaviorTable(np.array(NEAR_DETERMINISTIC_BORN))
+    assert max(marginal_dependence(t)) <= 1e-9
+    assert oracles.causal_polytope_member(t.probs)
+    assert isinstance(causal_membership(t), CausalDecomposition)
+
+
 def test_born_tables_are_certified_without_the_lp():
     # a local measurement of a bipartite state cannot signal, so the table
     # is its own one-way component in both orders

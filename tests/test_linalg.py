@@ -38,14 +38,23 @@ def test_pauli_algebra():
 
 
 def test_tensor_matches_kron():
+    # the same entrywise products as np.kron, so the results are bit-identical
     rng = np.random.default_rng(0)
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert np.allclose(tensor(a, b), np.kron(a, b))
+    assert np.array_equal(tensor(a, b), np.kron(a, b))
+    c = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+    d = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
+    assert np.array_equal(tensor(a, c, d), np.kron(np.kron(a, c), d))
+    assert tensor(c, d).shape == (6, 3)
+    assert np.array_equal(tensor(c, d), np.kron(c, d))
     v = rng.normal(size=4)
     w = rng.normal(size=2)
     assert tensor(v, w).shape == (8,)
-    assert np.allclose(tensor(v, w), np.kron(v, w))
+    assert np.array_equal(tensor(v, w), np.kron(v, w))
+    # a vector next to a matrix is a column
+    assert tensor(w, a).shape == (4, 2)
+    assert np.array_equal(tensor(w, a), np.kron(w.reshape(2, 1), a))
 
 
 def test_tensor_capacity_guard():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icolab import scenarios, switch
+from icolab import bell, scenarios, switch
 from icolab.process import certify_decomposition, quantum_switch_process
 from icolab.scenarios import (
     BUILTIN_SCENARIOS,
@@ -337,6 +337,25 @@ def test_fixed_settings_path(monkeypatch):
     assert len(calls) == 1  # one table serves CHSH and the causal verdict
     assert rep["chsh"]["settings"]["party1"][0] == [0.0, 0.0]
     assert rep["chsh"]["settings"]["party2"][1] == [np.pi / 4, np.pi]
+
+
+def test_optimize_settings_path_builds_one_table(monkeypatch):
+    calls = []
+
+    def counting(module):
+        original = module.behavior
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(module, "behavior", counted)
+
+    counting(bell)
+    counting(scenarios)
+    rep = scenarios._correlation_sections(make_config())
+    assert len(calls) == 1  # the optimal settings' table serves CHSH and the causal verdict
+    assert rep["chsh"]["value"] == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
 
 
 def test_seed_changes_are_echoed_not_physical():
