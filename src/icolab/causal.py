@@ -18,14 +18,13 @@ conditionals below the 1e-12 probability floor.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 
 from .bell import BehaviorTable
-from .linalg import SpaceLayout, as_matrix, projector, tensor
+from .linalg import SpaceLayout, as_matrix
 
 LAMBDA_SCHEMA = "icolab/lambda-model/v1"
 
@@ -351,33 +350,15 @@ class AuditReport:
         }
 
 
-def _audit_rows(m: LambdaModel):
-    """Yield (a, b, la, lb, equation, conditioned_value, deviation, argmax)
-    for every checkable conditional in the model."""
-    n_a, n_b, n_la, n_lb, n_i, n_j = m.joint.shape
-    for a in range(n_a):
-        for b in range(n_b):
-            for la in range(n_la):
-                for lb in range(n_lb):
-                    if m.prior[la, lb] <= CELL_FLOOR:
-                        continue
-                    cell = m.joint[a, b, la, lb]
-                    if cell.sum() <= CELL_FLOOR:
-                        continue
-                    for j in range(n_j):
-                        pj = cell[:, j].sum()
-                        if pj <= CELL_FLOOR:
-                            continue
-                        diff = np.abs(cell[:, j] / pj - m.marginal_i[a, la])
-                        k = int(np.argmax(diff))
-                        yield a, b, la, lb, "i|a,lambda_a", j, float(diff[k]), k
-                    for i in range(n_i):
-                        pi = cell[i, :].sum()
-                        if pi <= CELL_FLOOR:
-                            continue
-                        diff = np.abs(cell[i, :] / pi - m.marginal_j[b, lb])
-                        k = int(np.argmax(diff))
-                        yield a, b, la, lb, "j|b,lambda_b", i, float(diff[k]), k
+def _screening(cells: np.ndarray, declared: np.ndarray, live: np.ndarray):
+    """One screening equation on every conditional at once. ``cells`` holds
+    each cell's joint with the conditioned outcome on the last axis, one
+    conditional per row of the axis before it; ``declared`` is the local law
+    it must equal. Returns (checkable, deviation, argmax) per conditional."""
+    total = cells.sum(axis=-1)
+    ok = live[..., None] & (total > CELL_FLOOR)
+    diff = np.abs(cells / np.where(ok, total, 1.0)[..., None] - declared)
+    return ok, diff.max(axis=-1), diff.argmax(axis=-1)
 
 
 def temporal_locality_audit(
@@ -386,6 +367,11 @@ def temporal_locality_audit(
     """Check the two screening equalities on every admissible cell, plus the
     combined product form p(i,j|...) = p(i|a,la) * p(j|b,lb).
 
+    A context whose prior weight, cell sum or conditional is at or below
+    CELL_FLOOR is skipped. ``worst_case`` is the first strictly largest
+    deviation in the order a, b, lambda_a, lambda_b, then per cell the
+    conditionals on j before those on i.
+
     ``mode`` records which reading of lambda the caller supplied ("strict"
     for the state immediately prior to each measurement, "relaxed" for an
     earlier-time description); the arithmetic is identical, reports must
@@ -393,62 +379,64 @@ def temporal_locality_audit(
     """
     if mode not in AUDIT_MODES:
         raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
-    n_a, n_b, n_la, n_lb, _, _ = m.joint.shape
+    joint, mi, mj = m.joint, m.marginal_i, m.marginal_j
+    n_j = joint.shape[5]
+    live = (m.prior > CELL_FLOOR) & (joint.sum(axis=(4, 5)) > CELL_FLOOR)  # [a, b, la, lb]
+    # p(i | ..., j) per j, then p(j | ..., i) per i, each row's argmax its free outcome
+    ok_i, dev_i, arg_i = _screening(joint.swapaxes(4, 5), mi[:, None, :, None, None, :], live)
+    ok_j, dev_j, arg_j = _screening(joint, mj[None, :, None, :, None, :], live)
+    ok = np.concatenate([ok_i, ok_j], axis=-1)
+    dev = np.concatenate([dev_i, dev_j], axis=-1)
+    # a NaN deviation never counts as larger, as in a running strict maximum
+    rank = np.where(ok & (dev > 0.0), dev, -1.0)
+    worst = None
     max_dev = 0.0
-    worst: tuple | None = None
-    checked = 0
-    for a, b, la, lb, eq, cond, dev, arg in _audit_rows(m):
-        checked += 1
-        if dev > max_dev:
-            max_dev = dev
-            if eq == "i|a,lambda_a":
-                worst = (a, b, m.lambda_a[la], m.lambda_b[lb], arg, cond)
-            else:
-                worst = (a, b, m.lambda_a[la], m.lambda_b[lb], cond, arg)
-    product_residual = 0.0
-    skipped = 0
-    for a in range(n_a):
-        for b in range(n_b):
-            for la in range(n_la):
-                for lb in range(n_lb):
-                    if m.prior[la, lb] <= CELL_FLOOR or m.joint[a, b, la, lb].sum() <= CELL_FLOOR:
-                        skipped += 1
-                        continue
-                    prod_form = np.outer(m.marginal_i[a, la], m.marginal_j[b, lb])
-                    product_residual = max(
-                        product_residual,
-                        float(np.max(np.abs(m.joint[a, b, la, lb] - prod_form))),
-                    )
+    if rank.size and rank.max() > 0.0:
+        a, b, la, lb, row = np.unravel_index(int(np.argmax(rank)), rank.shape)
+        max_dev = float(dev[a, b, la, lb, row])
+        if row < n_j:
+            i, j = arg_i[a, b, la, lb, row], row
+        else:
+            i, j = row - n_j, arg_j[a, b, la, lb, row - n_j]
+        worst = (int(a), int(b), m.lambda_a[la], m.lambda_b[lb], int(i), int(j))
+    prod_form = mi[:, None, :, None, :, None] * mj[None, :, None, :, None, :]
+    residual = np.abs(joint - prod_form).max(axis=(4, 5))[live]
     return AuditReport(
         passed=max_dev <= tol,
         max_deviation=max_dev,
         worst_case=worst,
-        product_residual=product_residual,
+        product_residual=float(np.fmax.reduce(residual, initial=0.0)),
         mode=mode,
-        cells_checked=checked,
-        cells_skipped=skipped,
+        cells_checked=int(ok.sum()),
+        cells_skipped=int(live.size - live.sum()),
     )
-
-
-def audit_deviations_csv(m: LambdaModel) -> str:
-    """All per-conditional audit deviations as CSV."""
-    out = io.StringIO()
-    out.write("a,b,lambda_a,lambda_b,equation,conditioned_value,deviation\n")
-    for a, b, la, lb, eq, cond, dev, _ in _audit_rows(m):
-        out.write(
-            f"{a},{b},{m.lambda_a[la]},{m.lambda_b[lb]},{eq},{cond},{dev:.12g}\n"
-        )
-    return out.getvalue()
 
 
 # --- model generation from definite-order dynamics -------------------------
 
-def _factor_projector(layout: SpaceLayout, label: str, v: np.ndarray) -> np.ndarray:
-    """Projector |v><v| on one factor, identity elsewhere."""
-    parts = []
-    for lab, d in zip(layout.labels, layout.dims):
-        parts.append(projector(v) if lab == label else np.eye(d))
-    return tensor(*parts)
+def _probe_projectors(layout: SpaceLayout, label: str, bases: np.ndarray) -> np.ndarray:
+    """|v><v| on one factor, identity elsewhere, for each column v of each
+    basis: shape [basis, column, dim, dim]."""
+    pos = layout.index(label)
+    left, right = np.eye(prod(layout.dims[:pos])), np.eye(prod(layout.dims[pos + 1 :]))
+    # C order: each projector then meets BLAS as a lone matrix would, so the
+    # batched products below round exactly as one product per projector does
+    cols = np.ascontiguousarray(bases.swapaxes(1, 2))
+    proj = cols[..., :, None] * np.conj(cols)[..., None, :]
+    full = (
+        left[:, None, None, :, None, None]
+        * proj[:, :, None, :, None, None, :, None]
+        * right[None, None, :, None, None, :]
+    )
+    return full.reshape(bases.shape[:2] + (layout.dim, layout.dim))
+
+
+def _probe_law(proj: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Born probabilities [basis, outcome, *state axes] of each probe basis on
+    each (unnormalized) state in ``states`` [*state axes, dim]."""
+    extra = (None,) * (states.ndim - 1)
+    amp = np.matmul(proj[(slice(None), slice(None)) + extra], states[..., None])[..., 0]
+    return np.vecdot(amp, amp).real
 
 
 def lambda_model_from_definite_order(
@@ -502,84 +490,61 @@ def lambda_model_from_definite_order(
             raise ValueError("each probe basis must be square on the measured factor")
         if np.max(np.abs(np.conj(basis).T @ basis - np.eye(d_m))) > 1e-9:
             raise ValueError("probe basis columns must be orthonormal")
+    us = np.array([as_matrix(u) for _, u in evolutions])
     n_a, n_b, n_e = len(bases_a), len(bases_b), len(evolutions)
     n_i = n_j = d_m
+    n_lb = n_e * n_a * n_i
+    proj_a = _probe_projectors(layout, measured, np.array(bases_a))
+    proj_b = _probe_projectors(layout, measured, np.array(bases_b))
 
-    proj_a = [
-        [_factor_projector(layout, measured, bases_a[a][:, i]) for i in range(d_m)]
-        for a in range(n_a)
-    ]
-    proj_b = [
-        [_factor_projector(layout, measured, bases_b[b][:, j]) for j in range(d_m)]
-        for b in range(n_b)
-    ]
-
-    # first-measurement law and collapsed, evolved context states
-    marginal_i = np.zeros((n_a, n_e, n_i))
-    post_states: dict[tuple[int, int, int], np.ndarray | None] = {}
-    for a in range(n_a):
-        for i in range(n_i):
-            branch = proj_a[a][i] @ psi
-            p_i = float(np.real(np.vdot(branch, branch)))
-            for e, (_, u) in enumerate(evolutions):
-                marginal_i[a, e, i] = p_i
-                if p_i <= CELL_FLOOR:
-                    post_states[(e, a, i)] = None
-                else:
-                    post_states[(e, a, i)] = as_matrix(u) @ (branch / np.sqrt(p_i))
+    # first-measurement law and collapsed, evolved context states, indexed
+    # like lambda_b: (branch, a, i)
+    branch = np.matmul(proj_a, psi)  # [a, i, dim]
+    p_i = np.vecdot(branch, branch).real
+    reach = p_i > CELL_FLOOR
+    unit = branch / np.sqrt(np.where(reach, p_i, 1.0))[..., None]
+    post = np.matmul(us[:, None, None], unit[None, ..., None])[..., 0]  # [e, a, i, dim]
+    reach_k = np.broadcast_to(reach, (n_e, n_a, n_i)).reshape(-1)
+    marginal_i = np.repeat(p_i[:, None, :], n_e, axis=1)
 
     lambda_a = tuple(f"branch{e}:pre-measurement state" for e in range(n_e))
-    lb_keys = [
-        (e, a, i) for e in range(n_e) for a in range(n_a) for i in range(n_i)
-    ]
     lambda_b = tuple(
-        f"branch{e}:post a={a},i={i} evolved state" for e, a, i in lb_keys
+        f"branch{e}:post a={a},i={i} evolved state"
+        for e in range(n_e)
+        for a in range(n_a)
+        for i in range(n_i)
     )
-    n_lb = len(lb_keys)
 
-    marginal_j = np.zeros((n_b, n_lb, n_j))
-    for k, (e, a, i) in enumerate(lb_keys):
-        phi = post_states[(e, a, i)]
-        for b in range(n_b):
-            if phi is None:
-                marginal_j[b, k] = 1.0 / n_j  # unreachable context, any law works
-                continue
-            for j in range(n_j):
-                amp = proj_b[b][j] @ phi
-                marginal_j[b, k, j] = float(np.real(np.vdot(amp, amp)))
+    # unreachable contexts get the uniform law (any law works)
+    law_b = _probe_law(proj_b, post.reshape(n_lb, -1)).transpose(0, 2, 1)  # [b, k, j]
+    marginal_j = np.where(reach_k[None, :, None], law_b, 1.0 / n_j)
 
-    prior = np.zeros((n_e, n_lb))
-    for k, (e, a, i) in enumerate(lb_keys):
-        prior[e, k] = weights[e] * marginal_i[a, e, i] / n_a
+    weighted = weights[:, None, None] * p_i[None] / n_a  # [e, a, i]
+    prior = np.zeros((n_e, n_e, n_a * n_i))
+    prior[np.arange(n_e), np.arange(n_e)] = weighted.reshape(n_e, -1)
+    prior = prior.reshape(n_e, n_lb)
     prior /= prior.sum()
 
-    joint = np.zeros((n_a, n_b, n_e, n_lb, n_i, n_j))
-    for a in range(n_a):
-        for k, (e_k, a_k, i_k) in enumerate(lb_keys):
-            if a_k != a or post_states[(e_k, a_k, i_k)] is None:
-                continue  # impossible cell: context contradicts the setting
-            for b in range(n_b):
-                joint[a, b, e_k, k] = np.outer(marginal_i[a, e_k], marginal_j[b, k])
+    # a cell is possible when its context k = (e, a, i) has the cell's branch
+    # and setting and a reachable first outcome
+    key_e, key_a, _ = np.unravel_index(np.arange(n_lb), (n_e, n_a, n_i))
+    possible = (
+        (key_a[None, None, :] == np.arange(n_a)[:, None, None])
+        & (key_e[None, None, :] == np.arange(n_e)[None, :, None])
+        & reach_k
+    )  # [a, e, k]
+    products = marginal_i[:, None, :, None, :, None] * marginal_j[None, :, None, :, None, :]
+    joint = np.where(possible[:, None, :, :, None, None], products, 0.0)
 
     # forward consistency: the model must reproduce the circuit exactly
-    for a in range(n_a):
-        for b in range(n_b):
-            direct = np.zeros((n_i, n_j))
-            for e, (w, u) in enumerate(evolutions):
-                for i in range(n_i):
-                    mid = as_matrix(u) @ (proj_a[a][i] @ psi)
-                    for j in range(n_j):
-                        amp = proj_b[b][j] @ mid
-                        direct[i, j] += w * float(np.real(np.vdot(amp, amp)))
-            forward = np.zeros((n_i, n_j))
-            for k, (e, a_k, i_k) in enumerate(lb_keys):
-                if a_k != a:
-                    continue
-                forward[i_k] += prior[e, k] * n_a * marginal_j[b, k]
-            if np.max(np.abs(forward - direct)) > 1e-12:
-                raise RuntimeError(
-                    "generated model fails forward consistency against the circuit"
-                )
+    mid = np.matmul(us[:, None, None], branch[None, ..., None])[..., 0]  # [e, a, i, dim]
+    direct = np.einsum("e,beaij->abij", weights, _probe_law(proj_b, mid).transpose(0, 2, 3, 4, 1))
+    own = prior.reshape(n_e, n_e, n_a, n_i)[np.arange(n_e), np.arange(n_e)]  # [e, a, i]
+    forward = np.einsum(
+        "eai,beaij->abij", own * n_a, marginal_j.reshape(n_b, n_e, n_a, n_i, n_j)
+    )
+    if np.max(np.abs(forward - direct)) > 1e-12:
+        raise RuntimeError("generated model fails forward consistency against the circuit")
 
     if orders is None:
         orders = ["A<B"] * n_e

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 
 import numpy as np
@@ -180,17 +180,18 @@ class Instrument:
 class ProcessMatrix:
     """A process matrix with its factor layout.
 
-    The constructor checks only structure (layout shape, Hermiticity); the
-    physical invariants — PSD, trace d_AO*d_BO, valid linear subspace — are
-    audited by :func:`validate_process` and hold for every matrix built by
-    this module's constructors.
+    The constructor checks only structure (layout shape, Hermiticity) and
+    keeps a read-only copy of the matrix, so both hold for the instance's
+    lifetime. The physical invariants — PSD, trace d_AO*d_BO, valid linear
+    subspace — are audited once per instance by :func:`validate_process`
+    and hold for every matrix built by this module's constructors.
     """
 
     matrix: np.ndarray
     layout: SpaceLayout
 
     def __post_init__(self) -> None:
-        m = as_matrix(self.matrix)
+        m = as_matrix(np.array(self.matrix, dtype=np.complex128))
         labs = self.layout.labels
         if labs[:4] != PARTY_LABELS or labs[4:] not in ((), ("F",)):
             raise ValueError(
@@ -202,7 +203,13 @@ class ProcessMatrix:
             )
         if not is_hermitian(m):
             raise ValueError("process matrix must be Hermitian")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    @cached_property
+    def _validity(self) -> "ValidityReport":
+        """What :func:`validate_process` returns, computed on first use."""
+        return _validity_report(self.matrix, self.layout)
 
     @property
     def expected_trace(self) -> float:
@@ -396,18 +403,21 @@ class ValidityReport:
 
 
 def validate_process(w: ProcessMatrix) -> ValidityReport:
-    """Check PSD, normalization, and valid-subspace membership.
+    """Check PSD, normalization, and valid-subspace membership, once per
+    process: a later call returns the same report.
 
     With a future factor, positivity and trace are checked on the full
     matrix while the subspace condition applies to tr_F[W] (a process is
     valid exactly when discarding the future leaves a valid bipartite
     process); the residual is scaled by sqrt(d_F) to stay comparable.
     """
-    m, lay = w.matrix, w.layout
-    if not is_hermitian(m):
-        return ValidityReport(-np.inf, np.inf, np.inf, "invalid")
-    eigvals, _ = eig_hermitian(m)
-    psd_margin = float(eigvals[-1])
+    return w._validity
+
+
+def _validity_report(m: np.ndarray, lay: SpaceLayout) -> ValidityReport:
+    """The checks of :func:`validate_process` on a Hermitian matrix."""
+    # eigh with vectors, not eigvalsh: its eigenvalues are the reported bytes
+    psd_margin = float(np.linalg.eigh(m)[0][0])
     expected = lay.dim_of("A_O") * lay.dim_of("B_O")
     trace_error = float(np.real(np.trace(m)) - expected)
     if "F" in lay.labels:
@@ -616,9 +626,11 @@ def _psd_clip(m: np.ndarray) -> np.ndarray:
     return (vecs * np.clip(vals[order], 0.0, None)) @ np.conj(vecs).T
 
 
+@lru_cache(maxsize=32)
 def neutral_process(layout: SpaceLayout) -> ProcessMatrix:
     """Maximally mixed valid process on the layout (in every order subspace);
-    used as the padding component when a decomposition weight hits 0 or 1."""
+    used as the padding component when a decomposition weight hits 0 or 1.
+    One instance per layout, so its validity is computed once."""
     expected = layout.dim_of("A_O") * layout.dim_of("B_O")
     return ProcessMatrix(np.eye(layout.dim) * (expected / layout.dim), layout)
 
@@ -684,11 +696,14 @@ def certify_decomposition(
     m, lay = w.matrix, w.layout
     if not 0.0 <= q <= 1.0 or w_ab.layout != lay or w_ba.layout != lay:
         return None
+    basis = hs_basis(lay)
     for part, order in ((w_ab, "AB"), (w_ba, "BA")):
         if not validate_process(part).is_valid:
             return None
+        # the basis is orthogonal: ||P m - m|| is the norm of the masked-out coefficients
         mat = part.matrix
-        if frobenius(order_projection(mat, lay, order) - mat) > 1e-9 * max(1.0, frobenius(mat)):
+        outside = np.linalg.norm((1.0 - _order_mask(lay, order)) * basis.to_coef(mat))
+        if outside > 1e-9 * max(1.0, frobenius(mat)):
             return None
     recon = frobenius(q * w_ab.matrix + (1 - q) * w_ba.matrix - m) / max(1.0, frobenius(m))
     # The search's in-subspace eigenvalue lift can inflate the reconstruction
@@ -744,9 +759,11 @@ def _certify_witness(
     when tr(S W) lies below that bound by more than a rounding allowance.
     Returns tr(S W)/||S|| or None."""
     lay = w.layout
+    basis = hs_basis(lay)
     eps = 0.0
     for p, order in ((p_ab, "AB"), (p_ba, "BA")):
-        inside = frobenius(order_projection(s - p, lay, order))
+        # the basis is orthogonal: ||P_X(S - P)|| is the norm of its masked coefficients
+        inside = np.linalg.norm(_order_mask(lay, order) * basis.to_coef(as_matrix(s - p)))
         eps = max(eps, max(0.0, -float(np.linalg.eigvalsh(p)[0])) + inside)
     slack = WITNESS_RTOL * (frobenius(p_ab) + frobenius(p_ba))
     value = witness_value(w, s)

@@ -256,6 +256,130 @@ def witness_margin(w, layout, s, p_ab, p_ba, tol=1e-9):
 
 
 # ---------------------------------------------------------------------------
+# definite-order lambda models and the temporal-locality audit, cell by cell
+
+CELL_FLOOR = 1e-12
+
+
+def _probe_projector(dims, pos, v):
+    """|v><v| on factor ``pos``, identity on the others."""
+    return kron(*(dm(v) if k == pos else np.eye(d) for k, d in enumerate(dims)))
+
+
+def definite_order_lambda_arrays(psi, dims, pos, probes_a, probes_b, evolutions):
+    """(prior, marginal_i, marginal_j, joint) of the definite-order lambda
+    model of a two-measurement circuit on factor ``pos`` of a space with
+    factor dimensions ``dims``, built context by context: probe, collapse,
+    renormalize, evolve (one unitary per weighted branch), probe again.
+
+    Contexts lambda_b are ordered (branch, first setting, first outcome); a
+    cell whose context contradicts the setting, or whose first outcome is
+    impossible, is all-zero. Raises if the model's forward statistics miss
+    a direct simulation of the circuit by more than 1e-12."""
+    psi = np.asarray(psi, dtype=np.complex128).reshape(-1)
+    d_m = dims[pos]
+    bases_a = [np.asarray(p, dtype=np.complex128) for p in probes_a]
+    bases_b = [np.asarray(p, dtype=np.complex128) for p in probes_b]
+    weights = np.array([w for w, _ in evolutions], dtype=np.float64)
+    us = [np.asarray(u, dtype=np.complex128) for _, u in evolutions]
+    n_a, n_b, n_e = len(bases_a), len(bases_b), len(evolutions)
+    n_i = n_j = d_m
+    proj_a = [[_probe_projector(dims, pos, ba[:, i]) for i in range(d_m)] for ba in bases_a]
+    proj_b = [[_probe_projector(dims, pos, bb[:, j]) for j in range(d_m)] for bb in bases_b]
+
+    marginal_i = np.zeros((n_a, n_e, n_i))
+    post = {}
+    for a in range(n_a):
+        for i in range(n_i):
+            branch = proj_a[a][i] @ psi
+            p_i = float(np.real(np.vdot(branch, branch)))
+            for e in range(n_e):
+                marginal_i[a, e, i] = p_i
+                post[(e, a, i)] = None if p_i <= CELL_FLOOR else us[e] @ (branch / np.sqrt(p_i))
+
+    keys = [(e, a, i) for e in range(n_e) for a in range(n_a) for i in range(n_i)]
+    n_lb = len(keys)
+    marginal_j = np.zeros((n_b, n_lb, n_j))
+    for k, key in enumerate(keys):
+        for b in range(n_b):
+            if post[key] is None:
+                marginal_j[b, k] = 1.0 / n_j
+                continue
+            for j in range(n_j):
+                amp = proj_b[b][j] @ post[key]
+                marginal_j[b, k, j] = float(np.real(np.vdot(amp, amp)))
+
+    prior = np.zeros((n_e, n_lb))
+    for k, (e, a, i) in enumerate(keys):
+        prior[e, k] = weights[e] * marginal_i[a, e, i] / n_a
+    prior /= prior.sum()
+
+    joint = np.zeros((n_a, n_b, n_e, n_lb, n_i, n_j))
+    for a in range(n_a):
+        for k, (e, a_k, i_k) in enumerate(keys):
+            if a_k != a or post[(e, a_k, i_k)] is None:
+                continue
+            for b in range(n_b):
+                joint[a, b, e, k] = np.outer(marginal_i[a, e], marginal_j[b, k])
+
+    for a in range(n_a):
+        for b in range(n_b):
+            direct = np.zeros((n_i, n_j))
+            for e in range(n_e):
+                for i in range(n_i):
+                    mid = us[e] @ (proj_a[a][i] @ psi)
+                    for j in range(n_j):
+                        amp = proj_b[b][j] @ mid
+                        direct[i, j] += weights[e] * float(np.real(np.vdot(amp, amp)))
+            forward = np.zeros((n_i, n_j))
+            for k, (e, a_k, i_k) in enumerate(keys):
+                if a_k == a:
+                    forward[i_k] += prior[e, k] * n_a * marginal_j[b, k]
+            if np.max(np.abs(forward - direct)) > 1e-12:
+                raise RuntimeError("lambda model fails forward consistency")
+    return prior, marginal_i, marginal_j, joint
+
+
+def temporal_locality_audit(prior, joint, marginal_i, marginal_j):
+    """(max_deviation, worst, product_residual, cells_checked, cells_skipped)
+    of the screening conditions p(i|a,b,la,lb,j) = p(i|a,la) and
+    p(j|a,b,la,lb,i) = p(j|b,lb), one conditional at a time.
+
+    A context with prior weight, cell sum or conditional at or below
+    CELL_FLOOR is skipped. ``worst`` is the index tuple (a, b, la, lb, i, j)
+    of the first strictly largest deviation, visiting a, b, la, lb in turn
+    and, per cell, the conditionals on j before those on i; None when every
+    deviation is 0."""
+    n_a, n_b, n_la, n_lb, n_i, n_j = joint.shape
+    max_dev, worst, checked, skipped, residual = 0.0, None, 0, 0, 0.0
+    for a, b, la, lb in product(range(n_a), range(n_b), range(n_la), range(n_lb)):
+        cell = joint[a, b, la, lb]
+        if prior[la, lb] <= CELL_FLOOR or cell.sum() <= CELL_FLOOR:
+            skipped += 1
+            continue
+        rows = []
+        for j in range(n_j):
+            pj = cell[:, j].sum()
+            if pj > CELL_FLOOR:
+                diff = np.abs(cell[:, j] / pj - marginal_i[a, la])
+                k = int(np.argmax(diff))
+                rows.append((float(diff[k]), (a, b, la, lb, k, j)))
+        for i in range(n_i):
+            pi = cell[i, :].sum()
+            if pi > CELL_FLOOR:
+                diff = np.abs(cell[i, :] / pi - marginal_j[b, lb])
+                k = int(np.argmax(diff))
+                rows.append((float(diff[k]), (a, b, la, lb, i, k)))
+        for dev, where in rows:
+            checked += 1
+            if dev > max_dev:
+                max_dev, worst = dev, where
+        prod_form = np.outer(marginal_i[a, la], marginal_j[b, lb])
+        residual = max(residual, float(np.max(np.abs(cell - prod_form))))
+    return max_dev, worst, residual, checked, skipped
+
+
+# ---------------------------------------------------------------------------
 # causal polytope by vertex enumeration (1-bit alphabets)
 
 

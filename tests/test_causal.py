@@ -7,15 +7,20 @@ from icolab.causal import (
     CausalDecomposition,
     LambdaModel,
     NotCausal,
-    audit_deviations_csv,
     causal_membership,
     lambda_model_from_definite_order,
     marginal_dependence,
     signaling_directions,
     temporal_locality_audit,
 )
-from icolab.linalg import H, I2, SpaceLayout, Z, ket
-from icolab.sampling import random_behavior, random_causal_behavior, random_two_qubit_state
+from icolab.linalg import H, I2, SpaceLayout, Z, ket, projector, tensor
+from icolab.sampling import (
+    haar_unitary,
+    random_behavior,
+    random_causal_behavior,
+    random_pure_state,
+    random_two_qubit_state,
+)
 
 
 def det_table(o1_of, o2_of):
@@ -306,16 +311,6 @@ def test_lambda_model_validation():
         LambdaModel.factorized(bad_i, good_j, np.array([[1.0]]))
 
 
-def test_audit_csv_output():
-    m = LambdaModel.factorized(
-        np.full((2, 1, 2), 0.5), np.full((2, 1, 2), 0.5), np.array([[1.0]])
-    )
-    text = audit_deviations_csv(m)
-    lines = text.strip().split("\n")
-    assert lines[0] == "a,b,lambda_a,lambda_b,equation,conditioned_value,deviation"
-    assert len(lines) == 1 + 2 * 2 * 2 * 2  # two equations per admissible cell
-
-
 def test_json_roundtrip():
     m = LambdaModel.factorized(
         np.full((2, 2, 2), 0.5),
@@ -394,3 +389,122 @@ def test_generator_input_validation():
         lambda_model_from_definite_order(
             ket(0), lay, "target", [skewed], PROBES, [(1.0, H)]
         )
+
+
+# ---------------------------------------------------------------------------
+# the array audit and generator against the cell-by-cell oracle
+
+
+def _assert_audit_matches_oracle(m):
+    rep = temporal_locality_audit(m)
+    dev, worst, residual, checked, skipped = oracles.temporal_locality_audit(
+        m.prior, m.joint, m.marginal_i, m.marginal_j
+    )
+    if worst is not None:
+        a, b, la, lb, i, j = worst
+        worst = (a, b, m.lambda_a[la], m.lambda_b[lb], i, j)
+    assert rep.passed == (dev <= 1e-10)
+    assert rep.max_deviation == dev
+    assert rep.worst_case == worst
+    assert rep.product_residual == residual
+    assert rep.mode == "strict"
+    assert rep.cells_checked == checked
+    assert rep.cells_skipped == skipped
+    assert rep.cell_floor == oracles.CELL_FLOOR
+    return rep
+
+
+def _random_model(rng):
+    """A model whose cells come from a pool of three, so that equal deviations
+    recur across cells, with zero-prior contexts, impossible (all-zero) cells
+    and, in one pool cell, a column whose conditional falls under the floor."""
+    n_a, n_b, n_la, n_lb = rng.integers(1, 4, size=4)
+    n_i, n_j = rng.integers(1, 5, size=2)
+    pool = rng.dirichlet(np.ones(n_i * n_j), size=3).reshape(3, n_i, n_j)
+    pool[0, :, 0] = 3e-13
+    pool[0] /= pool[0].sum()
+    pick = rng.integers(0, 4, size=(n_a, n_b, n_la, n_lb))
+    joint = np.where((pick == 3)[..., None, None], 0.0, pool[np.minimum(pick, 2)])
+    prior = rng.dirichlet(np.ones(n_la * n_lb)).reshape(n_la, n_lb)
+    prior[rng.uniform(size=prior.shape) < 0.3] = 0.0
+    prior[0, 0] += prior.sum() == 0.0
+    prior /= prior.sum()
+    marginal_i = rng.dirichlet(np.ones(n_i), size=(n_a, n_la))
+    marginal_j = rng.dirichlet(np.ones(n_j), size=(n_b, n_lb))
+    labels = lambda p, n: tuple(f"{p}{k}" for k in range(n))  # noqa: E731
+    factorized = LambdaModel.factorized(marginal_i, marginal_j, prior)
+    declared = LambdaModel(
+        labels("la", n_la), labels("lb", n_lb), prior, joint, marginal_i, marginal_j
+    )
+    return declared, factorized
+
+
+def test_audit_matches_the_per_cell_oracle_exactly():
+    rng = np.random.default_rng(23)
+    failing = skipped = under_floor = 0
+    for _ in range(300):
+        for m in _random_model(rng):
+            rep = _assert_audit_matches_oracle(m)
+            failing += not rep.passed
+            skipped += rep.cells_skipped > 0
+            n_cells, n_rows = m.prior.size * m.joint.shape[0] * m.joint.shape[1], sum(m.joint.shape[4:])
+            under_floor += rep.cells_checked < (n_cells - rep.cells_skipped) * n_rows
+    # the pool covers failing models, skipped cells and skipped conditionals
+    assert min(failing, skipped, under_floor) > 50, (failing, skipped, under_floor)
+
+
+def test_audit_worst_case_is_the_first_strict_maximum():
+    # i = a xor b, declared i = a: deviation 1 at (a, b) = (0, 1) and (1, 1),
+    # and within each failing row at both outcomes; the first one is kept
+    marginal_i = np.zeros((2, 1, 2))
+    marginal_i[0, 0, 0] = marginal_i[1, 0, 1] = 1.0
+    marginal_j = np.zeros((2, 1, 2))
+    marginal_j[:, 0, 0] = 1.0
+    joint = np.zeros((2, 2, 1, 1, 2, 2))
+    for a in range(2):
+        for b in range(2):
+            joint[a, b, 0, 0, a ^ b, 0] = 1.0
+    m = LambdaModel(("l",), ("l",), np.array([[1.0]]), joint, marginal_i, marginal_j)
+    rep = _assert_audit_matches_oracle(m)
+    assert rep.worst_case == (0, 1, "l", "l", 0, 0)
+    # column j = 1 of every cell and row i != a ^ b are under the floor
+    assert (rep.cells_checked, rep.cells_skipped) == (8, 0)
+
+
+def _assert_generator_matches_oracle(psi, layout, probes_a, probes_b, evolutions):
+    m = lambda_model_from_definite_order(psi, layout, "target", probes_a, probes_b, evolutions)
+    want = oracles.definite_order_lambda_arrays(
+        psi, layout.dims, layout.index("target"), probes_a, probes_b, evolutions
+    )
+    for got, ref in zip((m.prior, m.marginal_i, m.marginal_j, m.joint), want):
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+    _assert_audit_matches_oracle(m)
+
+
+def test_generator_matches_the_per_cell_oracle_exactly():
+    rng = np.random.default_rng(29)
+    lay = SpaceLayout(("target",), (2,))
+    for k in range(40):
+        # one random unitary, with the audit's probes or Haar ones
+        probes = PROBES if k % 2 else [haar_unitary(rng) for _ in range(3)]
+        psi = ket(k % 2) if k % 4 == 0 else random_pure_state(rng)
+        _assert_generator_matches_oracle(psi, lay, probes, probes[::-1], [(1.0, haar_unitary(rng))])
+        # a classical two-branch mixture
+        w = float(rng.uniform())
+        branches = [(w, haar_unitary(rng)), (1.0 - w, haar_unitary(rng))]
+        _assert_generator_matches_oracle(psi, lay, probes, probes, branches)
+
+
+def test_generator_matches_the_oracle_on_a_controlled_unitary():
+    # the coherent-environment path: one controlled unitary on (env, target)
+    rng = np.random.default_rng(31)
+    for d in (2, 2, 3):
+        lay = SpaceLayout(("env", "target"), (2, d))
+        for k in range(15):
+            u0, u1 = haar_unitary(rng, d), haar_unitary(rng, d)
+            controlled = tensor(projector(ket(0)), u0) + tensor(projector(ket(1)), u1)
+            target = ket(0, d) if k % 3 == 0 else random_pure_state(rng, d)
+            psi = tensor(random_pure_state(rng), target)
+            probes = PROBES if d == 2 and k % 2 else [haar_unitary(rng, d) for _ in range(2)]
+            _assert_generator_matches_oracle(psi, lay, probes, probes, [(1.0, controlled)])

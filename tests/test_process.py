@@ -132,6 +132,32 @@ def test_neutral_process_is_valid():
     assert rep.subspace_residual < 1e-12
 
 
+def test_neutral_process_needs_one_check_per_layout():
+    # the neutral process pads every one-order decomposition; it is one
+    # shared instance per layout, valid, and a fixed point of both order
+    # projections, so a single validity check serves every run
+    for lay in (standard_layout(2), standard_layout(2, 4)):
+        w = neutral_process(lay)
+        assert neutral_process(lay) is w
+        assert lay.dim in (16, 64)
+        assert validate_process(w).is_valid
+        for order in ("AB", "BA"):
+            assert frobenius(order_projection(w.matrix, lay, order) - w.matrix) < 1e-12
+
+
+def test_process_matrix_keeps_a_read_only_copy():
+    lay = standard_layout(2)
+    m = np.eye(16, dtype=np.complex128) / 4.0
+    w = ProcessMatrix(m, lay)
+    assert w.matrix is not m
+    with pytest.raises(ValueError):
+        w.matrix[0, 1] = 5.0
+    m[0, 1] = 5.0  # the caller's array stays writable, and w does not see the write
+    assert w.matrix[0, 1] == 0.0
+    assert validate_process(w).is_valid
+    assert validate_process(w) is validate_process(w)
+
+
 def test_random_valid_processes_validate():
     rng = np.random.default_rng(4)
     for _ in range(10):

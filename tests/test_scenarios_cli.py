@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from icolab import bell, scenarios, switch
+from icolab import bell, process, scenarios, switch
 from icolab.process import certify_decomposition, quantum_switch_process
 from icolab.scenarios import (
     BUILTIN_SCENARIOS,
@@ -236,6 +236,47 @@ def test_builtin_separability_is_pinned(name, verdict, source, iterations, q):
         assert sep["q"] == pytest.approx(q, abs=1e-9)
         assert "witness_value" not in sep
         assert sep["residual"] <= 1e-12  # relative reconstruction error of the construction
+
+
+def test_each_run_checks_each_process_matrix_once(monkeypatch):
+    # validity is computed once per ProcessMatrix: coherent W (the search
+    # reuses its report); baseline W and its two ordered parts; a5 W, which is
+    # also its own A-first part, with the neutral process as the B-first part
+    calls = []
+
+    def counted(m, lay):
+        calls.append(lay.dim)
+        return original(m, lay)
+
+    original = process._validity_report
+    monkeypatch.setattr(process, "_validity_report", counted)
+    process.neutral_process.cache_clear()
+    for name, count in (
+        ("a5-violated-definite-order", 2),  # and the neutral process, once per layout
+        ("a5-violated-definite-order", 1),
+        ("double-switch-coherent", 1),
+        ("classical-order-baseline", 3),
+    ):
+        calls.clear()
+        run_scenario(ScenarioConfig.from_dict({"scenario": name}))
+        assert len(calls) == count, name
+        assert set(calls) == {64}
+
+
+GOLDEN_SECTIONS = Path(__file__).parent / "data" / "builtin_sections.json"
+
+
+def test_builtin_sections_match_the_golden_file():
+    # The audit and process sections of the built-in reports, serialized as
+    # in the report: any rounding change in them shows here. Regenerate the
+    # file only with a change that is meant to move report bytes.
+    golden = json.loads(GOLDEN_SECTIONS.read_text())
+    assert sorted(golden) == sorted(BUILTIN_SCENARIOS)
+    for name, sections in golden.items():
+        report = run_scenario(ScenarioConfig.from_dict({"scenario": name})).report
+        for key, want in sections.items():
+            got = json.dumps(report[key], sort_keys=True)
+            assert got == json.dumps(want, sort_keys=True), (name, key)
 
 
 def test_tampered_construction_falls_back_to_the_search(monkeypatch):
