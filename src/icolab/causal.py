@@ -253,6 +253,11 @@ class LambdaModel:
         n_a, n_b, _, _, n_i, n_j = joint.shape
         if mi.shape != (n_a, n_la, n_i) or mj.shape != (n_b, n_lb, n_j):
             raise ValueError("declared marginals do not match the joint's shape")
+        # NaN fails every comparison below, so it must be rejected here
+        arrays = (("prior", prior), ("joint", joint), ("marginal_i", mi), ("marginal_j", mj))
+        for name, arr in arrays:
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} contains non-finite entries")
         if prior.min() < -1e-12 or abs(prior.sum() - 1.0) > 1e-10:
             raise ValueError("prior weights must be nonnegative and sum to 1")
         if joint.min() < -1e-12:

@@ -267,10 +267,13 @@ class HSBasis:
     projector built from resets is a 0/1 mask on the coefficients
     (Oreshkov, Costa and Brukner 2012; Araujo et al. 2015).
 
-    Coefficients are a real array of shape (2, n_left, n_right): real and
-    imaginary part, then the factors grouped into two Kronecker blocks of
-    balanced size, so a change of basis is one interleaving transpose and
-    one two-sided matmul. Use :func:`hs_basis` for the cached instance.
+    Coefficients are a real array of shape (parts, n_left, n_right): a parts
+    axis, then the factors grouped into two Kronecker blocks of balanced
+    size, so a change of basis is one interleaving transpose and one
+    two-sided matmul. The parts axis holds the real and imaginary part of a
+    complex matrix (length 2) or the entries of a real one (length 1); masks
+    broadcast over it, and both lengths give the same real-part
+    coefficients. Use :func:`hs_basis` for the cached instance.
     """
 
     def __init__(self, layout: SpaceLayout) -> None:
@@ -285,18 +288,21 @@ class HSBasis:
         self._grid = tuple(d * d for d in dims)
 
     def to_coef(self, m: np.ndarray) -> np.ndarray:
-        """Coefficients of a complex128 matrix on the layout."""
+        """Coefficients of a complex128 matrix (two parts) or a float64 one
+        (one part) on the layout."""
         dl, dr = self._blocks
-        t = np.ascontiguousarray(m).view(np.float64).reshape(dl, dr, dl, dr, 2)
-        t = t.transpose(4, 0, 2, 1, 3).reshape((2,) + self.shape)
+        t = np.ascontiguousarray(m).view(np.float64).reshape(dl, dr, dl, dr, -1)
+        t = t.transpose(4, 0, 2, 1, 3).reshape((-1,) + self.shape)
         return self._left @ t @ self._right.T
 
     def to_mat(self, c: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`to_coef`."""
+        """Inverse of :meth:`to_coef`: complex128 from two parts, float64
+        from one."""
         dl, dr = self._blocks
-        t = (self._left.T @ c @ self._right).reshape(2, dl, dl, dr, dr)
+        t = (self._left.T @ c @ self._right).reshape(-1, dl, dl, dr, dr)
         t = np.ascontiguousarray(t.transpose(1, 3, 2, 4, 0))
-        return t.view(np.complex128).reshape(self.layout.dim, self.layout.dim)
+        dtype = np.complex128 if c.shape[0] == 2 else np.float64
+        return t.view(dtype).reshape(self.layout.dim, self.layout.dim)
 
     def mask(self, labels: tuple[str, ...]) -> np.ndarray:
         """0/1 mask of the reset of ``labels``: 1 where every reset factor
@@ -616,10 +622,12 @@ def order_projection(w: np.ndarray, layout: SpaceLayout, order: str) -> np.ndarr
 
 
 def _psd_clip(m: np.ndarray) -> np.ndarray:
-    """Positive part of a Hermitian matrix. The search clips twice per
-    iteration, always a matrix that is finite and Hermitian by construction,
-    so this skips eig_hermitian's input checks. It keeps eig_hermitian's
-    descending order, and with it the summation order of the product."""
+    """Positive part of a Hermitian matrix, in its own dtype: a real
+    symmetric matrix gets a real eigendecomposition. The search clips twice
+    per iteration, always a matrix that is finite and Hermitian by
+    construction, so this skips eig_hermitian's input checks (and its
+    complex cast). It keeps eig_hermitian's descending order, and with it
+    the summation order of the product."""
     vals, vecs = np.linalg.eigh(m)
     order = np.argsort(vals)[::-1]
     vecs = vecs[:, order]
@@ -817,6 +825,15 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     part of lambda_min(P_BA) by ||(gx - gy) in_AB in_BA||. Only when that
     passes is the witness rebuilt as matrices and checked by
     :func:`_certify_witness`.
+
+    When W has no imaginary part the whole search runs in float64, with one
+    coefficient part and real eigendecompositions, and complex128 otherwise.
+    No verdict is lost: the masks and the basis are real and conjugation
+    keeps a matrix PSD, so both sets are closed under complex conjugation.
+    For a real W, ((X + conj X)/2, (Y + conj Y)/2) is then a real
+    decomposition whenever (X, Y) is one, and the real part of a witness is
+    again a witness. Both certificate gates re-check what the search finds
+    on complex matrices.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
@@ -829,7 +846,7 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     basis = hs_basis(lay)
     in_ab, in_ba = _order_mask(lay, "AB"), _order_mask(lay, "BA")
     both = in_ab * in_ba
-    cw = basis.to_coef(m)
+    cw = basis.to_coef(m.real if not m.imag.any() else m)
     # tr(S W) = <gx, in_ab cw> + <gy, (1 - in_ab) in_ba cw>
     cw_a, cw_b = (in_ab * cw).ravel(), ((1.0 - in_ab) * in_ba * cw).ravel()
 

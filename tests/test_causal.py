@@ -311,6 +311,18 @@ def test_lambda_model_validation():
         LambdaModel.factorized(bad_i, good_j, np.array([[1.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["prior", "joint", "marginal_i", "marginal_j"])
+def test_lambda_model_rejects_non_finite_entries(name, bad):
+    # a NaN fails every range and normalization comparison, so without this
+    # check a NaN marginal passes the strict audit with deviation 0
+    good = LambdaModel.factorized(np.full((1, 1, 2), 0.5), np.full((1, 1, 2), 0.5), np.array([[1.0]]))
+    arrays = {k: getattr(good, k).copy() for k in ("prior", "joint", "marginal_i", "marginal_j")}
+    arrays[name].flat[0] = bad
+    with pytest.raises(ValueError, match=name):
+        LambdaModel(good.lambda_a, good.lambda_b, **arrays)
+
+
 def test_json_roundtrip():
     m = LambdaModel.factorized(
         np.full((2, 2, 2), 0.5),

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -508,10 +511,15 @@ def test_split_that_is_already_psd_certifies_in_one_iteration():
 # up although the answer is known.
 
 
+def coherent_process(eta: float = 1.0) -> ProcessMatrix:
+    """W of the coherent double-switch preset at visibility eta: real."""
+    cfg = ScenarioConfig.from_dict({"scenario": "double-switch-coherent", "visibility": eta})
+    return _scenario_process(cfg.spec)[0]
+
+
 @pytest.mark.parametrize("eta", [0.01, 0.02, 0.05])
 def test_faint_coherent_switch_is_certified_nonseparable(eta):
-    cfg = ScenarioConfig.from_dict({"scenario": "double-switch-coherent", "visibility": eta})
-    w = _scenario_process(cfg.spec)[0]
+    w = coherent_process(eta)
     rep = separability_heuristic(w)
     assert rep.verdict == "nonseparable"
     assert oracles.witness_margin(w.matrix, w.layout, *rep.witness) < 0.0
@@ -541,6 +549,96 @@ def test_undamped_ordered_mixture_pool_certifies_count():
     assert all(rep.witness is None for rep in reps)
     assert sum(rep.separable for rep in reps) == 6
     assert all(rep.iterations == 2000 for rep in reps if not rep.separable)
+
+
+def phase_rotated(w: ProcessMatrix, seed: int) -> ProcessMatrix:
+    """U W U^dagger with U a product of seeded diagonal phase unitaries, one
+    per factor. The order masks and the PSD cone are invariant under local
+    unitaries, so the copy is separable exactly when W is, and a search on
+    it follows the same iterates up to U."""
+    rng = np.random.default_rng(seed)
+    phases = np.ones(1, dtype=np.complex128)
+    for d in w.layout.dims:
+        phases = np.kron(phases, np.exp(2j * np.pi * rng.uniform(size=d)))
+    return ProcessMatrix(phases[:, None] * w.matrix * phases.conj(), w.layout)
+
+
+def complex_search_inputs() -> dict[str, ProcessMatrix]:
+    """Three seeded processes with complex entries: two ordered mixtures
+    damped toward the neutral process, and a phase-rotated OCB process."""
+    pool = {}
+    for seed in (1, 4):
+        w = undamped_ordered_mixtures(seed, 1)[0]
+        pool[f"ordered-mixture-{seed}"] = mix(w, neutral_process(w.layout), 0.8)
+    pool["ocb-rotated"] = phase_rotated(ocb_process(), 5)
+    return pool
+
+
+def test_real_process_is_searched_in_real_arithmetic(monkeypatch):
+    w = coherent_process()
+    assert not w.matrix.imag.any()
+    basis = hs_basis(w.layout)
+    m = w.matrix
+    assert basis.to_coef(m.real).shape == (1,) + basis.shape
+    assert np.array_equal(basis.to_coef(m.real)[0], basis.to_coef(m)[0])
+    assert basis.to_mat(basis.to_coef(m.real)).dtype == np.float64
+
+    seen = []
+
+    def recorded(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return eigh(a, *args, **kwargs)
+
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    for proc, dtype in ((w, np.float64), (phase_rotated(w, 7), np.complex128)):
+        validate_process(proc)  # computed once per process, outside the search
+        seen.clear()
+        rep = separability_heuristic(proc)
+        assert rep.verdict == "nonseparable"
+        assert len(seen) == 2 * rep.iterations
+        assert set(seen) == {np.dtype(dtype)}
+        assert {s.dtype for s in rep.witness} == {np.dtype(dtype)}
+
+
+EQUIVARIANCE_POOL = [
+    pytest.param(lambda eta=eta: coherent_process(eta), id=f"coherent-eta-{eta}")
+    for eta in (0.01, 0.02, 0.05, 0.3, 1.0)
+] + [
+    pytest.param(lambda noise=noise: ocb_process(noise), id=f"ocb-noise-{noise}")
+    for noise in (0.0, 0.2, 0.4, 0.6, 0.8)
+]
+
+
+@pytest.mark.parametrize("make", EQUIVARIANCE_POOL)
+def test_real_search_agrees_with_complex_search_on_a_rotated_copy(make):
+    # the rotated copy has complex entries, so its search runs in complex
+    # arithmetic: an independent reference for the real search on W
+    w = make()
+    assert not w.matrix.imag.any()
+    rotated = phase_rotated(w, 7)
+    assert rotated.matrix.imag.any()
+    real, ref = separability_heuristic(w), separability_heuristic(rotated)
+    assert real.verdict == ref.verdict
+    assert real.iterations == ref.iterations
+    if ref.witness is not None:
+        assert real.witness_value == pytest.approx(ref.witness_value, abs=1e-9)
+    else:
+        assert real.certificate[0] == pytest.approx(ref.certificate[0], abs=1e-9)
+
+
+COMPLEX_SEARCHES = Path(__file__).parent / "data" / "complex_searches.json"
+
+
+def test_complex_search_reports_are_pinned():
+    # Any rounding change on the complex path of the search shows here.
+    # Regenerate the file only with a change meant to move these bytes.
+    golden = json.loads(COMPLEX_SEARCHES.read_text())
+    inputs = complex_search_inputs()
+    assert sorted(golden) == sorted(inputs)
+    for name, w in inputs.items():
+        assert w.matrix.imag.any(), name
+        assert separability_heuristic(w).to_json_dict() == golden[name], name
 
 
 def test_certify_decomposition_gates():
