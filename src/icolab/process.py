@@ -211,6 +211,11 @@ class ProcessMatrix:
         """What :func:`validate_process` returns, computed on first use."""
         return _validity_report(self.matrix, self.layout)
 
+    @cached_property
+    def _sectors(self) -> tuple[np.ndarray, ...]:
+        """What :func:`charge_sectors` returns, computed on first use."""
+        return _charge_sectors(self.matrix, self.layout)
+
     @property
     def expected_trace(self) -> float:
         return float(self.layout.dim_of("A_O") * self.layout.dim_of("B_O"))
@@ -422,8 +427,7 @@ def validate_process(w: ProcessMatrix) -> ValidityReport:
 
 def _validity_report(m: np.ndarray, lay: SpaceLayout) -> ValidityReport:
     """The checks of :func:`validate_process` on a Hermitian matrix."""
-    # eigh with vectors, not eigvalsh: its eigenvalues are the reported bytes
-    psd_margin = float(np.linalg.eigh(m)[0][0])
+    psd_margin = float(np.linalg.eigvalsh(m.real if not m.imag.any() else m)[0])
     expected = lay.dim_of("A_O") * lay.dim_of("B_O")
     trace_error = float(np.real(np.trace(m)) - expected)
     if "F" in lay.labels:
@@ -621,17 +625,97 @@ def order_projection(w: np.ndarray, layout: SpaceLayout, order: str) -> np.ndarr
     return hs_basis(layout).project(w, _order_mask(layout, order))
 
 
-def _psd_clip(m: np.ndarray) -> np.ndarray:
-    """Positive part of a Hermitian matrix, in its own dtype: a real
-    symmetric matrix gets a real eigendecomposition. The search clips twice
-    per iteration, always a matrix that is finite and Hermitian by
-    construction, so this skips eig_hermitian's input checks (and its
-    complex cast). It keeps eig_hermitian's descending order, and with it
-    the summation order of the product."""
-    vals, vecs = np.linalg.eigh(m)
-    order = np.argsort(vals)[::-1]
-    vecs = vecs[:, order]
-    return (vecs * np.clip(vals[order], 0.0, None)) @ np.conj(vecs).T
+def charge_sectors(w: ProcessMatrix) -> tuple[np.ndarray, ...]:
+    """Basis-state sectors that every matrix sharing W's phase symmetry is
+    block-diagonal over, once per process: a later call returns the same
+    tuple.
+
+    The phase symmetry of W is the group of products of diagonal phase
+    unitaries, one per factor, that leave W unchanged. Such a conjugation
+    commutes with every reset and with the PSD clip, so every iterate of
+    :func:`separability_heuristic` keeps the symmetry (Gatermann & Parrilo,
+    J. Pure Appl. Algebra 192, 95-128, 2004). With n(i) the one-hot vector
+    of basis state i's level on each factor, states i and j share a sector
+    exactly when n(i) - n(j) lies in span{n(a) - n(b) : W_ab != 0}.
+
+    Returns one (k, s) index array per sector size s, each row one sector
+    in increasing order; a W whose nonzero entries connect every basis
+    state gives the single sector ``(arange(dim)[None],)``.
+    """
+    return w._sectors
+
+
+def _charge_sectors(m: np.ndarray, lay: SpaceLayout) -> tuple[np.ndarray, ...]:
+    """The sectors of :func:`charge_sectors` for a matrix on a layout."""
+    n = lay.dim
+    adj = m != 0
+    # a path of nonzero entries from i to j puts n(i) - n(j) in the span, so
+    # when the entries connect every state there is one sector
+    reach = adj[0] | (np.arange(n) == 0)
+    while True:
+        grown = reach | adj[reach].any(axis=0)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    if reach.all():
+        return (np.arange(n)[None],)
+    onehot = _level_onehot(lay)
+    a = adj.astype(np.float64)
+    # with N the one-hot rows n(i), the span is the range of N^T Lap(W != 0) N:
+    # states share a sector when their projections on its null space agree
+    gram = onehot.T @ (np.diag(a.sum(axis=1)) - a) @ onehot
+    vals, vecs = np.linalg.eigh(gram)
+    q = onehot @ vecs[:, vals <= 1e-9 * max(1.0, vals[-1])]
+    norms = np.einsum("ij,ij->i", q, q)
+    apart = norms[:, None] + norms[None, :] - 2.0 * (q @ q.T) > 1e-8
+    # name each state's sector by its first member, then sort the states by
+    # sector size (largest first) and name; the stable sort keeps each
+    # sector's states in increasing order
+    first = np.argmin(apart, axis=1)
+    size = np.bincount(first)[first]
+    order = np.lexsort((first, -size))
+    groups = np.split(order, np.flatnonzero(np.diff(size[order])) + 1)
+    return tuple(g.reshape(-1, size[g[0]]) for g in groups)
+
+
+@lru_cache(maxsize=32)
+def _level_onehot(layout: SpaceLayout) -> np.ndarray:
+    """N with N[i, offset_k + level_k(i)] = 1: each basis state's level on
+    each factor, one hot."""
+    n, dims = layout.dim, layout.dims
+    out = np.zeros((n, sum(dims)))
+    cols = np.indices(dims).reshape(len(dims), n).T + np.cumsum((0,) + dims[:-1])
+    out[np.arange(n)[:, None], cols] = 1.0
+    out.flags.writeable = False
+    return out
+
+
+def _psd_clip(m: np.ndarray, sectors: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Positive part of a Hermitian matrix that is block-diagonal over
+    ``sectors`` (as :func:`charge_sectors` returns them), in its own dtype:
+    a real symmetric matrix gets a real eigendecomposition. A single sector
+    clips the whole matrix; otherwise each sector size takes one batched
+    eigendecomposition of its blocks, and entries outside the blocks are
+    dropped.
+
+    The search clips twice per iteration, always a matrix that is finite
+    and Hermitian by construction, so this skips eig_hermitian's input
+    checks (and its complex cast). It keeps eig_hermitian's descending
+    order, and with it the summation order of the product."""
+    if len(sectors) == 1 and len(sectors[0]) == 1:
+        vals, vecs = np.linalg.eigh(m)
+        order = np.argsort(vals)[::-1]
+        vecs = vecs[:, order]
+        return (vecs * np.clip(vals[order], 0.0, None)) @ np.conj(vecs).T
+    n = len(m)
+    out = np.zeros_like(m)
+    flat_m, flat_out = m.reshape(-1), out.reshape(-1)
+    for idx in sectors:
+        blocks = idx[:, :, None] * n + idx[:, None, :]
+        vals, vecs = np.linalg.eigh(flat_m[blocks])
+        vals, vecs = np.maximum(vals[..., None, ::-1], 0.0), vecs[..., ::-1]
+        flat_out[blocks] = (vecs * vals) @ vecs.conj().swapaxes(-1, -2)
+    return out
 
 
 @lru_cache(maxsize=32)
@@ -801,12 +885,13 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     Douglas-Rachford splitting between the affine set {X in AB-subspace,
     Y in BA-subspace, X + Y = W} and the PSD cone (componentwise). The
     iterates live in :class:`HSBasis` coefficients, where the affine
-    projection is elementwise; only the PSD clip works on matrices. From z
-    on the affine set, each step takes the affine point a = P_aff(z), its
-    reflection r = 2a - z and the PSD point b = clip(r), and moves
-    z += b - a. The start z = P_aff(W/2, W/2) lies on the affine set, so
-    the first step clips the order split itself, and a split that is
-    already PSD stops after one iteration.
+    projection is elementwise; only the PSD clip works on matrices, sector
+    by sector (see :func:`charge_sectors`). From z on the affine set, each
+    step takes the affine point a = P_aff(z), its reflection r = 2a - z and
+    the PSD point b = clip(r), and moves z += b - a. The start
+    z = P_aff(W/2, W/2) lies on the affine set, so the first step clips the
+    order split itself, and a split that is already PSD stops after one
+    iteration.
 
     On a feasible problem z converges to a fixed point, where b = a is a
     decomposition: when ||b - a|| < SEARCH_TOL max(1, ||W||), b is projected
@@ -850,8 +935,10 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     # tr(S W) = <gx, in_ab cw> + <gy, (1 - in_ab) in_ba cw>
     cw_a, cw_b = (in_ab * cw).ravel(), ((1.0 - in_ab) * in_ba * cw).ravel()
 
+    sectors = charge_sectors(w)
+
     def clip(c: np.ndarray) -> np.ndarray:
-        return basis.to_coef(_psd_clip(basis.to_mat(c)))
+        return basis.to_coef(_psd_clip(basis.to_mat(c), sectors))
 
     zx, zy = _order_split(cw, cw / 2.0, cw / 2.0, in_ab, in_ba)
     witness, value = None, None

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from icolab import process
 from icolab.linalg import SpaceLayout, frobenius, ket, partial_trace, projector, tensor
 from icolab.process import (
     PARTY_LABELS,
@@ -18,8 +19,10 @@ from icolab.process import (
     _certify_witness,
     _order_mask,
     _order_split,
+    _psd_clip,
     _validity_mask,
     certify_decomposition,
+    charge_sectors,
     depolarizing_choi,
     hs_basis,
     identity_choi,
@@ -583,20 +586,28 @@ def test_real_process_is_searched_in_real_arithmetic(monkeypatch):
     assert np.array_equal(basis.to_coef(m.real)[0], basis.to_coef(m)[0])
     assert basis.to_mat(basis.to_coef(m.real)).dtype == np.float64
 
-    seen = []
+    seen, clips = [], []
 
     def recorded(a, *args, **kwargs):
         seen.append(a.dtype)
         return eigh(a, *args, **kwargs)
 
-    eigh = np.linalg.eigh
+    def counted(m, sectors):
+        clips.append(m.dtype)
+        return psd_clip(m, sectors)
+
+    eigh, psd_clip = np.linalg.eigh, process._psd_clip
     monkeypatch.setattr(np.linalg, "eigh", recorded)
+    monkeypatch.setattr(process, "_psd_clip", counted)
     for proc, dtype in ((w, np.float64), (phase_rotated(w, 7), np.complex128)):
-        validate_process(proc)  # computed once per process, outside the search
+        # validity and sectors are computed once per process, outside the search
+        validate_process(proc)
+        charge_sectors(proc)
         seen.clear()
+        clips.clear()
         rep = separability_heuristic(proc)
         assert rep.verdict == "nonseparable"
-        assert len(seen) == 2 * rep.iterations
+        assert len(clips) == 2 * rep.iterations
         assert set(seen) == {np.dtype(dtype)}
         assert {s.dtype for s in rep.witness} == {np.dtype(dtype)}
 
@@ -639,6 +650,100 @@ def test_complex_search_reports_are_pinned():
     for name, w in inputs.items():
         assert w.matrix.imag.any(), name
         assert separability_heuristic(w).to_json_dict() == golden[name], name
+
+
+# Sectors of the phase symmetry, and the clip that works sector by sector
+
+
+def sector_tuples(sectors: tuple[np.ndarray, ...]) -> list[tuple[int, ...]]:
+    return sorted(tuple(int(i) for i in row) for group in sectors for row in group)
+
+
+SECTOR_POOL = [
+    pytest.param(coherent_process, id="coherent"),
+    pytest.param(lambda: coherent_process(0.3), id="coherent-eta-0.3"),
+    pytest.param(ocb_process, id="ocb"),
+    pytest.param(quantum_switch_process, id="switch"),
+]
+
+
+@pytest.mark.parametrize("make", SECTOR_POOL)
+def test_charge_sectors_match_the_definition(make):
+    w = make()
+    sectors = charge_sectors(w)
+    assert charge_sectors(w) is sectors  # computed once per process
+    assert sector_tuples(sectors) == oracles.charge_sectors(w.matrix, w.layout.dims)
+    # one group per sector size, largest first
+    sizes = [group.shape[1] for group in sectors]
+    assert sizes == sorted(set(sizes), reverse=True)
+    # a local phase rotation keeps the nonzero pattern and the sectors
+    assert sector_tuples(charge_sectors(phase_rotated(w, 7))) == sector_tuples(sectors)
+
+
+def test_coherent_preset_has_fifteen_sectors():
+    sizes = [len(s) for s in sector_tuples(charge_sectors(coherent_process()))]
+    assert sorted(sizes, reverse=True) == [12, 9, 9, 6, 5, 5, 4, 4, 2, 2, 2, 1, 1, 1, 1]
+
+
+def test_dense_ordered_mixture_is_one_sector_clipped_whole():
+    w = undamped_ordered_mixtures(1, 1)[0]
+    sectors = charge_sectors(w)
+    assert len(sectors) == 1 and np.array_equal(sectors[0], np.arange(w.layout.dim)[None])
+    rng = np.random.default_rng(2)
+    for m in (w.matrix - 0.3 * np.eye(16), random_hermitian(rng, 16), random_hermitian(rng, 16).real):
+        assert np.array_equal(_psd_clip(m, sectors), oracles.psd_clip(m))
+
+
+def test_sector_clip_matches_the_full_clip_on_the_coherent_search(monkeypatch):
+    inputs = []
+
+    def recorded(m, sectors):
+        inputs.append((m, sectors))
+        return clip(m, sectors)
+
+    clip = process._psd_clip
+    monkeypatch.setattr(process, "_psd_clip", recorded)
+    iterations = sum(
+        separability_heuristic(w).iterations
+        for w in (coherent_process(), phase_rotated(coherent_process(), 7))
+    )
+    assert len(inputs) == 2 * iterations
+    for m, sectors in inputs:
+        assert len(sectors) == 7
+        assert frobenius(clip(m, sectors) - oracles.psd_clip(m)) <= 1e-13 * frobenius(m)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_sector_clip_matches_the_full_clip_on_hidden_blocks(dtype):
+    # seeded Hermitian blocks of random sizes, their basis states shuffled
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        sizes = rng.integers(1, 7, size=8)
+        order = rng.permutation(sizes.sum())
+        m = np.zeros((sizes.sum(),) * 2, dtype=dtype)
+        sectors = [np.sort(idx) for idx in np.split(order, np.cumsum(sizes)[:-1])]
+        for idx in sectors:
+            block = random_hermitian(rng, len(idx)) - 0.4 * np.eye(len(idx))
+            m[np.ix_(idx, idx)] = block if dtype == np.complex128 else block.real
+        grouped = tuple(
+            np.array([s for s in sectors if len(s) == k])
+            for k in sorted(set(sizes.tolist()), reverse=True)
+        )
+        got = _psd_clip(m, grouped)
+        assert got.dtype == dtype
+        assert frobenius(got - oracles.psd_clip(m)) <= 1e-13 * frobenius(m)
+
+
+def test_psd_margin_is_the_least_eigenvalue_of_the_complex_matrix():
+    rng = np.random.default_rng(5)
+    pool = [coherent_process(), phase_rotated(coherent_process(), 7), ocb_process(0.3)]
+    pool += [quantum_switch_process(), *undamped_ordered_mixtures(2, 2)]
+    pool += [random_valid_process(rng, 2, 0.5) for _ in range(3)]
+    for name in ("classical-order-baseline", "a5-violated-definite-order"):
+        pool.append(_scenario_process(ScenarioConfig.from_dict({"scenario": name}).spec)[0])
+    for w in pool:
+        want = np.linalg.eigvalsh(w.matrix.astype(np.complex128))[0]
+        assert abs(validate_process(w).psd_margin - want) <= 1e-13
 
 
 def test_certify_decomposition_gates():

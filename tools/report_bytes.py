@@ -15,6 +15,13 @@ stderr, so two checkouts with the same outputs write the same file::
     python3 tools/report_bytes.py parent/src parent.bytes
     python3 tools/report_bytes.py src change.bytes
     cmp parent.bytes change.bytes
+
+Where the files differ, ``--diff`` names what moved: one line per config
+and per JSON path of a run report (``process.validity.psd_margin``), sweep
+CSV cell (``row 2 S_opt``) or exit code that differs. It exits 1 when
+anything differs, 0 when nothing does and 2 on a file it cannot read::
+
+    python3 tools/report_bytes.py --diff parent.bytes change.bytes
 """
 from __future__ import annotations
 
@@ -79,7 +86,88 @@ def _cli(src: Path, args: list[str]) -> tuple[int, bytes]:
     return proc.returncode, proc.stdout
 
 
+def _sections(path: Path) -> dict[str, tuple[str, list[str]]]:
+    """Config label -> (exit code, stdout lines) of a file this script wrote."""
+    out: dict[str, tuple[str, list[str]]] = {}
+    lines: list[str] | None = None
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("== "):
+            label, _, code = line[3:].rpartition(" exit ")
+            lines = []
+            out[label] = (code, lines)
+        elif lines is None:
+            raise ValueError(f"{path} does not start with a '== <config> exit <code>' line")
+        else:
+            lines.append(line)
+    return out
+
+
+def _json_diff(a, b, path: str = ""):
+    """Paths of the leaves whose serialized values differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key in a and key in b:
+                yield from _json_diff(a[key], b[key], sub)
+            else:
+                yield sub
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _json_diff(x, y, f"{path}[{i}]")
+    elif json.dumps(a) != json.dumps(b):
+        yield path or "."
+
+
+def _csv_diff(a: list[str], b: list[str]):
+    """Cells of a sweep CSV that differ, as 'row <n> <column>' (rows from 1);
+    comment lines and a change in the row count are named as such."""
+    rows_a = [line for line in a if not line.startswith("#")]
+    rows_b = [line for line in b if not line.startswith("#")]
+    if [line for line in a if line.startswith("#")] != [line for line in b if line.startswith("#")]:
+        yield "comment lines"
+    if rows_a[:1] != rows_b[:1]:
+        yield "header"
+        return
+    header = rows_a[0].split(",") if rows_a else []
+    for n, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
+        ca, cb = ra.split(","), rb.split(",")
+        for col, (x, y) in enumerate(zip(ca, cb)):
+            if x != y:
+                yield f"row {n} {header[col] if col < len(header) else col}"
+        if len(ca) != len(cb):
+            yield f"row {n} cell count"
+    if len(rows_a) != len(rows_b):
+        yield "row count"
+
+
+def diff(path_a: Path, path_b: Path) -> list[str]:
+    """One line per config and per thing that differs between two files."""
+    a, b = _sections(path_a), _sections(path_b)
+    only = sorted(a.keys() ^ b.keys())
+    out = [f"{label}: only in {path_a if label in a else path_b}" for label in only]
+    for label in [label for label in a if label in b]:
+        (code_a, lines_a), (code_b, lines_b) = a[label], b[label]
+        if code_a != code_b:
+            out.append(f"{label}: exit code")
+        if lines_a == lines_b:
+            continue
+        try:
+            moved = _json_diff(json.loads("\n".join(lines_a)), json.loads("\n".join(lines_b)))
+            out += [f"{label}: {path}" for path in moved]
+        except json.JSONDecodeError:
+            out += [f"{label}: {cell}" for cell in _csv_diff(lines_a, lines_b)]
+    return out
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--diff":
+        try:
+            moved = diff(Path(argv[1]), Path(argv[2]))
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print("\n".join(moved) if moved else "no differences")
+        return 1 if moved else 0
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
