@@ -83,6 +83,9 @@ class BehaviorTable:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 4:
             raise ValueError(f"expected a 4-index table, got shape {p.shape}")
+        # NaN fails every comparison below, so it must be rejected here
+        if not np.isfinite(p).all():
+            raise ValueError("probs contains non-finite entries")
         if p.min() < -1e-10 or p.max() > 1.0 + 1e-10:
             raise ValueError("probabilities must lie in [0, 1]")
         sums = p.sum(axis=(2, 3))
@@ -102,24 +105,6 @@ class BehaviorTable:
         """p(o2 | i1, i2) as an [i1, i2, o2] array."""
         return self.probs.sum(axis=2)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": "icolab/behavior-table/v1",
-            "inputs": [self.shape[0], self.shape[1]],
-            "outputs": [self.shape[2], self.shape[3]],
-            "probabilities": self.probs.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "BehaviorTable":
-        if data.get("schema") != "icolab/behavior-table/v1":
-            raise ValueError(f"unsupported behavior-table schema: {data.get('schema')!r}")
-        p = np.asarray(data["probabilities"], dtype=np.float64)
-        expected = tuple(data["inputs"]) + tuple(data["outputs"])
-        if p.shape != expected:
-            raise ValueError(f"probability array shape {p.shape} != declared {expected}")
-        return cls(p)
-
 
 @dataclass(frozen=True)
 class CHSHResult:
@@ -133,6 +118,9 @@ class CHSHResult:
         e = np.asarray(self.correlators, dtype=np.float64)
         if e.shape != (2, 2):
             raise ValueError(f"correlators must be 2x2, got {e.shape}")
+        for name, arr in (("value", self.value), ("correlators", e)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} contains non-finite entries")
         object.__setattr__(self, "correlators", e)
         combo = e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]
         if abs(self.value - combo) > 1e-12:

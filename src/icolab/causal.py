@@ -26,8 +26,6 @@ import numpy as np
 from .bell import BehaviorTable
 from .linalg import SpaceLayout, as_matrix
 
-LAMBDA_SCHEMA = "icolab/lambda-model/v1"
-
 CELL_FLOOR = 1e-12
 AUDIT_MODES = ("strict", "relaxed")
 
@@ -299,34 +297,6 @@ class LambdaModel:
         la = lambda_a or tuple(f"la{k}" for k in range(mi.shape[1]))
         lb = lambda_b or tuple(f"lb{k}" for k in range(mj.shape[1]))
         return cls(la, lb, prior, joint, mi, mj, gamma)
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "schema": LAMBDA_SCHEMA,
-            "lambda_a": list(self.lambda_a),
-            "lambda_b": list(self.lambda_b),
-            "prior": self.prior.tolist(),
-            "joint": self.joint.tolist(),
-            "marginal_i": self.marginal_i.tolist(),
-            "marginal_j": self.marginal_j.tolist(),
-            "gamma": [list(r) for r in self.gamma] if self.gamma else None,
-        }
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LambdaModel":
-        if data.get("schema") != LAMBDA_SCHEMA:
-            raise ValueError(f"unsupported lambda-model schema: {data.get('schema')!r}")
-        gamma = data.get("gamma")
-        return cls(
-            tuple(data["lambda_a"]),
-            tuple(data["lambda_b"]),
-            np.asarray(data["prior"], dtype=np.float64),
-            np.asarray(data["joint"], dtype=np.float64),
-            np.asarray(data["marginal_i"], dtype=np.float64),
-            np.asarray(data["marginal_j"], dtype=np.float64),
-            tuple(tuple(r) for r in gamma) if gamma else None,
-        )
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ pairing gives tr[(rho (x) I)(E (x) sigma^T)] = tr[rho E], as it must.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from math import prod
@@ -39,6 +38,7 @@ from .linalg import (
     eig_hermitian,
     frobenius,
     is_hermitian,
+    is_psd,
     is_unitary,
     ket,
     partial_trace,
@@ -46,8 +46,6 @@ from .linalg import (
     permute_vector_factors,
     tensor,
 )
-
-PROCESS_SCHEMA = "icolab/process-matrix/v1"
 
 PARTY_LABELS = ("A_I", "A_O", "B_I", "B_O")
 
@@ -101,12 +99,6 @@ def apply_choi(choi: np.ndarray, rho: np.ndarray) -> np.ndarray:
     d_out = choi.shape[0] // d_in
     t = choi.reshape(d_in, d_out, d_in, d_out)
     return np.einsum("jilk,jl->ik", t, rho)
-
-
-def _trace_pairing(w: np.ndarray, op: np.ndarray) -> float:
-    """tr(W @ op) without forming the product."""
-    val = np.sum(w * op.T)
-    return float(np.real(val))
 
 
 @dataclass(frozen=True)
@@ -211,38 +203,9 @@ class ProcessMatrix:
         """What :func:`validate_process` returns, computed on first use."""
         return _validity_report(self.matrix, self.layout)
 
-    @cached_property
-    def _sectors(self) -> tuple[np.ndarray, ...]:
-        """What :func:`charge_sectors` returns, computed on first use."""
-        return _charge_sectors(self.matrix, self.layout)
-
     @property
     def expected_trace(self) -> float:
         return float(self.layout.dim_of("A_O") * self.layout.dim_of("B_O"))
-
-    def to_json_dict(self) -> dict:
-        re_im = np.stack([self.matrix.real, self.matrix.imag], axis=-1)
-        return {
-            "schema": PROCESS_SCHEMA,
-            "labels": list(self.layout.labels),
-            "dims": list(self.layout.dims),
-            "matrix": re_im.tolist(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ProcessMatrix":
-        if data.get("schema") != PROCESS_SCHEMA:
-            raise ValueError(f"unsupported process schema: {data.get('schema')!r}")
-        arr = np.asarray(data["matrix"], dtype=np.float64)
-        m = arr[..., 0] + 1j * arr[..., 1]
-        return cls(m, SpaceLayout(tuple(data["labels"]), tuple(data["dims"])))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProcessMatrix":
-        return cls.from_json_dict(json.loads(text))
 
 
 def standard_layout(d: int = 2, d_f: int | None = None) -> SpaceLayout:
@@ -543,19 +506,8 @@ def quantum_switch_process(
 def born_probabilities(w: ProcessMatrix, a: Instrument, b: Instrument) -> BehaviorTable:
     """Outcome statistics p(o_a, o_b | i_a, i_b) of two instruments on a
     process; a future factor, if present, is discarded (traced out)."""
-    m, lay = w.matrix, w.layout
-    if "F" in lay.labels:
-        m = partial_trace(m, lay, PARTY_LABELS)
-        lay = lay.subset(PARTY_LABELS)
-    _check_party_dims(lay, a, b)
-    probs = np.empty((a.n_inputs, b.n_inputs, a.n_outcomes, b.n_outcomes))
-    for ia, per_a in enumerate(a.chois):
-        for ib, per_b in enumerate(b.chois):
-            for oa, ca in enumerate(per_a):
-                for ob, cb in enumerate(per_b):
-                    # tr[W (Ma (x) Mb)^T] = elementwise sum of W * (Ma (x) Mb)
-                    probs[ia, ib, oa, ob] = float(np.real(np.sum(m * tensor(ca, cb))))
-    return BehaviorTable(np.clip(probs, 0.0, 1.0))
+    d_f = w.layout.dim_of("F") if "F" in w.layout.labels else 1
+    return BehaviorTable(_born_table(w.matrix, w.layout, a, b, np.eye(d_f)[None])[..., 0])
 
 
 def born_probabilities_with_future(
@@ -566,25 +518,34 @@ def born_probabilities_with_future(
 ) -> np.ndarray:
     """Joint statistics p(o_a, o_b, k | i_a, i_b) including a POVM on the
     future factor, indexed [i_a, i_b, o_a, o_b, k]."""
-    m, lay = w.matrix, w.layout
+    lay = w.layout
     if "F" not in lay.labels:
         raise ValueError("process has no future factor to measure")
-    _check_party_dims(lay, a, b)
     d_f = lay.dim_of("F")
-    povm = [as_matrix(p) for p in future_povm]
-    total = sum(povm)
-    if np.max(np.abs(total - np.eye(d_f))) > 1e-9:
+    povm = np.array([as_matrix(p) for p in future_povm])
+    if povm.shape[1:] != (d_f, d_f) or np.max(np.abs(povm.sum(axis=0) - np.eye(d_f))) > 1e-9:
         raise ValueError("future POVM does not sum to identity")
-    probs = np.empty((a.n_inputs, b.n_inputs, a.n_outcomes, b.n_outcomes, len(povm)))
-    for ia, per_a in enumerate(a.chois):
-        for ib, per_b in enumerate(b.chois):
-            for oa, ca in enumerate(per_a):
-                for ob, cb in enumerate(per_b):
-                    parties = tensor(ca, cb).T
-                    for k, pk in enumerate(povm):
-                        op = tensor(parties, pk)
-                        probs[ia, ib, oa, ob, k] = _trace_pairing(m, op)
-    return np.clip(probs, 0.0, 1.0)
+    if not all(is_psd(p, PSD_ATOL) for p in povm):
+        raise ValueError("each future POVM element must be positive semidefinite")
+    return _born_table(w.matrix, lay, a, b, povm)
+
+
+def _born_table(
+    m: np.ndarray, lay: SpaceLayout, a: Instrument, b: Instrument, povm: np.ndarray
+) -> np.ndarray:
+    """tr[W ((M_a (x) M_b)^T (x) P_k)] for every cell in one contraction,
+    indexed [i_a, i_b, o_a, o_b, k] and clipped to [0, 1]; ``povm`` stacks
+    the P_k on F, a single 1x1 identity when W has no future factor."""
+    _check_party_dims(lay, a, b)
+    d_a, d_b, d_f = a.dim_in * a.dim_out, b.dim_in * b.dim_out, povm.shape[-1]
+    # with W indexed [a b f, a' b' f'], the pairing is
+    # sum W[a b f, a' b' f'] M_a[a, a'] M_b[b, b'] P_k[f', f]
+    t = m.reshape(d_a, d_b, d_f, d_a, d_b, d_f)
+    probs = np.einsum(
+        "abfxyg,ioax,jpby,kgf->ijopk",
+        t, np.array(a.chois), np.array(b.chois), povm, optimize=True,
+    )
+    return np.clip(probs.real, 0.0, 1.0)
 
 
 def _check_party_dims(lay: SpaceLayout, a: Instrument, b: Instrument) -> None:
@@ -627,8 +588,9 @@ def order_projection(w: np.ndarray, layout: SpaceLayout, order: str) -> np.ndarr
 
 def charge_sectors(w: ProcessMatrix) -> tuple[np.ndarray, ...]:
     """Basis-state sectors that every matrix sharing W's phase symmetry is
-    block-diagonal over, once per process: a later call returns the same
-    tuple.
+    block-diagonal over. They depend only on the layout and on which
+    entries of W are nonzero, so processes that share both share one tuple
+    of read-only arrays.
 
     The phase symmetry of W is the group of products of diagonal phase
     unitaries, one per factor, that leave W unchanged. Such a conjugation
@@ -642,13 +604,15 @@ def charge_sectors(w: ProcessMatrix) -> tuple[np.ndarray, ...]:
     in increasing order; a W whose nonzero entries connect every basis
     state gives the single sector ``(arange(dim)[None],)``.
     """
-    return w._sectors
+    return _charge_sectors(w.layout, np.packbits(w.matrix != 0).tobytes())
 
 
-def _charge_sectors(m: np.ndarray, lay: SpaceLayout) -> tuple[np.ndarray, ...]:
-    """The sectors of :func:`charge_sectors` for a matrix on a layout."""
+@lru_cache(maxsize=32)
+def _charge_sectors(lay: SpaceLayout, pattern: bytes) -> tuple[np.ndarray, ...]:
+    """The sectors of :func:`charge_sectors` for a layout and the packed
+    bits of a nonzero pattern on it."""
     n = lay.dim
-    adj = m != 0
+    adj = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=n * n).reshape(n, n) != 0
     # a path of nonzero entries from i to j puts n(i) - n(j) in the span, so
     # when the entries connect every state there is one sector
     reach = adj[0] | (np.arange(n) == 0)
@@ -658,24 +622,28 @@ def _charge_sectors(m: np.ndarray, lay: SpaceLayout) -> tuple[np.ndarray, ...]:
             break
         reach = grown
     if reach.all():
-        return (np.arange(n)[None],)
-    onehot = _level_onehot(lay)
-    a = adj.astype(np.float64)
-    # with N the one-hot rows n(i), the span is the range of N^T Lap(W != 0) N:
-    # states share a sector when their projections on its null space agree
-    gram = onehot.T @ (np.diag(a.sum(axis=1)) - a) @ onehot
-    vals, vecs = np.linalg.eigh(gram)
-    q = onehot @ vecs[:, vals <= 1e-9 * max(1.0, vals[-1])]
-    norms = np.einsum("ij,ij->i", q, q)
-    apart = norms[:, None] + norms[None, :] - 2.0 * (q @ q.T) > 1e-8
-    # name each state's sector by its first member, then sort the states by
-    # sector size (largest first) and name; the stable sort keeps each
-    # sector's states in increasing order
-    first = np.argmin(apart, axis=1)
-    size = np.bincount(first)[first]
-    order = np.lexsort((first, -size))
-    groups = np.split(order, np.flatnonzero(np.diff(size[order])) + 1)
-    return tuple(g.reshape(-1, size[g[0]]) for g in groups)
+        sectors = (np.arange(n)[None],)
+    else:
+        onehot = _level_onehot(lay)
+        a = adj.astype(np.float64)
+        # with N the one-hot rows n(i), the span is the range of N^T Lap(W != 0) N:
+        # states share a sector when their projections on its null space agree
+        gram = onehot.T @ (np.diag(a.sum(axis=1)) - a) @ onehot
+        vals, vecs = np.linalg.eigh(gram)
+        q = onehot @ vecs[:, vals <= 1e-9 * max(1.0, vals[-1])]
+        norms = np.einsum("ij,ij->i", q, q)
+        apart = norms[:, None] + norms[None, :] - 2.0 * (q @ q.T) > 1e-8
+        # name each state's sector by its first member, then sort the states by
+        # sector size (largest first) and name; the stable sort keeps each
+        # sector's states in increasing order
+        first = np.argmin(apart, axis=1)
+        size = np.bincount(first)[first]
+        order = np.lexsort((first, -size))
+        groups = np.split(order, np.flatnonzero(np.diff(size[order])) + 1)
+        sectors = tuple(g.reshape(-1, size[g[0]]) for g in groups)
+    for idx in sectors:
+        idx.flags.writeable = False
+    return sectors
 
 
 @lru_cache(maxsize=32)

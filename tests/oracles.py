@@ -174,6 +174,34 @@ def switch_instrument_statistics(alpha, beta, v0, v1, psi, instr_a, instr_b, fut
     return probs
 
 
+def process_born_table(w, chois_a, chois_b, d_f=1):
+    """Generalized Born rule cell by cell on a process matrix:
+    [i_a, i_b, o_a, o_b] = Re tr[tr_F(W) (M_a (x) M_b)^T], with a trailing
+    future factor of dimension ``d_f`` traced out first and each party's
+    Choi matrices given as chois[input][outcome]; clipped to [0, 1] like
+    the package's tables."""
+    n = len(w) // d_f
+    w = np.trace(np.asarray(w).reshape(n, d_f, n, d_f), axis1=1, axis2=3)
+    probs = np.empty((len(chois_a), len(chois_b), len(chois_a[0]), len(chois_b[0])))
+    for ia, ib, oa, ob in product(*(range(k) for k in probs.shape)):
+        # tr[W (Ma (x) Mb)^T] = elementwise sum of W * (Ma (x) Mb)
+        probs[ia, ib, oa, ob] = np.real(np.sum(w * kron(chois_a[ia][oa], chois_b[ib][ob])))
+    return np.clip(probs, 0.0, 1.0)
+
+
+def process_born_table_with_future(w, chois_a, chois_b, povm):
+    """[i_a, i_b, o_a, o_b, k] = Re tr[W ((M_a (x) M_b)^T (x) P_k)] cell by
+    cell, with ``povm`` the P_k on the trailing future factor; clipped to
+    [0, 1]."""
+    probs = np.empty(
+        (len(chois_a), len(chois_b), len(chois_a[0]), len(chois_b[0]), len(povm))
+    )
+    for ia, ib, oa, ob, k in product(*(range(n) for n in probs.shape)):
+        op = kron(kron(chois_a[ia][oa], chois_b[ib][ob]).T, povm[k])
+        probs[ia, ib, oa, ob, k] = np.real(np.trace(np.asarray(w) @ op))
+    return np.clip(probs, 0.0, 1.0)
+
+
 def measure_reprepare_kraus(povm_effect, reprep_state, tol=1e-12):
     """Kraus list of rho -> tr(E rho) sigma."""
     e_vals, e_vecs = np.linalg.eigh(np.asarray(povm_effect, dtype=np.complex128))

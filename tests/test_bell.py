@@ -175,19 +175,25 @@ def test_optimize_with_conditioning():
     assert r.value == pytest.approx(TSIRELSON, abs=1e-6)
 
 
-def test_behavior_table_json_roundtrip():
-    t = behavior(projector(PHI_PLUS), MeasurementSetting.z_x(), MeasurementSetting.z_x())
-    d = t.to_json_dict()
-    back = BehaviorTable.from_json_dict(d)
-    assert np.abs(back.probs - t.probs).max() == 0.0
-    with pytest.raises(ValueError):
-        BehaviorTable.from_json_dict({**d, "schema": "bogus"})
-
-
 def test_behavior_table_validation():
     bad = np.full((2, 2, 2, 2), 0.3)
     with pytest.raises(ValueError):
         BehaviorTable(bad)  # cells sum to 1.2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_tables_and_chsh_results_are_rejected(bad):
+    # NaN fails every range check, so it would reach chsh and the causal LP
+    probs = np.full((2, 2, 2, 2), 0.25)
+    probs[1, 0, 1, 1] = bad
+    with pytest.raises(ValueError, match="probs"):
+        BehaviorTable(probs)
+    with pytest.raises(ValueError, match="value"):
+        CHSHResult(value=bad, correlators=np.ones((2, 2)))
+    correlators = np.ones((2, 2))
+    correlators[0, 1] = bad
+    with pytest.raises(ValueError, match="correlators"):
+        CHSHResult(value=2.0, correlators=correlators)
 
 
 def test_tsirelson_never_exceeded_on_random_states():

@@ -323,18 +323,6 @@ def test_lambda_model_rejects_non_finite_entries(name, bad):
         LambdaModel(good.lambda_a, good.lambda_b, **arrays)
 
 
-def test_json_roundtrip():
-    m = LambdaModel.factorized(
-        np.full((2, 2, 2), 0.5),
-        np.full((2, 2, 2), 0.5),
-        np.full((2, 2), 0.25),
-        gamma=(("A<B", "B<A"), ("A<B", "A<B")),
-    )
-    back = LambdaModel.from_json_dict(m.to_json_dict())
-    assert np.abs(back.joint - m.joint).max() == 0.0
-    assert back.gamma == m.gamma
-
-
 # ---------------------------------------------------------------------------
 # definite-order generator
 

@@ -396,6 +396,60 @@ def test_born_probabilities_normalize():
         assert np.abs(table.probs.sum(axis=(2, 3)) - 1.0).max() < 1e-10
 
 
+BORN_PROCESSES = {
+    "no-future": lambda rng: random_valid_process(rng),
+    "switch": lambda rng: quantum_switch_process(
+        (0.6, 0.8j), v0=haar_unitary(rng, 2), v1=haar_unitary(rng, 2)
+    ),
+    "ordered-future": lambda rng: ordered_process(
+        random_density(rng, 2), choi_of_unitary(haar_unitary(rng, 2)), post="future"
+    ),
+}
+
+# (inputs of A, inputs of B, outcomes of A, outcomes of B): no two equal,
+# so a swapped axis changes the shape
+BORN_SHAPES = [(2, 3, 3, 2), (3, 2, 2, 3), (3, 2, 3, 2)]
+
+
+@pytest.mark.parametrize("name", sorted(BORN_PROCESSES))
+def test_born_probabilities_match_the_per_cell_oracle(name):
+    rng = np.random.default_rng(21)
+    w = BORN_PROCESSES[name](rng)
+    d_f = w.layout.dim_of("F") if "F" in w.layout.labels else 1
+    for n_a, n_b, k_a, k_b in BORN_SHAPES:
+        a = random_instrument(rng, inputs=n_a, outcomes=k_a)
+        b = random_instrument(rng, inputs=n_b, outcomes=k_b)
+        got = born_probabilities(w, a, b).probs
+        assert got.shape == (n_a, n_b, k_a, k_b)
+        want = oracles.process_born_table(w.matrix, a.chois, b.chois, d_f)
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["switch", "ordered-future"])
+def test_born_probabilities_with_future_match_the_per_cell_oracle(name):
+    rng = np.random.default_rng(22)
+    w = BORN_PROCESSES[name](rng)
+    for (n_a, n_b, k_a, k_b), n_k in zip(BORN_SHAPES, (2, 3, 4)):
+        a = random_instrument(rng, inputs=n_a, outcomes=k_a)
+        b = random_instrument(rng, inputs=n_b, outcomes=k_b)
+        povm = random_povm(rng, w.layout.dim_of("F"), n_k)
+        got = born_probabilities_with_future(w, a, b, povm)
+        assert got.shape == (n_a, n_b, k_a, k_b, n_k)
+        want = oracles.process_born_table_with_future(w.matrix, a.chois, b.chois, povm)
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_future_povm_must_be_positive_semidefinite():
+    # sums to the identity, but its negative probabilities would be clipped away
+    w = quantum_switch_process()
+    a = Instrument.unitary(np.eye(2))
+    bad = [np.diag([2.0, 2.0, -1.0, -1.0]), np.diag([-1.0, -1.0, 2.0, 2.0])]
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        born_probabilities_with_future(w, a, a, bad)
+    with pytest.raises(ValueError, match="sum to identity"):
+        born_probabilities_with_future(w, a, a, [np.eye(4) / 2])
+
+
 def test_witness_value_is_linear():
     rng = np.random.default_rng(13)
     w1 = random_valid_process(rng)
@@ -671,13 +725,21 @@ SECTOR_POOL = [
 def test_charge_sectors_match_the_definition(make):
     w = make()
     sectors = charge_sectors(w)
-    assert charge_sectors(w) is sectors  # computed once per process
+    assert charge_sectors(w) is sectors  # computed once per layout and nonzero pattern
     assert sector_tuples(sectors) == oracles.charge_sectors(w.matrix, w.layout.dims)
     # one group per sector size, largest first
     sizes = [group.shape[1] for group in sectors]
     assert sizes == sorted(set(sizes), reverse=True)
     # a local phase rotation keeps the nonzero pattern and the sectors
     assert sector_tuples(charge_sectors(phase_rotated(w, 7))) == sector_tuples(sectors)
+
+
+def test_processes_with_one_nonzero_pattern_share_one_sector_tuple():
+    first, second = coherent_process(), coherent_process(0.3)
+    assert first is not second
+    sectors = charge_sectors(first)
+    assert charge_sectors(second) is sectors
+    assert not any(idx.flags.writeable for idx in sectors)
 
 
 def test_coherent_preset_has_fifteen_sectors():
@@ -782,14 +844,7 @@ def test_separability_rejects_invalid_input():
 
 
 # ---------------------------------------------------------------------------
-# serialization and structure
-
-
-def test_process_matrix_json_roundtrip():
-    w = quantum_switch_process()
-    back = ProcessMatrix.from_json(w.to_json())
-    assert back.layout == w.layout
-    assert np.abs(back.matrix - w.matrix).max() == 0.0
+# structure
 
 
 def test_process_matrix_rejects_bad_layout():
