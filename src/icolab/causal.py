@@ -19,6 +19,7 @@ conditionals below the 1e-12 probability floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import prod
 
 import numpy as np
@@ -89,52 +90,29 @@ class NotCausal:
     violation_margin: float
 
 
-def _one_way_rows(shape: tuple[int, int, int, int], block: int, direction: str) -> list[np.ndarray]:
-    """Equality rows forcing one subnormalized component to signal one way
-    at most: the early party's marginal and the cell weight must not depend
-    on the late party's input."""
+def _one_way_rows(shape: tuple[int, int, int, int], direction: str) -> np.ndarray:
+    """Equality rows on one subnormalized component r[x, y, o1, o2] forcing
+    it to signal one way at most: the early party's marginal and the cell
+    weight must not depend on the late party's input. Each row is a
+    difference against input 0 (row j of diff(k) is e_{j+1} - e_0), summed
+    over the outcomes it does not constrain."""
     nx, ny, no1, no2 = shape
-    n = prod(shape)
-    rows = []
 
-    def coef() -> np.ndarray:
-        return np.zeros(2 * n + 1)
-
-    def idx(x: int, y: int, o1: int, o2: int) -> int:
-        return block * n + ((x * ny + y) * no1 + o1) * no2 + o2
+    def diff(k: int) -> np.ndarray:
+        return np.eye(k)[1:] - np.eye(k)[:1]
 
     if direction == "AB":  # no signaling B -> A: A-marginal independent of y
-        for x in range(nx):
-            for y in range(1, ny):
-                for o1 in range(no1):
-                    row = coef()
-                    for o2 in range(no2):
-                        row[idx(x, y, o1, o2)] += 1.0
-                        row[idx(x, 0, o1, o2)] -= 1.0
-                    rows.append(row)
+        marginal = reduce(np.kron, (np.eye(nx), diff(ny), np.eye(no1), np.ones((1, no2))))
     elif direction == "BA":  # no signaling A -> B: B-marginal independent of x
-        for y in range(ny):
-            for x in range(1, nx):
-                for o2 in range(no2):
-                    row = coef()
-                    for o1 in range(no1):
-                        row[idx(x, y, o1, o2)] += 1.0
-                        row[idx(0, y, o1, o2)] -= 1.0
-                    rows.append(row)
+        rows = reduce(np.kron, (diff(nx), np.eye(ny), np.ones((1, no1)), np.eye(no2)))
+        # in the LP's (y, x, o2) row order: the order can change which optimum HiGHS returns
+        by_x = rows.reshape(nx - 1, ny, no2, rows.shape[1])
+        marginal = by_x.swapaxes(0, 1).reshape(rows.shape)
     else:
         raise ValueError(direction)
     # equal total weight in every cell (the component's subnormalization)
-    for x in range(nx):
-        for y in range(ny):
-            if x == 0 and y == 0:
-                continue
-            row = coef()
-            for o1 in range(no1):
-                for o2 in range(no2):
-                    row[idx(x, y, o1, o2)] += 1.0
-                    row[idx(0, 0, o1, o2)] -= 1.0
-            rows.append(row)
-    return rows
+    cells = np.kron(diff(nx * ny), np.ones((1, no1 * no2)))
+    return np.vstack([marginal, cells])
 
 
 def _component_table(r: np.ndarray, shape: tuple[int, int, int, int]) -> BehaviorTable:
@@ -171,9 +149,11 @@ def causal_membership(t: BehaviorTable) -> CausalDecomposition | NotCausal:
 
     p = t.probs.reshape(-1)
     n = p.size
-    rows = _one_way_rows(shape, 0, "AB") + _one_way_rows(shape, 1, "BA")
-    a_eq = np.array(rows)
-    b_eq = np.zeros(len(rows))
+    ab, ba = _one_way_rows(shape, "AB"), _one_way_rows(shape, "BA")
+    a_eq = np.zeros((len(ab) + len(ba), 2 * n + 1))
+    a_eq[: len(ab), :n] = ab
+    a_eq[len(ab) :, n : 2 * n] = ba
+    b_eq = np.zeros(len(a_eq))
     # |r1 + r2 - p| <= eps, elementwise
     ident = np.hstack([np.eye(n), np.eye(n)])
     a_ub = np.vstack(

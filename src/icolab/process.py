@@ -41,7 +41,6 @@ from .linalg import (
     is_psd,
     is_unitary,
     ket,
-    partial_trace,
     permute_factors,
     permute_vector_factors,
     tensor,
@@ -309,33 +308,38 @@ def hs_basis(layout: SpaceLayout) -> HSBasis:
     return HSBasis(layout)
 
 
-@lru_cache(maxsize=32)
-def _validity_mask(layout: SpaceLayout) -> np.ndarray:
-    # inclusion-exclusion over the trace-out conditions, one reset per factor
+@lru_cache(maxsize=64)
+def _order_mask(layout: SpaceLayout, order: str) -> np.ndarray:
+    """0/1 mask of the processes of one causal order: along the order's chain
+    (first party's input and output, then the second's, then F when the
+    layout has one), discarding what comes after an output leaves that output
+    free (Chiribella, D'Ariano and Perinotti, PRA 80, 022339, 2009). So a
+    product-basis term is kept when the last factor of the chain it acts on
+    nontrivially is an input or F, or when it is the identity."""
+    if order == "AB":
+        chain = ("A_I", "A_O", "B_I", "B_O")
+    elif order == "BA":
+        chain = ("B_I", "B_O", "A_I", "A_O")
+    else:
+        raise ValueError(f"order must be 'AB' or 'BA', got {order!r}")
+    chain += layout.labels[4:]
     m = hs_basis(layout).mask
-    ai, ao, bi, bo = (m((lab,)) for lab in PARTY_LABELS)
-    out = ao + bo - ao * bo - bi * bo + ao * bi * bo - ai * ao + ai * ao * bo
+    out = m(chain)
+    for k, lab in enumerate(chain):
+        if not lab.endswith("_O"):
+            # the terms whose last nontrivial factor is lab
+            out = out + (1.0 - m((lab,))) * m(chain[k + 1 :])
     out.flags.writeable = False
     return out
 
 
-@lru_cache(maxsize=64)
-def _order_mask(layout: SpaceLayout, order: str) -> np.ndarray:
-    if order == "AB":
-        first_o, second_i, second_o = "A_O", "B_I", "B_O"
-    elif order == "BA":
-        first_o, second_i, second_o = "B_O", "A_I", "A_O"
-    else:
-        raise ValueError(f"order must be 'AB' or 'BA', got {order!r}")
-    m = hs_basis(layout).mask
-    fo, si, so = m((first_o,)), m((second_i,)), m((second_o,))
-    if "F" in layout.labels:
-        # P = id - R_F(id - R_so) - R_F R_so R_si (id - R_fo)
-        f = m(("F",))
-        out = 1.0 - f * (1.0 - so) - f * so * si * (1.0 - fo)
-    else:
-        # P = R_so [id - R_si (id - R_fo)]
-        out = so * (1.0 - si * (1.0 - fo))
+@lru_cache(maxsize=32)
+def _validity_mask(layout: SpaceLayout) -> np.ndarray:
+    """0/1 mask of the span of the two order subspaces: the valid processes
+    (Araujo et al., NJP 17, 102001, 2015). With F it keeps every term that
+    acts on F, so it checks exactly that tr_F W is valid."""
+    a, b = _order_mask(layout, "AB"), _order_mask(layout, "BA")
+    out = a + b - a * b
     out.flags.writeable = False
     return out
 
@@ -345,9 +349,8 @@ def validity_projection(w: np.ndarray, layout: SpaceLayout) -> np.ndarray:
     process matrices (no future factor).
 
     The subspace is characterized by normalization on every pair of CPTP
-    instruments; expanding instruments around the depolarizing point turns
-    that into linear trace-out conditions, whose projector is an inclusion-
-    exclusion combination of resets, applied as a mask in :class:`HSBasis`.
+    instruments, and it is spanned by the two order subspaces, so its
+    projector is the union of the two order masks in :class:`HSBasis`.
     """
     if layout.labels != PARTY_LABELS:
         raise ValueError(f"expected exactly the party factors, got {layout.labels}")
@@ -380,28 +383,27 @@ def validate_process(w: ProcessMatrix) -> ValidityReport:
     """Check PSD, normalization, and valid-subspace membership, once per
     process: a later call returns the same report.
 
-    With a future factor, positivity and trace are checked on the full
-    matrix while the subspace condition applies to tr_F[W] (a process is
-    valid exactly when discarding the future leaves a valid bipartite
-    process); the residual is scaled by sqrt(d_F) to stay comparable.
+    The subspace residual is the distance from W to the span of the two
+    order subspaces, AB and BA, measured outside their union. With a future
+    factor, positivity and trace are checked on the full matrix, and every
+    term that acts on F lies in the union, so the residual checks that
+    tr_F[W] is valid (a process is valid exactly when discarding the future
+    leaves a valid bipartite process).
     """
     return w._validity
 
 
 def _validity_report(m: np.ndarray, lay: SpaceLayout) -> ValidityReport:
     """The checks of :func:`validate_process` on a Hermitian matrix."""
-    psd_margin = float(np.linalg.eigvalsh(m.real if not m.imag.any() else m)[0])
+    part = m.real if not m.imag.any() else m
+    psd_margin = float(np.linalg.eigvalsh(part)[0])
     expected = lay.dim_of("A_O") * lay.dim_of("B_O")
     trace_error = float(np.real(np.trace(m)) - expected)
-    if "F" in lay.labels:
-        reduced = partial_trace(m, lay, PARTY_LABELS)
-        sub_layout = lay.subset(PARTY_LABELS)
-        scale = np.sqrt(lay.dim_of("F"))
-    else:
-        reduced, sub_layout, scale = m, lay, 1.0
-    residual = frobenius(validity_projection(reduced, sub_layout) - reduced) / scale
+    # the basis is orthogonal: the distance is the norm of the masked-out coefficients
+    outside = (1.0 - _validity_mask(lay)) * hs_basis(lay).to_coef(part)
+    residual = float(np.linalg.norm(outside))
     ok = psd_margin >= -PSD_ATOL and abs(trace_error) <= TRACE_ATOL and residual <= SUBSPACE_ATOL
-    return ValidityReport(psd_margin, trace_error, float(residual), "valid" if ok else "invalid")
+    return ValidityReport(psd_margin, trace_error, residual, "valid" if ok else "invalid")
 
 
 def ordered_process(
@@ -613,34 +615,23 @@ def _charge_sectors(lay: SpaceLayout, pattern: bytes) -> tuple[np.ndarray, ...]:
     bits of a nonzero pattern on it."""
     n = lay.dim
     adj = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=n * n).reshape(n, n) != 0
-    # a path of nonzero entries from i to j puts n(i) - n(j) in the span, so
-    # when the entries connect every state there is one sector
-    reach = adj[0] | (np.arange(n) == 0)
-    while True:
-        grown = reach | adj[reach].any(axis=0)
-        if np.array_equal(grown, reach):
-            break
-        reach = grown
-    if reach.all():
-        sectors = (np.arange(n)[None],)
-    else:
-        onehot = _level_onehot(lay)
-        a = adj.astype(np.float64)
-        # with N the one-hot rows n(i), the span is the range of N^T Lap(W != 0) N:
-        # states share a sector when their projections on its null space agree
-        gram = onehot.T @ (np.diag(a.sum(axis=1)) - a) @ onehot
-        vals, vecs = np.linalg.eigh(gram)
-        q = onehot @ vecs[:, vals <= 1e-9 * max(1.0, vals[-1])]
-        norms = np.einsum("ij,ij->i", q, q)
-        apart = norms[:, None] + norms[None, :] - 2.0 * (q @ q.T) > 1e-8
-        # name each state's sector by its first member, then sort the states by
-        # sector size (largest first) and name; the stable sort keeps each
-        # sector's states in increasing order
-        first = np.argmin(apart, axis=1)
-        size = np.bincount(first)[first]
-        order = np.lexsort((first, -size))
-        groups = np.split(order, np.flatnonzero(np.diff(size[order])) + 1)
-        sectors = tuple(g.reshape(-1, size[g[0]]) for g in groups)
+    onehot = _level_onehot(lay)
+    a = adj.astype(np.float64)
+    # with N the one-hot rows n(i), the span is the range of N^T Lap(W != 0) N:
+    # states share a sector when their projections on its null space agree
+    gram = onehot.T @ (np.diag(a.sum(axis=1)) - a) @ onehot
+    vals, vecs = np.linalg.eigh(gram)
+    q = onehot @ vecs[:, vals <= 1e-9 * max(1.0, vals[-1])]
+    norms = np.einsum("ij,ij->i", q, q)
+    apart = norms[:, None] + norms[None, :] - 2.0 * (q @ q.T) > 1e-8
+    # name each state's sector by its first member, then sort the states by
+    # sector size (largest first) and name; the stable sort keeps each
+    # sector's states in increasing order
+    first = np.argmin(apart, axis=1)
+    size = np.bincount(first)[first]
+    order = np.lexsort((first, -size))
+    groups = np.split(order, np.flatnonzero(np.diff(size[order])) + 1)
+    sectors = tuple(g.reshape(-1, size[g[0]]) for g in groups)
     for idx in sectors:
         idx.flags.writeable = False
     return sectors
@@ -661,20 +652,14 @@ def _level_onehot(layout: SpaceLayout) -> np.ndarray:
 def _psd_clip(m: np.ndarray, sectors: tuple[np.ndarray, ...]) -> np.ndarray:
     """Positive part of a Hermitian matrix that is block-diagonal over
     ``sectors`` (as :func:`charge_sectors` returns them), in its own dtype:
-    a real symmetric matrix gets a real eigendecomposition. A single sector
-    clips the whole matrix; otherwise each sector size takes one batched
-    eigendecomposition of its blocks, and entries outside the blocks are
-    dropped.
+    a real symmetric matrix gets a real eigendecomposition. Each sector size
+    takes one batched eigendecomposition of its blocks (a single sector is
+    the whole matrix), and entries outside the blocks are dropped.
 
     The search clips twice per iteration, always a matrix that is finite
     and Hermitian by construction, so this skips eig_hermitian's input
     checks (and its complex cast). It keeps eig_hermitian's descending
     order, and with it the summation order of the product."""
-    if len(sectors) == 1 and len(sectors[0]) == 1:
-        vals, vecs = np.linalg.eigh(m)
-        order = np.argsort(vals)[::-1]
-        vecs = vecs[:, order]
-        return (vecs * np.clip(vals[order], 0.0, None)) @ np.conj(vecs).T
     n = len(m)
     out = np.zeros_like(m)
     flat_m, flat_out = m.reshape(-1), out.reshape(-1)

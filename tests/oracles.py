@@ -490,3 +490,46 @@ def causal_polytope_member(table, tol=1e-9):
         recon = _VERTICES @ res.x
         return bool(np.max(np.abs(recon - p)) <= max(tol, 1e-7))
     return False
+
+
+def one_way_rows(shape, direction):
+    """Equality rows on one subnormalized component r[x, y, o1, o2], by
+    nested loops: the early party's marginal and the cell weight must not
+    depend on the late party's input. Shape (rows, prod(shape))."""
+    nx, ny, no1, no2 = shape
+    n = nx * ny * no1 * no2
+    rows = []
+
+    def idx(x, y, o1, o2):
+        return ((x * ny + y) * no1 + o1) * no2 + o2
+
+    if direction == "AB":  # no signaling B -> A: A-marginal independent of y
+        for x in range(nx):
+            for y in range(1, ny):
+                for o1 in range(no1):
+                    row = np.zeros(n)
+                    for o2 in range(no2):
+                        row[idx(x, y, o1, o2)] += 1.0
+                        row[idx(x, 0, o1, o2)] -= 1.0
+                    rows.append(row)
+    else:  # no signaling A -> B: B-marginal independent of x
+        for y in range(ny):
+            for x in range(1, nx):
+                for o2 in range(no2):
+                    row = np.zeros(n)
+                    for o1 in range(no1):
+                        row[idx(x, y, o1, o2)] += 1.0
+                        row[idx(0, y, o1, o2)] -= 1.0
+                    rows.append(row)
+    # equal total weight in every cell
+    for x in range(nx):
+        for y in range(ny):
+            if x == 0 and y == 0:
+                continue
+            row = np.zeros(n)
+            for o1 in range(no1):
+                for o2 in range(no2):
+                    row[idx(x, y, o1, o2)] += 1.0
+                    row[idx(0, 0, o1, o2)] -= 1.0
+            rows.append(row)
+    return np.array(rows).reshape(-1, n)

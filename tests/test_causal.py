@@ -1,12 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import oracles
 from icolab.bell import BehaviorTable, MeasurementSetting, behavior
 from icolab.causal import (
+    MAX_ALPHABET,
     CausalDecomposition,
     LambdaModel,
     NotCausal,
+    _one_way_rows,
     causal_membership,
     lambda_model_from_definite_order,
     marginal_dependence,
@@ -197,6 +201,17 @@ def test_causal_components_are_one_way():
     sb = signaling_directions(out.component_ba)
     assert not sa.b_to_a
     assert not sb.a_to_b
+
+
+@pytest.mark.parametrize("direction", ["AB", "BA"])
+def test_one_way_rows_match_the_loop_oracle(direction):
+    # every shape with alphabets 1..4, the alphabet-1 ones with empty row blocks
+    alphabets = range(1, MAX_ALPHABET + 1)
+    for shape in itertools.product(alphabets, repeat=4):
+        rows = _one_way_rows(shape, direction)
+        ref = oracles.one_way_rows(shape, direction)
+        assert rows.shape == ref.shape, shape
+        assert np.array_equal(rows, ref), shape
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,32 @@ def test_validity_projection_is_idempotent():
     assert frobenius(validity_projection(w.matrix, w.layout) - w.matrix) < 1e-9
 
 
+def _switch_with_a_output_term() -> ProcessMatrix:
+    # a traceless term on A_O alone: no order allows it
+    term = tensor(np.eye(2), np.diag([1.0, -1.0]), np.eye(16))
+    return ProcessMatrix(quantum_switch_process().matrix + 1e-2 * term, standard_layout(2, 4))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [quantum_switch_process, lambda: dephased_switch(0.5), _switch_with_a_output_term],
+    ids=["switch", "switch-eta-0.5", "switch-plus-a-output-term"],
+)
+def test_validity_residual_with_future_is_the_traced_process_residual(make):
+    w = make()
+    lay4 = standard_layout(2)
+    reduced = partial_trace(w.matrix, w.layout, lay4.labels)
+    ref = frobenius(oracles.validity_projection(reduced, lay4) - reduced)
+    ref /= np.sqrt(w.layout.dim_of("F"))
+    rep = validate_process(w)
+    assert abs(rep.subspace_residual - ref) <= 1e-12
+    if make is _switch_with_a_output_term:
+        assert rep.verdict == "invalid"
+        assert rep.subspace_residual > 1e-3
+    else:
+        assert rep.is_valid
+
+
 # ---------------------------------------------------------------------------
 # ordered processes vs direct circuit simulation
 
@@ -272,7 +298,7 @@ def test_order_projection_is_idempotent():
 # ---------------------------------------------------------------------------
 # Hilbert-Schmidt masks against the reset formulas in oracles.py
 
-MASK_LAYOUT_DIMS = [(2, 2, 2, 2), (2, 2, 2, 2, 4), (3, 3, 2, 2), (2, 2, 2, 2, 2)]
+MASK_LAYOUT_DIMS = [(2, 2, 2, 2), (2, 2, 2, 2, 4), (3, 3, 2, 2), (2, 2, 2, 2, 2), (2, 1, 2, 2, 3)]
 
 
 def _layout(dims):
