@@ -66,11 +66,6 @@ class SpaceLayout:
     def dim_of(self, label: str) -> int:
         return self.dims[self.index(label)]
 
-    def subset(self, keep: tuple[str, ...]) -> "SpaceLayout":
-        """Layout of the kept factors, in this layout's order."""
-        kept = tuple(lab for lab in self.labels if lab in set(keep))
-        return SpaceLayout(kept, tuple(self.dim_of(lab) for lab in kept))
-
 
 def tensor(*operands: np.ndarray) -> np.ndarray:
     """Kronecker product with the left factor most significant.
@@ -105,7 +100,7 @@ def dagger(m: np.ndarray) -> np.ndarray:
 def is_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
     a = as_matrix(m)
     return a.shape[0] == a.shape[1] and bool(
-        np.max(np.abs(a - dagger(a))) <= atol
+        np.max(np.abs(a - a.conj().T)) <= atol
     )
 
 

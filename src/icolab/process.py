@@ -256,20 +256,20 @@ class HSBasis:
 
     def to_coef(self, m: np.ndarray) -> np.ndarray:
         """Coefficients of a complex128 matrix (two parts) or a float64 one
-        (one part) on the layout."""
-        dl, dr = self._blocks
-        t = np.ascontiguousarray(m).view(np.float64).reshape(dl, dr, dl, dr, -1)
-        t = t.transpose(4, 0, 2, 1, 3).reshape((-1,) + self.shape)
+        (one part) on the layout; a stack's own axes stay before the parts."""
+        (dl, dr), lead = self._blocks, m.shape[:-2]
+        t = np.ascontiguousarray(m).view(np.float64).reshape(lead + (dl, dr, dl, dr, -1))
+        t = t.transpose(*range(len(lead)), -1, -5, -3, -4, -2).reshape(lead + (-1,) + self.shape)
         return self._left @ t @ self._right.T
 
     def to_mat(self, c: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`to_coef`: complex128 from two parts, float64
         from one."""
-        dl, dr = self._blocks
-        t = (self._left.T @ c @ self._right).reshape(-1, dl, dl, dr, dr)
-        t = np.ascontiguousarray(t.transpose(1, 3, 2, 4, 0))
-        dtype = np.complex128 if c.shape[0] == 2 else np.float64
-        return t.view(dtype).reshape(self.layout.dim, self.layout.dim)
+        (dl, dr), lead, parts = self._blocks, c.shape[:-3], c.shape[-3]
+        t = (self._left.T @ c @ self._right).reshape(lead + (parts, dl, dl, dr, dr))
+        t = np.ascontiguousarray(t.transpose(*range(len(lead)), -4, -2, -3, -1, -5))
+        dtype = np.complex128 if parts == 2 else np.float64
+        return t.view(dtype).reshape(lead + (self.layout.dim,) * 2)
 
     def mask(self, labels: tuple[str, ...]) -> np.ndarray:
         """0/1 mask of the reset of ``labels``: 1 where every reset factor
@@ -308,6 +308,13 @@ def hs_basis(layout: SpaceLayout) -> HSBasis:
     return HSBasis(layout)
 
 
+def _order_chain(order: str) -> tuple[str, ...]:
+    """The party factors in time order: first party's input and output, then the second's."""
+    if order not in ("AB", "BA"):
+        raise ValueError(f"order must be 'AB' or 'BA', got {order!r}")
+    return PARTY_LABELS if order == "AB" else PARTY_LABELS[2:] + PARTY_LABELS[:2]
+
+
 @lru_cache(maxsize=64)
 def _order_mask(layout: SpaceLayout, order: str) -> np.ndarray:
     """0/1 mask of the processes of one causal order: along the order's chain
@@ -316,13 +323,7 @@ def _order_mask(layout: SpaceLayout, order: str) -> np.ndarray:
     free (Chiribella, D'Ariano and Perinotti, PRA 80, 022339, 2009). So a
     product-basis term is kept when the last factor of the chain it acts on
     nontrivially is an input or F, or when it is the identity."""
-    if order == "AB":
-        chain = ("A_I", "A_O", "B_I", "B_O")
-    elif order == "BA":
-        chain = ("B_I", "B_O", "A_I", "A_O")
-    else:
-        raise ValueError(f"order must be 'AB' or 'BA', got {order!r}")
-    chain += layout.labels[4:]
+    chain = _order_chain(order) + layout.labels[4:]
     m = hs_basis(layout).mask
     out = m(chain)
     for k, lab in enumerate(chain):
@@ -491,18 +492,18 @@ def quantum_switch_process(
     psi = ket(0, d) if psi_t0 is None else np.asarray(psi_t0, dtype=np.complex128).reshape(-1)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
         raise ValueError("psi_t0 must be a unit vector")
+    w_vec = alpha * switch_branch_vector("AB", psi, v0) + beta * switch_branch_vector("BA", psi, v1)
+    return ProcessMatrix(np.outer(w_vec, np.conj(w_vec)), standard_layout(d, 2 * d))
 
-    dims6 = (d, d, d, d, d, 2)
-    final = ("A_I", "A_O", "B_I", "B_O", "F_c", "F_t")
-    w_ab = tensor(psi, vec(v0), vec(np.eye(d)), ket(0))
-    lay_ab = SpaceLayout(("A_I", "A_O", "B_I", "B_O", "F_t", "F_c"), dims6)
-    w_ab, _ = permute_vector_factors(w_ab, lay_ab, final)
-    w_ba = tensor(psi, vec(v1), vec(np.eye(d)), ket(1))
-    lay_ba = SpaceLayout(("B_I", "B_O", "A_I", "A_O", "F_t", "F_c"), dims6)
-    w_ba, _ = permute_vector_factors(w_ba, lay_ba, final)
-    w_vec = alpha * w_ab + beta * w_ba
-    layout = SpaceLayout(PARTY_LABELS + ("F",), (d, d, d, d, 2 * d))
-    return ProcessMatrix(np.outer(w_vec, np.conj(w_vec)), layout)
+
+def switch_branch_vector(order: str, psi: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|w^AB> (order "AB") or |w^BA> ("BA") of :func:`quantum_switch_process`
+    on its layout, for target input ``psi`` and free evolution ``v``
+    between the parties; neither is checked."""
+    first, d = _order_chain(order), len(psi)
+    w = tensor(psi, vec(v), vec(np.eye(d)), ket(("AB", "BA").index(order)))
+    lay = SpaceLayout(first + ("F_t", "F_c"), (d, d, d, d, d, 2))
+    return permute_vector_factors(w, lay, PARTY_LABELS + ("F_c", "F_t"))[0]
 
 
 def born_probabilities(w: ProcessMatrix, a: Instrument, b: Instrument) -> BehaviorTable:
@@ -649,25 +650,31 @@ def _level_onehot(layout: SpaceLayout) -> np.ndarray:
     return out
 
 
-def _psd_clip(m: np.ndarray, sectors: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Positive part of a Hermitian matrix that is block-diagonal over
-    ``sectors`` (as :func:`charge_sectors` returns them), in its own dtype:
-    a real symmetric matrix gets a real eigendecomposition. Each sector size
-    takes one batched eigendecomposition of its blocks (a single sector is
-    the whole matrix), and entries outside the blocks are dropped.
+def _sector_blocks(sectors: tuple[np.ndarray, ...], n: int, k: int) -> tuple[np.ndarray, ...]:
+    """Flat indices of each sector's blocks in a stack of k n x n matrices."""
+    stack = np.arange(k)[:, None, None, None] * n * n
+    return tuple(stack + idx[:, :, None] * n + idx[:, None, :] for idx in sectors)
 
-    The search clips twice per iteration, always a matrix that is finite
-    and Hermitian by construction, so this skips eig_hermitian's input
-    checks (and its complex cast). It keeps eig_hermitian's descending
-    order, and with it the summation order of the product."""
-    n = len(m)
-    out = np.zeros_like(m)
+
+def _psd_clip(m: np.ndarray, sectors: tuple[np.ndarray, ...], blocks=None) -> np.ndarray:
+    """Positive part of a Hermitian matrix that is block-diagonal over
+    ``sectors`` (as :func:`charge_sectors` returns them), or of each matrix
+    of a stack (k, n, n), in its own dtype: a real symmetric matrix gets a
+    real eigendecomposition. Each sector size takes one batched
+    eigendecomposition of its blocks in the whole stack (a single sector is
+    the whole matrix), and entries outside the blocks are dropped. ``blocks``
+    is ``_sector_blocks(sectors, n, k)``, computed here when not given.
+
+    The search clips its two halves as one stack per iteration, finite and
+    Hermitian by construction, so this skips eig_hermitian's input checks
+    (and its complex cast). It keeps eig_hermitian's descending order, and
+    with it the summation order of the product."""
+    n, out = m.shape[-1], np.zeros_like(m)
     flat_m, flat_out = m.reshape(-1), out.reshape(-1)
-    for idx in sectors:
-        blocks = idx[:, :, None] * n + idx[:, None, :]
-        vals, vecs = np.linalg.eigh(flat_m[blocks])
+    for idx in _sector_blocks(sectors, n, m.size // (n * n)) if blocks is None else blocks:
+        vals, vecs = np.linalg.eigh(flat_m[idx])
         vals, vecs = np.maximum(vals[..., None, ::-1], 0.0), vecs[..., ::-1]
-        flat_out[blocks] = (vecs * vals) @ vecs.conj().swapaxes(-1, -2)
+        flat_out[idx] = (vecs * vals) @ vecs.conj().swapaxes(-1, -2)
     return out
 
 
@@ -889,16 +896,14 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     cw_a, cw_b = (in_ab * cw).ravel(), ((1.0 - in_ab) * in_ba * cw).ravel()
 
     sectors = charge_sectors(w)
-
-    def clip(c: np.ndarray) -> np.ndarray:
-        return basis.to_coef(_psd_clip(basis.to_mat(c), sectors))
+    blocks = _sector_blocks(sectors, lay.dim, 2)
 
     zx, zy = _order_split(cw, cw / 2.0, cw / 2.0, in_ab, in_ba)
     witness, value = None, None
     for used in range(1, iters + 1):
         xa, ya = _order_split(cw, zx, zy, in_ab, in_ba)
         xr, yr = 2.0 * xa - zx, 2.0 * ya - zy
-        xb, yb = clip(xr), clip(yr)
+        xb, yb = basis.to_coef(_psd_clip(basis.to_mat(np.stack((xr, yr))), sectors, blocks))
         # the basis is orthogonal: coefficient norms are Frobenius norms
         gap = float(np.hypot(np.linalg.norm(xb - xa), np.linalg.norm(yb - ya)))
         zx, zy = zx + xb - xa, zy + yb - ya

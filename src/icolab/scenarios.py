@@ -44,6 +44,8 @@ from .process import (
     neutral_process,
     quantum_switch_process,
     separability_heuristic,
+    standard_layout,
+    switch_branch_vector,
     validate_process,
 )
 from .switch import (
@@ -60,8 +62,9 @@ from .switch import (
 # conditioned_target_state and reduced_target_state are not called here: the
 # double-switch state is built once per run and conditioned in place. Nor is
 # optimize_chsh: the correlation stage takes chsh_settings and builds its one
-# Born table itself. All three stay names of this module because
-# perfbench/tracing.py instruments every name in its SCENARIO_LAYERS here.
+# Born table itself. Nor are mix and quantum_switch_process: the process is
+# formed from its branch vectors. All five stay names of this module only
+# because perfbench/tracing.py instruments every name in its SCENARIO_LAYERS here.
 
 REPORT_SCHEMA = "icolab/run-report/v4"
 
@@ -402,37 +405,37 @@ def _one_order(w: ProcessMatrix, order: str) -> Decomposition:
 def _scenario_process(spec: DoubleSwitchSpec) -> tuple[ProcessMatrix, str, Decomposition | None]:
     """The scenario's process matrix, its construction label, and the
     decomposition (q, W_AB, W_BA) it was built from when it is a mixture of
-    ordered processes (None when coherent branches run both orders)."""
+    ordered processes (None when coherent branches run both orders), all
+    formed from the branch vectors; only what is returned becomes a ProcessMatrix."""
     sw = spec.switch1
-    common = {"target_dim": sw.target_dim, "psi_t0": sw.psi_t0}
+    layout = standard_layout(sw.target_dim, 2 * sw.target_dim)
     branches = spec.branches
-    vs = [(sw.v0, sw.v1)[b.index] for b in branches]
+    vecs = [switch_branch_vector(b.order, sw.psi_t0, (sw.v0, sw.v1)[b.index]) for b in branches]
+    b0, b1 = branches[0], branches[-1]
+    coherent = b0.amplitude is not None and b0.order != b1.order
+    if coherent:
+        w = complex(b0.amplitude) * vecs[0] + complex(b1.amplitude) * vecs[1]
+        w = np.outer(w, w.conj())
+        if spec.visibility == 1.0:
+            return ProcessMatrix(w, layout), "coherent switch process (one target line)", None
     # each branch alone: the switch process that runs its order only
-    ordered = [
-        quantum_switch_process((1.0, 0.0) if b.order == "AB" else (0.0, 1.0), v0=v, v1=v, **common)
-        for b, v in zip(branches, vs)
-    ]
+    ordered = [np.outer(x, x.conj()) for x in vecs]
     if len(branches) == 1:
-        order = branches[0].order
-        return ordered[0], f"definite-order process ({order})", _one_order(ordered[0], order)
-    b0, b1 = branches
-    mixed = mix(ordered[0], ordered[1], b0.weight)
+        w = ProcessMatrix(ordered[0], layout)
+        return w, f"definite-order process ({b0.order})", _one_order(w, b0.order)
+    mixed = b0.weight * ordered[0] + (1.0 - b0.weight) * ordered[1]
     if b0.order == b1.order:
-        return mixed, "environment-weighted mixture of same-order processes", _one_order(mixed, b0.order)
+        w = ProcessMatrix(mixed, layout)
+        return w, "environment-weighted mixture of same-order processes", _one_order(w, b0.order)
     # two orders: branch 0 runs AB
-    both = (b0.weight, ordered[0], ordered[1])
-    if b0.amplitude is None:
-        return mixed, "classical mixture of the two ordered processes", both
-    w = quantum_switch_process((b0.amplitude, b1.amplitude), v0=vs[0], v1=vs[1], **common)
-    if spec.visibility == 1.0:
-        return w, "coherent switch process (one target line)", None
+    eta = spec.visibility
+    both = None if coherent and eta > 0.0 else (b0.weight, *(ProcessMatrix(m, layout) for m in ordered))
+    if not coherent:
+        return ProcessMatrix(mixed, layout), "classical mixture of the two ordered processes", both
     # Dephasing the control damps only the AB/BA cross terms:
     # W(eta) = eta |w><w| + (1 - eta) (|alpha|^2 W_AB + |beta|^2 W_BA)
-    return (
-        mix(w, mixed, spec.visibility),
-        "partially dephased coherent switch process (one target line)",
-        both if spec.visibility == 0.0 else None,
-    )
+    w = ProcessMatrix(eta * w + (1.0 - eta) * mixed, layout)
+    return w, "partially dephased coherent switch process (one target line)", both
 
 
 def _correlation_sections(config: ScenarioConfig) -> dict:
@@ -475,6 +478,14 @@ def _correlation_sections(config: ScenarioConfig) -> dict:
     }
 
 
+# CHSH above 2 rules out a temporally local model only under A5, keyed by a5_satisfied
+_CHSH_NOTES = {
+    True: "CHSH exceeds the classical bound 2: conditioned target statistics"
+    " admit no temporally local model",
+    False: "CHSH exceeds the classical bound 2, but A5 is not satisfied: a definite-order model"
+    " with an order- or environment-dependent free evolution can reproduce it; see"
+    " temporal_locality section",
+}
 _ORDER_NOTES = {
     "separable": "definite or mixed (separable decomposition certified)",
     "nonseparable": "indefinite (causal nonseparability witness certified)",
@@ -499,8 +510,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
 
     notes = [
         (
-            "CHSH exceeds the classical bound 2: conditioned target statistics"
-            " admit no temporally local model"
+            _CHSH_NOTES[spec.a5_satisfied]
             if sections["chsh"]["value"] > classical_chsh_bound() + 1e-9
             else "CHSH within the classical bound"
         ),

@@ -533,3 +533,48 @@ def one_way_rows(shape, direction):
                     row[idx(0, 0, o1, o2)] -= 1.0
             rows.append(row)
     return np.array(rows).reshape(-1, n)
+
+
+# ---------------------------------------------------------------------------
+# retired scenario build
+
+
+def scenario_process_parts(spec):
+    """The retired three-process build of a scenario's process matrix: one
+    switch process per branch that runs that branch's order only, a coherent
+    switch process, and their mixtures by ``mix``. Returns the matrices of
+    (W, W_AB, W_BA), the last two None when W is coherent at visibility 1;
+    W_AB and W_BA are the two ordered parts when W mixes two orders, and
+    the definite or same-order process with the neutral process otherwise.
+
+    Unlike the rest of this module it calls into icolab, for the unchanged
+    ``quantum_switch_process`` and ``mix``: what it pins is that the build
+    from branch vectors reproduces the old arithmetic bit for bit."""
+    from icolab.process import mix, neutral_process, quantum_switch_process
+
+    sw = spec.switch1
+    common = {"target_dim": sw.target_dim, "psi_t0": sw.psi_t0}
+    branches = spec.branches
+    vs = [(sw.v0, sw.v1)[b.index] for b in branches]
+    ordered = [
+        quantum_switch_process((1.0, 0.0) if b.order == "AB" else (0.0, 1.0), v0=v, v1=v, **common)
+        for b, v in zip(branches, vs)
+    ]
+
+    def one_order(w, order):
+        neutral = neutral_process(w.layout).matrix
+        return (w.matrix, neutral) if order == "AB" else (neutral, w.matrix)
+
+    if len(branches) == 1:
+        return (ordered[0].matrix, *one_order(ordered[0], branches[0].order))
+    b0, b1 = branches
+    mixed = mix(ordered[0], ordered[1], b0.weight)
+    if b0.order == b1.order:
+        return (mixed.matrix, *one_order(mixed, b0.order))
+    both = (ordered[0].matrix, ordered[1].matrix)
+    if b0.amplitude is None:
+        return (mixed.matrix, *both)
+    w = quantum_switch_process((b0.amplitude, b1.amplitude), v0=vs[0], v1=vs[1], **common)
+    if spec.visibility == 1.0:
+        return w.matrix, None, None
+    return (mix(w, mixed, spec.visibility).matrix, *(both if spec.visibility == 0.0 else (None, None)))

@@ -68,8 +68,6 @@ def test_layout_indexing():
     assert lay.dim == 24
     assert lay.index("b") == 1
     assert lay.dim_of("c") == 4
-    sub = lay.subset(("a", "c"))
-    assert sub.labels == ("a", "c") and sub.dims == (2, 4)
     with pytest.raises(ValueError):
         SpaceLayout(("a", "a"), (2, 2))
 

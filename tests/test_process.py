@@ -20,6 +20,7 @@ from icolab.process import (
     _order_mask,
     _order_split,
     _psd_clip,
+    _sector_blocks,
     _validity_mask,
     certify_decomposition,
     charge_sectors,
@@ -672,9 +673,9 @@ def test_real_process_is_searched_in_real_arithmetic(monkeypatch):
         seen.append(a.dtype)
         return eigh(a, *args, **kwargs)
 
-    def counted(m, sectors):
-        clips.append(m.dtype)
-        return psd_clip(m, sectors)
+    def counted(m, *args):
+        clips.append((m.dtype, m.shape))
+        return psd_clip(m, *args)
 
     eigh, psd_clip = np.linalg.eigh, process._psd_clip
     monkeypatch.setattr(np.linalg, "eigh", recorded)
@@ -687,7 +688,8 @@ def test_real_process_is_searched_in_real_arithmetic(monkeypatch):
         clips.clear()
         rep = separability_heuristic(proc)
         assert rep.verdict == "nonseparable"
-        assert len(clips) == 2 * rep.iterations
+        # one clip per iteration, of the stacked halves X and Y
+        assert clips == [(np.dtype(dtype), (2,) + m.shape)] * rep.iterations
         assert set(seen) == {np.dtype(dtype)}
         assert {s.dtype for s in rep.witness} == {np.dtype(dtype)}
 
@@ -785,9 +787,9 @@ def test_dense_ordered_mixture_is_one_sector_clipped_whole():
 def test_sector_clip_matches_the_full_clip_on_the_coherent_search(monkeypatch):
     inputs = []
 
-    def recorded(m, sectors):
+    def recorded(m, sectors, *args):
         inputs.append((m, sectors))
-        return clip(m, sectors)
+        return clip(m, sectors, *args)
 
     clip = process._psd_clip
     monkeypatch.setattr(process, "_psd_clip", recorded)
@@ -795,10 +797,49 @@ def test_sector_clip_matches_the_full_clip_on_the_coherent_search(monkeypatch):
         separability_heuristic(w).iterations
         for w in (coherent_process(), phase_rotated(coherent_process(), 7))
     )
-    assert len(inputs) == 2 * iterations
-    for m, sectors in inputs:
-        assert len(sectors) == 7
-        assert frobenius(clip(m, sectors) - oracles.psd_clip(m)) <= 1e-13 * frobenius(m)
+    # one stacked clip of both halves per iteration
+    assert len(inputs) == iterations
+    for stack, sectors in inputs:
+        assert len(sectors) == 7 and stack.shape == (2, 64, 64)
+        for m, got in zip(stack, clip(stack, sectors)):
+            assert frobenius(got - oracles.psd_clip(m)) <= 1e-13 * frobenius(m)
+
+
+def test_stacked_clip_equals_the_clip_of_each_matrix(monkeypatch):
+    # bit for bit, on the stacks the coherent searches clip, real and complex
+    stacks = []
+
+    def recorded(m, *args):
+        stacks.append((m, args))
+        return clip(m, *args)
+
+    clip = process._psd_clip
+    monkeypatch.setattr(process, "_psd_clip", recorded)
+    for w in (coherent_process(), phase_rotated(coherent_process(), 7)):
+        separability_heuristic(w)
+    assert {m.dtype for m, _ in stacks} == {np.dtype(np.float64), np.dtype(np.complex128)}
+    for stack, (sectors, blocks) in stacks:
+        assert all(np.array_equal(b, s) for b, s in zip(blocks, _sector_blocks(sectors, 64, 2)))
+        got = clip(stack, sectors)
+        assert got.dtype == stack.dtype and np.array_equal(got, clip(stack, sectors, blocks))
+        for m, row in zip(stack, got):
+            assert np.array_equal(row, clip(m, sectors))
+
+
+def test_hs_basis_converts_a_stack_item_by_item():
+    rng = np.random.default_rng(3)
+    for layout in (standard_layout(2), standard_layout(2, 4), SpaceLayout(PARTY_LABELS, (2, 3, 3, 2))):
+        basis = hs_basis(layout)
+        n = layout.dim
+        for dtype in (np.float64, np.complex128):
+            stack = np.array([random_hermitian(rng, n) for _ in range(3)])
+            stack = stack if dtype == np.complex128 else stack.real.copy()
+            coef = basis.to_coef(stack)
+            assert coef.shape == (3, 2 if dtype == np.complex128 else 1) + basis.shape
+            assert all(np.array_equal(c, basis.to_coef(m)) for c, m in zip(coef, stack))
+            back = basis.to_mat(coef)
+            assert back.dtype == dtype and back.shape == stack.shape
+            assert all(np.array_equal(b, basis.to_mat(c)) for b, c in zip(back, coef))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])

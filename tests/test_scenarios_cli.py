@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import os
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from icolab import bell, process, scenarios, switch
 from icolab.process import certify_decomposition, quantum_switch_process
 from icolab.scenarios import (
@@ -363,6 +365,53 @@ def test_full_visibility_process_is_the_pure_switch():
     assert np.array_equal(w.matrix, pure.matrix)
     assert construction == "coherent switch process (one target line)"
     assert candidate is None
+
+
+def _comparison_configs() -> dict:
+    """The run configs of tools/report_bytes.py, by name."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "report_bytes.py"
+    spec = importlib.util.spec_from_file_location("report_bytes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.RUN_CONFIGS
+
+
+BUILD_CONFIGS = {
+    **_comparison_configs(),
+    **{
+        f"coherent-visibility-{eta}": {"scenario": "double-switch-coherent", "visibility": eta}
+        for eta in (0.0, 1e-3, 0.3, 1.0)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILD_CONFIGS))
+def test_branch_vector_build_matches_the_three_process_build(name):
+    spec = ScenarioConfig.from_dict(BUILD_CONFIGS[name]).spec
+    w, _, candidate = _scenario_process(spec)
+    want = oracles.scenario_process_parts(spec)
+    got = (w.matrix, None, None) if candidate is None else (w.matrix, *(p.matrix for p in candidate[1:]))
+    for part, ref in zip(got, want):
+        assert (part is None) == (ref is None)
+        assert part is None or np.array_equal(part, ref)
+
+
+def test_no_temporally_local_model_note_needs_a5_and_no_passing_audit():
+    configs = {**_comparison_configs(), **{name: {"scenario": name} for name in BUILTIN_SCENARIOS}}
+    seen = set()
+    for name, data in configs.items():
+        rep = run_scenario(ScenarioConfig.from_dict(data)).report
+        audit, note = rep["temporal_locality"], rep["notes"][0]
+        above = rep["chsh"]["value"] > 2.0 + 1e-9
+        seen.add((above, rep["assumptions"]["a5_satisfied"]))
+        if "no temporally local model" in note:
+            assert rep["assumptions"]["a5_satisfied"], name
+            assert not (audit["applicable"] and audit["passed"]), name
+        if above and not rep["assumptions"]["a5_satisfied"]:
+            assert "A5 is not satisfied" in note and "temporal_locality" in note, name
+        assert note.startswith("CHSH exceeds") == above, name
+    # both notes above 2 are exercised
+    assert {(True, True), (True, False)} <= seen
 
 
 def test_fixed_settings_path(monkeypatch):
