@@ -78,7 +78,9 @@ def tensor(*operands: np.ndarray) -> np.ndarray:
         raise ValueError("tensor() needs at least one operand")
     arrays = [np.asarray(op, dtype=np.complex128) for op in operands]
     all_vectors = all(a.ndim == 1 for a in arrays)
-    mats = [as_matrix(a) for a in arrays]
+    mats = [a.reshape(-1, 1) if a.ndim == 1 else a for a in arrays]
+    if any(m.ndim != 2 for m in mats):
+        raise ValueError("tensor() takes matrices and vectors")
     rows = prod(m.shape[0] for m in mats)
     cols = prod(m.shape[1] for m in mats)
     if max(rows, cols) > MAX_DIM:
@@ -90,6 +92,9 @@ def tensor(*operands: np.ndarray) -> np.ndarray:
     for m in mats[1:]:
         r, c = out.shape[0] * m.shape[0], out.shape[1] * m.shape[1]
         out = (out[:, None, :, None] * m[None, :, None, :]).reshape(r, c)
+    # one check for every operand: a non-finite entry times anything is non-finite (0 * inf is nan)
+    if not np.isfinite(out).all():
+        raise ValueError("matrix contains non-finite entries")
     return out.reshape(-1) if all_vectors else out
 
 
@@ -98,10 +103,12 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
-    a = as_matrix(m)
-    return a.shape[0] == a.shape[1] and bool(
-        np.max(np.abs(a - a.conj().T)) <= atol
-    )
+    return _is_hermitian(as_matrix(m), atol)
+
+
+def _is_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
+    """:func:`is_hermitian` of a matrix :func:`as_matrix` has already returned."""
+    return a.shape[0] == a.shape[1] and bool(np.max(np.abs(a - a.conj().T)) <= atol)
 
 
 def is_unitary(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
@@ -183,7 +190,7 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and degenerate-subspace rotation; callers must not compare them entrywise.
     """
     a = as_matrix(m)
-    if not is_hermitian(a):
+    if not _is_hermitian(a):
         raise ValueError("eig_hermitian requires a Hermitian matrix")
     vals, vecs = np.linalg.eigh(a)
     order = np.argsort(vals)[::-1]
@@ -193,7 +200,7 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def is_psd(m: np.ndarray, tol: float) -> bool:
     """True iff ``m`` is Hermitian and its minimum eigenvalue is >= -tol."""
     a = as_matrix(m)
-    if not is_hermitian(a):
+    if not _is_hermitian(a):
         raise ValueError("is_psd requires a Hermitian matrix")
     return bool(np.linalg.eigvalsh(a)[0] >= -tol)
 

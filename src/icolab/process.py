@@ -34,6 +34,7 @@ import numpy as np
 from .bell import BehaviorTable
 from .linalg import (
     SpaceLayout,
+    _is_hermitian,
     as_matrix,
     eig_hermitian,
     frobenius,
@@ -171,11 +172,12 @@ class Instrument:
 class ProcessMatrix:
     """A process matrix with its factor layout.
 
-    The constructor checks only structure (layout shape, Hermiticity) and
-    keeps a read-only copy of the matrix, so both hold for the instance's
-    lifetime. The physical invariants — PSD, trace d_AO*d_BO, valid linear
-    subspace — are audited once per instance by :func:`validate_process`
-    and hold for every matrix built by this module's constructors.
+    The constructor checks only structure (layout shape, finite Hermitian
+    entries) and keeps a read-only copy of the matrix, so both hold for the
+    instance's lifetime. The physical invariants — PSD, trace d_AO*d_BO,
+    valid linear subspace — are audited once per instance by
+    :func:`validate_process` and hold for every matrix built by this
+    module's constructors.
     """
 
     matrix: np.ndarray
@@ -192,7 +194,7 @@ class ProcessMatrix:
             raise ValueError(
                 f"matrix shape {m.shape} does not match layout dimension {self.layout.dim}"
             )
-        if not is_hermitian(m):
+        if not _is_hermitian(m):
             raise ValueError("process matrix must be Hermitian")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
@@ -200,7 +202,17 @@ class ProcessMatrix:
     @cached_property
     def _validity(self) -> "ValidityReport":
         """What :func:`validate_process` returns, computed on first use."""
-        return _validity_report(self.matrix, self.layout)
+        return _validity_report(self)
+
+    @cached_property
+    def _coef(self) -> np.ndarray:
+        """The read-only :class:`HSBasis` coefficients that validity, the
+        search and the certificate check share: one float64 part for a real
+        matrix, two otherwise."""
+        m = self.matrix
+        coef = hs_basis(self.layout).to_coef(m.real if not m.imag.any() else m)
+        coef.flags.writeable = False
+        return coef
 
     @property
     def expected_trace(self) -> float:
@@ -394,14 +406,15 @@ def validate_process(w: ProcessMatrix) -> ValidityReport:
     return w._validity
 
 
-def _validity_report(m: np.ndarray, lay: SpaceLayout) -> ValidityReport:
-    """The checks of :func:`validate_process` on a Hermitian matrix."""
-    part = m.real if not m.imag.any() else m
-    psd_margin = float(np.linalg.eigvalsh(part)[0])
+def _validity_report(w: ProcessMatrix) -> ValidityReport:
+    """The checks of :func:`validate_process` on W's matrix and coefficients."""
+    m, lay, coef = w.matrix, w.layout, w._coef
+    # a real matrix has one coefficient part; its eigenvalues are computed in float64
+    psd_margin = float(np.linalg.eigvalsh(m.real if len(coef) == 1 else m)[0])
     expected = lay.dim_of("A_O") * lay.dim_of("B_O")
     trace_error = float(np.real(np.trace(m)) - expected)
     # the basis is orthogonal: the distance is the norm of the masked-out coefficients
-    outside = (1.0 - _validity_mask(lay)) * hs_basis(lay).to_coef(part)
+    outside = (1.0 - _validity_mask(lay)) * coef
     residual = float(np.linalg.norm(outside))
     ok = psd_margin >= -PSD_ATOL and abs(trace_error) <= TRACE_ATOL and residual <= SUBSPACE_ATOL
     return ValidityReport(psd_margin, trace_error, residual, "valid" if ok else "invalid")
@@ -437,19 +450,8 @@ def ordered_process(
     else:
         raise ValueError(f"post must be 'discard' or 'future', got {post!r}")
     m = tensor(rho, c_mid, tail)
-    if order == "AB":
-        built = SpaceLayout(
-            ("A_I", "A_O", "B_I", "B_O") + tail_labels, (d1, d1, d2, d2) + tail_dims
-        )
-    elif order == "BA":
-        built = SpaceLayout(
-            ("B_I", "B_O", "A_I", "A_O") + tail_labels, (d1, d1, d2, d2) + tail_dims
-        )
-    else:
-        raise ValueError(f"order must be 'AB' or 'BA', got {order!r}")
-    target = PARTY_LABELS + tail_labels
-    m, layout = permute_factors(m, built, target)
-    return ProcessMatrix(m, layout)
+    built = SpaceLayout(_order_chain(order) + tail_labels, (d1, d1, d2, d2) + tail_dims)
+    return ProcessMatrix(*permute_factors(m, built, PARTY_LABELS + tail_labels))
 
 
 def mix(w1: ProcessMatrix, w2: ProcessMatrix, q: float) -> ProcessMatrix:
@@ -607,13 +609,14 @@ def charge_sectors(w: ProcessMatrix) -> tuple[np.ndarray, ...]:
     in increasing order; a W whose nonzero entries connect every basis
     state gives the single sector ``(arange(dim)[None],)``.
     """
-    return _charge_sectors(w.layout, np.packbits(w.matrix != 0).tobytes())
+    return _charge_sectors(w.layout, np.packbits(w.matrix != 0).tobytes())[0]
 
 
 @lru_cache(maxsize=32)
-def _charge_sectors(lay: SpaceLayout, pattern: bytes) -> tuple[np.ndarray, ...]:
+def _charge_sectors(lay: SpaceLayout, pattern: bytes) -> tuple[tuple[np.ndarray, ...], ...]:
     """The sectors of :func:`charge_sectors` for a layout and the packed
-    bits of a nonzero pattern on it."""
+    bits of a nonzero pattern on it, and their :func:`_sector_blocks` in the
+    search's stack of two halves, X and Y; all read-only."""
     n = lay.dim
     adj = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=n * n).reshape(n, n) != 0
     onehot = _level_onehot(lay)
@@ -633,9 +636,10 @@ def _charge_sectors(lay: SpaceLayout, pattern: bytes) -> tuple[np.ndarray, ...]:
     order = np.lexsort((first, -size))
     groups = np.split(order, np.flatnonzero(np.diff(size[order])) + 1)
     sectors = tuple(g.reshape(-1, size[g[0]]) for g in groups)
-    for idx in sectors:
+    blocks = _sector_blocks(sectors, n, 2)
+    for idx in sectors + blocks:
         idx.flags.writeable = False
-    return sectors
+    return sectors, blocks
 
 
 @lru_cache(maxsize=32)
@@ -748,14 +752,12 @@ def certify_decomposition(
     m, lay = w.matrix, w.layout
     if not 0.0 <= q <= 1.0 or w_ab.layout != lay or w_ba.layout != lay:
         return None
-    basis = hs_basis(lay)
     for part, order in ((w_ab, "AB"), (w_ba, "BA")):
         if not validate_process(part).is_valid:
             return None
         # the basis is orthogonal: ||P m - m|| is the norm of the masked-out coefficients
-        mat = part.matrix
-        outside = np.linalg.norm((1.0 - _order_mask(lay, order)) * basis.to_coef(mat))
-        if outside > 1e-9 * max(1.0, frobenius(mat)):
+        outside = np.linalg.norm((1.0 - _order_mask(lay, order)) * part._coef)
+        if outside > 1e-9 * max(1.0, np.linalg.norm(part.matrix)):
             return None
     recon = frobenius(q * w_ab.matrix + (1 - q) * w_ba.matrix - m) / max(1.0, frobenius(m))
     # The search's in-subspace eigenvalue lift can inflate the reconstruction
@@ -767,33 +769,34 @@ def certify_decomposition(
 
 
 def _certificate_components(
-    x: np.ndarray, y: np.ndarray, layout: SpaceLayout
+    cx: np.ndarray, cy: np.ndarray, layout: SpaceLayout
 ) -> tuple[float, ProcessMatrix, ProcessMatrix] | None:
-    """Candidate decomposition from the search's terminal pair: q from the
-    trace of x, each part put back into its order subspace, lifted to PSD and
+    """Candidate decomposition from the search's terminal affine point, the
+    coefficients (cx, cy) of X in the AB and Y in the BA subspace: q from
+    the trace of X, each part lifted to PSD in the search's dtype and
     renormalized. :func:`certify_decomposition` decides whether it holds."""
     expected = layout.dim_of("A_O") * layout.dim_of("B_O")
-    q = float(np.real(np.trace(x)) / expected)
-    q = min(max(q, 0.0), 1.0)
-    parts: list[ProcessMatrix] = []
-    for comp, weight, order in ((x, q, "AB"), (y, 1.0 - q, "BA")):
+    mats = hs_basis(layout).to_mat(np.stack((cx, cy)))
+    q = min(max(float(np.real(np.trace(mats[0]))) / expected, 0.0), 1.0)
+    weights = np.array([q, 1.0 - q])
+    # a part of weight below 1e-6 is padded, and its eigenvalues go unused
+    mats = mats / np.maximum(weights, 1e-6)[:, None, None]
+    mats = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
+    vals = np.linalg.eigvalsh(mats)
+    parts = []
+    for mat, weight, low, high in zip(mats, weights, vals[:, 0], vals[:, -1]):
         if weight < 1e-6:
             parts.append(neutral_process(layout))
             continue
         # Restore positivity inside the order subspace: the identity lies in
         # every order subspace, so an eigenvalue lift preserves exact comb
         # membership where an eigenvalue clip would not.
-        mat = order_projection(comp / weight, layout, order)
-        mat = 0.5 * (mat + np.conj(mat).T)
-        vals, _ = eig_hermitian(mat)
-        lift = -float(vals[-1])
-        if lift > 0.0:
-            mat = mat + (lift + 1e-14 * max(1.0, float(vals[0]))) * np.eye(layout.dim)
+        if low < 0.0:
+            mat = mat + (-float(low) + 1e-14 * max(1.0, float(high))) * np.eye(layout.dim)
         tr = float(np.real(np.trace(mat)))
         if tr <= 0:
             return None
-        mat *= expected / tr
-        parts.append(ProcessMatrix(mat, layout))
+        parts.append(ProcessMatrix(mat * (expected / tr), layout))
     return q, parts[0], parts[1]
 
 
@@ -815,11 +818,12 @@ def _certify_witness(
     eps = 0.0
     for p, order in ((p_ab, "AB"), (p_ba, "BA")):
         # the basis is orthogonal: ||P_X(S - P)|| is the norm of its masked coefficients
-        inside = np.linalg.norm(_order_mask(lay, order) * basis.to_coef(as_matrix(s - p)))
+        inside = np.linalg.norm(_order_mask(lay, order) * basis.to_coef(s - p))
         eps = max(eps, max(0.0, -float(np.linalg.eigvalsh(p)[0])) + inside)
-    slack = WITNESS_RTOL * (frobenius(p_ab) + frobenius(p_ba))
+    slack = WITNESS_RTOL * (np.linalg.norm(p_ab) + np.linalg.norm(p_ba))
     value = witness_value(w, s)
     if value < -(eps + slack) * w.expected_trace:
+        # the reported value divides by the complex128 norm of S, which report bytes pin
         return value / frobenius(s)
     return None
 
@@ -891,12 +895,11 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     basis = hs_basis(lay)
     in_ab, in_ba = _order_mask(lay, "AB"), _order_mask(lay, "BA")
     both = in_ab * in_ba
-    cw = basis.to_coef(m.real if not m.imag.any() else m)
+    cw = w._coef
     # tr(S W) = <gx, in_ab cw> + <gy, (1 - in_ab) in_ba cw>
     cw_a, cw_b = (in_ab * cw).ravel(), ((1.0 - in_ab) * in_ba * cw).ravel()
 
-    sectors = charge_sectors(w)
-    blocks = _sector_blocks(sectors, lay.dim, 2)
+    sectors, blocks = _charge_sectors(lay, np.packbits(m != 0).tobytes())
 
     zx, zy = _order_split(cw, cw / 2.0, cw / 2.0, in_ab, in_ba)
     witness, value = None, None
@@ -924,8 +927,7 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     if witness is not None:
         return SeparabilityReport(None, residual, used, witness, value)
     if gap < SEARCH_TOL * scale:
-        xf, yf = (basis.to_mat(c) for c in _order_split(cw, xb, yb, in_ab, in_ba))
-        candidate = _certificate_components(xf, yf, lay)
+        candidate = _certificate_components(*_order_split(cw, xb, yb, in_ab, in_ba), lay)
         cert = None if candidate is None else certify_decomposition(w, *candidate)
         if cert is not None:
             return replace(cert, residual=max(residual, cert.residual), iterations=used)

@@ -266,6 +266,56 @@ def order_projection(w, layout, order):
     return r(w, (second_o,)) - r(inner, (second_o, second_i))
 
 
+def certificate_candidate(x, y, layout):
+    """The separability search's candidate builder as it was before the
+    search built its candidate from coefficients: from the matrices X, Y of
+    the search's terminal affine point, q = tr X / d_O clamped to [0, 1].
+    Each part of weight at least 1e-6 is divided by its weight, projected
+    onto its order subspace by resets, made Hermitian, lifted by its least
+    eigenvalue (plus 1e-14 max(1, largest eigenvalue)) times the identity
+    when that is negative, and renormalized to trace d_O. Returns
+    (q, X', Y') with None for a part too light to lift, which the caller
+    pads, or None when a part has trace <= 0."""
+    d = dict(zip(layout.labels, layout.dims))
+    expected = d["A_O"] * d["B_O"]
+    q = min(max(float(np.real(np.trace(x)) / expected), 0.0), 1.0)
+    parts = []
+    for comp, weight, order in ((x, q, "AB"), (y, 1.0 - q, "BA")):
+        if weight < 1e-6:
+            parts.append(None)
+            continue
+        mat = order_projection(comp / weight, layout, order)
+        mat = 0.5 * (mat + np.conj(mat).T)
+        vals = np.linalg.eigvalsh(mat)
+        if vals[0] < 0.0:
+            mat = mat + (-vals[0] + 1e-14 * max(1.0, vals[-1])) * np.eye(len(mat))
+        tr = float(np.real(np.trace(mat)))
+        if tr <= 0:
+            return None
+        parts.append(mat * (expected / tr))
+    return q, parts[0], parts[1]
+
+
+def decomposition_defects(w, layout, q, w_ab, w_ba):
+    """How far a decomposition W = q W_AB + (1-q) W_BA is from holding, by
+    partial traces alone: the largest of each part's Hermiticity defect,
+    negative eigenvalue, trace error and distance from its order subspace,
+    and separately the relative reconstruction error."""
+    d = dict(zip(layout.labels, layout.dims))
+    worst = 0.0 if 0.0 <= q <= 1.0 else np.inf
+    for part, order in ((w_ab, "AB"), (w_ba, "BA")):
+        part = np.asarray(part, dtype=np.complex128)
+        worst = max(
+            worst,
+            np.abs(part - part.conj().T).max(),
+            -np.linalg.eigvalsh(part)[0],
+            abs(np.real(np.trace(part)) - d["A_O"] * d["B_O"]),
+            np.abs(order_projection(part, layout, order) - part).max(),
+        )
+    recon = np.linalg.norm(q * w_ab + (1 - q) * w_ba - w) / max(1.0, np.linalg.norm(w))
+    return float(worst), float(recon)
+
+
 def witness_margin(w, layout, s, p_ab, p_ba, tol=1e-9):
     """Check a causal nonseparability witness S with its parts P_AB, P_BA
     (Araujo et al., NJP 17, 102001, 2015) by the reset projectors above:

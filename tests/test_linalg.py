@@ -63,6 +63,28 @@ def test_tensor_capacity_guard():
         tensor(big, np.eye(2))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tensor_rejects_non_finite_operands(bad):
+    # one check on the product: a non-finite entry stays non-finite in it,
+    # next to zeros too (0 * inf is nan)
+    m = np.eye(2, dtype=np.complex128)
+    m[0, 1] = bad
+    for operands in ((m, np.eye(2)), (np.zeros((2, 2)), m), (ket(0), np.array([bad, 0.0])), (m,)):
+        with pytest.raises(ValueError, match="non-finite"):
+            tensor(*operands)
+    with pytest.raises(ValueError):
+        tensor(np.ones((2, 2, 2)), np.eye(2))
+
+
+def test_eigen_checks_reject_non_finite_and_non_hermitian_input():
+    for fn in (eig_hermitian, lambda m: is_psd(m, 1e-12)):
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(np.diag([1.0, np.nan]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            fn(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
 def test_layout_indexing():
     lay = SpaceLayout(("a", "b", "c"), (2, 3, 4))
     assert lay.dim == 24

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from icolab import process
-from icolab.linalg import SpaceLayout, frobenius, ket, partial_trace, projector, tensor
+from icolab.linalg import HERMITICITY_ATOL, SpaceLayout, frobenius, ket, partial_trace, projector, tensor
 from icolab.process import (
     PARTY_LABELS,
     Instrument,
@@ -734,6 +734,88 @@ def test_complex_search_reports_are_pinned():
         assert separability_heuristic(w).to_json_dict() == golden[name], name
 
 
+def certificate_pool() -> dict[str, ProcessMatrix]:
+    """The undamped pool at seed 1, the complex search inputs, and a seeded
+    slice of the kinds the benchmark searches: ordered mixtures damped by
+    white noise, random valid processes and OCB processes with white noise
+    (the first one noiseless)."""
+    pool = {f"undamped-{k}": w for k, w in enumerate(undamped_ordered_mixtures(1, 8))}
+    pool.update(complex_search_inputs())
+    rng = np.random.default_rng(23)
+    for k, w in enumerate(undamped_ordered_mixtures(23, 5)):
+        pool[f"damped-{k}"] = mix(w, neutral_process(w.layout), 1.0 - rng.uniform(0.3, 0.35))
+        pool[f"random-valid-{k}"] = random_valid_process(rng, 2, rng.uniform(0.4, 0.7))
+        pool[f"ocb-{k}"] = ocb_process(rng.uniform() if k else 0.0)
+    return pool
+
+
+def retired_candidate(cx, cy, lay):
+    """The oracle's candidate builder on the matrices of the search's
+    terminal affine point, padded as the search pads."""
+    x, y = (hs_basis(lay).to_mat(c) for c in (cx, cy))
+    out = oracles.certificate_candidate(x, y, lay)
+    if out is None:
+        return None
+    q, *parts = out
+    return q, *(neutral_process(lay) if m is None else ProcessMatrix(m, lay) for m in parts)
+
+
+def test_candidate_from_coefficients_agrees_with_the_retired_builder(monkeypatch):
+    # the builder runs once, after the search loop; a search that never
+    # reaches it (a witness, or the cap) runs the same code on both paths,
+    # so only the searches that reach it are run again with the oracle's
+    pool, built = certificate_pool(), []
+
+    def recorded(cx, cy, lay):
+        built.append(name)
+        return components(cx, cy, lay)
+
+    components = process._certificate_components
+    monkeypatch.setattr(process, "_certificate_components", recorded)
+    new = {}
+    for name, w in pool.items():
+        new[name] = separability_heuristic(w)
+    monkeypatch.setattr(process, "_certificate_components", retired_candidate)
+    old = {name: separability_heuristic(pool[name]) for name in built}
+    verdicts = [rep.verdict for rep in new.values()]
+    assert verdicts.count("separable") >= 15 and verdicts.count("nonseparable") >= 2
+    for name, w in pool.items():
+        if name not in old:
+            assert new[name].certificate is None, name
+            continue
+        a, b = new[name], old[name]
+        assert (a.verdict, a.iterations, a.witness_value) == (b.verdict, b.iterations, b.witness_value), name
+        assert abs(a.residual - b.residual) <= 1e-14, name
+        if a.certificate is None:
+            continue
+        assert a.certificate[0] == b.certificate[0], name
+        for rep in (a, b):
+            q, w_ab, w_ba = rep.certificate
+            worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
+            assert worst <= 1e-9 and recon <= rep.residual, name
+
+
+def test_each_matrix_is_converted_to_coefficients_once(monkeypatch):
+    # W's coefficients serve its validity check and the search; each
+    # certificate part's serve its validity and order-subspace checks
+    matrices = []
+
+    def recorded(basis, m):
+        if m.ndim == 2:
+            matrices.append(m)
+        return to_coef(basis, m)
+
+    to_coef = process.HSBasis.to_coef
+    monkeypatch.setattr(process.HSBasis, "to_coef", recorded)
+    w = ProcessMatrix(ocb_process(0.5).matrix, standard_layout(2))
+    assert validate_process(w).is_valid
+    rep = separability_heuristic(w)
+    assert rep.verdict == "separable"
+    assert len(matrices) == 3
+    assert np.array_equal(matrices[0], w.matrix.real)
+
+
+# Sectors of the phase symmetry, and the clip that works sector by sector
 # Sectors of the phase symmetry, and the clip that works sector by sector
 
 
@@ -925,6 +1007,54 @@ def test_process_matrix_rejects_non_hermitian():
     m[0, 1] = 1.0
     with pytest.raises(ValueError):
         ProcessMatrix(m, lay)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_process_matrix_rejects_non_finite_entries(bad):
+    lay = standard_layout(2)
+    for entry in ((3, 3), (0, 5)):
+        m = np.eye(lay.dim, dtype=complex) / 4.0
+        m[entry] = m[entry[::-1]] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ProcessMatrix(m, lay)
+
+
+def test_process_matrix_hermiticity_gate():
+    lay = standard_layout(2)
+    for gap, ok in ((0.5 * HERMITICITY_ATOL, True), (2.0 * HERMITICITY_ATOL, False)):
+        m = np.eye(lay.dim, dtype=complex) / 4.0
+        m[0, 1] = 0.1 + gap
+        m[1, 0] = 0.1
+        if ok:
+            assert ProcessMatrix(m, lay).matrix[0, 1] == m[0, 1]
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                ProcessMatrix(m, lay)
+
+
+COEFFICIENT_POOL = [
+    pytest.param(lambda: ocb_process(0.3).matrix.real.copy(), standard_layout(2), 1, id="real-float64"),
+    pytest.param(lambda: ocb_process(0.3).matrix, standard_layout(2), 1, id="real-complex128"),
+    pytest.param(lambda: phase_rotated(ocb_process(0.3), 5).matrix, standard_layout(2), 2, id="complex"),
+    pytest.param(lambda: coherent_process(0.3).matrix.real.copy(), standard_layout(2, 4), 1, id="coherent"),
+    pytest.param(lambda: quantum_switch_process((0.6, 0.8j)).matrix, standard_layout(2, 4), 2, id="switch"),
+]
+
+
+@pytest.mark.parametrize("make, lay, parts", COEFFICIENT_POOL)
+def test_cached_coefficients_are_read_only_and_exact(make, lay, parts):
+    m = make()
+    w = ProcessMatrix(m, lay)
+    coef = w._coef
+    assert w._coef is coef
+    assert not coef.flags.writeable
+    with pytest.raises(ValueError):
+        coef[0, 0, 0] = 1.0
+    # bit for bit the coefficients of the matrix in its own arithmetic:
+    # float64 for a matrix with no imaginary part, complex128 otherwise
+    own = m.real if not np.iscomplexobj(m) or not m.imag.any() else m
+    assert coef.shape == (parts,) + hs_basis(lay).shape
+    assert np.array_equal(coef, hs_basis(lay).to_coef(np.ascontiguousarray(own)))
 
 
 def test_mix_validates_inputs():

@@ -70,3 +70,25 @@ def test_diff_of_equal_files_is_empty(tmp_path):
     sections = [("run coherent", 0, report(-3.0e-16, -0.57)), ("sweep eta", 0, sweep("2.5"))]
     out = diff(write(tmp_path / "a.bytes", sections), write(tmp_path / "b.bytes", sections))
     assert (out.returncode, out.stdout) == (0, "no differences\n")
+
+
+def test_searches_write_one_report_per_search_input(tmp_path):
+    out = tmp_path / "change.searches"
+    src = SCRIPT.parents[1] / "src"
+    args = [sys.executable, str(SCRIPT), "--searches", str(src), str(out)]
+    done = subprocess.run(args, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    lines = out.read_text().splitlines()
+    labels, reports = lines[::2], [json.loads(line) for line in lines[1::2]]
+    assert len(labels) == 423 and all(label.startswith("== search ") for label in labels)
+    assert labels[0] == "== search process-family 0 ordered-mixture exit 0"
+    assert labels[-1] == "== search coherent visibility 1.0 exit 0"
+    assert {rep["verdict"] for rep in reports} <= {"separable", "nonseparable", "inconclusive"}
+    # a moved field is named with its search
+    moved = json.loads(lines[3])
+    moved["residual"] *= 2.0
+    lines[3] = json.dumps(moved, sort_keys=True)
+    other = tmp_path / "parent.searches"
+    other.write_text("\n".join(lines) + "\n")
+    found = diff(other, out)
+    assert (found.returncode, found.stdout) == (1, "search process-family 1 random-valid: residual\n")

@@ -246,9 +246,9 @@ def test_each_run_checks_each_process_matrix_once(monkeypatch):
     # also its own A-first part, with the neutral process as the B-first part
     calls = []
 
-    def counted(m, lay):
-        calls.append(lay.dim)
-        return original(m, lay)
+    def counted(w):
+        calls.append(w.layout.dim)
+        return original(w)
 
     original = process._validity_report
     monkeypatch.setattr(process, "_validity_report", counted)

@@ -16,10 +16,20 @@ stderr, so two checkouts with the same outputs write the same file::
     python3 tools/report_bytes.py src change.bytes
     cmp parent.bytes change.bytes
 
+``--searches`` writes, in the same layout, the separability report
+(``SeparabilityReport.to_json_dict``) of every search input:
+``ProcessFamily.make_inputs(1)`` from ``perfbench/workloads.py`` (420
+processes, imported and left as they are) and the coherent preset at
+visibility 1e-3, 0.3 and 1::
+
+    python3 tools/report_bytes.py --searches parent/src parent.searches
+    python3 tools/report_bytes.py --searches src change.searches
+
 Where the files differ, ``--diff`` names what moved: one line per config
-and per JSON path of a run report (``process.validity.psd_margin``), sweep
-CSV cell (``row 2 S_opt``) or exit code that differs. It exits 1 when
-anything differs, 0 when nothing does and 2 on a file it cannot read::
+or search and per JSON path of a report (``process.validity.psd_margin``,
+``residual``), sweep CSV cell (``row 2 S_opt``) or exit code that differs.
+It exits 1 when anything differs, 0 when nothing does and 2 on a file it
+cannot read::
 
     python3 tools/report_bytes.py --diff parent.bytes change.bytes
 """
@@ -77,13 +87,41 @@ SWEEPS = {
     "baseline-q": ({"scenario": "classical-order-baseline"}, "q", "0.2,0.5,0.8"),
 }
 
+SEARCH_SEED = 1
+SEARCH_VISIBILITIES = (1e-3, 0.3, 1.0)
+ROOT = Path(__file__).resolve().parents[1]
 
-def _cli(src: Path, args: list[str]) -> tuple[int, bytes]:
-    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "icolab.cli", *args], env=env, stdout=subprocess.PIPE, check=False
-    )
+
+def _child(paths: list[Path], args: list[str]) -> tuple[int, bytes]:
+    """Run python with ``args``, ``paths`` as its PYTHONPATH and BLAS on one thread."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(map(str, paths)),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+    }
+    proc = subprocess.run([sys.executable, *args], env=env, stdout=subprocess.PIPE, check=False)
     return proc.returncode, proc.stdout
+
+
+def searches() -> None:
+    """Print the separability report of each search input, one section
+    each. ``--searches`` runs it in a child process with the checkout's
+    icolab and ``perfbench`` on the path."""
+    import workloads
+    from icolab import process, scenarios
+
+    pool = workloads.ProcessFamily.make_inputs(SEARCH_SEED)
+    for k, inp in enumerate(pool):
+        rep = process.separability_heuristic(inp["process"])
+        print(f"== search process-family {k} {inp['kind']} exit 0")
+        print(json.dumps(rep.to_json_dict(), sort_keys=True))
+    for eta in SEARCH_VISIBILITIES:
+        cfg = scenarios.ScenarioConfig.from_dict({"scenario": "double-switch-coherent", "visibility": eta})
+        w = scenarios._scenario_process(cfg.spec)[0]
+        rep = process.separability_heuristic(w, cfg.separability_iters)
+        print(f"== search coherent visibility {eta} exit 0")
+        print(json.dumps(rep.to_json_dict(), sort_keys=True))
 
 
 def _sections(path: Path) -> dict[str, tuple[str, list[str]]]:
@@ -168,6 +206,8 @@ def main(argv: list[str]) -> int:
             return 2
         print("\n".join(moved) if moved else "no differences")
         return 1 if moved else 0
+    searches = argv[:1] == ["--searches"]
+    argv = argv[1:] if searches else argv
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
@@ -175,6 +215,11 @@ def main(argv: list[str]) -> int:
     if not (src / "icolab" / "cli.py").is_file():
         print(f"error: {src} holds no icolab package", file=sys.stderr)
         return 2
+    if searches:
+        paths = [src, ROOT / "perfbench", ROOT / "tools"]
+        code, stdout = _child(paths, ["-c", "import report_bytes; report_bytes.searches()"])
+        out.write_bytes(stdout)
+        return code
     commands = [(f"run {name}", cfg, ["run"]) for name, cfg in RUN_CONFIGS.items()]
     commands += [
         (f"sweep {name}", cfg, ["sweep", "--param", param, "--grid", grid])
@@ -184,7 +229,7 @@ def main(argv: list[str]) -> int:
         for label, cfg, args in commands:
             path = Path(tmp) / "config.json"
             path.write_text(json.dumps(cfg))
-            code, stdout = _cli(src, [args[0], "--config", str(path), *args[1:]])
+            code, stdout = _child([src], ["-m", "icolab.cli", args[0], "--config", str(path), *args[1:]])
             fh.write(f"== {label} exit {code}\n".encode())
             fh.write(stdout)
     return 0
