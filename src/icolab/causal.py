@@ -28,9 +28,6 @@ from .bell import BehaviorTable
 from .linalg import SpaceLayout, as_matrix
 
 CELL_FLOOR = 1e-12
-AUDIT_MODES = ("strict", "relaxed")
-
-GAMMA_VALUES = ("A<B", "B<A", "A||B")
 
 # the LP's largest accepted slack, and the largest no-signaling marginal dependence
 CAUSAL_TOL = 1e-9
@@ -207,7 +204,6 @@ class LambdaModel:
                                    setting/context combination
       marginal_i[a, la, i]         declared local law of the first outcome
       marginal_j[b, lb, j]         declared local law of the second outcome
-      gamma[la][lb]                optional classical order tag per context
     """
 
     lambda_a: tuple[str, ...]
@@ -216,7 +212,6 @@ class LambdaModel:
     joint: np.ndarray
     marginal_i: np.ndarray
     marginal_j: np.ndarray
-    gamma: tuple[tuple[str, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         prior = np.asarray(self.prior, dtype=np.float64)
@@ -247,14 +242,6 @@ class LambdaModel:
         for name, m in (("marginal_i", mi), ("marginal_j", mj)):
             if m.min() < -1e-12 or np.max(np.abs(m.sum(axis=-1) - 1.0)) > 1e-10:
                 raise ValueError(f"{name} rows must be normalized distributions")
-        if self.gamma is not None:
-            g = tuple(tuple(row) for row in self.gamma)
-            if len(g) != n_la or any(len(row) != n_lb for row in g):
-                raise ValueError("gamma must be declared per (lambda_a, lambda_b) pair")
-            bad = {v for row in g for v in row} - set(GAMMA_VALUES)
-            if bad:
-                raise ValueError(f"gamma values must be among {GAMMA_VALUES}, got {bad}")
-            object.__setattr__(self, "gamma", g)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "marginal_i", mi)
@@ -268,7 +255,6 @@ class LambdaModel:
         prior: np.ndarray,
         lambda_a: tuple[str, ...] | None = None,
         lambda_b: tuple[str, ...] | None = None,
-        gamma: tuple[tuple[str, ...], ...] | None = None,
     ) -> "LambdaModel":
         """Model whose every cell is the product of the declared local laws."""
         mi = np.asarray(marginal_i, dtype=np.float64)
@@ -276,7 +262,7 @@ class LambdaModel:
         joint = np.einsum("axi,byj->abxyij", mi, mj)
         la = lambda_a or tuple(f"la{k}" for k in range(mi.shape[1]))
         lb = lambda_b or tuple(f"lb{k}" for k in range(mj.shape[1]))
-        return cls(la, lb, prior, joint, mi, mj, gamma)
+        return cls(la, lb, prior, joint, mi, mj)
 
 
 @dataclass(frozen=True)
@@ -287,7 +273,6 @@ class AuditReport:
     max_deviation: float
     worst_case: tuple | None
     product_residual: float
-    mode: str
     cells_checked: int
     cells_skipped: int
     cell_floor: float = CELL_FLOOR
@@ -298,7 +283,6 @@ class AuditReport:
             "max_deviation": self.max_deviation,
             "worst_case": list(self.worst_case) if self.worst_case else None,
             "product_residual": self.product_residual,
-            "mode": self.mode,
             "cells_checked": self.cells_checked,
             "cells_skipped": self.cells_skipped,
             "cell_floor": self.cell_floor,
@@ -316,9 +300,7 @@ def _screening(cells: np.ndarray, declared: np.ndarray, live: np.ndarray):
     return ok, diff.max(axis=-1), diff.argmax(axis=-1)
 
 
-def temporal_locality_audit(
-    m: LambdaModel, tol: float = 1e-10, mode: str = "strict"
-) -> AuditReport:
+def temporal_locality_audit(m: LambdaModel, tol: float = 1e-10) -> AuditReport:
     """Check the two screening equalities on every admissible cell, plus the
     combined product form p(i,j|...) = p(i|a,la) * p(j|b,lb).
 
@@ -326,14 +308,7 @@ def temporal_locality_audit(
     CELL_FLOOR is skipped. ``worst_case`` is the first strictly largest
     deviation in the order a, b, lambda_a, lambda_b, then per cell the
     conditionals on j before those on i.
-
-    ``mode`` records which reading of lambda the caller supplied ("strict"
-    for the state immediately prior to each measurement, "relaxed" for an
-    earlier-time description); the arithmetic is identical, reports must
-    name the mode.
     """
-    if mode not in AUDIT_MODES:
-        raise ValueError(f"mode must be 'strict' or 'relaxed', got {mode!r}")
     joint, mi, mj = m.joint, m.marginal_i, m.marginal_j
     n_j = joint.shape[5]
     live = (m.prior > CELL_FLOOR) & (joint.sum(axis=(4, 5)) > CELL_FLOOR)  # [a, b, la, lb]
@@ -361,7 +336,6 @@ def temporal_locality_audit(
         max_deviation=max_dev,
         worst_case=worst,
         product_residual=float(np.fmax.reduce(residual, initial=0.0)),
-        mode=mode,
         cells_checked=int(ok.sum()),
         cells_skipped=int(live.size - live.sum()),
     )
@@ -401,8 +375,6 @@ def lambda_model_from_definite_order(
     probes_a: list[np.ndarray],
     probes_b: list[np.ndarray],
     evolutions: list[tuple[float, np.ndarray]] | None = None,
-    *,
-    orders: list[str] | None = None,
 ) -> LambdaModel:
     """Build the lambda model of a definite-order two-measurement circuit
     with lambda set to the full pre-measurement state description.
@@ -423,9 +395,6 @@ def lambda_model_from_definite_order(
     lambda_b context contradicts the actual setting or branch are marked
     impossible. Before returning, the model's forward statistics are
     checked against a direct state-vector simulation and a mismatch raises.
-
-    ``orders`` optionally tags each evolution branch with its classical
-    order (gamma); default tags every branch "A<B".
     """
     psi = np.asarray(initial_state, dtype=np.complex128).reshape(-1)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-9:
@@ -500,11 +469,5 @@ def lambda_model_from_definite_order(
     )
     if np.max(np.abs(forward - direct)) > 1e-12:
         raise RuntimeError("generated model fails forward consistency against the circuit")
-
-    if orders is None:
-        orders = ["A<B"] * n_e
-    if len(orders) != n_e:
-        raise ValueError("need one order tag per evolution branch")
-    gamma = tuple(tuple(orders[e] for _ in range(n_lb)) for e in range(n_e))
-    return LambdaModel(lambda_a, lambda_b, prior, joint, marginal_i, marginal_j, gamma)
+    return LambdaModel(lambda_a, lambda_b, prior, joint, marginal_i, marginal_j)
 

@@ -89,10 +89,13 @@ def tensor(*operands: np.ndarray) -> np.ndarray:
         )
     # One broadcast product per pair: the entrywise products np.kron forms.
     out = mats[0]
-    for m in mats[1:]:
-        r, c = out.shape[0] * m.shape[0], out.shape[1] * m.shape[1]
-        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(r, c)
-    # one check for every operand: a non-finite entry times anything is non-finite (0 * inf is nan)
+    # 0 * inf is nan and a huge product is inf; the check below rejects both,
+    # so numpy need not warn first
+    with np.errstate(invalid="ignore", over="ignore"):
+        for m in mats[1:]:
+            r, c = out.shape[0] * m.shape[0], out.shape[1] * m.shape[1]
+            out = (out[:, None, :, None] * m[None, :, None, :]).reshape(r, c)
+    # one check for every operand: a non-finite entry times anything is non-finite
     if not np.isfinite(out).all():
         raise ValueError("matrix contains non-finite entries")
     return out.reshape(-1) if all_vectors else out

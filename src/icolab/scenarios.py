@@ -29,7 +29,6 @@ from .bell import (
     optimize_chsh,
 )
 from .causal import (
-    AUDIT_MODES,
     CausalDecomposition,
     causal_membership,
     lambda_model_from_definite_order,
@@ -66,7 +65,7 @@ from .switch import (
 # formed from its branch vectors. All five stay names of this module only
 # because perfbench/tracing.py instruments every name in its SCENARIO_LAYERS here.
 
-REPORT_SCHEMA = "icolab/run-report/v4"
+REPORT_SCHEMA = "icolab/run-report/v5"
 
 NAMED_STATES = {
     "0": np.array([1.0, 0.0]),
@@ -95,12 +94,10 @@ _BASE_SCENARIO = {
     "control_amplitudes": [_INV_SQRT2, _INV_SQRT2],
     "order_mode": "coherent",
     "mixture_q": 0.5,
-    "a5_satisfied": True,
     "env_flag": False,
     "visibility": 1.0,
     "settings": "optimize",
     "conditioning": {"basis": "plus_minus", "outcome": "+"},
-    "audit_mode": "strict",
     "seed": 20260815,
     "separability_iters": 2000,
     "tolerances": {"audit": 1e-10},
@@ -122,7 +119,6 @@ BUILTIN_SCENARIOS: dict[str, dict] = {
             "description": "Definite order with an environment flag selecting the free evolution",
             "v1": "Z",
             "order_mode": "definite-AB",
-            "a5_satisfied": False,
             "env_flag": True,
         },
     }.items()
@@ -226,7 +222,6 @@ class ScenarioConfig:
     spec: DoubleSwitchSpec
     settings: object
     conditioning: tuple[ControlMeasurement, str] | None
-    audit_mode: str
     seed: int
     separability_iters: int
     tol_audit: float
@@ -256,14 +251,11 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         # JSON types are checked, not coerced, so the echo says what ran
-        for key in ("a5_satisfied", "env_flag"):
-            if not isinstance(merged[key], bool):
-                raise ConfigError(f"{key} must be true or false, got {merged[key]!r}")
+        if not isinstance(merged["env_flag"], bool):
+            raise ConfigError(f"env_flag must be true or false, got {merged['env_flag']!r}")
         for key in ("seed", "separability_iters"):
             if isinstance(merged[key], bool) or not isinstance(merged[key], int):
                 raise ConfigError(f"{key} must be an integer, got {merged[key]!r}")
-        if merged["audit_mode"] not in AUDIT_MODES:
-            raise ConfigError(f"audit_mode must be 'strict' or 'relaxed', got {merged['audit_mode']!r}")
         if not isinstance(merged["out"], (str, type(None))):
             raise ConfigError(f"out must be a path string or null, got {merged['out']!r}")
         tol_audit = _number(tols.get("audit", 1e-10), "tolerances.audit")
@@ -292,7 +284,6 @@ class ScenarioConfig:
                 ),
                 order_mode=str(merged["order_mode"]),
                 mixture_q=mixture_q,
-                a5_satisfied=merged["a5_satisfied"],
                 env_flag=merged["env_flag"],
                 visibility=visibility,
             )
@@ -301,7 +292,6 @@ class ScenarioConfig:
                 spec=spec,
                 settings=_resolve_settings(merged["settings"]),
                 conditioning=_resolve_conditioning(merged["conditioning"]),
-                audit_mode=merged["audit_mode"],
                 seed=merged["seed"],
                 separability_iters=merged["separability_iters"],
                 tol_audit=tol_audit,
@@ -355,11 +345,13 @@ _AUDIT_PROBES = {"Z": NAMED_UNITARIES["I"], "X": NAMED_UNITARIES["H"]}
 
 
 def _audit_section(cfg: ScenarioConfig) -> dict:
+    """The ``temporal_locality`` section. Its lambda is always the strict
+    reading, the full state just before each measurement, and ``mode`` says so."""
     spec = cfg.spec
     if spec.indefinite_order:
         return {
             "applicable": False,
-            "mode": cfg.audit_mode,
+            "mode": "strict",
             "reason": (
                 "order is coherently indefinite, so no definite-order lambda model"
                 " exists; a CHSH value above 2 already rules out any temporally"
@@ -370,25 +362,23 @@ def _audit_section(cfg: ScenarioConfig) -> dict:
     probes = list(_AUDIT_PROBES.values())
     branches = spec.branches
     steps = [(sw.v0, sw.v1)[b.index] @ (sw.u_a if b.order == "AB" else sw.u_b) for b in branches]
-    orders = ["A<B" if b.order == "AB" else "B<A" for b in branches]
     if spec.coherent:
         # same-order branches of a retained environment: one controlled unitary
         b0, b1 = branches
         initial = b0.amplitude * tensor(ket(0), sw.psi_t0) + b1.amplitude * tensor(ket(1), sw.psi_t0)
         layout = SpaceLayout(("env", "target"), (2, sw.target_dim))
         controlled = tensor(projector(ket(0)), steps[0]) + tensor(projector(ket(1)), steps[1])
-        evolutions, orders = [(1.0, controlled)], orders[:1]
+        evolutions = [(1.0, controlled)]
     else:
         initial, layout = sw.psi_t0, SpaceLayout(("target",), (sw.target_dim,))
         evolutions = [(b.weight, u) for b, u in zip(branches, steps)]
-    model = lambda_model_from_definite_order(
-        initial, layout, "target", probes, probes, evolutions, orders=orders
-    )
-    audit = temporal_locality_audit(model, cfg.tol_audit, cfg.audit_mode)
+    model = lambda_model_from_definite_order(initial, layout, "target", probes, probes, evolutions)
+    audit = temporal_locality_audit(model, cfg.tol_audit)
     return {
         "applicable": True,
         "probe_settings": list(_AUDIT_PROBES),
         "lambda": "full pre-measurement state description per branch",
+        "mode": "strict",
         **audit.to_json_dict(),
     }
 

@@ -247,9 +247,9 @@ class DoubleSwitchSpec:
 
     The per-switch control amplitudes are ignored; ``control_amplitudes``
     here drives both. ``switch1.v0``/``switch1.v1`` are the free evolutions
-    of target 1 in the two branches (likewise for switch 2). When
-    ``a5_satisfied`` is set, the free evolution must not depend on the
-    branch, so v0 == v1 is enforced in both switches.
+    of target 1 in the two branches (likewise for switch 2). Whether A5
+    holds, that the free evolution does not depend on the branch, is read
+    off them: ``a5_satisfied``.
     """
 
     switch1: SwitchSpec
@@ -257,7 +257,6 @@ class DoubleSwitchSpec:
     control_amplitudes: tuple[complex, complex] = (INV_SQRT2, INV_SQRT2)
     order_mode: str = "coherent"
     mixture_q: float = 0.5
-    a5_satisfied: bool = False
     env_flag: bool = False
     visibility: float = 1.0
 
@@ -271,14 +270,13 @@ class DoubleSwitchSpec:
             raise ValueError(f"mixture_q must lie in [0, 1], got {self.mixture_q}")
         if not 0.0 <= self.visibility <= 1.0:
             raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
-        if self.a5_satisfied:
-            for i, sw in ((1, self.switch1), (2, self.switch2)):
-                if np.max(np.abs(sw.v0 - sw.v1)) > 0:
-                    raise ValueError(
-                        f"a5_satisfied requires v0 == v1 entrywise in switch {i}"
-                    )
         if self.env_flag and self.order_mode not in ("definite-AB", "definite-BA"):
             raise ValueError("env_flag requires a definite order_mode")
+
+    @property
+    def a5_satisfied(self) -> bool:
+        """Whether v0 == v1 entrywise in both switches."""
+        return all(np.array_equal(sw.v0, sw.v1) for sw in (self.switch1, self.switch2))
 
     @property
     def layout(self) -> SpaceLayout:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,16 +65,21 @@ def test_tensor_capacity_guard():
         tensor(big, np.eye(2))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_tensor_rejects_non_finite_operands(bad):
     # one check on the product: a non-finite entry stays non-finite in it,
-    # next to zeros too (0 * inf is nan)
+    # next to zeros too (0 * inf is nan), as does a product that overflows;
+    # numpy warns of none of it
     m = np.eye(2, dtype=np.complex128)
     m[0, 1] = bad
-    for operands in ((m, np.eye(2)), (np.zeros((2, 2)), m), (ket(0), np.array([bad, 0.0])), (m,)):
-        with pytest.raises(ValueError, match="non-finite"):
-            tensor(*operands)
+    huge = np.array([[1e200]])
+    for operands in (
+        (m, np.eye(2)), (np.zeros((2, 2)), m), (ket(0), np.array([bad, 0.0])), (m,), (huge, huge)
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                tensor(*operands)
     with pytest.raises(ValueError):
         tensor(np.ones((2, 2, 2)), np.eye(2))
 

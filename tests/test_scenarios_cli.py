@@ -71,8 +71,6 @@ def test_state_resolution():
 
 def test_physical_consistency_checked_at_parse_time():
     with pytest.raises(ConfigError):
-        make_config(a5_satisfied=True, v0="I", v1="Z")
-    with pytest.raises(ConfigError):
         make_config(control_amplitudes=[1.0, 1.0])  # not normalized
     with pytest.raises(ConfigError):
         make_config(order_mode="sideways")
@@ -88,13 +86,11 @@ def test_physical_consistency_checked_at_parse_time():
             make_config(settings=settings)
     # JSON types are checked, not coerced into something the echo contradicts
     for key, value in (
-        ("a5_satisfied", "false"), ("env_flag", "false"), ("seed", 1.7), ("seed", "7"),
-        ("separability_iters", 2.5), ("separability_iters", True), ("audit_mode", "bogus"),
+        ("env_flag", "false"), ("seed", 1.7), ("seed", "7"),
+        ("separability_iters", 2.5), ("separability_iters", True),
     ):
         with pytest.raises(ConfigError, match=f"{key} must be"):
             make_config(**{key: value})
-    with pytest.raises(ConfigError, match="audit_mode must be"):
-        ScenarioConfig.from_dict({"scenario": "classical-order-baseline", "audit_mode": "bogus"})
     # real-valued keys take JSON numbers only: no bools, no numeric strings
     pair = [[0.0, 0.0], [1.0, 0.0]]
     for key, overrides in (
@@ -167,7 +163,7 @@ def test_report_structure_and_determinism():
         "seed",
     ):
         assert key in rep
-    assert rep["schema"] == "icolab/run-report/v4"
+    assert rep["schema"] == "icolab/run-report/v5"
     assert set(rep["causal"]) == {"verdict", "marginal_dependence"}
     assert set(rep["chsh"]) == {
         "value", "correlators", "settings", "classical_bound", "tsirelson_bound"
@@ -301,7 +297,7 @@ def test_process_candidate_follows_the_branches():
         ({"order_mode": "definite-AB"}, 1.0),
         ({"order_mode": "definite-BA"}, 0.0),
         ({"visibility": 0.0, "control_amplitudes": [0.6, 0.8]}, 0.36),
-        ({"env_flag": True, "order_mode": "definite-BA", "a5_satisfied": False, "v1": "Z"}, 0.0),
+        ({"env_flag": True, "order_mode": "definite-BA", "v1": "Z"}, 0.0),
     ):
         w, _, candidate = _scenario_process(make_config(**overrides).spec)
         assert candidate[0] == pytest.approx(q, abs=1e-15), overrides
@@ -400,8 +396,13 @@ def test_no_temporally_local_model_note_needs_a5_and_no_passing_audit():
     configs = {**_comparison_configs(), **{name: {"scenario": name} for name in BUILTIN_SCENARIOS}}
     seen = set()
     for name, data in configs.items():
-        rep = run_scenario(ScenarioConfig.from_dict(data)).report
+        cfg = ScenarioConfig.from_dict(data)
+        rep = run_scenario(cfg).report
         audit, note = rep["temporal_locality"], rep["notes"][0]
+        # A5 and the audit's lambda reading are read off what runs; each of
+        # these configs names its free evolutions
+        assert rep["assumptions"]["a5_satisfied"] == (cfg.echo["v0"] == cfg.echo["v1"]), name
+        assert audit["mode"] == "strict", name
         above = rep["chsh"]["value"] > 2.0 + 1e-9
         seen.add((above, rep["assumptions"]["a5_satisfied"]))
         if "no temporally local model" in note:
@@ -412,6 +413,20 @@ def test_no_temporally_local_model_note_needs_a5_and_no_passing_audit():
         assert note.startswith("CHSH exceeds") == above, name
     # both notes above 2 are exercised
     assert {(True, True), (True, False)} <= seen
+
+
+def test_branch_dependent_free_evolution_runs_without_a5():
+    rep = run_scenario(ScenarioConfig.from_dict({"scenario": "custom", "v1": "Z"})).report
+    assert rep["assumptions"]["a5_satisfied"] is False
+    assert rep["chsh"]["value"] > 2.0 + 1e-9
+    assert rep["notes"][0].startswith("CHSH exceeds the classical bound 2, but A5 is not satisfied")
+
+
+@pytest.mark.parametrize("key", ["a5_satisfied", "audit_mode"])
+def test_derived_labels_are_not_config_keys(key):
+    for value in (True, False, "strict", "relaxed"):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config keys: ['{key}']")):
+            make_config(**{key: value})
 
 
 def test_fixed_settings_path(monkeypatch):
@@ -573,7 +588,7 @@ def test_cli_run_is_byte_identical(coherent_config, tmp_path):
     assert out_path.read_bytes() == r1.stdout
     assert "duration_s=" in r1.stderr.decode()
     rep = json.loads(r1.stdout)
-    assert rep["schema"] == "icolab/run-report/v4"
+    assert rep["schema"] == "icolab/run-report/v5"
 
 
 def test_cli_run_bytes_do_not_depend_on_blas_threads(coherent_config):

@@ -188,10 +188,15 @@ def test_env_flag_requires_definite_mode():
         double_switch(H, Z, v0=I2, v1=Z, order_mode="coherent", env_flag=True)
 
 
-def test_a5_flag_enforces_branch_independent_evolution():
-    with pytest.raises(ValueError):
-        double_switch(H, Z, v0=I2, v1=Z, a5_satisfied=True)
-    double_switch(H, Z, v0=Z, v1=Z, a5_satisfied=True)  # fine
+def test_a5_is_read_off_the_free_evolutions():
+    assert double_switch(H, Z).a5_satisfied
+    assert double_switch(H, Z, v0=Z, v1=Z).a5_satisfied
+    assert not double_switch(H, Z, v0=I2, v1=Z).a5_satisfied
+    # entrywise: v1 = -v0 puts a relative phase between the branches
+    assert not double_switch(H, Z, v0=Z, v1=-Z).a5_satisfied
+    sw, other = make_switch(H, Z), make_switch(H, Z, v0=I2, v1=Z)
+    assert not DoubleSwitchSpec(switch1=sw, switch2=other).a5_satisfied
+    assert not DoubleSwitchSpec(switch1=other, switch2=sw).a5_satisfied
 
 
 def test_visibility_damping():

@@ -67,12 +67,7 @@ RUN_CONFIGS = {
         "visibility": 0.4,
         "control_amplitudes": [0.6, 0.8],
     },
-    "baseline-q-0.3": {
-        "scenario": "classical-order-baseline",
-        "mixture_q": 0.3,
-        "v1": "Z",
-        "a5_satisfied": False,
-    },
+    "baseline-q-0.3": {"scenario": "classical-order-baseline", "mixture_q": 0.3, "v1": "Z"},
     "coherent-fixed-settings": {"scenario": "double-switch-coherent", "settings": Z_X_VS_DIAGONAL},
     "coherent-custom-input": {
         "scenario": "double-switch-coherent",
