@@ -205,14 +205,35 @@ class ProcessMatrix:
         return _validity_report(self)
 
     @cached_property
+    def _own(self) -> np.ndarray:
+        """The matrix in the arithmetic of its coefficients, its eigenvalues
+        and the search: the float64 real part when it has no imaginary part."""
+        m = self.matrix
+        return m.real if not m.imag.any() else m
+
+    @cached_property
     def _coef(self) -> np.ndarray:
         """The read-only :class:`HSBasis` coefficients that validity, the
         search and the certificate check share: one float64 part for a real
         matrix, two otherwise."""
-        m = self.matrix
-        coef = hs_basis(self.layout).to_coef(m.real if not m.imag.any() else m)
+        coef = hs_basis(self.layout).to_coef(self._own)
         coef.flags.writeable = False
         return coef
+
+    @cached_property
+    def _eigenvalues(self) -> np.ndarray:
+        """The read-only eigenvalues in ascending order, from one eigvalsh
+        of :attr:`_own`: validity reads its PSD margin here and the search
+        W's rank."""
+        vals = np.linalg.eigvalsh(self._own)
+        vals.flags.writeable = False
+        return vals
+
+    @property
+    def _rounding(self) -> float:
+        """dim * eps_mach * lambda_max: an eigenvalue at or below it counts as
+        zero in W's rank."""
+        return self.layout.dim * np.finfo(np.float64).eps * float(self._eigenvalues[-1])
 
     @property
     def expected_trace(self) -> float:
@@ -409,8 +430,7 @@ def validate_process(w: ProcessMatrix) -> ValidityReport:
 def _validity_report(w: ProcessMatrix) -> ValidityReport:
     """The checks of :func:`validate_process` on W's matrix and coefficients."""
     m, lay, coef = w.matrix, w.layout, w._coef
-    # a real matrix has one coefficient part; its eigenvalues are computed in float64
-    psd_margin = float(np.linalg.eigvalsh(m.real if len(coef) == 1 else m)[0])
+    psd_margin = float(w._eigenvalues[0])
     expected = lay.dim_of("A_O") * lay.dim_of("B_O")
     trace_error = float(np.real(np.trace(m)) - expected)
     # the basis is orthogonal: the distance is the norm of the masked-out coefficients
@@ -841,6 +861,84 @@ def _order_split(
     return a * (x + lam), b * (y + lam)
 
 
+@lru_cache(maxsize=32)
+def _hermitian_basis(r: int, real: bool) -> np.ndarray:
+    """Read-only stack of an orthonormal basis of the r x r real symmetric
+    matrices (``real``) or of the r x r Hermitian ones."""
+    eye = np.eye(r)
+    i, j = np.triu_indices(r, 1)
+    e = eye[i][:, :, None] * eye[j][:, None, :]
+    stacks = [eye[:, :, None] * eye[:, None, :], (e + e.swapaxes(1, 2)) / np.sqrt(2.0)]
+    if not real:
+        stacks.append(1j * (e - e.swapaxes(1, 2)) / np.sqrt(2.0))
+    out = np.concatenate(stacks).astype(np.float64 if real else np.complex128)
+    out.flags.writeable = False
+    return out
+
+
+def _range_basis(w: ProcessMatrix) -> np.ndarray:
+    """Orthonormal basis of range(W), one column per eigenvalue above
+    ``w._rounding``, from one eigh in the search's arithmetic."""
+    m = w._own
+    rank = int(np.count_nonzero(w._eigenvalues > w._rounding))
+    return np.linalg.eigh(m)[1][:, len(m) - rank :]
+
+
+def _face_witness(w: ProcessMatrix) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
+    """The best order split of W on its face, and a witness when the face
+    admits none.
+
+    Every part X of a decomposition satisfies X <= W, so it lies on the face
+    of W, the matrices supported on range(W) (facial reduction: Permenter
+    and Parrilo, Math. Program. 171, 2018). With V an orthonormal basis of
+    range(W), H_k an orthonormal basis of the r x r Hermitian matrices (real
+    symmetric for a real W) and Phi(x) the coefficients of V H(x) V^dagger,
+    one least-squares solve over the r^2 or r(r+1)/2 unknowns x gives
+
+        rho^2 = min ||(1 - AB) Phi(x)||^2 + ||(1 - BA) (W - Phi(x))||^2,
+
+    zero exactly when W = X + Y with X in AB and Y in BA on the face, PSD or
+    not. Its rounding level is N eps_mach ||W||, with N = dim^2 the number of
+    coefficients in place of the dimension in W's rank cut. When rho is
+    above it no such split exists, and the residuals at the optimum x* give
+    a witness of the form of Araujo et al. (NJP 17, 102001, 2015). With
+    R_AB = -(1 - AB) Phi(x*) and R_BA = -(1 - BA) (W - Phi(x*)) as
+    matrices, the optimality condition says that D = R_AB - R_BA vanishes
+    on the face. With
+    M = eps Pi_range + t Pi_ker, eps = rho^2 / (2 tr W) and
+    t = ||V^dagger D||^2 / eps + ||Pi_ker D Pi_ker|| (a Schur-complement
+    bound that makes M + D PSD),
+
+        (S, P_AB, P_BA) = (R_AB + M, M, M + D)
+
+    has S - P_AB outside AB, S - P_BA outside BA and
+    tr(S W) = -rho^2 / 2 + (t - eps) tr(Pi_ker W). Returns rho and that
+    witness, which :func:`_certify_witness` still has to accept, or None in
+    its place when rho is at rounding."""
+    lay, cw, v = w.layout, w._coef, _range_basis(w)
+    basis = hs_basis(lay)
+    # only the coefficients an order leaves out enter the problem: on qubit
+    # parties 204 per order, of 256 without F and 4,096 with it
+    off_ab, off_ba = _order_mask(lay, "AB") == 0.0, _order_mask(lay, "BA") == 0.0
+    herm = _hermitian_basis(v.shape[1], not np.iscomplexobj(v))
+    phi = basis.to_coef(v @ herm @ v.conj().T)
+    lhs = np.concatenate((phi[..., off_ab], phi[..., off_ba]), axis=-1).reshape(len(herm), -1)
+    rhs = np.concatenate((np.zeros_like(cw[..., off_ab]), cw[..., off_ba]), axis=-1).ravel()
+    x = np.linalg.lstsq(lhs.T, rhs)[0]
+    fx = np.tensordot(x, phi, 1)
+    r_ab, r_ba = off_ab * fx, off_ba * (cw - fx)
+    rho = float(np.hypot(np.linalg.norm(r_ab), np.linalg.norm(r_ba)))
+    if rho <= lay.dim**2 * np.finfo(np.float64).eps * np.linalg.norm(cw):
+        return rho, None
+    r_ab, r_ba = -basis.to_mat(np.stack((r_ab, r_ba)))
+    d, range_proj = r_ab - r_ba, v @ v.conj().T
+    ker_proj = np.eye(lay.dim) - range_proj
+    eps = rho**2 / (2.0 * float(np.trace(w._own).real))
+    t = np.linalg.norm(v.conj().T @ d) ** 2 / eps + np.linalg.norm(ker_proj @ d @ ker_proj)
+    m = eps * range_proj + t * ker_proj
+    return rho, (r_ab + m, m, m + d)
+
+
 def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityReport:
     """Search for a decomposition W = q W_AB + (1-q) W_BA with each part a
     valid process compatible with the corresponding order, or for a witness
@@ -875,6 +973,14 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     passes is the witness rebuilt as matrices and checked by
     :func:`_certify_witness`.
 
+    When W is rank-deficient (an eigenvalue at or below dim eps_mach
+    lambda_max) and the first step certifies nothing, :func:`_face_witness`
+    asks once, by one eigh and one small least-squares solve, whether W
+    splits into the two orders on its face at all. If not, and
+    :func:`_certify_witness` accepts the witness that comes with the answer,
+    the search stops after that one iteration, with the first step's gap as
+    ``residual``; otherwise the loop goes on unchanged.
+
     When W has no imaginary part the whole search runs in float64, with one
     coefficient part and real eigendecompositions, and complex128 otherwise.
     No verdict is lost: the masks and the basis are real and conjugation
@@ -900,6 +1006,7 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     cw_a, cw_b = (in_ab * cw).ravel(), ((1.0 - in_ab) * in_ba * cw).ravel()
 
     sectors, blocks = _charge_sectors(lay, np.packbits(m != 0).tobytes())
+    deficient = w._eigenvalues[0] <= w._rounding
 
     zx, zy = _order_split(cw, cw / 2.0, cw / 2.0, in_ab, in_ba)
     witness, value = None, None
@@ -923,6 +1030,13 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
                 break
         if gap < SEARCH_TOL * scale:
             break
+        if used == 1 and deficient:
+            # no part of a decomposition leaves range(W): decide on the face
+            face = _face_witness(w)[1]
+            value = None if face is None else _certify_witness(w, *face)
+            if value is not None:
+                witness = face
+                break
     residual = gap / scale
     if witness is not None:
         return SeparabilityReport(None, residual, used, witness, value)

@@ -344,6 +344,15 @@ def _chsh_section(result: CHSHResult) -> dict:
 _AUDIT_PROBES = {"Z": NAMED_UNITARIES["I"], "X": NAMED_UNITARIES["H"]}
 
 
+# what a CHSH value above 2 rules out depends on A5, as in _CHSH_NOTES
+_CHSH_REASONS = {
+    True: "a CHSH value above 2 already rules out any temporally local account of the"
+    " conditioned statistics",
+    False: "A5 is not satisfied, so a CHSH value above 2 does not by itself rule out a"
+    " temporally local account of the conditioned statistics",
+}
+
+
 def _audit_section(cfg: ScenarioConfig) -> dict:
     """The ``temporal_locality`` section. Its lambda is always the strict
     reading, the full state just before each measurement, and ``mode`` says so."""
@@ -352,11 +361,8 @@ def _audit_section(cfg: ScenarioConfig) -> dict:
         return {
             "applicable": False,
             "mode": "strict",
-            "reason": (
-                "order is coherently indefinite, so no definite-order lambda model"
-                " exists; a CHSH value above 2 already rules out any temporally"
-                " local account of the conditioned statistics"
-            ),
+            "reason": "order is coherently indefinite, so no definite-order lambda model exists; "
+            + _CHSH_REASONS[spec.a5_satisfied],
         }
     sw = spec.switch1
     probes = list(_AUDIT_PROBES.values())

@@ -333,6 +333,39 @@ def witness_margin(w, layout, s, p_ab, p_ba, tol=1e-9):
     return float(np.real(np.trace(s @ w))) + eps * d_o["A_O"] * d_o["B_O"]
 
 
+def face_split_residual(w, layout):
+    """Least-squares residual of the order split of W on its face: the
+    smallest sqrt(||X - P_AB X||^2 + ||Y - P_BA Y||^2) over Hermitian X and
+    Y = W - X supported on range(W), with the reset projectors above. range(W)
+    is spanned by the eigenvectors of the eigenvalues above dim eps_mach
+    lambda_max, and X runs over V H V^dagger for each Hermitian H of a basis
+    of the r x r complex Hermitian matrices, one column per basis element.
+    Zero (to rounding) exactly when such a split exists, PSD or not."""
+    w = np.asarray(w, dtype=np.complex128)
+    n = len(w)
+    vals, vecs = np.linalg.eigh(w)
+    v = vecs[:, vals > n * np.finfo(float).eps * vals[-1]]
+    r = v.shape[1]
+    herms = []
+    for i in range(r):
+        for j in range(i, r):
+            e = np.zeros((r, r), dtype=np.complex128)
+            e[i, j] = 1.0
+            herms.append(e + e.T if i != j else e)
+            if i != j:
+                herms.append(1j * (e - e.T))
+    off_ab = lambda x: x - order_projection(x, layout, "AB")  # noqa: E731
+    off_ba = lambda x: x - order_projection(x, layout, "BA")  # noqa: E731
+    flat = lambda a, b: np.concatenate([a.ravel(), b.ravel()]).view(np.float64)  # noqa: E731
+    columns = []
+    for h in herms:
+        x = v @ h @ v.conj().T
+        columns.append(flat(off_ab(x), -off_ba(x)))
+    target = flat(np.zeros_like(w), -off_ba(w))
+    coef = np.linalg.lstsq(np.array(columns).T, target, rcond=None)[0]
+    return float(np.linalg.norm(np.array(columns).T @ coef - target))
+
+
 def psd_clip(m):
     """Positive part of a Hermitian matrix from one eigendecomposition of
     the whole matrix, eigenvalues in descending order."""

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -734,6 +735,92 @@ def test_complex_search_reports_are_pinned():
         assert separability_heuristic(w).to_json_dict() == golden[name], name
 
 
+# The face check: after a first step that certifies nothing, a
+# rank-deficient W is tested for an order split on range(W)
+
+
+FACE_INFEASIBLE = {
+    "coherent": coherent_process,
+    "switch": quantum_switch_process,
+    "ocb": ocb_process,
+    "ocb-rotated": lambda: phase_rotated(ocb_process(), 5),
+}
+FACE_FEASIBLE = {
+    "coherent-eta-0.3": lambda: coherent_process(0.3),
+    "coherent-eta-1e-3": lambda: coherent_process(1e-3),
+    "switch-AB": lambda: quantum_switch_process((1.0, 0.0)),
+    **{f"undamped-{k}": lambda k=k: undamped_ordered_mixtures(1, 8)[k] for k in range(8)},
+}
+
+
+@pytest.mark.parametrize("name", list(FACE_INFEASIBLE) + list(FACE_FEASIBLE))
+def test_face_check_agrees_with_the_oracle(name):
+    w = {**FACE_INFEASIBLE, **FACE_FEASIBLE}[name]()
+    assert w._eigenvalues[0] <= w._rounding  # rank-deficient
+    rho, witness = process._face_witness(w)
+    want = oracles.face_split_residual(w.matrix, w.layout)
+    if name in FACE_FEASIBLE:
+        assert witness is None and rho <= 1e-13 and want <= 1e-13, (rho, want)
+        return
+    assert rho == pytest.approx(want, rel=1e-12) and want >= 0.1
+    assert _certify_witness(w, *witness) < 0.0
+    assert oracles.witness_margin(w.matrix, w.layout, *witness) < 0.0
+
+
+def test_coherent_preset_is_decided_on_its_face_after_one_step():
+    for w in (coherent_process(), phase_rotated(coherent_process(), 7)):
+        rep = separability_heuristic(w)
+        assert (rep.verdict, rep.iterations) == ("nonseparable", 1)
+        # the residual is the first step's gap; the witness is the lifted one
+        assert rep.residual == pytest.approx(0.10223495706383016, rel=1e-9)
+        assert rep.witness_value == pytest.approx(-0.013932580954483985, rel=1e-9)
+        assert _certify_witness(w, *rep.witness) == rep.witness_value
+        assert oracles.witness_margin(w.matrix, w.layout, *rep.witness) < 0.0
+
+
+def test_reports_are_unchanged_where_the_face_check_decides_nothing(monkeypatch):
+    # the face check runs after the first step only, so 600 iterations,
+    # enough for three of the undamped pool to certify, show any change
+    pool = [coherent_process(0.3), coherent_process(1e-3), *undamped_ordered_mixtures(1, 8)]
+    reports = [separability_heuristic(w, 600) for w in pool]
+    assert [rep.verdict for rep in reports].count("separable") == 3
+    monkeypatch.setattr(process, "_face_witness", lambda w: (0.0, None))
+    for w, rep in zip(pool, reports):
+        ref = separability_heuristic(w, 600)
+        assert rep.to_json_dict() == ref.to_json_dict()
+        for got, want in ((rep.witness, ref.witness), (rep.certificate, ref.certificate)):
+            assert (got is None) == (want is None)
+            for a, b in zip(got or (), want or ()):
+                a, b = (x.matrix if isinstance(x, ProcessMatrix) else x for x in (a, b))
+                assert np.array_equal(a, b)
+
+
+def process_family_inputs(seed: int) -> list[ProcessMatrix]:
+    """The benchmark's process-family pool (perfbench/workloads.py) at a seed."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("process_family_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [inp["process"] for inp in module.ProcessFamily.make_inputs(seed)]
+
+
+def test_full_rank_inputs_build_no_range_basis(monkeypatch):
+    built = []
+
+    def recorded(w):
+        built.append(w)
+        return range_basis(w)
+
+    range_basis = process._range_basis
+    monkeypatch.setattr(process, "_range_basis", recorded)
+    pool = [ocb_process(0.5), *process_family_inputs(2)[:45]]
+    assert sum(w._eigenvalues[0] > w._rounding for w in pool) >= 40
+    # the rest are noiseless OCB inputs, rank-deficient but decided by the first step
+    for w in pool:
+        separability_heuristic(w)
+    assert built == []
+
+
 def certificate_pool() -> dict[str, ProcessMatrix]:
     """The undamped pool at seed 1, the complex search inputs, and a seeded
     slice of the kinds the benchmark searches: ordered mixtures damped by
@@ -877,7 +964,7 @@ def test_sector_clip_matches_the_full_clip_on_the_coherent_search(monkeypatch):
     monkeypatch.setattr(process, "_psd_clip", recorded)
     iterations = sum(
         separability_heuristic(w).iterations
-        for w in (coherent_process(), phase_rotated(coherent_process(), 7))
+        for w in (coherent_process(0.3), phase_rotated(coherent_process(0.3), 7))
     )
     # one stacked clip of both halves per iteration
     assert len(inputs) == iterations

@@ -215,7 +215,7 @@ def test_a5_violated_report_content():
     [
         pytest.param(*case, id=case[0])
         for case in (
-            ("double-switch-coherent", "nonseparable", "search", 7, None),
+            ("double-switch-coherent", "nonseparable", "search", 1, None),
             ("classical-order-baseline", "separable", "construction", 0, 0.5),
             ("a5-violated-definite-order", "separable", "construction", 0, 1.0),
         )
@@ -228,7 +228,8 @@ def test_builtin_separability_is_pinned(name, verdict, source, iterations, q):
     assert sep["separable"] is (verdict == "separable")
     if q is None:
         assert "q" not in sep
-        assert sep["witness_value"] == pytest.approx(-0.5789151256238625, abs=1e-9)
+        # decided on the face of W, with the lifted witness
+        assert sep["witness_value"] == pytest.approx(-0.013932580954483985, abs=1e-9)
         assert rep["notes"][1].endswith("(causal nonseparability witness certified)")
     else:
         assert sep["q"] == pytest.approx(q, abs=1e-9)
@@ -394,6 +395,8 @@ def test_branch_vector_build_matches_the_three_process_build(name):
 
 def test_no_temporally_local_model_note_needs_a5_and_no_passing_audit():
     configs = {**_comparison_configs(), **{name: {"scenario": name} for name in BUILTIN_SCENARIOS}}
+    # a coherent superposition of two orders whose free evolutions differ
+    configs["custom-v1-Z"] = {"scenario": "custom", "v1": "Z"}
     seen = set()
     for name, data in configs.items():
         cfg = ScenarioConfig.from_dict(data)
@@ -410,6 +413,11 @@ def test_no_temporally_local_model_note_needs_a5_and_no_passing_audit():
             assert not (audit["applicable"] and audit["passed"]), name
         if above and not rep["assumptions"]["a5_satisfied"]:
             assert "A5 is not satisfied" in note and "temporal_locality" in note, name
+        # the section the note points to must not claim what the note denies
+        if "already rules out" in audit.get("reason", ""):
+            assert rep["assumptions"]["a5_satisfied"], name
+        if not audit["applicable"] and not rep["assumptions"]["a5_satisfied"]:
+            assert "does not by itself rule out" in audit["reason"], name
         assert note.startswith("CHSH exceeds") == above, name
     # both notes above 2 are exercised
     assert {(True, True), (True, False)} <= seen

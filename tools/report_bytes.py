@@ -19,8 +19,8 @@ stderr, so two checkouts with the same outputs write the same file::
 ``--searches`` writes, in the same layout, the separability report
 (``SeparabilityReport.to_json_dict``) of every search input:
 ``ProcessFamily.make_inputs(1)`` from ``perfbench/workloads.py`` (420
-processes, imported and left as they are) and the coherent preset at
-visibility 1e-3, 0.3 and 1::
+processes, imported and left as they are), ``quantum_switch_process()`` and
+the coherent preset at visibility 1e-6, 1e-4, 1e-3, 0.3 and 1::
 
     python3 tools/report_bytes.py --searches parent/src parent.searches
     python3 tools/report_bytes.py --searches src change.searches
@@ -83,7 +83,7 @@ SWEEPS = {
 }
 
 SEARCH_SEED = 1
-SEARCH_VISIBILITIES = (1e-3, 0.3, 1.0)
+SEARCH_VISIBILITIES = (1e-6, 1e-4, 1e-3, 0.3, 1.0)
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -111,6 +111,9 @@ def searches() -> None:
         rep = process.separability_heuristic(inp["process"])
         print(f"== search process-family {k} {inp['kind']} exit 0")
         print(json.dumps(rep.to_json_dict(), sort_keys=True))
+    rep = process.separability_heuristic(process.quantum_switch_process())
+    print("== search quantum-switch exit 0")
+    print(json.dumps(rep.to_json_dict(), sort_keys=True))
     for eta in SEARCH_VISIBILITIES:
         cfg = scenarios.ScenarioConfig.from_dict({"scenario": "double-switch-coherent", "visibility": eta})
         w = scenarios._scenario_process(cfg.spec)[0]
