@@ -727,9 +727,10 @@ class SeparabilityReport:
     between its PSD point and its affine point (see
     :func:`separability_heuristic`); on an infeasible problem it tends to
     the distance between the two sets. With a decomposition it is at least
-    the relative reconstruction error of the claimed mixture. A
-    decomposition certified without a search has ``iterations`` 0 and that
-    error alone as ``residual``."""
+    the relative reconstruction error of the claimed mixture, and it is
+    that error alone when the search stopped at a positive definite affine
+    point, which lies in both sets. A decomposition certified without a
+    search has ``iterations`` 0 and that error alone as ``residual``."""
 
     certificate: tuple[float, ProcessMatrix, ProcessMatrix] | None
     residual: float
@@ -791,10 +792,11 @@ def certify_decomposition(
 def _certificate_components(
     cx: np.ndarray, cy: np.ndarray, layout: SpaceLayout
 ) -> tuple[float, ProcessMatrix, ProcessMatrix] | None:
-    """Candidate decomposition from the search's terminal affine point, the
+    """Candidate decomposition from an affine point of the search, the
     coefficients (cx, cy) of X in the AB and Y in the BA subspace: q from
-    the trace of X, each part lifted to PSD in the search's dtype and
-    renormalized. :func:`certify_decomposition` decides whether it holds."""
+    the trace of X, each part lifted to PSD where it is not, in the
+    search's dtype, and renormalized. :func:`certify_decomposition` decides
+    whether it holds."""
     expected = layout.dim_of("A_O") * layout.dim_of("B_O")
     mats = hs_basis(layout).to_mat(np.stack((cx, cy)))
     q = min(max(float(np.real(np.trace(mats[0]))) / expected, 0.0), 1.0)
@@ -818,6 +820,13 @@ def _certificate_components(
             return None
         parts.append(ProcessMatrix(mat * (expected / tr), layout))
     return q, parts[0], parts[1]
+
+
+def _certified_split(w: ProcessMatrix, cx: np.ndarray, cy: np.ndarray) -> SeparabilityReport | None:
+    """The certificate of the candidate built from an order split (cx, cy)
+    of W, or None."""
+    candidate = _certificate_components(cx, cy, w.layout)
+    return None if candidate is None else certify_decomposition(w, *candidate)
 
 
 def _certify_witness(
@@ -859,6 +868,16 @@ def _order_split(
     pseudo-inverse is exactly a + b - 1.5 a b."""
     lam = (a + b - 1.5 * a * b) * (w - a * x - b * y)
     return a * (x + lam), b * (y + lam)
+
+
+def _positive_definite(mats: np.ndarray) -> bool:
+    """Whether every matrix of a Hermitian stack is positive definite, by
+    one batched Cholesky factorization."""
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @lru_cache(maxsize=32)
@@ -973,6 +992,18 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     passes is the witness rebuilt as matrices and checked by
     :func:`_certify_witness`.
 
+    A decomposition need not wait for the gap to fall below SEARCH_TOL.
+    z - a is orthogonal to the affine set, so the affine point a = P_aff(z)
+    at the top of step k >= 2 is P_aff(b) of step k - 1, the projection the
+    converged path certifies. When W has full rank, one batched Cholesky
+    factorization tests whether both of its parts are positive definite; if
+    so, the point lies in both sets, and it becomes the candidate with no
+    eigenvalue lift. When :func:`certify_decomposition` accepts it, the
+    search stops with ``iterations`` k - 1, the clip steps taken, and the
+    certificate's reconstruction error as ``residual``. A rank-deficient W
+    is not tested: q X <= W makes every part of its decompositions
+    singular.
+
     When W is rank-deficient (an eigenvalue at or below dim eps_mach
     lambda_max) and the first step certifies nothing, :func:`_face_witness`
     asks once, by one eigh and one small least-squares solve, whether W
@@ -1012,6 +1043,12 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     witness, value = None, None
     for used in range(1, iters + 1):
         xa, ya = _order_split(cw, zx, zy, in_ab, in_ba)
+        if used > 1 and not deficient and _positive_definite(basis.to_mat(np.stack((xa, ya)))):
+            # (xa, ya) is the affine projection of the last PSD point, and PSD
+            # itself: it lies in both sets, an exact decomposition
+            cert = _certified_split(w, xa, ya)
+            if cert is not None:
+                return replace(cert, iterations=used - 1)
         xr, yr = 2.0 * xa - zx, 2.0 * ya - zy
         xb, yb = basis.to_coef(_psd_clip(basis.to_mat(np.stack((xr, yr))), sectors, blocks))
         # the basis is orthogonal: coefficient norms are Frobenius norms
@@ -1041,8 +1078,7 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     if witness is not None:
         return SeparabilityReport(None, residual, used, witness, value)
     if gap < SEARCH_TOL * scale:
-        candidate = _certificate_components(*_order_split(cw, xb, yb, in_ab, in_ba), lay)
-        cert = None if candidate is None else certify_decomposition(w, *candidate)
+        cert = _certified_split(w, *_order_split(cw, xb, yb, in_ab, in_ba))
         if cert is not None:
             return replace(cert, residual=max(residual, cert.residual), iterations=used)
     return SeparabilityReport(None, residual, used)

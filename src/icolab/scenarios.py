@@ -474,13 +474,20 @@ def _correlation_sections(config: ScenarioConfig) -> dict:
     }
 
 
-# CHSH above 2 rules out a temporally local model only under A5, keyed by a5_satisfied
+# CHSH above 2 rules out a temporally local model only under A5. Without A5 the
+# note points to the temporal_locality section only when that section holds a
+# definite-order model; keyed by (a5_satisfied, section applicable)
+_NO_LOCAL_MODEL = (
+    "CHSH exceeds the classical bound 2: conditioned target statistics admit no temporally local model"
+)
 _CHSH_NOTES = {
-    True: "CHSH exceeds the classical bound 2: conditioned target statistics"
-    " admit no temporally local model",
-    False: "CHSH exceeds the classical bound 2, but A5 is not satisfied: a definite-order model"
-    " with an order- or environment-dependent free evolution can reproduce it; see"
+    (True, True): _NO_LOCAL_MODEL,
+    (True, False): _NO_LOCAL_MODEL,
+    (False, True): "CHSH exceeds the classical bound 2, but A5 is not satisfied: a definite-order"
+    " model with an order- or environment-dependent free evolution can reproduce it; see"
     " temporal_locality section",
+    (False, False): "CHSH exceeds the classical bound 2, but A5 is not satisfied, so it does not"
+    " by itself rule out a temporally local account of the conditioned statistics",
 }
 _ORDER_NOTES = {
     "separable": "definite or mixed (separable decomposition certified)",
@@ -506,7 +513,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
 
     notes = [
         (
-            _CHSH_NOTES[spec.a5_satisfied]
+            _CHSH_NOTES[spec.a5_satisfied, audit_sec["applicable"]]
             if sections["chsh"]["value"] > classical_chsh_bound() + 1e-9
             else "CHSH within the classical bound"
         ),

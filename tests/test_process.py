@@ -821,6 +821,102 @@ def test_full_rank_inputs_build_no_range_basis(monkeypatch):
     assert built == []
 
 
+# The early stop: from the second step on, a full-rank W stops at the first
+# affine point whose parts are positive definite and certify
+
+
+def recorded_pd_tests(monkeypatch) -> list[bool]:
+    """Patch the search's positive-definiteness test to log each result."""
+    results = []
+
+    def recorded(mats):
+        results.append(positive_definite(mats))
+        return results[-1]
+
+    positive_definite = process._positive_definite
+    monkeypatch.setattr(process, "_positive_definite", recorded)
+    return results
+
+
+def stopped_early(rep, results: list[bool]) -> bool:
+    """Whether a search stopped at its last positive-definiteness test: the
+    test runs at the top of steps 2..k and an early stop reports k - 1."""
+    return rep.verdict == "separable" and len(results) == rep.iterations and results[-1]
+
+
+def test_full_rank_ordered_mixtures_stop_at_the_first_positive_definite_split(monkeypatch):
+    results, splits = recorded_pd_tests(monkeypatch), []
+
+    def recorded(cx, cy, lay):
+        splits.append(hs_basis(lay).to_mat(np.stack((cx, cy))))
+        return components(cx, cy, lay)
+
+    components = process._certificate_components
+    monkeypatch.setattr(process, "_certificate_components", recorded)
+    inputs = complex_search_inputs()
+    pool = [inputs["ordered-mixture-1"], inputs["ordered-mixture-4"], *process_family_inputs(1)[:60:3]]
+    early = 0
+    for w in pool:
+        assert w._eigenvalues[0] > w._rounding  # full rank
+        results.clear()
+        splits.clear()
+        rep = separability_heuristic(w)
+        assert rep.verdict == "separable"
+        if not stopped_early(rep, results):
+            # a first step that is already PSD ends the search before any test
+            assert (rep.iterations, results) == (1, [])
+            continue
+        early += 1
+        # the certified split is the one the test passed, taken with no lift
+        assert len(splits) == 1 and np.linalg.eigvalsh(splits[0])[:, 0].min() >= 0.0
+        q, w_ab, w_ba = rep.certificate
+        worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
+        assert worst <= 1e-9 and recon <= 1e-13 and rep.residual <= 1e-13
+    assert early >= 15
+
+
+def test_positive_definiteness_is_never_tested_on_rank_deficient_or_first_step_searches(monkeypatch):
+    results = recorded_pd_tests(monkeypatch)
+    deficient = [
+        coherent_process(0.3),
+        coherent_process(1e-3),
+        quantum_switch_process(),
+        ocb_process(),
+        undamped_ordered_mixtures(1, 1)[0],
+    ]
+    assert all(w._eigenvalues[0] <= w._rounding for w in deficient)
+    # the rank-2 coherent processes and the undamped mixture run past the first step
+    past_first = [separability_heuristic(w, 50).iterations > 1 for w in deficient]
+    assert past_first == [True, True, False, False, True]
+    # full rank, decided by the first step
+    for w in (ocb_process(0.5), ocb_process(0.8), phase_rotated(ocb_process(0.5), 5)):
+        assert w._eigenvalues[0] > w._rounding
+        assert separability_heuristic(w).iterations == 1
+    assert results == []
+    separability_heuristic(complex_search_inputs()["ordered-mixture-1"])
+    assert results
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+def test_early_stop_keeps_every_verdict_and_never_adds_a_step(monkeypatch, seed):
+    pool = process_family_inputs(seed)[:150]
+    results = recorded_pd_tests(monkeypatch)
+    reports, early = [], []
+    for w in pool:
+        results.clear()
+        reports.append(separability_heuristic(w))
+        early.append(stopped_early(reports[-1], results))
+    assert sum(early) >= 30 and not all(early)
+    monkeypatch.setattr(process, "_positive_definite", lambda mats: False)
+    for w, rep, stopped in zip(pool, reports, early):
+        ref = separability_heuristic(w)
+        assert rep.verdict == ref.verdict
+        if stopped:
+            assert rep.iterations <= ref.iterations
+        else:
+            assert rep.to_json_dict() == ref.to_json_dict()
+
+
 def certificate_pool() -> dict[str, ProcessMatrix]:
     """The undamped pool at seed 1, the complex search inputs, and a seeded
     slice of the kinds the benchmark searches: ordered mixtures damped by

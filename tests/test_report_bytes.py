@@ -63,7 +63,21 @@ def test_diff_names_the_json_paths_and_csv_cells_that_moved(tmp_path):
         "run coherent: process.validity.psd_margin",
         "run failing: exit code",
         "sweep coherent-eta: row 2 S_opt",
+        f"1 exit code, 1 only in {a}, 1 process.separability.witness_value, 1 process.validity.psd_margin,"
+        " 1 row 2 S_opt",
     ]
+
+
+def test_diff_ends_with_a_tally_per_moved_field(tmp_path):
+    report = json.dumps({"iterations": 9, "q": 0.4, "residual": 1e-15})
+    sections = [(f"search {k}", 0, report) for k in range(3)]
+    a = write(tmp_path / "a.searches", sections)
+    sections[0] = ("search 0", 0, json.dumps({"iterations": 4, "q": 0.5, "residual": 2e-16}))
+    sections[2] = ("search 2", 0, json.dumps({"iterations": 5, "q": 0.4, "residual": 3e-16}))
+    out = diff(a, write(tmp_path / "b.searches", sections))
+    assert out.returncode == 1, out.stderr
+    assert out.stdout.splitlines()[-1] == "2 iterations, 1 q, 2 residual"
+    assert len(out.stdout.splitlines()) == 6
 
 
 def test_diff_of_equal_files_is_empty(tmp_path):
@@ -92,4 +106,5 @@ def test_searches_write_one_report_per_search_input(tmp_path):
     other = tmp_path / "parent.searches"
     other.write_text("\n".join(lines) + "\n")
     found = diff(other, out)
-    assert (found.returncode, found.stdout) == (1, "search process-family 1 random-valid: residual\n")
+    want = "search process-family 1 random-valid: residual\n1 residual\n"
+    assert (found.returncode, found.stdout) == (1, want)

@@ -27,9 +27,10 @@ the coherent preset at visibility 1e-6, 1e-4, 1e-3, 0.3 and 1::
 
 Where the files differ, ``--diff`` names what moved: one line per config
 or search and per JSON path of a report (``process.validity.psd_margin``,
-``residual``), sweep CSV cell (``row 2 S_opt``) or exit code that differs.
-It exits 1 when anything differs, 0 when nothing does and 2 on a file it
-cannot read::
+``residual``), sweep CSV cell (``row 2 S_opt``) or exit code that differs,
+and ends with one line that counts those lines per moved field
+(``127 iterations, 127 q, 127 residual``). It exits 1 when anything
+differs, 0 when nothing does and 2 on a file it cannot read::
 
     python3 tools/report_bytes.py --diff parent.bytes change.bytes
 """
@@ -40,6 +41,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from math import pi, sqrt
 from pathlib import Path
 
@@ -195,6 +197,12 @@ def diff(path_a: Path, path_b: Path) -> list[str]:
     return out
 
 
+def tally(moved: list[str]) -> str:
+    """How many of the lines :func:`diff` wrote name each moved field, by field."""
+    counts = Counter(line.split(": ", 1)[1] for line in moved)
+    return ", ".join(f"{n} {field}" for field, n in sorted(counts.items()))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--diff":
         try:
@@ -202,7 +210,7 @@ def main(argv: list[str]) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        print("\n".join(moved) if moved else "no differences")
+        print("\n".join([*moved, tally(moved)]) if moved else "no differences")
         return 1 if moved else 0
     searches = argv[:1] == ["--searches"]
     argv = argv[1:] if searches else argv
