@@ -9,14 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .scenarios import (
-    ConfigError,
-    ScenarioConfig,
-    list_scenarios,
-    load_config,
-    run_scenario,
-    sweep,
-)
+from .scenarios import ConfigError, list_scenarios, load_config, run_scenario, sweep
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,10 +23,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # no --seed: no stage reads the config's seed, the report only echoes it.
+    # The config key stays because perfbench's run-builtins workload sets it.
     run_p = sub.add_parser("run", help="run one scenario and print its JSON report")
     run_p.add_argument("--config", required=True, help="path to a JSON scenario config")
     run_p.add_argument("--out", default=None, help="also write the report to this path")
-    run_p.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     sweep_p = sub.add_parser("sweep", help="sweep one parameter over a grid, print CSV")
     sweep_p.add_argument("--config", required=True, help="path to a JSON scenario config")
@@ -49,16 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args: argparse.Namespace) -> ScenarioConfig:
-    config = load_config(args.config)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        config = ScenarioConfig.from_dict({**config.echo, **overrides})
-    return config
-
-
 def _emit(payload: bytes, out_path: str | None) -> None:
     sys.stdout.buffer.write(payload)
     sys.stdout.buffer.flush()
@@ -68,7 +52,7 @@ def _emit(payload: bytes, out_path: str | None) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load(args)
+    config = load_config(args.config)
     try:
         result = run_scenario(config)
     except Exception as exc:  # numeric/runtime failure inside the pipeline
@@ -80,7 +64,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load(args)
+    config = load_config(args.config)
     try:
         grid = [float(x) for x in args.grid.split(",") if x.strip()]
     except ValueError:

@@ -65,7 +65,7 @@ from .switch import (
 # formed from its branch vectors. All five stay names of this module only
 # because perfbench/tracing.py instruments every name in its SCENARIO_LAYERS here.
 
-REPORT_SCHEMA = "icolab/run-report/v5"
+REPORT_SCHEMA = "icolab/run-report/v6"
 
 NAMED_STATES = {
     "0": np.array([1.0, 0.0]),
@@ -81,8 +81,9 @@ class ConfigError(ValueError):
     """Configuration could not be parsed or validated."""
 
 
-# Every knob a config may set, at its default: the coherent preset and the
-# base of each built-in and of "custom".
+# Every key a config may set, at its default: the coherent preset and the
+# base of each built-in and of "custom". The separability search and the
+# temporal-locality audit run at their library defaults (2000 steps, 1e-10).
 _BASE_SCENARIO = {
     "scenario": "double-switch-coherent",
     "description": "Coherent-order double switch (H/Z), conditioned on control +",
@@ -99,8 +100,6 @@ _BASE_SCENARIO = {
     "settings": "optimize",
     "conditioning": {"basis": "plus_minus", "outcome": "+"},
     "seed": 20260815,
-    "separability_iters": 2000,
-    "tolerances": {"audit": 1e-10},
     "out": None,
 }
 
@@ -223,8 +222,6 @@ class ScenarioConfig:
     settings: object
     conditioning: tuple[ControlMeasurement, str] | None
     seed: int
-    separability_iters: int
-    tol_audit: float
     out: str | None
     echo: dict
 
@@ -244,27 +241,22 @@ class ScenarioConfig:
             raise ConfigError(
                 f"unknown scenario {name!r}; choose from {sorted(BUILTIN_SCENARIOS)} or 'custom'"
             )
-        tols = merged["tolerances"] or {}
-        if not isinstance(tols, dict):
-            raise ConfigError("tolerances must be a dict with the key 'audit'")
-        unknown = set(merged) - _CONFIG_KEYS | {f"tolerances.{k}" for k in set(tols) - {"audit"}}
+        cond = merged["conditioning"] if isinstance(merged["conditioning"], dict) else {}
+        unknown = set(merged) - _CONFIG_KEYS | {f"conditioning.{k}" for k in set(cond) - {"basis", "outcome"}}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         # JSON types are checked, not coerced, so the echo says what ran
         if not isinstance(merged["env_flag"], bool):
             raise ConfigError(f"env_flag must be true or false, got {merged['env_flag']!r}")
-        for key in ("seed", "separability_iters"):
-            if isinstance(merged[key], bool) or not isinstance(merged[key], int):
-                raise ConfigError(f"{key} must be an integer, got {merged[key]!r}")
+        if isinstance(merged["seed"], bool) or not isinstance(merged["seed"], int):
+            raise ConfigError(f"seed must be an integer, got {merged['seed']!r}")
+        for key in ("description", "order_mode"):
+            if not isinstance(merged[key], str):
+                raise ConfigError(f"{key} must be a string, got {merged[key]!r}")
         if not isinstance(merged["out"], (str, type(None))):
             raise ConfigError(f"out must be a path string or null, got {merged['out']!r}")
-        tol_audit = _number(tols.get("audit", 1e-10), "tolerances.audit")
         visibility = _number(merged["visibility"], "visibility")
         mixture_q = _number(merged["mixture_q"], "mixture_q")
-        if not (np.isfinite(tol_audit) and tol_audit > 0):
-            raise ConfigError("tolerances.audit must be finite and positive")
-        if merged["separability_iters"] < 1:
-            raise ConfigError("separability_iters must be >= 1")
         amps = merged["control_amplitudes"]
         if not isinstance(amps, (list, tuple)) or len(amps) != 2:
             raise ConfigError("control_amplitudes must be a pair")
@@ -282,7 +274,7 @@ class ScenarioConfig:
                 control_amplitudes=tuple(
                     _resolve_amplitude(amp, f"control_amplitudes[{i}]") for i, amp in enumerate(amps)
                 ),
-                order_mode=str(merged["order_mode"]),
+                order_mode=merged["order_mode"],
                 mixture_q=mixture_q,
                 env_flag=merged["env_flag"],
                 visibility=visibility,
@@ -293,8 +285,6 @@ class ScenarioConfig:
                 settings=_resolve_settings(merged["settings"]),
                 conditioning=_resolve_conditioning(merged["conditioning"]),
                 seed=merged["seed"],
-                separability_iters=merged["separability_iters"],
-                tol_audit=tol_audit,
                 out=merged["out"],
                 echo=merged,
             )
@@ -379,7 +369,7 @@ def _audit_section(cfg: ScenarioConfig) -> dict:
         initial, layout = sw.psi_t0, SpaceLayout(("target",), (sw.target_dim,))
         evolutions = [(b.weight, u) for b, u in zip(branches, steps)]
     model = lambda_model_from_definite_order(initial, layout, "target", probes, probes, evolutions)
-    audit = temporal_locality_audit(model, cfg.tol_audit)
+    audit = temporal_locality_audit(model)
     return {
         "applicable": True,
         "probe_settings": list(_AUDIT_PROBES),
@@ -509,7 +499,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     sep = None if candidate is None else certify_decomposition(w, *candidate)
     source = "construction"
     if sep is None:
-        sep, source = separability_heuristic(w, iters=config.separability_iters), "search"
+        sep, source = separability_heuristic(w), "search"
 
     notes = [
         (

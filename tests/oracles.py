@@ -333,17 +333,14 @@ def witness_margin(w, layout, s, p_ab, p_ba, tol=1e-9):
     return float(np.real(np.trace(s @ w))) + eps * d_o["A_O"] * d_o["B_O"]
 
 
-def face_split_residual(w, layout):
-    """Least-squares residual of the order split of W on its face: the
-    smallest sqrt(||X - P_AB X||^2 + ||Y - P_BA Y||^2) over Hermitian X and
-    Y = W - X supported on range(W), with the reset projectors above. range(W)
-    is spanned by the eigenvectors of the eigenvalues above dim eps_mach
-    lambda_max, and X runs over V H V^dagger for each Hermitian H of a basis
-    of the r x r complex Hermitian matrices, one column per basis element.
-    Zero (to rounding) exactly when such a split exists, PSD or not."""
+def _face_split_system(w, layout, real=False):
+    """The least-squares system of the order split of W on its face, as
+    :func:`face_split_residual` describes it: the range basis V, the
+    Hermitian basis, the columns and the target. ``real`` takes V from the
+    real part of W and keeps the real symmetric basis elements only."""
     w = np.asarray(w, dtype=np.complex128)
     n = len(w)
-    vals, vecs = np.linalg.eigh(w)
+    vals, vecs = np.linalg.eigh(w.real if real else w)
     v = vecs[:, vals > n * np.finfo(float).eps * vals[-1]]
     r = v.shape[1]
     herms = []
@@ -352,7 +349,7 @@ def face_split_residual(w, layout):
             e = np.zeros((r, r), dtype=np.complex128)
             e[i, j] = 1.0
             herms.append(e + e.T if i != j else e)
-            if i != j:
+            if i != j and not real:
                 herms.append(1j * (e - e.T))
     off_ab = lambda x: x - order_projection(x, layout, "AB")  # noqa: E731
     off_ba = lambda x: x - order_projection(x, layout, "BA")  # noqa: E731
@@ -362,8 +359,65 @@ def face_split_residual(w, layout):
         x = v @ h @ v.conj().T
         columns.append(flat(off_ab(x), -off_ba(x)))
     target = flat(np.zeros_like(w), -off_ba(w))
-    coef = np.linalg.lstsq(np.array(columns).T, target, rcond=None)[0]
-    return float(np.linalg.norm(np.array(columns).T @ coef - target))
+    return v, np.array(herms), np.array(columns).T, target
+
+
+def face_split_residual(w, layout):
+    """Least-squares residual of the order split of W on its face: the
+    smallest sqrt(||X - P_AB X||^2 + ||Y - P_BA Y||^2) over Hermitian X and
+    Y = W - X supported on range(W), with the reset projectors above. range(W)
+    is spanned by the eigenvectors of the eigenvalues above dim eps_mach
+    lambda_max, and X runs over V H V^dagger for each Hermitian H of a basis
+    of the r x r complex Hermitian matrices, one column per basis element.
+    Zero (to rounding) exactly when such a split exists, PSD or not."""
+    _, _, a, target = _face_split_system(w, layout)
+    coef = np.linalg.lstsq(a, target, rcond=None)[0]
+    return float(np.linalg.norm(a @ coef - target))
+
+
+def face_split_margin(w, layout):
+    """Best least eigenvalue of the two parts of an order split of W on its
+    face, over the splits of :func:`face_split_residual`'s system when they
+    form a point or a line: X = V H(c0 + t n) V^dagger and Y = W - X, with c0
+    the least-squares coefficients and n the null direction of the columns
+    (singular values below 1e-10 of the largest). The parts' eigenvalues are
+    taken on range(W), where both live, so min(lambda_min(H), lambda_min(V^dagger
+    W V - H)) is concave in t; it is maximized by bisection on the sign of its
+    slope, read off the active part's least eigenvector. A real W is searched
+    over real splits only: the conjugate of a split is a split with the same
+    eigenvalues, so by concavity their real part is as good. Nonnegative (to
+    rounding) exactly when a PSD split exists on the face."""
+    real = not np.asarray(w).imag.any()
+    v, herms, a, target = _face_split_system(w, layout, real)
+    coef = np.linalg.lstsq(a, target, rcond=None)[0]
+    _, sing, vt = np.linalg.svd(a, full_matrices=False)
+    null = vt[sing < 1e-10 * sing[0]]
+    if len(null) > 1:
+        raise ValueError(f"the face splits form a {len(null)}-dimensional set, not a line")
+    w_r = v.conj().T @ np.asarray(w, dtype=np.complex128) @ v
+    h0 = np.tensordot(coef, herms, axes=1)
+    hn = np.tensordot(null[0], herms, axes=1) if len(null) else np.zeros_like(h0)
+
+    def least(t):
+        """min of both parts' least eigenvalues at t, and its slope there"""
+        x = h0 + t * hn
+        (lx, vx), (ly, vy) = (np.linalg.eigh(m) for m in (x, w_r - x))
+        if lx[0] <= ly[0]:
+            return lx[0], float(np.real(vx[:, 0].conj() @ hn @ vx[:, 0]))
+        return ly[0], -float(np.real(vy[:, 0].conj() @ hn @ vy[:, 0]))
+
+    lo, hi = -1.0, 1.0
+    while least(lo)[1] < 0.0:
+        lo *= 2.0
+    while least(hi)[1] > 0.0:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if least(mid)[1] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return float(max(least(lo)[0], least(hi)[0]))
 
 
 def psd_clip(m):

@@ -87,10 +87,12 @@ def test_physical_consistency_checked_at_parse_time():
     # JSON types are checked, not coerced into something the echo contradicts
     for key, value in (
         ("env_flag", "false"), ("seed", 1.7), ("seed", "7"),
-        ("separability_iters", 2.5), ("separability_iters", True),
+        ("description", 7), ("order_mode", 5),
     ):
         with pytest.raises(ConfigError, match=f"{key} must be"):
             make_config(**{key: value})
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            ScenarioConfig.from_dict({"scenario": "custom", key: value})
     # real-valued keys take JSON numbers only: no bools, no numeric strings
     pair = [[0.0, 0.0], [1.0, 0.0]]
     for key, overrides in (
@@ -100,29 +102,12 @@ def test_physical_consistency_checked_at_parse_time():
         ("control_amplitudes[0]", {"control_amplitudes": [True, 0]}),
         ("control_amplitudes[1]", {"control_amplitudes": [1.0, [False, 0.0]]}),
         ("control_amplitudes[0]", {"control_amplitudes": [["0.6", 0.0], 0.8]}),
-        ("tolerances.audit", {"tolerances": {"audit": "1e-10"}}),
         ("settings", {"settings": [pair, [[0.0, 0.0], [True, 0.0]]]}),
         ("settings", {"settings": [pair, [[0.0, "0.5"], [1.0, 0.0]]]}),
         ("conditioning.basis", {"conditioning": {"basis": [True, 0.0], "outcome": "+"}}),
     ):
         with pytest.raises(ConfigError, match=re.escape(key) + " must be"):
             make_config(**overrides)
-    # the causal tolerance is a module constant: a config cannot set it
-    with pytest.raises(ConfigError, match=r"unknown config keys: \['tolerances.causal'\]"):
-        make_config(tolerances={"causal": True})
-
-
-def test_tolerances_validated():
-    for tols in ({"causal": -1.0}, {"causal": 1e-9, "audit": 1e-10}):
-        with pytest.raises(ConfigError, match="tolerances.causal"):
-            make_config(tolerances=tols)
-    with pytest.raises(ConfigError, match="tolerances.weird"):
-        make_config(tolerances={"weird": 1.0})
-    with pytest.raises(ConfigError, match="tolerances must be a dict"):
-        make_config(tolerances=[1e-10])
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ConfigError):
-            make_config(tolerances={"audit": bad})
 
 
 def test_conditioning_validation():
@@ -134,6 +119,10 @@ def test_conditioning_validation():
         make_config(conditioning={"basis": "plus_minus"})
     with pytest.raises(ConfigError):
         make_config(conditioning={"basis": [float("nan"), 0.0], "outcome": "+"})
+    # a misspelt key inside conditioning is named, not echoed
+    typo = {"basis": "plus_minus", "outcome": "+", "outcom": "-"}
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['conditioning.outcom'\]"):
+        make_config(conditioning=typo)
 
 
 def test_list_scenarios_is_stable():
@@ -163,7 +152,7 @@ def test_report_structure_and_determinism():
         "seed",
     ):
         assert key in rep
-    assert rep["schema"] == "icolab/run-report/v5"
+    assert rep["schema"] == "icolab/run-report/v6"
     assert set(rep["causal"]) == {"verdict", "marginal_dependence"}
     assert set(rep["chsh"]) == {
         "value", "correlators", "settings", "classical_bound", "tsirelson_bound"
@@ -337,9 +326,7 @@ def test_sections_agree_at_zero_visibility():
     # At eta = 0 the coherent branches are a mixture with weights |alpha|^2,
     # |beta|^2, so the audit applies the classical-mixture model.
     amps = [np.sqrt(0.3), np.sqrt(0.7)]
-    rep = run_scenario(
-        make_config(visibility=0.0, control_amplitudes=amps, separability_iters=20)
-    ).report
+    rep = run_scenario(make_config(visibility=0.0, control_amplitudes=amps)).report
     assert rep["assumptions"]["classical_order_variable"] is True
     audit = rep["temporal_locality"]
     assert audit["applicable"] is True and audit["passed"] is True
@@ -349,6 +336,43 @@ def test_sections_agree_at_zero_visibility():
     # any visibility above 0 keeps the order coherently indefinite
     faint = make_config(visibility=0.01, control_amplitudes=amps)
     assert _audit_section(faint)["applicable"] is False
+
+
+# A dephased switch whose face holds a line of order splits and no PSD one,
+# so it is nonseparable. Its visibility is ten times above the eta <= 1e-4 of
+# the search's known false separable verdicts (ROADMAP item 13)
+NO_PSD_FACE_SPLIT = {
+    "scenario": "custom",
+    "u_a": "Z",
+    "u_b": "I",
+    "v0": "X",
+    "v1": "I",
+    "psi_t0": "1",
+    "control_amplitudes": [np.sqrt(0.2), np.sqrt(0.8)],
+    "visibility": 1e-3,
+    "conditioning": None,
+}
+
+
+def test_dephased_switch_face_splits_are_not_psd():
+    w = _scenario_process(ScenarioConfig.from_dict(NO_PSD_FACE_SPLIT).spec)[0]
+    assert np.linalg.matrix_rank(w.matrix, tol=1e-12) == 2
+    assert oracles.face_split_residual(w.matrix, w.layout) <= 1e-13
+    assert oracles.face_split_margin(w.matrix, w.layout) < -1e-7
+    # fully dephased, the same switch is a mixture of the two orders
+    mixture = ScenarioConfig.from_dict({**NO_PSD_FACE_SPLIT, "visibility": 0.0})
+    w = _scenario_process(mixture.spec)[0]
+    assert oracles.face_split_margin(w.matrix, w.layout) >= -1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the converged search lifts a split that is not PSD and accepts it at"
+    " its 1.7e-5 reconstruction gate (ROADMAP item 13)",
+)
+def test_dephased_switch_is_not_reported_separable():
+    rep = run_scenario(ScenarioConfig.from_dict(NO_PSD_FACE_SPLIT)).report
+    assert rep["process"]["separability"]["verdict"] != "separable"
 
 
 def test_full_visibility_process_is_the_pure_switch():
@@ -524,7 +548,7 @@ def test_sweep_runs_only_the_correlation_stages(monkeypatch, scenario, parameter
     def no_separability(*args, **kwargs):
         raise AssertionError("sweep ran the separability search")
 
-    cfg = ScenarioConfig.from_dict({"scenario": scenario, "separability_iters": 20})
+    cfg = ScenarioConfig.from_dict({"scenario": scenario})
     with monkeypatch.context() as m:
         m.setattr(scenarios, "separability_heuristic", no_separability)
         rows = sweep(cfg, parameter, grid).strip().split("\n")[2:]
@@ -600,7 +624,7 @@ def test_cli_run_is_byte_identical(coherent_config, tmp_path):
     assert out_path.read_bytes() == r1.stdout
     assert "duration_s=" in r1.stderr.decode()
     rep = json.loads(r1.stdout)
-    assert rep["schema"] == "icolab/run-report/v5"
+    assert rep["schema"] == "icolab/run-report/v6"
 
 
 def test_cli_run_bytes_do_not_depend_on_blas_threads(coherent_config):
@@ -618,10 +642,15 @@ def test_cli_run_bytes_do_not_depend_on_blas_threads(coherent_config):
     assert runs[0].stdout == runs[1].stdout
 
 
-def test_cli_seed_override(coherent_config):
-    out = run_cli("run", "--config", str(coherent_config), "--seed", "31")
-    assert out.returncode == 0
-    assert json.loads(out.stdout)["seed"] == 31
+def test_removed_run_knobs_exit_2(coherent_config, tmp_path):
+    # the search cap and the audit tolerance are fixed, and no stage reads the seed
+    for key, value in (("separability_iters", 20), ("tolerances", {"audit": 1e-10})):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({"scenario": "double-switch-coherent", key: value}))
+        out = run_cli("run", "--config", str(path))
+        assert out.returncode == 2
+        assert f"unknown config keys: ['{key}']" in out.stderr.decode()
+    assert run_cli("run", "--config", str(coherent_config), "--seed", "3").returncode == 2
 
 
 def test_cli_config_errors_exit_2(tmp_path):
@@ -641,7 +670,7 @@ def test_cli_config_errors_exit_2(tmp_path):
         ("control_amplitudes[0]", {**coherent, "control_amplitudes": [[None, 0], 0.7]}),
         ("scenario", {"scenario": ["x"]}),
         ("out", {**coherent, "out": 7}),
-        ("tolerances.causal", {**coherent, "tolerances": {"causal": 1e-9}}),
+        ("conditioning.outcom", {**coherent, "conditioning": {"outcome": "+", "outcom": "-"}}),
     ):
         path = tmp_path / "typed.json"
         path.write_text(json.dumps(config))

@@ -119,7 +119,7 @@ def searches() -> None:
     for eta in SEARCH_VISIBILITIES:
         cfg = scenarios.ScenarioConfig.from_dict({"scenario": "double-switch-coherent", "visibility": eta})
         w = scenarios._scenario_process(cfg.spec)[0]
-        rep = process.separability_heuristic(w, cfg.separability_iters)
+        rep = process.separability_heuristic(w)
         print(f"== search coherent visibility {eta} exit 0")
         print(json.dumps(rep.to_json_dict(), sort_keys=True))
 
