@@ -730,7 +730,9 @@ class SeparabilityReport:
     the relative reconstruction error of the claimed mixture, and it is
     that error alone when the search stopped at a positive definite affine
     point, which lies in both sets. A decomposition certified without a
-    search has ``iterations`` 0 and that error alone as ``residual``."""
+    search step has ``iterations`` 0 and that error alone as ``residual``:
+    one certified from a construction, or by the search on the line through
+    its start (see :func:`separability_heuristic`)."""
 
     certificate: tuple[float, ProcessMatrix, ProcessMatrix] | None
     residual: float
@@ -880,6 +882,39 @@ def _positive_definite(mats: np.ndarray) -> bool:
     return True
 
 
+def _line_split(
+    w: ProcessMatrix, in_ab: np.ndarray, in_ba: np.ndarray
+) -> tuple[tuple[float, float] | None, SeparabilityReport | None]:
+    """The best order split of W on the line X = A + t S, Y = B + (1 - t) S
+    through the search's start (t = 1/2), and its certificate.
+
+    A, B and S are W's AB-only, BA-only and shared coefficients, so every
+    point of the line is an exact order split. With S = L L^dagger positive
+    definite, X(t) is PSD exactly when t >= t_lo = lambda_max(-L^-1 A L^-dagger)
+    and Y(t) exactly when t <= t_hi = 1 - lambda_max(-L^-1 B L^-dagger): two
+    symmetric-definite generalized eigenvalue problems (Golub and Van Loan,
+    Matrix Computations, sec. 8.7). At the midpoint of a nonempty interval
+    both parts are >= (t_hi - t_lo)/2 S. Returns (t_lo, t_hi), None when S
+    is not positive definite, and the certificate of that midpoint, None when
+    there is none or it does not certify."""
+    basis, both = hs_basis(w.layout), in_ab * in_ba
+    shared = both * w._coef
+    a, b, s = basis.to_mat(np.stack(((in_ab - both) * w._coef, (in_ba - both) * w._coef, shared)))
+    try:
+        inv = np.linalg.inv(np.linalg.cholesky(s))
+    except np.linalg.LinAlgError:
+        return None, None
+    least = np.linalg.eigvalsh(-(inv @ np.stack((a, b)) @ inv.conj().T))[:, -1]
+    t_lo, t_hi = float(least[0]), 1.0 - float(least[1])
+    if t_lo >= t_hi:
+        return (t_lo, t_hi), None
+    t = 0.5 * (t_lo + t_hi)
+    cx, cy = in_ab * w._coef - (1.0 - t) * shared, in_ba * w._coef - t * shared
+    if not _positive_definite(basis.to_mat(np.stack((cx, cy)))):
+        return (t_lo, t_hi), None
+    return (t_lo, t_hi), _certified_split(w, cx, cy)
+
+
 @lru_cache(maxsize=32)
 def _hermitian_basis(r: int, real: bool) -> np.ndarray:
     """Read-only stack of an orthonormal basis of the r x r real symmetric
@@ -971,8 +1006,17 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     step takes the affine point a = P_aff(z), its reflection r = 2a - z and
     the PSD point b = clip(r), and moves z += b - a. The start
     z = P_aff(W/2, W/2) lies on the affine set, so the first step clips the
-    order split itself, and a split that is already PSD stops after one
-    iteration.
+    order split itself.
+
+    Before that step, a full-rank W tries the best split on the line through
+    the start: X = A + t S, Y = B + (1 - t) S, with A, B and S W's AB-only,
+    BA-only and shared coefficients (t = 1/2 is the start). When S is
+    positive definite, two generalized eigenvalue problems give the interval
+    of t where both parts are PSD, and its midpoint keeps both parts above
+    half its length times S (see :func:`_line_split`). When that split is
+    positive definite and :func:`certify_decomposition` accepts it, the
+    search stops with ``iterations`` 0 and the certificate's reconstruction
+    error as ``residual``; otherwise the loop below runs unchanged.
 
     On a feasible problem z converges to a fixed point, where b = a is a
     decomposition: when ||b - a|| < SEARCH_TOL max(1, ||W||), b is projected
@@ -1036,8 +1080,12 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     # tr(S W) = <gx, in_ab cw> + <gy, (1 - in_ab) in_ba cw>
     cw_a, cw_b = (in_ab * cw).ravel(), ((1.0 - in_ab) * in_ba * cw).ravel()
 
-    sectors, blocks = _charge_sectors(lay, np.packbits(m != 0).tobytes())
     deficient = w._eigenvalues[0] <= w._rounding
+    if not deficient:
+        cert = _line_split(w, in_ab, in_ba)[1]
+        if cert is not None:
+            return cert
+    sectors, blocks = _charge_sectors(lay, np.packbits(m != 0).tobytes())
 
     zx, zy = _order_split(cw, cw / 2.0, cw / 2.0, in_ab, in_ba)
     witness, value = None, None

@@ -296,6 +296,26 @@ def certificate_candidate(x, y, layout):
     return q, parts[0], parts[1]
 
 
+def line_split_interval(w, layout):
+    """The order splits X = A + t S, Y = B + (1 - t) S of a bipartite W (no
+    future factor) along one line, by the reset projectors above: S is W's
+    projection onto both order subspaces, A = P_AB W - S and B = P_BA W - S.
+    With S positive definite and S^(-1/2) from its eigendecomposition, X is
+    PSD exactly for t >= t_lo = lambda_max(-S^(-1/2) A S^(-1/2)) and Y exactly
+    for t <= t_hi = 1 - lambda_max(-S^(-1/2) B S^(-1/2)). Returns (t_lo, t_hi, S)
+    as floats and a matrix, or None when S is not positive definite."""
+    w = np.asarray(w, dtype=np.complex128)
+    p_ab, p_ba = (order_projection(w, layout, order) for order in ("AB", "BA"))
+    s = order_projection(p_ab, layout, "BA")
+    s = 0.5 * (s + s.conj().T)
+    vals, vecs = np.linalg.eigh(s)
+    if vals[0] <= len(s) * np.finfo(float).eps * vals[-1]:
+        return None
+    root = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    worst = [np.linalg.eigvalsh(-root @ (p - s) @ root)[-1] for p in (p_ab, p_ba)]
+    return float(worst[0]), 1.0 - float(worst[1]), s
+
+
 def decomposition_defects(w, layout, q, w_ab, w_ba):
     """How far a decomposition W = q W_AB + (1-q) W_BA is from holding, by
     partial traces alone: the largest of each part's Hermiticity defect,

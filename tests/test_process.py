@@ -1,9 +1,12 @@
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from icolab import process
@@ -578,9 +581,11 @@ def test_no_witness_on_separable_inputs():
     assert rep.witness is None and rep.verdict == "separable"
 
 
-def test_split_that_is_already_psd_certifies_in_one_iteration():
-    # the search starts on the affine set, so its first step clips the
-    # order split of W/2, W/2; when that split is PSD it is the decomposition
+def test_split_that_is_already_psd_certifies_with_no_step():
+    # the search starts on the affine set at the order split of W/2, W/2,
+    # the point t = 1/2 of the line the search tries first; when that split
+    # is PSD the line's interval holds 1/2, and its midpoint is the
+    # decomposition before any clip step
     basis = hs_basis(standard_layout(2))
     in_ab, in_ba = _order_mask(basis.layout, "AB"), _order_mask(basis.layout, "BA")
     for noise in (0.5, 0.8):
@@ -588,8 +593,11 @@ def test_split_that_is_already_psd_certifies_in_one_iteration():
         cw = basis.to_coef(w.matrix)
         for part in _order_split(cw, cw / 2.0, cw / 2.0, in_ab, in_ba):
             assert np.linalg.eigvalsh(basis.to_mat(part))[0] >= 0.0, noise
+        t_lo, t_hi, _ = oracles.line_split_interval(w.matrix, w.layout)
+        assert t_lo < 0.5 < t_hi, noise
         rep = separability_heuristic(w)
-        assert rep.verdict == "separable" and rep.iterations == 1, noise
+        assert rep.verdict == "separable" and rep.iterations == 0, noise
+        assert rep.residual <= 1e-14, noise
 
 
 # A hard pool near the separable boundary, where a search that stalls gives
@@ -821,27 +829,49 @@ def test_full_rank_inputs_build_no_range_basis(monkeypatch):
     assert built == []
 
 
-# The early stop: from the second step on, a full-rank W stops at the first
-# affine point whose parts are positive definite and certify
+# The line check and the early stop: before the first step, a full-rank W
+# tries the best split on the line through the search's start; from the
+# second step on, the loop stops at the first affine point whose parts are
+# positive definite and certify
 
 
-def recorded_pd_tests(monkeypatch) -> list[bool]:
-    """Patch the search's positive-definiteness test to log each result."""
+def recorded_pd_tests(monkeypatch) -> list[tuple[str, bool]]:
+    """Patch the search's positive-definiteness test to log, per call, the
+    function that made it (``_line_split`` before the loop, or the loop in
+    ``separability_heuristic``) and its result."""
     results = []
 
     def recorded(mats):
-        results.append(positive_definite(mats))
-        return results[-1]
+        results.append((sys._getframe(1).f_code.co_name, positive_definite(mats)))
+        return results[-1][1]
 
     positive_definite = process._positive_definite
     monkeypatch.setattr(process, "_positive_definite", recorded)
     return results
 
 
-def stopped_early(rep, results: list[bool]) -> bool:
-    """Whether a search stopped at its last positive-definiteness test: the
-    test runs at the top of steps 2..k and an early stop reports k - 1."""
-    return rep.verdict == "separable" and len(results) == rep.iterations and results[-1]
+def loop_tests(results: list[tuple[str, bool]]) -> list[bool]:
+    return [ok for caller, ok in results if caller == "separability_heuristic"]
+
+
+def decided_on_the_line(rep, results: list[tuple[str, bool]]) -> bool:
+    """Whether a search was certified on its start line: one test, the
+    line's, and no step."""
+    return rep.verdict == "separable" and rep.iterations == 0 and results == [("_line_split", True)]
+
+
+def stopped_early(rep, results: list[tuple[str, bool]]) -> bool:
+    """Whether a search stopped at its loop's last positive-definiteness
+    test: the loop tests at the top of steps 2..k and an early stop reports
+    k - 1. A line check that came first tested at most once, and failed."""
+    loop = loop_tests(results)
+    line = results[: len(results) - len(loop)]
+    return (
+        rep.verdict == "separable"
+        and line in ([], [("_line_split", False)])
+        and len(loop) == rep.iterations >= 1
+        and loop[-1]
+    )
 
 
 def test_full_rank_ordered_mixtures_stop_at_the_first_positive_definite_split(monkeypatch):
@@ -855,24 +885,26 @@ def test_full_rank_ordered_mixtures_stop_at_the_first_positive_definite_split(mo
     monkeypatch.setattr(process, "_certificate_components", recorded)
     inputs = complex_search_inputs()
     pool = [inputs["ordered-mixture-1"], inputs["ordered-mixture-4"], *process_family_inputs(1)[:60:3]]
-    early = 0
+    on_line, early = 0, 0
     for w in pool:
         assert w._eigenvalues[0] > w._rounding  # full rank
         results.clear()
         splits.clear()
         rep = separability_heuristic(w)
         assert rep.verdict == "separable"
-        if not stopped_early(rep, results):
-            # a first step that is already PSD ends the search before any test
-            assert (rep.iterations, results) == (1, [])
-            continue
-        early += 1
+        # every search ends at its first positive definite split: on the
+        # line with no step, or in the loop
+        if decided_on_the_line(rep, results):
+            on_line += 1
+        else:
+            assert stopped_early(rep, results), (rep.iterations, results)
+            early += 1
         # the certified split is the one the test passed, taken with no lift
-        assert len(splits) == 1 and np.linalg.eigvalsh(splits[0])[:, 0].min() >= 0.0
+        assert len(splits) == 1 and np.linalg.eigvalsh(splits[0])[:, 0].min() > 0.0
         q, w_ab, w_ba = rep.certificate
         worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
         assert worst <= 1e-9 and recon <= 1e-13 and rep.residual <= 1e-13
-    assert early >= 15
+    assert on_line >= 12 and early >= 6
 
 
 def test_positive_definiteness_is_never_tested_on_rank_deficient_or_first_step_searches(monkeypatch):
@@ -888,33 +920,112 @@ def test_positive_definiteness_is_never_tested_on_rank_deficient_or_first_step_s
     # the rank-2 coherent processes and the undamped mixture run past the first step
     past_first = [separability_heuristic(w, 50).iterations > 1 for w in deficient]
     assert past_first == [True, True, False, False, True]
-    # full rank, decided by the first step
-    for w in (ocb_process(0.5), ocb_process(0.8), phase_rotated(ocb_process(0.5), 5)):
-        assert w._eigenvalues[0] > w._rounding
-        assert separability_heuristic(w).iterations == 1
     assert results == []
-    separability_heuristic(complex_search_inputs()["ordered-mixture-1"])
-    assert results
+    # full rank and nonseparable: the line's interval is empty, so it tests
+    # nothing, and the first step decides
+    for w in (ocb_process(0.2), phase_rotated(ocb_process(0.2), 5)):
+        assert w._eigenvalues[0] > w._rounding
+        interval, cert = process._line_split(w, _order_mask(w.layout, "AB"), _order_mask(w.layout, "BA"))
+        assert interval[0] >= interval[1] and cert is None
+        rep = separability_heuristic(w)
+        assert (rep.verdict, rep.iterations) == ("nonseparable", 1)
+    assert results == []
+    # full rank and separable at the start: one test, the line's, and no step
+    for w in (ocb_process(0.5), ocb_process(0.8), phase_rotated(ocb_process(0.5), 5)):
+        results.clear()
+        assert decided_on_the_line(separability_heuristic(w), results)
+    results.clear()
+    rep = separability_heuristic(complex_search_inputs()["ordered-mixture-4"])
+    assert stopped_early(rep, results) and len(loop_tests(results)) == rep.iterations > 1
 
 
 @pytest.mark.parametrize("seed", [2, 3])
 def test_early_stop_keeps_every_verdict_and_never_adds_a_step(monkeypatch, seed):
     pool = process_family_inputs(seed)[:150]
     results = recorded_pd_tests(monkeypatch)
-    reports, early = [], []
+    reports, on_line, early = [], [], []
     for w in pool:
         results.clear()
         reports.append(separability_heuristic(w))
+        on_line.append(decided_on_the_line(reports[-1], results))
         early.append(stopped_early(reports[-1], results))
-    assert sum(early) >= 30 and not all(early)
+    assert sum(on_line) >= 90 and sum(early) >= 10 and not all(on_line)
+    # the line check decides nothing: every search it does not decide
+    # reports the same bytes, and each one it decides took a step there
+    monkeypatch.setattr(process, "_line_split", lambda w, in_ab, in_ba: (None, None))
+    for w, rep, line in zip(pool, reports, on_line):
+        ref = separability_heuristic(w)
+        assert rep.verdict == ref.verdict
+        if line:
+            assert rep.iterations == 0 < ref.iterations
+        else:
+            assert rep.to_json_dict() == ref.to_json_dict()
+    # no positive-definiteness test either: the loop's early stop never
+    # adds a step
     monkeypatch.setattr(process, "_positive_definite", lambda mats: False)
     for w, rep, stopped in zip(pool, reports, early):
         ref = separability_heuristic(w)
         assert rep.verdict == ref.verdict
         if stopped:
             assert rep.iterations <= ref.iterations
-        else:
+        elif rep.iterations:
             assert rep.to_json_dict() == ref.to_json_dict()
+
+
+def line_pool() -> dict[str, ProcessMatrix]:
+    """Twenty seeded full-rank inputs of the kinds the benchmark searches:
+    ordered mixtures damped by white noise, random valid processes and OCB
+    processes with white noise."""
+    rng, pool = np.random.default_rng(29), {}
+    for k, w in enumerate(undamped_ordered_mixtures(29, 7)):
+        pool[f"damped-{k}"] = mix(w, neutral_process(w.layout), 1.0 - rng.uniform(0.05, 0.5))
+        pool[f"random-valid-{k}"] = random_valid_process(rng, 2, rng.uniform(0.4, 0.7))
+    for k in range(6):
+        pool[f"ocb-{k}"] = ocb_process(rng.uniform(0.05, 0.6))
+    return pool
+
+
+def test_line_interval_and_certificates_agree_with_the_reset_oracle():
+    certified = 0
+    for name, w in line_pool().items():
+        in_ab, in_ba = _order_mask(w.layout, "AB"), _order_mask(w.layout, "BA")
+        (t_lo, t_hi), cert = process._line_split(w, in_ab, in_ba)
+        want_lo, want_hi, s = oracles.line_split_interval(w.matrix, w.layout)
+        assert abs(t_lo - want_lo) <= 1e-10 and abs(t_hi - want_hi) <= 1e-10, name
+        if cert is None:
+            assert t_lo >= t_hi, name
+            continue
+        certified += 1
+        rep = separability_heuristic(w)
+        assert rep.iterations == 0 and rep.certificate[0] == cert.certificate[0], name
+        # at the midpoint both parts keep half the interval's length times S
+        delta = 0.5 * (t_hi - t_lo)
+        q, w_ab, w_ba = cert.certificate
+        for weight, part in ((q, w_ab), (1.0 - q, w_ba)):
+            assert np.linalg.eigvalsh(weight * part.matrix - delta * s)[0] >= -1e-12, name
+        worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
+        assert worst <= 1e-9 and recon <= 1e-13, name
+    assert 8 <= certified < len(line_pool())
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.floats(0.1, 0.9), st.floats(0.05, 0.5))
+def test_damped_ordered_mixtures_are_separable_and_the_line_never_adds_a_step(seed, q, noise):
+    rng = np.random.default_rng(seed)
+
+    def channel() -> np.ndarray:
+        iso = haar_unitary(rng, 4)[:, :2]
+        return choi_of_kraus([iso[:2], iso[2:]])
+
+    w_ab = ordered_process(random_density(rng, 2), channel(), "AB")
+    w_ba = ordered_process(random_density(rng, 2), channel(), "BA")
+    w = mix(mix(w_ab, w_ba, q), neutral_process(w_ab.layout), 1.0 - noise)
+    rep = separability_heuristic(w)
+    assert rep.verdict == "separable"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(process, "_line_split", lambda w, in_ab, in_ba: (None, None))
+        ref = separability_heuristic(w)
+    assert ref.verdict == rep.verdict and ref.iterations >= rep.iterations
 
 
 def certificate_pool() -> dict[str, ProcessMatrix]:
