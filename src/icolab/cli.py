@@ -44,11 +44,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(payload: bytes, out_path: str | None) -> None:
+    if out_path is not None:
+        try:
+            with open(out_path, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc}") from None
     sys.stdout.buffer.write(payload)
     sys.stdout.buffer.flush()
-    if out_path is not None:
-        with open(out_path, "wb") as fh:
-            fh.write(payload)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

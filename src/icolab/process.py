@@ -223,8 +223,8 @@ class ProcessMatrix:
     @cached_property
     def _eigenvalues(self) -> np.ndarray:
         """The read-only eigenvalues in ascending order, from one eigvalsh
-        of :attr:`_own`: validity reads its PSD margin here and the search
-        W's rank."""
+        of :attr:`_own`: validity reads its PSD margin here, the search W's
+        rank and the certificate builder a part's lift."""
         vals = np.linalg.eigvalsh(self._own)
         vals.flags.writeable = False
         return vals
@@ -680,14 +680,14 @@ def _sector_blocks(sectors: tuple[np.ndarray, ...], n: int, k: int) -> tuple[np.
     return tuple(stack + idx[:, :, None] * n + idx[:, None, :] for idx in sectors)
 
 
-def _psd_clip(m: np.ndarray, sectors: tuple[np.ndarray, ...], blocks=None) -> np.ndarray:
-    """Positive part of a Hermitian matrix that is block-diagonal over
-    ``sectors`` (as :func:`charge_sectors` returns them), or of each matrix
-    of a stack (k, n, n), in its own dtype: a real symmetric matrix gets a
-    real eigendecomposition. Each sector size takes one batched
-    eigendecomposition of its blocks in the whole stack (a single sector is
-    the whole matrix), and entries outside the blocks are dropped. ``blocks``
-    is ``_sector_blocks(sectors, n, k)``, computed here when not given.
+def _psd_clip(m: np.ndarray, blocks: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Positive part of a Hermitian matrix, or of each matrix of a stack
+    (k, n, n), that is block-diagonal over the sectors of
+    :func:`charge_sectors`, in its own dtype: a real symmetric matrix gets a
+    real eigendecomposition. ``blocks`` is ``_sector_blocks(sectors, n, k)``
+    (a single matrix is a stack of k = 1). Each sector size takes one
+    batched eigendecomposition of its blocks in the whole stack (a single
+    sector is the whole matrix), and entries outside the blocks are dropped.
 
     The search clips its two halves as one stack per iteration, finite and
     Hermitian by construction, so this skips eig_hermitian's input checks
@@ -695,7 +695,7 @@ def _psd_clip(m: np.ndarray, sectors: tuple[np.ndarray, ...], blocks=None) -> np
     with it the summation order of the product."""
     n, out = m.shape[-1], np.zeros_like(m)
     flat_m, flat_out = m.reshape(-1), out.reshape(-1)
-    for idx in _sector_blocks(sectors, n, m.size // (n * n)) if blocks is None else blocks:
+    for idx in blocks:
         vals, vecs = np.linalg.eigh(flat_m[idx])
         vals, vecs = np.maximum(vals[..., None, ::-1], 0.0), vecs[..., ::-1]
         flat_out[idx] = (vecs * vals) @ vecs.conj().swapaxes(-1, -2)
@@ -791,44 +791,38 @@ def certify_decomposition(
     return SeparabilityReport((q, w_ab, w_ba), float(recon), 0)
 
 
-def _certificate_components(
-    cx: np.ndarray, cy: np.ndarray, layout: SpaceLayout
-) -> tuple[float, ProcessMatrix, ProcessMatrix] | None:
-    """Candidate decomposition from an affine point of the search, the
-    coefficients (cx, cy) of X in the AB and Y in the BA subspace: q from
-    the trace of X, each part lifted to PSD where it is not, in the
-    search's dtype, and renormalized. :func:`certify_decomposition` decides
-    whether it holds."""
-    expected = layout.dim_of("A_O") * layout.dim_of("B_O")
-    mats = hs_basis(layout).to_mat(np.stack((cx, cy)))
-    q = min(max(float(np.real(np.trace(mats[0]))) / expected, 0.0), 1.0)
-    weights = np.array([q, 1.0 - q])
-    # a part of weight below 1e-6 is padded, and its eigenvalues go unused
-    mats = mats / np.maximum(weights, 1e-6)[:, None, None]
-    mats = 0.5 * (mats + mats.conj().swapaxes(-1, -2))
-    vals = np.linalg.eigvalsh(mats)
+def _certified_split(w: ProcessMatrix, mats: np.ndarray) -> SeparabilityReport | None:
+    """The certificate of the candidate decomposition built from an order
+    split of W, the stack (X, Y) of its matrices in the search's dtype, or
+    None.
+
+    q comes from the trace of X. Each part is divided by its weight, made
+    Hermitian and renormalized to trace d_O; where its least eigenvalue is
+    negative, it is lifted by that much (plus 1e-14 max(1, largest)) times
+    the identity and renormalized again. The identity lies in every order
+    subspace, so the lift keeps exact comb membership where an eigenvalue
+    clip would not. A part of weight below 1e-6 is padded.
+    :func:`certify_decomposition` decides whether the candidate holds, and
+    its validity check reads each part's cached eigenvalues."""
+    lay, d_o = w.layout, w.expected_trace
+    q = min(max(float(np.real(np.trace(mats[0]))) / d_o, 0.0), 1.0)
     parts = []
-    for mat, weight, low, high in zip(mats, weights, vals[:, 0], vals[:, -1]):
+    for mat, weight in zip(mats, (q, 1.0 - q)):
         if weight < 1e-6:
-            parts.append(neutral_process(layout))
+            parts.append(neutral_process(lay))
             continue
-        # Restore positivity inside the order subspace: the identity lies in
-        # every order subspace, so an eigenvalue lift preserves exact comb
-        # membership where an eigenvalue clip would not.
-        if low < 0.0:
-            mat = mat + (-float(low) + 1e-14 * max(1.0, float(high))) * np.eye(layout.dim)
+        mat = mat / weight
+        mat = 0.5 * (mat + mat.conj().T)
         tr = float(np.real(np.trace(mat)))
         if tr <= 0:
             return None
-        parts.append(ProcessMatrix(mat * (expected / tr), layout))
-    return q, parts[0], parts[1]
-
-
-def _certified_split(w: ProcessMatrix, cx: np.ndarray, cy: np.ndarray) -> SeparabilityReport | None:
-    """The certificate of the candidate built from an order split (cx, cy)
-    of W, or None."""
-    candidate = _certificate_components(cx, cy, w.layout)
-    return None if candidate is None else certify_decomposition(w, *candidate)
+        part = ProcessMatrix(mat * (d_o / tr), lay)
+        low, high = float(part._eigenvalues[0]), float(part._eigenvalues[-1])
+        if low < 0.0:
+            mat = part._own + (-low + 1e-14 * max(1.0, high)) * np.eye(lay.dim)
+            part = ProcessMatrix(mat * (d_o / float(np.real(np.trace(mat)))), lay)
+        parts.append(part)
+    return certify_decomposition(w, q, *parts)
 
 
 def _certify_witness(
@@ -909,10 +903,10 @@ def _line_split(
     if t_lo >= t_hi:
         return (t_lo, t_hi), None
     t = 0.5 * (t_lo + t_hi)
-    cx, cy = in_ab * w._coef - (1.0 - t) * shared, in_ba * w._coef - t * shared
-    if not _positive_definite(basis.to_mat(np.stack((cx, cy)))):
+    split = basis.to_mat(np.stack((in_ab * w._coef - (1.0 - t) * shared, in_ba * w._coef - t * shared)))
+    if not _positive_definite(split):
         return (t_lo, t_hi), None
-    return (t_lo, t_hi), _certified_split(w, cx, cy)
+    return (t_lo, t_hi), _certified_split(w, split)
 
 
 @lru_cache(maxsize=32)
@@ -1085,20 +1079,20 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
         cert = _line_split(w, in_ab, in_ba)[1]
         if cert is not None:
             return cert
-    sectors, blocks = _charge_sectors(lay, np.packbits(m != 0).tobytes())
+    blocks = _charge_sectors(lay, np.packbits(m != 0).tobytes())[1]
 
     zx, zy = _order_split(cw, cw / 2.0, cw / 2.0, in_ab, in_ba)
     witness, value = None, None
     for used in range(1, iters + 1):
         xa, ya = _order_split(cw, zx, zy, in_ab, in_ba)
-        if used > 1 and not deficient and _positive_definite(basis.to_mat(np.stack((xa, ya)))):
+        if used > 1 and not deficient and _positive_definite(split := basis.to_mat(np.stack((xa, ya)))):
             # (xa, ya) is the affine projection of the last PSD point, and PSD
             # itself: it lies in both sets, an exact decomposition
-            cert = _certified_split(w, xa, ya)
+            cert = _certified_split(w, split)
             if cert is not None:
                 return replace(cert, iterations=used - 1)
         xr, yr = 2.0 * xa - zx, 2.0 * ya - zy
-        xb, yb = basis.to_coef(_psd_clip(basis.to_mat(np.stack((xr, yr))), sectors, blocks))
+        xb, yb = basis.to_coef(_psd_clip(basis.to_mat(np.stack((xr, yr))), blocks))
         # the basis is orthogonal: coefficient norms are Frobenius norms
         gap = float(np.hypot(np.linalg.norm(xb - xa), np.linalg.norm(yb - ya)))
         zx, zy = zx + xb - xa, zy + yb - ya
@@ -1126,7 +1120,7 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     if witness is not None:
         return SeparabilityReport(None, residual, used, witness, value)
     if gap < SEARCH_TOL * scale:
-        cert = _certified_split(w, *_order_split(cw, xb, yb, in_ab, in_ba))
+        cert = _certified_split(w, basis.to_mat(np.stack(_order_split(cw, xb, yb, in_ab, in_ba))))
         if cert is not None:
             return replace(cert, residual=max(residual, cert.residual), iterations=used)
     return SeparabilityReport(None, residual, used)

@@ -877,12 +877,12 @@ def stopped_early(rep, results: list[tuple[str, bool]]) -> bool:
 def test_full_rank_ordered_mixtures_stop_at_the_first_positive_definite_split(monkeypatch):
     results, splits = recorded_pd_tests(monkeypatch), []
 
-    def recorded(cx, cy, lay):
-        splits.append(hs_basis(lay).to_mat(np.stack((cx, cy))))
-        return components(cx, cy, lay)
+    def recorded(w, mats):
+        splits.append(mats)
+        return certified(w, mats)
 
-    components = process._certificate_components
-    monkeypatch.setattr(process, "_certificate_components", recorded)
+    certified = process._certified_split
+    monkeypatch.setattr(process, "_certified_split", recorded)
     inputs = complex_search_inputs()
     pool = [inputs["ordered-mixture-1"], inputs["ordered-mixture-4"], *process_family_inputs(1)[:60:3]]
     on_line, early = 0, 0
@@ -1043,33 +1043,36 @@ def certificate_pool() -> dict[str, ProcessMatrix]:
     return pool
 
 
-def retired_candidate(cx, cy, lay):
-    """The oracle's candidate builder on the matrices of the search's
-    terminal affine point, padded as the search pads."""
-    x, y = (hs_basis(lay).to_mat(c) for c in (cx, cy))
-    out = oracles.certificate_candidate(x, y, lay)
+def retired_split(w, mats):
+    """The certificate of the oracle's candidate builder on the matrices
+    (X, Y) of an order split the search certifies, padded as the search
+    pads."""
+    lay = w.layout
+    out = oracles.certificate_candidate(*mats, lay)
     if out is None:
         return None
     q, *parts = out
-    return q, *(neutral_process(lay) if m is None else ProcessMatrix(m, lay) for m in parts)
+    return certify_decomposition(
+        w, q, *(neutral_process(lay) if m is None else ProcessMatrix(m, lay) for m in parts)
+    )
 
 
 def test_candidate_from_coefficients_agrees_with_the_retired_builder(monkeypatch):
-    # the builder runs once, after the search loop; a search that never
+    # the builder runs where a search certifies a split; a search that never
     # reaches it (a witness, or the cap) runs the same code on both paths,
     # so only the searches that reach it are run again with the oracle's
     pool, built = certificate_pool(), []
 
-    def recorded(cx, cy, lay):
+    def recorded(w, mats):
         built.append(name)
-        return components(cx, cy, lay)
+        return certified(w, mats)
 
-    components = process._certificate_components
-    monkeypatch.setattr(process, "_certificate_components", recorded)
+    certified = process._certified_split
+    monkeypatch.setattr(process, "_certified_split", recorded)
     new = {}
     for name, w in pool.items():
         new[name] = separability_heuristic(w)
-    monkeypatch.setattr(process, "_certificate_components", retired_candidate)
+    monkeypatch.setattr(process, "_certified_split", retired_split)
     old = {name: separability_heuristic(pool[name]) for name in built}
     verdicts = [rep.verdict for rep in new.values()]
     assert verdicts.count("separable") >= 15 and verdicts.count("nonseparable") >= 2
@@ -1109,7 +1112,42 @@ def test_each_matrix_is_converted_to_coefficients_once(monkeypatch):
     assert np.array_equal(matrices[0], w.matrix.real)
 
 
-# Sectors of the phase symmetry, and the clip that works sector by sector
+def test_each_certified_split_is_converted_to_matrices_once(monkeypatch):
+    # the split that passed its positive-definiteness test is the builder's
+    # input as it stands, and each part's eigenvalues serve both its lift
+    # decision and its validity check
+    passed, converted, eigvals = [], [], []
+
+    def recorded_test(mats):
+        ok = positive_definite(mats)
+        if ok:
+            passed.append(mats)
+        return ok
+
+    def recorded_to_mat(basis, c):
+        converted.append(to_mat(basis, c))
+        return converted[-1]
+
+    def recorded_eigvalsh(a, *args, **kwargs):
+        if passed:
+            eigvals.append(a.size // a.shape[-1] ** 2)
+        return eigvalsh(a, *args, **kwargs)
+
+    positive_definite, to_mat, eigvalsh = process._positive_definite, process.HSBasis.to_mat, np.linalg.eigvalsh
+    monkeypatch.setattr(process, "_positive_definite", recorded_test)
+    monkeypatch.setattr(process.HSBasis, "to_mat", recorded_to_mat)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded_eigvalsh)
+    inputs = complex_search_inputs()
+    # certified on the line through the start, and by the loop's early stop
+    for name, iterations in (("ordered-mixture-1", 0), ("ordered-mixture-4", 7)):
+        for log in (passed, converted, eigvals):
+            log.clear()
+        rep = separability_heuristic(inputs[name])
+        assert (rep.verdict, rep.iterations, len(passed)) == ("separable", iterations, 1), name
+        assert sum(np.array_equal(m, passed[0]) for m in converted) == 1, name
+        assert eigvals == [1, 1], name
+
+
 # Sectors of the phase symmetry, and the clip that works sector by sector
 
 
@@ -1157,15 +1195,15 @@ def test_dense_ordered_mixture_is_one_sector_clipped_whole():
     assert len(sectors) == 1 and np.array_equal(sectors[0], np.arange(w.layout.dim)[None])
     rng = np.random.default_rng(2)
     for m in (w.matrix - 0.3 * np.eye(16), random_hermitian(rng, 16), random_hermitian(rng, 16).real):
-        assert np.array_equal(_psd_clip(m, sectors), oracles.psd_clip(m))
+        assert np.array_equal(_psd_clip(m, _sector_blocks(sectors, 16, 1)), oracles.psd_clip(m))
 
 
 def test_sector_clip_matches_the_full_clip_on_the_coherent_search(monkeypatch):
     inputs = []
 
-    def recorded(m, sectors, *args):
-        inputs.append((m, sectors))
-        return clip(m, sectors, *args)
+    def recorded(m, blocks):
+        inputs.append((m, blocks))
+        return clip(m, blocks)
 
     clip = process._psd_clip
     monkeypatch.setattr(process, "_psd_clip", recorded)
@@ -1175,9 +1213,9 @@ def test_sector_clip_matches_the_full_clip_on_the_coherent_search(monkeypatch):
     )
     # one stacked clip of both halves per iteration
     assert len(inputs) == iterations
-    for stack, sectors in inputs:
-        assert len(sectors) == 7 and stack.shape == (2, 64, 64)
-        for m, got in zip(stack, clip(stack, sectors)):
+    for stack, blocks in inputs:
+        assert len(blocks) == 7 and stack.shape == (2, 64, 64)
+        for m, got in zip(stack, clip(stack, blocks)):
             assert frobenius(got - oracles.psd_clip(m)) <= 1e-13 * frobenius(m)
 
 
@@ -1194,12 +1232,14 @@ def test_stacked_clip_equals_the_clip_of_each_matrix(monkeypatch):
     for w in (coherent_process(), phase_rotated(coherent_process(), 7)):
         separability_heuristic(w)
     assert {m.dtype for m, _ in stacks} == {np.dtype(np.float64), np.dtype(np.complex128)}
-    for stack, (sectors, blocks) in stacks:
+    # a phase rotation keeps the nonzero pattern, so both searches share the sectors
+    sectors = charge_sectors(coherent_process())
+    for stack, (blocks,) in stacks:
         assert all(np.array_equal(b, s) for b, s in zip(blocks, _sector_blocks(sectors, 64, 2)))
-        got = clip(stack, sectors)
-        assert got.dtype == stack.dtype and np.array_equal(got, clip(stack, sectors, blocks))
+        got = clip(stack, blocks)
+        assert got.dtype == stack.dtype
         for m, row in zip(stack, got):
-            assert np.array_equal(row, clip(m, sectors))
+            assert np.array_equal(row, clip(m, _sector_blocks(sectors, 64, 1)))
 
 
 def test_hs_basis_converts_a_stack_item_by_item():
@@ -1234,7 +1274,7 @@ def test_sector_clip_matches_the_full_clip_on_hidden_blocks(dtype):
             np.array([s for s in sectors if len(s) == k])
             for k in sorted(set(sizes.tolist()), reverse=True)
         )
-        got = _psd_clip(m, grouped)
+        got = _psd_clip(m, _sector_blocks(grouped, len(m), 1))
         assert got.dtype == dtype
         assert frobenius(got - oracles.psd_clip(m)) <= 1e-13 * frobenius(m)
 

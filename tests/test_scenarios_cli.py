@@ -680,6 +680,21 @@ def test_cli_config_errors_exit_2(tmp_path):
         assert key in out.stderr.decode(), (key, out.stderr.decode())
 
 
+def test_cli_unwritable_out_exits_2(coherent_config, tmp_path):
+    bad = tmp_path / "missing" / "out"
+    baseline = tmp_path / "mix.json"
+    baseline.write_text(json.dumps({"scenario": "classical-order-baseline", "out": str(bad)}))
+    for args in (
+        ("run", "--config", str(coherent_config), "--out", str(bad)),
+        ("run", "--config", str(baseline)),  # the config's out
+        ("sweep", "--config", str(coherent_config), "--param", "eta", "--grid", "0.5", "--out", str(bad)),
+    ):
+        out = run_cli(*args)
+        assert out.returncode == 2 and out.stdout == b"", args
+        err = out.stderr.decode()
+        assert err.startswith(f"error: cannot write {bad}") and "Traceback" not in err, err
+
+
 def test_cli_numeric_failure_exits_3(tmp_path):
     # conditioning on an outcome of probability zero breaks the pipeline
     # downstream of config validation
