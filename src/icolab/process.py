@@ -729,10 +729,13 @@ class SeparabilityReport:
     the distance between the two sets. With a decomposition it is at least
     the relative reconstruction error of the claimed mixture, and it is
     that error alone when the search stopped at a positive definite affine
-    point, which lies in both sets. A decomposition certified without a
-    search step has ``iterations`` 0 and that error alone as ``residual``:
-    one certified from a construction, or by the search on the line through
-    its start (see :func:`separability_heuristic`)."""
+    point, which lies in both sets, or at the unique split on W's face. A
+    decomposition certified without a search step has ``iterations`` 0 and
+    that error alone as ``residual``: one certified from a construction, by
+    the search on the line through its start, or on the face of a rank-1 W.
+    A witness found on the face of a rank-1 W has ``iterations`` 0 and the
+    face's distance to the order splits, relative to max(1, ||W||), as
+    ``residual`` (see :func:`separability_heuristic`)."""
 
     certificate: tuple[float, ProcessMatrix, ProcessMatrix] | None
     residual: float
@@ -932,9 +935,11 @@ def _range_basis(w: ProcessMatrix) -> np.ndarray:
     return np.linalg.eigh(m)[1][:, len(m) - rank :]
 
 
-def _face_witness(w: ProcessMatrix) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray] | None]:
-    """The best order split of W on its face, and a witness when the face
-    admits none.
+def _face_solve(
+    w: ProcessMatrix,
+) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray] | None, np.ndarray | None]:
+    """The best order split of W on its face: a witness when the face admits
+    none, the split itself when it is unique and PSD.
 
     Every part X of a decomposition satisfies X <= W, so it lies on the face
     of W, the matrices supported on range(W) (facial reduction: Permenter
@@ -947,11 +952,12 @@ def _face_witness(w: ProcessMatrix) -> tuple[float, tuple[np.ndarray, np.ndarray
 
     zero exactly when W = X + Y with X in AB and Y in BA on the face, PSD or
     not. Its rounding level is N eps_mach ||W||, with N = dim^2 the number of
-    coefficients in place of the dimension in W's rank cut. When rho is
-    above it no such split exists, and the residuals at the optimum x* give
-    a witness of the form of Araujo et al. (NJP 17, 102001, 2015). With
-    R_AB = -(1 - AB) Phi(x*) and R_BA = -(1 - BA) (W - Phi(x*)) as
-    matrices, the optimality condition says that D = R_AB - R_BA vanishes
+    coefficients in place of the dimension in W's rank cut.
+
+    When rho is above it no such split exists, and the residuals at the
+    optimum x* give a witness of the form of Araujo et al. (NJP 17, 102001,
+    2015). With R_AB = -(1 - AB) Phi(x*) and R_BA = -(1 - BA) (W - Phi(x*))
+    as matrices, the optimality condition says that D = R_AB - R_BA vanishes
     on the face. With
     M = eps Pi_range + t Pi_ker, eps = rho^2 / (2 tr W) and
     t = ||V^dagger D||^2 / eps + ||Pi_ker D Pi_ker|| (a Schur-complement
@@ -960,9 +966,19 @@ def _face_witness(w: ProcessMatrix) -> tuple[float, tuple[np.ndarray, np.ndarray
         (S, P_AB, P_BA) = (R_AB + M, M, M + D)
 
     has S - P_AB outside AB, S - P_BA outside BA and
-    tr(S W) = -rho^2 / 2 + (t - eps) tr(Pi_ker W). Returns rho and that
-    witness, which :func:`_certify_witness` still has to accept, or None in
-    its place when rho is at rounding."""
+    tr(S W) = -rho^2 / 2 + (t - eps) tr(Pi_ker W).
+
+    When rho is at rounding and the solve has full column rank (nullity 0),
+    the split is unique: X' = H(x*) and Y' = V^dagger W V - X'. When neither
+    has an eigenvalue below -``w._rounding``, both are lifted back to
+    (V X' V^dagger, V Y' V^dagger). A split with a part that is not PSD is
+    never returned, so no eigenvalue lift in :func:`_certified_split` can
+    turn it into a decomposition.
+
+    Returns rho, the witness, which :func:`_certify_witness` still has to
+    accept, and the split as a stack in the search's dtype, which
+    :func:`_certified_split` still has to accept; None in place of each
+    that the face does not give."""
     lay, cw, v = w.layout, w._coef, _range_basis(w)
     basis = hs_basis(lay)
     # only the coefficients an order leaves out enter the problem: on qubit
@@ -972,19 +988,48 @@ def _face_witness(w: ProcessMatrix) -> tuple[float, tuple[np.ndarray, np.ndarray
     phi = basis.to_coef(v @ herm @ v.conj().T)
     lhs = np.concatenate((phi[..., off_ab], phi[..., off_ba]), axis=-1).reshape(len(herm), -1)
     rhs = np.concatenate((np.zeros_like(cw[..., off_ab]), cw[..., off_ba]), axis=-1).ravel()
-    x = np.linalg.lstsq(lhs.T, rhs)[0]
+    x, _, rank, _ = np.linalg.lstsq(lhs.T, rhs)
     fx = np.tensordot(x, phi, 1)
     r_ab, r_ba = off_ab * fx, off_ba * (cw - fx)
     rho = float(np.hypot(np.linalg.norm(r_ab), np.linalg.norm(r_ba)))
     if rho <= lay.dim**2 * np.finfo(np.float64).eps * np.linalg.norm(cw):
-        return rho, None
+        if rank < len(herm):
+            return rho, None, None
+        x_face = np.tensordot(x, herm, 1)
+        parts = np.stack((x_face, v.conj().T @ w._own @ v - x_face))
+        if np.linalg.eigvalsh(parts)[:, 0].min() < -w._rounding:
+            return rho, None, None
+        return rho, None, v @ parts @ v.conj().T
     r_ab, r_ba = -basis.to_mat(np.stack((r_ab, r_ba)))
     d, range_proj = r_ab - r_ba, v @ v.conj().T
     ker_proj = np.eye(lay.dim) - range_proj
     eps = rho**2 / (2.0 * float(np.trace(w._own).real))
     t = np.linalg.norm(v.conj().T @ d) ** 2 / eps + np.linalg.norm(ker_proj @ d @ ker_proj)
     m = eps * range_proj + t * ker_proj
-    return rho, (r_ab + m, m, m + d)
+    return rho, (r_ab + m, m, m + d), None
+
+
+def _face_decision(
+    w: ProcessMatrix, iterations: int, residual: float | None = None
+) -> SeparabilityReport | None:
+    """The search's report when the face of a rank-deficient W decides it,
+    or None (see :func:`_face_solve`).
+
+    A witness that :func:`_certify_witness` accepts gives ``nonseparable``
+    with ``residual``, by default the face's distance to the order splits,
+    rho / max(1, ||W||). A unique PSD split that :func:`_certified_split`
+    accepts gives ``separable`` with the certificate's reconstruction error
+    as ``residual``."""
+    rho, witness, split = _face_solve(w)
+    if witness is not None:
+        value = _certify_witness(w, *witness)
+        if value is None:
+            return None
+        if residual is None:
+            residual = rho / max(1.0, frobenius(w.matrix))
+        return SeparabilityReport(None, residual, iterations, witness, value)
+    cert = None if split is None else _certified_split(w, split)
+    return None if cert is None else replace(cert, iterations=iterations)
 
 
 def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityReport:
@@ -1043,12 +1088,18 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     singular.
 
     When W is rank-deficient (an eigenvalue at or below dim eps_mach
-    lambda_max) and the first step certifies nothing, :func:`_face_witness`
-    asks once, by one eigh and one small least-squares solve, whether W
-    splits into the two orders on its face at all. If not, and
-    :func:`_certify_witness` accepts the witness that comes with the answer,
-    the search stops after that one iteration, with the first step's gap as
-    ``residual``; otherwise the loop goes on unchanged.
+    lambda_max), :func:`_face_decision` asks once, by one eigh and one small
+    least-squares solve, how W splits into the two orders on its face. If it
+    admits no split and :func:`_certify_witness` accepts the witness that
+    comes with the answer, the search stops ``nonseparable``. If the split
+    is unique, PSD and accepted by :func:`_certified_split`, it stops
+    ``separable`` with the certificate's reconstruction error as
+    ``residual``. A W of rank 1 asks before the first step, since only
+    multiples of W lie below it, and a witness then reports ``iterations`` 0
+    and the face's distance to the order splits as ``residual``. Any other
+    rank-deficient W asks after the first step certifies nothing, and
+    reports ``iterations`` 1, with the first step's gap as a witness's
+    ``residual``. Otherwise the loop goes on unchanged.
 
     When W has no imaginary part the whole search runs in float64, with one
     coefficient part and real eigendecompositions, and complex128 otherwise.
@@ -1075,10 +1126,16 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     cw_a, cw_b = (in_ab * cw).ravel(), ((1.0 - in_ab) * in_ba * cw).ravel()
 
     deficient = w._eigenvalues[0] <= w._rounding
+    pure = w._eigenvalues[-2] <= w._rounding
     if not deficient:
         cert = _line_split(w, in_ab, in_ba)[1]
         if cert is not None:
             return cert
+    elif pure:
+        # below a pure W lie only its multiples, so a step adds nothing
+        decided = _face_decision(w, 0)
+        if decided is not None:
+            return decided
     blocks = _charge_sectors(lay, np.packbits(m != 0).tobytes())[1]
 
     zx, zy = _order_split(cw, cw / 2.0, cw / 2.0, in_ab, in_ba)
@@ -1109,13 +1166,11 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
                 break
         if gap < SEARCH_TOL * scale:
             break
-        if used == 1 and deficient:
+        if used == 1 and deficient and not pure:
             # no part of a decomposition leaves range(W): decide on the face
-            face = _face_witness(w)[1]
-            value = None if face is None else _certify_witness(w, *face)
-            if value is not None:
-                witness = face
-                break
+            decided = _face_decision(w, used, gap / scale)
+            if decided is not None:
+                return decided
     residual = gap / scale
     if witness is not None:
         return SeparabilityReport(None, residual, used, witness, value)

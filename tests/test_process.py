@@ -638,10 +638,8 @@ def undamped_ordered_mixtures(seed: int, n: int) -> list[ProcessMatrix]:
 
 def test_undamped_ordered_mixture_pool_certifies_count():
     reps = [separability_heuristic(w) for w in undamped_ordered_mixtures(1, 8)]
-    # none may get a witness; the ones left inconclusive hit the cap
-    assert all(rep.witness is None for rep in reps)
-    assert sum(rep.separable for rep in reps) == 6
-    assert all(rep.iterations == 2000 for rep in reps if not rep.separable)
+    # each face admits one split, PSD to rounding, certified after the first step
+    assert [(rep.verdict, rep.iterations) for rep in reps] == [("separable", 1)] * 8
 
 
 def phase_rotated(w: ProcessMatrix, seed: int) -> ProcessMatrix:
@@ -743,8 +741,9 @@ def test_complex_search_reports_are_pinned():
         assert separability_heuristic(w).to_json_dict() == golden[name], name
 
 
-# The face check: after a first step that certifies nothing, a
-# rank-deficient W is tested for an order split on range(W)
+# The face decision: a rank-deficient W is tested for an order split on
+# range(W), before any step when W has rank 1 and after a first step that
+# certifies nothing otherwise
 
 
 FACE_INFEASIBLE = {
@@ -765,7 +764,7 @@ FACE_FEASIBLE = {
 def test_face_check_agrees_with_the_oracle(name):
     w = {**FACE_INFEASIBLE, **FACE_FEASIBLE}[name]()
     assert w._eigenvalues[0] <= w._rounding  # rank-deficient
-    rho, witness = process._face_witness(w)
+    rho, witness, _ = process._face_solve(w)
     want = oracles.face_split_residual(w.matrix, w.layout)
     if name in FACE_FEASIBLE:
         assert witness is None and rho <= 1e-13 and want <= 1e-13, (rho, want)
@@ -775,24 +774,130 @@ def test_face_check_agrees_with_the_oracle(name):
     assert oracles.witness_margin(w.matrix, w.layout, *witness) < 0.0
 
 
-def test_coherent_preset_is_decided_on_its_face_after_one_step():
-    for w in (coherent_process(), phase_rotated(coherent_process(), 7)):
+def recorded_clips(monkeypatch) -> list[np.ndarray]:
+    """Patch the search's PSD clip to log each stack it clips: one per step."""
+    clips = []
+
+    def recorded(m, blocks):
+        clips.append(m)
+        return clip(m, blocks)
+
+    clip = process._psd_clip
+    monkeypatch.setattr(process, "_psd_clip", recorded)
+    return clips
+
+
+def test_coherent_preset_is_decided_on_its_face_with_no_step(monkeypatch):
+    clips = recorded_clips(monkeypatch)
+    # the preset's W is the pure switch process
+    for w in (coherent_process(), phase_rotated(coherent_process(), 7), quantum_switch_process()):
+        assert w._eigenvalues[-2] <= w._rounding  # rank 1
         rep = separability_heuristic(w)
-        assert (rep.verdict, rep.iterations) == ("nonseparable", 1)
-        # the residual is the first step's gap; the witness is the lifted one
-        assert rep.residual == pytest.approx(0.10223495706383016, rel=1e-9)
+        assert (rep.verdict, rep.iterations) == ("nonseparable", 0)
+        # the residual is the face's distance to the order splits; the
+        # witness is the lifted one
+        assert rep.residual == pytest.approx(0.10825317547305481, rel=1e-9)
+        rho = process._face_solve(w)[0]
+        assert rep.residual == rho / max(1.0, frobenius(w.matrix))
         assert rep.witness_value == pytest.approx(-0.013932580954483985, rel=1e-9)
         assert _certify_witness(w, *rep.witness) == rep.witness_value
         assert oracles.witness_margin(w.matrix, w.layout, *rep.witness) < 0.0
+    assert clips == []
+
+
+def pure_ordered_process(order: str, seed: int) -> ProcessMatrix:
+    """A pure state through a unitary channel in one order, with the second
+    output routed to the future: a rank-1 process."""
+    rng = np.random.default_rng(seed)
+    psi = haar_unitary(rng, 2)[:, 0]
+    return ordered_process(np.outer(psi, psi.conj()), choi_of_unitary(haar_unitary(rng, 2)), order, "future")
+
+
+FACE_UNIQUE = {
+    **{f"undamped-{k}": lambda k=k: undamped_ordered_mixtures(1, 8)[k] for k in range(8)},
+    **{f"pure-{order}": lambda order=order: pure_ordered_process(order, 3) for order in ("AB", "BA")},
+}
+
+
+def test_search_byte_record_draws_the_same_face_split_inputs():
+    # tools/report_bytes.py --searches records the searches of this pool
+    path = Path(__file__).parents[1] / "tools" / "report_bytes.py"
+    spec = importlib.util.spec_from_file_location("report_bytes", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    pairs = [*zip(tool.undamped_ordered_mixtures(tool.SEARCH_SEED, 8), undamped_ordered_mixtures(1, 8))]
+    pairs += [(tool.pure_ordered_process(o, tool.PURE_SEED), FACE_UNIQUE[f"pure-{o}"]()) for o in ("AB", "BA")]
+    assert all(np.array_equal(got.matrix, want.matrix) for got, want in pairs)
+
+
+@pytest.mark.parametrize("order, q", [("AB", 1.0), ("BA", 0.0)])
+def test_pure_ordered_processes_are_certified_on_their_face_with_no_step(monkeypatch, order, q):
+    clips = recorded_clips(monkeypatch)
+    for seed in (3, 4):
+        w = pure_ordered_process(order, seed)
+        assert w._eigenvalues[-2] <= w._rounding  # rank 1
+        rep = separability_heuristic(w)
+        assert (rep.verdict, rep.iterations) == ("separable", 0) and rep.residual <= 1e-12
+        got, w_ab, w_ba = rep.certificate
+        assert got == pytest.approx(q, abs=1e-12)
+        worst, recon = oracles.decomposition_defects(w.matrix, w.layout, got, w_ab.matrix, w_ba.matrix)
+        assert worst <= 1e-9 and recon <= 1e-12
+    assert clips == []
+
+
+@pytest.mark.parametrize("name", list(FACE_UNIQUE))
+def test_face_split_certificates_agree_with_the_oracle(name):
+    w = FACE_UNIQUE[name]()
+    rank = int(np.count_nonzero(w._eigenvalues > w._rounding))
+    assert 1 <= rank < w.layout.dim
+    rep = separability_heuristic(w)
+    # a rank-1 W is decided with no step, any other after the first step
+    assert (rep.verdict, rep.iterations) == ("separable", int(rank > 1))
+    assert oracles.face_split_margin(w.matrix, w.layout) >= -1e-12
+    q, w_ab, w_ba = rep.certificate
+    worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
+    assert worst <= 1e-9 and recon <= 1e-12 and rep.residual == pytest.approx(recon, rel=1e-6)
+
+
+def shift_face_part(monkeypatch, shift: float) -> None:
+    """A mutant of the face solve of a rank-1 W: its one unknown, the AB part
+    X' = x on range(W), moves up by ``shift`` and so the BA part
+    Y' = V^dagger W V - X' moves down by as much."""
+
+    def shifted(a, b, *args, **kwargs):
+        x, *rest = lstsq(a, b, *args, **kwargs)
+        return (x + shift, *rest)
+
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", shifted)
+
+
+def test_a_face_part_below_rounding_falls_through_to_the_loop(monkeypatch):
+    # the BA part of the unique split is zero, up to rounding: shifted by
+    # half the cut it still certifies with no step, by twice the cut it is
+    # refused and the loop runs
+    w = pure_ordered_process("AB", 3)
+    for shift, face_decides in ((0.5, True), (2.0, False)):
+        monkeypatch.undo()
+        shift_face_part(monkeypatch, shift * w._rounding)
+        rho, witness, split = process._face_solve(w)
+        assert rho <= w.layout.dim**2 * np.finfo(np.float64).eps * frobenius(w.matrix)
+        assert witness is None and (split is not None) == face_decides
+        clips = recorded_clips(monkeypatch)
+        rep = separability_heuristic(w)
+        assert rep.verdict == "separable" and len(clips) == rep.iterations
+        assert (rep.iterations == 0) == face_decides
 
 
 def test_reports_are_unchanged_where_the_face_check_decides_nothing(monkeypatch):
-    # the face check runs after the first step only, so 600 iterations,
-    # enough for three of the undamped pool to certify, show any change
-    pool = [coherent_process(0.3), coherent_process(1e-3), *undamped_ordered_mixtures(1, 8)]
+    # the rank-2 coherent faces hold a line of splits (nullity 1), so the
+    # face decision runs after the first step and decides nothing; 600
+    # iterations show any change
+    pool = [coherent_process(0.3), coherent_process(1e-3)]
     reports = [separability_heuristic(w, 600) for w in pool]
-    assert [rep.verdict for rep in reports].count("separable") == 3
-    monkeypatch.setattr(process, "_face_witness", lambda w: (0.0, None))
+    assert [rep.verdict for rep in reports] == ["nonseparable"] * 2
+    assert all(process._face_solve(w)[1:] == (None, None) for w in pool)
+    monkeypatch.setattr(process, "_face_solve", lambda w: (0.0, None, None))
     for w, rep in zip(pool, reports):
         ref = separability_heuristic(w, 600)
         assert rep.to_json_dict() == ref.to_json_dict()
@@ -917,9 +1022,9 @@ def test_positive_definiteness_is_never_tested_on_rank_deficient_or_first_step_s
         undamped_ordered_mixtures(1, 1)[0],
     ]
     assert all(w._eigenvalues[0] <= w._rounding for w in deficient)
-    # the rank-2 coherent processes and the undamped mixture run past the first step
+    # only the rank-2 coherent processes run past the first step
     past_first = [separability_heuristic(w, 50).iterations > 1 for w in deficient]
-    assert past_first == [True, True, False, False, True]
+    assert past_first == [True, True, False, False, False]
     assert results == []
     # full rank and nonseparable: the line's interval is empty, so it tests
     # nothing, and the first step decides
@@ -1229,11 +1334,12 @@ def test_stacked_clip_equals_the_clip_of_each_matrix(monkeypatch):
 
     clip = process._psd_clip
     monkeypatch.setattr(process, "_psd_clip", recorded)
-    for w in (coherent_process(), phase_rotated(coherent_process(), 7)):
+    # the rank-2 coherent process still steps (a rank-1 one is decided with no clip)
+    for w in (coherent_process(0.3), phase_rotated(coherent_process(0.3), 7)):
         separability_heuristic(w)
     assert {m.dtype for m, _ in stacks} == {np.dtype(np.float64), np.dtype(np.complex128)}
     # a phase rotation keeps the nonzero pattern, so both searches share the sectors
-    sectors = charge_sectors(coherent_process())
+    sectors = charge_sectors(coherent_process(0.3))
     for stack, (blocks,) in stacks:
         assert all(np.array_equal(b, s) for b, s in zip(blocks, _sector_blocks(sectors, 64, 2)))
         got = clip(stack, blocks)

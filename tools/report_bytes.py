@@ -19,8 +19,11 @@ stderr, so two checkouts with the same outputs write the same file::
 ``--searches`` writes, in the same layout, the separability report
 (``SeparabilityReport.to_json_dict``) of every search input:
 ``ProcessFamily.make_inputs(1)`` from ``perfbench/workloads.py`` (420
-processes, imported and left as they are), ``quantum_switch_process()`` and
-the coherent preset at visibility 1e-6, 1e-4, 1e-3, 0.3 and 1::
+processes, imported and left as they are), ``quantum_switch_process()``,
+the coherent preset at visibility 1e-6, 1e-4, 1e-3, 0.3 and 1, the 8
+undamped ordered mixtures of seed 1 (rank 12, each with one order split
+on its face) and a pure ordered process with a future in each order
+(rank 1)::
 
     python3 tools/report_bytes.py --searches parent/src parent.searches
     python3 tools/report_bytes.py --searches src change.searches
@@ -86,6 +89,7 @@ SWEEPS = {
 
 SEARCH_SEED = 1
 SEARCH_VISIBILITIES = (1e-6, 1e-4, 1e-3, 0.3, 1.0)
+PURE_SEED = 3
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -101,6 +105,39 @@ def _child(paths: list[Path], args: list[str]) -> tuple[int, bytes]:
     return proc.returncode, proc.stdout
 
 
+def undamped_ordered_mixtures(seed: int, n: int) -> list:
+    """Mixtures of a random A-first and a random B-first process with no
+    white noise, drawn as ``tests/test_process.py`` draws them."""
+    import numpy as np
+    from icolab.process import choi_of_kraus, mix, ordered_process
+    from icolab.sampling import haar_unitary, random_density
+
+    rng = np.random.default_rng(seed)
+
+    def channel():
+        iso = haar_unitary(rng, 4)[:, :2]
+        return choi_of_kraus([iso[:2], iso[2:]])
+
+    pool = []
+    for _ in range(n):
+        w_ab = ordered_process(random_density(rng, 2), channel(), "AB")
+        w_ba = ordered_process(random_density(rng, 2), channel(), "BA")
+        pool.append(mix(w_ab, w_ba, float(rng.uniform(0.1, 0.9))))
+    return pool
+
+
+def pure_ordered_process(order: str, seed: int):
+    """A pure state through a unitary channel in one order, with the second
+    output routed to the future, drawn as ``tests/test_process.py`` draws it."""
+    import numpy as np
+    from icolab.process import choi_of_unitary, ordered_process
+    from icolab.sampling import haar_unitary
+
+    rng = np.random.default_rng(seed)
+    psi = haar_unitary(rng, 2)[:, 0]
+    return ordered_process(np.outer(psi, psi.conj()), choi_of_unitary(haar_unitary(rng, 2)), order, "future")
+
+
 def searches() -> None:
     """Print the separability report of each search input, one section
     each. ``--searches`` runs it in a child process with the checkout's
@@ -108,20 +145,22 @@ def searches() -> None:
     import workloads
     from icolab import process, scenarios
 
+    def emit(label: str, w) -> None:
+        rep = process.separability_heuristic(w)
+        print(f"== search {label} exit 0")
+        print(json.dumps(rep.to_json_dict(), sort_keys=True))
+
     pool = workloads.ProcessFamily.make_inputs(SEARCH_SEED)
     for k, inp in enumerate(pool):
-        rep = process.separability_heuristic(inp["process"])
-        print(f"== search process-family {k} {inp['kind']} exit 0")
-        print(json.dumps(rep.to_json_dict(), sort_keys=True))
-    rep = process.separability_heuristic(process.quantum_switch_process())
-    print("== search quantum-switch exit 0")
-    print(json.dumps(rep.to_json_dict(), sort_keys=True))
+        emit(f"process-family {k} {inp['kind']}", inp["process"])
+    emit("quantum-switch", process.quantum_switch_process())
     for eta in SEARCH_VISIBILITIES:
         cfg = scenarios.ScenarioConfig.from_dict({"scenario": "double-switch-coherent", "visibility": eta})
-        w = scenarios._scenario_process(cfg.spec)[0]
-        rep = process.separability_heuristic(w)
-        print(f"== search coherent visibility {eta} exit 0")
-        print(json.dumps(rep.to_json_dict(), sort_keys=True))
+        emit(f"coherent visibility {eta}", scenarios._scenario_process(cfg.spec)[0])
+    for k, w in enumerate(undamped_ordered_mixtures(SEARCH_SEED, 8)):
+        emit(f"undamped-mixture {k}", w)
+    for order in ("AB", "BA"):
+        emit(f"pure-future {order}", pure_ordered_process(order, PURE_SEED))
 
 
 def _sections(path: Path) -> dict[str, tuple[str, list[str]]]:
