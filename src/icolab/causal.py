@@ -28,6 +28,7 @@ from .bell import BehaviorTable
 from .linalg import SpaceLayout, as_matrix
 
 CELL_FLOOR = 1e-12
+AUDIT_TOL = 1e-10  # the audit passes when no screening deviation exceeds it
 
 # the LP's largest accepted slack, and the largest no-signaling marginal dependence
 CAUSAL_TOL = 1e-9
@@ -300,7 +301,7 @@ def _screening(cells: np.ndarray, declared: np.ndarray, live: np.ndarray):
     return ok, diff.max(axis=-1), diff.argmax(axis=-1)
 
 
-def temporal_locality_audit(m: LambdaModel, tol: float = 1e-10) -> AuditReport:
+def temporal_locality_audit(m: LambdaModel) -> AuditReport:
     """Check the two screening equalities on every admissible cell, plus the
     combined product form p(i,j|...) = p(i|a,la) * p(j|b,lb).
 
@@ -332,7 +333,7 @@ def temporal_locality_audit(m: LambdaModel, tol: float = 1e-10) -> AuditReport:
     prod_form = mi[:, None, :, None, :, None] * mj[None, :, None, :, None, :]
     residual = np.abs(joint - prod_form).max(axis=(4, 5))[live]
     return AuditReport(
-        passed=max_dev <= tol,
+        passed=max_dev <= AUDIT_TOL,
         max_deviation=max_dev,
         worst_case=worst,
         product_residual=float(np.fmax.reduce(residual, initial=0.0)),

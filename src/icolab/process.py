@@ -53,6 +53,7 @@ PSD_ATOL = 1e-9
 TRACE_ATOL = 1e-8
 SUBSPACE_ATOL = 1e-8
 SEARCH_TOL = 1e-7  # separability search: stop when an iteration moves less (relative)
+SEARCH_STEPS = 2000  # separability search: the most Douglas-Rachford steps it takes
 WITNESS_RTOL = 1e-12  # witness test: rounding allowance, relative to ||P_AB|| + ||P_BA||
 
 
@@ -611,95 +612,16 @@ def order_projection(w: np.ndarray, layout: SpaceLayout, order: str) -> np.ndarr
     return hs_basis(layout).project(w, _order_mask(layout, order))
 
 
-def charge_sectors(w: ProcessMatrix) -> tuple[np.ndarray, ...]:
-    """Basis-state sectors that every matrix sharing W's phase symmetry is
-    block-diagonal over. They depend only on the layout and on which
-    entries of W are nonzero, so processes that share both share one tuple
-    of read-only arrays.
-
-    The phase symmetry of W is the group of products of diagonal phase
-    unitaries, one per factor, that leave W unchanged. Such a conjugation
-    commutes with every reset and with the PSD clip, so every iterate of
-    :func:`separability_heuristic` keeps the symmetry (Gatermann & Parrilo,
-    J. Pure Appl. Algebra 192, 95-128, 2004). With n(i) the one-hot vector
-    of basis state i's level on each factor, states i and j share a sector
-    exactly when n(i) - n(j) lies in span{n(a) - n(b) : W_ab != 0}.
-
-    Returns one (k, s) index array per sector size s, each row one sector
-    in increasing order; a W whose nonzero entries connect every basis
-    state gives the single sector ``(arange(dim)[None],)``.
-    """
-    return _charge_sectors(w.layout, np.packbits(w.matrix != 0).tobytes())[0]
-
-
-@lru_cache(maxsize=32)
-def _charge_sectors(lay: SpaceLayout, pattern: bytes) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The sectors of :func:`charge_sectors` for a layout and the packed
-    bits of a nonzero pattern on it, and their :func:`_sector_blocks` in the
-    search's stack of two halves, X and Y; all read-only."""
-    n = lay.dim
-    adj = np.unpackbits(np.frombuffer(pattern, dtype=np.uint8), count=n * n).reshape(n, n) != 0
-    onehot = _level_onehot(lay)
-    a = adj.astype(np.float64)
-    # with N the one-hot rows n(i), the span is the range of N^T Lap(W != 0) N:
-    # states share a sector when their projections on its null space agree
-    gram = onehot.T @ (np.diag(a.sum(axis=1)) - a) @ onehot
-    vals, vecs = np.linalg.eigh(gram)
-    q = onehot @ vecs[:, vals <= 1e-9 * max(1.0, vals[-1])]
-    norms = np.einsum("ij,ij->i", q, q)
-    apart = norms[:, None] + norms[None, :] - 2.0 * (q @ q.T) > 1e-8
-    # name each state's sector by its first member, then sort the states by
-    # sector size (largest first) and name; the stable sort keeps each
-    # sector's states in increasing order
-    first = np.argmin(apart, axis=1)
-    size = np.bincount(first)[first]
-    order = np.lexsort((first, -size))
-    groups = np.split(order, np.flatnonzero(np.diff(size[order])) + 1)
-    sectors = tuple(g.reshape(-1, size[g[0]]) for g in groups)
-    blocks = _sector_blocks(sectors, n, 2)
-    for idx in sectors + blocks:
-        idx.flags.writeable = False
-    return sectors, blocks
-
-
-@lru_cache(maxsize=32)
-def _level_onehot(layout: SpaceLayout) -> np.ndarray:
-    """N with N[i, offset_k + level_k(i)] = 1: each basis state's level on
-    each factor, one hot."""
-    n, dims = layout.dim, layout.dims
-    out = np.zeros((n, sum(dims)))
-    cols = np.indices(dims).reshape(len(dims), n).T + np.cumsum((0,) + dims[:-1])
-    out[np.arange(n)[:, None], cols] = 1.0
-    out.flags.writeable = False
-    return out
-
-
-def _sector_blocks(sectors: tuple[np.ndarray, ...], n: int, k: int) -> tuple[np.ndarray, ...]:
-    """Flat indices of each sector's blocks in a stack of k n x n matrices."""
-    stack = np.arange(k)[:, None, None, None] * n * n
-    return tuple(stack + idx[:, :, None] * n + idx[:, None, :] for idx in sectors)
-
-
-def _psd_clip(m: np.ndarray, blocks: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Positive part of a Hermitian matrix, or of each matrix of a stack
-    (k, n, n), that is block-diagonal over the sectors of
-    :func:`charge_sectors`, in its own dtype: a real symmetric matrix gets a
-    real eigendecomposition. ``blocks`` is ``_sector_blocks(sectors, n, k)``
-    (a single matrix is a stack of k = 1). Each sector size takes one
-    batched eigendecomposition of its blocks in the whole stack (a single
-    sector is the whole matrix), and entries outside the blocks are dropped.
-
-    The search clips its two halves as one stack per iteration, finite and
-    Hermitian by construction, so this skips eig_hermitian's input checks
-    (and its complex cast). It keeps eig_hermitian's descending order, and
-    with it the summation order of the product."""
-    n, out = m.shape[-1], np.zeros_like(m)
-    flat_m, flat_out = m.reshape(-1), out.reshape(-1)
-    for idx in blocks:
-        vals, vecs = np.linalg.eigh(flat_m[idx])
-        vals, vecs = np.maximum(vals[..., None, ::-1], 0.0), vecs[..., ::-1]
-        flat_out[idx] = (vecs * vals) @ vecs.conj().swapaxes(-1, -2)
-    return out
+def _psd_clip(m: np.ndarray) -> np.ndarray:
+    """Positive part of each Hermitian matrix of a stack (k, n, n), or of a
+    single matrix, in its own dtype, by one batched eigendecomposition. The
+    search's stacks are finite and Hermitian by construction, so this skips
+    eig_hermitian's input checks (and its complex cast); it keeps
+    eig_hermitian's descending order, and with it the summation order of
+    the product."""
+    vals, vecs = np.linalg.eigh(m)
+    vals, vecs = np.maximum(vals[..., None, ::-1], 0.0), vecs[..., ::-1]
+    return (vecs * vals) @ vecs.conj().swapaxes(-1, -2)
 
 
 @lru_cache(maxsize=32)
@@ -1032,7 +954,7 @@ def _face_decision(
     return None if cert is None else replace(cert, iterations=iterations)
 
 
-def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityReport:
+def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
     """Search for a decomposition W = q W_AB + (1-q) W_BA with each part a
     valid process compatible with the corresponding order, or for a witness
     that none exists; stop at the first certificate of either kind.
@@ -1040,12 +962,12 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     Douglas-Rachford splitting between the affine set {X in AB-subspace,
     Y in BA-subspace, X + Y = W} and the PSD cone (componentwise). The
     iterates live in :class:`HSBasis` coefficients, where the affine
-    projection is elementwise; only the PSD clip works on matrices, sector
-    by sector (see :func:`charge_sectors`). From z on the affine set, each
-    step takes the affine point a = P_aff(z), its reflection r = 2a - z and
-    the PSD point b = clip(r), and moves z += b - a. The start
-    z = P_aff(W/2, W/2) lies on the affine set, so the first step clips the
-    order split itself.
+    projection is elementwise; only the PSD clip works on matrices, one
+    batched eigendecomposition of both halves. From z on the affine set,
+    each of at most SEARCH_STEPS steps takes the affine point a = P_aff(z),
+    its reflection r = 2a - z and the PSD point b = clip(r), and moves
+    z += b - a. The start z = P_aff(W/2, W/2) lies on the affine set, so
+    the first step clips the order split itself.
 
     Before that step, a full-rank W tries the best split on the line through
     the start: X = A + t S, Y = B + (1 - t) S, with A, B and S W's AB-only,
@@ -1110,14 +1032,11 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
     again a witness. Both certificate gates re-check what the search finds
     on complex matrices.
     """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    m, lay = w.matrix, w.layout
+    lay = w.layout
     report = validate_process(w)
     if not report.is_valid:
         raise ValueError(f"input is not a valid process: {report}")
-    scale = max(1.0, frobenius(m))
-    d_o = w.expected_trace
+    scale, d_o = max(1.0, frobenius(w.matrix)), w.expected_trace
     basis = hs_basis(lay)
     in_ab, in_ba = _order_mask(lay, "AB"), _order_mask(lay, "BA")
     both = in_ab * in_ba
@@ -1136,11 +1055,10 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
         decided = _face_decision(w, 0)
         if decided is not None:
             return decided
-    blocks = _charge_sectors(lay, np.packbits(m != 0).tobytes())[1]
 
     zx, zy = _order_split(cw, cw / 2.0, cw / 2.0, in_ab, in_ba)
     witness, value = None, None
-    for used in range(1, iters + 1):
+    for used in range(1, SEARCH_STEPS + 1):
         xa, ya = _order_split(cw, zx, zy, in_ab, in_ba)
         if used > 1 and not deficient and _positive_definite(split := basis.to_mat(np.stack((xa, ya)))):
             # (xa, ya) is the affine projection of the last PSD point, and PSD
@@ -1149,7 +1067,7 @@ def separability_heuristic(w: ProcessMatrix, iters: int = 2000) -> SeparabilityR
             if cert is not None:
                 return replace(cert, iterations=used - 1)
         xr, yr = 2.0 * xa - zx, 2.0 * ya - zy
-        xb, yb = basis.to_coef(_psd_clip(basis.to_mat(np.stack((xr, yr))), blocks))
+        xb, yb = basis.to_coef(_psd_clip(basis.to_mat(np.stack((xr, yr)))))
         # the basis is orthogonal: coefficient norms are Frobenius norms
         gap = float(np.hypot(np.linalg.norm(xb - xa), np.linalg.norm(yb - ya)))
         zx, zy = zx + xb - xa, zy + yb - ya

@@ -83,7 +83,7 @@ class ConfigError(ValueError):
 
 # Every key a config may set, at its default: the coherent preset and the
 # base of each built-in and of "custom". The separability search and the
-# temporal-locality audit run at their library defaults (2000 steps, 1e-10).
+# temporal-locality audit run at process.SEARCH_STEPS and causal.AUDIT_TOL.
 _BASE_SCENARIO = {
     "scenario": "double-switch-coherent",
     "description": "Coherent-order double switch (H/Z), conditioned on control +",

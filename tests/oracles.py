@@ -449,27 +449,6 @@ def psd_clip(m):
     return (vecs * np.clip(vals[order], 0.0, None)) @ np.conj(vecs).T
 
 
-def charge_sectors(w, dims, tol=1e-9):
-    """Sectors of W's phase symmetry straight from their definition: basis
-    states i and j share one when n(i) - n(j) lies in the span of the
-    n(a) - n(b) over W's nonzero entries, n(i) the one-hot levels of i on
-    each factor. Membership is a least-squares residual against an
-    orthonormal basis of that span. Returns each sector as a sorted tuple of
-    states, in sorted order."""
-    levels = np.indices(dims).reshape(len(dims), -1).T
-    onehot = np.concatenate([np.eye(d)[levels[:, k]] for k, d in enumerate(dims)], axis=1)
-    a, b = np.nonzero(np.asarray(w))
-    diffs = onehot[a] - onehot[b]
-    u, s, _ = np.linalg.svd(diffs.T, full_matrices=False)
-    span = u[:, s > tol * max(1.0, s.max(initial=0.0))]
-    sectors = []
-    for i in range(len(levels)):
-        d = onehot - onehot[i]
-        inside = np.linalg.norm(d - (d @ span) @ span.T, axis=1) < 1e-6
-        sectors.append(tuple(np.flatnonzero(inside)))
-    return sorted(set(sectors))
-
-
 # ---------------------------------------------------------------------------
 # definite-order lambda models and the temporal-locality audit, cell by cell
 

@@ -236,7 +236,7 @@ def test_factorized_model_random_within_atol():
     marginal_j = rng.dirichlet(np.ones(2), size=(2, 3))
     prior = rng.dirichlet(np.ones(9)).reshape(3, 3)
     m = LambdaModel.factorized(marginal_i, marginal_j, prior)
-    rep = temporal_locality_audit(m, tol=1e-12)
+    rep = temporal_locality_audit(m)
     assert rep.passed
     assert rep.max_deviation <= 1e-12
 

@@ -24,10 +24,8 @@ from icolab.process import (
     _order_mask,
     _order_split,
     _psd_clip,
-    _sector_blocks,
     _validity_mask,
     certify_decomposition,
-    charge_sectors,
     depolarizing_choi,
     hs_basis,
     identity_choi,
@@ -688,9 +686,8 @@ def test_real_process_is_searched_in_real_arithmetic(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     monkeypatch.setattr(process, "_psd_clip", counted)
     for proc, dtype in ((w, np.float64), (phase_rotated(w, 7), np.complex128)):
-        # validity and sectors are computed once per process, outside the search
+        # validity is computed once per process, outside the search
         validate_process(proc)
-        charge_sectors(proc)
         seen.clear()
         clips.clear()
         rep = separability_heuristic(proc)
@@ -778,9 +775,9 @@ def recorded_clips(monkeypatch) -> list[np.ndarray]:
     """Patch the search's PSD clip to log each stack it clips: one per step."""
     clips = []
 
-    def recorded(m, blocks):
+    def recorded(m):
         clips.append(m)
-        return clip(m, blocks)
+        return clip(m)
 
     clip = process._psd_clip
     monkeypatch.setattr(process, "_psd_clip", recorded)
@@ -820,13 +817,16 @@ FACE_UNIQUE = {
 
 
 def test_search_byte_record_draws_the_same_face_split_inputs():
-    # tools/report_bytes.py --searches records the searches of this pool
+    # tools/report_bytes.py --searches records the searches of this pool, and
+    # the complex coherent search at 0.3 that the clip tests step through
     path = Path(__file__).parents[1] / "tools" / "report_bytes.py"
     spec = importlib.util.spec_from_file_location("report_bytes", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     pairs = [*zip(tool.undamped_ordered_mixtures(tool.SEARCH_SEED, 8), undamped_ordered_mixtures(1, 8))]
     pairs += [(tool.pure_ordered_process(o, tool.PURE_SEED), FACE_UNIQUE[f"pure-{o}"]()) for o in ("AB", "BA")]
+    rotated = tool.phase_rotated(tool.coherent_process(tool.ROTATED_VISIBILITY), tool.ROTATION_SEED)
+    pairs.append((rotated, phase_rotated(coherent_process(0.3), 7)))
     assert all(np.array_equal(got.matrix, want.matrix) for got, want in pairs)
 
 
@@ -891,15 +891,15 @@ def test_a_face_part_below_rounding_falls_through_to_the_loop(monkeypatch):
 
 def test_reports_are_unchanged_where_the_face_check_decides_nothing(monkeypatch):
     # the rank-2 coherent faces hold a line of splits (nullity 1), so the
-    # face decision runs after the first step and decides nothing; 600
-    # iterations show any change
+    # face decision runs after the first step and decides nothing; the 18
+    # and 47 steps that follow show any change
     pool = [coherent_process(0.3), coherent_process(1e-3)]
-    reports = [separability_heuristic(w, 600) for w in pool]
+    reports = [separability_heuristic(w) for w in pool]
     assert [rep.verdict for rep in reports] == ["nonseparable"] * 2
     assert all(process._face_solve(w)[1:] == (None, None) for w in pool)
     monkeypatch.setattr(process, "_face_solve", lambda w: (0.0, None, None))
     for w, rep in zip(pool, reports):
-        ref = separability_heuristic(w, 600)
+        ref = separability_heuristic(w)
         assert rep.to_json_dict() == ref.to_json_dict()
         for got, want in ((rep.witness, ref.witness), (rep.certificate, ref.certificate)):
             assert (got is None) == (want is None)
@@ -1023,7 +1023,7 @@ def test_positive_definiteness_is_never_tested_on_rank_deficient_or_first_step_s
     ]
     assert all(w._eigenvalues[0] <= w._rounding for w in deficient)
     # only the rank-2 coherent processes run past the first step
-    past_first = [separability_heuristic(w, 50).iterations > 1 for w in deficient]
+    past_first = [separability_heuristic(w).iterations > 1 for w in deficient]
     assert past_first == [True, True, False, False, False]
     assert results == []
     # full rank and nonseparable: the line's interval is empty, so it tests
@@ -1253,99 +1253,44 @@ def test_each_certified_split_is_converted_to_matrices_once(monkeypatch):
         assert eigvals == [1, 1], name
 
 
-# Sectors of the phase symmetry, and the clip that works sector by sector
-
-
-def sector_tuples(sectors: tuple[np.ndarray, ...]) -> list[tuple[int, ...]]:
-    return sorted(tuple(int(i) for i in row) for group in sectors for row in group)
-
-
-SECTOR_POOL = [
-    pytest.param(coherent_process, id="coherent"),
-    pytest.param(lambda: coherent_process(0.3), id="coherent-eta-0.3"),
-    pytest.param(ocb_process, id="ocb"),
-    pytest.param(quantum_switch_process, id="switch"),
-]
-
-
-@pytest.mark.parametrize("make", SECTOR_POOL)
-def test_charge_sectors_match_the_definition(make):
-    w = make()
-    sectors = charge_sectors(w)
-    assert charge_sectors(w) is sectors  # computed once per layout and nonzero pattern
-    assert sector_tuples(sectors) == oracles.charge_sectors(w.matrix, w.layout.dims)
-    # one group per sector size, largest first
-    sizes = [group.shape[1] for group in sectors]
-    assert sizes == sorted(set(sizes), reverse=True)
-    # a local phase rotation keeps the nonzero pattern and the sectors
-    assert sector_tuples(charge_sectors(phase_rotated(w, 7))) == sector_tuples(sectors)
-
-
-def test_processes_with_one_nonzero_pattern_share_one_sector_tuple():
-    first, second = coherent_process(), coherent_process(0.3)
-    assert first is not second
-    sectors = charge_sectors(first)
-    assert charge_sectors(second) is sectors
-    assert not any(idx.flags.writeable for idx in sectors)
-
-
-def test_coherent_preset_has_fifteen_sectors():
-    sizes = [len(s) for s in sector_tuples(charge_sectors(coherent_process()))]
-    assert sorted(sizes, reverse=True) == [12, 9, 9, 6, 5, 5, 4, 4, 2, 2, 2, 1, 1, 1, 1]
+# The clip: one batched eigendecomposition of both halves of a step
 
 
 def test_dense_ordered_mixture_is_one_sector_clipped_whole():
+    # bit for bit against the oracle on dense 16 x 16 matrices, real and complex
     w = undamped_ordered_mixtures(1, 1)[0]
-    sectors = charge_sectors(w)
-    assert len(sectors) == 1 and np.array_equal(sectors[0], np.arange(w.layout.dim)[None])
     rng = np.random.default_rng(2)
     for m in (w.matrix - 0.3 * np.eye(16), random_hermitian(rng, 16), random_hermitian(rng, 16).real):
-        assert np.array_equal(_psd_clip(m, _sector_blocks(sectors, 16, 1)), oracles.psd_clip(m))
+        assert np.array_equal(_psd_clip(m), oracles.psd_clip(m))
 
 
 def test_sector_clip_matches_the_full_clip_on_the_coherent_search(monkeypatch):
-    inputs = []
-
-    def recorded(m, blocks):
-        inputs.append((m, blocks))
-        return clip(m, blocks)
-
-    clip = process._psd_clip
-    monkeypatch.setattr(process, "_psd_clip", recorded)
-    iterations = sum(
-        separability_heuristic(w).iterations
-        for w in (coherent_process(0.3), phase_rotated(coherent_process(0.3), 7))
-    )
+    # the clip of the stacks that the coherent searches at 0.3 (real and
+    # phase-rotated) and OCB at 0.2 take, against the oracle's clip of each
+    # matrix; these W are block-diagonal over several phase-symmetry sectors
+    clips = recorded_clips(monkeypatch)
+    pool = (coherent_process(0.3), phase_rotated(coherent_process(0.3), 7), ocb_process(0.2))
+    iterations = sum(separability_heuristic(w).iterations for w in pool)
     # one stacked clip of both halves per iteration
-    assert len(inputs) == iterations
-    for stack, blocks in inputs:
-        assert len(blocks) == 7 and stack.shape == (2, 64, 64)
-        for m, got in zip(stack, clip(stack, blocks)):
+    assert len(clips) == iterations
+    assert {stack.shape for stack in clips} == {(2, 64, 64), (2, 16, 16)}
+    for stack in clips:
+        for m, got in zip(stack, _psd_clip(stack)):
             assert frobenius(got - oracles.psd_clip(m)) <= 1e-13 * frobenius(m)
 
 
 def test_stacked_clip_equals_the_clip_of_each_matrix(monkeypatch):
     # bit for bit, on the stacks the coherent searches clip, real and complex
-    stacks = []
-
-    def recorded(m, *args):
-        stacks.append((m, args))
-        return clip(m, *args)
-
-    clip = process._psd_clip
-    monkeypatch.setattr(process, "_psd_clip", recorded)
+    clips = recorded_clips(monkeypatch)
     # the rank-2 coherent process still steps (a rank-1 one is decided with no clip)
     for w in (coherent_process(0.3), phase_rotated(coherent_process(0.3), 7)):
         separability_heuristic(w)
-    assert {m.dtype for m, _ in stacks} == {np.dtype(np.float64), np.dtype(np.complex128)}
-    # a phase rotation keeps the nonzero pattern, so both searches share the sectors
-    sectors = charge_sectors(coherent_process(0.3))
-    for stack, (blocks,) in stacks:
-        assert all(np.array_equal(b, s) for b, s in zip(blocks, _sector_blocks(sectors, 64, 2)))
-        got = clip(stack, blocks)
+    assert {m.dtype for m in clips} == {np.dtype(np.float64), np.dtype(np.complex128)}
+    for stack in clips:
+        got = _psd_clip(stack)
         assert got.dtype == stack.dtype
         for m, row in zip(stack, got):
-            assert np.array_equal(row, clip(m, _sector_blocks(sectors, 64, 1)))
+            assert np.array_equal(row, _psd_clip(m))
 
 
 def test_hs_basis_converts_a_stack_item_by_item():
@@ -1362,27 +1307,6 @@ def test_hs_basis_converts_a_stack_item_by_item():
             back = basis.to_mat(coef)
             assert back.dtype == dtype and back.shape == stack.shape
             assert all(np.array_equal(b, basis.to_mat(c)) for b, c in zip(back, coef))
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_sector_clip_matches_the_full_clip_on_hidden_blocks(dtype):
-    # seeded Hermitian blocks of random sizes, their basis states shuffled
-    rng = np.random.default_rng(11)
-    for _ in range(6):
-        sizes = rng.integers(1, 7, size=8)
-        order = rng.permutation(sizes.sum())
-        m = np.zeros((sizes.sum(),) * 2, dtype=dtype)
-        sectors = [np.sort(idx) for idx in np.split(order, np.cumsum(sizes)[:-1])]
-        for idx in sectors:
-            block = random_hermitian(rng, len(idx)) - 0.4 * np.eye(len(idx))
-            m[np.ix_(idx, idx)] = block if dtype == np.complex128 else block.real
-        grouped = tuple(
-            np.array([s for s in sectors if len(s) == k])
-            for k in sorted(set(sizes.tolist()), reverse=True)
-        )
-        got = _psd_clip(m, _sector_blocks(grouped, len(m), 1))
-        assert got.dtype == dtype
-        assert frobenius(got - oracles.psd_clip(m)) <= 1e-13 * frobenius(m)
 
 
 def test_psd_margin_is_the_least_eigenvalue_of_the_complex_matrix():
@@ -1428,8 +1352,6 @@ def test_separability_rejects_invalid_input():
     bad = np.eye(lay.dim)  # wrong trace
     with pytest.raises(ValueError):
         separability_heuristic(ProcessMatrix(bad, lay))
-    with pytest.raises(ValueError):
-        separability_heuristic(neutral_process(lay), iters=0)
 
 
 # ---------------------------------------------------------------------------

@@ -94,9 +94,10 @@ def test_searches_write_one_report_per_search_input(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = out.read_text().splitlines()
     labels, reports = lines[::2], [json.loads(line) for line in lines[1::2]]
-    assert len(labels) == 436 and all(label.startswith("== search ") for label in labels)
+    assert len(labels) == 437 and all(label.startswith("== search ") for label in labels)
     assert "== search quantum-switch exit 0" in labels
     assert "== search coherent visibility 1.0 exit 0" in labels
+    assert "== search coherent visibility 0.3 phase-rotated exit 0" in labels
     assert labels[0] == "== search process-family 0 ordered-mixture exit 0"
     assert labels[-10] == "== search undamped-mixture 0 exit 0"
     assert labels[-1] == "== search pure-future BA exit 0"

@@ -20,10 +20,11 @@ stderr, so two checkouts with the same outputs write the same file::
 (``SeparabilityReport.to_json_dict``) of every search input:
 ``ProcessFamily.make_inputs(1)`` from ``perfbench/workloads.py`` (420
 processes, imported and left as they are), ``quantum_switch_process()``,
-the coherent preset at visibility 1e-6, 1e-4, 1e-3, 0.3 and 1, the 8
-undamped ordered mixtures of seed 1 (rank 12, each with one order split
-on its face) and a pure ordered process with a future in each order
-(rank 1)::
+the coherent preset at visibility 1e-6, 1e-4, 1e-3, 0.3 and 1, a
+phase-rotated copy of the preset at visibility 0.3 (complex, so searched
+in complex128), the 8 undamped ordered mixtures of seed 1 (rank 12, each
+with one order split on its face) and a pure ordered process with a
+future in each order (rank 1)::
 
     python3 tools/report_bytes.py --searches parent/src parent.searches
     python3 tools/report_bytes.py --searches src change.searches
@@ -90,6 +91,7 @@ SWEEPS = {
 SEARCH_SEED = 1
 SEARCH_VISIBILITIES = (1e-6, 1e-4, 1e-3, 0.3, 1.0)
 PURE_SEED = 3
+ROTATED_VISIBILITY, ROTATION_SEED = 0.3, 7
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -138,12 +140,33 @@ def pure_ordered_process(order: str, seed: int):
     return ordered_process(np.outer(psi, psi.conj()), choi_of_unitary(haar_unitary(rng, 2)), order, "future")
 
 
+def phase_rotated(w, seed: int):
+    """U W U^dagger with U a product of seeded diagonal phase unitaries, one
+    per factor, drawn as ``tests/test_process.py`` draws it."""
+    import numpy as np
+    from icolab.process import ProcessMatrix
+
+    rng = np.random.default_rng(seed)
+    phases = np.ones(1, dtype=np.complex128)
+    for d in w.layout.dims:
+        phases = np.kron(phases, np.exp(2j * np.pi * rng.uniform(size=d)))
+    return ProcessMatrix(phases[:, None] * w.matrix * phases.conj(), w.layout)
+
+
+def coherent_process(eta: float):
+    """W of the coherent double-switch preset at visibility eta."""
+    from icolab import scenarios
+
+    cfg = scenarios.ScenarioConfig.from_dict({"scenario": "double-switch-coherent", "visibility": eta})
+    return scenarios._scenario_process(cfg.spec)[0]
+
+
 def searches() -> None:
     """Print the separability report of each search input, one section
     each. ``--searches`` runs it in a child process with the checkout's
     icolab and ``perfbench`` on the path."""
     import workloads
-    from icolab import process, scenarios
+    from icolab import process
 
     def emit(label: str, w) -> None:
         rep = process.separability_heuristic(w)
@@ -155,8 +178,9 @@ def searches() -> None:
         emit(f"process-family {k} {inp['kind']}", inp["process"])
     emit("quantum-switch", process.quantum_switch_process())
     for eta in SEARCH_VISIBILITIES:
-        cfg = scenarios.ScenarioConfig.from_dict({"scenario": "double-switch-coherent", "visibility": eta})
-        emit(f"coherent visibility {eta}", scenarios._scenario_process(cfg.spec)[0])
+        emit(f"coherent visibility {eta}", coherent_process(eta))
+    rotated = phase_rotated(coherent_process(ROTATED_VISIBILITY), ROTATION_SEED)
+    emit(f"coherent visibility {ROTATED_VISIBILITY} phase-rotated", rotated)
     for k, w in enumerate(undamped_ordered_mixtures(SEARCH_SEED, 8)):
         emit(f"undamped-mixture {k}", w)
     for order in ("AB", "BA"):
