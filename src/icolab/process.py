@@ -225,7 +225,8 @@ class ProcessMatrix:
     def _eigenvalues(self) -> np.ndarray:
         """The read-only eigenvalues in ascending order, from one eigvalsh
         of :attr:`_own`: validity reads its PSD margin here, the search W's
-        rank and the certificate builder a part's lift."""
+        rank, and the certificate builder and check a part's lift and PSD
+        gate."""
         vals = np.linalg.eigvalsh(self._own)
         vals.flags.writeable = False
         return vals
@@ -689,25 +690,63 @@ class SeparabilityReport:
         return out
 
 
+def _stacked(
+    parts: tuple[ProcessMatrix, ...], name: str, compute, own: np.ndarray | None = None
+) -> list[np.ndarray]:
+    """The cached property ``name`` (``_eigenvalues`` or ``_coef``) of each
+    part. When none of them has it yet and their matrices share a dtype,
+    one call of ``compute`` on the stack of their :attr:`_own` matrices
+    (``own``, when the caller holds it) fills every cache; otherwise each
+    part computes what it lacks."""
+    if not any(name in vars(p) for p in parts) and len({p._own.dtype for p in parts}) == 1:
+        values = compute(np.stack([p._own for p in parts]) if own is None else own)
+        values.flags.writeable = False
+        for part, value in zip(parts, values):
+            vars(part)[name] = value
+    return [getattr(p, name) for p in parts]
+
+
+@lru_cache(maxsize=32)
+def _excluded_masks(layout: SpaceLayout) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """For the AB and the BA part of a decomposition, the 0/1 masks of the
+    coefficients it must not hold: those outside the valid span and those
+    outside its order subspace."""
+    invalid = 1.0 - _validity_mask(layout)
+    out = tuple((invalid, 1.0 - _order_mask(layout, order)) for order in ("AB", "BA"))
+    for pair in out:
+        for mask in pair:
+            mask.flags.writeable = False
+    return out
+
+
 def certify_decomposition(
     w: ProcessMatrix, q: float, w_ab: ProcessMatrix, w_ba: ProcessMatrix
 ) -> SeparabilityReport | None:
     """Re-validate a claimed decomposition W = q W_AB + (1-q) W_BA from
-    scratch, whatever proposed it: each part must pass validate_process and
-    lie in its order subspace, and the mixture must reproduce W. Returns the
-    certificate, with ``iterations`` 0 and ``residual`` the relative
-    reconstruction error, or None."""
+    scratch, whatever proposed it: each part must pass the checks of
+    :func:`validate_process` at its tolerances and lie in its order
+    subspace, and the mixture must reproduce W. Each part's eigenvalues and
+    coefficients come from its own cache when filled, and otherwise from
+    one eigvalsh and one :meth:`HSBasis.to_coef` of the stack of both parts.
+    Returns the certificate, with ``iterations`` 0 and ``residual`` the
+    relative reconstruction error, or None."""
     m, lay = w.matrix, w.layout
     if not 0.0 <= q <= 1.0 or w_ab.layout != lay or w_ba.layout != lay:
         return None
-    for part, order in ((w_ab, "AB"), (w_ba, "BA")):
-        if not validate_process(part).is_valid:
+    parts, d_o = (w_ab, w_ba), w.expected_trace
+    eigenvalues = _stacked(parts, "_eigenvalues", np.linalg.eigvalsh)
+    coefs = _stacked(parts, "_coef", hs_basis(lay).to_coef)
+    for part, vals, coef, (invalid, other) in zip(parts, eigenvalues, coefs, _excluded_masks(lay)):
+        trace_error = float(np.real(np.trace(part.matrix)) - d_o)
+        # the basis is orthogonal: a distance to a subspace is the norm of the masked-out coefficients
+        residual = np.linalg.norm(invalid * coef)
+        if not (vals[0] >= -PSD_ATOL and abs(trace_error) <= TRACE_ATOL and residual <= SUBSPACE_ATOL):
             return None
-        # the basis is orthogonal: ||P m - m|| is the norm of the masked-out coefficients
-        outside = np.linalg.norm((1.0 - _order_mask(lay, order)) * part._coef)
-        if outside > 1e-9 * max(1.0, np.linalg.norm(part.matrix)):
+        if np.linalg.norm(other * coef) > 1e-9 * max(1.0, np.linalg.norm(part.matrix)):
             return None
-    recon = frobenius(q * w_ab.matrix + (1 - q) * w_ba.matrix - m) / max(1.0, frobenius(m))
+    # frobenius without its input checks: process matrices are complex128 and finite
+    recon = float(np.linalg.norm(q * w_ab.matrix + (1 - q) * w_ba.matrix - m))
+    recon /= max(1.0, float(np.linalg.norm(m)))
     # The search's in-subspace eigenvalue lift can inflate the reconstruction
     # error by a factor of order sqrt(dim) over its terminal infeasibility,
     # so the gate carries that factor.
@@ -721,33 +760,43 @@ def _certified_split(w: ProcessMatrix, mats: np.ndarray) -> SeparabilityReport |
     split of W, the stack (X, Y) of its matrices in the search's dtype, or
     None.
 
-    q comes from the trace of X. Each part is divided by its weight, made
-    Hermitian and renormalized to trace d_O; where its least eigenvalue is
+    q comes from the trace of X. The parts are divided by their weights,
+    made Hermitian and renormalized to trace d_O as one stack, each in the
+    arithmetic of a single matrix; where a part's least eigenvalue is
     negative, it is lifted by that much (plus 1e-14 max(1, largest)) times
     the identity and renormalized again. The identity lies in every order
     subspace, so the lift keeps exact comb membership where an eigenvalue
-    clip would not. A part of weight below 1e-6 is padded.
-    :func:`certify_decomposition` decides whether the candidate holds, and
-    its validity check reads each part's cached eigenvalues."""
+    clip would not. A part of weight below 1e-6 is padded. One eigvalsh of
+    the stack fills the parts' cached eigenvalues, which serve both the
+    lift decision and :func:`certify_decomposition`, which decides whether
+    the candidate holds; when no part is lifted, one
+    :meth:`HSBasis.to_coef` of the stack fills their coefficients too."""
     lay, d_o = w.layout, w.expected_trace
     q = min(max(float(np.real(np.trace(mats[0]))) / d_o, 0.0), 1.0)
+    weights = np.array((q, 1.0 - q))
+    kept = weights >= 1e-6
+    if not kept.all():
+        mats, weights = mats[kept], weights[kept]
+    stack = mats / weights[:, None, None]
+    stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+    traces = np.real(np.trace(stack, axis1=-2, axis2=-1))
+    if (traces <= 0).any():
+        return None
+    stack *= (d_o / traces)[:, None, None]
+    fresh = tuple(ProcessMatrix(mat, lay) for mat in stack)
+    # the stack is the parts' own matrices unless a part of a complex split is real
+    own = stack if all(p._own.dtype == stack.dtype for p in fresh) else None
     parts = []
-    for mat, weight in zip(mats, (q, 1.0 - q)):
-        if weight < 1e-6:
-            parts.append(neutral_process(lay))
-            continue
-        mat = mat / weight
-        mat = 0.5 * (mat + mat.conj().T)
-        tr = float(np.real(np.trace(mat)))
-        if tr <= 0:
-            return None
-        part = ProcessMatrix(mat * (d_o / tr), lay)
-        low, high = float(part._eigenvalues[0]), float(part._eigenvalues[-1])
+    for part, vals in zip(fresh, _stacked(fresh, "_eigenvalues", np.linalg.eigvalsh, own)):
+        low, high = float(vals[0]), float(vals[-1])
         if low < 0.0:
             mat = part._own + (-low + 1e-14 * max(1.0, high)) * np.eye(lay.dim)
             part = ProcessMatrix(mat * (d_o / float(np.real(np.trace(mat)))), lay)
+            own = None
         parts.append(part)
-    return certify_decomposition(w, q, *parts)
+    if own is not None:
+        _stacked(fresh, "_coef", hs_basis(lay).to_coef, own)
+    return certify_decomposition(w, q, *(parts.pop(0) if keep else neutral_process(lay) for keep in kept))
 
 
 def _certify_witness(
@@ -762,14 +811,16 @@ def _certify_witness(
     W' = X' + Y' (trace d_O, each part PSD in its subspace, so ||X'|| <=
     tr X') has tr(S W') >= -max(eps_AB, eps_BA) d_O. The witness certifies
     when tr(S W) lies below that bound by more than a rounding allowance.
-    Returns tr(S W)/||S|| or None."""
-    lay = w.layout
-    basis = hs_basis(lay)
+    Both orders are read from one eigvalsh of (P_AB, P_BA) and one
+    :meth:`HSBasis.to_coef` of (S - P_AB, S - P_BA). Returns tr(S W)/||S||
+    or None."""
+    lay, parts = w.layout, np.stack((p_ab, p_ba))
+    coefs = hs_basis(lay).to_coef(s - parts)
     eps = 0.0
-    for p, order in ((p_ab, "AB"), (p_ba, "BA")):
+    for coef, low, order in zip(coefs, np.linalg.eigvalsh(parts)[:, 0], ("AB", "BA")):
         # the basis is orthogonal: ||P_X(S - P)|| is the norm of its masked coefficients
-        inside = np.linalg.norm(_order_mask(lay, order) * basis.to_coef(s - p))
-        eps = max(eps, max(0.0, -float(np.linalg.eigvalsh(p)[0])) + inside)
+        inside = np.linalg.norm(_order_mask(lay, order) * coef)
+        eps = max(eps, max(0.0, -float(low)) + inside)
     slack = WITNESS_RTOL * (np.linalg.norm(p_ab) + np.linalg.norm(p_ba))
     value = witness_value(w, s)
     if value < -(eps + slack) * w.expected_trace:
@@ -818,12 +869,12 @@ def _line_split(
     there is none or it does not certify."""
     basis, both = hs_basis(w.layout), in_ab * in_ba
     shared = both * w._coef
-    a, b, s = basis.to_mat(np.stack(((in_ab - both) * w._coef, (in_ba - both) * w._coef, shared)))
+    mats = basis.to_mat(np.stack(((in_ab - both) * w._coef, (in_ba - both) * w._coef, shared)))
     try:
-        inv = np.linalg.inv(np.linalg.cholesky(s))
+        inv = np.linalg.inv(np.linalg.cholesky(mats[2]))
     except np.linalg.LinAlgError:
         return None, None
-    least = np.linalg.eigvalsh(-(inv @ np.stack((a, b)) @ inv.conj().T))[:, -1]
+    least = np.linalg.eigvalsh(-(inv @ mats[:2] @ inv.conj().T))[:, -1]
     t_lo, t_hi = float(least[0]), 1.0 - float(least[1])
     if t_lo >= t_hi:
         return (t_lo, t_hi), None
@@ -1036,16 +1087,9 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
     report = validate_process(w)
     if not report.is_valid:
         raise ValueError(f"input is not a valid process: {report}")
-    scale, d_o = max(1.0, frobenius(w.matrix)), w.expected_trace
-    basis = hs_basis(lay)
     in_ab, in_ba = _order_mask(lay, "AB"), _order_mask(lay, "BA")
-    both = in_ab * in_ba
-    cw = w._coef
-    # tr(S W) = <gx, in_ab cw> + <gy, (1 - in_ab) in_ba cw>
-    cw_a, cw_b = (in_ab * cw).ravel(), ((1.0 - in_ab) * in_ba * cw).ravel()
-
-    deficient = w._eigenvalues[0] <= w._rounding
-    pure = w._eigenvalues[-2] <= w._rounding
+    rounding = w._rounding
+    deficient, pure = w._eigenvalues[0] <= rounding, w._eigenvalues[-2] <= rounding
     if not deficient:
         cert = _line_split(w, in_ab, in_ba)[1]
         if cert is not None:
@@ -1056,6 +1100,10 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
         if decided is not None:
             return decided
 
+    scale, d_o = max(1.0, frobenius(w.matrix)), w.expected_trace
+    basis, both, cw = hs_basis(lay), in_ab * in_ba, w._coef
+    # tr(S W) = <gx, in_ab cw> + <gy, (1 - in_ab) in_ba cw>
+    cw_a, cw_b = (in_ab * cw).ravel(), ((1.0 - in_ab) * in_ba * cw).ravel()
     zx, zy = _order_split(cw, cw / 2.0, cw / 2.0, in_ab, in_ba)
     witness, value = None, None
     for used in range(1, SEARCH_STEPS + 1):
@@ -1074,13 +1122,11 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
         gx, gy = xb - xr, yb - yr
         trace_sw = gx.ravel() @ cw_a + gy.ravel() @ cw_b
         if trace_sw < 0.0 and trace_sw < -np.linalg.norm(both * (gx - gy)) * d_o:
-            s, p_ab, p_ba = (
-                basis.to_mat(c)
-                for c in (np.where(in_ab, gx, np.where(in_ba, gy, 0.0)), gx, np.where(both, gx, gy))
-            )
-            value = _certify_witness(w, s, p_ab, p_ba)
+            coefs = (np.where(in_ab, gx, np.where(in_ba, gy, 0.0)), gx, np.where(both, gx, gy))
+            candidate = tuple(basis.to_mat(np.stack(coefs)))
+            value = _certify_witness(w, *candidate)
             if value is not None:
-                witness = (s, p_ab, p_ba)
+                witness = candidate
                 break
         if gap < SEARCH_TOL * scale:
             break

@@ -13,6 +13,9 @@ from icolab import process
 from icolab.linalg import HERMITICITY_ATOL, SpaceLayout, frobenius, ket, partial_trace, projector, tensor
 from icolab.process import (
     PARTY_LABELS,
+    PSD_ATOL,
+    SEARCH_TOL,
+    TRACE_ATOL,
     Instrument,
     ProcessMatrix,
     apply_choi,
@@ -1198,13 +1201,13 @@ def test_candidate_from_coefficients_agrees_with_the_retired_builder(monkeypatch
 
 
 def test_each_matrix_is_converted_to_coefficients_once(monkeypatch):
-    # W's coefficients serve its validity check and the search; each
-    # certificate part's serve its validity and order-subspace checks
+    # W's coefficients serve its validity check and the search; the two
+    # certificate parts' serve their validity and order-subspace checks, from
+    # one conversion of their stack
     matrices = []
 
     def recorded(basis, m):
-        if m.ndim == 2:
-            matrices.append(m)
+        matrices.append(m)
         return to_coef(basis, m)
 
     to_coef = process.HSBasis.to_coef
@@ -1213,14 +1216,16 @@ def test_each_matrix_is_converted_to_coefficients_once(monkeypatch):
     assert validate_process(w).is_valid
     rep = separability_heuristic(w)
     assert rep.verdict == "separable"
-    assert len(matrices) == 3
+    assert [m.shape for m in matrices] == [(16, 16), (2, 16, 16)]
     assert np.array_equal(matrices[0], w.matrix.real)
+    q, w_ab, w_ba = rep.certificate
+    assert np.array_equal(matrices[1], np.stack((w_ab.matrix.real, w_ba.matrix.real)))
 
 
 def test_each_certified_split_is_converted_to_matrices_once(monkeypatch):
     # the split that passed its positive-definiteness test is the builder's
-    # input as it stands, and each part's eigenvalues serve both its lift
-    # decision and its validity check
+    # input as it stands, and one eigvalsh of both parts serves their lift
+    # decisions and their validity checks
     passed, converted, eigvals = [], [], []
 
     def recorded_test(mats):
@@ -1250,7 +1255,7 @@ def test_each_certified_split_is_converted_to_matrices_once(monkeypatch):
         rep = separability_heuristic(inputs[name])
         assert (rep.verdict, rep.iterations, len(passed)) == ("separable", iterations, 1), name
         assert sum(np.array_equal(m, passed[0]) for m in converted) == 1, name
-        assert eigvals == [1, 1], name
+        assert eigvals == [2], name
 
 
 # The clip: one batched eigendecomposition of both halves of a step
@@ -1333,6 +1338,146 @@ def test_certify_decomposition_gates():
     switch = quantum_switch_process()
     assert validate_process(switch).is_valid
     assert certify_decomposition(switch, 0.5, switch, switch) is None
+
+
+# Gate by gate: each defect once in the AB slot and once in the BA slot, so
+# a check that reads the other slot's mask or eigenvalues lets one through
+
+RECON_GATE = 10 * SEARCH_TOL * (1.0 + 2.0 * np.sqrt(16))
+DECOMPOSITION_DEFECTS = ("psd", "trace", "invalid", "other-order", "reconstruction", "layout")
+
+
+def damped_ordered_parts() -> list[ProcessMatrix]:
+    """A random A-first and a random B-first process, each mixed with 10% of
+    the neutral process, so that its least eigenvalue is at least 0.025."""
+    rng = np.random.default_rng(11)
+    neutral = neutral_process(standard_layout(2))
+    parts = []
+    for order in ("AB", "BA"):
+        iso = haar_unitary(rng, 4)[:, :2]
+        raw = ordered_process(random_density(rng, 2), choi_of_kraus([iso[:2], iso[2:]]), order)
+        parts.append(mix(raw, neutral, 0.9))
+    return parts
+
+
+def unit_component(lay: SpaceLayout, keep: np.ndarray, seed: int) -> np.ndarray:
+    """A Hermitian matrix of unit norm whose coefficients lie where ``keep``
+    is 1: traceless when ``keep`` leaves out the identity."""
+    basis = hs_basis(lay)
+    h = basis.to_mat(keep * basis.to_coef(random_hermitian(np.random.default_rng(seed), lay.dim)))
+    h = 0.5 * (h + h.conj().T)
+    return h / frobenius(h)
+
+
+def decomposition_defect(part: ProcessMatrix, order: str, defect: str) -> ProcessMatrix:
+    """The part of the given order with one defect, which the gate of
+    certify_decomposition that ``defect`` names catches. The other gates
+    pass it, except that a part outside the valid span is also outside its
+    order subspace."""
+    lay, m, d_o = part.layout, part.matrix, part.expected_trace
+    if defect == "psd":
+        # an identity shift and a rescale to trace d_O, which keep the part in
+        # every order subspace, with least eigenvalue -2 PSD_ATOL
+        delta = 2.0 * PSD_ATOL
+        m = m - d_o * (np.linalg.eigvalsh(m)[0] + delta) / (d_o + delta * lay.dim) * np.eye(lay.dim)
+        m = m * (d_o / np.real(np.trace(m)))
+        assert np.linalg.eigvalsh(m)[0] == pytest.approx(-delta, rel=1e-3)
+    elif defect == "trace":
+        m = m * (1.0 + 2.0 * TRACE_ATOL / d_o)
+    elif defect == "invalid":
+        m = m + 1e-6 * unit_component(lay, 1.0 - _validity_mask(lay), 1)
+    elif defect == "other-order":
+        own, other = _order_mask(lay, order), _order_mask(lay, "BA" if order == "AB" else "AB")
+        m = m + 1e-6 * unit_component(lay, other * (1.0 - own), 2)
+    elif defect == "reconstruction":
+        return neutral_process(lay)
+    elif defect == "layout":
+        # a trivial future: the same basis, masks and trace, another layout
+        return ProcessMatrix(m, standard_layout(2, 1))
+    return ProcessMatrix(m, lay)
+
+
+def decomposition_fails_the_oracle(w: ProcessMatrix, q: float, *parts: ProcessMatrix) -> bool:
+    """Whether the mask-free oracle finds a defect above PSD_ATOL in a part
+    or a reconstruction error above certify_decomposition's gate."""
+    w_ab, w_ba = parts
+    worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
+    return worst > PSD_ATOL or recon > RECON_GATE
+
+
+def test_unmutated_decomposition_passes_checker_and_oracle():
+    q, (w_ab, w_ba) = 0.3, damped_ordered_parts()
+    assert min(np.linalg.eigvalsh(p.matrix)[0] for p in (w_ab, w_ba)) >= 0.02
+    w = mix(w_ab, w_ba, q)
+    assert not decomposition_fails_the_oracle(w, q, w_ab, w_ba)
+    rep = certify_decomposition(w, q, w_ab, w_ba)
+    assert rep is not None and rep.residual <= 1e-15
+
+
+@pytest.mark.parametrize("slot", [0, 1], ids=["AB-slot", "BA-slot"])
+@pytest.mark.parametrize("defect", DECOMPOSITION_DEFECTS)
+def test_each_decomposition_gate_rejects_its_defect_in_either_slot(defect, slot):
+    q = 0.3
+    for warm in (False, True):
+        parts = damped_ordered_parts()
+        w = mix(*parts, q)
+        parts[slot] = decomposition_defect(parts[slot], ("AB", "BA")[slot], defect)
+        if defect != "reconstruction":
+            # W is rebuilt from the parts, so only the part's own gate can fail
+            w = ProcessMatrix(q * parts[0].matrix + (1.0 - q) * parts[1].matrix, w.layout)
+        if warm:
+            # the other part's eigenvalues and coefficients come from its cache
+            validate_process(parts[1 - slot])
+        assert certify_decomposition(w, q, *parts) is None, (defect, slot, warm)
+        if defect != "layout":
+            assert decomposition_fails_the_oracle(w, q, *parts), (defect, slot)
+
+
+@pytest.mark.parametrize("q", [-0.1, 1.1])
+def test_decomposition_weight_outside_the_unit_interval_fails(q):
+    parts = damped_ordered_parts()
+    w = ProcessMatrix(q * parts[0].matrix + (1.0 - q) * parts[1].matrix, parts[0].layout)
+    assert certify_decomposition(w, q, *parts) is None
+    assert decomposition_fails_the_oracle(w, q, *parts)
+
+
+@pytest.mark.parametrize("name", list(NONSEPARABLE))
+def test_witness_with_a_bad_ba_half_fails_verification(name):
+    w = NONSEPARABLE[name]()
+    lay, d_o = w.layout, w.expected_trace
+    s, p_ab, p_ba = separability_heuristic(w).witness
+    assert _certify_witness(w, s, p_ab, p_ba) is not None
+    value = float(np.real(np.trace(s @ w.matrix)))
+    assert value < 0.0
+    basis, ab, ba = hs_basis(lay), _order_mask(lay, "AB"), _order_mask(lay, "BA")
+    mutants = {}
+    # P_BA lowered along a direction outside the BA subspace (so S - P_BA
+    # stays outside it) until lambda_min(P_BA) is below -2 |tr(S W)| / d_O
+    vals, vecs = np.linalg.eigh(p_ba)
+    v = vecs[:, :1]
+    y = basis.to_mat((1.0 - ba) * basis.to_coef(v @ v.conj().T))
+    y = 0.5 * (y + y.conj().T)
+    dip = float(np.real(v.conj().T @ y @ v)[0, 0])
+    assert dip > 0.0
+    p_low = p_ba - (vals[0] + 2.0 * abs(value) / d_o) / dip * y
+    assert np.linalg.eigvalsh(p_low)[0] < -abs(value) / d_o
+    mutants["P_BA below the bound"] = (s, p_ab, p_low)
+    # S given a component inside BA but outside AB that leaves tr(S W) as it is
+    z1, z2 = (unit_component(lay, ba * (1.0 - ab), seed) for seed in (3, 4))
+    z = np.real(np.trace(z2 @ w.matrix)) * z1 - np.real(np.trace(z1 @ w.matrix)) * z2
+    s_in = s + 2.0 * abs(value) / d_o * z / frobenius(z)
+    assert np.real(np.trace(s_in @ w.matrix)) == pytest.approx(value, abs=1e-12)
+    mutants["S - P_BA inside BA"] = (s_in, p_ab, p_ba)
+    # S, P_AB and P_BA shifted by c I: S - P_X stays, tr(S W) rises by c d_O
+    for c, certifies in ((1.0 - 1e-8, True), (1.0 + 1e-8, False)):
+        shift = c * abs(value) / d_o * np.eye(lay.dim)
+        raised = (s + shift, p_ab + shift, p_ba + shift)
+        assert (_certify_witness(w, *raised) is not None) is certifies, c
+        if not certifies:
+            mutants["tr(S W) above the bound"] = raised
+    for label, (s_m, p_ab_m, p_ba_m) in mutants.items():
+        assert _certify_witness(w, s_m, p_ab_m, p_ba_m) is None, label
+        assert oracles.witness_margin(w.matrix, lay, s_m, p_ab_m, p_ba_m) >= 0.0, label
 
 
 def test_traced_future_switch_is_separable():

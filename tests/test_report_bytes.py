@@ -94,11 +94,14 @@ def test_searches_write_one_report_per_search_input(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = out.read_text().splitlines()
     labels, reports = lines[::2], [json.loads(line) for line in lines[1::2]]
-    assert len(labels) == 437 and all(label.startswith("== search ") for label in labels)
+    # the process-family inputs of seeds 1, 2 and 3, then 17 hand-picked searches
+    assert len(labels) == 1277 and all(label.startswith("== search ") for label in labels)
     assert "== search quantum-switch exit 0" in labels
     assert "== search coherent visibility 1.0 exit 0" in labels
     assert "== search coherent visibility 0.3 phase-rotated exit 0" in labels
-    assert labels[0] == "== search process-family 0 ordered-mixture exit 0"
+    assert labels[0] == "== search process-family seed 1 0 ordered-mixture exit 0"
+    assert labels[420] == "== search process-family seed 2 0 ordered-mixture exit 0"
+    assert labels[1259] == "== search process-family seed 3 419 ocb exit 0"
     assert labels[-10] == "== search undamped-mixture 0 exit 0"
     assert labels[-1] == "== search pure-future BA exit 0"
     assert {rep["verdict"] for rep in reports} <= {"separable", "nonseparable", "inconclusive"}
@@ -109,5 +112,5 @@ def test_searches_write_one_report_per_search_input(tmp_path):
     other = tmp_path / "parent.searches"
     other.write_text("\n".join(lines) + "\n")
     found = diff(other, out)
-    want = "search process-family 1 random-valid: residual\n1 residual\n"
+    want = "search process-family seed 1 1 random-valid: residual\n1 residual\n"
     assert (found.returncode, found.stdout) == (1, want)

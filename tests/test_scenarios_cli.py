@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from icolab import bell, process, scenarios, switch
+from icolab import bell, cli, process, scenarios, switch
 from icolab.process import certify_decomposition, quantum_switch_process
 from icolab.scenarios import (
     BUILTIN_SCENARIOS,
@@ -227,9 +227,10 @@ def test_builtin_separability_is_pinned(name, verdict, source, iterations, q):
 
 
 def test_each_run_checks_each_process_matrix_once(monkeypatch):
-    # validity is computed once per ProcessMatrix: coherent W (the search
-    # reuses its report); baseline W and its two ordered parts; a5 W, which is
-    # also its own A-first part, with the neutral process as the B-first part
+    # a validity report is built once per run, for W (the search reuses
+    # it); a construction's certificate parts (baseline's two ordered
+    # processes; a5's W, its own A-first part, and the neutral process) pass
+    # the same checks inside certify_decomposition, with no report of their own
     calls = []
 
     def counted(w):
@@ -239,16 +240,11 @@ def test_each_run_checks_each_process_matrix_once(monkeypatch):
     original = process._validity_report
     monkeypatch.setattr(process, "_validity_report", counted)
     process.neutral_process.cache_clear()
-    for name, count in (
-        ("a5-violated-definite-order", 2),  # and the neutral process, once per layout
-        ("a5-violated-definite-order", 1),
-        ("double-switch-coherent", 1),
-        ("classical-order-baseline", 3),
-    ):
+    for name in ("a5-violated-definite-order", "double-switch-coherent", "classical-order-baseline"):
         calls.clear()
-        run_scenario(ScenarioConfig.from_dict({"scenario": name}))
-        assert len(calls) == count, name
-        assert set(calls) == {64}
+        rep = run_scenario(ScenarioConfig.from_dict({"scenario": name})).report
+        assert calls == [64], name
+        assert rep["process"]["validity"]["verdict"] == "valid", name
 
 
 GOLDEN_SECTIONS = Path(__file__).parent / "data" / "builtin_sections.json"
@@ -265,6 +261,31 @@ def test_builtin_sections_match_the_golden_file():
         for key, want in sections.items():
             got = json.dumps(report[key], sort_keys=True)
             assert got == json.dumps(want, sort_keys=True), (name, key)
+
+
+def test_construction_certificate_is_checked_from_its_parts_caches(monkeypatch):
+    # a5's certificate is (1, W, neutral process): W's eigenvalues and
+    # coefficients come from its validity check, and the neutral process's
+    # from its first certificate on the layout, so the check computes neither
+    cfg = ScenarioConfig.from_dict({"scenario": "a5-violated-definite-order"})
+    run_scenario(cfg)
+    w, _, candidate = _scenario_process(cfg.spec)
+    assert candidate[1] is w and candidate[2] is process.neutral_process(w.layout)
+    assert process.validate_process(w).is_valid
+    calls = []
+
+    def recorded(name, original):
+        def call(*args):
+            calls.append(name)
+            return original(*args)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(process.HSBasis, "to_coef", recorded("to_coef", process.HSBasis.to_coef))
+    rep = certify_decomposition(w, *candidate)
+    assert rep is not None and rep.residual <= 1e-12
+    assert calls == []
 
 
 def test_tampered_construction_falls_back_to_the_search(monkeypatch):
@@ -654,31 +675,29 @@ def test_removed_run_knobs_exit_2(coherent_config, tmp_path):
     assert run_cli("run", "--config", str(coherent_config), "--seed", "3").returncode == 2
 
 
-def test_cli_config_errors_exit_2(tmp_path):
+def test_cli_config_errors_exit_2(tmp_path, capsys):
+    # the missing file goes through the module entry point; the malformed
+    # configs run in process, through the same main
     missing = run_cli("run", "--config", str(tmp_path / "nope.json"))
     assert missing.returncode == 2
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert run_cli("run", "--config", str(bad)).returncode == 2
-    unknown = tmp_path / "unknown.json"
-    unknown.write_text(json.dumps({"scenario": "mystery"}))
-    out = run_cli("run", "--config", str(unknown))
-    assert out.returncode == 2
-    assert "error" in out.stderr.decode()
+    assert missing.stderr.decode().startswith("error:") and "Traceback" not in missing.stderr.decode()
     coherent = {"scenario": "double-switch-coherent"}
     for key, config in (
+        ("not valid JSON", None),
+        ("mystery", {"scenario": "mystery"}),
         ("conditioning.basis", {**coherent, "conditioning": {"basis": [None, 0], "outcome": "+"}}),
         ("control_amplitudes[0]", {**coherent, "control_amplitudes": [[None, 0], 0.7]}),
         ("scenario", {"scenario": ["x"]}),
         ("out", {**coherent, "out": 7}),
         ("conditioning.outcom", {**coherent, "conditioning": {"outcome": "+", "outcom": "-"}}),
     ):
-        path = tmp_path / "typed.json"
-        path.write_text(json.dumps(config))
-        out = run_cli("run", "--config", str(path))
-        assert out.returncode == 2, config
-        assert out.stderr.decode().startswith("error:") and "Traceback" not in out.stderr.decode()
-        assert key in out.stderr.decode(), (key, out.stderr.decode())
+        path = tmp_path / "config.json"
+        text = "{not json" if config is None else json.dumps(config)
+        path.write_text(text)
+        assert cli.main(["run", "--config", str(path)]) == 2, text
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "Traceback" not in err, err
+        assert key in err, (key, err)
 
 
 def test_cli_unwritable_out_exits_2(coherent_config, tmp_path):

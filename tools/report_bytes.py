@@ -18,8 +18,9 @@ stderr, so two checkouts with the same outputs write the same file::
 
 ``--searches`` writes, in the same layout, the separability report
 (``SeparabilityReport.to_json_dict``) of every search input:
-``ProcessFamily.make_inputs(1)`` from ``perfbench/workloads.py`` (420
-processes, imported and left as they are), ``quantum_switch_process()``,
+``ProcessFamily.make_inputs`` from ``perfbench/workloads.py`` for seeds 1,
+2 and 3 (1,260 processes, imported and left as they are, labelled with
+their seed), ``quantum_switch_process()``,
 the coherent preset at visibility 1e-6, 1e-4, 1e-3, 0.3 and 1, a
 phase-rotated copy of the preset at visibility 0.3 (complex, so searched
 in complex128), the 8 undamped ordered mixtures of seed 1 (rank 12, each
@@ -89,6 +90,7 @@ SWEEPS = {
 }
 
 SEARCH_SEED = 1
+FAMILY_SEEDS = (1, 2, 3)
 SEARCH_VISIBILITIES = (1e-6, 1e-4, 1e-3, 0.3, 1.0)
 PURE_SEED = 3
 ROTATED_VISIBILITY, ROTATION_SEED = 0.3, 7
@@ -173,9 +175,9 @@ def searches() -> None:
         print(f"== search {label} exit 0")
         print(json.dumps(rep.to_json_dict(), sort_keys=True))
 
-    pool = workloads.ProcessFamily.make_inputs(SEARCH_SEED)
-    for k, inp in enumerate(pool):
-        emit(f"process-family {k} {inp['kind']}", inp["process"])
+    for seed in FAMILY_SEEDS:
+        for k, inp in enumerate(workloads.ProcessFamily.make_inputs(seed)):
+            emit(f"process-family seed {seed} {k} {inp['kind']}", inp["process"])
     emit("quantum-switch", process.quantum_switch_process())
     for eta in SEARCH_VISIBILITIES:
         emit(f"coherent visibility {eta}", coherent_process(eta))
