@@ -690,59 +690,46 @@ class SeparabilityReport:
         return out
 
 
-def _stacked(
-    parts: tuple[ProcessMatrix, ...], name: str, compute, own: np.ndarray | None = None
-) -> list[np.ndarray]:
+def _stacked(parts: tuple[ProcessMatrix, ...], name: str, compute) -> list[np.ndarray]:
     """The cached property ``name`` (``_eigenvalues`` or ``_coef``) of each
     part. When none of them has it yet and their matrices share a dtype,
     one call of ``compute`` on the stack of their :attr:`_own` matrices
-    (``own``, when the caller holds it) fills every cache; otherwise each
-    part computes what it lacks."""
+    fills every cache; otherwise each part computes what it lacks."""
     if not any(name in vars(p) for p in parts) and len({p._own.dtype for p in parts}) == 1:
-        values = compute(np.stack([p._own for p in parts]) if own is None else own)
+        values = compute(np.array([p._own for p in parts]))
         values.flags.writeable = False
         for part, value in zip(parts, values):
             vars(part)[name] = value
     return [getattr(p, name) for p in parts]
 
 
-@lru_cache(maxsize=32)
-def _excluded_masks(layout: SpaceLayout) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """For the AB and the BA part of a decomposition, the 0/1 masks of the
-    coefficients it must not hold: those outside the valid span and those
-    outside its order subspace."""
-    invalid = 1.0 - _validity_mask(layout)
-    out = tuple((invalid, 1.0 - _order_mask(layout, order)) for order in ("AB", "BA"))
-    for pair in out:
-        for mask in pair:
-            mask.flags.writeable = False
-    return out
-
-
 def certify_decomposition(
     w: ProcessMatrix, q: float, w_ab: ProcessMatrix, w_ba: ProcessMatrix
 ) -> SeparabilityReport | None:
     """Re-validate a claimed decomposition W = q W_AB + (1-q) W_BA from
-    scratch, whatever proposed it: each part must pass the checks of
-    :func:`validate_process` at its tolerances and lie in its order
-    subspace, and the mixture must reproduce W. Each part's eigenvalues and
-    coefficients come from its own cache when filled, and otherwise from
-    one eigvalsh and one :meth:`HSBasis.to_coef` of the stack of both parts.
-    Returns the certificate, with ``iterations`` 0 and ``residual`` the
-    relative reconstruction error, or None."""
+    scratch, whatever proposed it: each part must be PSD at -PSD_ATOL, have
+    trace d_O at TRACE_ATOL and lie in its order subspace at 1e-9 max(1,
+    ||part||), and the mixture must reproduce W. The order gate implies
+    validity at SUBSPACE_ATOL: the complement (1 - a)(1 - b) of the valid
+    span lies in that of each order mask, and such a part has ||part||^2 <=
+    dim / d(first input) <= MAX_DIM (X <= d_B tr_B X (x) I_B down the comb).
+    Each part's eigenvalues and coefficients come from its own cache when
+    filled, and otherwise from one eigvalsh and one :meth:`HSBasis.to_coef`
+    of the stack of both parts. Returns the certificate, with ``iterations``
+    0 and ``residual`` the relative reconstruction error, or None."""
     m, lay = w.matrix, w.layout
     if not 0.0 <= q <= 1.0 or w_ab.layout != lay or w_ba.layout != lay:
         return None
     parts, d_o = (w_ab, w_ba), w.expected_trace
     eigenvalues = _stacked(parts, "_eigenvalues", np.linalg.eigvalsh)
     coefs = _stacked(parts, "_coef", hs_basis(lay).to_coef)
-    for part, vals, coef, (invalid, other) in zip(parts, eigenvalues, coefs, _excluded_masks(lay)):
+    for part, vals, coef, order in zip(parts, eigenvalues, coefs, ("AB", "BA")):
         trace_error = float(np.real(np.trace(part.matrix)) - d_o)
-        # the basis is orthogonal: a distance to a subspace is the norm of the masked-out coefficients
-        residual = np.linalg.norm(invalid * coef)
-        if not (vals[0] >= -PSD_ATOL and abs(trace_error) <= TRACE_ATOL and residual <= SUBSPACE_ATOL):
+        if not (vals[0] >= -PSD_ATOL and abs(trace_error) <= TRACE_ATOL):
             return None
-        if np.linalg.norm(other * coef) > 1e-9 * max(1.0, np.linalg.norm(part.matrix)):
+        # the basis is orthogonal: a distance to a subspace is the norm of the masked-out coefficients
+        outside = np.linalg.norm((1.0 - _order_mask(lay, order)) * coef)
+        if outside > 1e-9 * max(1.0, np.linalg.norm(part.matrix)):
             return None
     # frobenius without its input checks: process matrices are complex128 and finite
     recon = float(np.linalg.norm(q * w_ab.matrix + (1 - q) * w_ba.matrix - m))
@@ -769,8 +756,7 @@ def _certified_split(w: ProcessMatrix, mats: np.ndarray) -> SeparabilityReport |
     clip would not. A part of weight below 1e-6 is padded. One eigvalsh of
     the stack fills the parts' cached eigenvalues, which serve both the
     lift decision and :func:`certify_decomposition`, which decides whether
-    the candidate holds; when no part is lifted, one
-    :meth:`HSBasis.to_coef` of the stack fills their coefficients too."""
+    the candidate holds and fills the coefficients it still needs."""
     lay, d_o = w.layout, w.expected_trace
     q = min(max(float(np.real(np.trace(mats[0]))) / d_o, 0.0), 1.0)
     weights = np.array((q, 1.0 - q))
@@ -784,18 +770,13 @@ def _certified_split(w: ProcessMatrix, mats: np.ndarray) -> SeparabilityReport |
         return None
     stack *= (d_o / traces)[:, None, None]
     fresh = tuple(ProcessMatrix(mat, lay) for mat in stack)
-    # the stack is the parts' own matrices unless a part of a complex split is real
-    own = stack if all(p._own.dtype == stack.dtype for p in fresh) else None
     parts = []
-    for part, vals in zip(fresh, _stacked(fresh, "_eigenvalues", np.linalg.eigvalsh, own)):
+    for part, vals in zip(fresh, _stacked(fresh, "_eigenvalues", np.linalg.eigvalsh)):
         low, high = float(vals[0]), float(vals[-1])
         if low < 0.0:
             mat = part._own + (-low + 1e-14 * max(1.0, high)) * np.eye(lay.dim)
             part = ProcessMatrix(mat * (d_o / float(np.real(np.trace(mat)))), lay)
-            own = None
         parts.append(part)
-    if own is not None:
-        _stacked(fresh, "_coef", hs_basis(lay).to_coef, own)
     return certify_decomposition(w, q, *(parts.pop(0) if keep else neutral_process(lay) for keep in kept))
 
 

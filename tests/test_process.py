@@ -10,11 +10,22 @@ from hypothesis import strategies as st
 
 import oracles
 from icolab import process
-from icolab.linalg import HERMITICITY_ATOL, SpaceLayout, frobenius, ket, partial_trace, projector, tensor
+from icolab.linalg import (
+    HERMITICITY_ATOL,
+    MAX_DIM,
+    Z,
+    SpaceLayout,
+    frobenius,
+    ket,
+    partial_trace,
+    projector,
+    tensor,
+)
 from icolab.process import (
     PARTY_LABELS,
     PSD_ATOL,
     SEARCH_TOL,
+    SUBSPACE_ATOL,
     TRACE_ATOL,
     Instrument,
     ProcessMatrix,
@@ -55,6 +66,23 @@ from icolab.sampling import (
 from icolab.scenarios import ScenarioConfig, _scenario_process
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
+
+
+def _report_bytes():
+    """tools/report_bytes.py, whose seeded search inputs these tests draw,
+    so that its --searches record and the tests search the same processes."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "report_bytes.py"
+    spec = importlib.util.spec_from_file_location("report_bytes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REPORT_BYTES = _report_bytes()
+coherent_process = REPORT_BYTES.coherent_process
+phase_rotated = REPORT_BYTES.phase_rotated
+pure_ordered_process = REPORT_BYTES.pure_ordered_process
+undamped_ordered_mixtures = REPORT_BYTES.undamped_ordered_mixtures
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +633,6 @@ def test_split_that_is_already_psd_certifies_with_no_step():
 # up although the answer is known.
 
 
-def coherent_process(eta: float = 1.0) -> ProcessMatrix:
-    """W of the coherent double-switch preset at visibility eta: real."""
-    cfg = ScenarioConfig.from_dict({"scenario": "double-switch-coherent", "visibility": eta})
-    return _scenario_process(cfg.spec)[0]
-
-
 @pytest.mark.parametrize("eta", [0.01, 0.02, 0.05])
 def test_faint_coherent_switch_is_certified_nonseparable(eta):
     w = coherent_process(eta)
@@ -619,40 +641,10 @@ def test_faint_coherent_switch_is_certified_nonseparable(eta):
     assert oracles.witness_margin(w.matrix, w.layout, *rep.witness) < 0.0
 
 
-def undamped_ordered_mixtures(seed: int, n: int) -> list[ProcessMatrix]:
-    """Mixtures of a random A-first and a random B-first process with no
-    white noise: separable by construction, but often of low rank and so on
-    the boundary of the separable set."""
-    rng = np.random.default_rng(seed)
-
-    def channel() -> np.ndarray:
-        iso = haar_unitary(rng, 4)[:, :2]
-        return choi_of_kraus([iso[:2], iso[2:]])
-
-    pool = []
-    for _ in range(n):
-        w_ab = ordered_process(random_density(rng, 2), channel(), "AB")
-        w_ba = ordered_process(random_density(rng, 2), channel(), "BA")
-        pool.append(mix(w_ab, w_ba, float(rng.uniform(0.1, 0.9))))
-    return pool
-
-
 def test_undamped_ordered_mixture_pool_certifies_count():
     reps = [separability_heuristic(w) for w in undamped_ordered_mixtures(1, 8)]
     # each face admits one split, PSD to rounding, certified after the first step
     assert [(rep.verdict, rep.iterations) for rep in reps] == [("separable", 1)] * 8
-
-
-def phase_rotated(w: ProcessMatrix, seed: int) -> ProcessMatrix:
-    """U W U^dagger with U a product of seeded diagonal phase unitaries, one
-    per factor. The order masks and the PSD cone are invariant under local
-    unitaries, so the copy is separable exactly when W is, and a search on
-    it follows the same iterates up to U."""
-    rng = np.random.default_rng(seed)
-    phases = np.ones(1, dtype=np.complex128)
-    for d in w.layout.dims:
-        phases = np.kron(phases, np.exp(2j * np.pi * rng.uniform(size=d)))
-    return ProcessMatrix(phases[:, None] * w.matrix * phases.conj(), w.layout)
 
 
 def complex_search_inputs() -> dict[str, ProcessMatrix]:
@@ -667,7 +659,7 @@ def complex_search_inputs() -> dict[str, ProcessMatrix]:
 
 
 def test_real_process_is_searched_in_real_arithmetic(monkeypatch):
-    w = coherent_process()
+    w = coherent_process(1.0)
     assert not w.matrix.imag.any()
     basis = hs_basis(w.layout)
     m = w.matrix
@@ -747,7 +739,7 @@ def test_complex_search_reports_are_pinned():
 
 
 FACE_INFEASIBLE = {
-    "coherent": coherent_process,
+    "coherent": lambda: coherent_process(1.0),
     "switch": quantum_switch_process,
     "ocb": ocb_process,
     "ocb-rotated": lambda: phase_rotated(ocb_process(), 5),
@@ -790,7 +782,7 @@ def recorded_clips(monkeypatch) -> list[np.ndarray]:
 def test_coherent_preset_is_decided_on_its_face_with_no_step(monkeypatch):
     clips = recorded_clips(monkeypatch)
     # the preset's W is the pure switch process
-    for w in (coherent_process(), phase_rotated(coherent_process(), 7), quantum_switch_process()):
+    for w in (coherent_process(1.0), phase_rotated(coherent_process(1.0), 7), quantum_switch_process()):
         assert w._eigenvalues[-2] <= w._rounding  # rank 1
         rep = separability_heuristic(w)
         assert (rep.verdict, rep.iterations) == ("nonseparable", 0)
@@ -805,32 +797,10 @@ def test_coherent_preset_is_decided_on_its_face_with_no_step(monkeypatch):
     assert clips == []
 
 
-def pure_ordered_process(order: str, seed: int) -> ProcessMatrix:
-    """A pure state through a unitary channel in one order, with the second
-    output routed to the future: a rank-1 process."""
-    rng = np.random.default_rng(seed)
-    psi = haar_unitary(rng, 2)[:, 0]
-    return ordered_process(np.outer(psi, psi.conj()), choi_of_unitary(haar_unitary(rng, 2)), order, "future")
-
-
 FACE_UNIQUE = {
     **{f"undamped-{k}": lambda k=k: undamped_ordered_mixtures(1, 8)[k] for k in range(8)},
     **{f"pure-{order}": lambda order=order: pure_ordered_process(order, 3) for order in ("AB", "BA")},
 }
-
-
-def test_search_byte_record_draws_the_same_face_split_inputs():
-    # tools/report_bytes.py --searches records the searches of this pool, and
-    # the complex coherent search at 0.3 that the clip tests step through
-    path = Path(__file__).parents[1] / "tools" / "report_bytes.py"
-    spec = importlib.util.spec_from_file_location("report_bytes", path)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    pairs = [*zip(tool.undamped_ordered_mixtures(tool.SEARCH_SEED, 8), undamped_ordered_mixtures(1, 8))]
-    pairs += [(tool.pure_ordered_process(o, tool.PURE_SEED), FACE_UNIQUE[f"pure-{o}"]()) for o in ("AB", "BA")]
-    rotated = tool.phase_rotated(tool.coherent_process(tool.ROTATED_VISIBILITY), tool.ROTATION_SEED)
-    pairs.append((rotated, phase_rotated(coherent_process(0.3), 7)))
-    assert all(np.array_equal(got.matrix, want.matrix) for got, want in pairs)
 
 
 @pytest.mark.parametrize("order, q", [("AB", 1.0), ("BA", 0.0)])
@@ -860,6 +830,29 @@ def test_face_split_certificates_agree_with_the_oracle(name):
     q, w_ab, w_ba = rep.certificate
     worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
     assert worst <= 1e-9 and recon <= 1e-12 and rep.residual == pytest.approx(recon, rel=1e-6)
+
+
+def test_switch_mixed_with_its_v1_z_copy_is_decided_by_a_face_witness_after_one_step(monkeypatch):
+    w = mix(quantum_switch_process(), quantum_switch_process(v1=Z), 0.5)
+    assert not w.matrix.imag.any()
+    assert int(np.count_nonzero(w._eigenvalues > w._rounding)) == 2
+    decisions = []
+    original = process._face_decision
+
+    def recorded(*args):
+        out = original(*args)
+        decisions.append((args[1:], out is not None and out.witness is not None))
+        return out
+
+    monkeypatch.setattr(process, "_face_decision", recorded)
+    rep = separability_heuristic(w)
+    assert decisions == [((1, rep.residual), True)]
+    assert (rep.verdict, rep.iterations) == ("nonseparable", 1)
+    # the residual is the first step's gap
+    assert rep.residual == pytest.approx(0.10578403901513452, rel=1e-9)
+    assert rep.witness_value == pytest.approx(-0.005761960827119273, rel=1e-9)
+    assert _certify_witness(w, *rep.witness) == rep.witness_value
+    assert oracles.witness_margin(w.matrix, w.layout, *rep.witness) == pytest.approx(-0.0341, abs=1e-4)
 
 
 def shift_face_part(monkeypatch, shift: float) -> None:
@@ -1316,7 +1309,7 @@ def test_hs_basis_converts_a_stack_item_by_item():
 
 def test_psd_margin_is_the_least_eigenvalue_of_the_complex_matrix():
     rng = np.random.default_rng(5)
-    pool = [coherent_process(), phase_rotated(coherent_process(), 7), ocb_process(0.3)]
+    pool = [coherent_process(1.0), phase_rotated(coherent_process(1.0), 7), ocb_process(0.3)]
     pool += [quantum_switch_process(), *undamped_ordered_mixtures(2, 2)]
     pool += [random_valid_process(rng, 2, 0.5) for _ in range(3)]
     for name in ("classical-order-baseline", "a5-violated-definite-order"):
@@ -1373,7 +1366,7 @@ def decomposition_defect(part: ProcessMatrix, order: str, defect: str) -> Proces
     """The part of the given order with one defect, which the gate of
     certify_decomposition that ``defect`` names catches. The other gates
     pass it, except that a part outside the valid span is also outside its
-    order subspace."""
+    order subspace, whose gate catches it: the valid span holds both."""
     lay, m, d_o = part.layout, part.matrix, part.expected_trace
     if defect == "psd":
         # an identity shift and a rescale to trace d_O, which keep the part in
@@ -1439,6 +1432,49 @@ def test_decomposition_weight_outside_the_unit_interval_fails(q):
     w = ProcessMatrix(q * parts[0].matrix + (1.0 - q) * parts[1].matrix, parts[0].layout)
     assert certify_decomposition(w, q, *parts) is None
     assert decomposition_fails_the_oracle(w, q, *parts)
+
+
+# certify_decomposition tests a part against its order subspace alone, at
+# 1e-9 max(1, ||part||): that implies the valid span at SUBSPACE_ATOL, since
+# the valid span holds both order subspaces and a PSD part of trace d_O in
+# its order subspace has ||part||^2 <= dim / d(first input) <= MAX_DIM.
+
+
+def test_order_gate_at_the_largest_norm_implies_the_valid_span():
+    assert 1e-9 * np.sqrt(MAX_DIM) < SUBSPACE_ATOL
+
+
+def identity_channel_on_the_widest_first_output() -> ProcessMatrix:
+    """A_O sent unchanged to B_I on the layout (1, 8, 8, 1): the ordered
+    process of largest norm, ||W|| = sqrt(dim / d(first input)) = 8."""
+    return ProcessMatrix(identity_choi(8), SpaceLayout(PARTY_LABELS, (1, 8, 8, 1)))
+
+
+def test_ordered_process_norm_is_at_most_the_comb_bound():
+    rng = np.random.default_rng(17)
+    pool = [(identity_channel_on_the_widest_first_output(), "AB")]
+    for order in ("AB", "BA"):
+        for post in ("discard", "future"):
+            for _ in range(4):
+                iso = haar_unitary(rng, 4)[:, :2]
+                pre = random_density(rng, 2)
+                pool.append((ordered_process(pre, choi_of_kraus([iso[:2], iso[2:]]), order, post), order))
+            # a pure state through a unitary channel reaches the bound
+            psi = haar_unitary(rng, 2)[:, 0]
+            pure = ordered_process(np.outer(psi, psi.conj()), choi_of_unitary(haar_unitary(rng, 2)), order, post)
+            pool.append((pure, order))
+    for w, order in pool:
+        bound = np.sqrt(w.layout.dim / w.layout.dim_of("A_I" if order == "AB" else "B_I"))
+        assert frobenius(w.matrix) <= bound * (1.0 + 1e-12), (w.layout.dims, order)
+    assert frobenius(pool[0][0].matrix) == pytest.approx(8.0, rel=1e-12)
+    assert frobenius(pool[-1][0].matrix) == pytest.approx(4.0, rel=1e-12)
+
+
+def test_identity_channel_on_the_widest_first_output_certifies():
+    w = identity_channel_on_the_widest_first_output()
+    assert validate_process(w).is_valid
+    rep = certify_decomposition(w, 1.0, w, neutral_process(w.layout))
+    assert rep is not None and rep.verdict == "separable" and rep.residual == 0.0
 
 
 @pytest.mark.parametrize("name", list(NONSEPARABLE))

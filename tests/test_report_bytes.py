@@ -94,9 +94,10 @@ def test_searches_write_one_report_per_search_input(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = out.read_text().splitlines()
     labels, reports = lines[::2], [json.loads(line) for line in lines[1::2]]
-    # the process-family inputs of seeds 1, 2 and 3, then 17 hand-picked searches
-    assert len(labels) == 1277 and all(label.startswith("== search ") for label in labels)
+    # the process-family inputs of seeds 1, 2 and 3, then 18 hand-picked searches
+    assert len(labels) == 1278 and all(label.startswith("== search ") for label in labels)
     assert "== search quantum-switch exit 0" in labels
+    assert labels[1261] == "== search quantum-switch mixed with its v1 Z copy exit 0"
     assert "== search coherent visibility 1.0 exit 0" in labels
     assert "== search coherent visibility 0.3 phase-rotated exit 0" in labels
     assert labels[0] == "== search process-family seed 1 0 ordered-mixture exit 0"

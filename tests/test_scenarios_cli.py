@@ -288,6 +288,23 @@ def test_construction_certificate_is_checked_from_its_parts_caches(monkeypatch):
     assert calls == []
 
 
+def test_search_out_of_steps_reports_inconclusive(monkeypatch):
+    # at the default step budget this config gives a witness at step 18
+    monkeypatch.setattr(process, "SEARCH_STEPS", 5)
+    cfg = ScenarioConfig.from_dict({"scenario": "double-switch-coherent", "visibility": 0.3})
+    rep = run_scenario(cfg).report
+    sep = rep["process"]["separability"]
+    assert (sep["verdict"], sep["separable"], sep["iterations"], sep["source"]) == (
+        "inconclusive",
+        False,
+        5,
+        "search",
+    )
+    assert "q" not in sep and "witness_value" not in sep
+    assert sep["residual"] == pytest.approx(0.11641333059448722, rel=1e-9)
+    assert rep["notes"][1].endswith("undetermined (neither a decomposition nor a witness was certified)")
+
+
 def test_tampered_construction_falls_back_to_the_search(monkeypatch):
     cfg = ScenarioConfig.from_dict({"scenario": "a5-violated-definite-order"})
     w, construction, (q, w_ab, w_ba) = _scenario_process(cfg.spec)

@@ -20,12 +20,13 @@ stderr, so two checkouts with the same outputs write the same file::
 (``SeparabilityReport.to_json_dict``) of every search input:
 ``ProcessFamily.make_inputs`` from ``perfbench/workloads.py`` for seeds 1,
 2 and 3 (1,260 processes, imported and left as they are, labelled with
-their seed), ``quantum_switch_process()``,
-the coherent preset at visibility 1e-6, 1e-4, 1e-3, 0.3 and 1, a
-phase-rotated copy of the preset at visibility 0.3 (complex, so searched
-in complex128), the 8 undamped ordered mixtures of seed 1 (rank 12, each
-with one order split on its face) and a pure ordered process with a
-future in each order (rank 1)::
+their seed), ``quantum_switch_process()``, its even mixture with its
+copy at ``v1`` = Z (rank 2 and real; a witness on its face decides it after
+the first step), the coherent preset at visibility 1e-6, 1e-4, 1e-3, 0.3
+and 1, a phase-rotated copy of the preset at visibility 0.3 (complex, so
+searched in complex128), the 8 undamped ordered mixtures of seed 1 (rank
+12, each with one order split on its face) and a pure ordered process
+with a future in each order (rank 1)::
 
     python3 tools/report_bytes.py --searches parent/src parent.searches
     python3 tools/report_bytes.py --searches src change.searches
@@ -109,9 +110,13 @@ def _child(paths: list[Path], args: list[str]) -> tuple[int, bytes]:
     return proc.returncode, proc.stdout
 
 
+# The seeded search inputs, which tests/test_process.py draws too
+
+
 def undamped_ordered_mixtures(seed: int, n: int) -> list:
     """Mixtures of a random A-first and a random B-first process with no
-    white noise, drawn as ``tests/test_process.py`` draws them."""
+    white noise: separable by construction, but often of low rank and so on
+    the boundary of the separable set."""
     import numpy as np
     from icolab.process import choi_of_kraus, mix, ordered_process
     from icolab.sampling import haar_unitary, random_density
@@ -132,7 +137,7 @@ def undamped_ordered_mixtures(seed: int, n: int) -> list:
 
 def pure_ordered_process(order: str, seed: int):
     """A pure state through a unitary channel in one order, with the second
-    output routed to the future, drawn as ``tests/test_process.py`` draws it."""
+    output routed to the future: a rank-1 process."""
     import numpy as np
     from icolab.process import choi_of_unitary, ordered_process
     from icolab.sampling import haar_unitary
@@ -144,7 +149,9 @@ def pure_ordered_process(order: str, seed: int):
 
 def phase_rotated(w, seed: int):
     """U W U^dagger with U a product of seeded diagonal phase unitaries, one
-    per factor, drawn as ``tests/test_process.py`` draws it."""
+    per factor. The order masks and the PSD cone are invariant under local
+    unitaries, so the copy is separable exactly when W is, and a search on
+    it follows the same iterates up to U."""
     import numpy as np
     from icolab.process import ProcessMatrix
 
@@ -156,7 +163,7 @@ def phase_rotated(w, seed: int):
 
 
 def coherent_process(eta: float):
-    """W of the coherent double-switch preset at visibility eta."""
+    """W of the coherent double-switch preset at visibility eta: real."""
     from icolab import scenarios
 
     cfg = scenarios.ScenarioConfig.from_dict({"scenario": "double-switch-coherent", "visibility": eta})
@@ -169,6 +176,7 @@ def searches() -> None:
     icolab and ``perfbench`` on the path."""
     import workloads
     from icolab import process
+    from icolab.linalg import Z
 
     def emit(label: str, w) -> None:
         rep = process.separability_heuristic(w)
@@ -179,6 +187,8 @@ def searches() -> None:
         for k, inp in enumerate(workloads.ProcessFamily.make_inputs(seed)):
             emit(f"process-family seed {seed} {k} {inp['kind']}", inp["process"])
     emit("quantum-switch", process.quantum_switch_process())
+    flipped = process.quantum_switch_process(v1=Z)
+    emit("quantum-switch mixed with its v1 Z copy", process.mix(process.quantum_switch_process(), flipped, 0.5))
     for eta in SEARCH_VISIBILITIES:
         emit(f"coherent visibility {eta}", coherent_process(eta))
     rotated = phase_rotated(coherent_process(ROTATED_VISIBILITY), ROTATION_SEED)
