@@ -629,9 +629,11 @@ def _psd_clip(m: np.ndarray) -> np.ndarray:
 def neutral_process(layout: SpaceLayout) -> ProcessMatrix:
     """Maximally mixed valid process on the layout (in every order subspace);
     used as the padding component when a decomposition weight hits 0 or 1.
-    One instance per layout, so its validity is computed once."""
+    One instance per layout with its eigenvalues filled: computed once."""
     expected = layout.dim_of("A_O") * layout.dim_of("B_O")
-    return ProcessMatrix(np.eye(layout.dim) * (expected / layout.dim), layout)
+    w = ProcessMatrix(np.eye(layout.dim) * (expected / layout.dim), layout)
+    w._eigenvalues
+    return w
 
 
 @dataclass(frozen=True)
@@ -703,6 +705,16 @@ def _stacked(parts: tuple[ProcessMatrix, ...], name: str, compute) -> list[np.nd
     return [getattr(p, name) for p in parts]
 
 
+def _cholesky_exists(mats: np.ndarray) -> bool:
+    """Whether every matrix of a Hermitian stack has a Cholesky factor: the
+    certificate checks' positivity test, which no test of the search decides."""
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def certify_decomposition(
     w: ProcessMatrix, q: float, w_ab: ProcessMatrix, w_ba: ProcessMatrix
 ) -> SeparabilityReport | None:
@@ -713,19 +725,25 @@ def certify_decomposition(
     validity at SUBSPACE_ATOL: the complement (1 - a)(1 - b) of the valid
     span lies in that of each order mask, and such a part has ||part||^2 <=
     dim / d(first input) <= MAX_DIM (X <= d_B tr_B X (x) I_B down the comb).
-    Each part's eigenvalues and coefficients come from its own cache when
-    filled, and otherwise from one eigvalsh and one :meth:`HSBasis.to_coef`
-    of the stack of both parts. Returns the certificate, with ``iterations``
-    0 and ``residual`` the relative reconstruction error, or None."""
+    A part with cached eigenvalues is gated on them, the others by one
+    Cholesky factorization of part + PSD_ATOL I, which exists iff lambda_min
+    > -PSD_ATOL up to a backward error of order dim^2 eps_mach ||part||,
+    about 1e-13 on 64 dims (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 10). Coefficients come from a part's cache or one
+    :meth:`HSBasis.to_coef` of both. Returns the certificate (``iterations``
+    0, ``residual`` the relative reconstruction error) or None."""
     m, lay = w.matrix, w.layout
     if not 0.0 <= q <= 1.0 or w_ab.layout != lay or w_ba.layout != lay:
         return None
     parts, d_o = (w_ab, w_ba), w.expected_trace
-    eigenvalues = _stacked(parts, "_eigenvalues", np.linalg.eigvalsh)
+    cold = [p._own for p in parts if "_eigenvalues" not in vars(p)]
+    if cold and not _cholesky_exists(np.array(cold) + PSD_ATOL * np.eye(lay.dim)):
+        return None
     coefs = _stacked(parts, "_coef", hs_basis(lay).to_coef)
-    for part, vals, coef, order in zip(parts, eigenvalues, coefs, ("AB", "BA")):
+    for part, coef, order in zip(parts, coefs, ("AB", "BA")):
         trace_error = float(np.real(np.trace(part.matrix)) - d_o)
-        if not (vals[0] >= -PSD_ATOL and abs(trace_error) <= TRACE_ATOL):
+        low = part._eigenvalues[0] if "_eigenvalues" in vars(part) else 0.0
+        if not (low >= -PSD_ATOL and abs(trace_error) <= TRACE_ATOL):
             return None
         # the basis is orthogonal: a distance to a subspace is the norm of the masked-out coefficients
         outside = np.linalg.norm((1.0 - _order_mask(lay, order)) * coef)
@@ -742,21 +760,22 @@ def certify_decomposition(
     return SeparabilityReport((q, w_ab, w_ba), float(recon), 0)
 
 
-def _certified_split(w: ProcessMatrix, mats: np.ndarray) -> SeparabilityReport | None:
+def _certified_split(w: ProcessMatrix, mats: np.ndarray, tested: bool = False) -> SeparabilityReport | None:
     """The certificate of the candidate decomposition built from an order
     split of W, the stack (X, Y) of its matrices in the search's dtype, or
     None.
 
     q comes from the trace of X. The parts are divided by their weights,
     made Hermitian and renormalized to trace d_O as one stack, each in the
-    arithmetic of a single matrix; where a part's least eigenvalue is
-    negative, it is lifted by that much (plus 1e-14 max(1, largest)) times
-    the identity and renormalized again. The identity lies in every order
-    subspace, so the lift keeps exact comb membership where an eigenvalue
-    clip would not. A part of weight below 1e-6 is padded. One eigvalsh of
-    the stack fills the parts' cached eigenvalues, which serve both the
-    lift decision and :func:`certify_decomposition`, which decides whether
-    the candidate holds and fills the coefficients it still needs."""
+    arithmetic of a single matrix. A part of weight below 1e-6 is padded.
+    A split the search tested positive definite (``tested``: the line's
+    midpoint, the loop's early stop) is checked as it stands. An untested
+    one (the converged exit, the face split) gets one eigvalsh of the stack,
+    cached for the lift decision and the check's PSD gate: where a part's
+    least eigenvalue is negative, it is lifted by that much (plus 1e-14
+    max(1, largest)) times the identity and renormalized again. The identity
+    lies in every order subspace, so the lift keeps exact comb membership
+    where an eigenvalue clip would not. :func:`certify_decomposition` decides."""
     lay, d_o = w.layout, w.expected_trace
     q = min(max(float(np.real(np.trace(mats[0]))) / d_o, 0.0), 1.0)
     weights = np.array((q, 1.0 - q))
@@ -769,14 +788,12 @@ def _certified_split(w: ProcessMatrix, mats: np.ndarray) -> SeparabilityReport |
     if (traces <= 0).any():
         return None
     stack *= (d_o / traces)[:, None, None]
-    fresh = tuple(ProcessMatrix(mat, lay) for mat in stack)
-    parts = []
-    for part, vals in zip(fresh, _stacked(fresh, "_eigenvalues", np.linalg.eigvalsh)):
+    parts = [ProcessMatrix(mat, lay) for mat in stack]
+    for k, vals in enumerate([] if tested else _stacked(parts, "_eigenvalues", np.linalg.eigvalsh)):
         low, high = float(vals[0]), float(vals[-1])
         if low < 0.0:
-            mat = part._own + (-low + 1e-14 * max(1.0, high)) * np.eye(lay.dim)
-            part = ProcessMatrix(mat * (d_o / float(np.real(np.trace(mat)))), lay)
-        parts.append(part)
+            mat = parts[k]._own + (-low + 1e-14 * max(1.0, high)) * np.eye(lay.dim)
+            parts[k] = ProcessMatrix(mat * (d_o / float(np.real(np.trace(mat)))), lay)
     return certify_decomposition(w, q, *(parts.pop(0) if keep else neutral_process(lay) for keep in kept))
 
 
@@ -792,13 +809,16 @@ def _certify_witness(
     W' = X' + Y' (trace d_O, each part PSD in its subspace, so ||X'|| <=
     tr X') has tr(S W') >= -max(eps_AB, eps_BA) d_O. The witness certifies
     when tr(S W) lies below that bound by more than a rounding allowance.
-    Both orders are read from one eigvalsh of (P_AB, P_BA) and one
-    :meth:`HSBasis.to_coef` of (S - P_AB, S - P_BA). Returns tr(S W)/||S||
-    or None."""
+    Both orders are read from one :meth:`HSBasis.to_coef` of (S - P_AB,
+    S - P_BA) and one Cholesky factorization of (P_AB, P_BA): where it
+    exists both negative parts are 0, up to a backward error of order dim^2
+    eps_mach ||P_X|| that the allowance covers, else one eigvalsh gives
+    them. Returns tr(S W)/||S|| or None."""
     lay, parts = w.layout, np.stack((p_ab, p_ba))
     coefs = hs_basis(lay).to_coef(s - parts)
+    lows = np.zeros(2) if _cholesky_exists(parts) else np.linalg.eigvalsh(parts)[:, 0]
     eps = 0.0
-    for coef, low, order in zip(coefs, np.linalg.eigvalsh(parts)[:, 0], ("AB", "BA")):
+    for coef, low, order in zip(coefs, lows, ("AB", "BA")):
         # the basis is orthogonal: ||P_X(S - P)|| is the norm of its masked coefficients
         inside = np.linalg.norm(_order_mask(lay, order) * coef)
         eps = max(eps, max(0.0, -float(low)) + inside)
@@ -824,13 +844,9 @@ def _order_split(
 
 
 def _positive_definite(mats: np.ndarray) -> bool:
-    """Whether every matrix of a Hermitian stack is positive definite, by
-    one batched Cholesky factorization."""
-    try:
-        np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    """The search's test that every matrix of a Hermitian stack is positive
+    definite, by one batched Cholesky factorization."""
+    return _cholesky_exists(mats)
 
 
 def _line_split(
@@ -849,8 +865,7 @@ def _line_split(
     is not positive definite, and the certificate of that midpoint, None when
     there is none or it does not certify."""
     basis, both = hs_basis(w.layout), in_ab * in_ba
-    shared = both * w._coef
-    mats = basis.to_mat(np.stack(((in_ab - both) * w._coef, (in_ba - both) * w._coef, shared)))
+    mats = basis.to_mat(np.stack(((in_ab - both) * w._coef, (in_ba - both) * w._coef, both * w._coef)))
     try:
         inv = np.linalg.inv(np.linalg.cholesky(mats[2]))
     except np.linalg.LinAlgError:
@@ -860,10 +875,10 @@ def _line_split(
     if t_lo >= t_hi:
         return (t_lo, t_hi), None
     t = 0.5 * (t_lo + t_hi)
-    split = basis.to_mat(np.stack((in_ab * w._coef - (1.0 - t) * shared, in_ba * w._coef - t * shared)))
+    split = mats[:2] + np.array((t, 1.0 - t))[:, None, None] * mats[2]
     if not _positive_definite(split):
         return (t_lo, t_hi), None
-    return (t_lo, t_hi), _certified_split(w, split)
+    return (t_lo, t_hi), _certified_split(w, split, tested=True)
 
 
 @lru_cache(maxsize=32)
@@ -1092,7 +1107,7 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
         if used > 1 and not deficient and _positive_definite(split := basis.to_mat(np.stack((xa, ya)))):
             # (xa, ya) is the affine projection of the last PSD point, and PSD
             # itself: it lies in both sets, an exact decomposition
-            cert = _certified_split(w, split)
+            cert = _certified_split(w, split, tested=True)
             if cert is not None:
                 return replace(cert, iterations=used - 1)
         xr, yr = 2.0 * xa - zx, 2.0 * ya - zy

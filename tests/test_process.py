@@ -975,12 +975,32 @@ def stopped_early(rep, results: list[tuple[str, bool]]) -> bool:
     )
 
 
+def test_checks_are_not_decided_by_the_searchs_positive_definiteness_test(monkeypatch):
+    # the search hands each split its test passes to the checks as it
+    # stands; with a test that passes every split, the checks' own
+    # factorizations must still turn away each one that is not PSD, so no
+    # verdict or step count moves and every certificate holds by the oracle
+    pool = process_family_inputs(1)[:150]
+    reports = [separability_heuristic(w) for w in pool]
+    monkeypatch.setattr(process, "_positive_definite", lambda mats: True)
+    certified = 0
+    for k, (w, rep) in enumerate(zip(pool, reports)):
+        fooled = separability_heuristic(w)
+        assert (fooled.verdict, fooled.iterations) == (rep.verdict, rep.iterations), k
+        if fooled.certificate is not None:
+            q, w_ab, w_ba = fooled.certificate
+            worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
+            assert worst <= 1e-12 and recon <= 1e-12, k
+            certified += 1
+    assert certified >= 100
+
+
 def test_full_rank_ordered_mixtures_stop_at_the_first_positive_definite_split(monkeypatch):
     results, splits = recorded_pd_tests(monkeypatch), []
 
-    def recorded(w, mats):
-        splits.append(mats)
-        return certified(w, mats)
+    def recorded(w, mats, tested=False):
+        splits.append((mats, tested))
+        return certified(w, mats, tested)
 
     certified = process._certified_split
     monkeypatch.setattr(process, "_certified_split", recorded)
@@ -1001,7 +1021,8 @@ def test_full_rank_ordered_mixtures_stop_at_the_first_positive_definite_split(mo
             assert stopped_early(rep, results), (rep.iterations, results)
             early += 1
         # the certified split is the one the test passed, taken with no lift
-        assert len(splits) == 1 and np.linalg.eigvalsh(splits[0])[:, 0].min() > 0.0
+        assert len(splits) == 1 and splits[0][1]
+        assert np.linalg.eigvalsh(splits[0][0])[:, 0].min() > 0.0
         q, w_ab, w_ba = rep.certificate
         worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
         assert worst <= 1e-9 and recon <= 1e-13 and rep.residual <= 1e-13
@@ -1144,10 +1165,10 @@ def certificate_pool() -> dict[str, ProcessMatrix]:
     return pool
 
 
-def retired_split(w, mats):
+def retired_split(w, mats, tested=False):
     """The certificate of the oracle's candidate builder on the matrices
     (X, Y) of an order split the search certifies, padded as the search
-    pads."""
+    pads; it decides each lift, whether or not the search tested the split."""
     lay = w.layout
     out = oracles.certificate_candidate(*mats, lay)
     if out is None:
@@ -1164,9 +1185,9 @@ def test_candidate_from_coefficients_agrees_with_the_retired_builder(monkeypatch
     # so only the searches that reach it are run again with the oracle's
     pool, built = certificate_pool(), []
 
-    def recorded(w, mats):
+    def recorded(w, mats, tested=False):
         built.append(name)
-        return certified(w, mats)
+        return certified(w, mats, tested)
 
     certified = process._certified_split
     monkeypatch.setattr(process, "_certified_split", recorded)
@@ -1216,9 +1237,10 @@ def test_each_matrix_is_converted_to_coefficients_once(monkeypatch):
 
 
 def test_each_certified_split_is_converted_to_matrices_once(monkeypatch):
-    # the split that passed its positive-definiteness test is the builder's
-    # input as it stands, and one eigvalsh of both parts serves their lift
-    # decisions and their validity checks
+    # the line's split is formed from the (A, B, S) matrices of its pencil,
+    # the loop's is the one its test passed, and the builder takes either as
+    # it stands: the check gates both parts by Cholesky, so with W's
+    # validity warm the pencil's is the only eigvalsh of the search
     passed, converted, eigvals = [], [], []
 
     def recorded_test(mats):
@@ -1232,8 +1254,7 @@ def test_each_certified_split_is_converted_to_matrices_once(monkeypatch):
         return converted[-1]
 
     def recorded_eigvalsh(a, *args, **kwargs):
-        if passed:
-            eigvals.append(a.size // a.shape[-1] ** 2)
+        eigvals.append((a.size // a.shape[-1] ** 2, len(passed)))
         return eigvalsh(a, *args, **kwargs)
 
     positive_definite, to_mat, eigvalsh = process._positive_definite, process.HSBasis.to_mat, np.linalg.eigvalsh
@@ -1243,12 +1264,18 @@ def test_each_certified_split_is_converted_to_matrices_once(monkeypatch):
     inputs = complex_search_inputs()
     # certified on the line through the start, and by the loop's early stop
     for name, iterations in (("ordered-mixture-1", 0), ("ordered-mixture-4", 7)):
+        w = inputs[name]
+        assert validate_process(w).is_valid
         for log in (passed, converted, eigvals):
             log.clear()
-        rep = separability_heuristic(inputs[name])
+        rep = separability_heuristic(w)
         assert (rep.verdict, rep.iterations, len(passed)) == ("separable", iterations, 1), name
-        assert sum(np.array_equal(m, passed[0]) for m in converted) == 1, name
-        assert eigvals == [2], name
+        # the pencil's, of the stack (A, B) in S's frame, before any split passed
+        assert eigvals == [(2, 0)], name
+        if iterations == 0:
+            assert [m.shape for m in converted] == [(3, 16, 16)], name
+        else:
+            assert sum(np.array_equal(m, passed[0]) for m in converted) == 1, name
 
 
 # The clip: one batched eigendecomposition of both halves of a step
@@ -1426,6 +1453,57 @@ def test_each_decomposition_gate_rejects_its_defect_in_either_slot(defect, slot)
             assert decomposition_fails_the_oracle(w, q, *parts), (defect, slot)
 
 
+def psd_boundary_parts(dim: int, kind: str) -> list[ProcessMatrix]:
+    """An A-first and a B-first part of least eigenvalue well above 0: on 16
+    dimensions :func:`damped_ordered_parts` (complex) or their real parts,
+    on 64 the switch process of one order mixed with 10% of the neutral
+    process (real) or its phase-rotated copy. Conjugation and local
+    unitaries keep a part PSD, of trace d_O and in its order subspace."""
+    if dim == 16:
+        parts = damped_ordered_parts()
+        if kind == "real":
+            parts = [ProcessMatrix(p.matrix.real, p.layout) for p in parts]
+    else:
+        lay = standard_layout(2, 4)
+        parts = [mix(quantum_switch_process(amps), neutral_process(lay), 0.9) for amps in ((1, 0), (0, 1))]
+        if kind == "complex":
+            parts = [phase_rotated(p, 13) for p in parts]
+    assert all(p.layout.dim == dim and p.matrix.imag.any() == (kind == "complex") for p in parts)
+    return parts
+
+
+def with_least_eigenvalue(part: ProcessMatrix, low: float) -> ProcessMatrix:
+    """The part shifted by a multiple of the identity and rescaled to trace
+    d_O so that its least eigenvalue is ``low``; both keep it in every
+    order subspace."""
+    m, n, d_o = part.matrix, part.layout.dim, part.expected_trace
+    m = m - d_o * (np.linalg.eigvalsh(m)[0] - low) / (d_o - low * n) * np.eye(n)
+    m = m * (d_o / np.real(np.trace(m)))
+    assert np.linalg.eigvalsh(m)[0] == pytest.approx(low, rel=1e-3)
+    return ProcessMatrix(m, part.layout)
+
+
+@pytest.mark.parametrize("slot", [0, 1], ids=["AB-slot", "BA-slot"])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("dim", [16, 64])
+def test_psd_gate_decides_on_either_side_of_psd_atol(dim, kind, slot):
+    # cold parts are gated by one Cholesky factorization of part +
+    # PSD_ATOL I, warm ones on their cached eigenvalues: both at -PSD_ATOL
+    q = 0.3
+    for factor, certifies in ((0.5, True), (2.0, False)):
+        for warm in (False, True):
+            parts = psd_boundary_parts(dim, kind)
+            parts[slot] = with_least_eigenvalue(parts[slot], -factor * PSD_ATOL)
+            w = ProcessMatrix(q * parts[0].matrix + (1.0 - q) * parts[1].matrix, parts[0].layout)
+            if warm:
+                for part in parts:
+                    part._eigenvalues
+            rep = certify_decomposition(w, q, *parts)
+            assert (rep is not None) is certifies, (factor, warm)
+            worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, parts[0].matrix, parts[1].matrix)
+            assert bool(worst <= PSD_ATOL and recon <= RECON_GATE) is certifies, (factor, warm)
+
+
 @pytest.mark.parametrize("q", [-0.1, 1.1])
 def test_decomposition_weight_outside_the_unit_interval_fails(q):
     parts = damped_ordered_parts()
@@ -1514,6 +1592,30 @@ def test_witness_with_a_bad_ba_half_fails_verification(name):
     for label, (s_m, p_ab_m, p_ba_m) in mutants.items():
         assert _certify_witness(w, s_m, p_ab_m, p_ba_m) is None, label
         assert oracles.witness_margin(w.matrix, lay, s_m, p_ab_m, p_ba_m) >= 0.0, label
+
+
+@pytest.mark.parametrize("name, singular", [("switch", False), ("switch-eta-0.5", True)])
+def test_witness_halves_are_decomposed_only_when_they_have_no_cholesky_factor(monkeypatch, name, singular):
+    # the switch's face witness has positive definite halves; the loop's
+    # witness of the dephased switch has P_AB = gx, the PSD part clipped off
+    # a step, which is singular: its negative parts come from eigvalsh
+    w = NONSEPARABLE[name]()
+    rep = separability_heuristic(w)
+    s, p_ab, p_ba = rep.witness
+    calls = []
+
+    def recorded(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    value = _certify_witness(w, s, p_ab, p_ba)
+    assert calls == ([(2, 64, 64)] if singular else [])
+    monkeypatch.undo()
+    assert value == rep.witness_value == witness_value(w, s) / frobenius(s)
+    assert bool(np.linalg.eigvalsh(p_ab)[0] <= 0.0) is singular
+    assert oracles.witness_margin(w.matrix, w.layout, s, p_ab, p_ba) < 0.0
 
 
 def test_traced_future_switch_is_separable():

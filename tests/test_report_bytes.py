@@ -63,8 +63,8 @@ def test_diff_names_the_json_paths_and_csv_cells_that_moved(tmp_path):
         "run coherent: process.validity.psd_margin",
         "run failing: exit code",
         "sweep coherent-eta: row 2 S_opt",
-        f"1 exit code, 1 only in {a}, 1 process.separability.witness_value, 1 process.validity.psd_margin,"
-        " 1 row 2 S_opt",
+        f"1 exit code, 1 only in {a}, 1 process.separability.witness_value (max |Δ| 0.01),"
+        " 1 process.validity.psd_margin (max |Δ| 1e-16), 1 row 2 S_opt (max |Δ| 4.4e-16)",
     ]
 
 
@@ -76,7 +76,8 @@ def test_diff_ends_with_a_tally_per_moved_field(tmp_path):
     sections[2] = ("search 2", 0, json.dumps({"iterations": 5, "q": 0.4, "residual": 3e-16}))
     out = diff(a, write(tmp_path / "b.searches", sections))
     assert out.returncode == 1, out.stderr
-    assert out.stdout.splitlines()[-1] == "2 iterations, 1 q, 2 residual"
+    # each count ends with the largest absolute change of its field
+    assert out.stdout.splitlines()[-1] == "2 iterations (max |Δ| 5), 1 q (max |Δ| 0.1), 2 residual (max |Δ| 8e-16)"
     assert len(out.stdout.splitlines()) == 6
 
 
@@ -108,10 +109,11 @@ def test_searches_write_one_report_per_search_input(tmp_path):
     assert {rep["verdict"] for rep in reports} <= {"separable", "nonseparable", "inconclusive"}
     # a moved field is named with its search
     moved = json.loads(lines[3])
+    change = moved["residual"]
     moved["residual"] *= 2.0
     lines[3] = json.dumps(moved, sort_keys=True)
     other = tmp_path / "parent.searches"
     other.write_text("\n".join(lines) + "\n")
     found = diff(other, out)
-    want = "search process-family seed 1 1 random-valid: residual\n1 residual\n"
+    want = f"search process-family seed 1 1 random-valid: residual\n1 residual (max |Δ| {change:.2g})\n"
     assert (found.returncode, found.stdout) == (1, want)

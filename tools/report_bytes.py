@@ -34,9 +34,11 @@ with a future in each order (rank 1)::
 Where the files differ, ``--diff`` names what moved: one line per config
 or search and per JSON path of a report (``process.validity.psd_margin``,
 ``residual``), sweep CSV cell (``row 2 S_opt``) or exit code that differs,
-and ends with one line that counts those lines per moved field
-(``127 iterations, 127 q, 127 residual``). It exits 1 when anything
-differs, 0 when nothing does and 2 on a file it cannot read::
+and ends with one line that counts those lines per moved field and gives
+the largest absolute change of each numeric one (``127 iterations (max |Δ|
+3), 127 q (max |Δ| 2.2e-16), 127 residual (max |Δ| 2.5e-16)``). It exits 1
+when anything differs, 0 when nothing does and 2 on a file it cannot
+read::
 
     python3 tools/report_bytes.py --diff parent.bytes change.bytes
 """
@@ -215,67 +217,88 @@ def _sections(path: Path) -> dict[str, tuple[str, list[str]]]:
     return out
 
 
+def _delta(a, b) -> float | None:
+    """|b - a| when both values are numbers, JSON or CSV, else None."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return None
+    try:
+        return abs(float(b) - float(a))
+    except (TypeError, ValueError):
+        return None
+
+
 def _json_diff(a, b, path: str = ""):
-    """Paths of the leaves whose serialized values differ."""
+    """(path, |change| or None) of each leaf whose serialized values differ."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(a.keys() | b.keys()):
             sub = f"{path}.{key}" if path else key
             if key in a and key in b:
                 yield from _json_diff(a[key], b[key], sub)
             else:
-                yield sub
+                yield sub, None
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):
             yield from _json_diff(x, y, f"{path}[{i}]")
     elif json.dumps(a) != json.dumps(b):
-        yield path or "."
+        yield path or ".", None if isinstance(a, str) else _delta(a, b)
 
 
 def _csv_diff(a: list[str], b: list[str]):
-    """Cells of a sweep CSV that differ, as 'row <n> <column>' (rows from 1);
-    comment lines and a change in the row count are named as such."""
+    """(cell, |change| or None) of each sweep CSV cell that differs, as
+    'row <n> <column>' (rows from 1); comment lines and a change in the row
+    count are named as such."""
     rows_a = [line for line in a if not line.startswith("#")]
     rows_b = [line for line in b if not line.startswith("#")]
     if [line for line in a if line.startswith("#")] != [line for line in b if line.startswith("#")]:
-        yield "comment lines"
+        yield "comment lines", None
     if rows_a[:1] != rows_b[:1]:
-        yield "header"
+        yield "header", None
         return
     header = rows_a[0].split(",") if rows_a else []
     for n, (ra, rb) in enumerate(zip(rows_a[1:], rows_b[1:]), start=1):
         ca, cb = ra.split(","), rb.split(",")
         for col, (x, y) in enumerate(zip(ca, cb)):
             if x != y:
-                yield f"row {n} {header[col] if col < len(header) else col}"
+                yield f"row {n} {header[col] if col < len(header) else col}", _delta(x, y)
         if len(ca) != len(cb):
-            yield f"row {n} cell count"
+            yield f"row {n} cell count", None
     if len(rows_a) != len(rows_b):
-        yield "row count"
+        yield "row count", None
 
 
-def diff(path_a: Path, path_b: Path) -> list[str]:
-    """One line per config and per thing that differs between two files."""
+def diff(path_a: Path, path_b: Path) -> list[tuple[str, float | None]]:
+    """One line per config and per thing that differs between two files,
+    each with the absolute change of a numeric value (None otherwise)."""
     a, b = _sections(path_a), _sections(path_b)
     only = sorted(a.keys() ^ b.keys())
-    out = [f"{label}: only in {path_a if label in a else path_b}" for label in only]
+    out = [(f"{label}: only in {path_a if label in a else path_b}", None) for label in only]
     for label in [label for label in a if label in b]:
         (code_a, lines_a), (code_b, lines_b) = a[label], b[label]
         if code_a != code_b:
-            out.append(f"{label}: exit code")
+            out.append((f"{label}: exit code", None))
         if lines_a == lines_b:
             continue
         try:
             moved = _json_diff(json.loads("\n".join(lines_a)), json.loads("\n".join(lines_b)))
-            out += [f"{label}: {path}" for path in moved]
+            out += [(f"{label}: {path}", delta) for path, delta in moved]
         except json.JSONDecodeError:
-            out += [f"{label}: {cell}" for cell in _csv_diff(lines_a, lines_b)]
+            out += [(f"{label}: {cell}", delta) for cell, delta in _csv_diff(lines_a, lines_b)]
     return out
 
 
-def tally(moved: list[str]) -> str:
-    """How many of the lines :func:`diff` wrote name each moved field, by field."""
-    counts = Counter(line.split(": ", 1)[1] for line in moved)
-    return ", ".join(f"{n} {field}" for field, n in sorted(counts.items()))
+def tally(moved: list[tuple[str, float | None]]) -> str:
+    """How many of the lines :func:`diff` wrote name each moved field, by
+    field, with the largest absolute change of each numeric one."""
+    counts, largest = Counter(), {}
+    for line, delta in moved:
+        field = line.split(": ", 1)[1]
+        counts[field] += 1
+        if delta is not None:
+            largest[field] = max(largest.get(field, 0.0), delta)
+    return ", ".join(
+        f"{n} {field}" + (f" (max |Δ| {largest[field]:.2g})" if field in largest else "")
+        for field, n in sorted(counts.items())
+    )
 
 
 def main(argv: list[str]) -> int:
@@ -285,7 +308,7 @@ def main(argv: list[str]) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        print("\n".join([*moved, tally(moved)]) if moved else "no differences")
+        print("\n".join([*(line for line, _ in moved), tally(moved)]) if moved else "no differences")
         return 1 if moved else 0
     searches = argv[:1] == ["--searches"]
     argv = argv[1:] if searches else argv
