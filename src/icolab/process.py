@@ -224,9 +224,8 @@ class ProcessMatrix:
     @cached_property
     def _eigenvalues(self) -> np.ndarray:
         """The read-only eigenvalues in ascending order, from one eigvalsh
-        of :attr:`_own`: validity reads its PSD margin here, the search W's
-        rank, and the certificate builder and check a part's lift and PSD
-        gate."""
+        of :attr:`_own`: validity reads W's PSD margin here and the search
+        W's rank. No certificate check reads them."""
         vals = np.linalg.eigvalsh(self._own)
         vals.flags.writeable = False
         return vals
@@ -629,11 +628,9 @@ def _psd_clip(m: np.ndarray) -> np.ndarray:
 def neutral_process(layout: SpaceLayout) -> ProcessMatrix:
     """Maximally mixed valid process on the layout (in every order subspace);
     used as the padding component when a decomposition weight hits 0 or 1.
-    One instance per layout with its eigenvalues filled: computed once."""
+    One instance per layout, so its coefficients are computed once."""
     expected = layout.dim_of("A_O") * layout.dim_of("B_O")
-    w = ProcessMatrix(np.eye(layout.dim) * (expected / layout.dim), layout)
-    w._eigenvalues
-    return w
+    return ProcessMatrix(np.eye(layout.dim) * (expected / layout.dim), layout)
 
 
 @dataclass(frozen=True)
@@ -692,22 +689,27 @@ class SeparabilityReport:
         return out
 
 
-def _stacked(parts: tuple[ProcessMatrix, ...], name: str, compute) -> list[np.ndarray]:
-    """The cached property ``name`` (``_eigenvalues`` or ``_coef``) of each
-    part. When none of them has it yet and their matrices share a dtype,
-    one call of ``compute`` on the stack of their :attr:`_own` matrices
-    fills every cache; otherwise each part computes what it lacks."""
-    if not any(name in vars(p) for p in parts) and len({p._own.dtype for p in parts}) == 1:
-        values = compute(np.array([p._own for p in parts]))
+def _stacked_coefs(parts: tuple[ProcessMatrix, ...]) -> list[np.ndarray]:
+    """The :attr:`ProcessMatrix._coef` of each part. When none of them has
+    it yet and their matrices share a dtype, one :meth:`HSBasis.to_coef` of
+    the stack of their :attr:`_own` matrices fills every cache; otherwise
+    each part computes what it lacks."""
+    if not any("_coef" in vars(p) for p in parts) and len({p._own.dtype for p in parts}) == 1:
+        values = hs_basis(parts[0].layout).to_coef(np.array([p._own for p in parts]))
         values.flags.writeable = False
         for part, value in zip(parts, values):
-            vars(part)[name] = value
-    return [getattr(p, name) for p in parts]
+            vars(part)["_coef"] = value
+    return [p._coef for p in parts]
 
 
 def _cholesky_exists(mats: np.ndarray) -> bool:
-    """Whether every matrix of a Hermitian stack has a Cholesky factor: the
-    certificate checks' positivity test, which no test of the search decides."""
+    """Whether every matrix of a Hermitian stack has a Cholesky factor, that
+    is whether it is positive definite up to a backward error of order
+    dim^2 eps_mach ||matrix|| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, ch. 10). Every positivity gate of the certificate
+    checks and of the face split is this test of its matrices shifted by
+    the gate's allowance (Rump, BIT 46, 2006); the search's own test is
+    :func:`_positive_definite`."""
     try:
         np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
@@ -725,25 +727,20 @@ def certify_decomposition(
     validity at SUBSPACE_ATOL: the complement (1 - a)(1 - b) of the valid
     span lies in that of each order mask, and such a part has ||part||^2 <=
     dim / d(first input) <= MAX_DIM (X <= d_B tr_B X (x) I_B down the comb).
-    A part with cached eigenvalues is gated on them, the others by one
-    Cholesky factorization of part + PSD_ATOL I, which exists iff lambda_min
-    > -PSD_ATOL up to a backward error of order dim^2 eps_mach ||part||,
-    about 1e-13 on 64 dims (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, ch. 10). Coefficients come from a part's cache or one
+    Both parts are gated by one Cholesky factorization of part + PSD_ATOL I,
+    which exists iff lambda_min > -PSD_ATOL up to a backward error of order
+    dim^2 eps_mach ||part||, about 1e-13 on 64 dims; no eigenvalue, cached
+    or not, is read. Coefficients come from a part's cache or one
     :meth:`HSBasis.to_coef` of both. Returns the certificate (``iterations``
     0, ``residual`` the relative reconstruction error) or None."""
     m, lay = w.matrix, w.layout
     if not 0.0 <= q <= 1.0 or w_ab.layout != lay or w_ba.layout != lay:
         return None
     parts, d_o = (w_ab, w_ba), w.expected_trace
-    cold = [p._own for p in parts if "_eigenvalues" not in vars(p)]
-    if cold and not _cholesky_exists(np.array(cold) + PSD_ATOL * np.eye(lay.dim)):
+    if not _cholesky_exists(np.array([p._own for p in parts]) + PSD_ATOL * np.eye(lay.dim)):
         return None
-    coefs = _stacked(parts, "_coef", hs_basis(lay).to_coef)
-    for part, coef, order in zip(parts, coefs, ("AB", "BA")):
-        trace_error = float(np.real(np.trace(part.matrix)) - d_o)
-        low = part._eigenvalues[0] if "_eigenvalues" in vars(part) else 0.0
-        if not (low >= -PSD_ATOL and abs(trace_error) <= TRACE_ATOL):
+    for part, coef, order in zip(parts, _stacked_coefs(parts), ("AB", "BA")):
+        if abs(float(np.real(np.trace(part.matrix)) - d_o)) > TRACE_ATOL:
             return None
         # the basis is orthogonal: a distance to a subspace is the norm of the masked-out coefficients
         outside = np.linalg.norm((1.0 - _order_mask(lay, order)) * coef)
@@ -760,7 +757,7 @@ def certify_decomposition(
     return SeparabilityReport((q, w_ab, w_ba), float(recon), 0)
 
 
-def _certified_split(w: ProcessMatrix, mats: np.ndarray, tested: bool = False) -> SeparabilityReport | None:
+def _certified_split(w: ProcessMatrix, mats: np.ndarray, lift: bool = False) -> SeparabilityReport | None:
     """The certificate of the candidate decomposition built from an order
     split of W, the stack (X, Y) of its matrices in the search's dtype, or
     None.
@@ -768,14 +765,19 @@ def _certified_split(w: ProcessMatrix, mats: np.ndarray, tested: bool = False) -
     q comes from the trace of X. The parts are divided by their weights,
     made Hermitian and renormalized to trace d_O as one stack, each in the
     arithmetic of a single matrix. A part of weight below 1e-6 is padded.
-    A split the search tested positive definite (``tested``: the line's
-    midpoint, the loop's early stop) is checked as it stands. An untested
-    one (the converged exit, the face split) gets one eigvalsh of the stack,
-    cached for the lift decision and the check's PSD gate: where a part's
-    least eigenvalue is negative, it is lifted by that much (plus 1e-14
-    max(1, largest)) times the identity and renormalized again. The identity
-    lies in every order subspace, so the lift keeps exact comb membership
-    where an eigenvalue clip would not. :func:`certify_decomposition` decides."""
+    A kept part's trace is positive: every caller's X + Y is W up to
+    rounding, and W is valid, so tr X + tr Y = d_O >= 1 within TRACE_ATOL.
+    Divided by its weight q or 1 - q of at least 1e-6, a part has trace d_O
+    within TRACE_ATOL / 1e-6 = 0.01; where q is clamped to 0 or 1, the kept
+    part has trace above d_O - TRACE_ATOL.
+
+    The split is checked as it stands, except at the converged exit
+    (``lift``), the one split the search never tested: one eigvalsh of the
+    stack gives each part's least eigenvalue, and where it is negative the
+    part is lifted by that much (plus 1e-14 max(1, largest)) times the
+    identity and renormalized again. The identity lies in every order
+    subspace, so the lift keeps exact comb membership where an eigenvalue
+    clip would not. :func:`certify_decomposition` decides."""
     lay, d_o = w.layout, w.expected_trace
     q = min(max(float(np.real(np.trace(mats[0]))) / d_o, 0.0), 1.0)
     weights = np.array((q, 1.0 - q))
@@ -784,15 +786,12 @@ def _certified_split(w: ProcessMatrix, mats: np.ndarray, tested: bool = False) -
         mats, weights = mats[kept], weights[kept]
     stack = mats / weights[:, None, None]
     stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
-    traces = np.real(np.trace(stack, axis1=-2, axis2=-1))
-    if (traces <= 0).any():
-        return None
-    stack *= (d_o / traces)[:, None, None]
+    stack *= (d_o / np.real(np.trace(stack, axis1=-2, axis2=-1)))[:, None, None]
     parts = [ProcessMatrix(mat, lay) for mat in stack]
-    for k, vals in enumerate([] if tested else _stacked(parts, "_eigenvalues", np.linalg.eigvalsh)):
+    for k, vals in enumerate(np.linalg.eigvalsh(stack) if lift else []):
         low, high = float(vals[0]), float(vals[-1])
         if low < 0.0:
-            mat = parts[k]._own + (-low + 1e-14 * max(1.0, high)) * np.eye(lay.dim)
+            mat = stack[k] + (-low + 1e-14 * max(1.0, high)) * np.eye(lay.dim)
             parts[k] = ProcessMatrix(mat * (d_o / float(np.real(np.trace(mat)))), lay)
     return certify_decomposition(w, q, *(parts.pop(0) if keep else neutral_process(lay) for keep in kept))
 
@@ -808,23 +807,21 @@ def _certify_witness(
     negative part of lambda_min(P_X) plus ||R_X||, every separable
     W' = X' + Y' (trace d_O, each part PSD in its subspace, so ||X'|| <=
     tr X') has tr(S W') >= -max(eps_AB, eps_BA) d_O. The witness certifies
-    when tr(S W) lies below that bound by more than a rounding allowance.
-    Both orders are read from one :meth:`HSBasis.to_coef` of (S - P_AB,
-    S - P_BA) and one Cholesky factorization of (P_AB, P_BA): where it
-    exists both negative parts are 0, up to a backward error of order dim^2
-    eps_mach ||P_X|| that the allowance covers, else one eigvalsh gives
-    them. Returns tr(S W)/||S|| or None."""
+    when tr(S W) lies below that bound by more than a rounding allowance:
+    when delta_X = -tr(S W)/d_O - allowance - ||R_X|| is positive and
+    lambda_min(P_X) > -delta_X for both orders. Both are read from one
+    :meth:`HSBasis.to_coef` of (S - P_AB, S - P_BA) and one Cholesky
+    factorization of (P_AB + delta_AB I, P_BA + delta_BA I), up to a
+    backward error of order dim^2 eps_mach ||P_X|| that the allowance
+    covers. Returns tr(S W)/||S|| or None."""
     lay, parts = w.layout, np.stack((p_ab, p_ba))
     coefs = hs_basis(lay).to_coef(s - parts)
-    lows = np.zeros(2) if _cholesky_exists(parts) else np.linalg.eigvalsh(parts)[:, 0]
-    eps = 0.0
-    for coef, low, order in zip(coefs, lows, ("AB", "BA")):
-        # the basis is orthogonal: ||P_X(S - P)|| is the norm of its masked coefficients
-        inside = np.linalg.norm(_order_mask(lay, order) * coef)
-        eps = max(eps, max(0.0, -float(low)) + inside)
+    # the basis is orthogonal: ||R_X|| is the norm of its masked coefficients
+    inside = [np.linalg.norm(_order_mask(lay, x) * coef) for coef, x in zip(coefs, ("AB", "BA"))]
     slack = WITNESS_RTOL * (np.linalg.norm(p_ab) + np.linalg.norm(p_ba))
     value = witness_value(w, s)
-    if value < -(eps + slack) * w.expected_trace:
+    delta = -value / w.expected_trace - slack - np.array(inside)
+    if (delta > 0.0).all() and _cholesky_exists(parts + delta[:, None, None] * np.eye(lay.dim)):
         # the reported value divides by the complex128 norm of S, which report bytes pin
         return value / frobenius(s)
     return None
@@ -878,7 +875,7 @@ def _line_split(
     split = mats[:2] + np.array((t, 1.0 - t))[:, None, None] * mats[2]
     if not _positive_definite(split):
         return (t_lo, t_hi), None
-    return (t_lo, t_hi), _certified_split(w, split, tested=True)
+    return (t_lo, t_hi), _certified_split(w, split)
 
 
 @lru_cache(maxsize=32)
@@ -938,11 +935,12 @@ def _face_solve(
     tr(S W) = -rho^2 / 2 + (t - eps) tr(Pi_ker W).
 
     When rho is at rounding and the solve has full column rank (nullity 0),
-    the split is unique: X' = H(x*) and Y' = V^dagger W V - X'. When neither
-    has an eigenvalue below -``w._rounding``, both are lifted back to
-    (V X' V^dagger, V Y' V^dagger). A split with a part that is not PSD is
-    never returned, so no eigenvalue lift in :func:`_certified_split` can
-    turn it into a decomposition.
+    the split is unique: X' = H(x*) and Y' = V^dagger W V - X'. When one
+    Cholesky factorization of (X', Y') + ``w._rounding`` I exists, so that
+    neither part has an eigenvalue at or below -``w._rounding``, both are
+    mapped back to (V X' V^dagger, V Y' V^dagger), which
+    :func:`_certified_split` checks as they stand. A split with a part that
+    is not PSD to rounding is never returned.
 
     Returns rho, the witness, which :func:`_certify_witness` still has to
     accept, and the split as a stack in the search's dtype, which
@@ -966,7 +964,7 @@ def _face_solve(
             return rho, None, None
         x_face = np.tensordot(x, herm, 1)
         parts = np.stack((x_face, v.conj().T @ w._own @ v - x_face))
-        if np.linalg.eigvalsh(parts)[:, 0].min() < -w._rounding:
+        if not _cholesky_exists(parts + w._rounding * np.eye(len(x_face))):
             return rho, None, None
         return rho, None, v @ parts @ v.conj().T
     r_ab, r_ba = -basis.to_mat(np.stack((r_ab, r_ba)))
@@ -987,8 +985,8 @@ def _face_decision(
     A witness that :func:`_certify_witness` accepts gives ``nonseparable``
     with ``residual``, by default the face's distance to the order splits,
     rho / max(1, ||W||). A unique PSD split that :func:`_certified_split`
-    accepts gives ``separable`` with the certificate's reconstruction error
-    as ``residual``."""
+    accepts as it stands gives ``separable`` with the certificate's
+    reconstruction error as ``residual``."""
     rho, witness, split = _face_solve(w)
     if witness is not None:
         value = _certify_witness(w, *witness)
@@ -1107,7 +1105,7 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
         if used > 1 and not deficient and _positive_definite(split := basis.to_mat(np.stack((xa, ya)))):
             # (xa, ya) is the affine projection of the last PSD point, and PSD
             # itself: it lies in both sets, an exact decomposition
-            cert = _certified_split(w, split, tested=True)
+            cert = _certified_split(w, split)
             if cert is not None:
                 return replace(cert, iterations=used - 1)
         xr, yr = 2.0 * xa - zx, 2.0 * ya - zy
@@ -1135,7 +1133,7 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
     if witness is not None:
         return SeparabilityReport(None, residual, used, witness, value)
     if gap < SEARCH_TOL * scale:
-        cert = _certified_split(w, basis.to_mat(np.stack(_order_split(cw, xb, yb, in_ab, in_ba))))
+        cert = _certified_split(w, basis.to_mat(np.stack(_order_split(cw, xb, yb, in_ab, in_ba))), lift=True)
         if cert is not None:
             return replace(cert, residual=max(residual, cert.residual), iterations=used)
     return SeparabilityReport(None, residual, used)

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import sys
@@ -27,6 +28,7 @@ from icolab.process import (
     SEARCH_TOL,
     SUBSPACE_ATOL,
     TRACE_ATOL,
+    WITNESS_RTOL,
     Instrument,
     ProcessMatrix,
     apply_choi,
@@ -63,7 +65,7 @@ from icolab.sampling import (
     random_povm,
     random_valid_process,
 )
-from icolab.scenarios import ScenarioConfig, _scenario_process
+from icolab.scenarios import BUILTIN_SCENARIOS, ScenarioConfig, _scenario_process, run_scenario
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -995,12 +997,86 @@ def test_checks_are_not_decided_by_the_searchs_positive_definiteness_test(monkey
     assert certified >= 100
 
 
+def builder_exit_pool() -> list[ProcessMatrix]:
+    """Searches that reach each exit of the candidate builder: the line and
+    the loop's early stop (the first 150 process-family inputs of seed 1),
+    the face split (the undamped mixtures of seed 1 and a pure process with
+    a future in each order) and the converged exit (criterion 6's mixture
+    of the two switch orders at q = 0.3)."""
+    return [
+        *process_family_inputs(1)[:150],
+        *undamped_ordered_mixtures(1, 8),
+        *(pure_ordered_process(order, 3) for order in ("AB", "BA")),
+        mix(quantum_switch_process((1.0, 0.0)), quantum_switch_process((0.0, 1.0)), 0.3),
+    ]
+
+
+def test_every_certified_split_sums_to_w(monkeypatch):
+    # each exit hands the builder an (X, Y) that sums to W, so a kept part
+    # has trace d_O, or more where q is clamped: its trace is never <= 0
+    seen = []
+
+    def recorded(w, mats, lift=False):
+        error = frobenius(mats[0] + mats[1] - w.matrix) / max(1.0, frobenius(w.matrix))
+        seen.append((sys._getframe(1).f_code.co_name, lift, error / (w.layout.dim**2 * np.finfo(np.float64).eps)))
+        return certified(w, mats, lift)
+
+    certified = process._certified_split
+    monkeypatch.setattr(process, "_certified_split", recorded)
+    for w in builder_exit_pool():
+        separability_heuristic(w)
+    exits = {(caller, lift) for caller, lift, _ in seen}
+    assert exits == {
+        ("_line_split", False),
+        ("separability_heuristic", False),
+        ("_face_decision", False),
+        ("separability_heuristic", True),
+    }
+    # within the split cut dim^2 eps_mach ||W|| of the face solve
+    assert max(ratio for *_, ratio in seen) <= 1.0
+
+
+def test_no_certificate_check_decomposes_a_matrix(monkeypatch):
+    # every positivity gate of the two checks is a shifted Cholesky
+    # factorization, so no eigendecomposition runs inside either of them
+    checks, inside = [], []
+
+    def counted(name, original):
+        def call(*args):
+            checks.append(name)
+            return original(*args)
+
+        return call
+
+    def recorded(fn, original):
+        def call(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None:
+                if frame.f_code.co_name in ("certify_decomposition", "_certify_witness"):
+                    inside.append((fn, frame.f_code.co_name))
+                frame = frame.f_back
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in ("certify_decomposition", "_certify_witness"):
+        monkeypatch.setattr(process, name, counted(name, getattr(process, name)))
+    for fn in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, fn, recorded(fn, getattr(np.linalg, fn)))
+    for w in (*builder_exit_pool(), dephased_switch(0.5)):
+        separability_heuristic(w)
+    for name in BUILTIN_SCENARIOS:
+        run_scenario(ScenarioConfig.from_dict({"scenario": name}))
+    assert checks.count("certify_decomposition") >= 100 and checks.count("_certify_witness") >= 10
+    assert inside == []
+
+
 def test_full_rank_ordered_mixtures_stop_at_the_first_positive_definite_split(monkeypatch):
     results, splits = recorded_pd_tests(monkeypatch), []
 
-    def recorded(w, mats, tested=False):
-        splits.append((mats, tested))
-        return certified(w, mats, tested)
+    def recorded(w, mats, lift=False):
+        splits.append((mats, lift))
+        return certified(w, mats, lift)
 
     certified = process._certified_split
     monkeypatch.setattr(process, "_certified_split", recorded)
@@ -1021,7 +1097,7 @@ def test_full_rank_ordered_mixtures_stop_at_the_first_positive_definite_split(mo
             assert stopped_early(rep, results), (rep.iterations, results)
             early += 1
         # the certified split is the one the test passed, taken with no lift
-        assert len(splits) == 1 and splits[0][1]
+        assert len(splits) == 1 and not splits[0][1]
         assert np.linalg.eigvalsh(splits[0][0])[:, 0].min() > 0.0
         q, w_ab, w_ba = rep.certificate
         worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
@@ -1165,10 +1241,10 @@ def certificate_pool() -> dict[str, ProcessMatrix]:
     return pool
 
 
-def retired_split(w, mats, tested=False):
+def retired_split(w, mats, lift=False):
     """The certificate of the oracle's candidate builder on the matrices
     (X, Y) of an order split the search certifies, padded as the search
-    pads; it decides each lift, whether or not the search tested the split."""
+    pads; it decides each lift, wherever the search found the split."""
     lay = w.layout
     out = oracles.certificate_candidate(*mats, lay)
     if out is None:
@@ -1182,12 +1258,17 @@ def retired_split(w, mats, tested=False):
 def test_candidate_from_coefficients_agrees_with_the_retired_builder(monkeypatch):
     # the builder runs where a search certifies a split; a search that never
     # reaches it (a witness, or the cap) runs the same code on both paths,
-    # so only the searches that reach it are run again with the oracle's
-    pool, built = certificate_pool(), []
+    # so only the searches that reach it are run again with the oracle's.
+    # A face split is PSD to rounding and taken as it stands, where the
+    # oracle lifts a part by its rounding-size negative eigenvalue: there
+    # the builder's reconstruction error is at most the oracle's
+    pool, built, face = certificate_pool(), [], set()
 
-    def recorded(w, mats, tested=False):
+    def recorded(w, mats, lift=False):
         built.append(name)
-        return certified(w, mats, tested)
+        if sys._getframe(1).f_code.co_name == "_face_decision":
+            face.add(name)
+        return certified(w, mats, lift)
 
     certified = process._certified_split
     monkeypatch.setattr(process, "_certified_split", recorded)
@@ -1198,13 +1279,17 @@ def test_candidate_from_coefficients_agrees_with_the_retired_builder(monkeypatch
     old = {name: separability_heuristic(pool[name]) for name in built}
     verdicts = [rep.verdict for rep in new.values()]
     assert verdicts.count("separable") >= 15 and verdicts.count("nonseparable") >= 2
+    assert face == {f"undamped-{k}" for k in range(8)}
     for name, w in pool.items():
         if name not in old:
             assert new[name].certificate is None, name
             continue
         a, b = new[name], old[name]
         assert (a.verdict, a.iterations, a.witness_value) == (b.verdict, b.iterations, b.witness_value), name
-        assert abs(a.residual - b.residual) <= 1e-14, name
+        if name in face:
+            assert a.residual <= b.residual, name
+        else:
+            assert abs(a.residual - b.residual) <= 1e-14, name
         if a.certificate is None:
             continue
         assert a.certificate[0] == b.certificate[0], name
@@ -1361,7 +1446,7 @@ def test_certify_decomposition_gates():
 
 
 # Gate by gate: each defect once in the AB slot and once in the BA slot, so
-# a check that reads the other slot's mask or eigenvalues lets one through
+# a check that reads the other slot's mask or matrix lets one through
 
 RECON_GATE = 10 * SEARCH_TOL * (1.0 + 2.0 * np.sqrt(16))
 DECOMPOSITION_DEFECTS = ("psd", "trace", "invalid", "other-order", "reconstruction", "layout")
@@ -1446,7 +1531,8 @@ def test_each_decomposition_gate_rejects_its_defect_in_either_slot(defect, slot)
             # W is rebuilt from the parts, so only the part's own gate can fail
             w = ProcessMatrix(q * parts[0].matrix + (1.0 - q) * parts[1].matrix, w.layout)
         if warm:
-            # the other part's eigenvalues and coefficients come from its cache
+            # the other part's coefficients come from its cache; its
+            # eigenvalues are filled too, and never read
             validate_process(parts[1 - slot])
         assert certify_decomposition(w, q, *parts) is None, (defect, slot, warm)
         if defect != "layout":
@@ -1487,8 +1573,8 @@ def with_least_eigenvalue(part: ProcessMatrix, low: float) -> ProcessMatrix:
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("dim", [16, 64])
 def test_psd_gate_decides_on_either_side_of_psd_atol(dim, kind, slot):
-    # cold parts are gated by one Cholesky factorization of part +
-    # PSD_ATOL I, warm ones on their cached eigenvalues: both at -PSD_ATOL
+    # both parts are gated by one Cholesky factorization of part +
+    # PSD_ATOL I, and a part's cached eigenvalues are never read
     q = 0.3
     for factor, certifies in ((0.5, True), (2.0, False)):
         for warm in (False, True):
@@ -1598,24 +1684,121 @@ def test_witness_with_a_bad_ba_half_fails_verification(name):
 def test_witness_halves_are_decomposed_only_when_they_have_no_cholesky_factor(monkeypatch, name, singular):
     # the switch's face witness has positive definite halves; the loop's
     # witness of the dephased switch has P_AB = gx, the PSD part clipped off
-    # a step, which is singular: its negative parts come from eigvalsh
+    # a step, which is singular. Either way the check factors both halves,
+    # each shifted by its allowance, once, and decomposes neither
     w = NONSEPARABLE[name]()
     rep = separability_heuristic(w)
     s, p_ab, p_ba = rep.witness
     calls = []
 
-    def recorded(a, *args, **kwargs):
-        calls.append(a.shape)
-        return eigvalsh(a, *args, **kwargs)
+    def recorded(fn, original):
+        def call(a, *args, **kwargs):
+            calls.append((fn, a.shape))
+            return original(a, *args, **kwargs)
 
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+        return call
+
+    for fn in ("eigvalsh", "eigh", "cholesky"):
+        monkeypatch.setattr(np.linalg, fn, recorded(fn, getattr(np.linalg, fn)))
     value = _certify_witness(w, s, p_ab, p_ba)
-    assert calls == ([(2, 64, 64)] if singular else [])
+    assert calls == [("cholesky", (2, 64, 64))]
     monkeypatch.undo()
     assert value == rep.witness_value == witness_value(w, s) / frobenius(s)
     assert bool(np.linalg.eigvalsh(p_ab)[0] <= 0.0) is singular
     assert oracles.witness_margin(w.matrix, w.layout, s, p_ab, p_ba) < 0.0
+
+
+def witness_allowances(w: ProcessMatrix, s: np.ndarray, p_ab: np.ndarray, p_ba: np.ndarray) -> np.ndarray:
+    """delta_X = -tr(S W)/d_O - allowance - ||R_X|| of each order X, with
+    R_X the part of S - P_X in order X's subspace by the reset oracle: the
+    witness certifies when both are positive and lambda_min(P_X) > -delta_X."""
+    slack = WITNESS_RTOL * (frobenius(p_ab) + frobenius(p_ba))
+    inside = [frobenius(oracles.order_projection(s - p, w.layout, x)) for p, x in ((p_ab, "AB"), (p_ba, "BA"))]
+    return -np.real(np.trace(s @ w.matrix)) / w.expected_trace - slack - np.array(inside)
+
+
+def lowered_half(p: np.ndarray, lay: SpaceLayout, order: str, low: float) -> np.ndarray:
+    """P_X lowered along a direction y outside order X's subspace, so that
+    S - P_X keeps its part inside it, until its least eigenvalue is
+    ``low``. lambda_min(P_X - c y) is concave in c and falls at c = 0, so
+    bisection finds c."""
+    basis = hs_basis(lay)
+    v = np.linalg.eigh(p)[1][:, :1]
+    y = basis.to_mat((1.0 - _order_mask(lay, order)) * basis.to_coef(v @ v.conj().T))
+    y = 0.5 * (y + y.conj().T)
+    assert np.real(v.conj().T @ y @ v)[0, 0] > 0.0
+
+    def least(c: float) -> float:
+        return float(np.linalg.eigvalsh(p - c * y)[0])
+
+    assert least(0.0) > low
+    lo, hi = 0.0, 1.0
+    while least(hi) > low:
+        hi *= 2.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if least(mid) > low else (lo, mid)
+    assert least(hi) == pytest.approx(low, rel=1e-9)
+    return p - hi * y
+
+
+@pytest.mark.parametrize("slot", [0, 1], ids=["AB-half", "BA-half"])
+@pytest.mark.parametrize("name", list(NONSEPARABLE))
+def test_witness_gate_decides_on_either_side_of_each_halfs_allowance(name, slot):
+    # with lambda_min(P_X) at -delta_X / 2 the witness certifies, at
+    # -2 delta_X it does not, as the oracle's margin says either way
+    w = NONSEPARABLE[name]()
+    s, *halves = separability_heuristic(w).witness
+    delta = witness_allowances(w, s, *halves)[slot]
+    assert delta > 0.0
+    for factor, certifies in ((0.5, True), (2.0, False)):
+        probe = list(halves)
+        probe[slot] = lowered_half(halves[slot], w.layout, ("AB", "BA")[slot], -factor * delta)
+        assert (_certify_witness(w, s, *probe) is not None) is certifies, factor
+        assert bool(oracles.witness_margin(w.matrix, w.layout, s, *probe) < 0.0) is certifies, factor
+
+
+@pytest.mark.parametrize("name", list(NONSEPARABLE))
+def test_witness_gate_keeps_its_rounding_allowance(name):
+    # S, P_AB and P_BA raised by c I keep S - P_X and raise tr(S W) by
+    # c tr W: c puts the gap -tr(S W)/d_O - max ||R_X||, which the oracle
+    # needs positive, at half and at twice the allowance. The gate needs it
+    # above the allowance, so it refuses the first and takes the second
+    w = NONSEPARABLE[name]()
+    s, p_ab, p_ba = separability_heuristic(w).witness
+    eye, scale = np.eye(w.layout.dim), w.expected_trace / np.real(np.trace(w.matrix))
+
+    def slack(c: float) -> float:
+        return WITNESS_RTOL * (frobenius(p_ab + c * eye) + frobenius(p_ba + c * eye))
+
+    gap = witness_allowances(w, s, p_ab, p_ba).min() + slack(0.0)
+    for factor, certifies in ((0.5, False), (2.0, True)):
+        c = 0.0
+        for _ in range(3):
+            c = (gap - factor * slack(c)) * scale
+        raised = (s + c * eye, p_ab + c * eye, p_ba + c * eye)
+        assert witness_allowances(w, *raised).min() + slack(c) == pytest.approx(factor * slack(c), rel=1e-3)
+        assert (_certify_witness(w, *raised) is not None) is certifies, factor
+        assert oracles.witness_margin(w.matrix, w.layout, *raised) < 0.0, factor
+
+
+EIGENDECOMPOSITIONS = {"eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def test_eigendecompositions_run_only_where_their_values_are_used():
+    # W's eigenvalues (validity margin, rank cut), the line's pencil, the
+    # range basis, the clip and the converged exit's lift; every yes/no
+    # positivity gate is a shifted Cholesky factorization instead
+    tree = ast.parse(Path(process.__file__).read_text())
+    users = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) in EIGENDECOMPOSITIONS
+    }
+    assert users == {"_eigenvalues", "_line_split", "_range_basis", "_psd_clip", "_certified_split"}
+    assert not users & {"certify_decomposition", "_certify_witness"}
 
 
 def test_traced_future_switch_is_separable():

@@ -264,11 +264,11 @@ def test_builtin_sections_match_the_golden_file():
 
 
 def test_construction_certificate_is_checked_from_its_parts_caches(monkeypatch):
-    # a5's certificate is (1, W, neutral process): W's eigenvalues and
-    # coefficients come from its validity check, the neutral process's
-    # eigenvalues from its construction and its coefficients from its first
-    # certificate on the layout, so the check computes neither and, with
-    # both parts' eigenvalues cached, factors nothing
+    # a5's certificate is (1, W, neutral process): W's coefficients come
+    # from its validity check and the neutral process's from its first
+    # certificate on the layout, so the check computes none; it gates both
+    # parts' positivity by one Cholesky factorization and reads no
+    # eigenvalue, cached or not
     cfg = ScenarioConfig.from_dict({"scenario": "a5-violated-definite-order"})
     run_scenario(cfg)
     w, _, candidate = _scenario_process(cfg.spec)
@@ -278,17 +278,17 @@ def test_construction_certificate_is_checked_from_its_parts_caches(monkeypatch):
 
     def recorded(name, original):
         def call(*args):
-            calls.append(name)
+            calls.append((name, args[-1].shape))
             return original(*args)
 
         return call
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", recorded("eigvalsh", np.linalg.eigvalsh))
-    monkeypatch.setattr(np.linalg, "cholesky", recorded("cholesky", np.linalg.cholesky))
+    for name in ("eigvalsh", "eigh", "cholesky"):
+        monkeypatch.setattr(np.linalg, name, recorded(name, getattr(np.linalg, name)))
     monkeypatch.setattr(process.HSBasis, "to_coef", recorded("to_coef", process.HSBasis.to_coef))
     rep = certify_decomposition(w, *candidate)
     assert rep is not None and rep.residual <= 1e-12
-    assert calls == []
+    assert calls == [("cholesky", (2, 64, 64))]
 
 
 def test_search_out_of_steps_reports_inconclusive(monkeypatch):
