@@ -49,12 +49,19 @@ from .linalg import (
 
 PARTY_LABELS = ("A_I", "A_O", "B_I", "B_O")
 
-PSD_ATOL = 1e-9
-TRACE_ATOL = 1e-8
-SUBSPACE_ATOL = 1e-8
+PSD_ATOL = 1e-9  # input checks: an instrument's or a future POVM's elements are PSD above -PSD_ATOL
 SEARCH_TOL = 1e-7  # separability search: stop when an iteration moves less (relative)
 SEARCH_STEPS = 2000  # separability search: the most Douglas-Rachford steps it takes
-WITNESS_RTOL = 1e-12  # witness test: rounding allowance, relative to ||P_AB|| + ||P_BA||
+EPS_MACH = float(np.finfo(np.float64).eps)
+
+
+def rounding_bound(n: int, norm: float | np.ndarray) -> float | np.ndarray:
+    """tau = n^2 eps_mach max(1, ||M||_F), elementwise: the backward error of
+    a Cholesky factorization or basis change of an n x n M (Higham, 2002,
+    ch. 10), the allowance of every verdict gate. A positivity gate factors
+    M + tau I (Rump, BIT 46, 2006); the floor of 1, a deliberate absolute
+    minimum, errs only toward refusing."""
+    return n * n * EPS_MACH * np.maximum(1.0, norm)
 
 
 def vec(u: np.ndarray) -> np.ndarray:
@@ -230,11 +237,11 @@ class ProcessMatrix:
         vals.flags.writeable = False
         return vals
 
-    @property
+    @cached_property
     def _rounding(self) -> float:
-        """dim * eps_mach * lambda_max: an eigenvalue at or below it counts as
-        zero in W's rank."""
-        return self.layout.dim * np.finfo(np.float64).eps * float(self._eigenvalues[-1])
+        """:func:`rounding_bound` of W from its cached eigenvalues: the
+        validity gates', the face split's and the rank cut's allowance."""
+        return float(rounding_bound(self.layout.dim, np.linalg.norm(self._eigenvalues)))
 
     @property
     def expected_trace(self) -> float:
@@ -394,7 +401,7 @@ def validity_projection(w: np.ndarray, layout: SpaceLayout) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Raw margins from validate_process plus the verdict at tolerance."""
+    """Raw margins from validate_process plus the verdict at W's :func:`rounding_bound`."""
 
     psd_margin: float
     trace_error: float
@@ -430,14 +437,14 @@ def validate_process(w: ProcessMatrix) -> ValidityReport:
 
 def _validity_report(w: ProcessMatrix) -> ValidityReport:
     """The checks of :func:`validate_process` on W's matrix and coefficients."""
-    m, lay, coef = w.matrix, w.layout, w._coef
+    m, lay, coef, tau = w.matrix, w.layout, w._coef, w._rounding
     psd_margin = float(w._eigenvalues[0])
     expected = lay.dim_of("A_O") * lay.dim_of("B_O")
     trace_error = float(np.real(np.trace(m)) - expected)
     # the basis is orthogonal: the distance is the norm of the masked-out coefficients
     outside = (1.0 - _validity_mask(lay)) * coef
     residual = float(np.linalg.norm(outside))
-    ok = psd_margin >= -PSD_ATOL and abs(trace_error) <= TRACE_ATOL and residual <= SUBSPACE_ATOL
+    ok = psd_margin >= -tau and abs(trace_error) <= tau and residual <= tau
     return ValidityReport(psd_margin, trace_error, residual, "valid" if ok else "invalid")
 
 
@@ -703,13 +710,11 @@ def _stacked_coefs(parts: tuple[ProcessMatrix, ...]) -> list[np.ndarray]:
 
 
 def _cholesky_exists(mats: np.ndarray) -> bool:
-    """Whether every matrix of a Hermitian stack has a Cholesky factor, that
-    is whether it is positive definite up to a backward error of order
-    dim^2 eps_mach ||matrix|| (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, ch. 10). Every positivity gate of the certificate
-    checks and of the face split is this test of its matrices shifted by
-    the gate's allowance (Rump, BIT 46, 2006); the search's own test is
-    :func:`_positive_definite`."""
+    """Whether every matrix of a Hermitian stack has a Cholesky factor: is
+    positive definite up to :func:`rounding_bound` of the matrix. Every
+    positivity gate of the certificate checks is this test of its matrices
+    shifted by the gate's allowance (Rump, BIT 46, 2006); the search's own
+    test is :func:`_positive_definite`."""
     try:
         np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
@@ -721,30 +726,27 @@ def certify_decomposition(
     w: ProcessMatrix, q: float, w_ab: ProcessMatrix, w_ba: ProcessMatrix
 ) -> SeparabilityReport | None:
     """Re-validate a claimed decomposition W = q W_AB + (1-q) W_BA from
-    scratch, whatever proposed it: each part must be PSD at -PSD_ATOL, have
-    trace d_O at TRACE_ATOL and lie in its order subspace at 1e-9 max(1,
-    ||part||), and the mixture must reproduce W. The order gate implies
-    validity at SUBSPACE_ATOL: the complement (1 - a)(1 - b) of the valid
-    span lies in that of each order mask, and such a part has ||part||^2 <=
-    dim / d(first input) <= MAX_DIM (X <= d_B tr_B X (x) I_B down the comb).
-    Both parts are gated by one Cholesky factorization of part + PSD_ATOL I,
-    which exists iff lambda_min > -PSD_ATOL up to a backward error of order
-    dim^2 eps_mach ||part||, about 1e-13 on 64 dims; no eigenvalue, cached
-    or not, is read. Coefficients come from a part's cache or one
+    scratch, whatever proposed it: each part must be PSD, have trace d_O and
+    lie in its order subspace, each within the part's :func:`rounding_bound`
+    tau, and the mixture must reproduce W. The masks nest, (1 - a)(1 - b)
+    <= 1 - a, so the order gate implies validity at the same tau. Both parts
+    are gated by one Cholesky factorization of part + tau I, with no
+    eigenvalue read; coefficients come from a part's cache or one
     :meth:`HSBasis.to_coef` of both. Returns the certificate (``iterations``
     0, ``residual`` the relative reconstruction error) or None."""
     m, lay = w.matrix, w.layout
     if not 0.0 <= q <= 1.0 or w_ab.layout != lay or w_ba.layout != lay:
         return None
     parts, d_o = (w_ab, w_ba), w.expected_trace
-    if not _cholesky_exists(np.array([p._own for p in parts]) + PSD_ATOL * np.eye(lay.dim)):
+    own = np.array([p._own for p in parts])
+    taus = rounding_bound(lay.dim, np.linalg.norm(own, axis=(-2, -1)))
+    if not _cholesky_exists(own + taus[:, None, None] * np.eye(lay.dim)):
         return None
-    for part, coef, order in zip(parts, _stacked_coefs(parts), ("AB", "BA")):
-        if abs(float(np.real(np.trace(part.matrix)) - d_o)) > TRACE_ATOL:
+    for part, coef, order, tau in zip(parts, _stacked_coefs(parts), ("AB", "BA"), taus):
+        if abs(float(np.real(np.trace(part.matrix)) - d_o)) > tau:
             return None
         # the basis is orthogonal: a distance to a subspace is the norm of the masked-out coefficients
-        outside = np.linalg.norm((1.0 - _order_mask(lay, order)) * coef)
-        if outside > 1e-9 * max(1.0, np.linalg.norm(part.matrix)):
+        if np.linalg.norm((1.0 - _order_mask(lay, order)) * coef) > tau:
             return None
     # frobenius without its input checks: process matrices are complex128 and finite
     recon = float(np.linalg.norm(q * w_ab.matrix + (1 - q) * w_ba.matrix - m))
@@ -764,15 +766,17 @@ def _certified_split(w: ProcessMatrix, mats: np.ndarray, lift: bool = False) -> 
 
     q comes from the trace of X. The parts are divided by their weights,
     made Hermitian and renormalized to trace d_O as one stack, each in the
-    arithmetic of a single matrix. A part of weight below 1e-6 is padded.
+    arithmetic of a single matrix. A part of weight below 1e-6, a summand
+    of W's split, must pass one Cholesky factorization of part + tau I, tau
+    W's :func:`rounding_bound`, and is then padded with the neutral process.
     A kept part's trace is positive: every caller's X + Y is W up to
-    rounding, and W is valid, so tr X + tr Y = d_O >= 1 within TRACE_ATOL.
-    Divided by its weight q or 1 - q of at least 1e-6, a part has trace d_O
-    within TRACE_ATOL / 1e-6 = 0.01; where q is clamped to 0 or 1, the kept
-    part has trace above d_O - TRACE_ATOL.
+    rounding, and W is valid, so tr X + tr Y = d_O >= 1 within tau <
+    MAX_DIM^3 eps_mach < 1e-10. Divided by a weight of at least 1e-6, a part
+    has trace d_O within 1e-4; a part kept alone, above d_O - 1e-10.
 
-    The split is checked as it stands, except at the converged exit
-    (``lift``), the one split the search never tested: one eigvalsh of the
+    The split is checked as it stands, dropped part and all, except at the
+    converged exit (``lift``), the one split the search never tested and
+    whose dropped part is not tested either: one eigvalsh of the
     stack gives each part's least eigenvalue, and where it is negative the
     part is lifted by that much (plus 1e-14 max(1, largest)) times the
     identity and renormalized again. The identity lies in every order
@@ -783,6 +787,8 @@ def _certified_split(w: ProcessMatrix, mats: np.ndarray, lift: bool = False) -> 
     weights = np.array((q, 1.0 - q))
     kept = weights >= 1e-6
     if not kept.all():
+        if not lift and not _cholesky_exists(mats[~kept] + w._rounding * np.eye(lay.dim)):
+            return None
         mats, weights = mats[kept], weights[kept]
     stack = mats / weights[:, None, None]
     stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
@@ -812,13 +818,13 @@ def _certify_witness(
     lambda_min(P_X) > -delta_X for both orders. Both are read from one
     :meth:`HSBasis.to_coef` of (S - P_AB, S - P_BA) and one Cholesky
     factorization of (P_AB + delta_AB I, P_BA + delta_BA I), up to a
-    backward error of order dim^2 eps_mach ||P_X|| that the allowance
-    covers. Returns tr(S W)/||S|| or None."""
+    backward error that the allowance, :func:`rounding_bound` of
+    ||P_AB|| + ||P_BA||, covers. Returns tr(S W)/||S|| or None."""
     lay, parts = w.layout, np.stack((p_ab, p_ba))
     coefs = hs_basis(lay).to_coef(s - parts)
     # the basis is orthogonal: ||R_X|| is the norm of its masked coefficients
     inside = [np.linalg.norm(_order_mask(lay, x) * coef) for coef, x in zip(coefs, ("AB", "BA"))]
-    slack = WITNESS_RTOL * (np.linalg.norm(p_ab) + np.linalg.norm(p_ba))
+    slack = rounding_bound(lay.dim, np.linalg.norm(p_ab) + np.linalg.norm(p_ba))
     value = witness_value(w, s)
     delta = -value / w.expected_trace - slack - np.array(inside)
     if (delta > 0.0).all() and _cholesky_exists(parts + delta[:, None, None] * np.eye(lay.dim)):
@@ -917,8 +923,7 @@ def _face_solve(
         rho^2 = min ||(1 - AB) Phi(x)||^2 + ||(1 - BA) (W - Phi(x))||^2,
 
     zero exactly when W = X + Y with X in AB and Y in BA on the face, PSD or
-    not. Its rounding level is N eps_mach ||W||, with N = dim^2 the number of
-    coefficients in place of the dimension in W's rank cut.
+    not. It counts as zero at or below W's rank cut ``w._rounding``.
 
     When rho is above it no such split exists, and the residuals at the
     optimum x* give a witness of the form of Araujo et al. (NJP 17, 102001,
@@ -935,12 +940,9 @@ def _face_solve(
     tr(S W) = -rho^2 / 2 + (t - eps) tr(Pi_ker W).
 
     When rho is at rounding and the solve has full column rank (nullity 0),
-    the split is unique: X' = H(x*) and Y' = V^dagger W V - X'. When one
-    Cholesky factorization of (X', Y') + ``w._rounding`` I exists, so that
-    neither part has an eigenvalue at or below -``w._rounding``, both are
-    mapped back to (V X' V^dagger, V Y' V^dagger), which
-    :func:`_certified_split` checks as they stand. A split with a part that
-    is not PSD to rounding is never returned.
+    the split is unique: X' = H(x*) and Y' = V^dagger W V - X', mapped back
+    to (V X' V^dagger, V Y' V^dagger), which :func:`_certified_split`
+    checks as they stand.
 
     Returns rho, the witness, which :func:`_certify_witness` still has to
     accept, and the split as a stack in the search's dtype, which
@@ -959,14 +961,11 @@ def _face_solve(
     fx = np.tensordot(x, phi, 1)
     r_ab, r_ba = off_ab * fx, off_ba * (cw - fx)
     rho = float(np.hypot(np.linalg.norm(r_ab), np.linalg.norm(r_ba)))
-    if rho <= lay.dim**2 * np.finfo(np.float64).eps * np.linalg.norm(cw):
+    if rho <= w._rounding:
         if rank < len(herm):
             return rho, None, None
         x_face = np.tensordot(x, herm, 1)
-        parts = np.stack((x_face, v.conj().T @ w._own @ v - x_face))
-        if not _cholesky_exists(parts + w._rounding * np.eye(len(x_face))):
-            return rho, None, None
-        return rho, None, v @ parts @ v.conj().T
+        return rho, None, v @ np.stack((x_face, v.conj().T @ w._own @ v - x_face)) @ v.conj().T
     r_ab, r_ba = -basis.to_mat(np.stack((r_ab, r_ba)))
     d, range_proj = r_ab - r_ba, v @ v.conj().T
     ker_proj = np.eye(lay.dim) - range_proj
@@ -984,9 +983,8 @@ def _face_decision(
 
     A witness that :func:`_certify_witness` accepts gives ``nonseparable``
     with ``residual``, by default the face's distance to the order splits,
-    rho / max(1, ||W||). A unique PSD split that :func:`_certified_split`
-    accepts as it stands gives ``separable`` with the certificate's
-    reconstruction error as ``residual``."""
+    rho / max(1, ||W||); a unique split that :func:`_certified_split`
+    accepts, ``separable`` with its reconstruction error as ``residual``."""
     rho, witness, split = _face_solve(w)
     if witness is not None:
         value = _certify_witness(w, *witness)
@@ -1054,12 +1052,12 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
     is not tested: q X <= W makes every part of its decompositions
     singular.
 
-    When W is rank-deficient (an eigenvalue at or below dim eps_mach
-    lambda_max), :func:`_face_decision` asks once, by one eigh and one small
-    least-squares solve, how W splits into the two orders on its face. If it
-    admits no split and :func:`_certify_witness` accepts the witness that
-    comes with the answer, the search stops ``nonseparable``. If the split
-    is unique, PSD and accepted by :func:`_certified_split`, it stops
+    When W is rank-deficient (an eigenvalue at or below its
+    :func:`rounding_bound`), :func:`_face_decision` asks once, by one eigh
+    and one small least-squares solve, how W splits into the two orders on
+    its face. If it admits no split and :func:`_certify_witness` accepts
+    the witness that comes with the answer, the search stops
+    ``nonseparable``; if :func:`_certified_split` accepts a unique split,
     ``separable`` with the certificate's reconstruction error as
     ``residual``. A W of rank 1 asks before the first step, since only
     multiples of W lie below it, and a witness then reports ``iterations`` 0

@@ -298,7 +298,8 @@ def load_config(path: str) -> ScenarioConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # JSON is UTF-8, and a nesting too deep to parse leaves no config either
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     return ScenarioConfig.from_dict(data)
 

@@ -13,7 +13,6 @@ import oracles
 from icolab import process
 from icolab.linalg import (
     HERMITICITY_ATOL,
-    MAX_DIM,
     Z,
     SpaceLayout,
     frobenius,
@@ -23,12 +22,9 @@ from icolab.linalg import (
     tensor,
 )
 from icolab.process import (
+    EPS_MACH,
     PARTY_LABELS,
-    PSD_ATOL,
     SEARCH_TOL,
-    SUBSPACE_ATOL,
-    TRACE_ATOL,
-    WITNESS_RTOL,
     Instrument,
     ProcessMatrix,
     apply_choi,
@@ -50,6 +46,7 @@ from icolab.process import (
     order_projection,
     ordered_process,
     quantum_switch_process,
+    rounding_bound,
     separability_heuristic,
     standard_layout,
     validate_process,
@@ -264,6 +261,46 @@ def test_validity_residual_with_future_is_the_traced_process_residual(make):
         assert rep.subspace_residual > 1e-3
     else:
         assert rep.is_valid
+
+
+def tau_of(m: np.ndarray) -> float:
+    """The rounding bound of a matrix: its dimension and Frobenius norm."""
+    return float(rounding_bound(len(m), frobenius(m)))
+
+
+def validity_defect(w: ProcessMatrix, gate: str) -> float:
+    """W's defect at one validity gate by the oracles: its least eigenvalue's
+    negative part, its trace error, or its distance to the valid span, of
+    tr_F W by the reset projectors (F's share of the norm removed)."""
+    m, lay = w.matrix, w.layout
+    if gate == "psd":
+        return -float(np.linalg.eigvalsh(m)[0])
+    if gate == "trace":
+        return abs(float(np.real(np.trace(m))) - w.expected_trace)
+    lay4 = standard_layout(lay.dim_of("A_I"))
+    reduced = partial_trace(m, lay, lay4.labels)
+    d_f = lay.dim // lay4.dim
+    return frobenius(oracles.validity_projection(reduced, lay4) - reduced) / np.sqrt(d_f)
+
+
+@pytest.mark.parametrize("gate", ["psd", "trace", "subspace"])
+@pytest.mark.parametrize("dim", [16, 64])
+def test_validity_gates_decide_on_either_side_of_the_rounding_bound(dim, gate):
+    # a valid W with one defect of half or of twice its rounding bound tau:
+    # its least eigenvalue at -factor tau (an identity shift, in every
+    # order subspace), its trace off by factor tau, or a traceless term of
+    # norm factor tau outside the valid span
+    w = psd_boundary_parts(dim, "complex")[0]
+    lay, tau = w.layout, w._rounding
+    for factor, valid in ((0.5, True), (2.0, False)):
+        if gate == "psd":
+            probe = with_least_eigenvalue(w, -factor * tau)
+        elif gate == "trace":
+            probe = ProcessMatrix(w.matrix * (1.0 + factor * tau / w.expected_trace), lay)
+        else:
+            probe = ProcessMatrix(w.matrix + factor * tau * unit_component(lay, 1.0 - _validity_mask(lay), 1), lay)
+        assert validate_process(probe).is_valid is valid, factor
+        assert bool(validity_defect(probe, gate) <= probe._rounding) is valid, factor
 
 
 # ---------------------------------------------------------------------------
@@ -871,20 +908,147 @@ def shift_face_part(monkeypatch, shift: float) -> None:
 
 
 def test_a_face_part_below_rounding_falls_through_to_the_loop(monkeypatch):
-    # the BA part of the unique split is zero, up to rounding: shifted by
-    # half the cut it still certifies with no step, by twice the cut it is
-    # refused and the loop runs
+    # the BA part of the unique split is zero, up to rounding, and so of
+    # weight 0 and dropped: shifted by half W's rounding bound it still
+    # certifies with no step, by twice it is refused and the loop runs
     w = pure_ordered_process("AB", 3)
     for shift, face_decides in ((0.5, True), (2.0, False)):
         monkeypatch.undo()
         shift_face_part(monkeypatch, shift * w._rounding)
         rho, witness, split = process._face_solve(w)
-        assert rho <= w.layout.dim**2 * np.finfo(np.float64).eps * frobenius(w.matrix)
-        assert witness is None and (split is not None) == face_decides
+        assert rho <= w._rounding
+        assert witness is None and split is not None
+        assert bool(np.linalg.eigvalsh(split[1])[0] >= -w._rounding) is face_decides, shift
         clips = recorded_clips(monkeypatch)
         rep = separability_heuristic(w)
         assert rep.verdict == "separable" and len(clips) == rep.iterations
         assert (rep.iterations == 0) == face_decides
+
+
+def test_a_dropped_face_part_on_a_rank_2_face_is_checked_as_it_stands(monkeypatch):
+    # W = p W_1 + (1 - p) W_2 of two pure AB processes has rank 2; the split
+    # (W - Y, Y) with Y = s (W_1 - W_2) keeps both parts in AB, and Y, of
+    # trace 0, is dropped. Y is indefinite: with its least eigenvalue at
+    # half W's rounding bound below 0 the face certifies after the first
+    # step, at twice it is refused and the loop runs on to the oracle's
+    # verdict
+    w_1, w_2 = pure_ordered_process("AB", 3), pure_ordered_process("AB", 4)
+    w = mix(w_1, w_2, 0.4)
+    lay, tau = w.layout, w._rounding
+    assert int(np.count_nonzero(w._eigenvalues > tau)) == 2
+    step = w_1.matrix - w_2.matrix
+    low = float(np.linalg.eigvalsh(step)[0])
+    assert low < 0.0 and np.linalg.eigvalsh(step)[-1] > 0.0
+    rho = process._face_solve(w)[0]
+    for factor, face_decides in ((0.5, True), (2.0, False)):
+        y = factor * tau / -low * step
+        split = np.stack((w.matrix - y, y))
+        assert bool(np.linalg.eigvalsh(y)[0] >= -tau) is face_decides, factor
+        monkeypatch.setattr(process, "_face_solve", lambda w, split=split: (rho, None, split))
+        clips = recorded_clips(monkeypatch)
+        rep = separability_heuristic(w)
+        assert rep.verdict == "separable" and len(clips) == rep.iterations
+        assert (rep.iterations == 1) is face_decides, factor
+        q, w_ab, w_ba = rep.certificate
+        worst, recon = oracles.decomposition_defects(w.matrix, lay, q, w_ab.matrix, w_ba.matrix)
+        assert worst <= 1e-9 and recon <= RECON_GATE
+        monkeypatch.undo()
+
+
+def test_a_kept_face_part_below_rounding_falls_through_to_the_loop(monkeypatch):
+    # the BA part of an undamped mixture's unique face split is singular on
+    # range(W); moving t |k><k| to the AB part, k in its kernel there, puts
+    # its least eigenvalue at -t. At half the certificate's PSD allowance,
+    # the part's rounding bound, the split still certifies after the first
+    # step; at twice it is refused and the loop runs on. The part is taken
+    # as the check sees it: divided by its weight, renormalized to trace d_O
+    w = undamped_ordered_mixtures(1, 8)[0]
+    rho, witness, split = process._face_solve(w)
+    v, d_o = process._range_basis(w), w.expected_trace
+    k = v @ np.linalg.eigh(v.conj().T @ split[1] @ v)[1][:, 0]
+    kk, weight = np.outer(k, k.conj()), np.real(np.trace(split[1])) / d_o
+    for factor, face_decides in ((0.5, True), (2.0, False)):
+        t = factor * tau_of(split[1] / weight) * weight
+        moved = split + t * np.stack((kk, -kk))
+        part = moved[1] * (d_o / np.real(np.trace(moved[1])))
+        assert bool(np.linalg.eigvalsh(part)[0] >= -tau_of(part)) is face_decides, factor
+        monkeypatch.setattr(process, "_face_solve", lambda w, moved=moved: (rho, witness, moved))
+        clips = recorded_clips(monkeypatch)
+        rep = separability_heuristic(w)
+        assert rep.verdict == "separable" and len(clips) == rep.iterations
+        assert (rep.iterations == 1) is face_decides, factor
+        monkeypatch.undo()
+
+
+def test_face_split_cut_decides_on_either_side_of_the_rounding_bound(monkeypatch):
+    # the face solve's one unknown for a pure ordered process, moved down
+    # off the optimum so that rho is half or twice W's rounding bound: the
+    # first counts as the unique split, which certifies with no step (its
+    # BA part, moved up and so PSD, has weight 0); the second as no split,
+    # whose witness is refused, so the loop runs
+    w = pure_ordered_process("AB", 3)
+    shift_face_part(monkeypatch, -1e-9)
+    slope = process._face_solve(w)[0] / 1e-9
+    for factor, split_found in ((0.5, True), (2.0, False)):
+        monkeypatch.undo()
+        shift_face_part(monkeypatch, -factor * w._rounding / slope)
+        rho, witness, split = process._face_solve(w)
+        assert rho / w._rounding == pytest.approx(factor, rel=1e-2)
+        assert (split is not None) is split_found and (witness is None) is split_found
+        rep = separability_heuristic(w)
+        assert rep.verdict == "separable" and (rep.iterations == 0) is split_found, factor
+
+
+def test_rank_cut_decides_on_either_side_of_the_rounding_bound(monkeypatch):
+    # the pure switch mixed with the neutral process at the weight that puts
+    # its 63 least eigenvalues at half or twice its rounding bound: the
+    # first has rank 1 and is decided on its face with no step, the second
+    # has full rank and builds no range basis
+    built = []
+
+    def recorded(w):
+        built.append(w)
+        return range_basis(w)
+
+    range_basis = process._range_basis
+    monkeypatch.setattr(process, "_range_basis", recorded)
+    switch = quantum_switch_process()
+    lay = switch.layout
+    assert oracles.face_split_residual(switch.matrix, lay) >= 0.1
+    for factor, deficient in ((0.5, True), (2.0, False)):
+        built.clear()
+        w = mix(neutral_process(lay), switch, factor * tau_of(switch.matrix) * lay.dim / switch.expected_trace)
+        assert bool(w._eigenvalues[0] <= w._rounding) is deficient, factor
+        assert bool(np.linalg.eigvalsh(w.matrix)[0] <= tau_of(w.matrix)) is deficient, factor
+        rep = separability_heuristic(w)
+        assert rep.verdict == "nonseparable" and (rep.iterations == 0) is deficient, factor
+        assert (built == [w]) is deficient, factor
+        assert oracles.witness_margin(w.matrix, lay, *rep.witness) < 0.0, factor
+
+
+@pytest.mark.parametrize("name", ["switch", "switch-mixed-with-its-v1-z-copy"])
+def test_a_refused_face_witness_leaves_the_search_to_the_loop(monkeypatch, name):
+    # with the face's witness refused, the face decides nothing and the
+    # loop still finds the verdict the oracle gives: no split on the face,
+    # so nonseparable, by a witness the oracle accepts
+    w = quantum_switch_process()
+    if name != "switch":
+        w = mix(w, quantum_switch_process(v1=Z), 0.5)
+    refused = []
+
+    def check(w, *witness):
+        if sys._getframe(1).f_code.co_name == "_face_decision":
+            refused.append(witness)
+            return None
+        return certify(w, *witness)
+
+    certify = process._certify_witness
+    monkeypatch.setattr(process, "_certify_witness", check)
+    rep = separability_heuristic(w)
+    assert len(refused) == 1 and certify(w, *refused[0]) is not None
+    assert oracles.face_split_residual(w.matrix, w.layout) >= 0.1
+    assert rep.verdict == "nonseparable" and rep.iterations >= 1
+    assert oracles.witness_margin(w.matrix, w.layout, *rep.witness) < 0.0
 
 
 def test_reports_are_unchanged_where_the_face_check_decides_nothing(monkeypatch):
@@ -1017,8 +1181,8 @@ def test_every_certified_split_sums_to_w(monkeypatch):
     seen = []
 
     def recorded(w, mats, lift=False):
-        error = frobenius(mats[0] + mats[1] - w.matrix) / max(1.0, frobenius(w.matrix))
-        seen.append((sys._getframe(1).f_code.co_name, lift, error / (w.layout.dim**2 * np.finfo(np.float64).eps)))
+        error = frobenius(mats[0] + mats[1] - w.matrix)
+        seen.append((sys._getframe(1).f_code.co_name, lift, error / tau_of(w.matrix)))
         return certified(w, mats, lift)
 
     certified = process._certified_split
@@ -1032,7 +1196,7 @@ def test_every_certified_split_sums_to_w(monkeypatch):
         ("_face_decision", False),
         ("separability_heuristic", True),
     }
-    # within the split cut dim^2 eps_mach ||W|| of the face solve
+    # within W's rounding bound, the face solve's split cut
     assert max(ratio for *_, ratio in seen) <= 1.0
 
 
@@ -1204,6 +1368,36 @@ def test_line_interval_and_certificates_agree_with_the_reset_oracle():
         worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
         assert worst <= 1e-9 and recon <= 1e-13, name
     assert 8 <= certified < len(line_pool())
+
+
+def test_a_shared_part_with_no_cholesky_factor_leaves_the_line_to_the_loop(monkeypatch):
+    # the shared part S of a full-rank W is positive definite, so only a
+    # failed factorization of S reaches the line's exit with no interval;
+    # the loop then reaches the verdict the oracles give: separable where
+    # the line holds a PSD split, nonseparable by a witness they accept
+    def refused(a, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_line_split":
+            raise np.linalg.LinAlgError("no factor")
+        return cholesky(a, *args, **kwargs)
+
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", refused)
+    verdicts = []
+    for w in (ocb_process(0.5), phase_rotated(ocb_process(0.5), 5), ocb_process(0.2)):
+        lay = w.layout
+        assert process._line_split(w, _order_mask(lay, "AB"), _order_mask(lay, "BA")) == (None, None)
+        rep = separability_heuristic(w)
+        t_lo, t_hi, _ = oracles.line_split_interval(w.matrix, lay)
+        verdicts.append(rep.verdict)
+        if t_lo < t_hi:
+            assert rep.verdict == "separable" and rep.iterations >= 1
+            q, w_ab, w_ba = rep.certificate
+            worst, recon = oracles.decomposition_defects(w.matrix, lay, q, w_ab.matrix, w_ba.matrix)
+            assert worst <= 1e-9 and recon <= RECON_GATE
+        else:
+            assert rep.verdict == "nonseparable"
+            assert oracles.witness_margin(w.matrix, lay, *rep.witness) < 0.0
+    assert verdicts == ["separable", "separable", "nonseparable"]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -1481,14 +1675,10 @@ def decomposition_defect(part: ProcessMatrix, order: str, defect: str) -> Proces
     order subspace, whose gate catches it: the valid span holds both."""
     lay, m, d_o = part.layout, part.matrix, part.expected_trace
     if defect == "psd":
-        # an identity shift and a rescale to trace d_O, which keep the part in
-        # every order subspace, with least eigenvalue -2 PSD_ATOL
-        delta = 2.0 * PSD_ATOL
-        m = m - d_o * (np.linalg.eigvalsh(m)[0] + delta) / (d_o + delta * lay.dim) * np.eye(lay.dim)
-        m = m * (d_o / np.real(np.trace(m)))
-        assert np.linalg.eigvalsh(m)[0] == pytest.approx(-delta, rel=1e-3)
+        # least eigenvalue at twice the part's rounding bound below 0
+        return with_least_eigenvalue(part, -2.0 * tau_of(m))
     elif defect == "trace":
-        m = m * (1.0 + 2.0 * TRACE_ATOL / d_o)
+        m = m * (1.0 + 2.0 * tau_of(m) / d_o)
     elif defect == "invalid":
         m = m + 1e-6 * unit_component(lay, 1.0 - _validity_mask(lay), 1)
     elif defect == "other-order":
@@ -1503,11 +1693,12 @@ def decomposition_defect(part: ProcessMatrix, order: str, defect: str) -> Proces
 
 
 def decomposition_fails_the_oracle(w: ProcessMatrix, q: float, *parts: ProcessMatrix) -> bool:
-    """Whether the mask-free oracle finds a defect above PSD_ATOL in a part
-    or a reconstruction error above certify_decomposition's gate."""
+    """Whether the mask-free oracle finds a defect in a part above the
+    parts' rounding bound or a reconstruction error above
+    certify_decomposition's gate."""
     w_ab, w_ba = parts
     worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
-    return worst > PSD_ATOL or recon > RECON_GATE
+    return worst > max(tau_of(p.matrix) for p in parts) or recon > RECON_GATE
 
 
 def test_unmutated_decomposition_passes_checker_and_oracle():
@@ -1560,12 +1751,13 @@ def psd_boundary_parts(dim: int, kind: str) -> list[ProcessMatrix]:
 
 def with_least_eigenvalue(part: ProcessMatrix, low: float) -> ProcessMatrix:
     """The part shifted by a multiple of the identity and rescaled to trace
-    d_O so that its least eigenvalue is ``low``; both keep it in every
-    order subspace."""
+    d_O so that its least eigenvalue is ``low``, up to eigvalsh's rounding
+    dim eps_mach ||part||, a dim-th of the part's rounding bound; both keep
+    it in every order subspace."""
     m, n, d_o = part.matrix, part.layout.dim, part.expected_trace
     m = m - d_o * (np.linalg.eigvalsh(m)[0] - low) / (d_o - low * n) * np.eye(n)
     m = m * (d_o / np.real(np.trace(m)))
-    assert np.linalg.eigvalsh(m)[0] == pytest.approx(low, rel=1e-3)
+    assert abs(np.linalg.eigvalsh(m)[0] - low) <= 1e-3 * abs(low) + n * EPS_MACH * frobenius(m)
     return ProcessMatrix(m, part.layout)
 
 
@@ -1573,13 +1765,14 @@ def with_least_eigenvalue(part: ProcessMatrix, low: float) -> ProcessMatrix:
 @pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("dim", [16, 64])
 def test_psd_gate_decides_on_either_side_of_psd_atol(dim, kind, slot):
-    # both parts are gated by one Cholesky factorization of part +
-    # PSD_ATOL I, and a part's cached eigenvalues are never read
+    # the allowance is the part's rounding bound tau: both parts are gated
+    # by one Cholesky factorization of part + tau I, and a part's cached
+    # eigenvalues are never read
     q = 0.3
     for factor, certifies in ((0.5, True), (2.0, False)):
         for warm in (False, True):
             parts = psd_boundary_parts(dim, kind)
-            parts[slot] = with_least_eigenvalue(parts[slot], -factor * PSD_ATOL)
+            parts[slot] = with_least_eigenvalue(parts[slot], -factor * tau_of(parts[slot].matrix))
             w = ProcessMatrix(q * parts[0].matrix + (1.0 - q) * parts[1].matrix, parts[0].layout)
             if warm:
                 for part in parts:
@@ -1587,7 +1780,7 @@ def test_psd_gate_decides_on_either_side_of_psd_atol(dim, kind, slot):
             rep = certify_decomposition(w, q, *parts)
             assert (rep is not None) is certifies, (factor, warm)
             worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, parts[0].matrix, parts[1].matrix)
-            assert bool(worst <= PSD_ATOL and recon <= RECON_GATE) is certifies, (factor, warm)
+            assert bool(worst <= tau_of(parts[slot].matrix) and recon <= RECON_GATE) is certifies, (factor, warm)
 
 
 @pytest.mark.parametrize("q", [-0.1, 1.1])
@@ -1598,14 +1791,51 @@ def test_decomposition_weight_outside_the_unit_interval_fails(q):
     assert decomposition_fails_the_oracle(w, q, *parts)
 
 
+@pytest.mark.parametrize("slot", [0, 1], ids=["AB-slot", "BA-slot"])
+@pytest.mark.parametrize("gate", ["trace", "order"])
+def test_decomposition_gates_decide_on_either_side_of_the_rounding_bound(gate, slot):
+    # one part's trace off by, or a traceless term outside its order
+    # subspace of norm, half or twice the part's rounding bound tau: the
+    # first certifies and the second does not, as the oracle's defect says
+    q = 0.3
+    for factor, certifies in ((0.5, True), (2.0, False)):
+        parts = damped_ordered_parts()
+        part, order = parts[slot], ("AB", "BA")[slot]
+        lay, m, d_o = part.layout, part.matrix, part.expected_trace
+        if gate == "trace":
+            m = m * (1.0 + factor * tau_of(m) / d_o)
+            defect = abs(float(np.real(np.trace(m))) - d_o)
+        else:
+            m = m + factor * tau_of(m) * unit_component(lay, 1.0 - _order_mask(lay, order), 2)
+            defect = frobenius(oracles.order_projection(m, lay, order) - m)
+        parts[slot] = ProcessMatrix(m, lay)
+        w = ProcessMatrix(q * parts[0].matrix + (1.0 - q) * parts[1].matrix, lay)
+        assert (certify_decomposition(w, q, *parts) is not None) is certifies, factor
+        assert bool(defect <= tau_of(m)) is certifies, factor
+
+
 # certify_decomposition tests a part against its order subspace alone, at
-# 1e-9 max(1, ||part||): that implies the valid span at SUBSPACE_ATOL, since
-# the valid span holds both order subspaces and a PSD part of trace d_O in
-# its order subspace has ||part||^2 <= dim / d(first input) <= MAX_DIM.
+# the part's rounding bound tau: that implies the valid span at the same
+# tau, since the masks nest, (1 - a)(1 - b) <= 1 - a, so a part's distance
+# to the valid span is at most its distance to its order subspace.
 
 
 def test_order_gate_at_the_largest_norm_implies_the_valid_span():
-    assert 1e-9 * np.sqrt(MAX_DIM) < SUBSPACE_ATOL
+    widest = identity_channel_on_the_widest_first_output()
+    lay = widest.layout
+    for layout in (standard_layout(2), standard_layout(2, 4), lay):
+        outside = 1.0 - _validity_mask(layout)
+        for order in ("AB", "BA"):
+            assert (outside <= 1.0 - _order_mask(layout, order)).all()
+    # the ordered process of largest norm, damped so that only the subspace
+    # gates can refuse it, with a term outside the valid span of half or
+    # twice its tau: both gates pass the first and refuse the second
+    part = mix(widest, neutral_process(lay), 0.9)
+    for factor, passes in ((0.5, True), (2.0, False)):
+        m = part.matrix + factor * tau_of(part.matrix) * unit_component(lay, 1.0 - _validity_mask(lay), 1)
+        probe = ProcessMatrix(m, lay)
+        assert (certify_decomposition(probe, 1.0, probe, neutral_process(lay)) is not None) is passes, factor
+        assert validate_process(probe).is_valid is passes, factor
 
 
 def identity_channel_on_the_widest_first_output() -> ProcessMatrix:
@@ -1712,7 +1942,7 @@ def witness_allowances(w: ProcessMatrix, s: np.ndarray, p_ab: np.ndarray, p_ba: 
     """delta_X = -tr(S W)/d_O - allowance - ||R_X|| of each order X, with
     R_X the part of S - P_X in order X's subspace by the reset oracle: the
     witness certifies when both are positive and lambda_min(P_X) > -delta_X."""
-    slack = WITNESS_RTOL * (frobenius(p_ab) + frobenius(p_ba))
+    slack = rounding_bound(w.layout.dim, frobenius(p_ab) + frobenius(p_ba))
     inside = [frobenius(oracles.order_projection(s - p, w.layout, x)) for p, x in ((p_ab, "AB"), (p_ba, "BA"))]
     return -np.real(np.trace(s @ w.matrix)) / w.expected_trace - slack - np.array(inside)
 
@@ -1769,7 +1999,7 @@ def test_witness_gate_keeps_its_rounding_allowance(name):
     eye, scale = np.eye(w.layout.dim), w.expected_trace / np.real(np.trace(w.matrix))
 
     def slack(c: float) -> float:
-        return WITNESS_RTOL * (frobenius(p_ab + c * eye) + frobenius(p_ba + c * eye))
+        return rounding_bound(w.layout.dim, frobenius(p_ab + c * eye) + frobenius(p_ba + c * eye))
 
     gap = witness_allowances(w, s, p_ab, p_ba).min() + slack(0.0)
     for factor, certifies in ((0.5, False), (2.0, True)):

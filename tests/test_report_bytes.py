@@ -107,13 +107,20 @@ def test_searches_write_one_report_per_search_input(tmp_path):
     assert labels[-10] == "== search undamped-mixture 0 exit 0"
     assert labels[-1] == "== search pure-future BA exit 0"
     assert {rep["verdict"] for rep in reports} <= {"separable", "nonseparable", "inconclusive"}
-    # a moved field is named with its search
+    # every input is searched, and its validity report rides along
+    assert all(rep["validity"]["verdict"] == "valid" for rep in reports)
+    # a moved field, of the search or of the validity report, is named with its search
     moved = json.loads(lines[3])
-    change = moved["residual"]
+    change, margin = moved["residual"], moved["validity"]["psd_margin"]
     moved["residual"] *= 2.0
+    moved["validity"]["psd_margin"] *= 2.0
     lines[3] = json.dumps(moved, sort_keys=True)
     other = tmp_path / "parent.searches"
     other.write_text("\n".join(lines) + "\n")
     found = diff(other, out)
-    want = f"search process-family seed 1 1 random-valid: residual\n1 residual (max |Δ| {change:.2g})\n"
+    label = "search process-family seed 1 1 random-valid"
+    want = (
+        f"{label}: residual\n{label}: validity.psd_margin\n"
+        f"1 residual (max |Δ| {change:.2g}), 1 validity.psd_margin (max |Δ| {margin:.2g})\n"
+    )
     assert (found.returncode, found.stdout) == (1, want)

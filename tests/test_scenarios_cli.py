@@ -6,15 +6,20 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, reject, settings
+from hypothesis import strategies as st
 
 import oracles
 from icolab import bell, cli, process, scenarios, switch
+from icolab.linalg import NAMED_UNITARIES
 from icolab.process import certify_decomposition, quantum_switch_process
 from icolab.scenarios import (
     BUILTIN_SCENARIOS,
+    NAMED_STATES,
     ConfigError,
     ScenarioConfig,
     _audit_section,
@@ -417,6 +422,87 @@ def test_dephased_switch_is_not_reported_separable():
     assert rep["process"]["separability"]["verdict"] != "separable"
 
 
+# Seeded custom configs whose W is real, so that its face splits form a
+# point or a line, which oracles.face_split_margin handles: Y as a free
+# evolution makes W complex and its faces planes. Every scenario W has rank
+# <= 2, so its face decides the ground truth: with no split there W is
+# nonseparable, and otherwise the sign of the best split's least eigenvalue
+# decides (ROADMAP item 23)
+REAL_CUSTOM_CONFIGS = st.fixed_dictionaries(
+    {
+        "scenario": st.just("custom"),
+        **{key: st.sampled_from(sorted(set(NAMED_UNITARIES) - {"Y"})) for key in ("u_a", "u_b", "v0", "v1")},
+        "psi_t0": st.sampled_from(sorted(NAMED_STATES)),
+        "control_amplitudes": st.floats(0.05, 0.95).map(lambda p: [np.sqrt(p), np.sqrt(1.0 - p)]),
+        "visibility": st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-6.0, 0.0).map(lambda e: 10.0**e)),
+        "conditioning": st.sampled_from([None, {"basis": "plus_minus", "outcome": "+"}]),
+    }
+)
+
+
+def verdict_and_face(config: dict) -> tuple[str, bool, float | None, float]:
+    """The run report's separability verdict, whether its certificate is the
+    converged split, lifted (ROADMAP item 13), the best least eigenvalue of
+    an order split on W's face (None when the face holds no split above
+    W's rounding bound tau) and tau."""
+    cfg = ScenarioConfig.from_dict(config)
+    accepted, certified = [], process._certified_split
+
+    def recorded(w, mats, lift=False):
+        cert = certified(w, mats, lift)
+        if cert is not None:
+            accepted.append(lift)
+        return cert
+
+    try:
+        with mock.patch.object(process, "_certified_split", recorded):
+            verdict = run_scenario(cfg).report["process"]["separability"]["verdict"]
+    except ValueError as exc:
+        # a conditioning outcome of probability zero leaves no report
+        assert "conditioning outcome" in str(exc)
+        reject()
+    w = _scenario_process(cfg.spec)[0]
+    lifted = accepted == [True]
+    if oracles.face_split_residual(w.matrix, w.layout) > w._rounding:
+        return verdict, lifted, None, w._rounding
+    return verdict, lifted, oracles.face_split_margin(w.matrix, w.layout), w._rounding
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(REAL_CUSTOM_CONFIGS)
+def test_no_nonseparable_verdict_has_a_psd_face_split(config):
+    verdict, _, margin, _ = verdict_and_face(config)
+    if verdict == "nonseparable":
+        assert margin is None or margin < 0.0, config
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(REAL_CUSTOM_CONFIGS)
+def test_no_separable_verdict_but_a_lifted_one_has_a_face_margin_below_rounding(config):
+    # a split the search certifies as it stands (the line, the early stop,
+    # the face) is PSD to rounding, and so is W's best face split
+    verdict, lifted, margin, tau = verdict_and_face(config)
+    if verdict == "separable" and not lifted:
+        assert margin is not None and margin >= -tau, config
+
+
+# The drawn configs alone, with no explicit example: a failing example would
+# end the run before any draw. The dephased switch is pinned by
+# test_dephased_switch_is_not_reported_separable; here draws at visibility
+# about 1e-5 to 1e-3 fail today, each by a lifted converged split
+@pytest.mark.xfail(
+    strict=True,
+    reason="the converged search lifts a split that is not PSD and accepts it at"
+    " its 1.7e-5 reconstruction gate (ROADMAP item 13)",
+)
+@settings(max_examples=20, deadline=None, derandomize=True, phases=(Phase.generate,))
+@given(REAL_CUSTOM_CONFIGS)
+def test_no_separable_verdict_has_a_face_margin_below_rounding(config):
+    verdict, _, margin, tau = verdict_and_face(config)
+    if verdict == "separable":
+        assert margin is not None and margin >= -tau, config
+
+
 def test_full_visibility_process_is_the_pure_switch():
     cfg = make_config()
     spec = cfg.spec
@@ -703,7 +789,9 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert missing.stderr.decode().startswith("error:") and "Traceback" not in missing.stderr.decode()
     coherent = {"scenario": "double-switch-coherent"}
     for key, config in (
-        ("not valid JSON", None),
+        ("not valid JSON", b"{not json"),
+        ("codec can't decode byte 0xff", b'{"scenario": "double-switch-coherent", "description": "\xff"}'),
+        ("recursion depth", b"[" * 200_000),
         ("mystery", {"scenario": "mystery"}),
         ("conditioning.basis", {**coherent, "conditioning": {"basis": [None, 0], "outcome": "+"}}),
         ("control_amplitudes[0]", {**coherent, "control_amplitudes": [[None, 0], 0.7]}),
@@ -712,9 +800,9 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         ("conditioning.outcom", {**coherent, "conditioning": {"outcome": "+", "outcom": "-"}}),
     ):
         path = tmp_path / "config.json"
-        text = "{not json" if config is None else json.dumps(config)
-        path.write_text(text)
-        assert cli.main(["run", "--config", str(path)]) == 2, text
+        text = config if isinstance(config, bytes) else json.dumps(config).encode()
+        path.write_bytes(text)
+        assert cli.main(["run", "--config", str(path)]) == 2, text[:80]
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and "Traceback" not in err, err
         assert key in err, (key, err)

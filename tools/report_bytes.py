@@ -17,7 +17,10 @@ stderr, so two checkouts with the same outputs write the same file::
     cmp parent.bytes change.bytes
 
 ``--searches`` writes, in the same layout, the separability report
-(``SeparabilityReport.to_json_dict``) of every search input:
+(``SeparabilityReport.to_json_dict``) of every search input, with that
+input's validity report (``ValidityReport.to_json_dict``) under the key
+``validity``, so that a change to the validity gates shows up as a moved
+field (an input that fails them gets no search):
 ``ProcessFamily.make_inputs`` from ``perfbench/workloads.py`` for seeds 1,
 2 and 3 (1,260 processes, imported and left as they are, labelled with
 their seed), ``quantum_switch_process()``, its even mixture with its
@@ -181,9 +184,10 @@ def searches() -> None:
     from icolab.linalg import Z
 
     def emit(label: str, w) -> None:
-        rep = process.separability_heuristic(w)
+        validity = process.validate_process(w)
+        rep = process.separability_heuristic(w).to_json_dict() if validity.is_valid else {}
         print(f"== search {label} exit 0")
-        print(json.dumps(rep.to_json_dict(), sort_keys=True))
+        print(json.dumps({**rep, "validity": validity.to_json_dict()}, sort_keys=True))
 
     for seed in FAMILY_SEEDS:
         for k, inp in enumerate(workloads.ProcessFamily.make_inputs(seed)):
