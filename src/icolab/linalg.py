@@ -114,6 +114,14 @@ def _is_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
     return a.shape[0] == a.shape[1] and bool(np.max(np.abs(a - a.conj().T)) <= atol)
 
 
+def is_normalized_pair(a: complex, b: complex) -> bool:
+    """Whether |a|^2 + |b|^2 = 1 within 1e-9: False for NaN and on overflow."""
+    try:
+        return abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-9
+    except OverflowError:
+        return False
+
+
 def is_unitary(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:

@@ -39,6 +39,7 @@ from .linalg import (
     eig_hermitian,
     frobenius,
     is_hermitian,
+    is_normalized_pair,
     is_psd,
     is_unitary,
     ket,
@@ -513,8 +514,8 @@ def quantum_switch_process(
     """
     d = target_dim
     alpha, beta = complex(control_amplitudes[0]), complex(control_amplitudes[1])
-    if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-9:
-        raise ValueError("control amplitudes must be normalized")
+    if not is_normalized_pair(alpha, beta):
+        raise ValueError("control_amplitudes must be normalized")
     v0 = np.eye(d) if v0 is None else as_matrix(v0)
     v1 = np.eye(d) if v1 is None else as_matrix(v1)
     if not (is_unitary(v0) and is_unitary(v1)):
@@ -658,7 +659,7 @@ class SeparabilityReport:
     the distance between the two sets. With a decomposition it is at least
     the relative reconstruction error of the claimed mixture, and it is
     that error alone when the search stopped at a positive definite affine
-    point, which lies in both sets, or at the unique split on W's face. A
+    point, which lies in both sets, or at the split on W's face. A
     decomposition certified without a search step has ``iterations`` 0 and
     that error alone as ``residual``: one certified from a construction, by
     the search on the line through its start, or on the face of a rank-1 W.
@@ -728,12 +729,13 @@ def certify_decomposition(
     """Re-validate a claimed decomposition W = q W_AB + (1-q) W_BA from
     scratch, whatever proposed it: each part must be PSD, have trace d_O and
     lie in its order subspace, each within the part's :func:`rounding_bound`
-    tau, and the mixture must reproduce W. The masks nest, (1 - a)(1 - b)
-    <= 1 - a, so the order gate implies validity at the same tau. Both parts
-    are gated by one Cholesky factorization of part + tau I, with no
-    eigenvalue read; coefficients come from a part's cache or one
-    :meth:`HSBasis.to_coef` of both. Returns the certificate (``iterations``
-    0, ``residual`` the relative reconstruction error) or None."""
+    tau, and the mixture must reproduce W within W's own tau, tau(dim, 1)
+    relative to max(1, ||W||). The masks nest, (1 - a)(1 - b) <= 1 - a, so
+    the order gate implies validity at the same tau. Both parts are gated by
+    one Cholesky factorization of part + tau I, with no eigenvalue read;
+    coefficients come from a part's cache or one :meth:`HSBasis.to_coef` of
+    both. Returns the certificate (``iterations`` 0, ``residual`` the
+    relative reconstruction error) or None."""
     m, lay = w.matrix, w.layout
     if not 0.0 <= q <= 1.0 or w_ab.layout != lay or w_ba.layout != lay:
         return None
@@ -751,15 +753,12 @@ def certify_decomposition(
     # frobenius without its input checks: process matrices are complex128 and finite
     recon = float(np.linalg.norm(q * w_ab.matrix + (1 - q) * w_ba.matrix - m))
     recon /= max(1.0, float(np.linalg.norm(m)))
-    # The search's in-subspace eigenvalue lift can inflate the reconstruction
-    # error by a factor of order sqrt(dim) over its terminal infeasibility,
-    # so the gate carries that factor.
-    if recon > 10 * SEARCH_TOL * (1.0 + 2.0 * np.sqrt(lay.dim)):
+    if recon > rounding_bound(lay.dim, 1.0):
         return None
     return SeparabilityReport((q, w_ab, w_ba), float(recon), 0)
 
 
-def _certified_split(w: ProcessMatrix, mats: np.ndarray, lift: bool = False) -> SeparabilityReport | None:
+def _certified_split(w: ProcessMatrix, mats: np.ndarray) -> SeparabilityReport | None:
     """The certificate of the candidate decomposition built from an order
     split of W, the stack (X, Y) of its matrices in the search's dtype, or
     None.
@@ -772,33 +771,21 @@ def _certified_split(w: ProcessMatrix, mats: np.ndarray, lift: bool = False) -> 
     A kept part's trace is positive: every caller's X + Y is W up to
     rounding, and W is valid, so tr X + tr Y = d_O >= 1 within tau <
     MAX_DIM^3 eps_mach < 1e-10. Divided by a weight of at least 1e-6, a part
-    has trace d_O within 1e-4; a part kept alone, above d_O - 1e-10.
-
-    The split is checked as it stands, dropped part and all, except at the
-    converged exit (``lift``), the one split the search never tested and
-    whose dropped part is not tested either: one eigvalsh of the
-    stack gives each part's least eigenvalue, and where it is negative the
-    part is lifted by that much (plus 1e-14 max(1, largest)) times the
-    identity and renormalized again. The identity lies in every order
-    subspace, so the lift keeps exact comb membership where an eigenvalue
-    clip would not. :func:`certify_decomposition` decides."""
+    has trace d_O within 1e-4; a part kept alone, above d_O - 1e-10. Every
+    split is checked as it stands, dropped part and all, wherever the search
+    found it: no part is lifted, and :func:`certify_decomposition` decides."""
     lay, d_o = w.layout, w.expected_trace
     q = min(max(float(np.real(np.trace(mats[0]))) / d_o, 0.0), 1.0)
     weights = np.array((q, 1.0 - q))
     kept = weights >= 1e-6
     if not kept.all():
-        if not lift and not _cholesky_exists(mats[~kept] + w._rounding * np.eye(lay.dim)):
+        if not _cholesky_exists(mats[~kept] + w._rounding * np.eye(lay.dim)):
             return None
         mats, weights = mats[kept], weights[kept]
     stack = mats / weights[:, None, None]
     stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
     stack *= (d_o / np.real(np.trace(stack, axis1=-2, axis2=-1)))[:, None, None]
     parts = [ProcessMatrix(mat, lay) for mat in stack]
-    for k, vals in enumerate(np.linalg.eigvalsh(stack) if lift else []):
-        low, high = float(vals[0]), float(vals[-1])
-        if low < 0.0:
-            mat = stack[k] + (-low + 1e-14 * max(1.0, high)) * np.eye(lay.dim)
-            parts[k] = ProcessMatrix(mat * (d_o / float(np.real(np.trace(mat)))), lay)
     return certify_decomposition(w, q, *(parts.pop(0) if keep else neutral_process(lay) for keep in kept))
 
 
@@ -911,7 +898,7 @@ def _face_solve(
     w: ProcessMatrix,
 ) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray] | None, np.ndarray | None]:
     """The best order split of W on its face: a witness when the face admits
-    none, the split itself when it is unique and PSD.
+    none, the least-norm split otherwise.
 
     Every part X of a decomposition satisfies X <= W, so it lies on the face
     of W, the matrices supported on range(W) (facial reduction: Permenter
@@ -939,15 +926,14 @@ def _face_solve(
     has S - P_AB outside AB, S - P_BA outside BA and
     tr(S W) = -rho^2 / 2 + (t - eps) tr(Pi_ker W).
 
-    When rho is at rounding and the solve has full column rank (nullity 0),
-    the split is unique: X' = H(x*) and Y' = V^dagger W V - X', mapped back
-    to (V X' V^dagger, V Y' V^dagger), which :func:`_certified_split`
-    checks as they stand.
+    When rho is at rounding, the least-norm solution x* gives X' = H(x*) and
+    Y' = V^dagger W V - X', mapped back to (V X' V^dagger, V Y' V^dagger),
+    which :func:`_certified_split` checks as they stand: the unique split
+    at nullity 0, one point of the line or plane of splits otherwise.
 
-    Returns rho, the witness, which :func:`_certify_witness` still has to
-    accept, and the split as a stack in the search's dtype, which
-    :func:`_certified_split` still has to accept; None in place of each
-    that the face does not give."""
+    Returns rho, the witness or None and the split, a stack in the search's
+    dtype, or None: one of the two, which :func:`_certify_witness` or
+    :func:`_certified_split` still has to accept."""
     lay, cw, v = w.layout, w._coef, _range_basis(w)
     basis = hs_basis(lay)
     # only the coefficients an order leaves out enter the problem: on qubit
@@ -957,13 +943,11 @@ def _face_solve(
     phi = basis.to_coef(v @ herm @ v.conj().T)
     lhs = np.concatenate((phi[..., off_ab], phi[..., off_ba]), axis=-1).reshape(len(herm), -1)
     rhs = np.concatenate((np.zeros_like(cw[..., off_ab]), cw[..., off_ba]), axis=-1).ravel()
-    x, _, rank, _ = np.linalg.lstsq(lhs.T, rhs)
+    x = np.linalg.lstsq(lhs.T, rhs)[0]
     fx = np.tensordot(x, phi, 1)
     r_ab, r_ba = off_ab * fx, off_ba * (cw - fx)
     rho = float(np.hypot(np.linalg.norm(r_ab), np.linalg.norm(r_ba)))
     if rho <= w._rounding:
-        if rank < len(herm):
-            return rho, None, None
         x_face = np.tensordot(x, herm, 1)
         return rho, None, v @ np.stack((x_face, v.conj().T @ w._own @ v - x_face)) @ v.conj().T
     r_ab, r_ba = -basis.to_mat(np.stack((r_ab, r_ba)))
@@ -983,8 +967,8 @@ def _face_decision(
 
     A witness that :func:`_certify_witness` accepts gives ``nonseparable``
     with ``residual``, by default the face's distance to the order splits,
-    rho / max(1, ||W||); a unique split that :func:`_certified_split`
-    accepts, ``separable`` with its reconstruction error as ``residual``."""
+    rho / max(1, ||W||); a split that :func:`_certified_split` accepts,
+    ``separable`` with its reconstruction error as ``residual``."""
     rho, witness, split = _face_solve(w)
     if witness is not None:
         value = _certify_witness(w, *witness)
@@ -993,7 +977,7 @@ def _face_decision(
         if residual is None:
             residual = rho / max(1.0, frobenius(w.matrix))
         return SeparabilityReport(None, residual, iterations, witness, value)
-    cert = None if split is None else _certified_split(w, split)
+    cert = _certified_split(w, split)
     return None if cert is None else replace(cert, iterations=iterations)
 
 
@@ -1024,40 +1008,39 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
 
     On a feasible problem z converges to a fixed point, where b = a is a
     decomposition: when ||b - a|| < SEARCH_TOL max(1, ||W||), b is projected
-    onto the affine set, turned into a candidate decomposition and
-    re-validated by :func:`certify_decomposition` before a certificate is
-    claimed. On an infeasible one the steps b - a tend to the minimal
-    displacement vector between the two sets (Bauschke & Moursi, "On the
-    Douglas-Rachford algorithm", Math. Program. 164, 2017), and the
-    reflected gap (gx, gy) = b - r, which is the clipped-off negative part
-    of r with its sign flipped and so PSD, points across it. With in_AB,
-    in_BA the order masks, it gives a witness
-    S = where(in_AB, gx, where(in_BA, gy, 0)) that agrees with P_AB = gx on
-    the AB subspace and with P_BA = where(in_AB in_BA, gx, gy) on the BA
-    subspace. Each iteration tests it cheaply: tr(S W) is two dot products
-    in coefficients, gx is PSD and Weyl's inequality bounds the negative
-    part of lambda_min(P_BA) by ||(gx - gy) in_AB in_BA||. Only when that
-    passes is the witness rebuilt as matrices and checked by
-    :func:`_certify_witness`.
+    onto the affine set and that split goes, as it stands, to
+    :func:`_certified_split`; a fixed point only within SEARCH_TOL of the
+    cone may fail it, and the verdict is then ``inconclusive``. On an
+    infeasible one the steps b - a tend to the minimal displacement vector
+    between the two sets (Bauschke & Moursi, "On the Douglas-Rachford
+    algorithm", Math. Program. 164, 2017), and the reflected gap
+    (gx, gy) = b - r, which is the clipped-off negative part of r with its
+    sign flipped and so PSD, points across it. With in_AB, in_BA the order
+    masks, it gives a witness S = where(in_AB, gx, where(in_BA, gy, 0)) that
+    agrees with P_AB = gx on the AB subspace and with
+    P_BA = where(in_AB in_BA, gx, gy) on the BA subspace. Each iteration
+    tests it cheaply: tr(S W) is two dot products in coefficients, gx is PSD
+    and Weyl's inequality bounds the negative part of lambda_min(P_BA) by
+    ||(gx - gy) in_AB in_BA||. Only when that passes is the witness rebuilt
+    as matrices and checked by :func:`_certify_witness`.
 
     A decomposition need not wait for the gap to fall below SEARCH_TOL.
     z - a is orthogonal to the affine set, so the affine point a = P_aff(z)
     at the top of step k >= 2 is P_aff(b) of step k - 1, the projection the
     converged path certifies. When W has full rank, one batched Cholesky
     factorization tests whether both of its parts are positive definite; if
-    so, the point lies in both sets, and it becomes the candidate with no
-    eigenvalue lift. When :func:`certify_decomposition` accepts it, the
-    search stops with ``iterations`` k - 1, the clip steps taken, and the
-    certificate's reconstruction error as ``residual``. A rank-deficient W
-    is not tested: q X <= W makes every part of its decompositions
-    singular.
+    so, the point lies in both sets and becomes the candidate. When
+    :func:`certify_decomposition` accepts it, the search stops with
+    ``iterations`` k - 1, the clip steps taken, and the certificate's
+    reconstruction error as ``residual``. A rank-deficient W is not tested:
+    q X <= W makes every part of its decompositions singular.
 
     When W is rank-deficient (an eigenvalue at or below its
     :func:`rounding_bound`), :func:`_face_decision` asks once, by one eigh
     and one small least-squares solve, how W splits into the two orders on
     its face. If it admits no split and :func:`_certify_witness` accepts
     the witness that comes with the answer, the search stops
-    ``nonseparable``; if :func:`_certified_split` accepts a unique split,
+    ``nonseparable``; if :func:`_certified_split` accepts its split,
     ``separable`` with the certificate's reconstruction error as
     ``residual``. A W of rank 1 asks before the first step, since only
     multiples of W lie below it, and a witness then reports ``iterations`` 0
@@ -1131,7 +1114,7 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
     if witness is not None:
         return SeparabilityReport(None, residual, used, witness, value)
     if gap < SEARCH_TOL * scale:
-        cert = _certified_split(w, basis.to_mat(np.stack(_order_split(cw, xb, yb, in_ab, in_ba))), lift=True)
+        cert = _certified_split(w, basis.to_mat(np.stack(_order_split(cw, xb, yb, in_ab, in_ba))))
         if cert is not None:
             return replace(cert, residual=max(residual, cert.residual), iterations=used)
     return SeparabilityReport(None, residual, used)

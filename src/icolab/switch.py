@@ -42,6 +42,7 @@ from .linalg import (
     SpaceLayout,
     as_matrix,
     eig_hermitian,
+    is_normalized_pair,
     is_psd,
     is_unitary,
     ket,
@@ -87,9 +88,8 @@ class SwitchSpec:
             object.__setattr__(self, name, _check_unitary(name, getattr(self, name), d))
         if not abs(np.linalg.norm(psi) - 1.0) <= 1e-9:  # NaN fails too
             raise ValueError("psi_t0 must be a unit vector")
-        a, b = self.control_amplitudes
-        if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-9:
-            raise ValueError("control amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
+        if not is_normalized_pair(*self.control_amplitudes):
+            raise ValueError("control_amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
 
     @property
     def target_dim(self) -> int:
@@ -263,9 +263,8 @@ class DoubleSwitchSpec:
     def __post_init__(self) -> None:
         if self.order_mode not in ORDER_MODES:
             raise ValueError(f"order_mode must be one of {ORDER_MODES}, got {self.order_mode!r}")
-        a, b = self.control_amplitudes
-        if not abs(abs(a) ** 2 + abs(b) ** 2 - 1.0) <= 1e-9:  # NaN fails too
-            raise ValueError("control amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
+        if not is_normalized_pair(*self.control_amplitudes):
+            raise ValueError("control_amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
         if not 0.0 <= self.mixture_q <= 1.0:
             raise ValueError(f"mixture_q must lie in [0, 1], got {self.mixture_q}")
         if not 0.0 <= self.visibility <= 1.0:

@@ -271,11 +271,10 @@ def certificate_candidate(x, y, layout):
     search built its candidate from coefficients: from the matrices X, Y of
     the search's terminal affine point, q = tr X / d_O clamped to [0, 1].
     Each part of weight at least 1e-6 is divided by its weight, projected
-    onto its order subspace by resets, made Hermitian, lifted by its least
-    eigenvalue (plus 1e-14 max(1, largest eigenvalue)) times the identity
-    when that is negative, and renormalized to trace d_O. Returns
-    (q, X', Y') with None for a part too light to lift, which the caller
-    pads, or None when a part has trace <= 0."""
+    onto its order subspace by resets, made Hermitian and renormalized to
+    trace d_O; no part is lifted. Returns (q, X', Y') with None for a part
+    too light to keep, which the caller pads, or None when a part has
+    trace <= 0."""
     d = dict(zip(layout.labels, layout.dims))
     expected = d["A_O"] * d["B_O"]
     q = min(max(float(np.real(np.trace(x)) / expected), 0.0), 1.0)
@@ -286,9 +285,6 @@ def certificate_candidate(x, y, layout):
             continue
         mat = order_projection(comp / weight, layout, order)
         mat = 0.5 * (mat + np.conj(mat).T)
-        vals = np.linalg.eigvalsh(mat)
-        if vals[0] < 0.0:
-            mat = mat + (-vals[0] + 1e-14 * max(1.0, vals[-1])) * np.eye(len(mat))
         tr = float(np.real(np.trace(mat)))
         if tr <= 0:
             return None

@@ -454,6 +454,17 @@ def test_switch_process_is_valid_rank_one():
     assert np.abs(vals[:-1]).max() < 1e-9
 
 
+def test_switch_process_checks_its_amplitudes_without_overflow():
+    # squaring 1e200 overflows, and so does |z| for z = 1.7e308 (1 + i)
+    for amps in ((1e200, 1e200), (complex(1.7e308, 1.7e308), 0.0), (float("nan"), 1.0)):
+        with pytest.raises(ValueError, match="control_amplitudes"):
+            quantum_switch_process(amps)
+    # the allowance on |alpha|^2 + |beta|^2 - 1 is still 1e-9
+    quantum_switch_process((np.sqrt(0.3), 1j * np.sqrt(0.7 + 9e-10)))
+    with pytest.raises(ValueError, match="control_amplitudes"):
+        quantum_switch_process((np.sqrt(0.3), 1j * np.sqrt(0.7 + 1.1e-9)))
+
+
 def test_switch_process_statistics_match_kraus_simulation():
     rng = np.random.default_rng(10)
     v0, v1 = haar_unitary(rng, 2), haar_unitary(rng, 2)
@@ -871,6 +882,40 @@ def test_face_split_certificates_agree_with_the_oracle(name):
     assert worst <= 1e-9 and recon <= 1e-12 and rep.residual == pytest.approx(recon, rel=1e-6)
 
 
+def pure_ordered_pair(kind: str, rng: np.random.Generator) -> list[ProcessMatrix]:
+    """Two ordered processes of a pure state through a unitary channel:
+    the two pure-order switches (amplitudes (1, 0) and (0, 1)) with Haar
+    v0, v1 and psi; one process per order with the second output routed to
+    the future (rank 1) or discarded (rank 2); or two of one order, with a
+    future."""
+    if kind == "switch-orders":
+        v0, v1, psi = haar_unitary(rng, 2), haar_unitary(rng, 2), haar_unitary(rng, 2)[:, 0]
+        return [quantum_switch_process(amps, v0=v0, v1=v1, psi_t0=psi) for amps in ((1.0, 0.0), (0.0, 1.0))]
+    orders, post = ("AB", "BA"), "discard" if kind == "no-future" else "future"
+    if kind == "same-order":
+        orders = (orders[int(rng.integers(2))],) * 2
+    pairs = []
+    for order in orders:
+        psi = haar_unitary(rng, 2)[:, 0]
+        channel = choi_of_unitary(haar_unitary(rng, 2))
+        pairs.append(ordered_process(np.outer(psi, psi.conj()), channel, order, post))
+    return pairs
+
+
+@pytest.mark.parametrize("kind", ["switch-orders", "future", "no-future", "same-order"])
+def test_separable_low_rank_mixtures_certify_as_they_stand(kind):
+    # q W_1 + (1 - q) W_2 is separable by construction and rank-deficient:
+    # its face decides it after at most one step, and the certificate holds
+    # at tau by the mask-free oracle
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        q = float(rng.uniform(0.05, 0.95))
+        w = mix(*pure_ordered_pair(kind, rng), q)
+        rep = separability_heuristic(w)
+        assert rep.verdict == "separable" and rep.iterations <= 1, (kind, q, rep.iterations)
+        assert not decomposition_fails_the_oracle(w, *rep.certificate), (kind, q)
+
+
 def test_switch_mixed_with_its_v1_z_copy_is_decided_by_a_face_witness_after_one_step(monkeypatch):
     w = mix(quantum_switch_process(), quantum_switch_process(v1=Z), 0.5)
     assert not w.matrix.imag.any()
@@ -894,6 +939,17 @@ def test_switch_mixed_with_its_v1_z_copy_is_decided_by_a_face_witness_after_one_
     assert oracles.witness_margin(w.matrix, w.layout, *rep.witness) == pytest.approx(-0.0341, abs=1e-4)
 
 
+def assert_face_decides_or_loop_converges(rep, face_decides: bool, steps: int) -> None:
+    """A face split the checks accept certifies after ``steps`` steps; a
+    refused one leaves the search to the loop, which converges, and whose
+    fixed point, checked as it stands, does not certify a rank-deficient W."""
+    if face_decides:
+        assert (rep.verdict, rep.iterations) == ("separable", steps)
+    else:
+        assert rep.verdict == "inconclusive" and rep.iterations > steps
+        assert rep.residual < SEARCH_TOL
+
+
 def shift_face_part(monkeypatch, shift: float) -> None:
     """A mutant of the face solve of a rank-1 W: its one unknown, the AB part
     X' = x on range(W), moves up by ``shift`` and so the BA part
@@ -910,7 +966,8 @@ def shift_face_part(monkeypatch, shift: float) -> None:
 def test_a_face_part_below_rounding_falls_through_to_the_loop(monkeypatch):
     # the BA part of the unique split is zero, up to rounding, and so of
     # weight 0 and dropped: shifted by half W's rounding bound it still
-    # certifies with no step, by twice it is refused and the loop runs
+    # certifies with no step, by twice it is refused and the loop runs to
+    # its fixed point, whose split, checked as it stands, is refused too
     w = pure_ordered_process("AB", 3)
     for shift, face_decides in ((0.5, True), (2.0, False)):
         monkeypatch.undo()
@@ -921,8 +978,8 @@ def test_a_face_part_below_rounding_falls_through_to_the_loop(monkeypatch):
         assert bool(np.linalg.eigvalsh(split[1])[0] >= -w._rounding) is face_decides, shift
         clips = recorded_clips(monkeypatch)
         rep = separability_heuristic(w)
-        assert rep.verdict == "separable" and len(clips) == rep.iterations
-        assert (rep.iterations == 0) == face_decides
+        assert len(clips) == rep.iterations
+        assert_face_decides_or_loop_converges(rep, face_decides, 0)
 
 
 def test_a_dropped_face_part_on_a_rank_2_face_is_checked_as_it_stands(monkeypatch):
@@ -930,8 +987,8 @@ def test_a_dropped_face_part_on_a_rank_2_face_is_checked_as_it_stands(monkeypatc
     # (W - Y, Y) with Y = s (W_1 - W_2) keeps both parts in AB, and Y, of
     # trace 0, is dropped. Y is indefinite: with its least eigenvalue at
     # half W's rounding bound below 0 the face certifies after the first
-    # step, at twice it is refused and the loop runs on to the oracle's
-    # verdict
+    # step, at twice it is refused and the loop runs to its fixed point,
+    # whose split, checked as it stands, is refused too
     w_1, w_2 = pure_ordered_process("AB", 3), pure_ordered_process("AB", 4)
     w = mix(w_1, w_2, 0.4)
     lay, tau = w.layout, w._rounding
@@ -947,11 +1004,12 @@ def test_a_dropped_face_part_on_a_rank_2_face_is_checked_as_it_stands(monkeypatc
         monkeypatch.setattr(process, "_face_solve", lambda w, split=split: (rho, None, split))
         clips = recorded_clips(monkeypatch)
         rep = separability_heuristic(w)
-        assert rep.verdict == "separable" and len(clips) == rep.iterations
-        assert (rep.iterations == 1) is face_decides, factor
-        q, w_ab, w_ba = rep.certificate
-        worst, recon = oracles.decomposition_defects(w.matrix, lay, q, w_ab.matrix, w_ba.matrix)
-        assert worst <= 1e-9 and recon <= RECON_GATE
+        assert len(clips) == rep.iterations
+        assert_face_decides_or_loop_converges(rep, face_decides, 1)
+        if face_decides:
+            q, w_ab, w_ba = rep.certificate
+            worst, recon = oracles.decomposition_defects(w.matrix, lay, q, w_ab.matrix, w_ba.matrix)
+            assert worst <= tau_of(w.matrix) and recon <= recon_gate(lay.dim)
         monkeypatch.undo()
 
 
@@ -960,7 +1018,8 @@ def test_a_kept_face_part_below_rounding_falls_through_to_the_loop(monkeypatch):
     # range(W); moving t |k><k| to the AB part, k in its kernel there, puts
     # its least eigenvalue at -t. At half the certificate's PSD allowance,
     # the part's rounding bound, the split still certifies after the first
-    # step; at twice it is refused and the loop runs on. The part is taken
+    # step; at twice it is refused and the loop runs to its fixed point,
+    # whose split, checked as it stands, is refused too. The part is taken
     # as the check sees it: divided by its weight, renormalized to trace d_O
     w = undamped_ordered_mixtures(1, 8)[0]
     rho, witness, split = process._face_solve(w)
@@ -975,17 +1034,19 @@ def test_a_kept_face_part_below_rounding_falls_through_to_the_loop(monkeypatch):
         monkeypatch.setattr(process, "_face_solve", lambda w, moved=moved: (rho, witness, moved))
         clips = recorded_clips(monkeypatch)
         rep = separability_heuristic(w)
-        assert rep.verdict == "separable" and len(clips) == rep.iterations
-        assert (rep.iterations == 1) is face_decides, factor
+        assert len(clips) == rep.iterations
+        assert_face_decides_or_loop_converges(rep, face_decides, 1)
         monkeypatch.undo()
 
 
 def test_face_split_cut_decides_on_either_side_of_the_rounding_bound(monkeypatch):
     # the face solve's one unknown for a pure ordered process, moved down
     # off the optimum so that rho is half or twice W's rounding bound: the
-    # first counts as the unique split, which certifies with no step (its
-    # BA part, moved up and so PSD, has weight 0); the second as no split,
-    # whose witness is refused, so the loop runs
+    # first counts as the unique split, the second as no split. Neither
+    # certifies: the split's BA part, s W, is PSD and of weight 0, but it
+    # lies outside BA, so padding it with the neutral process leaves a
+    # reconstruction error of about 1.1 tau; the witness is refused. The
+    # loop then runs to its fixed point, which certifies nothing
     w = pure_ordered_process("AB", 3)
     shift_face_part(monkeypatch, -1e-9)
     slope = process._face_solve(w)[0] / 1e-9
@@ -995,8 +1056,12 @@ def test_face_split_cut_decides_on_either_side_of_the_rounding_bound(monkeypatch
         rho, witness, split = process._face_solve(w)
         assert rho / w._rounding == pytest.approx(factor, rel=1e-2)
         assert (split is not None) is split_found and (witness is None) is split_found
-        rep = separability_heuristic(w)
-        assert rep.verdict == "separable" and (rep.iterations == 0) is split_found, factor
+        if split_found:
+            q = np.real(np.trace(split[0])) / w.expected_trace
+            padded = (split[0] / q, neutral_process(w.layout).matrix)
+            recon = oracles.decomposition_defects(w.matrix, w.layout, q, *padded)[1]
+            assert recon > recon_gate(w.layout.dim) and process._certified_split(w, split) is None
+        assert_face_decides_or_loop_converges(separability_heuristic(w), False, 0)
 
 
 def test_rank_cut_decides_on_either_side_of_the_rounding_bound(monkeypatch):
@@ -1053,13 +1118,16 @@ def test_a_refused_face_witness_leaves_the_search_to_the_loop(monkeypatch, name)
 
 def test_reports_are_unchanged_where_the_face_check_decides_nothing(monkeypatch):
     # the rank-2 coherent faces hold a line of splits (nullity 1), so the
-    # face decision runs after the first step and decides nothing; the 18
-    # and 47 steps that follow show any change
+    # face decision runs after the first step and decides nothing: its
+    # split is not PSD. The 18 and 47 steps that follow show any change
     pool = [coherent_process(0.3), coherent_process(1e-3)]
     reports = [separability_heuristic(w) for w in pool]
     assert [rep.verdict for rep in reports] == ["nonseparable"] * 2
-    assert all(process._face_solve(w)[1:] == (None, None) for w in pool)
-    monkeypatch.setattr(process, "_face_solve", lambda w: (0.0, None, None))
+    for w in pool:
+        # the least-norm split of the line, which the checks refuse
+        _, witness, split = process._face_solve(w)
+        assert witness is None and process._certified_split(w, split) is None
+    monkeypatch.setattr(process, "_face_decision", lambda *args: None)
     for w, rep in zip(pool, reports):
         ref = separability_heuristic(w)
         assert rep.to_json_dict() == ref.to_json_dict()
@@ -1164,14 +1232,16 @@ def test_checks_are_not_decided_by_the_searchs_positive_definiteness_test(monkey
 def builder_exit_pool() -> list[ProcessMatrix]:
     """Searches that reach each exit of the candidate builder: the line and
     the loop's early stop (the first 150 process-family inputs of seed 1),
-    the face split (the undamped mixtures of seed 1 and a pure process with
-    a future in each order) and the converged exit (criterion 6's mixture
-    of the two switch orders at q = 0.3)."""
+    the face split (the undamped mixtures of seed 1, a pure process with a
+    future in each order and criterion 6's mixture of the two switch orders
+    at q = 0.3, whose face splits form a line) and the converged exit (the
+    coherent process at visibility 1e-6, refused there)."""
     return [
         *process_family_inputs(1)[:150],
         *undamped_ordered_mixtures(1, 8),
         *(pure_ordered_process(order, 3) for order in ("AB", "BA")),
         mix(quantum_switch_process((1.0, 0.0)), quantum_switch_process((0.0, 1.0)), 0.3),
+        coherent_process(1e-6),
     ]
 
 
@@ -1180,24 +1250,24 @@ def test_every_certified_split_sums_to_w(monkeypatch):
     # has trace d_O, or more where q is clamped: its trace is never <= 0
     seen = []
 
-    def recorded(w, mats, lift=False):
+    def recorded(w, mats):
         error = frobenius(mats[0] + mats[1] - w.matrix)
-        seen.append((sys._getframe(1).f_code.co_name, lift, error / tau_of(w.matrix)))
-        return certified(w, mats, lift)
+        frame = sys._getframe(1)
+        caller = frame.f_code.co_name
+        # the search sets ``residual`` once its loop has ended: the converged exit
+        if caller == "separability_heuristic" and "residual" in frame.f_locals:
+            caller = "converged"
+        seen.append((caller, error / tau_of(w.matrix)))
+        return certified(w, mats)
 
     certified = process._certified_split
     monkeypatch.setattr(process, "_certified_split", recorded)
     for w in builder_exit_pool():
         separability_heuristic(w)
-    exits = {(caller, lift) for caller, lift, _ in seen}
-    assert exits == {
-        ("_line_split", False),
-        ("separability_heuristic", False),
-        ("_face_decision", False),
-        ("separability_heuristic", True),
-    }
+    exits = {caller for caller, _ in seen}
+    assert exits == {"_line_split", "separability_heuristic", "_face_decision", "converged"}
     # within W's rounding bound, the face solve's split cut
-    assert max(ratio for *_, ratio in seen) <= 1.0
+    assert max(ratio for _, ratio in seen) <= 1.0
 
 
 def test_no_certificate_check_decomposes_a_matrix(monkeypatch):
@@ -1238,9 +1308,9 @@ def test_no_certificate_check_decomposes_a_matrix(monkeypatch):
 def test_full_rank_ordered_mixtures_stop_at_the_first_positive_definite_split(monkeypatch):
     results, splits = recorded_pd_tests(monkeypatch), []
 
-    def recorded(w, mats, lift=False):
-        splits.append((mats, lift))
-        return certified(w, mats, lift)
+    def recorded(w, mats):
+        splits.append(mats)
+        return certified(w, mats)
 
     certified = process._certified_split
     monkeypatch.setattr(process, "_certified_split", recorded)
@@ -1260,9 +1330,9 @@ def test_full_rank_ordered_mixtures_stop_at_the_first_positive_definite_split(mo
         else:
             assert stopped_early(rep, results), (rep.iterations, results)
             early += 1
-        # the certified split is the one the test passed, taken with no lift
-        assert len(splits) == 1 and not splits[0][1]
-        assert np.linalg.eigvalsh(splits[0][0])[:, 0].min() > 0.0
+        # the certified split is the one the test passed
+        assert len(splits) == 1
+        assert np.linalg.eigvalsh(splits[0])[:, 0].min() > 0.0
         q, w_ab, w_ba = rep.certificate
         worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
         assert worst <= 1e-9 and recon <= 1e-13 and rep.residual <= 1e-13
@@ -1393,7 +1463,7 @@ def test_a_shared_part_with_no_cholesky_factor_leaves_the_line_to_the_loop(monke
             assert rep.verdict == "separable" and rep.iterations >= 1
             q, w_ab, w_ba = rep.certificate
             worst, recon = oracles.decomposition_defects(w.matrix, lay, q, w_ab.matrix, w_ba.matrix)
-            assert worst <= 1e-9 and recon <= RECON_GATE
+            assert worst <= 1e-9 and recon <= recon_gate(w.layout.dim)
         else:
             assert rep.verdict == "nonseparable"
             assert oracles.witness_margin(w.matrix, lay, *rep.witness) < 0.0
@@ -1435,10 +1505,10 @@ def certificate_pool() -> dict[str, ProcessMatrix]:
     return pool
 
 
-def retired_split(w, mats, lift=False):
+def retired_split(w, mats):
     """The certificate of the oracle's candidate builder on the matrices
     (X, Y) of an order split the search certifies, padded as the search
-    pads; it decides each lift, wherever the search found the split."""
+    pads."""
     lay = w.layout
     out = oracles.certificate_candidate(*mats, lay)
     if out is None:
@@ -1453,16 +1523,14 @@ def test_candidate_from_coefficients_agrees_with_the_retired_builder(monkeypatch
     # the builder runs where a search certifies a split; a search that never
     # reaches it (a witness, or the cap) runs the same code on both paths,
     # so only the searches that reach it are run again with the oracle's.
-    # A face split is PSD to rounding and taken as it stands, where the
-    # oracle lifts a part by its rounding-size negative eigenvalue: there
-    # the builder's reconstruction error is at most the oracle's
+    # Neither builder lifts a part: both take the split as it stands
     pool, built, face = certificate_pool(), [], set()
 
-    def recorded(w, mats, lift=False):
+    def recorded(w, mats):
         built.append(name)
         if sys._getframe(1).f_code.co_name == "_face_decision":
             face.add(name)
-        return certified(w, mats, lift)
+        return certified(w, mats)
 
     certified = process._certified_split
     monkeypatch.setattr(process, "_certified_split", recorded)
@@ -1480,10 +1548,7 @@ def test_candidate_from_coefficients_agrees_with_the_retired_builder(monkeypatch
             continue
         a, b = new[name], old[name]
         assert (a.verdict, a.iterations, a.witness_value) == (b.verdict, b.iterations, b.witness_value), name
-        if name in face:
-            assert a.residual <= b.residual, name
-        else:
-            assert abs(a.residual - b.residual) <= 1e-14, name
+        assert abs(a.residual - b.residual) <= 1e-14, name
         if a.certificate is None:
             continue
         assert a.certificate[0] == b.certificate[0], name
@@ -1642,7 +1707,12 @@ def test_certify_decomposition_gates():
 # Gate by gate: each defect once in the AB slot and once in the BA slot, so
 # a check that reads the other slot's mask or matrix lets one through
 
-RECON_GATE = 10 * SEARCH_TOL * (1.0 + 2.0 * np.sqrt(16))
+def recon_gate(dim: int) -> float:
+    """certify_decomposition's reconstruction gate on ``dim`` dimensions:
+    tau(dim, 1), on the error relative to max(1, ||W||)."""
+    return float(rounding_bound(dim, 1.0))
+
+
 DECOMPOSITION_DEFECTS = ("psd", "trace", "invalid", "other-order", "reconstruction", "layout")
 
 
@@ -1670,9 +1740,10 @@ def unit_component(lay: SpaceLayout, keep: np.ndarray, seed: int) -> np.ndarray:
 
 def decomposition_defect(part: ProcessMatrix, order: str, defect: str) -> ProcessMatrix:
     """The part of the given order with one defect, which the gate of
-    certify_decomposition that ``defect`` names catches. The other gates
-    pass it, except that a part outside the valid span is also outside its
-    order subspace, whose gate catches it: the valid span holds both."""
+    certify_decomposition that ``defect`` names catches (the reconstruction
+    defect is :func:`off_reconstruction`'s). The other gates pass it,
+    except that a part outside the valid span is also outside its order
+    subspace, whose gate catches it: the valid span holds both."""
     lay, m, d_o = part.layout, part.matrix, part.expected_trace
     if defect == "psd":
         # least eigenvalue at twice the part's rounding bound below 0
@@ -1684,12 +1755,22 @@ def decomposition_defect(part: ProcessMatrix, order: str, defect: str) -> Proces
     elif defect == "other-order":
         own, other = _order_mask(lay, order), _order_mask(lay, "BA" if order == "AB" else "AB")
         m = m + 1e-6 * unit_component(lay, other * (1.0 - own), 2)
-    elif defect == "reconstruction":
-        return neutral_process(lay)
     elif defect == "layout":
         # a trivial future: the same basis, masks and trace, another layout
         return ProcessMatrix(m, standard_layout(2, 1))
     return ProcessMatrix(m, lay)
+
+
+def off_reconstruction(w: ProcessMatrix, q: float, parts: list, slot: int, factor: float) -> ProcessMatrix:
+    """parts[slot] plus a traceless term inside its order subspace, so that
+    the mixture misses W by ``factor`` times the reconstruction gate; every
+    other gate passes it."""
+    part, lay = parts[slot], w.layout
+    h = unit_component(lay, _order_mask(lay, ("AB", "BA")[slot]), 3)
+    # the identity lies in every order subspace: removing the trace keeps h inside
+    h = h - np.trace(h) / lay.dim * np.eye(lay.dim)
+    size = factor * recon_gate(lay.dim) * max(1.0, frobenius(w.matrix)) / (q, 1.0 - q)[slot]
+    return ProcessMatrix(part.matrix + size * h / frobenius(h), lay)
 
 
 def decomposition_fails_the_oracle(w: ProcessMatrix, q: float, *parts: ProcessMatrix) -> bool:
@@ -1698,7 +1779,7 @@ def decomposition_fails_the_oracle(w: ProcessMatrix, q: float, *parts: ProcessMa
     certify_decomposition's gate."""
     w_ab, w_ba = parts
     worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
-    return worst > max(tau_of(p.matrix) for p in parts) or recon > RECON_GATE
+    return worst > max(tau_of(p.matrix) for p in parts) or recon > recon_gate(w.layout.dim)
 
 
 def test_unmutated_decomposition_passes_checker_and_oracle():
@@ -1717,8 +1798,16 @@ def test_each_decomposition_gate_rejects_its_defect_in_either_slot(defect, slot)
     for warm in (False, True):
         parts = damped_ordered_parts()
         w = mix(*parts, q)
-        parts[slot] = decomposition_defect(parts[slot], ("AB", "BA")[slot], defect)
-        if defect != "reconstruction":
+        if defect == "reconstruction":
+            # W is kept: the mixture misses it by half the gate, which
+            # certifies, or by twice it
+            near = parts.copy()
+            near[slot] = off_reconstruction(w, q, parts, slot, 0.5)
+            assert certify_decomposition(w, q, *near) is not None, (slot, warm)
+            assert not decomposition_fails_the_oracle(w, q, *near), slot
+            parts[slot] = off_reconstruction(w, q, parts, slot, 2.0)
+        else:
+            parts[slot] = decomposition_defect(parts[slot], ("AB", "BA")[slot], defect)
             # W is rebuilt from the parts, so only the part's own gate can fail
             w = ProcessMatrix(q * parts[0].matrix + (1.0 - q) * parts[1].matrix, w.layout)
         if warm:
@@ -1780,7 +1869,7 @@ def test_psd_gate_decides_on_either_side_of_psd_atol(dim, kind, slot):
             rep = certify_decomposition(w, q, *parts)
             assert (rep is not None) is certifies, (factor, warm)
             worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, parts[0].matrix, parts[1].matrix)
-            assert bool(worst <= tau_of(parts[slot].matrix) and recon <= RECON_GATE) is certifies, (factor, warm)
+            assert bool(worst <= tau_of(parts[slot].matrix) and recon <= recon_gate(dim)) is certifies, (factor, warm)
 
 
 @pytest.mark.parametrize("q", [-0.1, 1.1])
@@ -2017,8 +2106,8 @@ EIGENDECOMPOSITIONS = {"eig", "eigh", "eigvals", "eigvalsh"}
 
 def test_eigendecompositions_run_only_where_their_values_are_used():
     # W's eigenvalues (validity margin, rank cut), the line's pencil, the
-    # range basis, the clip and the converged exit's lift; every yes/no
-    # positivity gate is a shifted Cholesky factorization instead
+    # range basis and the clip; every yes/no positivity gate is a shifted
+    # Cholesky factorization instead
     tree = ast.parse(Path(process.__file__).read_text())
     users = {
         fn.name
@@ -2027,7 +2116,7 @@ def test_eigendecompositions_run_only_where_their_values_are_used():
         for node in ast.walk(fn)
         if (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) in EIGENDECOMPOSITIONS
     }
-    assert users == {"_eigenvalues", "_line_split", "_range_basis", "_psd_clip", "_certified_split"}
+    assert users == {"_eigenvalues", "_line_split", "_range_basis", "_psd_clip"}
     assert not users & {"certify_decomposition", "_certify_witness"}
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -124,3 +125,29 @@ def test_searches_write_one_report_per_search_input(tmp_path):
         f"1 residual (max |Δ| {change:.2g}), 1 validity.psd_margin (max |Δ| {margin:.2g})\n"
     )
     assert (found.returncode, found.stdout) == (1, want)
+
+
+def test_scan_writes_one_labelled_record_per_custom_config(tmp_path, monkeypatch):
+    tools = SCRIPT.parent
+    monkeypatch.syspath_prepend(str(tools))
+    import scan_custom
+
+    paths = [tools.parent / "src", tools, tools.parent / "tests"]
+    env = {"PYTHONPATH": os.pathsep.join(map(str, paths)), "OPENBLAS_NUM_THREADS": "1"}
+    args = [sys.executable, "-c", "import scan_custom; scan_custom.scan(2)"]
+    done = subprocess.run(args, capture_output=True, text=True, timeout=120, env={**os.environ, **env})
+    assert done.returncode == 0, done.stderr
+    out = tmp_path / "change.scan"
+    out.write_text(done.stdout)
+    lines = done.stdout.splitlines()
+    assert lines[::2] == ["== custom 0 exit 0", "== custom 1 exit 0"]
+    records = [json.loads(line) for line in lines[1::2]]
+    assert [rec["config"] for rec in records] == scan_custom.draw_configs(2)
+    labels = {"no split", "margin >= -tau", "margin < -tau"}
+    for rec in records:
+        assert rec["verdict"] in {"separable", "nonseparable", "inconclusive"} and rec["iterations"] >= 0
+        # W is real, and labelled by the oracle, unless Y is a free evolution
+        assert rec.get("oracle") in labels or "Y" in (rec["config"]["v0"], rec["config"]["v1"]), rec
+        assert not (rec["verdict"] == "separable" and rec.get("oracle") == "margin < -tau"), rec
+    assert sum(scan_custom.counts(out).values()) == 2
+    assert diff(out, out).stdout == "no differences\n"

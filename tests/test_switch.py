@@ -188,6 +188,27 @@ def test_env_flag_requires_definite_mode():
         double_switch(H, Z, v0=I2, v1=Z, order_mode="coherent", env_flag=True)
 
 
+# squaring 1e200 overflows, and so does |z| for z = 1.7e308 (1 + i); NaN is
+# no norm either
+UNNORMALIZABLE_AMPLITUDES = [(1e200, 1e200), (complex(1.7e308, 1.7e308), 0.0), (float("nan"), 1.0)]
+SPECS_WITH_AMPLITUDES = {
+    "switch": lambda amps: SwitchSpec(u_a=H, u_b=Z, control_amplitudes=amps),
+    "double": lambda amps: DoubleSwitchSpec(make_switch(H, Z), make_switch(H, Z), control_amplitudes=amps),
+}
+
+
+@pytest.mark.parametrize("spec", list(SPECS_WITH_AMPLITUDES))
+def test_control_amplitudes_are_checked_without_overflow(spec):
+    build = SPECS_WITH_AMPLITUDES[spec]
+    for amps in UNNORMALIZABLE_AMPLITUDES:
+        with pytest.raises(ValueError, match="control_amplitudes"):
+            build(amps)
+    # the allowance on |alpha|^2 + |beta|^2 - 1 is still 1e-9
+    build((np.sqrt(0.3), 1j * np.sqrt(0.7 + 9e-10)))
+    with pytest.raises(ValueError, match="control_amplitudes"):
+        build((np.sqrt(0.3), 1j * np.sqrt(0.7 + 1.1e-9)))
+
+
 def test_a5_is_read_off_the_free_evolutions():
     assert double_switch(H, Z).a5_satisfied
     assert double_switch(H, Z, v0=Z, v1=Z).a5_satisfied
