@@ -662,7 +662,8 @@ class SeparabilityReport:
     point, which lies in both sets, or at the split on W's face. A
     decomposition certified without a search step has ``iterations`` 0 and
     that error alone as ``residual``: one certified from a construction, by
-    the search on the line through its start, or on the face of a rank-1 W.
+    the search on the line through its start or on a line climbed off it,
+    or on the face of a rank-1 W.
     A witness found on the face of a rank-1 W has ``iterations`` 0 and the
     face's distance to the order splits, relative to max(1, ||W||), as
     ``residual`` (see :func:`separability_heuristic`)."""
@@ -843,7 +844,8 @@ def _line_split(
     w: ProcessMatrix, in_ab: np.ndarray, in_ba: np.ndarray
 ) -> tuple[tuple[float, float] | None, SeparabilityReport | None]:
     """The best order split of W on the line X = A + t S, Y = B + (1 - t) S
-    through the search's start (t = 1/2), and its certificate.
+    through the search's start (t = 1/2), or on a line climbed off it, and
+    its certificate.
 
     A, B and S are W's AB-only, BA-only and shared coefficients, so every
     point of the line is an exact order split. With S = L L^dagger positive
@@ -851,24 +853,75 @@ def _line_split(
     and Y(t) exactly when t <= t_hi = 1 - lambda_max(-L^-1 B L^-dagger): two
     symmetric-definite generalized eigenvalue problems (Golub and Van Loan,
     Matrix Computations, sec. 8.7). At the midpoint of a nonempty interval
-    both parts are >= (t_hi - t_lo)/2 S. Returns (t_lo, t_hi), None when S
-    is not positive definite, and the certificate of that midpoint, None when
-    there is none or it does not certify."""
+    both parts are >= (t_hi - t_lo)/2 S. When the interval is empty,
+    :func:`_climbed_split` looks for a shared H that opens it on the line
+    through (A + H, B - H) and returns that line's midpoint split. Either
+    split must pass :func:`_positive_definite` and :func:`_certified_split`.
+    Returns the start line's own (t_lo, t_hi), None when S is not positive
+    definite, and the certificate of the midpoint, None when there is none or
+    it does not certify."""
     basis, both = hs_basis(w.layout), in_ab * in_ba
     mats = basis.to_mat(np.stack(((in_ab - both) * w._coef, (in_ba - both) * w._coef, both * w._coef)))
     try:
         inv = np.linalg.inv(np.linalg.cholesky(mats[2]))
     except np.linalg.LinAlgError:
         return None, None
-    least = np.linalg.eigvalsh(-(inv @ mats[:2] @ inv.conj().T))[:, -1]
+    whitened = inv @ mats[:2] @ inv.conj().T
+    least = np.linalg.eigvalsh(-whitened)[:, -1]
     t_lo, t_hi = float(least[0]), 1.0 - float(least[1])
-    if t_lo >= t_hi:
-        return (t_lo, t_hi), None
-    t = 0.5 * (t_lo + t_hi)
-    split = mats[:2] + np.array((t, 1.0 - t))[:, None, None] * mats[2]
-    if not _positive_definite(split):
+    if t_lo < t_hi:
+        t = 0.5 * (t_lo + t_hi)
+        split = mats[:2] + np.array((t, 1.0 - t))[:, None, None] * mats[2]
+    else:
+        split = _climbed_split(basis, both, mats, inv, whitened)
+    if split is None or not _positive_definite(split):
         return (t_lo, t_hi), None
     return (t_lo, t_hi), _certified_split(w, split)
+
+
+def _climbed_split(
+    basis: HSBasis, both: np.ndarray, mats: np.ndarray, inv: np.ndarray, whitened: np.ndarray
+) -> np.ndarray | None:
+    """The midpoint split of the first line (A + H + t S, B - H + (1 - t) S)
+    whose interval of PSD splits is nonempty, climbed to from H = 0, or
+    None.
+
+    ``mats`` is the stack (A, B, S) of :func:`_line_split`, ``inv`` = L^-1
+    with S = L L^dagger and ``whitened`` = L^-1 (A, B) L^-dagger. Every
+    shared H, a matrix both order masks keep, moves A and B along the order
+    splits of W. The length of the interval at H,
+
+        l(H) = 1 + lambda_min(L^-1 (A + H) L^-dagger) + lambda_min(L^-1 (B - H) L^-dagger),
+
+    is concave, and a positive-definite split exists exactly where l > 0
+    (Lewis and Overton, Acta Numerica 5, 1996). With x, y the least
+    eigenvectors of the two whitened parts, u = L^-dagger x and
+    v = L^-dagger y, the shared part g of u u^dagger - v v^dagger is a
+    supergradient with slope u^dagger g u - v^dagger g v = ||g||^2. Each
+    step H <- H - 2 l / slope g aims the linear model at +|l|. The climb
+    returns the midpoint split as soon as l > 0, where both parts are
+    >= l/2 S, and None as soon as the slope is not positive or l did not
+    rise; it takes at most SEARCH_STEPS steps."""
+    sign = np.array((1.0, -1.0))[:, None, None]
+    h = np.zeros_like(mats[2])
+    vals, vecs = np.linalg.eigh(whitened)
+    margin = 1.0 + vals[0, 0] + vals[1, 0]
+    for _ in range(SEARCH_STEPS):
+        u, v = vecs[:, :, 0] @ inv.conj()
+        g = basis.to_mat(both * basis.to_coef(np.outer(u, u.conj()) - np.outer(v, v.conj())))
+        slope = float(np.real(u.conj() @ g @ u - v.conj() @ g @ v))
+        if slope <= 0.0:
+            return None
+        h = h - 2.0 * margin / slope * g
+        vals, vecs = np.linalg.eigh(whitened + sign * (inv @ h @ inv.conj().T))
+        last, margin = margin, 1.0 + vals[0, 0] + vals[1, 0]
+        if margin > 0.0:
+            # t_lo = -lambda_min of the first part, t_hi = 1 + lambda_min of the second
+            t = 0.5 * (1.0 - vals[0, 0] + vals[1, 0])
+            return mats[:2] + sign * h + np.array((t, 1.0 - t))[:, None, None] * mats[2]
+        if margin <= last:
+            return None
+    return None
 
 
 @lru_cache(maxsize=32)
@@ -1001,10 +1054,16 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
     BA-only and shared coefficients (t = 1/2 is the start). When S is
     positive definite, two generalized eigenvalue problems give the interval
     of t where both parts are PSD, and its midpoint keeps both parts above
-    half its length times S (see :func:`_line_split`). When that split is
-    positive definite and :func:`certify_decomposition` accepts it, the
-    search stops with ``iterations`` 0 and the certificate's reconstruction
-    error as ``residual``; otherwise the loop below runs unchanged.
+    half its length times S (see :func:`_line_split`). When the interval is
+    empty, supergradient steps on its concave length move the line by a
+    matrix H both order masks keep, to (A + H + t S, B - H + (1 - t) S),
+    until the interval opens, and that line's midpoint split is taken; a
+    step that does not lengthen the interval ends the climb (see
+    :func:`_climbed_split`). When the split is positive definite and
+    :func:`certify_decomposition` accepts it, the search stops with
+    ``iterations`` 0, no Douglas-Rachford step taken, and the certificate's
+    reconstruction error as ``residual``; otherwise the loop below runs
+    unchanged.
 
     On a feasible problem z converges to a fixed point, where b = a is a
     decomposition: when ||b - a|| < SEARCH_TOL max(1, ||W||), b is projected

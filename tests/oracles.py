@@ -292,10 +292,11 @@ def certificate_candidate(x, y, layout):
     return q, parts[0], parts[1]
 
 
-def line_split_interval(w, layout):
+def line_split_interval(w, layout, shift=0.0):
     """The order splits X = A + t S, Y = B + (1 - t) S of a bipartite W (no
     future factor) along one line, by the reset projectors above: S is W's
-    projection onto both order subspaces, A = P_AB W - S and B = P_BA W - S.
+    projection onto both order subspaces, A = P_AB W - S + H and
+    B = P_BA W - S - H, with H the matrix ``shift`` (0 by default).
     With S positive definite and S^(-1/2) from its eigendecomposition, X is
     PSD exactly for t >= t_lo = lambda_max(-S^(-1/2) A S^(-1/2)) and Y exactly
     for t <= t_hi = 1 - lambda_max(-S^(-1/2) B S^(-1/2)). Returns (t_lo, t_hi, S)
@@ -308,7 +309,7 @@ def line_split_interval(w, layout):
     if vals[0] <= len(s) * np.finfo(float).eps * vals[-1]:
         return None
     root = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    worst = [np.linalg.eigvalsh(-root @ (p - s) @ root)[-1] for p in (p_ab, p_ba)]
+    worst = [np.linalg.eigvalsh(-root @ (p - s + sign * shift) @ root)[-1] for p, sign in ((p_ab, 1.0), (p_ba, -1.0))]
     return float(worst[0]), 1.0 - float(worst[1]), s
 
 

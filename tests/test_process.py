@@ -1262,7 +1262,13 @@ def test_every_certified_split_sums_to_w(monkeypatch):
 
     certified = process._certified_split
     monkeypatch.setattr(process, "_certified_split", recorded)
-    for w in builder_exit_pool():
+    pool = builder_exit_pool()
+    for w in pool:
+        separability_heuristic(w)
+    # the climb off its start line certifies every full-rank ordered mixture
+    # of the pool, so the loop's early stop is reached with it switched off
+    monkeypatch.setattr(process, "_climbed_split", lambda *args: None)
+    for w in pool:
         separability_heuristic(w)
     exits = {caller for caller, _ in seen}
     assert exits == {"_line_split", "separability_heuristic", "_face_decision", "converged"}
@@ -1306,6 +1312,9 @@ def test_no_certificate_check_decomposes_a_matrix(monkeypatch):
 
 
 def test_full_rank_ordered_mixtures_stop_at_the_first_positive_definite_split(monkeypatch):
+    # the climb off the start line would certify the searches the loop stops
+    # early, so it is switched off: the line and the loop's early stop remain
+    monkeypatch.setattr(process, "_climbed_split", lambda *args: None)
     results, splits = recorded_pd_tests(monkeypatch), []
 
     def recorded(w, mats):
@@ -1366,6 +1375,12 @@ def test_positive_definiteness_is_never_tested_on_rank_deficient_or_first_step_s
     for w in (ocb_process(0.5), ocb_process(0.8), phase_rotated(ocb_process(0.5), 5)):
         results.clear()
         assert decided_on_the_line(separability_heuristic(w), results)
+    # an ordered mixture whose start line is empty: the climb off it tests
+    # its one split on the line, and with the climb off the loop stops early
+    results.clear()
+    rep = separability_heuristic(complex_search_inputs()["ordered-mixture-4"])
+    assert decided_on_the_line(rep, results)
+    monkeypatch.setattr(process, "_climbed_split", lambda *args: None)
     results.clear()
     rep = separability_heuristic(complex_search_inputs()["ordered-mixture-4"])
     assert stopped_early(rep, results) and len(loop_tests(results)) == rep.iterations > 1
@@ -1373,6 +1388,9 @@ def test_positive_definiteness_is_never_tested_on_rank_deficient_or_first_step_s
 
 @pytest.mark.parametrize("seed", [2, 3])
 def test_early_stop_keeps_every_verdict_and_never_adds_a_step(monkeypatch, seed):
+    # with the climb off the start line on, no input of the pool reaches the
+    # loop's early stop; switched off, the searches it decides do
+    monkeypatch.setattr(process, "_climbed_split", lambda *args: None)
     pool = process_family_inputs(seed)[:150]
     results = recorded_pd_tests(monkeypatch)
     reports, on_line, early = [], [], []
@@ -1438,6 +1456,135 @@ def test_line_interval_and_certificates_agree_with_the_reset_oracle():
         worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
         assert worst <= 1e-9 and recon <= 1e-13, name
     assert 8 <= certified < len(line_pool())
+
+
+# The climb: where the start line holds no PSD split, supergradient steps on
+# the concave interval length move the line by a shared H before any step
+
+
+def recorded_climbs(monkeypatch) -> list[float]:
+    """Patch ``np.linalg.eigh`` to log the interval length 1 + lambda_min +
+    lambda_min of each eigendecomposition the climb makes: its start and one
+    entry per step."""
+    margins = []
+
+    def recorded(a, *args, **kwargs):
+        out = eigh(a, *args, **kwargs)
+        if sys._getframe(1).f_code.co_name == "_climbed_split":
+            margins.append(1.0 + out[0][0, 0] + out[0][1, 0])
+        return out
+
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return margins
+
+
+def climbing_mixtures() -> dict[str, ProcessMatrix]:
+    """Two ordered mixtures whose start line holds no PSD split: the real part
+    of a process-family input of seed 1, itself an ordered mixture (the
+    mixture of W and its conjugate), and a complex input."""
+    w = process_family_inputs(1)[111]
+    return {
+        "real": ProcessMatrix(w.matrix.real, w.layout),
+        "complex": complex_search_inputs()["ordered-mixture-4"],
+    }
+
+
+def test_every_ordered_mixture_certifies_off_its_start_line(monkeypatch):
+    # every full-rank ordered mixture of the pool is certified with no loop
+    # step, on its start line or by one or two climbing steps off it, and
+    # each certificate holds by the oracle within the rounding bound
+    results, margins = recorded_pd_tests(monkeypatch), recorded_climbs(monkeypatch)
+    pool = process_family_inputs(1)[::3]
+    steps = []
+    for k, w in enumerate(pool):
+        assert w._eigenvalues[0] > w._rounding, k
+        results.clear()
+        margins.clear()
+        rep = separability_heuristic(w)
+        assert decided_on_the_line(rep, results), (k, results)
+        steps.append(max(len(margins) - 1, 0))
+        q, w_ab, w_ba = rep.certificate
+        worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
+        assert worst <= min(tau_of(w_ab.matrix), tau_of(w_ba.matrix)), k
+        assert recon <= recon_gate(w.layout.dim) and rep.residual <= recon_gate(w.layout.dim), k
+    # 105 on the start line, 34 after one step and one after two
+    assert len(pool) == 140 and steps.count(0) >= 90 and steps.count(1) >= 30 and set(steps) <= {0, 1, 2}
+
+
+@pytest.mark.parametrize("name", ["real", "complex"])
+def test_climbed_midpoint_keeps_half_its_interval_of_s_by_the_reset_oracle(monkeypatch, name):
+    # the certified split (X, Y) lies on the line (A + H + t S, B - H + (1 - t) S)
+    # at t = 0 with H = X - A; by the oracle's projectors H is shared, the
+    # start line's interval is empty, t = 0 is the midpoint of H's interval
+    # and both parts are at least half its length times S
+    w = climbing_mixtures()[name]
+    margins = recorded_climbs(monkeypatch)
+    lay = w.layout
+    (t_lo, t_hi), cert = process._line_split(w, _order_mask(lay, "AB"), _order_mask(lay, "BA"))
+    want_lo, want_hi, s = oracles.line_split_interval(w.matrix, lay)
+    assert abs(t_lo - want_lo) <= 1e-10 and abs(t_hi - want_hi) <= 1e-10 and t_lo >= t_hi
+    assert margins[0] < 0.0 < margins[-1] and len(margins) == {"real": 2, "complex": 3}[name]
+    q, w_ab, w_ba = cert.certificate
+    x, y = q * w_ab.matrix, (1.0 - q) * w_ba.matrix
+    a = oracles.order_projection(w.matrix, lay, "AB") - s
+    h = x - a
+    for order in ("AB", "BA"):
+        assert np.abs(oracles.order_projection(h, lay, order) - h).max() <= 1e-12
+    lo, hi, _ = oracles.line_split_interval(w.matrix, lay, h)
+    assert lo < hi and abs(lo + hi) <= 1e-10
+    assert hi - lo == pytest.approx(margins[-1], abs=1e-10)
+    for part in (x, y):
+        assert np.linalg.eigvalsh(part - 0.5 * (hi - lo) * s)[0] >= -1e-12
+    worst, recon = oracles.decomposition_defects(w.matrix, lay, q, w_ab.matrix, w_ba.matrix)
+    assert worst <= 1e-9 and recon <= recon_gate(lay.dim)
+
+
+def test_a_witness_input_climbs_one_step_and_keeps_its_report(monkeypatch):
+    # on OCB with white noise the interval only shrinks: the climb stops
+    # after one step, tests no split, and the first loop step finds the
+    # same witness as with the climb switched off
+    results, margins = recorded_pd_tests(monkeypatch), recorded_climbs(monkeypatch)
+    pool = (ocb_process(0.2), phase_rotated(ocb_process(0.2), 5))
+    reports = []
+    for w in pool:
+        margins.clear()
+        reports.append(separability_heuristic(w))
+        assert len(margins) == 2 and margins[1] < margins[0] < 0.0, margins
+    assert results == []
+    monkeypatch.setattr(process, "_climbed_split", lambda *args: None)
+    for w, rep in zip(pool, reports):
+        ref = separability_heuristic(w)
+        assert rep.to_json_dict() == ref.to_json_dict() and ref.verdict == "nonseparable"
+        assert all(np.array_equal(a, b) for a, b in zip(rep.witness, ref.witness))
+
+
+@pytest.mark.parametrize("name", ["real", "complex"])
+@pytest.mark.parametrize("stub", ["no-slope", "no-rise"])
+def test_a_climb_with_no_slope_or_no_rise_leaves_the_search_to_the_loop(monkeypatch, name, stub):
+    # "no-slope" gives both parts the same least eigenvector, so the
+    # supergradient and its slope are 0; "no-rise" repeats the start's
+    # eigendecomposition, so the interval does not grow. Either stops the
+    # climb at once, and the search reports what the loop alone reports
+    w = climbing_mixtures()[name]
+    calls = []
+
+    def stubbed(a, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name != "_climbed_split":
+            return eigh(a, *args, **kwargs)
+        calls.append(a)
+        vals, vecs = eigh(calls[0] if stub == "no-rise" else a, *args, **kwargs)
+        if stub == "no-slope":
+            vecs = np.stack((vecs[0], vecs[0]))
+        return vals, vecs
+
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", stubbed)
+    rep = separability_heuristic(w)
+    assert len(calls) == (1 if stub == "no-slope" else 2)
+    monkeypatch.setattr(process, "_climbed_split", lambda *args: None)
+    ref = separability_heuristic(w)
+    assert rep.to_json_dict() == ref.to_json_dict() and ref.verdict == "separable" and ref.iterations >= 1
 
 
 def test_a_shared_part_with_no_cholesky_factor_leaves_the_line_to_the_loop(monkeypatch):
@@ -1606,18 +1753,24 @@ def test_each_certified_split_is_converted_to_matrices_once(monkeypatch):
     monkeypatch.setattr(process.HSBasis, "to_mat", recorded_to_mat)
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded_eigvalsh)
     inputs = complex_search_inputs()
-    # certified on the line through the start, and by the loop's early stop
-    for name, iterations in (("ordered-mixture-1", 0), ("ordered-mixture-4", 7)):
+    # certified on the line through the start, on the line two climbing steps
+    # off it (each converts its supergradient), and, with the climb switched
+    # off, by the loop's early stop
+    cases = (("ordered-mixture-1", 0, 0), ("ordered-mixture-4", 0, 2), ("ordered-mixture-4", 7, None))
+    for name, iterations, climb in cases:
         w = inputs[name]
         assert validate_process(w).is_valid
         for log in (passed, converted, eigvals):
             log.clear()
-        rep = separability_heuristic(w)
+        with pytest.MonkeyPatch.context() as patch:
+            if climb is None:
+                patch.setattr(process, "_climbed_split", lambda *args: None)
+            rep = separability_heuristic(w)
         assert (rep.verdict, rep.iterations, len(passed)) == ("separable", iterations, 1), name
         # the pencil's, of the stack (A, B) in S's frame, before any split passed
         assert eigvals == [(2, 0)], name
         if iterations == 0:
-            assert [m.shape for m in converted] == [(3, 16, 16)], name
+            assert [m.shape for m in converted] == [(3, 16, 16)] + [(16, 16)] * climb, name
         else:
             assert sum(np.array_equal(m, passed[0]) for m in converted) == 1, name
 
@@ -2106,8 +2259,8 @@ EIGENDECOMPOSITIONS = {"eig", "eigh", "eigvals", "eigvalsh"}
 
 def test_eigendecompositions_run_only_where_their_values_are_used():
     # W's eigenvalues (validity margin, rank cut), the line's pencil, the
-    # range basis and the clip; every yes/no positivity gate is a shifted
-    # Cholesky factorization instead
+    # climb off it, the range basis and the clip; every yes/no positivity
+    # gate is a shifted Cholesky factorization instead
     tree = ast.parse(Path(process.__file__).read_text())
     users = {
         fn.name
@@ -2116,7 +2269,7 @@ def test_eigendecompositions_run_only_where_their_values_are_used():
         for node in ast.walk(fn)
         if (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) in EIGENDECOMPOSITIONS
     }
-    assert users == {"_eigenvalues", "_line_split", "_range_basis", "_psd_clip"}
+    assert users == {"_eigenvalues", "_line_split", "_climbed_split", "_range_basis", "_psd_clip"}
     assert not users & {"certify_decomposition", "_certify_witness"}
 
 
