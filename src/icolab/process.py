@@ -715,8 +715,8 @@ def _cholesky_exists(mats: np.ndarray) -> bool:
     """Whether every matrix of a Hermitian stack has a Cholesky factor: is
     positive definite up to :func:`rounding_bound` of the matrix. Every
     positivity gate of the certificate checks is this test of its matrices
-    shifted by the gate's allowance (Rump, BIT 46, 2006); the search's own
-    test is :func:`_positive_definite`."""
+    shifted by the gate's allowance (Rump, BIT 46, 2006); unshifted, it is
+    the loop's filter :func:`_positive_definite`."""
     try:
         np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
@@ -835,17 +835,16 @@ def _order_split(
 
 
 def _positive_definite(mats: np.ndarray) -> bool:
-    """The search's test that every matrix of a Hermitian stack is positive
-    definite, by one batched Cholesky factorization."""
+    """The loop's filter: whether every matrix of a Hermitian stack is
+    positive definite, by one batched Cholesky factorization. It screens the
+    one candidate of each step before the costlier certificate build."""
     return _cholesky_exists(mats)
 
 
-def _line_split(
-    w: ProcessMatrix, in_ab: np.ndarray, in_ba: np.ndarray
-) -> tuple[tuple[float, float] | None, SeparabilityReport | None]:
-    """The best order split of W on the line X = A + t S, Y = B + (1 - t) S
-    through the search's start (t = 1/2), or on a line climbed off it, and
-    its certificate.
+def _line_split(w: ProcessMatrix, in_ab: np.ndarray, in_ba: np.ndarray) -> SeparabilityReport | None:
+    """The certificate of the best order split of W on the line
+    X = A + t S, Y = B + (1 - t) S through the search's start (t = 1/2), or
+    on a line climbed off it, or None.
 
     A, B and S are W's AB-only, BA-only and shared coefficients, so every
     point of the line is an exact order split. With S = L L^dagger positive
@@ -856,16 +855,15 @@ def _line_split(
     both parts are >= (t_hi - t_lo)/2 S. When the interval is empty,
     :func:`_climbed_split` looks for a shared H that opens it on the line
     through (A + H, B - H) and returns that line's midpoint split. Either
-    split must pass :func:`_positive_definite` and :func:`_certified_split`.
-    Returns the start line's own (t_lo, t_hi), None when S is not positive
-    definite, and the certificate of the midpoint, None when there is none or
-    it does not certify."""
+    split goes as it stands to :func:`_certified_split`, whose check gates
+    positivity. Returns None when S has no Cholesky factor, when no split
+    is found or when the split does not certify."""
     basis, both = hs_basis(w.layout), in_ab * in_ba
     mats = basis.to_mat(np.stack(((in_ab - both) * w._coef, (in_ba - both) * w._coef, both * w._coef)))
     try:
         inv = np.linalg.inv(np.linalg.cholesky(mats[2]))
     except np.linalg.LinAlgError:
-        return None, None
+        return None
     whitened = inv @ mats[:2] @ inv.conj().T
     least = np.linalg.eigvalsh(-whitened)[:, -1]
     t_lo, t_hi = float(least[0]), 1.0 - float(least[1])
@@ -874,9 +872,7 @@ def _line_split(
         split = mats[:2] + np.array((t, 1.0 - t))[:, None, None] * mats[2]
     else:
         split = _climbed_split(basis, both, mats, inv, whitened)
-    if split is None or not _positive_definite(split):
-        return (t_lo, t_hi), None
-    return (t_lo, t_hi), _certified_split(w, split)
+    return None if split is None else _certified_split(w, split)
 
 
 def _climbed_split(
@@ -884,7 +880,8 @@ def _climbed_split(
 ) -> np.ndarray | None:
     """The midpoint split of the first line (A + H + t S, B - H + (1 - t) S)
     whose interval of PSD splits is nonempty, climbed to from H = 0, or
-    None.
+    None. :func:`_line_split` hands the split, as it stands, to
+    :func:`_certified_split`.
 
     ``mats`` is the stack (A, B, S) of :func:`_line_split`, ``inv`` = L^-1
     with S = L L^dagger and ``whitened`` = L^-1 (A, B) L^-dagger. Every
@@ -1059,8 +1056,8 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
     matrix H both order masks keep, to (A + H + t S, B - H + (1 - t) S),
     until the interval opens, and that line's midpoint split is taken; a
     step that does not lengthen the interval ends the climb (see
-    :func:`_climbed_split`). When the split is positive definite and
-    :func:`certify_decomposition` accepts it, the search stops with
+    :func:`_climbed_split`). When :func:`certify_decomposition`, which
+    gates positivity itself, accepts the split, the search stops with
     ``iterations`` 0, no Douglas-Rachford step taken, and the certificate's
     reconstruction error as ``residual``; otherwise the loop below runs
     unchanged.
@@ -1125,7 +1122,7 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
     rounding = w._rounding
     deficient, pure = w._eigenvalues[0] <= rounding, w._eigenvalues[-2] <= rounding
     if not deficient:
-        cert = _line_split(w, in_ab, in_ba)[1]
+        cert = _line_split(w, in_ab, in_ba)
         if cert is not None:
             return cert
     elif pure:

@@ -82,6 +82,8 @@ coherent_process = REPORT_BYTES.coherent_process
 phase_rotated = REPORT_BYTES.phase_rotated
 pure_ordered_process = REPORT_BYTES.pure_ordered_process
 undamped_ordered_mixtures = REPORT_BYTES.undamped_ordered_mixtures
+lightly_damped_mixtures = REPORT_BYTES.lightly_damped_mixtures
+product_processes = REPORT_BYTES.product_processes
 
 
 # ---------------------------------------------------------------------------
@@ -1171,9 +1173,9 @@ def test_full_rank_inputs_build_no_range_basis(monkeypatch):
 
 
 def recorded_pd_tests(monkeypatch) -> list[tuple[str, bool]]:
-    """Patch the search's positive-definiteness test to log, per call, the
-    function that made it (``_line_split`` before the loop, or the loop in
-    ``separability_heuristic``) and its result."""
+    """Patch the loop's positive-definiteness test to log, per call, the
+    function that made it (the loop in ``separability_heuristic``, its one
+    caller) and its result."""
     results = []
 
     def recorded(mats):
@@ -1190,32 +1192,31 @@ def loop_tests(results: list[tuple[str, bool]]) -> list[bool]:
 
 
 def decided_on_the_line(rep, results: list[tuple[str, bool]]) -> bool:
-    """Whether a search was certified on its start line: one test, the
-    line's, and no step."""
-    return rep.verdict == "separable" and rep.iterations == 0 and results == [("_line_split", True)]
+    """Whether a search was certified on its start line: no step and no
+    positive-definiteness test, since the line's split goes straight to the
+    checks."""
+    return rep.verdict == "separable" and rep.iterations == 0 and results == []
 
 
 def stopped_early(rep, results: list[tuple[str, bool]]) -> bool:
     """Whether a search stopped at its loop's last positive-definiteness
     test: the loop tests at the top of steps 2..k and an early stop reports
-    k - 1. A line check that came first tested at most once, and failed."""
+    k - 1. Every test is the loop's."""
     loop = loop_tests(results)
-    line = results[: len(results) - len(loop)]
-    return (
-        rep.verdict == "separable"
-        and line in ([], [("_line_split", False)])
-        and len(loop) == rep.iterations >= 1
-        and loop[-1]
-    )
+    return rep.verdict == "separable" and len(loop) == len(results) == rep.iterations >= 1 and loop[-1]
 
 
 def test_checks_are_not_decided_by_the_searchs_positive_definiteness_test(monkeypatch):
-    # the search hands each split its test passes to the checks as it
-    # stands; with a test that passes every split, the checks' own
-    # factorizations must still turn away each one that is not PSD, so no
-    # verdict or step count moves and every certificate holds by the oracle
-    pool = process_family_inputs(1)[:150]
+    # the loop hands each split its test passes to the checks as it stands;
+    # with a test that passes every split, the checks' own factorizations
+    # must still turn away each one that is not PSD, so no verdict or step
+    # count moves and every certificate holds by the oracle. The lightly
+    # damped mixtures reach the loop's early stop after 7 to 27 steps
+    pool = lightly_damped_mixtures(12345, 40)
+    results = recorded_pd_tests(monkeypatch)
     reports = [separability_heuristic(w) for w in pool]
+    refused = results.count(("separability_heuristic", False))
+    assert refused >= 100 and results.count(("separability_heuristic", True)) >= 20
     monkeypatch.setattr(process, "_positive_definite", lambda mats: True)
     certified = 0
     for k, (w, rep) in enumerate(zip(pool, reports)):
@@ -1226,7 +1227,7 @@ def test_checks_are_not_decided_by_the_searchs_positive_definiteness_test(monkey
             worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
             assert worst <= 1e-12 and recon <= 1e-12, k
             certified += 1
-    assert certified >= 100
+    assert certified == len(pool)
 
 
 def builder_exit_pool() -> list[ProcessMatrix]:
@@ -1339,7 +1340,8 @@ def test_full_rank_ordered_mixtures_stop_at_the_first_positive_definite_split(mo
         else:
             assert stopped_early(rep, results), (rep.iterations, results)
             early += 1
-        # the certified split is the one the test passed
+        # one split reaches the builder, the line's untested or the one the
+        # loop's test passed, and it is positive definite
         assert len(splits) == 1
         assert np.linalg.eigvalsh(splits[0])[:, 0].min() > 0.0
         q, w_ab, w_ba = rep.certificate
@@ -1366,17 +1368,19 @@ def test_positive_definiteness_is_never_tested_on_rank_deficient_or_first_step_s
     # nothing, and the first step decides
     for w in (ocb_process(0.2), phase_rotated(ocb_process(0.2), 5)):
         assert w._eigenvalues[0] > w._rounding
-        interval, cert = process._line_split(w, _order_mask(w.layout, "AB"), _order_mask(w.layout, "BA"))
-        assert interval[0] >= interval[1] and cert is None
+        t_lo, t_hi, _ = oracles.line_split_interval(w.matrix, w.layout)
+        assert t_lo >= t_hi
+        assert process._line_split(w, _order_mask(w.layout, "AB"), _order_mask(w.layout, "BA")) is None
         rep = separability_heuristic(w)
         assert (rep.verdict, rep.iterations) == ("nonseparable", 1)
     assert results == []
-    # full rank and separable at the start: one test, the line's, and no step
+    # full rank and separable at the start: no test and no step
     for w in (ocb_process(0.5), ocb_process(0.8), phase_rotated(ocb_process(0.5), 5)):
         results.clear()
         assert decided_on_the_line(separability_heuristic(w), results)
-    # an ordered mixture whose start line is empty: the climb off it tests
-    # its one split on the line, and with the climb off the loop stops early
+    # an ordered mixture whose start line is empty: the climb off it hands
+    # its split to the checks untested, and with the climb off the loop
+    # stops early
     results.clear()
     rep = separability_heuristic(complex_search_inputs()["ordered-mixture-4"])
     assert decided_on_the_line(rep, results)
@@ -1402,7 +1406,7 @@ def test_early_stop_keeps_every_verdict_and_never_adds_a_step(monkeypatch, seed)
     assert sum(on_line) >= 90 and sum(early) >= 10 and not all(on_line)
     # the line check decides nothing: every search it does not decide
     # reports the same bytes, and each one it decides took a step there
-    monkeypatch.setattr(process, "_line_split", lambda w, in_ab, in_ba: (None, None))
+    monkeypatch.setattr(process, "_line_split", lambda w, in_ab, in_ba: None)
     for w, rep, line in zip(pool, reports, on_line):
         ref = separability_heuristic(w)
         assert rep.verdict == ref.verdict
@@ -1436,21 +1440,26 @@ def line_pool() -> dict[str, ProcessMatrix]:
 
 
 def test_line_interval_and_certificates_agree_with_the_reset_oracle():
+    # on the start line A and B are traceless and tr S = d_O, so the
+    # certificate's q is the line's t: the midpoint of the oracle's interval
     certified = 0
     for name, w in line_pool().items():
         in_ab, in_ba = _order_mask(w.layout, "AB"), _order_mask(w.layout, "BA")
-        (t_lo, t_hi), cert = process._line_split(w, in_ab, in_ba)
-        want_lo, want_hi, s = oracles.line_split_interval(w.matrix, w.layout)
-        assert abs(t_lo - want_lo) <= 1e-10 and abs(t_hi - want_hi) <= 1e-10, name
+        cert = process._line_split(w, in_ab, in_ba)
+        t_lo, t_hi, s = oracles.line_split_interval(w.matrix, w.layout)
         if cert is None:
             assert t_lo >= t_hi, name
             continue
         certified += 1
+        q, w_ab, w_ba = cert.certificate
         rep = separability_heuristic(w)
-        assert rep.iterations == 0 and rep.certificate[0] == cert.certificate[0], name
+        assert rep.iterations == 0 and rep.certificate[0] == q, name
+        # an empty start line certifies only off a climbed line, which the
+        # climb's own tests check
+        if t_lo < t_hi:
+            assert abs(q - 0.5 * (t_lo + t_hi)) <= 1e-10, name
         # at the midpoint both parts keep half the interval's length times S
         delta = 0.5 * (t_hi - t_lo)
-        q, w_ab, w_ba = cert.certificate
         for weight, part in ((q, w_ab), (1.0 - q, w_ba)):
             assert np.linalg.eigvalsh(weight * part.matrix - delta * s)[0] >= -1e-12, name
         worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
@@ -1492,8 +1501,9 @@ def climbing_mixtures() -> dict[str, ProcessMatrix]:
 
 def test_every_ordered_mixture_certifies_off_its_start_line(monkeypatch):
     # every full-rank ordered mixture of the pool is certified with no loop
-    # step, on its start line or by one or two climbing steps off it, and
-    # each certificate holds by the oracle within the rounding bound
+    # step and no positive-definiteness test, on its start line or by one or
+    # two climbing steps off it, and each certificate holds by the oracle
+    # within the rounding bound
     results, margins = recorded_pd_tests(monkeypatch), recorded_climbs(monkeypatch)
     pool = process_family_inputs(1)[::3]
     steps = []
@@ -1521,9 +1531,10 @@ def test_climbed_midpoint_keeps_half_its_interval_of_s_by_the_reset_oracle(monke
     w = climbing_mixtures()[name]
     margins = recorded_climbs(monkeypatch)
     lay = w.layout
-    (t_lo, t_hi), cert = process._line_split(w, _order_mask(lay, "AB"), _order_mask(lay, "BA"))
-    want_lo, want_hi, s = oracles.line_split_interval(w.matrix, lay)
-    assert abs(t_lo - want_lo) <= 1e-10 and abs(t_hi - want_hi) <= 1e-10 and t_lo >= t_hi
+    cert = process._line_split(w, _order_mask(lay, "AB"), _order_mask(lay, "BA"))
+    t_lo, t_hi, s = oracles.line_split_interval(w.matrix, lay)
+    # the climb starts from the start line's own interval, which is empty
+    assert t_lo >= t_hi and margins[0] == pytest.approx(t_hi - t_lo, abs=1e-10)
     assert margins[0] < 0.0 < margins[-1] and len(margins) == {"real": 2, "complex": 3}[name]
     q, w_ab, w_ba = cert.certificate
     x, y = q * w_ab.matrix, (1.0 - q) * w_ba.matrix
@@ -1589,7 +1600,7 @@ def test_a_climb_with_no_slope_or_no_rise_leaves_the_search_to_the_loop(monkeypa
 
 def test_a_shared_part_with_no_cholesky_factor_leaves_the_line_to_the_loop(monkeypatch):
     # the shared part S of a full-rank W is positive definite, so only a
-    # failed factorization of S reaches the line's exit with no interval;
+    # failed factorization of S reaches the line's exit before its pencil;
     # the loop then reaches the verdict the oracles give: separable where
     # the line holds a PSD split, nonseparable by a witness they accept
     def refused(a, *args, **kwargs):
@@ -1602,7 +1613,7 @@ def test_a_shared_part_with_no_cholesky_factor_leaves_the_line_to_the_loop(monke
     verdicts = []
     for w in (ocb_process(0.5), phase_rotated(ocb_process(0.5), 5), ocb_process(0.2)):
         lay = w.layout
-        assert process._line_split(w, _order_mask(lay, "AB"), _order_mask(lay, "BA")) == (None, None)
+        assert process._line_split(w, _order_mask(lay, "AB"), _order_mask(lay, "BA")) is None
         rep = separability_heuristic(w)
         t_lo, t_hi, _ = oracles.line_split_interval(w.matrix, lay)
         verdicts.append(rep.verdict)
@@ -1615,6 +1626,71 @@ def test_a_shared_part_with_no_cholesky_factor_leaves_the_line_to_the_loop(monke
             assert rep.verdict == "nonseparable"
             assert oracles.witness_margin(w.matrix, lay, *rep.witness) < 0.0
     assert verdicts == ["separable", "separable", "nonseparable"]
+
+
+@pytest.mark.parametrize("name", ["real", "complex"])
+def test_the_certificate_gate_alone_refuses_a_line_split_that_is_not_psd(monkeypatch, name):
+    # the line hands its split to the checks untested: a pencil eigvalsh
+    # that raises both ends of the interval by its length puts the midpoint
+    # above the true t_hi, where Y is not PSD, so only the positivity gate
+    # of certify_decomposition stands between that split and a certificate;
+    # it refuses, and the loop decides as it does with the line switched off
+    w = complex_search_inputs()["ordered-mixture-1"]
+    if name == "real":
+        # the mixture of W and its conjugate: again a full-rank ordered mixture
+        w = ProcessMatrix(w.matrix.real, w.layout)
+    lay = w.layout
+    t_lo, t_hi, _ = oracles.line_split_interval(w.matrix, lay)
+    assert t_lo < t_hi < 1.0 - 1.5 * (t_hi - t_lo)
+
+    def shifted(a, *args, **kwargs):
+        vals = eigvalsh(a, *args, **kwargs)
+        if sys._getframe(1).f_code.co_name == "_line_split":
+            # t_lo is the first part's largest value, 1 - t_hi the second's
+            vals = vals + np.array((1.0, -1.0))[:, None] * (t_hi - t_lo)
+        return vals
+
+    def recorded(*args):
+        checked.append(certify(*args))
+        return checked[-1]
+
+    checked, eigvalsh, certify = [], np.linalg.eigvalsh, process.certify_decomposition
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+    monkeypatch.setattr(process, "certify_decomposition", recorded)
+    assert process._line_split(w, _order_mask(lay, "AB"), _order_mask(lay, "BA")) is None
+    assert checked == [None]
+    rep = separability_heuristic(w)
+    monkeypatch.setattr(process, "_line_split", lambda w, in_ab, in_ba: None)
+    ref = separability_heuristic(w)
+    assert rep.to_json_dict() == ref.to_json_dict() and rep.verdict == "separable"
+
+
+@pytest.mark.parametrize("name", list(product_processes()), ids=["plain", "phase-rotated", "future"])
+def test_a_singular_psd_start_split_is_certified_at_the_converged_exit(monkeypatch, name):
+    # W = |0><0| (x) 1 (x) |0><0| (x) 1 (rank 4), its phase-rotated copy and
+    # its copy with a future: the start split is PSD but singular, so the
+    # first step's gap is 0, the loop ends at once and the converged exit,
+    # told apart as in test_every_certified_split_sums_to_w, certifies it
+    w = product_processes()[name]
+    exits = []
+
+    def recorded(w, mats):
+        frame = sys._getframe(1)
+        converged = frame.f_code.co_name == "separability_heuristic" and "residual" in frame.f_locals
+        cert = certified(w, mats)
+        exits.append((converged, cert is not None))
+        return cert
+
+    certified = process._certified_split
+    monkeypatch.setattr(process, "_certified_split", recorded)
+    assert w._eigenvalues[0] <= w._rounding
+    rep = separability_heuristic(w)
+    assert (rep.verdict, rep.iterations) == ("separable", 1)
+    assert exits[-1] == (True, True) and not any(ok for _, ok in exits[:-1])
+    q, w_ab, w_ba = rep.certificate
+    worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
+    assert worst <= min(tau_of(w_ab.matrix), tau_of(w_ba.matrix))
+    assert recon <= recon_gate(w.layout.dim) and rep.residual <= recon_gate(w.layout.dim)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -1632,7 +1708,7 @@ def test_damped_ordered_mixtures_are_separable_and_the_line_never_adds_a_step(se
     rep = separability_heuristic(w)
     assert rep.verdict == "separable"
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(process, "_line_split", lambda w, in_ab, in_ba: (None, None))
+        patch.setattr(process, "_line_split", lambda w, in_ab, in_ba: None)
         ref = separability_heuristic(w)
     assert ref.verdict == rep.verdict and ref.iterations >= rep.iterations
 
@@ -1728,10 +1804,11 @@ def test_each_matrix_is_converted_to_coefficients_once(monkeypatch):
 
 
 def test_each_certified_split_is_converted_to_matrices_once(monkeypatch):
-    # the line's split is formed from the (A, B, S) matrices of its pencil,
-    # the loop's is the one its test passed, and the builder takes either as
-    # it stands: the check gates both parts by Cholesky, so with W's
-    # validity warm the pencil's is the only eigvalsh of the search
+    # the line's split is formed from the (A, B, S) matrices of its pencil
+    # and goes to the builder untested, the loop's is the one its test
+    # passed, and the builder takes either as it stands: the check gates
+    # both parts by Cholesky, so with W's validity warm the pencil's is the
+    # only eigvalsh of the search
     passed, converted, eigvals = [], [], []
 
     def recorded_test(mats):
@@ -1756,8 +1833,8 @@ def test_each_certified_split_is_converted_to_matrices_once(monkeypatch):
     # certified on the line through the start, on the line two climbing steps
     # off it (each converts its supergradient), and, with the climb switched
     # off, by the loop's early stop
-    cases = (("ordered-mixture-1", 0, 0), ("ordered-mixture-4", 0, 2), ("ordered-mixture-4", 7, None))
-    for name, iterations, climb in cases:
+    cases = (("ordered-mixture-1", 0, 0, 0), ("ordered-mixture-4", 0, 2, 0), ("ordered-mixture-4", 7, None, 1))
+    for name, iterations, climb, tests_passed in cases:
         w = inputs[name]
         assert validate_process(w).is_valid
         for log in (passed, converted, eigvals):
@@ -1766,7 +1843,7 @@ def test_each_certified_split_is_converted_to_matrices_once(monkeypatch):
             if climb is None:
                 patch.setattr(process, "_climbed_split", lambda *args: None)
             rep = separability_heuristic(w)
-        assert (rep.verdict, rep.iterations, len(passed)) == ("separable", iterations, 1), name
+        assert (rep.verdict, rep.iterations, len(passed)) == ("separable", iterations, tests_passed), name
         # the pencil's, of the stack (A, B) in S's frame, before any split passed
         assert eigvals == [(2, 0)], name
         if iterations == 0:

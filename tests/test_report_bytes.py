@@ -96,8 +96,9 @@ def test_searches_write_one_report_per_search_input(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = out.read_text().splitlines()
     labels, reports = lines[::2], [json.loads(line) for line in lines[1::2]]
-    # the process-family inputs of seeds 1, 2 and 3, then 18 hand-picked searches
-    assert len(labels) == 1278 and all(label.startswith("== search ") for label in labels)
+    # the process-family inputs of seeds 1, 2 and 3, then 18 hand-picked
+    # searches, 40 lightly damped mixtures and 3 product processes
+    assert len(labels) == 1321 and all(label.startswith("== search ") for label in labels)
     assert "== search quantum-switch exit 0" in labels
     assert labels[1261] == "== search quantum-switch mixed with its v1 Z copy exit 0"
     assert "== search coherent visibility 1.0 exit 0" in labels
@@ -105,8 +106,10 @@ def test_searches_write_one_report_per_search_input(tmp_path):
     assert labels[0] == "== search process-family seed 1 0 ordered-mixture exit 0"
     assert labels[420] == "== search process-family seed 2 0 ordered-mixture exit 0"
     assert labels[1259] == "== search process-family seed 3 419 ocb exit 0"
-    assert labels[-10] == "== search undamped-mixture 0 exit 0"
-    assert labels[-1] == "== search pure-future BA exit 0"
+    assert labels[1268] == "== search undamped-mixture 0 exit 0"
+    assert labels[1277] == "== search pure-future BA exit 0"
+    assert labels[1278] == "== search lightly-damped-mixture 0 exit 0"
+    assert labels[-1] == "== search product with a future exit 0"
     assert {rep["verdict"] for rep in reports} <= {"separable", "nonseparable", "inconclusive"}
     # every input is searched, and its validity report rides along
     assert all(rep["validity"]["verdict"] == "valid" for rep in reports)

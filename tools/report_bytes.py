@@ -28,8 +28,10 @@ copy at ``v1`` = Z (rank 2 and real; a witness on its face decides it after
 the first step), the coherent preset at visibility 1e-6, 1e-4, 1e-3, 0.3
 and 1, a phase-rotated copy of the preset at visibility 0.3 (complex, so
 searched in complex128), the 8 undamped ordered mixtures of seed 1 (rank
-12, each with one order split on its face) and a pure ordered process
-with a future in each order (rank 1)::
+12, each with one order split on its face), a pure ordered process
+with a future in each order (rank 1), 40 lightly damped ordered mixtures
+(full rank; most stop early in the loop) and the three product processes
+of :func:`product_processes` (rank 4; certified at the converged exit)::
 
     python3 tools/report_bytes.py --searches parent/src parent.searches
     python3 tools/report_bytes.py --searches src change.searches
@@ -96,6 +98,7 @@ SWEEPS = {
 }
 
 SEARCH_SEED = 1
+LIGHT_SEED, LIGHT_NOISE = 12345, (0.01, 0.15)
 FAMILY_SEEDS = (1, 2, 3)
 SEARCH_VISIBILITIES = (1e-6, 1e-4, 1e-3, 0.3, 1.0)
 PURE_SEED = 3
@@ -122,8 +125,19 @@ def undamped_ordered_mixtures(seed: int, n: int) -> list:
     """Mixtures of a random A-first and a random B-first process with no
     white noise: separable by construction, but often of low rank and so on
     the boundary of the separable set."""
+    return _ordered_mixtures(seed, n, None)
+
+
+def lightly_damped_mixtures(seed: int, n: int) -> list:
+    """The mixtures of :func:`undamped_ordered_mixtures`, each damped by white
+    noise of a weight drawn in [0.01, 0.15] after its q: full rank, and close
+    enough to the boundary that most are decided by the loop's early stop."""
+    return _ordered_mixtures(seed, n, LIGHT_NOISE)
+
+
+def _ordered_mixtures(seed: int, n: int, noise: tuple[float, float] | None) -> list:
     import numpy as np
-    from icolab.process import choi_of_kraus, mix, ordered_process
+    from icolab.process import choi_of_kraus, mix, neutral_process, ordered_process
     from icolab.sampling import haar_unitary, random_density
 
     rng = np.random.default_rng(seed)
@@ -136,8 +150,29 @@ def undamped_ordered_mixtures(seed: int, n: int) -> list:
     for _ in range(n):
         w_ab = ordered_process(random_density(rng, 2), channel(), "AB")
         w_ba = ordered_process(random_density(rng, 2), channel(), "BA")
-        pool.append(mix(w_ab, w_ba, float(rng.uniform(0.1, 0.9))))
+        w = mix(w_ab, w_ba, float(rng.uniform(0.1, 0.9)))
+        if noise is not None:
+            w = mix(neutral_process(w.layout), w, float(rng.uniform(*noise)))
+        pool.append(w)
     return pool
+
+
+def product_processes() -> dict:
+    """W = |0><0| (x) 1 (x) |0><0| (x) 1 on (A_I, A_O, B_I, B_O), of rank 4,
+    its :func:`phase_rotated` copy and its copy with a future factor 1_F/2:
+    the start split of each is PSD but singular, so the search stops after
+    one step with gap 0 and only its converged exit certifies it."""
+    import numpy as np
+    from icolab.process import ProcessMatrix, standard_layout
+
+    ket0, one = np.diag([1.0, 0.0]), np.eye(2)
+    m = np.kron(np.kron(ket0, one), np.kron(ket0, one))
+    w = ProcessMatrix(m, standard_layout(2))
+    return {
+        "product": w,
+        "product phase-rotated": phase_rotated(w, ROTATION_SEED),
+        "product with a future": ProcessMatrix(np.kron(m, one / 2.0), standard_layout(2, 2)),
+    }
 
 
 def pure_ordered_process(order: str, seed: int):
@@ -203,6 +238,10 @@ def searches() -> None:
         emit(f"undamped-mixture {k}", w)
     for order in ("AB", "BA"):
         emit(f"pure-future {order}", pure_ordered_process(order, PURE_SEED))
+    for k, w in enumerate(lightly_damped_mixtures(LIGHT_SEED, 40)):
+        emit(f"lightly-damped-mixture {k}", w)
+    for label, w in product_processes().items():
+        emit(label, w)
 
 
 def _sections(path: Path) -> dict[str, tuple[str, list[str]]]:
