@@ -600,7 +600,7 @@ def witness_value(w: ProcessMatrix, s: np.ndarray) -> float:
     s = as_matrix(s)
     if s.shape != m.shape:
         raise ValueError(f"witness shape {s.shape} does not match process {m.shape}")
-    if not is_hermitian(s):
+    if not _is_hermitian(s):
         raise ValueError("witness must be Hermitian")
     return float(np.real(np.trace(s @ m)))
 
@@ -662,7 +662,8 @@ class SeparabilityReport:
     point, which lies in both sets, or at the split on W's face. A
     decomposition certified without a search step has ``iterations`` 0 and
     that error alone as ``residual``: one certified from a construction, by
-    the search on the line through its start or on a line climbed off it,
+    the search on the line through its start (at the start split itself,
+    with q = 1/2, or at the line's midpoint) or on a line climbed off it,
     or on the face of a rank-1 W.
     A witness found on the face of a rank-1 W has ``iterations`` 0 and the
     face's distance to the order splits, relative to max(1, ||W||), as
@@ -698,17 +699,39 @@ class SeparabilityReport:
         return out
 
 
-def _stacked_coefs(parts: tuple[ProcessMatrix, ...]) -> list[np.ndarray]:
-    """The :attr:`ProcessMatrix._coef` of each part. When none of them has
-    it yet and their matrices share a dtype, one :meth:`HSBasis.to_coef` of
-    the stack of their :attr:`_own` matrices fills every cache; otherwise
-    each part computes what it lacks."""
+def _stacked_coefs(parts: tuple[ProcessMatrix, ...], own: np.ndarray) -> np.ndarray:
+    """The :attr:`ProcessMatrix._coef` of each part, as one stack. When none
+    of them has it yet and their matrices share a dtype, one
+    :meth:`HSBasis.to_coef` of ``own``, the stack of their :attr:`_own`
+    matrices, fills every cache; otherwise each part computes what it lacks,
+    and a real part next to a complex one gets a zero imaginary part."""
     if not any("_coef" in vars(p) for p in parts) and len({p._own.dtype for p in parts}) == 1:
-        values = hs_basis(parts[0].layout).to_coef(np.array([p._own for p in parts]))
+        values = hs_basis(parts[0].layout).to_coef(own)
         values.flags.writeable = False
         for part, value in zip(parts, values):
             vars(part)["_coef"] = value
-    return [p._coef for p in parts]
+        return values
+    coefs = [p._coef for p in parts]
+    width = max(len(c) for c in coefs)
+    return np.array([c if len(c) == width else np.concatenate((c, np.zeros_like(c))) for c in coefs])
+
+
+@lru_cache(maxsize=8)
+def _identity(n: int) -> np.ndarray:
+    """The read-only n x n identity that shifts a positivity gate by its tau."""
+    out = np.eye(n)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=32)
+def _off_order_masks(layout: SpaceLayout) -> np.ndarray:
+    """Read-only stack (1 - AB, 1 - BA) of the masks of what each order
+    leaves out, with a parts axis, to broadcast over a stack of two parts'
+    coefficients."""
+    out = 1.0 - np.stack((_order_mask(layout, "AB"), _order_mask(layout, "BA")))[:, None]
+    out.flags.writeable = False
+    return out
 
 
 def _cholesky_exists(mats: np.ndarray) -> bool:
@@ -716,7 +739,7 @@ def _cholesky_exists(mats: np.ndarray) -> bool:
     positive definite up to :func:`rounding_bound` of the matrix. Every
     positivity gate of the certificate checks is this test of its matrices
     shifted by the gate's allowance (Rump, BIT 46, 2006); unshifted, it is
-    the loop's filter :func:`_positive_definite`."""
+    the search's filter :func:`_positive_definite`."""
     try:
         np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
@@ -732,25 +755,28 @@ def certify_decomposition(
     lie in its order subspace, each within the part's :func:`rounding_bound`
     tau, and the mixture must reproduce W within W's own tau, tau(dim, 1)
     relative to max(1, ||W||). The masks nest, (1 - a)(1 - b) <= 1 - a, so
-    the order gate implies validity at the same tau. Both parts are gated by
-    one Cholesky factorization of part + tau I, with no eigenvalue read;
-    coefficients come from a part's cache or one :meth:`HSBasis.to_coef` of
-    both. Returns the certificate (``iterations`` 0, ``residual`` the
-    relative reconstruction error) or None."""
+    the order gate implies validity at the same tau. Each gate reads both
+    parts at once from the stack of their matrices: positivity by one
+    Cholesky factorization of part + tau I, with no eigenvalue read, the
+    trace by one trace of the stack, and the order gate by one norm of the
+    stack of coefficients, from the parts' caches or one
+    :meth:`HSBasis.to_coef` of the matrix stack, masked by the stack of the
+    two off-order masks. Returns the certificate (``iterations`` 0,
+    ``residual`` the relative reconstruction error) or None."""
     m, lay = w.matrix, w.layout
     if not 0.0 <= q <= 1.0 or w_ab.layout != lay or w_ba.layout != lay:
         return None
-    parts, d_o = (w_ab, w_ba), w.expected_trace
+    parts = (w_ab, w_ba)
     own = np.array([p._own for p in parts])
     taus = rounding_bound(lay.dim, np.linalg.norm(own, axis=(-2, -1)))
-    if not _cholesky_exists(own + taus[:, None, None] * np.eye(lay.dim)):
+    if not _cholesky_exists(own + taus[:, None, None] * _identity(lay.dim)):
         return None
-    for part, coef, order, tau in zip(parts, _stacked_coefs(parts), ("AB", "BA"), taus):
-        if abs(float(np.real(np.trace(part.matrix)) - d_o)) > tau:
-            return None
-        # the basis is orthogonal: a distance to a subspace is the norm of the masked-out coefficients
-        if np.linalg.norm((1.0 - _order_mask(lay, order)) * coef) > tau:
-            return None
+    if (np.abs(np.real(np.trace(own, axis1=-2, axis2=-1)) - w.expected_trace) > taus).any():
+        return None
+    # the basis is orthogonal: a distance to a subspace is the norm of the masked-out coefficients
+    off = _off_order_masks(lay) * _stacked_coefs(parts, own)
+    if (np.linalg.norm(off.reshape(2, -1), axis=1) > taus).any():
+        return None
     # frobenius without its input checks: process matrices are complex128 and finite
     recon = float(np.linalg.norm(q * w_ab.matrix + (1 - q) * w_ba.matrix - m))
     recon /= max(1.0, float(np.linalg.norm(m)))
@@ -780,7 +806,7 @@ def _certified_split(w: ProcessMatrix, mats: np.ndarray) -> SeparabilityReport |
     weights = np.array((q, 1.0 - q))
     kept = weights >= 1e-6
     if not kept.all():
-        if not _cholesky_exists(mats[~kept] + w._rounding * np.eye(lay.dim)):
+        if not _cholesky_exists(mats[~kept] + w._rounding * _identity(lay.dim)):
             return None
         mats, weights = mats[kept], weights[kept]
     stack = mats / weights[:, None, None]
@@ -815,7 +841,7 @@ def _certify_witness(
     slack = rounding_bound(lay.dim, np.linalg.norm(p_ab) + np.linalg.norm(p_ba))
     value = witness_value(w, s)
     delta = -value / w.expected_trace - slack - np.array(inside)
-    if (delta > 0.0).all() and _cholesky_exists(parts + delta[:, None, None] * np.eye(lay.dim)):
+    if (delta > 0.0).all() and _cholesky_exists(parts + delta[:, None, None] * _identity(lay.dim)):
         # the reported value divides by the complex128 norm of S, which report bytes pin
         return value / frobenius(s)
     return None
@@ -835,31 +861,53 @@ def _order_split(
 
 
 def _positive_definite(mats: np.ndarray) -> bool:
-    """The loop's filter: whether every matrix of a Hermitian stack is
-    positive definite, by one batched Cholesky factorization. It screens the
-    one candidate of each step before the costlier certificate build."""
+    """The search's filter: whether every matrix of a Hermitian stack is
+    positive definite, by one batched Cholesky factorization. It screens a
+    split before the costlier certificate build: W's own start split in
+    :func:`_line_split`, and the one candidate of each step in the loop."""
     return _cholesky_exists(mats)
 
 
-def _line_split(w: ProcessMatrix, in_ab: np.ndarray, in_ba: np.ndarray) -> SeparabilityReport | None:
-    """The certificate of the best order split of W on the line
+@lru_cache(maxsize=32)
+def _line_masks(layout: SpaceLayout) -> np.ndarray:
+    """Read-only stack of the AB-only, BA-only and shared masks, with a parts
+    axis: one product with W's coefficients gives its (A, B, S)."""
+    a, b = _order_mask(layout, "AB"), _order_mask(layout, "BA")
+    out = np.stack((a - a * b, b - a * b, a * b))[:, None]
+    out.flags.writeable = False
+    return out
+
+
+def _line_split(w: ProcessMatrix) -> SeparabilityReport | None:
+    """The certificate of an order split of W on the line
     X = A + t S, Y = B + (1 - t) S through the search's start (t = 1/2), or
     on a line climbed off it, or None.
 
     A, B and S are W's AB-only, BA-only and shared coefficients, so every
-    point of the line is an exact order split. With S = L L^dagger positive
-    definite, X(t) is PSD exactly when t >= t_lo = lambda_max(-L^-1 A L^-dagger)
-    and Y(t) exactly when t <= t_hi = 1 - lambda_max(-L^-1 B L^-dagger): two
-    symmetric-definite generalized eigenvalue problems (Golub and Van Loan,
-    Matrix Computations, sec. 8.7). At the midpoint of a nonempty interval
-    both parts are >= (t_hi - t_lo)/2 S. When the interval is empty,
+    point of the line is an exact order split. The start split
+    (A + S/2, B + S/2) is tried first: when one batched Cholesky
+    factorization finds both parts positive definite, it goes as it stands
+    to :func:`_certified_split`, with no eigenvalue problem solved. When it
+    is not positive definite, or its certificate is refused, the line is
+    solved. With S = L L^dagger positive definite, X(t) is PSD exactly when
+    t >= t_lo = lambda_max(-L^-1 A L^-dagger) and Y(t) exactly when
+    t <= t_hi = 1 - lambda_max(-L^-1 B L^-dagger): two symmetric-definite
+    generalized eigenvalue problems (Golub and Van Loan, Matrix
+    Computations, sec. 8.7). At the midpoint of a nonempty interval both
+    parts are >= (t_hi - t_lo)/2 S. When the interval is empty,
     :func:`_climbed_split` looks for a shared H that opens it on the line
-    through (A + H, B - H) and returns that line's midpoint split. Either
-    split goes as it stands to :func:`_certified_split`, whose check gates
-    positivity. Returns None when S has no Cholesky factor, when no split
-    is found or when the split does not certify."""
-    basis, both = hs_basis(w.layout), in_ab * in_ba
-    mats = basis.to_mat(np.stack(((in_ab - both) * w._coef, (in_ba - both) * w._coef, both * w._coef)))
+    through (A + H, B - H) and returns that line's midpoint split. The
+    midpoint or the climbed split goes untested, as it stands, to
+    :func:`_certified_split`, whose check gates positivity. Returns None
+    when S has no Cholesky factor, when no split is found or when the split
+    does not certify."""
+    basis, masks = hs_basis(w.layout), _line_masks(w.layout)
+    mats = basis.to_mat(masks * w._coef)
+    start = mats[:2] + 0.5 * mats[2]
+    if _positive_definite(start):
+        cert = _certified_split(w, start)
+        if cert is not None:
+            return cert
     try:
         inv = np.linalg.inv(np.linalg.cholesky(mats[2]))
     except np.linalg.LinAlgError:
@@ -871,7 +919,7 @@ def _line_split(w: ProcessMatrix, in_ab: np.ndarray, in_ba: np.ndarray) -> Separ
         t = 0.5 * (t_lo + t_hi)
         split = mats[:2] + np.array((t, 1.0 - t))[:, None, None] * mats[2]
     else:
-        split = _climbed_split(basis, both, mats, inv, whitened)
+        split = _climbed_split(basis, masks[2], mats, inv, whitened)
     return None if split is None else _certified_split(w, split)
 
 
@@ -1046,12 +1094,15 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
     z += b - a. The start z = P_aff(W/2, W/2) lies on the affine set, so
     the first step clips the order split itself.
 
-    Before that step, a full-rank W tries the best split on the line through
-    the start: X = A + t S, Y = B + (1 - t) S, with A, B and S W's AB-only,
-    BA-only and shared coefficients (t = 1/2 is the start). When S is
-    positive definite, two generalized eigenvalue problems give the interval
-    of t where both parts are PSD, and its midpoint keeps both parts above
-    half its length times S (see :func:`_line_split`). When the interval is
+    Before that step, a full-rank W tries the line through the start:
+    X = A + t S, Y = B + (1 - t) S, with A, B and S W's AB-only, BA-only
+    and shared coefficients (t = 1/2 is the start). The start split itself
+    comes first: when one batched Cholesky factorization finds both of its
+    parts positive definite, it goes to the checks as it stands, with q =
+    1/2. Otherwise, or when the checks refuse it, and when S is positive
+    definite, two generalized eigenvalue problems give the interval of t
+    where both parts are PSD, and its midpoint keeps both parts above half
+    its length times S (see :func:`_line_split`). When the interval is
     empty, supergradient steps on its concave length move the line by a
     matrix H both order masks keep, to (A + H + t S, B - H + (1 - t) S),
     until the interval opens, and that line's midpoint split is taken; a
@@ -1122,7 +1173,7 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
     rounding = w._rounding
     deficient, pure = w._eigenvalues[0] <= rounding, w._eigenvalues[-2] <= rounding
     if not deficient:
-        cert = _line_split(w, in_ab, in_ba)
+        cert = _line_split(w)
         if cert is not None:
             return cert
     elif pure:

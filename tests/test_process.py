@@ -1188,33 +1188,40 @@ def recorded_pd_tests(monkeypatch) -> list[tuple[str, bool]]:
 
 
 def loop_tests(results: list[tuple[str, bool]]) -> list[bool]:
-    return [ok for caller, ok in results if caller == "separability_heuristic"]
+    """The results of the loop's tests, after checking that every test is
+    either the loop's or the one the line runs first, on its start split."""
+    line = 1 if results[:1] and results[0][0] == "_line_split" else 0
+    assert all(caller == "separability_heuristic" for caller, _ in results[line:]), results
+    return [ok for _, ok in results[line:]]
 
 
 def decided_on_the_line(rep, results: list[tuple[str, bool]]) -> bool:
     """Whether a search was certified on its start line: no step and no
-    positive-definiteness test, since the line's split goes straight to the
+    positive-definiteness test by the loop. The line tests its start split
+    at most once; the pencil's or the climbed split goes straight to the
     checks."""
-    return rep.verdict == "separable" and rep.iterations == 0 and results == []
+    return rep.verdict == "separable" and rep.iterations == 0 and loop_tests(results) == []
 
 
 def stopped_early(rep, results: list[tuple[str, bool]]) -> bool:
     """Whether a search stopped at its loop's last positive-definiteness
     test: the loop tests at the top of steps 2..k and an early stop reports
-    k - 1. Every test is the loop's."""
+    k - 1. Every other test is the line's one test of its start split."""
     loop = loop_tests(results)
-    return rep.verdict == "separable" and len(loop) == len(results) == rep.iterations >= 1 and loop[-1]
+    return rep.verdict == "separable" and len(loop) == rep.iterations >= 1 and loop[-1]
 
 
 def test_checks_are_not_decided_by_the_searchs_positive_definiteness_test(monkeypatch):
-    # the loop hands each split its test passes to the checks as it stands;
-    # with a test that passes every split, the checks' own factorizations
-    # must still turn away each one that is not PSD, so no verdict or step
-    # count moves and every certificate holds by the oracle. The lightly
-    # damped mixtures reach the loop's early stop after 7 to 27 steps
+    # the line and the loop hand each split their test passes to the checks
+    # as it stands; with a test that passes every split, the checks' own
+    # factorizations must still turn away each one that is not PSD, so no
+    # report moves and every certificate holds by the oracle. The lightly
+    # damped mixtures refuse their start splits and reach the loop's early
+    # stop after 7 to 27 steps
     pool = lightly_damped_mixtures(12345, 40)
     results = recorded_pd_tests(monkeypatch)
     reports = [separability_heuristic(w) for w in pool]
+    assert results.count(("_line_split", False)) == len(pool) and ("_line_split", True) not in results
     refused = results.count(("separability_heuristic", False))
     assert refused >= 100 and results.count(("separability_heuristic", True)) >= 20
     monkeypatch.setattr(process, "_positive_definite", lambda mats: True)
@@ -1222,6 +1229,7 @@ def test_checks_are_not_decided_by_the_searchs_positive_definiteness_test(monkey
     for k, (w, rep) in enumerate(zip(pool, reports)):
         fooled = separability_heuristic(w)
         assert (fooled.verdict, fooled.iterations) == (rep.verdict, rep.iterations), k
+        assert fooled.to_json_dict() == rep.to_json_dict(), k
         if fooled.certificate is not None:
             q, w_ab, w_ba = fooled.certificate
             worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
@@ -1340,8 +1348,9 @@ def test_full_rank_ordered_mixtures_stop_at_the_first_positive_definite_split(mo
         else:
             assert stopped_early(rep, results), (rep.iterations, results)
             early += 1
-        # one split reaches the builder, the line's untested or the one the
-        # loop's test passed, and it is positive definite
+        # one split reaches the builder, the start split the line's test
+        # passed, the pencil's untested or the one the loop's test passed,
+        # and it is positive definite
         assert len(splits) == 1
         assert np.linalg.eigvalsh(splits[0])[:, 0].min() > 0.0
         q, w_ab, w_ba = rep.certificate
@@ -1364,30 +1373,37 @@ def test_positive_definiteness_is_never_tested_on_rank_deficient_or_first_step_s
     past_first = [separability_heuristic(w).iterations > 1 for w in deficient]
     assert past_first == [True, True, False, False, False]
     assert results == []
-    # full rank and nonseparable: the line's interval is empty, so it tests
-    # nothing, and the first step decides
+    # full rank and nonseparable: the line tests its start split once and
+    # refuses it, its interval is empty, and the first step decides with no
+    # test of the loop's
     for w in (ocb_process(0.2), phase_rotated(ocb_process(0.2), 5)):
         assert w._eigenvalues[0] > w._rounding
         t_lo, t_hi, _ = oracles.line_split_interval(w.matrix, w.layout)
         assert t_lo >= t_hi
-        assert process._line_split(w, _order_mask(w.layout, "AB"), _order_mask(w.layout, "BA")) is None
+        results.clear()
+        assert process._line_split(w) is None and results == [("_line_split", False)]
+        results.clear()
         rep = separability_heuristic(w)
         assert (rep.verdict, rep.iterations) == ("nonseparable", 1)
-    assert results == []
-    # full rank and separable at the start: no test and no step
+        assert results == [("_line_split", False)]
+    # full rank and separable at the start: one test, of the start split,
+    # and no step
     for w in (ocb_process(0.5), ocb_process(0.8), phase_rotated(ocb_process(0.5), 5)):
         results.clear()
         assert decided_on_the_line(separability_heuristic(w), results)
-    # an ordered mixture whose start line is empty: the climb off it hands
-    # its split to the checks untested, and with the climb off the loop
-    # stops early
+        assert results == [("_line_split", True)]
+    # an ordered mixture whose start line is empty: the start split is
+    # refused, the climb off the line hands its split to the checks
+    # untested, and with the climb off the loop's tests start at step 2 and
+    # it stops early
     results.clear()
     rep = separability_heuristic(complex_search_inputs()["ordered-mixture-4"])
-    assert decided_on_the_line(rep, results)
+    assert decided_on_the_line(rep, results) and results == [("_line_split", False)]
     monkeypatch.setattr(process, "_climbed_split", lambda *args: None)
     results.clear()
     rep = separability_heuristic(complex_search_inputs()["ordered-mixture-4"])
     assert stopped_early(rep, results) and len(loop_tests(results)) == rep.iterations > 1
+    assert results[0] == ("_line_split", False)
 
 
 @pytest.mark.parametrize("seed", [2, 3])
@@ -1406,7 +1422,7 @@ def test_early_stop_keeps_every_verdict_and_never_adds_a_step(monkeypatch, seed)
     assert sum(on_line) >= 90 and sum(early) >= 10 and not all(on_line)
     # the line check decides nothing: every search it does not decide
     # reports the same bytes, and each one it decides took a step there
-    monkeypatch.setattr(process, "_line_split", lambda w, in_ab, in_ba: None)
+    monkeypatch.setattr(process, "_line_split", lambda w: None)
     for w, rep, line in zip(pool, reports, on_line):
         ref = separability_heuristic(w)
         assert rep.verdict == ref.verdict
@@ -1441,11 +1457,11 @@ def line_pool() -> dict[str, ProcessMatrix]:
 
 def test_line_interval_and_certificates_agree_with_the_reset_oracle():
     # on the start line A and B are traceless and tr S = d_O, so the
-    # certificate's q is the line's t: the midpoint of the oracle's interval
-    certified = 0
+    # certificate's q is the line's t: 1/2, the start split, where the
+    # oracle's interval holds it, and the interval's midpoint elsewhere
+    certified, started = 0, 0
     for name, w in line_pool().items():
-        in_ab, in_ba = _order_mask(w.layout, "AB"), _order_mask(w.layout, "BA")
-        cert = process._line_split(w, in_ab, in_ba)
+        cert = process._line_split(w)
         t_lo, t_hi, s = oracles.line_split_interval(w.matrix, w.layout)
         if cert is None:
             assert t_lo >= t_hi, name
@@ -1456,15 +1472,92 @@ def test_line_interval_and_certificates_agree_with_the_reset_oracle():
         assert rep.iterations == 0 and rep.certificate[0] == q, name
         # an empty start line certifies only off a climbed line, which the
         # climb's own tests check
-        if t_lo < t_hi:
-            assert abs(q - 0.5 * (t_lo + t_hi)) <= 1e-10, name
-        # at the midpoint both parts keep half the interval's length times S
-        delta = 0.5 * (t_hi - t_lo)
+        if t_lo < 0.5 < t_hi:
+            assert abs(q - 0.5) <= 1e-12, name
+            started += 1
+            # at t = 1/2 both parts keep the distance to the nearer end times S
+            delta = min(0.5 - t_lo, t_hi - 0.5)
+        else:
+            if t_lo < t_hi:
+                assert abs(q - 0.5 * (t_lo + t_hi)) <= 1e-10, name
+            # at the midpoint both parts keep half the interval's length times S
+            delta = 0.5 * (t_hi - t_lo)
         for weight, part in ((q, w_ab), (1.0 - q, w_ba)):
             assert np.linalg.eigvalsh(weight * part.matrix - delta * s)[0] >= -1e-12, name
         worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
         assert worst <= 1e-9 and recon <= 1e-13, name
-    assert 8 <= certified < len(line_pool())
+    assert 8 <= certified < len(line_pool()) and 1 <= started < certified
+
+
+def test_a_start_split_inside_its_interval_is_certified_before_the_pencil(monkeypatch):
+    # where the oracle's interval holds t = 1/2, W's own start split
+    # (A + S/2, B + S/2) is positive definite and certifies as it stands:
+    # q = 1/2, no step, and no inverse or eigenvalue problem in the line;
+    # the inputs whose start split is refused solve the pencil
+    calls = []
+
+    def spied(name, original):
+        def call(*args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "_line_split":
+                calls.append(name)
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in ("inv", "eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, spied(name, getattr(np.linalg, name)))
+    started, solved = 0, 0
+    for name, w in line_pool().items():
+        t_lo, t_hi, _ = oracles.line_split_interval(w.matrix, w.layout)
+        calls.clear()
+        rep = separability_heuristic(w)
+        if not t_lo < 0.5 < t_hi:
+            assert calls == ["inv", "eigvalsh"], name
+            solved += 1
+            continue
+        started += 1
+        assert (rep.verdict, rep.iterations) == ("separable", 0) and calls == [], name
+        q, w_ab, w_ba = rep.certificate
+        assert abs(q - 0.5) <= 1e-12, name
+        worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
+        assert worst <= min(tau_of(w_ab.matrix), tau_of(w_ba.matrix)), name
+        assert recon <= recon_gate(w.layout.dim) and rep.residual <= recon_gate(w.layout.dim), name
+    assert started >= 10 and solved >= 4
+
+
+def test_a_refused_start_split_never_reaches_the_certificate_build(monkeypatch):
+    # the line tests its start split once; a split the test passes is the
+    # first the builder gets, and one it refuses never reaches the builder,
+    # which gets at most the pencil's or the climbed split
+    tested, built = [], []
+
+    def recorded_test(mats):
+        if sys._getframe(1).f_code.co_name == "_line_split":
+            tested.append((mats, positive_definite(mats)))
+            return tested[-1][1]
+        return positive_definite(mats)
+
+    def recorded_build(w, mats):
+        if sys._getframe(1).f_code.co_name == "_line_split":
+            built.append(mats)
+        return certified(w, mats)
+
+    positive_definite, certified = process._positive_definite, process._certified_split
+    monkeypatch.setattr(process, "_positive_definite", recorded_test)
+    monkeypatch.setattr(process, "_certified_split", recorded_build)
+    pool = {**line_pool(), "ocb-0.2": ocb_process(0.2), "phase-rotated": phase_rotated(ocb_process(0.2), 5)}
+    refused = 0
+    for name, w in pool.items():
+        tested.clear()
+        built.clear()
+        process._line_split(w)
+        ((start, ok),) = tested
+        if ok:
+            assert built[0] is start, name
+            continue
+        refused += 1
+        assert len(built) <= 1 and not any(np.array_equal(m, start) for m in built), name
+    assert refused >= 6
 
 
 # The climb: where the start line holds no PSD split, supergradient steps on
@@ -1501,9 +1594,10 @@ def climbing_mixtures() -> dict[str, ProcessMatrix]:
 
 def test_every_ordered_mixture_certifies_off_its_start_line(monkeypatch):
     # every full-rank ordered mixture of the pool is certified with no loop
-    # step and no positive-definiteness test, on its start line or by one or
-    # two climbing steps off it, and each certificate holds by the oracle
-    # within the rounding bound
+    # step and no positive-definiteness test of the loop's, on its start line
+    # (its start split or the pencil's midpoint) or by one or two climbing
+    # steps off it, and each certificate holds by the oracle within the
+    # rounding bound
     results, margins = recorded_pd_tests(monkeypatch), recorded_climbs(monkeypatch)
     pool = process_family_inputs(1)[::3]
     steps = []
@@ -1531,7 +1625,7 @@ def test_climbed_midpoint_keeps_half_its_interval_of_s_by_the_reset_oracle(monke
     w = climbing_mixtures()[name]
     margins = recorded_climbs(monkeypatch)
     lay = w.layout
-    cert = process._line_split(w, _order_mask(lay, "AB"), _order_mask(lay, "BA"))
+    cert = process._line_split(w)
     t_lo, t_hi, s = oracles.line_split_interval(w.matrix, lay)
     # the climb starts from the start line's own interval, which is empty
     assert t_lo >= t_hi and margins[0] == pytest.approx(t_hi - t_lo, abs=1e-10)
@@ -1552,9 +1646,9 @@ def test_climbed_midpoint_keeps_half_its_interval_of_s_by_the_reset_oracle(monke
 
 
 def test_a_witness_input_climbs_one_step_and_keeps_its_report(monkeypatch):
-    # on OCB with white noise the interval only shrinks: the climb stops
-    # after one step, tests no split, and the first loop step finds the
-    # same witness as with the climb switched off
+    # on OCB with white noise the start split is refused and the interval
+    # only shrinks: the climb stops after one step, tests no split, and the
+    # first loop step finds the same witness as with the climb switched off
     results, margins = recorded_pd_tests(monkeypatch), recorded_climbs(monkeypatch)
     pool = (ocb_process(0.2), phase_rotated(ocb_process(0.2), 5))
     reports = []
@@ -1562,7 +1656,7 @@ def test_a_witness_input_climbs_one_step_and_keeps_its_report(monkeypatch):
         margins.clear()
         reports.append(separability_heuristic(w))
         assert len(margins) == 2 and margins[1] < margins[0] < 0.0, margins
-    assert results == []
+    assert results == [("_line_split", False)] * len(pool)
     monkeypatch.setattr(process, "_climbed_split", lambda *args: None)
     for w, rep in zip(pool, reports):
         ref = separability_heuristic(w)
@@ -1601,19 +1695,24 @@ def test_a_climb_with_no_slope_or_no_rise_leaves_the_search_to_the_loop(monkeypa
 def test_a_shared_part_with_no_cholesky_factor_leaves_the_line_to_the_loop(monkeypatch):
     # the shared part S of a full-rank W is positive definite, so only a
     # failed factorization of S reaches the line's exit before its pencil;
-    # the loop then reaches the verdict the oracles give: separable where
-    # the line holds a PSD split, nonseparable by a witness they accept
+    # with the start split's test refused too, the loop then reaches the
+    # verdict the oracles give: separable where the line holds a PSD split,
+    # nonseparable by a witness they accept
     def refused(a, *args, **kwargs):
         if sys._getframe(1).f_code.co_name == "_line_split":
             raise np.linalg.LinAlgError("no factor")
         return cholesky(a, *args, **kwargs)
 
-    cholesky = np.linalg.cholesky
+    def untested(mats):
+        return sys._getframe(1).f_code.co_name != "_line_split" and positive_definite(mats)
+
+    cholesky, positive_definite = np.linalg.cholesky, process._positive_definite
     monkeypatch.setattr(np.linalg, "cholesky", refused)
+    monkeypatch.setattr(process, "_positive_definite", untested)
     verdicts = []
     for w in (ocb_process(0.5), phase_rotated(ocb_process(0.5), 5), ocb_process(0.2)):
         lay = w.layout
-        assert process._line_split(w, _order_mask(lay, "AB"), _order_mask(lay, "BA")) is None
+        assert process._line_split(w) is None
         rep = separability_heuristic(w)
         t_lo, t_hi, _ = oracles.line_split_interval(w.matrix, lay)
         verdicts.append(rep.verdict)
@@ -1630,11 +1729,13 @@ def test_a_shared_part_with_no_cholesky_factor_leaves_the_line_to_the_loop(monke
 
 @pytest.mark.parametrize("name", ["real", "complex"])
 def test_the_certificate_gate_alone_refuses_a_line_split_that_is_not_psd(monkeypatch, name):
-    # the line hands its split to the checks untested: a pencil eigvalsh
-    # that raises both ends of the interval by its length puts the midpoint
-    # above the true t_hi, where Y is not PSD, so only the positivity gate
-    # of certify_decomposition stands between that split and a certificate;
-    # it refuses, and the loop decides as it does with the line switched off
+    # t = 1/2 lies above this input's interval, so its start split is
+    # refused, and the line hands its pencil's split to the checks untested:
+    # a pencil eigvalsh that raises both ends of the interval by its length
+    # puts the midpoint above the true t_hi, where Y is not PSD, so only the
+    # positivity gate of certify_decomposition stands between that split and
+    # a certificate; it refuses, and the loop decides as it does with the
+    # line switched off
     w = complex_search_inputs()["ordered-mixture-1"]
     if name == "real":
         # the mixture of W and its conjugate: again a full-rank ordered mixture
@@ -1657,10 +1758,10 @@ def test_the_certificate_gate_alone_refuses_a_line_split_that_is_not_psd(monkeyp
     checked, eigvalsh, certify = [], np.linalg.eigvalsh, process.certify_decomposition
     monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
     monkeypatch.setattr(process, "certify_decomposition", recorded)
-    assert process._line_split(w, _order_mask(lay, "AB"), _order_mask(lay, "BA")) is None
+    assert process._line_split(w) is None
     assert checked == [None]
     rep = separability_heuristic(w)
-    monkeypatch.setattr(process, "_line_split", lambda w, in_ab, in_ba: None)
+    monkeypatch.setattr(process, "_line_split", lambda w: None)
     ref = separability_heuristic(w)
     assert rep.to_json_dict() == ref.to_json_dict() and rep.verdict == "separable"
 
@@ -1708,7 +1809,7 @@ def test_damped_ordered_mixtures_are_separable_and_the_line_never_adds_a_step(se
     rep = separability_heuristic(w)
     assert rep.verdict == "separable"
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(process, "_line_split", lambda w, in_ab, in_ba: None)
+        patch.setattr(process, "_line_split", lambda w: None)
         ref = separability_heuristic(w)
     assert ref.verdict == rep.verdict and ref.iterations >= rep.iterations
 
@@ -1805,10 +1906,10 @@ def test_each_matrix_is_converted_to_coefficients_once(monkeypatch):
 
 def test_each_certified_split_is_converted_to_matrices_once(monkeypatch):
     # the line's split is formed from the (A, B, S) matrices of its pencil
-    # and goes to the builder untested, the loop's is the one its test
-    # passed, and the builder takes either as it stands: the check gates
-    # both parts by Cholesky, so with W's validity warm the pencil's is the
-    # only eigvalsh of the search
+    # (the start splits of both inputs are refused) and goes to the builder
+    # untested, the loop's is the one its test passed, and the builder takes
+    # either as it stands: the check gates both parts by Cholesky, so with
+    # W's validity warm the pencil's is the only eigvalsh of the search
     passed, converted, eigvals = [], [], []
 
     def recorded_test(mats):
@@ -2047,6 +2148,29 @@ def test_each_decomposition_gate_rejects_its_defect_in_either_slot(defect, slot)
         assert certify_decomposition(w, q, *parts) is None, (defect, slot, warm)
         if defect != "layout":
             assert decomposition_fails_the_oracle(w, q, *parts), (defect, slot)
+
+
+@pytest.mark.parametrize("slot", [0, 1], ids=["AB-slot", "BA-slot"])
+@pytest.mark.parametrize("defect", ["none", "psd", "trace", "invalid", "other-order"])
+def test_a_complex_part_next_to_the_neutral_padding_is_gated_as_it_stands(defect, slot):
+    # the neutral padding is real, one coefficient part, and a complex part
+    # has two: the stacked gates read both and give the verdict the same
+    # part gets next to a complex partner, which the oracle gives too
+    q = 0.3
+    parts = damped_ordered_parts()
+    part = parts[slot]
+    if defect != "none":
+        part = decomposition_defect(part, ("AB", "BA")[slot], defect)
+    neutral, verdicts = neutral_process(part.layout), []
+    for partner in (neutral, parts[1 - slot]):
+        pair = [partner, partner]
+        pair[slot] = part
+        arity = [len(p._coef) for p in pair]
+        assert arity[slot] == 2 and arity[1 - slot] == (1 if partner is neutral else 2)
+        w = ProcessMatrix(q * pair[0].matrix + (1.0 - q) * pair[1].matrix, part.layout)
+        verdicts.append(certify_decomposition(w, q, *pair) is not None)
+        assert verdicts[-1] != decomposition_fails_the_oracle(w, q, *pair), (defect, slot)
+    assert verdicts == [defect == "none"] * 2
 
 
 def psd_boundary_parts(dim: int, kind: str) -> list[ProcessMatrix]:
