@@ -33,6 +33,7 @@ import numpy as np
 
 from .bell import BehaviorTable
 from .linalg import (
+    HERMITICITY_ATOL,
     SpaceLayout,
     _is_hermitian,
     as_matrix,
@@ -181,31 +182,19 @@ class Instrument:
 class ProcessMatrix:
     """A process matrix with its factor layout.
 
-    The constructor checks only structure (layout shape, finite Hermitian
-    entries) and keeps a read-only copy of the matrix, so both hold for the
-    instance's lifetime. The physical invariants — PSD, trace d_AO*d_BO,
-    valid linear subspace — are audited once per instance by
-    :func:`validate_process` and hold for every matrix built by this
-    module's constructors.
-    """
+    The constructor checks only structure (:func:`_structure_checked`) and
+    keeps a read-only complex128 copy of the matrix, so both hold for the
+    instance's lifetime (:func:`process_stack` checks a stack once and makes
+    views of it). The physical invariants — PSD, trace d_AO*d_BO, valid
+    linear subspace — are audited once per instance by
+    :func:`validate_process` and hold for every matrix this module builds."""
 
     matrix: np.ndarray
     layout: SpaceLayout
 
     def __post_init__(self) -> None:
-        m = as_matrix(np.array(self.matrix, dtype=np.complex128))
-        labs = self.layout.labels
-        if labs[:4] != PARTY_LABELS or labs[4:] not in ((), ("F",)):
-            raise ValueError(
-                f"layout must be {PARTY_LABELS} with optional trailing 'F', got {labs}"
-            )
-        if m.shape != (self.layout.dim, self.layout.dim):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match layout dimension {self.layout.dim}"
-            )
-        if not _is_hermitian(m):
-            raise ValueError("process matrix must be Hermitian")
-        m.flags.writeable = False
+        m = np.array(self.matrix, dtype=np.complex128)
+        m = _structure_checked(m.reshape(-1, 1) if m.ndim == 1 else m, self.layout, 2)
         object.__setattr__(self, "matrix", m)
 
     @cached_property
@@ -247,6 +236,38 @@ class ProcessMatrix:
     @property
     def expected_trace(self) -> float:
         return float(self.layout.dim_of("A_O") * self.layout.dim_of("B_O"))
+
+
+def _structure_checked(m: np.ndarray, layout: SpaceLayout, ndim: int) -> np.ndarray:
+    """``m``, made read-only, once it passes :class:`ProcessMatrix`'s checks on
+    ``layout`` (party labels, ``ndim`` axes ending in (dim, dim), finite,
+    Hermitian within HERMITICITY_ATOL) in its own dtype, a stack at once."""
+    if layout.labels[:4] != PARTY_LABELS or layout.labels[4:] not in ((), ("F",)):
+        raise ValueError(f"layout must be {PARTY_LABELS} with optional trailing 'F', got {layout.labels}")
+    if m.ndim != ndim or m.shape[-2:] != (layout.dim, layout.dim):
+        raise ValueError(f"matrix shape {m.shape} does not match layout dimension {layout.dim}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains non-finite entries")
+    skew = m - m.conj().swapaxes(-1, -2)
+    if skew.any() and not np.max(np.abs(skew)) <= HERMITICITY_ATOL:
+        raise ValueError("process matrix must be Hermitian")
+    m.flags.writeable = False
+    return m
+
+
+def _views(stack: np.ndarray, layout: SpaceLayout) -> tuple[ProcessMatrix, ...]:
+    """Read-only views, with no copy or check, of a checked complex128 stack."""
+    stack.flags.writeable = False
+    parts = tuple(object.__new__(ProcessMatrix) for _ in stack)
+    for part, m in zip(parts, stack):
+        vars(part).update(matrix=m, layout=layout)
+    return parts
+
+
+def process_stack(mats: np.ndarray, layout: SpaceLayout) -> tuple[ProcessMatrix, ...]:
+    """``ProcessMatrix(m, layout)`` for each m of a stack (k, dim, dim), with
+    the same rejections: views of one checked complex128 copy of the stack."""
+    return _views(_structure_checked(np.array(mats, dtype=np.complex128), layout, 3), layout)
 
 
 def standard_layout(d: int = 2, d_f: int | None = None) -> SpaceLayout:
@@ -699,23 +720,6 @@ class SeparabilityReport:
         return out
 
 
-def _stacked_coefs(parts: tuple[ProcessMatrix, ...], own: np.ndarray) -> np.ndarray:
-    """The :attr:`ProcessMatrix._coef` of each part, as one stack. When none
-    of them has it yet and their matrices share a dtype, one
-    :meth:`HSBasis.to_coef` of ``own``, the stack of their :attr:`_own`
-    matrices, fills every cache; otherwise each part computes what it lacks,
-    and a real part next to a complex one gets a zero imaginary part."""
-    if not any("_coef" in vars(p) for p in parts) and len({p._own.dtype for p in parts}) == 1:
-        values = hs_basis(parts[0].layout).to_coef(own)
-        values.flags.writeable = False
-        for part, value in zip(parts, values):
-            vars(part)["_coef"] = value
-        return values
-    coefs = [p._coef for p in parts]
-    width = max(len(c) for c in coefs)
-    return np.array([c if len(c) == width else np.concatenate((c, np.zeros_like(c))) for c in coefs])
-
-
 @lru_cache(maxsize=8)
 def _identity(n: int) -> np.ndarray:
     """The read-only n x n identity that shifts a positivity gate by its tau."""
@@ -727,8 +731,7 @@ def _identity(n: int) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _off_order_masks(layout: SpaceLayout) -> np.ndarray:
     """Read-only stack (1 - AB, 1 - BA) of the masks of what each order
-    leaves out, with a parts axis, to broadcast over a stack of two parts'
-    coefficients."""
+    leaves out, with a parts axis, to broadcast over two parts' coefficients."""
     out = 1.0 - np.stack((_order_mask(layout, "AB"), _order_mask(layout, "BA")))[:, None]
     out.flags.writeable = False
     return out
@@ -751,56 +754,71 @@ def certify_decomposition(
     w: ProcessMatrix, q: float, w_ab: ProcessMatrix, w_ba: ProcessMatrix
 ) -> SeparabilityReport | None:
     """Re-validate a claimed decomposition W = q W_AB + (1-q) W_BA from
-    scratch, whatever proposed it: each part must be PSD, have trace d_O and
-    lie in its order subspace, each within the part's :func:`rounding_bound`
-    tau, and the mixture must reproduce W within W's own tau, tau(dim, 1)
-    relative to max(1, ||W||). The masks nest, (1 - a)(1 - b) <= 1 - a, so
-    the order gate implies validity at the same tau. Each gate reads both
-    parts at once from the stack of their matrices: positivity by one
-    Cholesky factorization of part + tau I, with no eigenvalue read, the
-    trace by one trace of the stack, and the order gate by one norm of the
-    stack of coefficients, from the parts' caches or one
-    :meth:`HSBasis.to_coef` of the matrix stack, masked by the stack of the
-    two off-order masks. Returns the certificate (``iterations`` 0,
-    ``residual`` the relative reconstruction error) or None."""
-    m, lay = w.matrix, w.layout
-    if not 0.0 <= q <= 1.0 or w_ab.layout != lay or w_ba.layout != lay:
+    scratch, whatever proposed it, by :func:`_certified_stack` on the parts'
+    :attr:`_own` and :attr:`_coef`: the certificate, with these parts, or None."""
+    if w_ab.layout != w.layout or w_ba.layout != w.layout:
         return None
-    parts = (w_ab, w_ba)
-    own = np.array([p._own for p in parts])
+    return _certified_stack(w, q, np.array([w_ab._own, w_ba._own]), (w_ab, w_ba))
+
+
+def _certified_stack(
+    w: ProcessMatrix, q: float, own: np.ndarray, parts: tuple[ProcessMatrix, ...] | None = None
+) -> SeparabilityReport | None:
+    """The one checker of a decomposition W = q X + (1-q) Y, given the stack
+    ``own`` = (X, Y) in the parts' arithmetic: :class:`ProcessMatrix`'s
+    structural checks once (ValueError), then q in [0, 1], each part PSD
+    (one Cholesky factorization of the stack + tau I), of trace d_O and in
+    its order subspace (the masks nest, (1 - a)(1 - b) <= 1 - a, so validity
+    follows), each within its :func:`rounding_bound` tau, and W reproduced
+    within tau(dim, 1) relative to max(1, ||W||). Coefficients: the given
+    ``parts``' :attr:`_coef` if they share a dtype, else one
+    :meth:`HSBasis.to_coef` of the stack. Without ``parts``, the parts are
+    built once every gate has passed, as read-only complex128 views of the
+    stack with those coefficients cached. Certificate (``iterations`` 0) or None."""
+    m, lay = w.matrix, w.layout
+    _structure_checked(own, lay, 3)
+    if not 0.0 <= q <= 1.0:
+        return None
     taus = rounding_bound(lay.dim, np.linalg.norm(own, axis=(-2, -1)))
     if not _cholesky_exists(own + taus[:, None, None] * _identity(lay.dim)):
         return None
     if (np.abs(np.real(np.trace(own, axis1=-2, axis2=-1)) - w.expected_trace) > taus).any():
         return None
+    if parts is not None and parts[0]._own.dtype == parts[1]._own.dtype:
+        coefs = np.array([p._coef for p in parts])
+    else:  # the stack's, also for a real part next to a complex one
+        coefs = hs_basis(lay).to_coef(own)
+        coefs.flags.writeable = False
     # the basis is orthogonal: a distance to a subspace is the norm of the masked-out coefficients
-    off = _off_order_masks(lay) * _stacked_coefs(parts, own)
-    if (np.linalg.norm(off.reshape(2, -1), axis=1) > taus).any():
+    if (np.linalg.norm((_off_order_masks(lay) * coefs).reshape(2, -1), axis=1) > taus).any():
         return None
-    # frobenius without its input checks: process matrices are complex128 and finite
-    recon = float(np.linalg.norm(q * w_ab.matrix + (1 - q) * w_ba.matrix - m))
-    recon /= max(1.0, float(np.linalg.norm(m)))
+    # frobenius without its input checks: the stack is finite
+    recon = float(np.linalg.norm(q * own[0] + (1 - q) * own[1] - m)) / max(1.0, float(np.linalg.norm(m)))
     if recon > rounding_bound(lay.dim, 1.0):
         return None
-    return SeparabilityReport((q, w_ab, w_ba), float(recon), 0)
+    if parts is None:
+        parts = _views(np.asarray(own, dtype=np.complex128), lay)
+        for part, mat, coef in zip(parts, own, coefs):
+            # a part's own arithmetic is the stack's, unless a complex part has no imaginary part
+            if own.dtype == np.float64 or mat.imag.any():
+                vars(part).update(_own=mat, _coef=coef)
+    return SeparabilityReport((q, *parts), recon, 0)
 
 
 def _certified_split(w: ProcessMatrix, mats: np.ndarray) -> SeparabilityReport | None:
-    """The certificate of the candidate decomposition built from an order
-    split of W, the stack (X, Y) of its matrices in the search's dtype, or
-    None.
+    """The certificate of the decomposition built from an order split of W,
+    the stack (X, Y) of its matrices in the search's dtype, or None.
 
     q comes from the trace of X. The parts are divided by their weights,
-    made Hermitian and renormalized to trace d_O as one stack, each in the
-    arithmetic of a single matrix. A part of weight below 1e-6, a summand
-    of W's split, must pass one Cholesky factorization of part + tau I, tau
-    W's :func:`rounding_bound`, and is then padded with the neutral process.
+    made Hermitian and renormalized to trace d_O as one stack, which
+    :func:`_certified_stack` checks as it stands. A part of weight below
+    1e-6, a summand of W's split, must pass one Cholesky factorization of
+    part + tau I, tau W's :func:`rounding_bound`; the kept part is then
+    checked next to the neutral process by :func:`certify_decomposition`.
     A kept part's trace is positive: every caller's X + Y is W up to
-    rounding, and W is valid, so tr X + tr Y = d_O >= 1 within tau <
-    MAX_DIM^3 eps_mach < 1e-10. Divided by a weight of at least 1e-6, a part
-    has trace d_O within 1e-4; a part kept alone, above d_O - 1e-10. Every
-    split is checked as it stands, dropped part and all, wherever the search
-    found it: no part is lifted, and :func:`certify_decomposition` decides."""
+    rounding and W is valid, so tr X + tr Y = d_O >= 1 within tau <
+    MAX_DIM^3 eps_mach < 1e-10. Divided by a weight of at least 1e-6, a
+    part has trace d_O within 1e-4; kept alone, above d_O - 1e-10."""
     lay, d_o = w.layout, w.expected_trace
     q = min(max(float(np.real(np.trace(mats[0]))) / d_o, 0.0), 1.0)
     weights = np.array((q, 1.0 - q))
@@ -812,6 +830,8 @@ def _certified_split(w: ProcessMatrix, mats: np.ndarray) -> SeparabilityReport |
     stack = mats / weights[:, None, None]
     stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
     stack *= (d_o / np.real(np.trace(stack, axis1=-2, axis2=-1)))[:, None, None]
+    if kept.all():
+        return _certified_stack(w, q, stack)
     parts = [ProcessMatrix(mat, lay) for mat in stack]
     return certify_decomposition(w, q, *(parts.pop(0) if keep else neutral_process(lay) for keep in kept))
 
@@ -862,9 +882,9 @@ def _order_split(
 
 def _positive_definite(mats: np.ndarray) -> bool:
     """The search's filter: whether every matrix of a Hermitian stack is
-    positive definite, by one batched Cholesky factorization. It screens a
-    split before the costlier certificate build: W's own start split in
-    :func:`_line_split`, and the one candidate of each step in the loop."""
+    positive definite, by one batched Cholesky factorization, before the
+    certificate check: W's own start split in :func:`_line_split`, and the
+    one candidate of each step in the loop."""
     return _cholesky_exists(mats)
 
 
@@ -885,22 +905,20 @@ def _line_split(w: ProcessMatrix) -> SeparabilityReport | None:
 
     A, B and S are W's AB-only, BA-only and shared coefficients, so every
     point of the line is an exact order split. The start split
-    (A + S/2, B + S/2) is tried first: when one batched Cholesky
-    factorization finds both parts positive definite, it goes as it stands
-    to :func:`_certified_split`, with no eigenvalue problem solved. When it
-    is not positive definite, or its certificate is refused, the line is
-    solved. With S = L L^dagger positive definite, X(t) is PSD exactly when
+    (A + S/2, B + S/2) goes first, as it stands, to :func:`_certified_split`
+    when one batched Cholesky factorization finds both parts positive
+    definite, with no eigenvalue problem solved. When it is not, or its
+    certificate is refused, the line is solved: with S = L L^dagger
+    positive definite, X(t) is PSD exactly when
     t >= t_lo = lambda_max(-L^-1 A L^-dagger) and Y(t) exactly when
-    t <= t_hi = 1 - lambda_max(-L^-1 B L^-dagger): two symmetric-definite
+    t <= t_hi = 1 - lambda_max(-L^-1 B L^-dagger), two symmetric-definite
     generalized eigenvalue problems (Golub and Van Loan, Matrix
     Computations, sec. 8.7). At the midpoint of a nonempty interval both
-    parts are >= (t_hi - t_lo)/2 S. When the interval is empty,
-    :func:`_climbed_split` looks for a shared H that opens it on the line
-    through (A + H, B - H) and returns that line's midpoint split. The
-    midpoint or the climbed split goes untested, as it stands, to
-    :func:`_certified_split`, whose check gates positivity. Returns None
-    when S has no Cholesky factor, when no split is found or when the split
-    does not certify."""
+    parts are >= (t_hi - t_lo)/2 S; when it is empty, :func:`_climbed_split`
+    looks for a shared H that opens it on the line through (A + H, B - H).
+    That midpoint split goes untested, as it stands, to
+    :func:`_certified_split`, whose check gates positivity. None when S has
+    no Cholesky factor, no split is found or the split does not certify."""
     basis, masks = hs_basis(w.layout), _line_masks(w.layout)
     mats = basis.to_mat(masks * w._coef)
     start = mats[:2] + 0.5 * mats[2]
@@ -1094,24 +1112,16 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
     z += b - a. The start z = P_aff(W/2, W/2) lies on the affine set, so
     the first step clips the order split itself.
 
-    Before that step, a full-rank W tries the line through the start:
+    Before that step, a full-rank W tries the line through the start,
     X = A + t S, Y = B + (1 - t) S, with A, B and S W's AB-only, BA-only
-    and shared coefficients (t = 1/2 is the start). The start split itself
-    comes first: when one batched Cholesky factorization finds both of its
-    parts positive definite, it goes to the checks as it stands, with q =
-    1/2. Otherwise, or when the checks refuse it, and when S is positive
-    definite, two generalized eigenvalue problems give the interval of t
-    where both parts are PSD, and its midpoint keeps both parts above half
-    its length times S (see :func:`_line_split`). When the interval is
-    empty, supergradient steps on its concave length move the line by a
-    matrix H both order masks keep, to (A + H + t S, B - H + (1 - t) S),
-    until the interval opens, and that line's midpoint split is taken; a
-    step that does not lengthen the interval ends the climb (see
-    :func:`_climbed_split`). When :func:`certify_decomposition`, which
-    gates positivity itself, accepts the split, the search stops with
-    ``iterations`` 0, no Douglas-Rachford step taken, and the certificate's
-    reconstruction error as ``residual``; otherwise the loop below runs
-    unchanged.
+    and shared coefficients: first the start split itself (t = 1/2, q =
+    1/2) when one batched Cholesky factorization finds it positive
+    definite, then the midpoint of the interval of t where both parts are
+    PSD, or of a line climbed off it (see :func:`_line_split` and
+    :func:`_climbed_split`). When :func:`_certified_stack`, which gates
+    positivity itself, accepts the split, the search stops with
+    ``iterations`` 0 and the certificate's reconstruction error as
+    ``residual``; otherwise the loop below runs unchanged.
 
     On a feasible problem z converges to a fixed point, where b = a is a
     decomposition: when ||b - a|| < SEARCH_TOL max(1, ||W||), b is projected
@@ -1137,7 +1147,7 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
     converged path certifies. When W has full rank, one batched Cholesky
     factorization tests whether both of its parts are positive definite; if
     so, the point lies in both sets and becomes the candidate. When
-    :func:`certify_decomposition` accepts it, the search stops with
+    :func:`_certified_split` accepts it, the search stops with
     ``iterations`` k - 1, the clip steps taken, and the certificate's
     reconstruction error as ``residual``. A rank-deficient W is not tested:
     q X <= W makes every part of its decompositions singular.
@@ -1162,8 +1172,8 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
     keeps a matrix PSD, so both sets are closed under complex conjugation.
     For a real W, ((X + conj X)/2, (Y + conj Y)/2) is then a real
     decomposition whenever (X, Y) is one, and the real part of a witness is
-    again a witness. Both certificate gates re-check what the search finds
-    on complex matrices.
+    again a witness. Both certificate checks re-check what the search finds
+    in its arithmetic.
     """
     lay = w.layout
     report = validate_process(w)

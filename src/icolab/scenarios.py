@@ -41,6 +41,7 @@ from .process import (
     certify_decomposition,
     mix,
     neutral_process,
+    process_stack,
     quantum_switch_process,
     separability_heuristic,
     standard_layout,
@@ -393,7 +394,8 @@ def _scenario_process(spec: DoubleSwitchSpec) -> tuple[ProcessMatrix, str, Decom
     """The scenario's process matrix, its construction label, and the
     decomposition (q, W_AB, W_BA) it was built from when it is a mixture of
     ordered processes (None when coherent branches run both orders), all
-    formed from the branch vectors; only what is returned becomes a ProcessMatrix."""
+    formed from the branch vectors; only what is returned becomes a ProcessMatrix,
+    a two-order mixture's W_AB and W_BA by one :func:`process_stack`."""
     sw = spec.switch1
     layout = standard_layout(sw.target_dim, 2 * sw.target_dim)
     branches = spec.branches
@@ -416,7 +418,7 @@ def _scenario_process(spec: DoubleSwitchSpec) -> tuple[ProcessMatrix, str, Decom
         return w, "environment-weighted mixture of same-order processes", _one_order(w, b0.order)
     # two orders: branch 0 runs AB
     eta = spec.visibility
-    both = None if coherent and eta > 0.0 else (b0.weight, *(ProcessMatrix(m, layout) for m in ordered))
+    both = None if coherent and eta > 0.0 else (b0.weight, *process_stack(ordered, layout))
     if not coherent:
         return ProcessMatrix(mixed, layout), "classical mixture of the two ordered processes", both
     # Dephasing the control damps only the AB/BA cross terms:

@@ -32,6 +32,7 @@ from icolab.process import (
     born_probabilities_with_future,
     choi_of_kraus,
     choi_of_unitary,
+    _certified_stack,
     _certify_witness,
     _order_mask,
     _order_split,
@@ -45,6 +46,7 @@ from icolab.process import (
     neutral_process,
     order_projection,
     ordered_process,
+    process_stack,
     quantum_switch_process,
     rounding_bound,
     separability_heuristic,
@@ -1287,7 +1289,10 @@ def test_every_certified_split_sums_to_w(monkeypatch):
 
 def test_no_certificate_check_decomposes_a_matrix(monkeypatch):
     # every positivity gate of the two checks is a shifted Cholesky
-    # factorization, so no eigendecomposition runs inside either of them
+    # factorization, so no eigendecomposition runs inside either of them.
+    # The search hands its splits to _certified_stack, the one decomposition
+    # checker, which certify_decomposition wraps: the count is taken there,
+    # and a frame of either counts as inside
     checks, inside = [], []
 
     def counted(name, original):
@@ -1301,14 +1306,14 @@ def test_no_certificate_check_decomposes_a_matrix(monkeypatch):
         def call(*args, **kwargs):
             frame = sys._getframe(1)
             while frame is not None:
-                if frame.f_code.co_name in ("certify_decomposition", "_certify_witness"):
+                if frame.f_code.co_name in ("certify_decomposition", "_certified_stack", "_certify_witness"):
                     inside.append((fn, frame.f_code.co_name))
                 frame = frame.f_back
             return original(*args, **kwargs)
 
         return call
 
-    for name in ("certify_decomposition", "_certify_witness"):
+    for name in ("_certified_stack", "_certify_witness"):
         monkeypatch.setattr(process, name, counted(name, getattr(process, name)))
     for fn in ("eigvalsh", "eigh"):
         monkeypatch.setattr(np.linalg, fn, recorded(fn, getattr(np.linalg, fn)))
@@ -1316,7 +1321,7 @@ def test_no_certificate_check_decomposes_a_matrix(monkeypatch):
         separability_heuristic(w)
     for name in BUILTIN_SCENARIOS:
         run_scenario(ScenarioConfig.from_dict({"scenario": name}))
-    assert checks.count("certify_decomposition") >= 100 and checks.count("_certify_witness") >= 10
+    assert checks.count("_certified_stack") >= 100 and checks.count("_certify_witness") >= 10
     assert inside == []
 
 
@@ -1733,9 +1738,9 @@ def test_the_certificate_gate_alone_refuses_a_line_split_that_is_not_psd(monkeyp
     # refused, and the line hands its pencil's split to the checks untested:
     # a pencil eigvalsh that raises both ends of the interval by its length
     # puts the midpoint above the true t_hi, where Y is not PSD, so only the
-    # positivity gate of certify_decomposition stands between that split and
-    # a certificate; it refuses, and the loop decides as it does with the
-    # line switched off
+    # positivity gate of _certified_stack, the checker the line's split goes
+    # to, stands between that split and a certificate; it refuses, and the
+    # loop decides as it does with the line switched off
     w = complex_search_inputs()["ordered-mixture-1"]
     if name == "real":
         # the mixture of W and its conjugate: again a full-rank ordered mixture
@@ -1755,9 +1760,9 @@ def test_the_certificate_gate_alone_refuses_a_line_split_that_is_not_psd(monkeyp
         checked.append(certify(*args))
         return checked[-1]
 
-    checked, eigvalsh, certify = [], np.linalg.eigvalsh, process.certify_decomposition
+    checked, eigvalsh, certify = [], np.linalg.eigvalsh, process._certified_stack
     monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
-    monkeypatch.setattr(process, "certify_decomposition", recorded)
+    monkeypatch.setattr(process, "_certified_stack", recorded)
     assert process._line_split(w) is None
     assert checked == [None]
     rep = separability_heuristic(w)
@@ -1841,6 +1846,72 @@ def retired_split(w, mats):
     return certify_decomposition(
         w, q, *(neutral_process(lay) if m is None else ProcessMatrix(m, lay) for m in parts)
     )
+
+
+def parts_built_one_at_a_time(w, mats):
+    """The certificate of an order split (X, Y) as the search built it before
+    its stack went straight to the checker: each part built as a
+    ProcessMatrix of its own, then :func:`certify_decomposition`, with a
+    dropped part factored and padded as the search pads."""
+    lay, d_o = w.layout, w.expected_trace
+    q = min(max(float(np.real(np.trace(mats[0]))) / d_o, 0.0), 1.0)
+    weights = np.array((q, 1.0 - q))
+    kept = weights >= 1e-6
+    if not kept.all():
+        try:
+            np.linalg.cholesky(mats[~kept] + w._rounding * np.eye(lay.dim))
+        except np.linalg.LinAlgError:
+            return None
+        mats, weights = mats[kept], weights[kept]
+    stack = mats / weights[:, None, None]
+    stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+    stack *= (d_o / np.real(np.trace(stack, axis1=-2, axis2=-1)))[:, None, None]
+    parts = [ProcessMatrix(mat, lay) for mat in stack]
+    return certify_decomposition(w, q, *(parts.pop(0) if keep else neutral_process(lay) for keep in kept))
+
+
+def certificate_exit(frame) -> str:
+    """Which exit of the search handed a split to the certificate builder,
+    from the caller's frame: the line's start split (before its pencil
+    exists), its midpoint or a climbed line's, the loop's early stop or its
+    converged exit (after ``residual`` is set), or the face."""
+    name, names = frame.f_code.co_name, frame.f_locals
+    if name == "_line_split":
+        if "inv" not in names:
+            return "start split"
+        return "midpoint" if names["t_lo"] < names["t_hi"] else "climbed line"
+    if name == "separability_heuristic":
+        return "converged" if "residual" in names else "early stop"
+    return {"_face_decision": "face"}[name]
+
+
+def test_every_search_split_certifies_as_with_parts_built_one_at_a_time(monkeypatch):
+    # the search's splits go straight to the stack checker, which builds the
+    # parts only once every gate has passed; built one at a time and checked
+    # by certify_decomposition, as before, each split gets the same report
+    # (or None), the same q and bit for bit the same part matrices, at every
+    # exit. Each certificate's parts are read-only and keep the coefficients
+    # their own arithmetic gives
+    exits = set()
+
+    def compared(w, mats):
+        got, want = certified(w, mats.copy()), parts_built_one_at_a_time(w, mats.copy())
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.to_json_dict() == want.to_json_dict() and got.certificate[0] == want.certificate[0]
+            for part, ref in zip(got.certificate[1:], want.certificate[1:]):
+                assert part.matrix.tobytes() == ref.matrix.tobytes() and not part.matrix.flags.writeable
+                assert part._own.dtype == ref._own.dtype and np.array_equal(part._coef, ref._coef)
+            exits.add(certificate_exit(sys._getframe(1)))
+        return got
+
+    certified = process._certified_split
+    monkeypatch.setattr(process, "_certified_split", compared)
+    # builder_exit_pool() holds the first 150 process-family inputs of seed 1
+    pool = [*builder_exit_pool(), *lightly_damped_mixtures(12345, 40), *product_processes().values()]
+    for w in pool:
+        separability_heuristic(w)
+    assert exits == {"start split", "midpoint", "climbed line", "early stop", "face", "converged"}
 
 
 def test_candidate_from_coefficients_agrees_with_the_retired_builder(monkeypatch):
@@ -2461,7 +2532,9 @@ EIGENDECOMPOSITIONS = {"eig", "eigh", "eigvals", "eigvalsh"}
 def test_eigendecompositions_run_only_where_their_values_are_used():
     # W's eigenvalues (validity margin, rank cut), the line's pencil, the
     # climb off it, the range basis and the clip; every yes/no positivity
-    # gate is a shifted Cholesky factorization instead
+    # gate is a shifted Cholesky factorization instead, in the decomposition
+    # checker _certified_stack that the search calls, in its wrapper
+    # certify_decomposition and in the witness check
     tree = ast.parse(Path(process.__file__).read_text())
     users = {
         fn.name
@@ -2471,7 +2544,7 @@ def test_eigendecompositions_run_only_where_their_values_are_used():
         if (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) in EIGENDECOMPOSITIONS
     }
     assert users == {"_eigenvalues", "_line_split", "_climbed_split", "_range_basis", "_psd_clip"}
-    assert not users & {"certify_decomposition", "_certify_witness"}
+    assert not users & {"certify_decomposition", "_certified_stack", "_structure_checked", "_certify_witness"}
 
 
 def test_traced_future_switch_is_separable():
@@ -2531,6 +2604,91 @@ def test_process_matrix_hermiticity_gate():
         else:
             with pytest.raises(ValueError, match="Hermitian"):
                 ProcessMatrix(m, lay)
+
+
+def stack_pair(name: str) -> tuple[ProcessMatrix, np.ndarray]:
+    """A valid W and the (2, 16, 16) stack of two Hermitian matrices, float64
+    (``real``) or complex128, that the structure tests below spoil."""
+    w = mix(ocb_process(0.3), neutral_process(standard_layout(2)), 0.5)
+    if name == "complex":
+        w = phase_rotated(w, 5)
+    mats = np.stack((w.matrix, ocb_process(0.6).matrix))
+    return w, mats.real.copy() if name == "real" else mats
+
+
+def stack_defects() -> dict[str, tuple[tuple[int, int], complex]]:
+    """Defects of one matrix, as (entry, new value) with the mirrored entry
+    set alike: a non-finite value on or off the diagonal, and an asymmetry
+    of 0.5 or 2 times HERMITICITY_ATOL (on the upper entry only)."""
+    out = {f"{bad}-at-{entry}": (entry, bad) for bad in (np.nan, np.inf, -np.inf) for entry in ((3, 3), (0, 5))}
+    out.update({f"asymmetry-{factor}": ((0, 1), factor) for factor in (0.5, 2.0)})
+    return out
+
+
+def spoiled(m: np.ndarray, defect: str, entry: tuple[int, int], value: float) -> None:
+    """Apply one of :func:`stack_defects` to ``m`` in place."""
+    if defect.startswith("asymmetry"):
+        m[entry] += value * HERMITICITY_ATOL
+    else:
+        m[entry] = m[entry[::-1]] = value
+
+
+def raised(fn, *args) -> str | None:
+    """The message of the ValueError ``fn(*args)`` raises, or None."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["real", "complex"])
+@pytest.mark.parametrize("slot", [0, 1], ids=["AB-slot", "BA-slot"])
+def test_the_stack_path_rejects_exactly_what_the_constructor_rejects(name, slot):
+    # process_stack and the decomposition checker run the constructor's
+    # structural checks once on the whole stack: the same rejections, with
+    # the same messages, whichever matrix of the stack carries the defect
+    w, clean = stack_pair(name)
+    lay = w.layout
+    for defect, (entry, value) in stack_defects().items():
+        mats = clean.copy()
+        spoiled(mats[slot], defect, entry, value)
+        want = raised(ProcessMatrix, mats[slot], lay)
+        assert (want is None) is (defect == "asymmetry-0.5"), defect
+        assert raised(process_stack, mats, lay) == want, defect
+        assert raised(_certified_stack, w, 0.5, mats.copy()) == want, defect
+        # as an order split, made Hermitian and weighed by its trace before
+        # the checks: the search's route raises where, and as, building its
+        # parts one at a time does (a non-finite trace of X can leave no part)
+        with np.errstate(invalid="ignore", over="ignore"):
+            split = raised(parts_built_one_at_a_time, w, mats / 2.0)
+            assert raised(process._certified_split, w, mats / 2.0) == split, defect
+    # a wrong shape, as a stack of wrong matrices or with a matrix of the wrong shape
+    small = np.eye(8) / 2.0
+    assert "does not match" in raised(ProcessMatrix, small, lay)
+    for mats in (np.stack((small, small)), clean[slot]):
+        assert "does not match" in raised(process_stack, mats, lay)
+        assert "does not match" in raised(_certified_stack, w, 0.5, mats.copy())
+    assert raised(process_stack, [clean[0], small][:: 1 - 2 * slot], lay) is not None
+
+
+@pytest.mark.parametrize("name", ["real", "complex"])
+def test_stacked_parts_are_read_only_views_equal_to_parts_built_alone(name):
+    w, mats = stack_pair(name)
+    mats[0, 0, 1] += 0.5 * HERMITICITY_ATOL
+    parts = process_stack(mats, w.layout)
+    assert len(parts) == 2 and parts[0].matrix.base is parts[1].matrix.base
+    for part, m in zip(parts, mats):
+        alone = ProcessMatrix(m, w.layout)
+        assert part.layout == alone.layout and part.matrix.dtype == np.complex128
+        assert part.matrix.tobytes() == alone.matrix.tobytes()
+        assert not part.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            part.matrix[0, 0] = 1.0
+        # the caches are computed from the view as from the copy
+        assert part._own.dtype == alone._own.dtype and np.array_equal(part._coef, alone._coef)
+    # the input is copied, not frozen
+    assert mats.flags.writeable
 
 
 COEFFICIENT_POOL = [

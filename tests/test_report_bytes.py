@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -113,19 +114,24 @@ def test_searches_write_one_report_per_search_input(tmp_path):
     assert {rep["verdict"] for rep in reports} <= {"separable", "nonseparable", "inconclusive"}
     # every input is searched, and its validity report rides along
     assert all(rep["validity"]["verdict"] == "valid" for rep in reports)
-    # a moved field, of the search or of the validity report, is named with its search
+    # each certificate, and only a certificate, carries one sha256 of its parts' matrices
+    assert all(("parts_sha256" in rep) is rep["separable"] for rep in reports)
+    assert all(re.fullmatch("[0-9a-f]{64}", rep.get("parts_sha256", "0" * 64)) for rep in reports)
+    assert len({rep["parts_sha256"] for rep in reports if rep["separable"]}) >= 1000
+    # a moved field, of the search, of its parts or of the validity report, is named with its search
     moved = json.loads(lines[3])
     change, margin = moved["residual"], moved["validity"]["psd_margin"]
     moved["residual"] *= 2.0
     moved["validity"]["psd_margin"] *= 2.0
+    moved["parts_sha256"] = moved["parts_sha256"][::-1]
     lines[3] = json.dumps(moved, sort_keys=True)
     other = tmp_path / "parent.searches"
     other.write_text("\n".join(lines) + "\n")
     found = diff(other, out)
     label = "search process-family seed 1 1 random-valid"
     want = (
-        f"{label}: residual\n{label}: validity.psd_margin\n"
-        f"1 residual (max |Δ| {change:.2g}), 1 validity.psd_margin (max |Δ| {margin:.2g})\n"
+        f"{label}: parts_sha256\n{label}: residual\n{label}: validity.psd_margin\n"
+        f"1 parts_sha256, 1 residual (max |Δ| {change:.2g}), 1 validity.psd_margin (max |Δ| {margin:.2g})\n"
     )
     assert (found.returncode, found.stdout) == (1, want)
 

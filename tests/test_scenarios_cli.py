@@ -296,6 +296,30 @@ def test_construction_certificate_is_checked_from_its_parts_caches(monkeypatch):
     assert calls == [("cholesky", (2, 64, 64))]
 
 
+def test_a_two_order_mixture_builds_its_parts_from_one_checked_stack(monkeypatch):
+    # the baseline's W_AB and W_BA pass one structural check as a (2, 64, 64)
+    # stack and are read-only views of it, bit for bit the processes the
+    # constructor builds from each branch alone; W itself is built alone
+    checked = []
+
+    def recorded(m, layout, ndim):
+        checked.append(m.shape)
+        return original(m, layout, ndim)
+
+    original = process._structure_checked
+    monkeypatch.setattr(process, "_structure_checked", recorded)
+    cfg = ScenarioConfig.from_dict({"scenario": "classical-order-baseline"})
+    w, _, (q, w_ab, w_ba) = _scenario_process(cfg.spec)
+    assert checked == [(2, 64, 64), (64, 64)]
+    assert w_ab.matrix.base is w_ba.matrix.base and not w_ab.matrix.flags.writeable
+    sw = cfg.spec.switch1
+    for part, branch in zip((w_ab, w_ba), cfg.spec.branches):
+        x = process.switch_branch_vector(branch.order, sw.psi_t0, (sw.v0, sw.v1)[branch.index])
+        alone = process.ProcessMatrix(np.outer(x, x.conj()), w.layout)
+        assert part.matrix.tobytes() == alone.matrix.tobytes()
+    assert certify_decomposition(w, q, w_ab, w_ba) is not None
+
+
 def test_search_out_of_steps_reports_inconclusive(monkeypatch):
     # at the default step budget this config gives a witness at step 18
     monkeypatch.setattr(process, "SEARCH_STEPS", 5)

@@ -20,7 +20,9 @@ stderr, so two checkouts with the same outputs write the same file::
 (``SeparabilityReport.to_json_dict``) of every search input, with that
 input's validity report (``ValidityReport.to_json_dict``) under the key
 ``validity``, so that a change to the validity gates shows up as a moved
-field (an input that fails them gets no search):
+field (an input that fails them gets no search), and, for a certificate,
+the sha256 of its two part matrices' complex128 bytes under
+``parts_sha256``, so that parts unchanged bit for bit is one ``cmp``:
 ``ProcessFamily.make_inputs`` from ``perfbench/workloads.py`` for seeds 1,
 2 and 3 (1,260 processes, imported and left as they are, labelled with
 their seed), ``quantum_switch_process()``, its even mixture with its
@@ -38,17 +40,18 @@ of :func:`product_processes` (rank 4; certified at the converged exit)::
 
 Where the files differ, ``--diff`` names what moved: one line per config
 or search and per JSON path of a report (``process.validity.psd_margin``,
-``residual``), sweep CSV cell (``row 2 S_opt``) or exit code that differs,
-and ends with one line that counts those lines per moved field and gives
-the largest absolute change of each numeric one (``127 iterations (max |Δ|
-3), 127 q (max |Δ| 2.2e-16), 127 residual (max |Δ| 2.5e-16)``). It exits 1
-when anything differs, 0 when nothing does and 2 on a file it cannot
-read::
+``residual``, ``parts_sha256``), sweep CSV cell (``row 2 S_opt``) or exit
+code that differs, and ends with one line that counts those lines per
+moved field and gives the largest absolute change of each numeric one
+(``127 iterations (max |Δ| 3), 127 q (max |Δ| 2.2e-16), 127 residual (max
+|Δ| 2.5e-16)``). It exits 1 when anything differs, 0 when nothing does and
+2 on a file it cannot read::
 
     python3 tools/report_bytes.py --diff parent.bytes change.bytes
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -220,9 +223,13 @@ def searches() -> None:
 
     def emit(label: str, w) -> None:
         validity = process.validate_process(w)
-        rep = process.separability_heuristic(w).to_json_dict() if validity.is_valid else {}
+        rep = process.separability_heuristic(w) if validity.is_valid else None
+        out = {} if rep is None else rep.to_json_dict()
+        if rep is not None and rep.certificate is not None:
+            parts = b"".join(part.matrix.tobytes() for part in rep.certificate[1:])
+            out["parts_sha256"] = hashlib.sha256(parts).hexdigest()
         print(f"== search {label} exit 0")
-        print(json.dumps({**rep, "validity": validity.to_json_dict()}, sort_keys=True))
+        print(json.dumps({**out, "validity": validity.to_json_dict()}, sort_keys=True))
 
     for seed in FAMILY_SEEDS:
         for k, inp in enumerate(workloads.ProcessFamily.make_inputs(seed)):
