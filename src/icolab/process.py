@@ -25,7 +25,7 @@ pairing gives tr[(rho (x) I)(E (x) sigma^T)] = tr[rho E], as it must.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from math import prod
 
@@ -55,6 +55,9 @@ PSD_ATOL = 1e-9  # input checks: an instrument's or a future POVM's elements are
 SEARCH_TOL = 1e-7  # separability search: stop when an iteration moves less (relative)
 SEARCH_STEPS = 2000  # separability search: the most Douglas-Rachford steps it takes
 EPS_MACH = float(np.finfo(np.float64).eps)
+# what decided a SeparabilityReport (see its ``exit``)
+EXITS = ("start-split", "pencil-midpoint", "climbed-line", "face-split", "face-witness", "loop-witness",
+         "early-stop", "converged", "fixed-point", "step-cap", "decomposition")
 
 
 def rounding_bound(n: int, norm: float | np.ndarray) -> float | np.ndarray:
@@ -226,6 +229,11 @@ class ProcessMatrix:
         vals = np.linalg.eigvalsh(self._own)
         vals.flags.writeable = False
         return vals
+
+    @cached_property
+    def _norm(self) -> float:
+        """||W||_F, the scale of the search and of the reconstruction gate."""
+        return float(np.linalg.norm(self.matrix))
 
     @cached_property
     def _rounding(self) -> float:
@@ -688,13 +696,24 @@ class SeparabilityReport:
     or on the face of a rank-1 W.
     A witness found on the face of a rank-1 W has ``iterations`` 0 and the
     face's distance to the order splits, relative to max(1, ||W||), as
-    ``residual`` (see :func:`separability_heuristic`)."""
+    ``residual`` (see :func:`separability_heuristic`).
+
+    ``exit``, one of EXITS, names what decided: W's own start split, the
+    pencil's midpoint or a climbed line, a face split or witness, the loop's
+    witness, early stop or converged exit, ``inconclusive`` at the loop's
+    fixed point or step cap, or :func:`certify_decomposition`. Report bytes
+    leave it out."""
 
     certificate: tuple[float, ProcessMatrix, ProcessMatrix] | None
     residual: float
     iterations: int
     witness: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
     witness_value: float | None = None
+    exit: str = field(kw_only=True)
+
+    def __post_init__(self) -> None:
+        if self.exit not in EXITS:
+            raise ValueError(f"unknown exit {self.exit!r}")
 
     @property
     def separable(self) -> bool:
@@ -758,11 +777,11 @@ def certify_decomposition(
     :attr:`_own` and :attr:`_coef`: the certificate, with these parts, or None."""
     if w_ab.layout != w.layout or w_ba.layout != w.layout:
         return None
-    return _certified_stack(w, q, np.array([w_ab._own, w_ba._own]), (w_ab, w_ba))
+    return _certified_stack(w, q, np.array([w_ab._own, w_ba._own]), "decomposition", (w_ab, w_ba))
 
 
 def _certified_stack(
-    w: ProcessMatrix, q: float, own: np.ndarray, parts: tuple[ProcessMatrix, ...] | None = None
+    w: ProcessMatrix, q: float, own: np.ndarray, exit: str, parts: tuple[ProcessMatrix, ...] | None = None
 ) -> SeparabilityReport | None:
     """The one checker of a decomposition W = q X + (1-q) Y, given the stack
     ``own`` = (X, Y) in the parts' arithmetic: :class:`ProcessMatrix`'s
@@ -793,7 +812,7 @@ def _certified_stack(
     if (np.linalg.norm((_off_order_masks(lay) * coefs).reshape(2, -1), axis=1) > taus).any():
         return None
     # frobenius without its input checks: the stack is finite
-    recon = float(np.linalg.norm(q * own[0] + (1 - q) * own[1] - m)) / max(1.0, float(np.linalg.norm(m)))
+    recon = float(np.linalg.norm(q * own[0] + (1 - q) * own[1] - m)) / max(1.0, w._norm)
     if recon > rounding_bound(lay.dim, 1.0):
         return None
     if parts is None:
@@ -802,10 +821,10 @@ def _certified_stack(
             # a part's own arithmetic is the stack's, unless a complex part has no imaginary part
             if own.dtype == np.float64 or mat.imag.any():
                 vars(part).update(_own=mat, _coef=coef)
-    return SeparabilityReport((q, *parts), recon, 0)
+    return SeparabilityReport((q, *parts), recon, 0, exit=exit)
 
 
-def _certified_split(w: ProcessMatrix, mats: np.ndarray) -> SeparabilityReport | None:
+def _certified_split(w: ProcessMatrix, mats: np.ndarray, exit: str) -> SeparabilityReport | None:
     """The certificate of the decomposition built from an order split of W,
     the stack (X, Y) of its matrices in the search's dtype, or None.
 
@@ -814,7 +833,7 @@ def _certified_split(w: ProcessMatrix, mats: np.ndarray) -> SeparabilityReport |
     :func:`_certified_stack` checks as it stands. A part of weight below
     1e-6, a summand of W's split, must pass one Cholesky factorization of
     part + tau I, tau W's :func:`rounding_bound`; the kept part is then
-    checked next to the neutral process by :func:`certify_decomposition`.
+    checked next to the neutral process. The certificate names ``exit``.
     A kept part's trace is positive: every caller's X + Y is W up to
     rounding and W is valid, so tr X + tr Y = d_O >= 1 within tau <
     MAX_DIM^3 eps_mach < 1e-10. Divided by a weight of at least 1e-6, a
@@ -831,9 +850,10 @@ def _certified_split(w: ProcessMatrix, mats: np.ndarray) -> SeparabilityReport |
     stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
     stack *= (d_o / np.real(np.trace(stack, axis1=-2, axis2=-1)))[:, None, None]
     if kept.all():
-        return _certified_stack(w, q, stack)
-    parts = [ProcessMatrix(mat, lay) for mat in stack]
-    return certify_decomposition(w, q, *(parts.pop(0) if keep else neutral_process(lay) for keep in kept))
+        return _certified_stack(w, q, stack, exit)
+    built = [ProcessMatrix(mat, lay) for mat in stack]
+    parts = tuple(built.pop(0) if keep else neutral_process(lay) for keep in kept)
+    return _certified_stack(w, q, np.array([part._own for part in parts]), exit, parts)
 
 
 def _certify_witness(
@@ -923,7 +943,7 @@ def _line_split(w: ProcessMatrix) -> SeparabilityReport | None:
     mats = basis.to_mat(masks * w._coef)
     start = mats[:2] + 0.5 * mats[2]
     if _positive_definite(start):
-        cert = _certified_split(w, start)
+        cert = _certified_split(w, start, "start-split")
         if cert is not None:
             return cert
     try:
@@ -935,10 +955,10 @@ def _line_split(w: ProcessMatrix) -> SeparabilityReport | None:
     t_lo, t_hi = float(least[0]), 1.0 - float(least[1])
     if t_lo < t_hi:
         t = 0.5 * (t_lo + t_hi)
-        split = mats[:2] + np.array((t, 1.0 - t))[:, None, None] * mats[2]
+        split, exit = mats[:2] + np.array((t, 1.0 - t))[:, None, None] * mats[2], "pencil-midpoint"
     else:
-        split = _climbed_split(basis, masks[2], mats, inv, whitened)
-    return None if split is None else _certified_split(w, split)
+        split, exit = _climbed_split(basis, masks[2], mats, inv, whitened), "climbed-line"
+    return None if split is None else _certified_split(w, split, exit)
 
 
 def _climbed_split(
@@ -1090,10 +1110,9 @@ def _face_decision(
         value = _certify_witness(w, *witness)
         if value is None:
             return None
-        if residual is None:
-            residual = rho / max(1.0, frobenius(w.matrix))
-        return SeparabilityReport(None, residual, iterations, witness, value)
-    cert = _certified_split(w, split)
+        residual = rho / max(1.0, w._norm) if residual is None else residual
+        return SeparabilityReport(None, residual, iterations, witness, value, exit="face-witness")
+    cert = _certified_split(w, split, "face-split")
     return None if cert is None else replace(cert, iterations=iterations)
 
 
@@ -1192,7 +1211,7 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
         if decided is not None:
             return decided
 
-    scale, d_o = max(1.0, frobenius(w.matrix)), w.expected_trace
+    scale, d_o = max(1.0, w._norm), w.expected_trace
     basis, both, cw = hs_basis(lay), in_ab * in_ba, w._coef
     # tr(S W) = <gx, in_ab cw> + <gy, (1 - in_ab) in_ba cw>
     cw_a, cw_b = (in_ab * cw).ravel(), ((1.0 - in_ab) * in_ba * cw).ravel()
@@ -1203,7 +1222,7 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
         if used > 1 and not deficient and _positive_definite(split := basis.to_mat(np.stack((xa, ya)))):
             # (xa, ya) is the affine projection of the last PSD point, and PSD
             # itself: it lies in both sets, an exact decomposition
-            cert = _certified_split(w, split)
+            cert = _certified_split(w, split, "early-stop")
             if cert is not None:
                 return replace(cert, iterations=used - 1)
         xr, yr = 2.0 * xa - zx, 2.0 * ya - zy
@@ -1227,11 +1246,12 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
             decided = _face_decision(w, used, gap / scale)
             if decided is not None:
                 return decided
-    residual = gap / scale
+    residual, converged = gap / scale, gap < SEARCH_TOL * scale
     if witness is not None:
-        return SeparabilityReport(None, residual, used, witness, value)
-    if gap < SEARCH_TOL * scale:
-        cert = _certified_split(w, basis.to_mat(np.stack(_order_split(cw, xb, yb, in_ab, in_ba))))
+        return SeparabilityReport(None, residual, used, witness, value, exit="loop-witness")
+    if converged:
+        split = basis.to_mat(np.stack(_order_split(cw, xb, yb, in_ab, in_ba)))
+        cert = _certified_split(w, split, "converged")
         if cert is not None:
             return replace(cert, residual=max(residual, cert.residual), iterations=used)
-    return SeparabilityReport(None, residual, used)
+    return SeparabilityReport(None, residual, used, exit="fixed-point" if converged else "step-cap")

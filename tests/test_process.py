@@ -1,7 +1,6 @@
 import ast
 import importlib.util
 import json
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -721,19 +720,14 @@ def test_real_process_is_searched_in_real_arithmetic(monkeypatch):
     assert np.array_equal(basis.to_coef(m.real)[0], basis.to_coef(m)[0])
     assert basis.to_mat(basis.to_coef(m.real)).dtype == np.float64
 
-    seen, clips = [], []
+    seen, clips = [], recorded_clips(monkeypatch)
 
     def recorded(a, *args, **kwargs):
         seen.append(a.dtype)
         return eigh(a, *args, **kwargs)
 
-    def counted(m, *args):
-        clips.append((m.dtype, m.shape))
-        return psd_clip(m, *args)
-
-    eigh, psd_clip = np.linalg.eigh, process._psd_clip
+    eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", recorded)
-    monkeypatch.setattr(process, "_psd_clip", counted)
     for proc, dtype in ((w, np.float64), (phase_rotated(w, 7), np.complex128)):
         # validity is computed once per process, outside the search
         validate_process(proc)
@@ -742,7 +736,7 @@ def test_real_process_is_searched_in_real_arithmetic(monkeypatch):
         rep = separability_heuristic(proc)
         assert rep.verdict == "nonseparable"
         # one clip per iteration, of the stacked halves X and Y
-        assert clips == [(np.dtype(dtype), (2,) + m.shape)] * rep.iterations
+        assert [(clip.dtype, clip.shape) for clip in clips] == [(np.dtype(dtype), (2,) + m.shape)] * rep.iterations
         assert set(seen) == {np.dtype(dtype)}
         assert {s.dtype for s in rep.witness} == {np.dtype(dtype)}
 
@@ -920,22 +914,12 @@ def test_separable_low_rank_mixtures_certify_as_they_stand(kind):
         assert not decomposition_fails_the_oracle(w, *rep.certificate), (kind, q)
 
 
-def test_switch_mixed_with_its_v1_z_copy_is_decided_by_a_face_witness_after_one_step(monkeypatch):
+def test_switch_mixed_with_its_v1_z_copy_is_decided_by_a_face_witness_after_one_step():
     w = mix(quantum_switch_process(), quantum_switch_process(v1=Z), 0.5)
     assert not w.matrix.imag.any()
     assert int(np.count_nonzero(w._eigenvalues > w._rounding)) == 2
-    decisions = []
-    original = process._face_decision
-
-    def recorded(*args):
-        out = original(*args)
-        decisions.append((args[1:], out is not None and out.witness is not None))
-        return out
-
-    monkeypatch.setattr(process, "_face_decision", recorded)
     rep = separability_heuristic(w)
-    assert decisions == [((1, rep.residual), True)]
-    assert (rep.verdict, rep.iterations) == ("nonseparable", 1)
+    assert (rep.verdict, rep.iterations, rep.exit) == ("nonseparable", 1, "face-witness")
     # the residual is the first step's gap
     assert rep.residual == pytest.approx(0.10578403901513452, rel=1e-9)
     assert rep.witness_value == pytest.approx(-0.005761960827119273, rel=1e-9)
@@ -948,9 +932,9 @@ def assert_face_decides_or_loop_converges(rep, face_decides: bool, steps: int) -
     refused one leaves the search to the loop, which converges, and whose
     fixed point, checked as it stands, does not certify a rank-deficient W."""
     if face_decides:
-        assert (rep.verdict, rep.iterations) == ("separable", steps)
+        assert (rep.verdict, rep.iterations, rep.exit) == ("separable", steps, "face-split")
     else:
-        assert rep.verdict == "inconclusive" and rep.iterations > steps
+        assert (rep.verdict, rep.exit) == ("inconclusive", "fixed-point") and rep.iterations > steps
         assert rep.residual < SEARCH_TOL
 
 
@@ -1064,34 +1048,25 @@ def test_face_split_cut_decides_on_either_side_of_the_rounding_bound(monkeypatch
             q = np.real(np.trace(split[0])) / w.expected_trace
             padded = (split[0] / q, neutral_process(w.layout).matrix)
             recon = oracles.decomposition_defects(w.matrix, w.layout, q, *padded)[1]
-            assert recon > recon_gate(w.layout.dim) and process._certified_split(w, split) is None
+            assert recon > recon_gate(w.layout.dim) and process._certified_split(w, split, "face-split") is None
         assert_face_decides_or_loop_converges(separability_heuristic(w), False, 0)
 
 
-def test_rank_cut_decides_on_either_side_of_the_rounding_bound(monkeypatch):
+def test_rank_cut_decides_on_either_side_of_the_rounding_bound():
     # the pure switch mixed with the neutral process at the weight that puts
     # its 63 least eigenvalues at half or twice its rounding bound: the
     # first has rank 1 and is decided on its face with no step, the second
-    # has full rank and builds no range basis
-    built = []
-
-    def recorded(w):
-        built.append(w)
-        return range_basis(w)
-
-    range_basis = process._range_basis
-    monkeypatch.setattr(process, "_range_basis", recorded)
+    # has full rank and is decided by the loop
     switch = quantum_switch_process()
     lay = switch.layout
     assert oracles.face_split_residual(switch.matrix, lay) >= 0.1
     for factor, deficient in ((0.5, True), (2.0, False)):
-        built.clear()
         w = mix(neutral_process(lay), switch, factor * tau_of(switch.matrix) * lay.dim / switch.expected_trace)
         assert bool(w._eigenvalues[0] <= w._rounding) is deficient, factor
         assert bool(np.linalg.eigvalsh(w.matrix)[0] <= tau_of(w.matrix)) is deficient, factor
         rep = separability_heuristic(w)
         assert rep.verdict == "nonseparable" and (rep.iterations == 0) is deficient, factor
-        assert (built == [w]) is deficient, factor
+        assert rep.exit == ("face-witness" if deficient else "loop-witness"), factor
         assert oracles.witness_margin(w.matrix, lay, *rep.witness) < 0.0, factor
 
 
@@ -1105,18 +1080,19 @@ def test_a_refused_face_witness_leaves_the_search_to_the_loop(monkeypatch, name)
         w = mix(w, quantum_switch_process(v1=Z), 0.5)
     refused = []
 
-    def check(w, *witness):
-        if sys._getframe(1).f_code.co_name == "_face_decision":
-            refused.append(witness)
-            return None
-        return certify(w, *witness)
+    def refusing(*args):
+        rep = face_decision(*args)
+        if rep is None or rep.exit != "face-witness":
+            return rep
+        refused.append(rep.witness)
+        return None
 
-    certify = process._certify_witness
-    monkeypatch.setattr(process, "_certify_witness", check)
+    face_decision = process._face_decision
+    monkeypatch.setattr(process, "_face_decision", refusing)
     rep = separability_heuristic(w)
-    assert len(refused) == 1 and certify(w, *refused[0]) is not None
+    assert len(refused) == 1 and _certify_witness(w, *refused[0]) is not None
     assert oracles.face_split_residual(w.matrix, w.layout) >= 0.1
-    assert rep.verdict == "nonseparable" and rep.iterations >= 1
+    assert (rep.verdict, rep.exit) == ("nonseparable", "loop-witness") and rep.iterations >= 1
     assert oracles.witness_margin(w.matrix, w.layout, *rep.witness) < 0.0
 
 
@@ -1126,11 +1102,11 @@ def test_reports_are_unchanged_where_the_face_check_decides_nothing(monkeypatch)
     # split is not PSD. The 18 and 47 steps that follow show any change
     pool = [coherent_process(0.3), coherent_process(1e-3)]
     reports = [separability_heuristic(w) for w in pool]
-    assert [rep.verdict for rep in reports] == ["nonseparable"] * 2
+    assert [(rep.verdict, rep.exit) for rep in reports] == [("nonseparable", "loop-witness")] * 2
     for w in pool:
         # the least-norm split of the line, which the checks refuse
         _, witness, split = process._face_solve(w)
-        assert witness is None and process._certified_split(w, split) is None
+        assert witness is None and process._certified_split(w, split, "face-split") is None
     monkeypatch.setattr(process, "_face_decision", lambda *args: None)
     for w, rep in zip(pool, reports):
         ref = separability_heuristic(w)
@@ -1151,21 +1127,18 @@ def process_family_inputs(seed: int) -> list[ProcessMatrix]:
     return [inp["process"] for inp in module.ProcessFamily.make_inputs(seed)]
 
 
-def test_full_rank_inputs_build_no_range_basis(monkeypatch):
-    built = []
-
-    def recorded(w):
-        built.append(w)
-        return range_basis(w)
-
-    range_basis = process._range_basis
-    monkeypatch.setattr(process, "_range_basis", recorded)
+def test_full_rank_inputs_build_no_range_basis():
+    # only the face decision builds a range basis, and it decides none of
+    # these: a full-rank W never asks it, and the rest, noiseless OCB inputs,
+    # are rank-deficient but decided by the first step's witness, which the
+    # face is asked only after
     pool = [ocb_process(0.5), *process_family_inputs(2)[:45]]
     assert sum(w._eigenvalues[0] > w._rounding for w in pool) >= 40
-    # the rest are noiseless OCB inputs, rank-deficient but decided by the first step
     for w in pool:
-        separability_heuristic(w)
-    assert built == []
+        rep = separability_heuristic(w)
+        if w._eigenvalues[0] <= w._rounding:
+            assert (rep.exit, rep.iterations) == ("loop-witness", 1)
+        assert not rep.exit.startswith("face")
 
 
 # The line check and the early stop: before the first step, a full-rank W
@@ -1174,43 +1147,25 @@ def test_full_rank_inputs_build_no_range_basis(monkeypatch):
 # positive definite and certify
 
 
-def recorded_pd_tests(monkeypatch) -> list[tuple[str, bool]]:
-    """Patch the loop's positive-definiteness test to log, per call, the
-    function that made it (the loop in ``separability_heuristic``, its one
-    caller) and its result."""
-    results = []
-
-    def recorded(mats):
-        results.append((sys._getframe(1).f_code.co_name, positive_definite(mats)))
-        return results[-1][1]
-
-    positive_definite = process._positive_definite
-    monkeypatch.setattr(process, "_positive_definite", recorded)
-    return results
+CERTIFIED_SPLIT = process._certified_split
+LINE_EXITS = ("start-split", "pencil-midpoint", "climbed-line")
 
 
-def loop_tests(results: list[tuple[str, bool]]) -> list[bool]:
-    """The results of the loop's tests, after checking that every test is
-    either the loop's or the one the line runs first, on its start split."""
-    line = 1 if results[:1] and results[0][0] == "_line_split" else 0
-    assert all(caller == "separability_heuristic" for caller, _ in results[line:]), results
-    return [ok for _, ok in results[line:]]
+def checked_splits(monkeypatch, *refused: str) -> list[tuple[str, np.ndarray, object]]:
+    """Log each split the search hands to its certificate build, as (exit,
+    matrices, certificate or None), and refuse the splits of the exits named
+    in ``refused`` unlogged, as if their check had failed: the search then
+    goes on as it does without those exits."""
+    log = []
 
+    def recorded(w, mats, exit):
+        if exit in refused:
+            return None
+        log.append((exit, mats, CERTIFIED_SPLIT(w, mats, exit)))
+        return log[-1][2]
 
-def decided_on_the_line(rep, results: list[tuple[str, bool]]) -> bool:
-    """Whether a search was certified on its start line: no step and no
-    positive-definiteness test by the loop. The line tests its start split
-    at most once; the pencil's or the climbed split goes straight to the
-    checks."""
-    return rep.verdict == "separable" and rep.iterations == 0 and loop_tests(results) == []
-
-
-def stopped_early(rep, results: list[tuple[str, bool]]) -> bool:
-    """Whether a search stopped at its loop's last positive-definiteness
-    test: the loop tests at the top of steps 2..k and an early stop reports
-    k - 1. Every other test is the line's one test of its start split."""
-    loop = loop_tests(results)
-    return rep.verdict == "separable" and len(loop) == rep.iterations >= 1 and loop[-1]
+    monkeypatch.setattr(process, "_certified_split", recorded)
+    return log
 
 
 def test_checks_are_not_decided_by_the_searchs_positive_definiteness_test(monkeypatch):
@@ -1218,19 +1173,20 @@ def test_checks_are_not_decided_by_the_searchs_positive_definiteness_test(monkey
     # as it stands; with a test that passes every split, the checks' own
     # factorizations must still turn away each one that is not PSD, so no
     # report moves and every certificate holds by the oracle. The lightly
-    # damped mixtures refuse their start splits and reach the loop's early
-    # stop after 7 to 27 steps
+    # damped mixtures refuse their start splits; 31 reach the loop's early
+    # stop after 7 to 27 steps, each testing the loop's split at every step
     pool = lightly_damped_mixtures(12345, 40)
-    results = recorded_pd_tests(monkeypatch)
+    log = checked_splits(monkeypatch)
     reports = [separability_heuristic(w) for w in pool]
-    assert results.count(("_line_split", False)) == len(pool) and ("_line_split", True) not in results
-    refused = results.count(("separability_heuristic", False))
-    assert refused >= 100 and results.count(("separability_heuristic", True)) >= 20
+    assert "start-split" not in {exit for exit, _, _ in log}
+    early = [rep for rep in reports if rep.exit == "early-stop"]
+    assert len(early) >= 20 and sum(rep.iterations for rep in early) >= 100
+    assert {rep.exit for rep in reports} == {"early-stop", "climbed-line"}
     monkeypatch.setattr(process, "_positive_definite", lambda mats: True)
     certified = 0
     for k, (w, rep) in enumerate(zip(pool, reports)):
         fooled = separability_heuristic(w)
-        assert (fooled.verdict, fooled.iterations) == (rep.verdict, rep.iterations), k
+        assert (fooled.verdict, fooled.iterations, fooled.exit) == (rep.verdict, rep.iterations, rep.exit), k
         assert fooled.to_json_dict() == rep.to_json_dict(), k
         if fooled.certificate is not None:
             q, w_ab, w_ba = fooled.certificate
@@ -1241,48 +1197,69 @@ def test_checks_are_not_decided_by_the_searchs_positive_definiteness_test(monkey
 
 
 def builder_exit_pool() -> list[ProcessMatrix]:
-    """Searches that reach each exit of the candidate builder: the line and
-    the loop's early stop (the first 150 process-family inputs of seed 1),
-    the face split (the undamped mixtures of seed 1, a pure process with a
-    future in each order and criterion 6's mixture of the two switch orders
-    at q = 0.3, whose face splits form a line) and the converged exit (the
-    coherent process at visibility 1e-6, refused there)."""
+    """Searches that reach every exit but the step cap: W's start split, the
+    pencil's midpoint, a climbed line and the loop's witness (the first 150
+    process-family inputs of seed 1, noiseless OCB among them), the face
+    split (the undamped mixtures of seed 1, a pure process with a future in
+    each order and criterion 6's mixture of the two switch orders at
+    q = 0.3, whose face splits form a line), the face witness (the switch
+    process), the loop's early stop (two lightly damped mixtures), its
+    converged exit (a product process) and its fixed point (the coherent
+    process at visibility 1e-6, refused there)."""
     return [
         *process_family_inputs(1)[:150],
         *undamped_ordered_mixtures(1, 8),
         *(pure_ordered_process(order, 3) for order in ("AB", "BA")),
         mix(quantum_switch_process((1.0, 0.0)), quantum_switch_process((0.0, 1.0)), 0.3),
+        quantum_switch_process(),
+        *lightly_damped_mixtures(12345, 2),
+        product_processes()["product"],
         coherent_process(1e-6),
     ]
+
+
+def test_every_exit_is_named_and_its_certificate_holds_by_the_oracles(monkeypatch):
+    # each report names its exit; each certificate holds by the mask-free
+    # oracles: a decomposition within its parts' rounding bound, a witness
+    # with a negative margin
+    reached = {}
+    for w in builder_exit_pool():
+        rep = separability_heuristic(w)
+        reached.setdefault(rep.exit, []).append((w, rep))
+    parts = damped_ordered_parts()
+    w = mix(*parts, 0.3)
+    reached["decomposition"] = [(w, certify_decomposition(w, 0.3, *parts))]
+    # no cheap input runs the loop's 2,000 steps without a certificate or its
+    # fixed point: with the cap lowered to 5, the coherent process at
+    # visibility 0.3 (18 steps to its witness) stops there
+    monkeypatch.setattr(process, "SEARCH_STEPS", 5)
+    w = coherent_process(0.3)
+    reached["step-cap"] = [(w, separability_heuristic(w))]
+    assert sorted(reached) == sorted(process.EXITS)
+    verdicts = {"fixed-point": "inconclusive", "step-cap": "inconclusive"}
+    for exit, searches in reached.items():
+        for w, rep in searches:
+            want = verdicts.get(exit, "nonseparable" if exit.endswith("witness") else "separable")
+            assert rep.verdict == want, exit
+            if rep.certificate is not None:
+                assert not decomposition_fails_the_oracle(w, *rep.certificate), exit
+            if rep.witness is not None:
+                assert oracles.witness_margin(w.matrix, w.layout, *rep.witness) < 0.0, exit
+    assert reached["step-cap"][0][1].iterations == 5
+    with pytest.raises(ValueError, match="unknown exit"):
+        process.SeparabilityReport(None, 0.0, 0, exit="line")
 
 
 def test_every_certified_split_sums_to_w(monkeypatch):
     # each exit hands the builder an (X, Y) that sums to W, so a kept part
     # has trace d_O, or more where q is clamped: its trace is never <= 0
-    seen = []
-
-    def recorded(w, mats):
-        error = frobenius(mats[0] + mats[1] - w.matrix)
-        frame = sys._getframe(1)
-        caller = frame.f_code.co_name
-        # the search sets ``residual`` once its loop has ended: the converged exit
-        if caller == "separability_heuristic" and "residual" in frame.f_locals:
-            caller = "converged"
-        seen.append((caller, error / tau_of(w.matrix)))
-        return certified(w, mats)
-
-    certified = process._certified_split
-    monkeypatch.setattr(process, "_certified_split", recorded)
-    pool = builder_exit_pool()
-    for w in pool:
+    log, seen = checked_splits(monkeypatch), []
+    for w in builder_exit_pool():
+        log.clear()
         separability_heuristic(w)
-    # the climb off its start line certifies every full-rank ordered mixture
-    # of the pool, so the loop's early stop is reached with it switched off
-    monkeypatch.setattr(process, "_climbed_split", lambda *args: None)
-    for w in pool:
-        separability_heuristic(w)
-    exits = {caller for caller, _ in seen}
-    assert exits == {"_line_split", "separability_heuristic", "_face_decision", "converged"}
+        seen += [(exit, frobenius(mats[0] + mats[1] - w.matrix) / tau_of(w.matrix)) for exit, mats, _ in log]
+    exits = {exit for exit, _ in seen}
+    assert exits == {*LINE_EXITS, "early-stop", "face-split", "converged"}
     # within W's rounding bound, the face solve's split cut
     assert max(ratio for _, ratio in seen) <= 1.0
 
@@ -1292,23 +1269,23 @@ def test_no_certificate_check_decomposes_a_matrix(monkeypatch):
     # factorization, so no eigendecomposition runs inside either of them.
     # The search hands its splits to _certified_stack, the one decomposition
     # checker, which certify_decomposition wraps: the count is taken there,
-    # and a frame of either counts as inside
-    checks, inside = [], []
+    # and a call made while either check runs counts as inside
+    checks, inside, running = [], [], []
 
     def counted(name, original):
         def call(*args):
             checks.append(name)
-            return original(*args)
+            running.append(name)
+            try:
+                return original(*args)
+            finally:
+                running.pop()
 
         return call
 
     def recorded(fn, original):
         def call(*args, **kwargs):
-            frame = sys._getframe(1)
-            while frame is not None:
-                if frame.f_code.co_name in ("certify_decomposition", "_certified_stack", "_certify_witness"):
-                    inside.append((fn, frame.f_code.co_name))
-                frame = frame.f_back
+            inside.extend((fn, name) for name in running)
             return original(*args, **kwargs)
 
         return call
@@ -1328,36 +1305,28 @@ def test_no_certificate_check_decomposes_a_matrix(monkeypatch):
 def test_full_rank_ordered_mixtures_stop_at_the_first_positive_definite_split(monkeypatch):
     # the climb off the start line would certify the searches the loop stops
     # early, so it is switched off: the line and the loop's early stop remain
-    monkeypatch.setattr(process, "_climbed_split", lambda *args: None)
-    results, splits = recorded_pd_tests(monkeypatch), []
-
-    def recorded(w, mats):
-        splits.append(mats)
-        return certified(w, mats)
-
-    certified = process._certified_split
-    monkeypatch.setattr(process, "_certified_split", recorded)
+    log = checked_splits(monkeypatch, "climbed-line")
     inputs = complex_search_inputs()
     pool = [inputs["ordered-mixture-1"], inputs["ordered-mixture-4"], *process_family_inputs(1)[:60:3]]
     on_line, early = 0, 0
     for w in pool:
         assert w._eigenvalues[0] > w._rounding  # full rank
-        results.clear()
-        splits.clear()
+        log.clear()
         rep = separability_heuristic(w)
         assert rep.verdict == "separable"
         # every search ends at its first positive definite split: on the
         # line with no step, or in the loop
-        if decided_on_the_line(rep, results):
+        if rep.exit in LINE_EXITS:
+            assert rep.iterations == 0
             on_line += 1
         else:
-            assert stopped_early(rep, results), (rep.iterations, results)
+            assert rep.exit == "early-stop" and rep.iterations >= 1
             early += 1
         # one split reaches the builder, the start split the line's test
         # passed, the pencil's untested or the one the loop's test passed,
         # and it is positive definite
-        assert len(splits) == 1
-        assert np.linalg.eigvalsh(splits[0])[:, 0].min() > 0.0
+        assert [exit for exit, _, _ in log] == [rep.exit]
+        assert np.linalg.eigvalsh(log[0][1])[:, 0].min() > 0.0
         q, w_ab, w_ba = rep.certificate
         worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
         assert worst <= 1e-9 and recon <= 1e-13 and rep.residual <= 1e-13
@@ -1365,7 +1334,7 @@ def test_full_rank_ordered_mixtures_stop_at_the_first_positive_definite_split(mo
 
 
 def test_positive_definiteness_is_never_tested_on_rank_deficient_or_first_step_searches(monkeypatch):
-    results = recorded_pd_tests(monkeypatch)
+    log = checked_splits(monkeypatch)
     deficient = [
         coherent_process(0.3),
         coherent_process(1e-3),
@@ -1374,60 +1343,56 @@ def test_positive_definiteness_is_never_tested_on_rank_deficient_or_first_step_s
         undamped_ordered_mixtures(1, 1)[0],
     ]
     assert all(w._eigenvalues[0] <= w._rounding for w in deficient)
-    # only the rank-2 coherent processes run past the first step
-    past_first = [separability_heuristic(w).iterations > 1 for w in deficient]
-    assert past_first == [True, True, False, False, False]
-    assert results == []
-    # full rank and nonseparable: the line tests its start split once and
-    # refuses it, its interval is empty, and the first step decides with no
-    # test of the loop's
+    # only the rank-2 coherent processes run past the first step; none is
+    # decided on the line or by the loop's early stop
+    reports = [separability_heuristic(w) for w in deficient]
+    assert [rep.iterations > 1 for rep in reports] == [True, True, False, False, False]
+    assert [rep.exit for rep in reports] == ["loop-witness"] * 2 + ["face-witness", "loop-witness", "face-split"]
+    # the face splits of the rank-2 coherent processes are refused
+    assert [(exit, cert is not None) for exit, _, cert in log] == [("face-split", False)] * 2 + [("face-split", True)]
+    # full rank and nonseparable: the line's test refuses its start split,
+    # its interval is empty, and the first step decides with no test of the
+    # loop's; no split reaches the checks
     for w in (ocb_process(0.2), phase_rotated(ocb_process(0.2), 5)):
         assert w._eigenvalues[0] > w._rounding
         t_lo, t_hi, _ = oracles.line_split_interval(w.matrix, w.layout)
         assert t_lo >= t_hi
-        results.clear()
-        assert process._line_split(w) is None and results == [("_line_split", False)]
-        results.clear()
+        log.clear()
+        assert process._line_split(w) is None and log == []
         rep = separability_heuristic(w)
-        assert (rep.verdict, rep.iterations) == ("nonseparable", 1)
-        assert results == [("_line_split", False)]
-    # full rank and separable at the start: one test, of the start split,
-    # and no step
+        assert (rep.verdict, rep.iterations, rep.exit) == ("nonseparable", 1, "loop-witness") and log == []
+    # full rank and separable at the start: its start split, and no step
     for w in (ocb_process(0.5), ocb_process(0.8), phase_rotated(ocb_process(0.5), 5)):
-        results.clear()
-        assert decided_on_the_line(separability_heuristic(w), results)
-        assert results == [("_line_split", True)]
+        log.clear()
+        rep = separability_heuristic(w)
+        assert (rep.iterations, rep.exit) == (0, "start-split") and [exit for exit, _, _ in log] == ["start-split"]
     # an ordered mixture whose start line is empty: the start split is
     # refused, the climb off the line hands its split to the checks
     # untested, and with the climb off the loop's tests start at step 2 and
     # it stops early
-    results.clear()
-    rep = separability_heuristic(complex_search_inputs()["ordered-mixture-4"])
-    assert decided_on_the_line(rep, results) and results == [("_line_split", False)]
-    monkeypatch.setattr(process, "_climbed_split", lambda *args: None)
-    results.clear()
-    rep = separability_heuristic(complex_search_inputs()["ordered-mixture-4"])
-    assert stopped_early(rep, results) and len(loop_tests(results)) == rep.iterations > 1
-    assert results[0] == ("_line_split", False)
+    w = complex_search_inputs()["ordered-mixture-4"]
+    log.clear()
+    rep = separability_heuristic(w)
+    assert (rep.iterations, rep.exit) == (0, "climbed-line") and [exit for exit, _, _ in log] == ["climbed-line"]
+    log = checked_splits(monkeypatch, "climbed-line")
+    rep = separability_heuristic(w)
+    assert rep.exit == "early-stop" and rep.iterations > 1 and {exit for exit, _, _ in log} == {"early-stop"}
+    assert log[-1][2] is not None
 
 
 @pytest.mark.parametrize("seed", [2, 3])
 def test_early_stop_keeps_every_verdict_and_never_adds_a_step(monkeypatch, seed):
     # with the climb off the start line on, no input of the pool reaches the
     # loop's early stop; switched off, the searches it decides do
-    monkeypatch.setattr(process, "_climbed_split", lambda *args: None)
+    checked_splits(monkeypatch, "climbed-line")
     pool = process_family_inputs(seed)[:150]
-    results = recorded_pd_tests(monkeypatch)
-    reports, on_line, early = [], [], []
-    for w in pool:
-        results.clear()
-        reports.append(separability_heuristic(w))
-        on_line.append(decided_on_the_line(reports[-1], results))
-        early.append(stopped_early(reports[-1], results))
+    reports = [separability_heuristic(w) for w in pool]
+    on_line = [rep.exit in LINE_EXITS for rep in reports]
+    early = [rep.exit == "early-stop" for rep in reports]
     assert sum(on_line) >= 90 and sum(early) >= 10 and not all(on_line)
     # the line check decides nothing: every search it does not decide
     # reports the same bytes, and each one it decides took a step there
-    monkeypatch.setattr(process, "_line_split", lambda w: None)
+    checked_splits(monkeypatch, *LINE_EXITS)
     for w, rep, line in zip(pool, reports, on_line):
         ref = separability_heuristic(w)
         assert rep.verdict == ref.verdict
@@ -1435,9 +1400,8 @@ def test_early_stop_keeps_every_verdict_and_never_adds_a_step(monkeypatch, seed)
             assert rep.iterations == 0 < ref.iterations
         else:
             assert rep.to_json_dict() == ref.to_json_dict()
-    # no positive-definiteness test either: the loop's early stop never
-    # adds a step
-    monkeypatch.setattr(process, "_positive_definite", lambda mats: False)
+    # no early stop either: it never adds a step
+    checked_splits(monkeypatch, *LINE_EXITS, "early-stop")
     for w, rep, stopped in zip(pool, reports, early):
         ref = separability_heuristic(w)
         assert rep.verdict == ref.verdict
@@ -1494,34 +1458,21 @@ def test_line_interval_and_certificates_agree_with_the_reset_oracle():
     assert 8 <= certified < len(line_pool()) and 1 <= started < certified
 
 
-def test_a_start_split_inside_its_interval_is_certified_before_the_pencil(monkeypatch):
+def test_a_start_split_inside_its_interval_is_certified_before_the_pencil():
     # where the oracle's interval holds t = 1/2, W's own start split
     # (A + S/2, B + S/2) is positive definite and certifies as it stands:
-    # q = 1/2, no step, and no inverse or eigenvalue problem in the line;
-    # the inputs whose start split is refused solve the pencil
-    calls = []
-
-    def spied(name, original):
-        def call(*args, **kwargs):
-            if sys._getframe(1).f_code.co_name == "_line_split":
-                calls.append(name)
-            return original(*args, **kwargs)
-
-        return call
-
-    for name in ("inv", "eigvalsh", "eigh"):
-        monkeypatch.setattr(np.linalg, name, spied(name, getattr(np.linalg, name)))
+    # q = 1/2, no step, and the line's exit before its pencil; the inputs
+    # whose start split is refused solve the pencil
     started, solved = 0, 0
     for name, w in line_pool().items():
         t_lo, t_hi, _ = oracles.line_split_interval(w.matrix, w.layout)
-        calls.clear()
         rep = separability_heuristic(w)
         if not t_lo < 0.5 < t_hi:
-            assert calls == ["inv", "eigvalsh"], name
+            assert rep.exit != "start-split", name
             solved += 1
             continue
         started += 1
-        assert (rep.verdict, rep.iterations) == ("separable", 0) and calls == [], name
+        assert (rep.verdict, rep.iterations, rep.exit) == ("separable", 0, "start-split"), name
         q, w_ab, w_ba = rep.certificate
         assert abs(q - 0.5) <= 1e-12, name
         worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
@@ -1534,34 +1485,19 @@ def test_a_refused_start_split_never_reaches_the_certificate_build(monkeypatch):
     # the line tests its start split once; a split the test passes is the
     # first the builder gets, and one it refuses never reaches the builder,
     # which gets at most the pencil's or the climbed split
-    tested, built = [], []
-
-    def recorded_test(mats):
-        if sys._getframe(1).f_code.co_name == "_line_split":
-            tested.append((mats, positive_definite(mats)))
-            return tested[-1][1]
-        return positive_definite(mats)
-
-    def recorded_build(w, mats):
-        if sys._getframe(1).f_code.co_name == "_line_split":
-            built.append(mats)
-        return certified(w, mats)
-
-    positive_definite, certified = process._positive_definite, process._certified_split
-    monkeypatch.setattr(process, "_positive_definite", recorded_test)
-    monkeypatch.setattr(process, "_certified_split", recorded_build)
+    log = checked_splits(monkeypatch)
     pool = {**line_pool(), "ocb-0.2": ocb_process(0.2), "phase-rotated": phase_rotated(ocb_process(0.2), 5)}
     refused = 0
     for name, w in pool.items():
-        tested.clear()
-        built.clear()
+        t_lo, t_hi, _ = oracles.line_split_interval(w.matrix, w.layout)
+        log.clear()
         process._line_split(w)
-        ((start, ok),) = tested
-        if ok:
-            assert built[0] is start, name
+        exits = [exit for exit, _, _ in log]
+        if t_lo < 0.5 < t_hi:
+            assert exits[0] == "start-split", name
             continue
         refused += 1
-        assert len(built) <= 1 and not any(np.array_equal(m, start) for m in built), name
+        assert exits in ([], ["pencil-midpoint"], ["climbed-line"]), name
     assert refused >= 6
 
 
@@ -1569,20 +1505,32 @@ def test_a_refused_start_split_never_reaches_the_certificate_build(monkeypatch):
 # the concave interval length move the line by a shared H before any step
 
 
+def in_the_line(monkeypatch, name: str, fake) -> None:
+    """Make ``np.linalg.<name>`` ``fake(original, *args, **kwargs)`` while the
+    search's line (:func:`process._line_split`, and the climb off it) runs,
+    and only then. W's eigenvalues are cached once its validity is."""
+    line, original = process._line_split, getattr(np.linalg, name)
+
+    def patched(w):
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(np.linalg, name, lambda *args, **kwargs: fake(original, *args, **kwargs))
+            return line(w)
+
+    monkeypatch.setattr(process, "_line_split", patched)
+
+
 def recorded_climbs(monkeypatch) -> list[float]:
-    """Patch ``np.linalg.eigh`` to log the interval length 1 + lambda_min +
-    lambda_min of each eigendecomposition the climb makes: its start and one
-    entry per step."""
+    """Log the interval length 1 + lambda_min + lambda_min of each
+    eigendecomposition the climb makes, the line's only ones: its start and
+    one entry per step."""
     margins = []
 
-    def recorded(a, *args, **kwargs):
+    def recorded(eigh, a, *args, **kwargs):
         out = eigh(a, *args, **kwargs)
-        if sys._getframe(1).f_code.co_name == "_climbed_split":
-            margins.append(1.0 + out[0][0, 0] + out[0][1, 0])
+        margins.append(1.0 + out[0][0, 0] + out[0][1, 0])
         return out
 
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    in_the_line(monkeypatch, "eigh", recorded)
     return margins
 
 
@@ -1599,20 +1547,19 @@ def climbing_mixtures() -> dict[str, ProcessMatrix]:
 
 def test_every_ordered_mixture_certifies_off_its_start_line(monkeypatch):
     # every full-rank ordered mixture of the pool is certified with no loop
-    # step and no positive-definiteness test of the loop's, on its start line
-    # (its start split or the pencil's midpoint) or by one or two climbing
-    # steps off it, and each certificate holds by the oracle within the
-    # rounding bound
-    results, margins = recorded_pd_tests(monkeypatch), recorded_climbs(monkeypatch)
+    # step, on its start line (its start split or the pencil's midpoint) or
+    # by one or two climbing steps off it, and each certificate holds by the
+    # oracle within the rounding bound
+    margins = recorded_climbs(monkeypatch)
     pool = process_family_inputs(1)[::3]
     steps = []
     for k, w in enumerate(pool):
         assert w._eigenvalues[0] > w._rounding, k
-        results.clear()
         margins.clear()
         rep = separability_heuristic(w)
-        assert decided_on_the_line(rep, results), (k, results)
+        assert rep.exit in LINE_EXITS and rep.iterations == 0, (k, rep.exit)
         steps.append(max(len(margins) - 1, 0))
+        assert (rep.exit == "climbed-line") is (steps[-1] > 0), k
         q, w_ab, w_ba = rep.certificate
         worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
         assert worst <= min(tau_of(w_ab.matrix), tau_of(w_ba.matrix)), k
@@ -1630,7 +1577,9 @@ def test_climbed_midpoint_keeps_half_its_interval_of_s_by_the_reset_oracle(monke
     w = climbing_mixtures()[name]
     margins = recorded_climbs(monkeypatch)
     lay = w.layout
+    validate_process(w)
     cert = process._line_split(w)
+    assert cert.exit == "climbed-line"
     t_lo, t_hi, s = oracles.line_split_interval(w.matrix, lay)
     # the climb starts from the start line's own interval, which is empty
     assert t_lo >= t_hi and margins[0] == pytest.approx(t_hi - t_lo, abs=1e-10)
@@ -1652,16 +1601,18 @@ def test_climbed_midpoint_keeps_half_its_interval_of_s_by_the_reset_oracle(monke
 
 def test_a_witness_input_climbs_one_step_and_keeps_its_report(monkeypatch):
     # on OCB with white noise the start split is refused and the interval
-    # only shrinks: the climb stops after one step, tests no split, and the
-    # first loop step finds the same witness as with the climb switched off
-    results, margins = recorded_pd_tests(monkeypatch), recorded_climbs(monkeypatch)
+    # only shrinks: the climb stops after one step, hands no split to the
+    # checks, and the first loop step finds the same witness as with the
+    # climb switched off
+    log, margins = checked_splits(monkeypatch), recorded_climbs(monkeypatch)
     pool = (ocb_process(0.2), phase_rotated(ocb_process(0.2), 5))
     reports = []
     for w in pool:
         margins.clear()
         reports.append(separability_heuristic(w))
         assert len(margins) == 2 and margins[1] < margins[0] < 0.0, margins
-    assert results == [("_line_split", False)] * len(pool)
+        assert reports[-1].exit == "loop-witness"
+    assert log == []
     monkeypatch.setattr(process, "_climbed_split", lambda *args: None)
     for w, rep in zip(pool, reports):
         ref = separability_heuristic(w)
@@ -1679,41 +1630,34 @@ def test_a_climb_with_no_slope_or_no_rise_leaves_the_search_to_the_loop(monkeypa
     w = climbing_mixtures()[name]
     calls = []
 
-    def stubbed(a, *args, **kwargs):
-        if sys._getframe(1).f_code.co_name != "_climbed_split":
-            return eigh(a, *args, **kwargs)
+    def stubbed(eigh, a, *args, **kwargs):
         calls.append(a)
         vals, vecs = eigh(calls[0] if stub == "no-rise" else a, *args, **kwargs)
         if stub == "no-slope":
             vecs = np.stack((vecs[0], vecs[0]))
         return vals, vecs
 
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", stubbed)
+    # the loop's report alone, with the climbed line switched off
+    checked_splits(monkeypatch, "climbed-line")
+    ref = separability_heuristic(w)
+    monkeypatch.undo()
+    in_the_line(monkeypatch, "eigh", stubbed)
     rep = separability_heuristic(w)
     assert len(calls) == (1 if stub == "no-slope" else 2)
-    monkeypatch.setattr(process, "_climbed_split", lambda *args: None)
-    ref = separability_heuristic(w)
     assert rep.to_json_dict() == ref.to_json_dict() and ref.verdict == "separable" and ref.iterations >= 1
+    assert rep.exit == ref.exit == "early-stop"
 
 
 def test_a_shared_part_with_no_cholesky_factor_leaves_the_line_to_the_loop(monkeypatch):
     # the shared part S of a full-rank W is positive definite, so only a
     # failed factorization of S reaches the line's exit before its pencil;
-    # with the start split's test refused too, the loop then reaches the
-    # verdict the oracles give: separable where the line holds a PSD split,
-    # nonseparable by a witness they accept
-    def refused(a, *args, **kwargs):
-        if sys._getframe(1).f_code.co_name == "_line_split":
-            raise np.linalg.LinAlgError("no factor")
-        return cholesky(a, *args, **kwargs)
+    # with every factorization in the line refused, the start split's test
+    # too, the loop then reaches the verdict the oracles give: separable
+    # where the line holds a PSD split, nonseparable by a witness they accept
+    def refused(cholesky, a, *args, **kwargs):
+        raise np.linalg.LinAlgError("no factor")
 
-    def untested(mats):
-        return sys._getframe(1).f_code.co_name != "_line_split" and positive_definite(mats)
-
-    cholesky, positive_definite = np.linalg.cholesky, process._positive_definite
-    monkeypatch.setattr(np.linalg, "cholesky", refused)
-    monkeypatch.setattr(process, "_positive_definite", untested)
+    in_the_line(monkeypatch, "cholesky", refused)
     verdicts = []
     for w in (ocb_process(0.5), phase_rotated(ocb_process(0.5), 5), ocb_process(0.2)):
         lay = w.layout
@@ -1722,12 +1666,13 @@ def test_a_shared_part_with_no_cholesky_factor_leaves_the_line_to_the_loop(monke
         t_lo, t_hi, _ = oracles.line_split_interval(w.matrix, lay)
         verdicts.append(rep.verdict)
         if t_lo < t_hi:
-            assert rep.verdict == "separable" and rep.iterations >= 1
+            # the first step clips nothing off the PSD start split: the loop converges
+            assert (rep.verdict, rep.iterations, rep.exit) == ("separable", 1, "converged")
             q, w_ab, w_ba = rep.certificate
             worst, recon = oracles.decomposition_defects(w.matrix, lay, q, w_ab.matrix, w_ba.matrix)
             assert worst <= 1e-9 and recon <= recon_gate(w.layout.dim)
         else:
-            assert rep.verdict == "nonseparable"
+            assert (rep.verdict, rep.exit) == ("nonseparable", "loop-witness")
             assert oracles.witness_margin(w.matrix, lay, *rep.witness) < 0.0
     assert verdicts == ["separable", "separable", "nonseparable"]
 
@@ -1749,50 +1694,34 @@ def test_the_certificate_gate_alone_refuses_a_line_split_that_is_not_psd(monkeyp
     t_lo, t_hi, _ = oracles.line_split_interval(w.matrix, lay)
     assert t_lo < t_hi < 1.0 - 1.5 * (t_hi - t_lo)
 
-    def shifted(a, *args, **kwargs):
-        vals = eigvalsh(a, *args, **kwargs)
-        if sys._getframe(1).f_code.co_name == "_line_split":
-            # t_lo is the first part's largest value, 1 - t_hi the second's
-            vals = vals + np.array((1.0, -1.0))[:, None] * (t_hi - t_lo)
-        return vals
+    def shifted(eigvalsh, a, *args, **kwargs):
+        # t_lo is the first part's largest value, 1 - t_hi the second's
+        return eigvalsh(a, *args, **kwargs) + np.array((1.0, -1.0))[:, None] * (t_hi - t_lo)
 
-    def recorded(*args):
-        checked.append(certify(*args))
-        return checked[-1]
-
-    checked, eigvalsh, certify = [], np.linalg.eigvalsh, process._certified_stack
-    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
-    monkeypatch.setattr(process, "_certified_stack", recorded)
+    validate_process(w)
+    in_the_line(monkeypatch, "eigvalsh", shifted)
+    log = checked_splits(monkeypatch)
     assert process._line_split(w) is None
-    assert checked == [None]
+    ((exit, split, cert),) = log
+    assert (exit, cert) == ("pencil-midpoint", None)
+    assert np.linalg.eigvalsh(split[1])[0] < 0.0
     rep = separability_heuristic(w)
-    monkeypatch.setattr(process, "_line_split", lambda w: None)
+    checked_splits(monkeypatch, *LINE_EXITS)
     ref = separability_heuristic(w)
     assert rep.to_json_dict() == ref.to_json_dict() and rep.verdict == "separable"
+    assert rep.exit == ref.exit == "early-stop"
 
 
 @pytest.mark.parametrize("name", list(product_processes()), ids=["plain", "phase-rotated", "future"])
-def test_a_singular_psd_start_split_is_certified_at_the_converged_exit(monkeypatch, name):
+def test_a_singular_psd_start_split_is_certified_at_the_converged_exit(name):
     # W = |0><0| (x) 1 (x) |0><0| (x) 1 (rank 4), its phase-rotated copy and
     # its copy with a future: the start split is PSD but singular, so the
-    # first step's gap is 0, the loop ends at once and the converged exit,
-    # told apart as in test_every_certified_split_sums_to_w, certifies it
+    # first step's gap is 0, the loop ends at once and its converged exit
+    # certifies it
     w = product_processes()[name]
-    exits = []
-
-    def recorded(w, mats):
-        frame = sys._getframe(1)
-        converged = frame.f_code.co_name == "separability_heuristic" and "residual" in frame.f_locals
-        cert = certified(w, mats)
-        exits.append((converged, cert is not None))
-        return cert
-
-    certified = process._certified_split
-    monkeypatch.setattr(process, "_certified_split", recorded)
     assert w._eigenvalues[0] <= w._rounding
     rep = separability_heuristic(w)
-    assert (rep.verdict, rep.iterations) == ("separable", 1)
-    assert exits[-1] == (True, True) and not any(ok for _, ok in exits[:-1])
+    assert (rep.verdict, rep.iterations, rep.exit) == ("separable", 1, "converged")
     q, w_ab, w_ba = rep.certificate
     worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
     assert worst <= min(tau_of(w_ab.matrix), tau_of(w_ba.matrix))
@@ -1834,10 +1763,10 @@ def certificate_pool() -> dict[str, ProcessMatrix]:
     return pool
 
 
-def retired_split(w, mats):
+def retired_split(w, mats, exit):
     """The certificate of the oracle's candidate builder on the matrices
     (X, Y) of an order split the search certifies, padded as the search
-    pads."""
+    pads; it names the checker's exit, not the search's."""
     lay = w.layout
     out = oracles.certificate_candidate(*mats, lay)
     if out is None:
@@ -1870,21 +1799,6 @@ def parts_built_one_at_a_time(w, mats):
     return certify_decomposition(w, q, *(parts.pop(0) if keep else neutral_process(lay) for keep in kept))
 
 
-def certificate_exit(frame) -> str:
-    """Which exit of the search handed a split to the certificate builder,
-    from the caller's frame: the line's start split (before its pencil
-    exists), its midpoint or a climbed line's, the loop's early stop or its
-    converged exit (after ``residual`` is set), or the face."""
-    name, names = frame.f_code.co_name, frame.f_locals
-    if name == "_line_split":
-        if "inv" not in names:
-            return "start split"
-        return "midpoint" if names["t_lo"] < names["t_hi"] else "climbed line"
-    if name == "separability_heuristic":
-        return "converged" if "residual" in names else "early stop"
-    return {"_face_decision": "face"}[name]
-
-
 def test_every_search_split_certifies_as_with_parts_built_one_at_a_time(monkeypatch):
     # the search's splits go straight to the stack checker, which builds the
     # parts only once every gate has passed; built one at a time and checked
@@ -1892,55 +1806,38 @@ def test_every_search_split_certifies_as_with_parts_built_one_at_a_time(monkeypa
     # (or None), the same q and bit for bit the same part matrices, at every
     # exit. Each certificate's parts are read-only and keep the coefficients
     # their own arithmetic gives
-    exits = set()
-
-    def compared(w, mats):
-        got, want = certified(w, mats.copy()), parts_built_one_at_a_time(w, mats.copy())
-        assert (got is None) == (want is None)
-        if got is not None:
+    log, exits = checked_splits(monkeypatch), set()
+    # builder_exit_pool() holds the first 150 process-family inputs of seed 1
+    pool = [*builder_exit_pool(), *lightly_damped_mixtures(12345, 40), *product_processes().values()]
+    for w in pool:
+        log.clear()
+        separability_heuristic(w)
+        for exit, mats, got in log:
+            want = parts_built_one_at_a_time(w, mats.copy())
+            assert (got is None) == (want is None)
+            if got is None:
+                continue
             assert got.to_json_dict() == want.to_json_dict() and got.certificate[0] == want.certificate[0]
             for part, ref in zip(got.certificate[1:], want.certificate[1:]):
                 assert part.matrix.tobytes() == ref.matrix.tobytes() and not part.matrix.flags.writeable
                 assert part._own.dtype == ref._own.dtype and np.array_equal(part._coef, ref._coef)
-            exits.add(certificate_exit(sys._getframe(1)))
-        return got
-
-    certified = process._certified_split
-    monkeypatch.setattr(process, "_certified_split", compared)
-    # builder_exit_pool() holds the first 150 process-family inputs of seed 1
-    pool = [*builder_exit_pool(), *lightly_damped_mixtures(12345, 40), *product_processes().values()]
-    for w in pool:
-        separability_heuristic(w)
-    assert exits == {"start split", "midpoint", "climbed line", "early stop", "face", "converged"}
+            assert got.exit == exit and want.exit == "decomposition"
+            exits.add(exit)
+    assert exits == {*LINE_EXITS, "early-stop", "face-split", "converged"}
 
 
 def test_candidate_from_coefficients_agrees_with_the_retired_builder(monkeypatch):
-    # the builder runs where a search certifies a split; a search that never
-    # reaches it (a witness, or the cap) runs the same code on both paths,
-    # so only the searches that reach it are run again with the oracle's.
-    # Neither builder lifts a part: both take the split as it stands
-    pool, built, face = certificate_pool(), [], set()
-
-    def recorded(w, mats):
-        built.append(name)
-        if sys._getframe(1).f_code.co_name == "_face_decision":
-            face.add(name)
-        return certified(w, mats)
-
-    certified = process._certified_split
-    monkeypatch.setattr(process, "_certified_split", recorded)
-    new = {}
-    for name, w in pool.items():
-        new[name] = separability_heuristic(w)
+    # every search of the pool runs again with the oracle's builder at each
+    # exit that certifies a split. Neither builder lifts a part: both take
+    # the split as it stands
+    pool = certificate_pool()
+    new = {name: separability_heuristic(w) for name, w in pool.items()}
     monkeypatch.setattr(process, "_certified_split", retired_split)
-    old = {name: separability_heuristic(pool[name]) for name in built}
+    old = {name: separability_heuristic(w) for name, w in pool.items()}
     verdicts = [rep.verdict for rep in new.values()]
     assert verdicts.count("separable") >= 15 and verdicts.count("nonseparable") >= 2
-    assert face == {f"undamped-{k}" for k in range(8)}
+    assert {name for name, rep in new.items() if rep.exit == "face-split"} == {f"undamped-{k}" for k in range(8)}
     for name, w in pool.items():
-        if name not in old:
-            assert new[name].certificate is None, name
-            continue
         a, b = new[name], old[name]
         assert (a.verdict, a.iterations, a.witness_value) == (b.verdict, b.iterations, b.witness_value), name
         assert abs(a.residual - b.residual) <= 1e-14, name
@@ -2656,19 +2553,19 @@ def test_the_stack_path_rejects_exactly_what_the_constructor_rejects(name, slot)
         want = raised(ProcessMatrix, mats[slot], lay)
         assert (want is None) is (defect == "asymmetry-0.5"), defect
         assert raised(process_stack, mats, lay) == want, defect
-        assert raised(_certified_stack, w, 0.5, mats.copy()) == want, defect
+        assert raised(_certified_stack, w, 0.5, mats.copy(), "decomposition") == want, defect
         # as an order split, made Hermitian and weighed by its trace before
         # the checks: the search's route raises where, and as, building its
         # parts one at a time does (a non-finite trace of X can leave no part)
         with np.errstate(invalid="ignore", over="ignore"):
             split = raised(parts_built_one_at_a_time, w, mats / 2.0)
-            assert raised(process._certified_split, w, mats / 2.0) == split, defect
+            assert raised(process._certified_split, w, mats / 2.0, "start-split") == split, defect
     # a wrong shape, as a stack of wrong matrices or with a matrix of the wrong shape
     small = np.eye(8) / 2.0
     assert "does not match" in raised(ProcessMatrix, small, lay)
     for mats in (np.stack((small, small)), clean[slot]):
         assert "does not match" in raised(process_stack, mats, lay)
-        assert "does not match" in raised(_certified_stack, w, 0.5, mats.copy())
+        assert "does not match" in raised(_certified_stack, w, 0.5, mats.copy(), "decomposition")
     assert raised(process_stack, [clean[0], small][:: 1 - 2 * slot], lay) is not None
 
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from icolab.process import EXITS
+
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "report_bytes.py"
 
 
@@ -112,6 +114,11 @@ def test_searches_write_one_report_per_search_input(tmp_path):
     assert labels[1278] == "== search lightly-damped-mixture 0 exit 0"
     assert labels[-1] == "== search product with a future exit 0"
     assert {rep["verdict"] for rep in reports} <= {"separable", "nonseparable", "inconclusive"}
+    # each record names the search's exit, which run reports leave out; the
+    # inputs reach every exit of the search but the step cap
+    exits = [rep["exit"] for rep in reports]
+    assert set(exits) == set(EXITS) - {"step-cap", "decomposition"}
+    assert exits[1261] == "face-witness" and exits[-1] == "converged"
     # every input is searched, and its validity report rides along
     assert all(rep["validity"]["verdict"] == "valid" for rep in reports)
     # each certificate, and only a certificate, carries one sha256 of its parts' matrices
@@ -121,6 +128,7 @@ def test_searches_write_one_report_per_search_input(tmp_path):
     # a moved field, of the search, of its parts or of the validity report, is named with its search
     moved = json.loads(lines[3])
     change, margin = moved["residual"], moved["validity"]["psd_margin"]
+    moved["exit"] = "early-stop"
     moved["residual"] *= 2.0
     moved["validity"]["psd_margin"] *= 2.0
     moved["parts_sha256"] = moved["parts_sha256"][::-1]
@@ -130,8 +138,8 @@ def test_searches_write_one_report_per_search_input(tmp_path):
     found = diff(other, out)
     label = "search process-family seed 1 1 random-valid"
     want = (
-        f"{label}: parts_sha256\n{label}: residual\n{label}: validity.psd_margin\n"
-        f"1 parts_sha256, 1 residual (max |Δ| {change:.2g}), 1 validity.psd_margin (max |Δ| {margin:.2g})\n"
+        f"{label}: exit\n{label}: parts_sha256\n{label}: residual\n{label}: validity.psd_margin\n"
+        f"1 exit, 1 parts_sha256, 1 residual (max |Δ| {change:.2g}), 1 validity.psd_margin (max |Δ| {margin:.2g})\n"
     )
     assert (found.returncode, found.stdout) == (1, want)
 
@@ -155,6 +163,7 @@ def test_scan_writes_one_labelled_record_per_custom_config(tmp_path, monkeypatch
     labels = {"no split", "margin >= -tau", "margin < -tau"}
     for rec in records:
         assert rec["verdict"] in {"separable", "nonseparable", "inconclusive"} and rec["iterations"] >= 0
+        assert rec["exit"] in EXITS
         # W is real, and labelled by the oracle, unless Y is a free evolution
         assert rec.get("oracle") in labels or "Y" in (rec["config"]["v0"], rec["config"]["v1"]), rec
         assert not (rec["verdict"] == "separable" and rec.get("oracle") == "margin < -tau"), rec

@@ -17,8 +17,9 @@ stderr, so two checkouts with the same outputs write the same file::
     cmp parent.bytes change.bytes
 
 ``--searches`` writes, in the same layout, the separability report
-(``SeparabilityReport.to_json_dict``) of every search input, with that
-input's validity report (``ValidityReport.to_json_dict``) under the key
+(``SeparabilityReport.to_json_dict``) of every search input, with the
+search's ``exit`` (one of ``process.EXITS``, which run reports leave out),
+that input's validity report (``ValidityReport.to_json_dict``) under the key
 ``validity``, so that a change to the validity gates shows up as a moved
 field (an input that fails them gets no search), and, for a certificate,
 the sha256 of its two part matrices' complex128 bytes under
@@ -40,7 +41,7 @@ of :func:`product_processes` (rank 4; certified at the converged exit)::
 
 Where the files differ, ``--diff`` names what moved: one line per config
 or search and per JSON path of a report (``process.validity.psd_margin``,
-``residual``, ``parts_sha256``), sweep CSV cell (``row 2 S_opt``) or exit
+``residual``, ``exit``, ``parts_sha256``), sweep CSV cell (``row 2 S_opt``) or exit
 code that differs, and ends with one line that counts those lines per
 moved field and gives the largest absolute change of each numeric one
 (``127 iterations (max |Δ| 3), 127 q (max |Δ| 2.2e-16), 127 residual (max
@@ -224,7 +225,7 @@ def searches() -> None:
     def emit(label: str, w) -> None:
         validity = process.validate_process(w)
         rep = process.separability_heuristic(w) if validity.is_valid else None
-        out = {} if rep is None else rep.to_json_dict()
+        out = {} if rep is None else {**rep.to_json_dict(), "exit": rep.exit}
         if rep is not None and rep.certificate is not None:
             parts = b"".join(part.matrix.tobytes() for part in rep.certificate[1:])
             out["parts_sha256"] = hashlib.sha256(parts).hexdigest()
