@@ -16,22 +16,14 @@ METRICS = [
 ]
 
 
-def run_lines(op_p50: float, ops: float, setup: float, failed: int = 0) -> str:
-    """A run's stdout as perfbench/run.py prints it with --trace 0: a comment
-    line with its environment, metric lines and the result line."""
-    env = {"nproc": 2, "numpy": "2.4.6", "loadavg_start": [0.5, 0.4, 0.3]}
-    result = {
-        "correct": failed == 0,
-        "attempted": 100,
-        "failed": failed,
-        "metrics": {
-            "op_p50_s": {"value": op_p50, "unit": "s"},
-            "ops_per_s": {"value": ops, "unit": "1/s"},
-            "setup_s": {"value": setup, "unit": "s"},
-        },
-    }
-    return f"# process-family seed=1 ops=100 failed={failed} tail=p99.0 env={json.dumps(env)}\n" \
-        f"setup_s {setup}\n{json.dumps(result)}\n"
+def run(op_p50: float, ops: float, setup: float, failed: int = 0) -> dict:
+    """A run's stdout as perfbench/run.py prints it with --trace 0 (a comment
+    line with its environment, a metric line, the result line), parsed."""
+    values = {"op_p50_s": op_p50, "ops_per_s": ops, "setup_s": setup}
+    result = {"correct": failed == 0, "attempted": 100, "failed": failed}
+    result["metrics"] = {name: {"value": value, "unit": "s"} for name, value in values.items()}
+    env = json.dumps({"nproc": 2, "numpy": "2.4.6"})
+    return paired_bench.parse_run(f"# process-family seed=1 env={env}\nsetup_s {setup}\n{json.dumps(result)}\n")
 
 
 def fake_runs() -> dict[str, list[dict]]:
@@ -43,30 +35,20 @@ def fake_runs() -> dict[str, list[dict]]:
     change_ops = [ops * 1.05 for ops in parent_ops]
     change_ops[3] = 100.0  # a lost pair
     parent_setup = [0.05, 0.08, 0.06, 0.09, 0.05, 0.07, 0.10, 0.06, 0.08, 0.05]
-    change_setup = [0.07] * 10
     return {
-        "parent": [paired_bench.parse_run(run_lines(*row)) for row in zip(parent_op, parent_ops, parent_setup)],
-        "change": [
-            paired_bench.parse_run(run_lines(0.9 * op, ops, setup))
-            for op, ops, setup in zip(parent_op, change_ops, change_setup)
-        ],
+        "parent": [run(*row) for row in zip(parent_op, parent_ops, parent_setup)],
+        "change": [run(0.9 * op, ops, 0.07) for op, ops in zip(parent_op, change_ops)],
     }
 
 
-def test_a_run_line_gives_its_result_and_environment():
-    run = paired_bench.parse_run(run_lines(1e-3, 900.0, 0.1, failed=2))
-    assert (run["correct"], run["attempted"], run["failed"]) == (False, 100, 2)
-    assert run["metrics"]["ops_per_s"]["value"] == 900.0
-    assert run["environment"]["nproc"] == 2 and run["environment"]["numpy"] == "2.4.6"
-
-
 def test_medians_quartiles_wins_and_verdicts_on_fixed_runs():
+    failed = run(1e-3, 900.0, 0.1, failed=2)
+    assert (failed["correct"], failed["failed"], failed["environment"]["nproc"]) == (False, 2, 2)
     summary = paired_bench.summarize(fake_runs(), METRICS)
     op = summary["op_p50_s"]
     assert op["parent"] == {"median": 1.0, "q1": pytest.approx(0.9825), "q3": pytest.approx(1.0175)}
     assert op["change"]["median"] == pytest.approx(0.9)
-    assert op["wins"] == 10 and op["pairs"] == 10
-    assert op["relative"] == pytest.approx(-0.1) and op["verdict"] == "gain"
+    assert (op["wins"], op["pairs"], op["verdict"]) == (10, 10, "gain") and op["relative"] == pytest.approx(-0.1)
     ops = summary["ops_per_s"]
     # the change wins 9 of 10 pairs, and its median exceeds the parent's by more than the spread
     assert ops["wins"] == 9 and ops["difference"] > ops["parent_spread"] and ops["verdict"] == "gain"
@@ -79,30 +61,27 @@ def test_medians_quartiles_wins_and_verdicts_on_fixed_runs():
 
 def test_a_worse_median_is_a_regression_and_a_wide_spread_resolves_only_when_every_run_is_better():
     runs = fake_runs()
-    for run in runs["change"]:
-        run["metrics"]["op_p50_s"]["value"] *= 1.5  # 35% worse than the parent: beyond the 20% bound
-        run["metrics"]["setup_s"]["value"] = 0.04
+    for change in runs["change"]:
+        change["metrics"]["op_p50_s"]["value"] *= 1.5  # 35% worse than the parent: beyond the 20% bound
+        change["metrics"]["setup_s"]["value"] = 0.04
     summary = paired_bench.summarize(runs, METRICS)
     assert summary["op_p50_s"]["verdict"] == "regression"
     # every change run is below every parent run, so the parent's wide
     # spread leaves the verdict resolved; the difference (0.025) is within
     # that spread (0.0275), so it is no gain
     assert summary["setup_s"]["wins"] == 10 and summary["setup_s"]["verdict"] == "within bound"
-    lines = paired_bench.format_summary(summary)
-    assert lines[0].startswith("op_p50_s 1 (0.9825-") and " -> 1.35 (" in lines[0]
-    assert "better in 0/10" in lines[0] and lines[0].endswith(": regression")
+    line = paired_bench.format_summary(summary)[0]
+    assert line.startswith("op_p50_s 1 (0.9825-") and " -> 1.35 (" in line and "better in 0/10" in line
+    assert line.endswith(": regression")
 
 
 def test_append_adds_a_row_and_keeps_the_bytes_of_earlier_rows(tmp_path):
     path = tmp_path / "BENCH_process-family.json"
-    paired_bench.append_row(path, {"commit": "a", "series": [1, 2]})
-    first = path.read_text()
-    paired_bench.append_row(path, {"commit": "b", "series": []})
-    second = path.read_text()
-    assert [row["commit"] for row in json.loads(second)] == ["a", "b"]
-    assert second.startswith(first[: -len("\n]\n")])
-    paired_bench.append_row(path, {"commit": "c"})
-    assert path.read_text().startswith(second[: -len("\n]\n")])
+    for commit in "abc":
+        before = path.read_text()[: -len("\n]\n")] if path.exists() else ""
+        paired_bench.append_row(path, {"commit": commit, "series": [1, 2]})
+        assert path.read_text().startswith(before)
+    assert [row["commit"] for row in json.loads(path.read_text())] == ["a", "b", "c"]
     path.write_text('{"commit": "a"}\n')
     with pytest.raises(ValueError):
         paired_bench.append_row(path, {"commit": "d"})

@@ -1250,20 +1250,6 @@ def test_every_exit_is_named_and_its_certificate_holds_by_the_oracles(monkeypatc
         process.SeparabilityReport(None, 0.0, 0, exit="line")
 
 
-def test_every_certified_split_sums_to_w(monkeypatch):
-    # each exit hands the builder an (X, Y) that sums to W, so a kept part
-    # has trace d_O, or more where q is clamped: its trace is never <= 0
-    log, seen = checked_splits(monkeypatch), []
-    for w in builder_exit_pool():
-        log.clear()
-        separability_heuristic(w)
-        seen += [(exit, frobenius(mats[0] + mats[1] - w.matrix) / tau_of(w.matrix)) for exit, mats, _ in log]
-    exits = {exit for exit, _ in seen}
-    assert exits == {*LINE_EXITS, "early-stop", "face-split", "converged"}
-    # within W's rounding bound, the face solve's split cut
-    assert max(ratio for _, ratio in seen) <= 1.0
-
-
 def test_no_certificate_check_decomposes_a_matrix(monkeypatch):
     # every positivity gate of the two checks is a shifted Cholesky
     # factorization, so no eigendecomposition runs inside either of them.
@@ -1805,14 +1791,17 @@ def test_every_search_split_certifies_as_with_parts_built_one_at_a_time(monkeypa
     # by certify_decomposition, as before, each split gets the same report
     # (or None), the same q and bit for bit the same part matrices, at every
     # exit. Each certificate's parts are read-only and keep the coefficients
-    # their own arithmetic gives
-    log, exits = checked_splits(monkeypatch), set()
+    # their own arithmetic gives. Each exit hands the builder an (X, Y) that
+    # sums to W within W's rounding bound, the face solve's split cut, so a
+    # kept part has trace d_O, or more where q is clamped: never <= 0
+    log, exits, ratios = checked_splits(monkeypatch), set(), []
     # builder_exit_pool() holds the first 150 process-family inputs of seed 1
     pool = [*builder_exit_pool(), *lightly_damped_mixtures(12345, 40), *product_processes().values()]
     for w in pool:
         log.clear()
         separability_heuristic(w)
         for exit, mats, got in log:
+            ratios.append(frobenius(mats[0] + mats[1] - w.matrix) / tau_of(w.matrix))
             want = parts_built_one_at_a_time(w, mats.copy())
             assert (got is None) == (want is None)
             if got is None:
@@ -1823,7 +1812,7 @@ def test_every_search_split_certifies_as_with_parts_built_one_at_a_time(monkeypa
                 assert part._own.dtype == ref._own.dtype and np.array_equal(part._coef, ref._coef)
             assert got.exit == exit and want.exit == "decomposition"
             exits.add(exit)
-    assert exits == {*LINE_EXITS, "early-stop", "face-split", "converged"}
+    assert exits == {*LINE_EXITS, "early-stop", "face-split", "converged"} and max(ratios) <= 1.0
 
 
 def test_candidate_from_coefficients_agrees_with_the_retired_builder(monkeypatch):

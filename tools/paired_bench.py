@@ -4,13 +4,14 @@ alternating pairs, and compare each end-to-end metric.
 Usage::
 
     python3 tools/paired_bench.py --parent REV --workload WORKLOAD --seed N [--seed M ...]
-        [--pairs 10] [--seconds 20] [--append BENCH_<workload>.json]
+        [--pairs 10] [--append BENCH_<workload>.json]
 
 The script exports ``REV``'s tree (``git archive``) to a temporary directory
-and runs ``perfbench/run.py --trace 0`` there and in the working tree,
-alternately: the parent first in odd pairs, the working tree first in even
-ones. ``perfbench/run.py`` reads the ``src`` beside it, so each side runs its
-own code under its own benchmark files. Each run's last stdout line is its
+and runs ``perfbench/run.py --trace 0`` there and in the working tree, for
+``BENCHMARK.json``'s ``run_seconds`` each, alternately: the parent first in
+odd pairs, the working tree first in even ones. ``perfbench/run.py`` reads
+the ``src`` beside it, so each side runs its own code under its own
+benchmark files. Each run's last stdout line is its
 result (``correct``, ``attempted``, ``failed`` and the metrics of
 ``BENCHMARK.json``'s ``end_to_end`` list).
 
@@ -162,12 +163,12 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--append", type=Path, help="BENCH_<workload>.json to add a row to")
     args = parser.parse_args(argv)
-    if args.pairs < 2 or args.seconds <= 0:
-        parser.error("--pairs must be at least 2 and --seconds positive")
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2")
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    spec, seconds = bench["end_to_end"], bench["run_seconds"]
     load_start = os.getloadavg()
     series, environment = [], {}
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
@@ -177,13 +178,13 @@ def main(argv: list[str]) -> int:
             runs = {side: [] for side in SIDES}
             for pair in range(1, args.pairs + 1):
                 for side in SIDES if pair % 2 else SIDES[::-1]:
-                    result = _run(trees[side], args.workload, seed, args.seconds)
+                    result = _run(trees[side], args.workload, seed, seconds)
                     environment = environment or (result["environment"] if side == "change" else {})
                     runs[side].append(result)
                     print(f"seed {seed} pair {pair} {side}: correct={result['correct']}"
                           f" attempted={result['attempted']} failed={result['failed']}", flush=True)
             summary = summarize(runs, spec)
-            print(f"== {args.workload} seed {seed}, {args.pairs} pairs of {args.seconds:g} s")
+            print(f"== {args.workload} seed {seed}, {args.pairs} pairs of {seconds:g} s")
             print("\n".join(format_summary(summary)), flush=True)
             for side in SIDES:
                 for run in runs[side]:
@@ -197,7 +198,7 @@ def main(argv: list[str]) -> int:
             "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "workload": args.workload,
             "pairs": args.pairs,
-            "seconds": args.seconds,
+            "seconds": seconds,
             "environment": {**environment, "loadavg_driver_start": list(load_start),
                             "loadavg_driver_end": list(os.getloadavg())},
             "series": series,

@@ -41,12 +41,12 @@ of :func:`product_processes` (rank 4; certified at the converged exit)::
 
 Where the files differ, ``--diff`` names what moved: one line per config
 or search and per JSON path of a report (``process.validity.psd_margin``,
-``residual``, ``exit``, ``parts_sha256``), sweep CSV cell (``row 2 S_opt``) or exit
-code that differs, and ends with one line that counts those lines per
-moved field and gives the largest absolute change of each numeric one
-(``127 iterations (max |Δ| 3), 127 q (max |Δ| 2.2e-16), 127 residual (max
-|Δ| 2.5e-16)``). It exits 1 when anything differs, 0 when nothing does and
-2 on a file it cannot read::
+``residual``, ``exit``, ``parts_sha256``), sweep CSV cell (``row 2
+S_opt``) or exit code that differs, and ends with one line that counts
+those lines per moved field and gives the largest absolute change of each
+numeric one (``127 iterations (max |Δ| 3), 127 q (max |Δ| 2.2e-16), 127
+residual (max |Δ| 2.5e-16)``). It exits 1 when anything differs, 0 when
+nothing does and 2 on a file it cannot read::
 
     python3 tools/report_bytes.py --diff parent.bytes change.bytes
 """
