@@ -1320,7 +1320,10 @@ def test_full_rank_ordered_mixtures_stop_at_the_first_positive_definite_split(mo
 
 
 def test_positive_definiteness_is_never_tested_on_rank_deficient_or_first_step_searches(monkeypatch):
-    log = checked_splits(monkeypatch)
+    # every split the search's positive-definiteness test passes goes to the
+    # checks, so the log names each one by its exit; ``tested`` counts the tests
+    log, tested, positive_definite = checked_splits(monkeypatch), [], process._positive_definite
+    monkeypatch.setattr(process, "_positive_definite", lambda mats: tested.append(mats) or positive_definite(mats))
     deficient = [
         coherent_process(0.3),
         coherent_process(1e-3),
@@ -1336,6 +1339,7 @@ def test_positive_definiteness_is_never_tested_on_rank_deficient_or_first_step_s
     assert [rep.exit for rep in reports] == ["loop-witness"] * 2 + ["face-witness", "loop-witness", "face-split"]
     # the face splits of the rank-2 coherent processes are refused
     assert [(exit, cert is not None) for exit, _, cert in log] == [("face-split", False)] * 2 + [("face-split", True)]
+    assert tested == []
     # full rank and nonseparable: the line's test refuses its start split,
     # its interval is empty, and the first step decides with no test of the
     # loop's; no split reaches the checks
@@ -1344,26 +1348,36 @@ def test_positive_definiteness_is_never_tested_on_rank_deficient_or_first_step_s
         t_lo, t_hi, _ = oracles.line_split_interval(w.matrix, w.layout)
         assert t_lo >= t_hi
         log.clear()
-        assert process._line_split(w) is None and log == []
+        tested.clear()
+        assert process._line_split(w) is None and log == [] and len(tested) == 1
+        tested.clear()
         rep = separability_heuristic(w)
         assert (rep.verdict, rep.iterations, rep.exit) == ("nonseparable", 1, "loop-witness") and log == []
-    # full rank and separable at the start: its start split, and no step
+        assert len(tested) == 1
+    # full rank and separable at the start: one test, of its start split,
+    # and no step
     for w in (ocb_process(0.5), ocb_process(0.8), phase_rotated(ocb_process(0.5), 5)):
         log.clear()
+        tested.clear()
         rep = separability_heuristic(w)
         assert (rep.iterations, rep.exit) == (0, "start-split") and [exit for exit, _, _ in log] == ["start-split"]
+        assert len(tested) == 1
     # an ordered mixture whose start line is empty: the start split is
     # refused, the climb off the line hands its split to the checks
     # untested, and with the climb off the loop's tests start at step 2 and
     # it stops early
     w = complex_search_inputs()["ordered-mixture-4"]
     log.clear()
+    tested.clear()
     rep = separability_heuristic(w)
     assert (rep.iterations, rep.exit) == (0, "climbed-line") and [exit for exit, _, _ in log] == ["climbed-line"]
+    assert len(tested) == 1
     log = checked_splits(monkeypatch, "climbed-line")
+    tested.clear()
     rep = separability_heuristic(w)
     assert rep.exit == "early-stop" and rep.iterations > 1 and {exit for exit, _, _ in log} == {"early-stop"}
-    assert log[-1][2] is not None
+    # the line's one test, then the loop's at the top of steps 2 to k + 1
+    assert log[-1][2] is not None and len(tested) == 1 + rep.iterations
 
 
 @pytest.mark.parametrize("seed", [2, 3])
@@ -1412,8 +1426,10 @@ def line_pool() -> dict[str, ProcessMatrix]:
 
 def test_line_interval_and_certificates_agree_with_the_reset_oracle():
     # on the start line A and B are traceless and tr S = d_O, so the
-    # certificate's q is the line's t: 1/2, the start split, where the
-    # oracle's interval holds it, and the interval's midpoint elsewhere
+    # certificate's q is the line's t: 1/2 where the oracle's interval holds
+    # it, W's own start split (A + S/2, B + S/2), positive definite and
+    # certified as it stands with no step, the line's exit before its pencil;
+    # the interval's midpoint elsewhere
     certified, started = 0, 0
     for name, w in line_pool().items():
         cert = process._line_split(w)
@@ -1424,15 +1440,16 @@ def test_line_interval_and_certificates_agree_with_the_reset_oracle():
         certified += 1
         q, w_ab, w_ba = cert.certificate
         rep = separability_heuristic(w)
-        assert rep.iterations == 0 and rep.certificate[0] == q, name
+        assert rep.iterations == 0 and rep.certificate[0] == q and rep.exit == cert.exit, name
         # an empty start line certifies only off a climbed line, which the
         # climb's own tests check
         if t_lo < 0.5 < t_hi:
-            assert abs(q - 0.5) <= 1e-12, name
+            assert abs(q - 0.5) <= 1e-12 and rep.exit == "start-split", name
             started += 1
             # at t = 1/2 both parts keep the distance to the nearer end times S
             delta = min(0.5 - t_lo, t_hi - 0.5)
         else:
+            assert rep.exit != "start-split", name
             if t_lo < t_hi:
                 assert abs(q - 0.5 * (t_lo + t_hi)) <= 1e-10, name
             # at the midpoint both parts keep half the interval's length times S
@@ -1440,31 +1457,9 @@ def test_line_interval_and_certificates_agree_with_the_reset_oracle():
         for weight, part in ((q, w_ab), (1.0 - q, w_ba)):
             assert np.linalg.eigvalsh(weight * part.matrix - delta * s)[0] >= -1e-12, name
         worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
-        assert worst <= 1e-9 and recon <= 1e-13, name
-    assert 8 <= certified < len(line_pool()) and 1 <= started < certified
-
-
-def test_a_start_split_inside_its_interval_is_certified_before_the_pencil():
-    # where the oracle's interval holds t = 1/2, W's own start split
-    # (A + S/2, B + S/2) is positive definite and certifies as it stands:
-    # q = 1/2, no step, and the line's exit before its pencil; the inputs
-    # whose start split is refused solve the pencil
-    started, solved = 0, 0
-    for name, w in line_pool().items():
-        t_lo, t_hi, _ = oracles.line_split_interval(w.matrix, w.layout)
-        rep = separability_heuristic(w)
-        if not t_lo < 0.5 < t_hi:
-            assert rep.exit != "start-split", name
-            solved += 1
-            continue
-        started += 1
-        assert (rep.verdict, rep.iterations, rep.exit) == ("separable", 0, "start-split"), name
-        q, w_ab, w_ba = rep.certificate
-        assert abs(q - 0.5) <= 1e-12, name
-        worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
-        assert worst <= min(tau_of(w_ab.matrix), tau_of(w_ba.matrix)), name
-        assert recon <= recon_gate(w.layout.dim) and rep.residual <= recon_gate(w.layout.dim), name
-    assert started >= 10 and solved >= 4
+        assert worst <= min(tau_of(w_ab.matrix), tau_of(w_ba.matrix)) and recon <= 1e-13, name
+        assert rep.residual <= recon_gate(w.layout.dim), name
+    assert 8 <= certified < len(line_pool()) and 10 <= started < certified and len(line_pool()) - started >= 4
 
 
 def test_a_refused_start_split_never_reaches_the_certificate_build(monkeypatch):
@@ -1729,7 +1724,7 @@ def test_damped_ordered_mixtures_are_separable_and_the_line_never_adds_a_step(se
     rep = separability_heuristic(w)
     assert rep.verdict == "separable"
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(process, "_line_split", lambda w: None)
+        checked_splits(patch, *LINE_EXITS)
         ref = separability_heuristic(w)
     assert ref.verdict == rep.verdict and ref.iterations >= rep.iterations
 
