@@ -1250,6 +1250,20 @@ def test_every_exit_is_named_and_its_certificate_holds_by_the_oracles(monkeypatc
         process.SeparabilityReport(None, 0.0, 0, exit="line")
 
 
+def test_every_certified_split_sums_to_w(monkeypatch):
+    # each exit hands the builder an (X, Y) that sums to W, so a kept part
+    # has trace d_O, or more where q is clamped: its trace is never <= 0
+    log, seen = checked_splits(monkeypatch), []
+    for w in builder_exit_pool():
+        log.clear()
+        separability_heuristic(w)
+        seen += [(exit, frobenius(mats[0] + mats[1] - w.matrix) / tau_of(w.matrix)) for exit, mats, _ in log]
+    exits = {exit for exit, _ in seen}
+    assert exits == {*LINE_EXITS, "early-stop", "face-split", "converged"}
+    # within W's rounding bound, the face solve's split cut
+    assert max(ratio for _, ratio in seen) <= 1.0
+
+
 def test_no_certificate_check_decomposes_a_matrix(monkeypatch):
     # every positivity gate of the two checks is a shifted Cholesky
     # factorization, so no eigendecomposition runs inside either of them.
@@ -1460,6 +1474,29 @@ def test_line_interval_and_certificates_agree_with_the_reset_oracle():
         assert worst <= min(tau_of(w_ab.matrix), tau_of(w_ba.matrix)) and recon <= 1e-13, name
         assert rep.residual <= recon_gate(w.layout.dim), name
     assert 8 <= certified < len(line_pool()) and 10 <= started < certified and len(line_pool()) - started >= 4
+
+
+def test_a_start_split_inside_its_interval_is_certified_before_the_pencil():
+    # where the oracle's interval holds t = 1/2, W's own start split
+    # (A + S/2, B + S/2) is positive definite and certifies as it stands:
+    # q = 1/2, no step, and the line's exit before its pencil; the inputs
+    # whose start split is refused solve the pencil
+    started, solved = 0, 0
+    for name, w in line_pool().items():
+        t_lo, t_hi, _ = oracles.line_split_interval(w.matrix, w.layout)
+        rep = separability_heuristic(w)
+        if not t_lo < 0.5 < t_hi:
+            assert rep.exit != "start-split", name
+            solved += 1
+            continue
+        started += 1
+        assert (rep.verdict, rep.iterations, rep.exit) == ("separable", 0, "start-split"), name
+        q, w_ab, w_ba = rep.certificate
+        assert abs(q - 0.5) <= 1e-12, name
+        worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
+        assert worst <= min(tau_of(w_ab.matrix), tau_of(w_ba.matrix)), name
+        assert recon <= recon_gate(w.layout.dim) and rep.residual <= recon_gate(w.layout.dim), name
+    assert started >= 10 and solved >= 4
 
 
 def test_a_refused_start_split_never_reaches_the_certificate_build(monkeypatch):
