@@ -698,11 +698,10 @@ class SeparabilityReport:
     face's distance to the order splits, relative to max(1, ||W||), as
     ``residual`` (see :func:`separability_heuristic`).
 
-    ``exit``, one of EXITS, names what decided: W's own start split, the
-    pencil's midpoint or a climbed line, a face split or witness, the loop's
-    witness, early stop or converged exit, ``inconclusive`` at the loop's
-    fixed point or step cap, or :func:`certify_decomposition`. Report bytes
-    leave it out."""
+    ``exit``, one of EXITS, names what decided: W's own start split, the pencil's
+    midpoint or a climbed line, a face split or witness, the loop's witness, early
+    stop or converged exit, ``inconclusive`` at the loop's fixed point or step
+    cap, or :func:`certify_decomposition`. Report bytes leave it out."""
 
     certificate: tuple[float, ProcessMatrix, ProcessMatrix] | None
     residual: float
@@ -851,8 +850,7 @@ def _certified_split(w: ProcessMatrix, mats: np.ndarray, exit: str) -> Separabil
     stack *= (d_o / np.real(np.trace(stack, axis1=-2, axis2=-1)))[:, None, None]
     if kept.all():
         return _certified_stack(w, q, stack, exit)
-    built = [ProcessMatrix(mat, lay) for mat in stack]
-    parts = tuple(built.pop(0) if keep else neutral_process(lay) for keep in kept)
+    parts = tuple(ProcessMatrix(stack[0], lay) if keep else neutral_process(lay) for keep in kept)
     return _certified_stack(w, q, np.array([part._own for part in parts]), exit, parts)
 
 
@@ -1250,8 +1248,7 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
     if witness is not None:
         return SeparabilityReport(None, residual, used, witness, value, exit="loop-witness")
     if converged:
-        split = basis.to_mat(np.stack(_order_split(cw, xb, yb, in_ab, in_ba)))
-        cert = _certified_split(w, split, "converged")
+        cert = _certified_split(w, basis.to_mat(np.stack(_order_split(cw, xb, yb, in_ab, in_ba))), "converged")
         if cert is not None:
             return replace(cert, residual=max(residual, cert.residual), iterations=used)
     return SeparabilityReport(None, residual, used, exit="fixed-point" if converged else "step-cap")

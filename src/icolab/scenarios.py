@@ -38,6 +38,7 @@ from .causal import (
 from .linalg import NAMED_UNITARIES, SpaceLayout, ket, partial_trace, projector, tensor
 from .process import (
     ProcessMatrix,
+    SeparabilityReport,
     certify_decomposition,
     mix,
     neutral_process,
@@ -489,6 +490,12 @@ _ORDER_NOTES = {
 }
 
 
+def _separability(w: ProcessMatrix, candidate: Decomposition | None) -> tuple[SeparabilityReport, str]:
+    """W's separability report and its source: W's construction certificate, else the search."""
+    sep = None if candidate is None else certify_decomposition(w, *candidate)
+    return (separability_heuristic(w), "search") if sep is None else (sep, "construction")
+
+
 def run_scenario(config: ScenarioConfig) -> RunReport:
     """Execute one scenario end to end; deterministic given the config."""
     t0 = time.perf_counter()
@@ -497,12 +504,7 @@ def run_scenario(config: ScenarioConfig) -> RunReport:
     audit_sec = _audit_section(config)
     w, construction, candidate = _scenario_process(spec)
     validity = validate_process(w)
-    # a process built as a mixture of ordered ones carries its own certificate;
-    # the search runs only without one
-    sep = None if candidate is None else certify_decomposition(w, *candidate)
-    source = "construction"
-    if sep is None:
-        sep, source = separability_heuristic(w), "search"
+    sep, source = _separability(w, candidate)
 
     notes = [
         (

@@ -1476,21 +1476,36 @@ def test_line_interval_and_certificates_agree_with_the_reset_oracle():
     assert 8 <= certified < len(line_pool()) and 10 <= started < certified and len(line_pool()) - started >= 4
 
 
-def test_a_start_split_inside_its_interval_is_certified_before_the_pencil():
+def test_a_start_split_inside_its_interval_is_certified_before_the_pencil(monkeypatch):
     # where the oracle's interval holds t = 1/2, W's own start split
     # (A + S/2, B + S/2) is positive definite and certifies as it stands:
-    # q = 1/2, no step, and the line's exit before its pencil; the inputs
-    # whose start split is refused solve the pencil
+    # q = 1/2, no step, and no inverse or eigenvalue problem in the line;
+    # the inputs whose start split is refused solve the pencil, and climb
+    # off the line only where its interval is empty
+    calls = []
+
+    def spied(name):
+        def call(original, *args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in ("inv", "eigvalsh", "eigh"):
+        in_the_line(monkeypatch, name, spied(name))
     started, solved = 0, 0
     for name, w in line_pool().items():
         t_lo, t_hi, _ = oracles.line_split_interval(w.matrix, w.layout)
+        calls.clear()
         rep = separability_heuristic(w)
         if not t_lo < 0.5 < t_hi:
-            assert rep.exit != "start-split", name
+            climbs = ["eigh"] * (len(calls) - 2) if t_lo >= t_hi else []
+            assert rep.exit != "start-split" and calls == ["inv", "eigvalsh", *climbs], name
+            assert climbs or t_lo < t_hi, name
             solved += 1
             continue
         started += 1
-        assert (rep.verdict, rep.iterations, rep.exit) == ("separable", 0, "start-split"), name
+        assert (rep.verdict, rep.iterations, rep.exit) == ("separable", 0, "start-split") and calls == [], name
         q, w_ab, w_ba = rep.certificate
         assert abs(q - 0.5) <= 1e-12, name
         worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)

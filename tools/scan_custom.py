@@ -16,8 +16,8 @@ thread, and writes one section per config in the layout of
 ``tools/report_bytes.py``: a ``== custom <k> exit 0`` line, then a JSON record
 of the config, the separability ``verdict`` and ``iterations``, the
 ``exit`` that decided (``process.EXITS``; the run report leaves it out, so
-the script decides the config's W again as ``run_scenario`` does: its
-construction certificate, else the search) and, for a real W, the
+the script decides the config's W again by ``run_scenario``'s own
+``_separability``) and, for a real W, the
 ``oracle`` label of its face from this checkout's ``tests/oracles.py``:
 
 - ``no split``: no order split of W on its face, so W is nonseparable;
@@ -74,8 +74,7 @@ def draw_configs(count: int) -> list[dict]:
 def record(config: dict) -> dict:
     """The scan's record of one config: see the module docstring."""
     import oracles
-    from icolab.process import certify_decomposition, separability_heuristic
-    from icolab.scenarios import ScenarioConfig, _scenario_process, run_scenario
+    from icolab.scenarios import ScenarioConfig, _scenario_process, _separability, run_scenario
 
     cfg = ScenarioConfig.from_dict(config)
     out = {"config": config, "verdict": None}
@@ -83,8 +82,7 @@ def record(config: dict) -> dict:
     try:
         sep = run_scenario(cfg).report["process"]["separability"]
         out.update(verdict=sep["verdict"], iterations=sep["iterations"])
-        decided = None if candidate is None else certify_decomposition(w, *candidate)
-        out["exit"] = (separability_heuristic(w) if decided is None else decided).exit
+        out["exit"] = _separability(w, candidate)[0].exit
     except ValueError as exc:
         # a conditioning outcome of probability zero leaves no report
         if "conditioning outcome" not in str(exc):
