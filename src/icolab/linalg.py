@@ -111,7 +111,7 @@ def is_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
 
 def _is_hermitian(a: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
     """:func:`is_hermitian` of a matrix :func:`as_matrix` has already returned."""
-    return a.shape[0] == a.shape[1] and bool(np.max(np.abs(a - a.conj().T)) <= atol)
+    return a.shape[0] == a.shape[1] and bool(np.abs(a - a.conj().T).max() <= atol)
 
 
 def is_normalized_pair(a: complex, b: complex) -> bool:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from math import prod
+from math import prod, sqrt
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .linalg import (
     _is_hermitian,
     as_matrix,
     eig_hermitian,
-    frobenius,
     is_hermitian,
     is_normalized_pair,
     is_psd,
@@ -60,13 +59,13 @@ EXITS = ("start-split", "pencil-midpoint", "climbed-line", "face-split", "face-w
          "early-stop", "converged", "fixed-point", "step-cap", "decomposition")
 
 
-def rounding_bound(n: int, norm: float | np.ndarray) -> float | np.ndarray:
-    """tau = n^2 eps_mach max(1, ||M||_F), elementwise: the backward error of
-    a Cholesky factorization or basis change of an n x n M (Higham, 2002,
-    ch. 10), the allowance of every verdict gate. A positivity gate factors
-    M + tau I (Rump, BIT 46, 2006); the floor of 1, a deliberate absolute
-    minimum, errs only toward refusing."""
-    return n * n * EPS_MACH * np.maximum(1.0, norm)
+def rounding_bound(n: int, norm: float) -> float:
+    """tau = n^2 eps_mach max(1, ||M||_F): the backward error of a Cholesky
+    factorization or basis change of an n x n M (Higham, 2002, ch. 10), the
+    allowance of every verdict gate. A positivity gate factors M + tau I
+    (Rump, BIT 46, 2006); the floor of 1, a deliberate absolute minimum,
+    errs only toward refusing. A NaN norm gives NaN, as np.maximum would."""
+    return n * n * EPS_MACH * max(norm, 1.0)
 
 
 def vec(u: np.ndarray) -> np.ndarray:
@@ -252,12 +251,12 @@ def _structure_checked(m: np.ndarray, layout: SpaceLayout, ndim: int) -> np.ndar
     Hermitian within HERMITICITY_ATOL) in its own dtype, a stack at once."""
     if layout.labels[:4] != PARTY_LABELS or layout.labels[4:] not in ((), ("F",)):
         raise ValueError(f"layout must be {PARTY_LABELS} with optional trailing 'F', got {layout.labels}")
-    if m.ndim != ndim or m.shape[-2:] != (layout.dim, layout.dim):
+    if m.ndim != ndim or m.shape[-2:] != (layout.dim,) * 2:
         raise ValueError(f"matrix shape {m.shape} does not match layout dimension {layout.dim}")
-    if not np.isfinite(m).all():
+    if np.count_nonzero(np.isfinite(m)) != m.size:
         raise ValueError("matrix contains non-finite entries")
-    skew = m - m.conj().swapaxes(-1, -2)
-    if skew.any() and not np.max(np.abs(skew)) <= HERMITICITY_ATOL:
+    skew = m - m.conj().mT  # conj() of a real array is the array itself
+    if np.count_nonzero(skew) and not np.abs(skew).max() <= HERMITICITY_ATOL:
         raise ValueError("process matrix must be Hermitian")
     m.flags.writeable = False
     return m
@@ -625,13 +624,16 @@ def _check_party_dims(lay: SpaceLayout, a: Instrument, b: Instrument) -> None:
 
 def witness_value(w: ProcessMatrix, s: np.ndarray) -> float:
     """tr(S W) for a Hermitian witness S on the process's space."""
-    m = w.matrix
-    s = as_matrix(s)
+    return _witness_value(w.matrix, as_matrix(s))
+
+
+def _witness_value(m: np.ndarray, s: np.ndarray) -> float:
+    """:func:`witness_value` of a matrix that :func:`as_matrix` has returned."""
     if s.shape != m.shape:
         raise ValueError(f"witness shape {s.shape} does not match process {m.shape}")
     if not _is_hermitian(s):
         raise ValueError("witness must be Hermitian")
-    return float(np.real(np.trace(s @ m)))
+    return float((s @ m).trace().real)
 
 
 # --- causal-order subspaces and the separability heuristic ---------------
@@ -746,13 +748,23 @@ def _identity(n: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
-def _off_order_masks(layout: SpaceLayout) -> np.ndarray:
-    """Read-only stack (1 - AB, 1 - BA) of the masks of what each order
-    leaves out, with a parts axis, to broadcast over two parts' coefficients."""
-    out = 1.0 - np.stack((_order_mask(layout, "AB"), _order_mask(layout, "BA")))[:, None]
+@lru_cache(maxsize=64)
+def _order_masks(layout: SpaceLayout, off: bool) -> np.ndarray:
+    """Read-only stack (AB, BA) of the order masks, or (1 - AB, 1 - BA) with
+    ``off``, with a parts axis to broadcast over two parts' coefficients."""
+    out = np.stack((_order_mask(layout, "AB"), _order_mask(layout, "BA")))[:, None]
+    out = 1.0 - out if off else out
     out.flags.writeable = False
     return out
+
+
+def _frobenius(m: np.ndarray) -> float:
+    """np.linalg.norm(m) of a float64 or complex128 array, by its same dot products."""
+    x = m.ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return sqrt(re.dot(re) + im.dot(im))
+    return sqrt(x.dot(x))
 
 
 def _cholesky_exists(mats: np.ndarray) -> bool:
@@ -792,15 +804,17 @@ def _certified_stack(
     ``parts``' :attr:`_coef` if they share a dtype, else one
     :meth:`HSBasis.to_coef` of the stack. Without ``parts``, the parts are
     built once every gate has passed, as read-only complex128 views of the
-    stack with those coefficients cached. Certificate (``iterations`` 0) or None."""
-    m, lay = w.matrix, w.layout
+    stack with those coefficients cached. Certificate (``iterations`` 0) or None.
+    Norms are np.linalg.norm's own sums, and the gates compare Python floats."""
+    m, lay, n = w.matrix, w.layout, w.layout.dim
     _structure_checked(own, lay, 3)
     if not 0.0 <= q <= 1.0:
         return None
-    taus = rounding_bound(lay.dim, np.linalg.norm(own, axis=(-2, -1)))
-    if not _cholesky_exists(own + taus[:, None, None] * _identity(lay.dim)):
+    taus = [rounding_bound(n, sqrt(x)) for x in np.add.reduce((own.conj() * own).real, axis=(1, 2)).tolist()]
+    if not _cholesky_exists(own + np.array(taus)[:, None, None] * _identity(n)):
         return None
-    if (np.abs(np.real(np.trace(own, axis1=-2, axis2=-1)) - w.expected_trace) > taus).any():
+    d_o = w.expected_trace
+    if any(abs(t - d_o) > tau for t, tau in zip(own.trace(axis1=1, axis2=2).real.tolist(), taus)):
         return None
     if parts is not None and parts[0]._own.dtype == parts[1]._own.dtype:
         coefs = np.array([p._coef for p in parts])
@@ -808,11 +822,11 @@ def _certified_stack(
         coefs = hs_basis(lay).to_coef(own)
         coefs.flags.writeable = False
     # the basis is orthogonal: a distance to a subspace is the norm of the masked-out coefficients
-    if (np.linalg.norm((_off_order_masks(lay) * coefs).reshape(2, -1), axis=1) > taus).any():
+    off = _order_masks(lay, True) * coefs
+    if any(sqrt(x) > tau for x, tau in zip(np.add.reduce((off * off).reshape(2, -1), axis=1).tolist(), taus)):
         return None
-    # frobenius without its input checks: the stack is finite
-    recon = float(np.linalg.norm(q * own[0] + (1 - q) * own[1] - m)) / max(1.0, w._norm)
-    if recon > rounding_bound(lay.dim, 1.0):
+    recon = _frobenius(q * own[0] + (1 - q) * own[1] - m) / max(1.0, w._norm)
+    if recon > rounding_bound(n, 1.0):
         return None
     if parts is None:
         parts = _views(np.asarray(own, dtype=np.complex128), lay)
@@ -838,17 +852,19 @@ def _certified_split(w: ProcessMatrix, mats: np.ndarray, exit: str) -> Separabil
     MAX_DIM^3 eps_mach < 1e-10. Divided by a weight of at least 1e-6, a
     part has trace d_O within 1e-4; kept alone, above d_O - 1e-10."""
     lay, d_o = w.layout, w.expected_trace
-    q = min(max(float(np.real(np.trace(mats[0]))) / d_o, 0.0), 1.0)
-    weights = np.array((q, 1.0 - q))
-    kept = weights >= 1e-6
-    if not kept.all():
+    q = min(max(float(mats[0].trace().real) / d_o, 0.0), 1.0)
+    weights = [x for x in (q, 1.0 - q) if x >= 1e-6]
+    if len(weights) < 2:
+        kept = np.array((q, 1.0 - q)) >= 1e-6
         if not _cholesky_exists(mats[~kept] + w._rounding * _identity(lay.dim)):
             return None
-        mats, weights = mats[kept], weights[kept]
-    stack = mats / weights[:, None, None]
-    stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
-    stack *= (d_o / np.real(np.trace(stack, axis1=-2, axis2=-1)))[:, None, None]
-    if kept.all():
+        mats = mats[kept]
+    stack = mats / np.array(weights)[:, None, None]
+    # conj() of a real stack is the stack itself; numpy buffers the overlap
+    stack += stack.conj().mT
+    stack *= 0.5
+    stack *= (d_o / stack.trace(axis1=1, axis2=2).real)[:, None, None]
+    if len(weights) == 2:
         return _certified_stack(w, q, stack, exit)
     parts = tuple(ProcessMatrix(stack[0], lay) if keep else neutral_process(lay) for keep in kept)
     return _certified_stack(w, q, np.array([part._own for part in parts]), exit, parts)
@@ -871,17 +887,20 @@ def _certify_witness(
     :meth:`HSBasis.to_coef` of (S - P_AB, S - P_BA) and one Cholesky
     factorization of (P_AB + delta_AB I, P_BA + delta_BA I), up to a
     backward error that the allowance, :func:`rounding_bound` of
-    ||P_AB|| + ||P_BA||, covers. Returns tr(S W)/||S|| or None."""
-    lay, parts = w.layout, np.stack((p_ab, p_ba))
+    ||P_AB|| + ||P_BA||, covers. S is cast and checked once, as
+    :func:`witness_value` does. Returns tr(S W)/||S|| or None."""
+    lay, parts = w.layout, np.array((p_ab, p_ba))
     coefs = hs_basis(lay).to_coef(s - parts)
     # the basis is orthogonal: ||R_X|| is the norm of its masked coefficients
-    inside = [np.linalg.norm(_order_mask(lay, x) * coef) for coef, x in zip(coefs, ("AB", "BA"))]
-    slack = rounding_bound(lay.dim, np.linalg.norm(p_ab) + np.linalg.norm(p_ba))
-    value = witness_value(w, s)
-    delta = -value / w.expected_trace - slack - np.array(inside)
-    if (delta > 0.0).all() and _cholesky_exists(parts + delta[:, None, None] * _identity(lay.dim)):
+    inside = _order_masks(lay, False) * coefs
+    slack = rounding_bound(lay.dim, _frobenius(p_ab) + _frobenius(p_ba))
+    s = as_matrix(s)
+    value = _witness_value(w.matrix, s)
+    bound = -value / w.expected_trace - slack
+    delta = [bound - _frobenius(r) for r in inside]
+    if all(x > 0.0 for x in delta) and _cholesky_exists(parts + np.array(delta)[:, None, None] * _identity(lay.dim)):
         # the reported value divides by the complex128 norm of S, which report bytes pin
-        return value / frobenius(s)
+        return value / _frobenius(s)
     return None
 
 
@@ -1196,7 +1215,6 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
     report = validate_process(w)
     if not report.is_valid:
         raise ValueError(f"input is not a valid process: {report}")
-    in_ab, in_ba = _order_mask(lay, "AB"), _order_mask(lay, "BA")
     rounding = w._rounding
     deficient, pure = w._eigenvalues[0] <= rounding, w._eigenvalues[-2] <= rounding
     if not deficient:
@@ -1209,6 +1227,7 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
         if decided is not None:
             return decided
 
+    in_ab, in_ba = _order_mask(lay, "AB"), _order_mask(lay, "BA")
     scale, d_o = max(1.0, w._norm), w.expected_trace
     basis, both, cw = hs_basis(lay), in_ab * in_ba, w._coef
     # tr(S W) = <gx, in_ab cw> + <gy, (1 - in_ab) in_ba cw>

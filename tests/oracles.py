@@ -7,6 +7,7 @@ routes is meaningful evidence.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -711,3 +712,173 @@ def scenario_process_parts(spec):
     if spec.visibility == 1.0:
         return w.matrix, None, None
     return (mix(w, mixed, spec.visibility).matrix, *(both if spec.visibility == 0.0 else (None, None)))
+
+
+# ---------------------------------------------------------------------------
+# the retired certificate checkers
+#
+# The decomposition and witness checkers of icolab.process as they stood
+# before they were rewritten to reach the same gates in fewer numpy calls,
+# kept verbatim, with the helpers whose code has changed since. Unlike the
+# oracles above they call into icolab, for the unchanged basis, masks,
+# constructors and report type: what they pin is that the rewrite returns
+# the same report, bit for bit, and raises where they raise.
+
+
+def _rounding_bound(n, norm):
+    """tau = n^2 eps_mach max(1, ||M||_F), elementwise."""
+    return n * n * float(np.finfo(np.float64).eps) * np.maximum(1.0, norm)
+
+
+def _structure_checked(m, layout, ndim):
+    """``m``, made read-only, once it passes :class:`ProcessMatrix`'s checks on
+    ``layout`` (party labels, ``ndim`` axes ending in (dim, dim), finite,
+    Hermitian within HERMITICITY_ATOL) in its own dtype, a stack at once."""
+    from icolab.process import HERMITICITY_ATOL, PARTY_LABELS
+
+    if layout.labels[:4] != PARTY_LABELS or layout.labels[4:] not in ((), ("F",)):
+        raise ValueError(f"layout must be {PARTY_LABELS} with optional trailing 'F', got {layout.labels}")
+    if m.ndim != ndim or m.shape[-2:] != (layout.dim, layout.dim):
+        raise ValueError(f"matrix shape {m.shape} does not match layout dimension {layout.dim}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains non-finite entries")
+    skew = m - m.conj().swapaxes(-1, -2)
+    if skew.any() and not np.max(np.abs(skew)) <= HERMITICITY_ATOL:
+        raise ValueError("process matrix must be Hermitian")
+    m.flags.writeable = False
+    return m
+
+
+def _views(stack, layout):
+    """Read-only views, with no copy or check, of a checked complex128 stack."""
+    from icolab.process import ProcessMatrix
+
+    stack.flags.writeable = False
+    parts = tuple(object.__new__(ProcessMatrix) for _ in stack)
+    for part, m in zip(parts, stack):
+        vars(part).update(matrix=m, layout=layout)
+    return parts
+
+
+@lru_cache(maxsize=32)
+def _off_order_masks(layout):
+    """Read-only stack (1 - AB, 1 - BA) of the masks of what each order
+    leaves out, with a parts axis, to broadcast over two parts' coefficients."""
+    from icolab.process import _order_mask
+
+    out = 1.0 - np.stack((_order_mask(layout, "AB"), _order_mask(layout, "BA")))[:, None]
+    out.flags.writeable = False
+    return out
+
+
+def _cholesky_exists(mats):
+    """Whether every matrix of a Hermitian stack has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def certified_stack(w, q, own, exit, parts=None):
+    """The one checker of a decomposition W = q X + (1-q) Y, given the stack
+    ``own`` = (X, Y) in the parts' arithmetic: :class:`ProcessMatrix`'s
+    structural checks once (ValueError), then q in [0, 1], each part PSD
+    (one Cholesky factorization of the stack + tau I), of trace d_O and in
+    its order subspace, each within its rounding bound tau, and W reproduced
+    within tau(dim, 1) relative to max(1, ||W||). Certificate (``iterations``
+    0) or None."""
+    from icolab.process import SeparabilityReport, _identity, hs_basis
+
+    m, lay = w.matrix, w.layout
+    _structure_checked(own, lay, 3)
+    if not 0.0 <= q <= 1.0:
+        return None
+    taus = _rounding_bound(lay.dim, np.linalg.norm(own, axis=(-2, -1)))
+    if not _cholesky_exists(own + taus[:, None, None] * _identity(lay.dim)):
+        return None
+    if (np.abs(np.real(np.trace(own, axis1=-2, axis2=-1)) - w.expected_trace) > taus).any():
+        return None
+    if parts is not None and parts[0]._own.dtype == parts[1]._own.dtype:
+        coefs = np.array([p._coef for p in parts])
+    else:  # the stack's, also for a real part next to a complex one
+        coefs = hs_basis(lay).to_coef(own)
+        coefs.flags.writeable = False
+    # the basis is orthogonal: a distance to a subspace is the norm of the masked-out coefficients
+    if (np.linalg.norm((_off_order_masks(lay) * coefs).reshape(2, -1), axis=1) > taus).any():
+        return None
+    # frobenius without its input checks: the stack is finite
+    recon = float(np.linalg.norm(q * own[0] + (1 - q) * own[1] - m)) / max(1.0, w._norm)
+    if recon > _rounding_bound(lay.dim, 1.0):
+        return None
+    if parts is None:
+        parts = _views(np.asarray(own, dtype=np.complex128), lay)
+        for part, mat, coef in zip(parts, own, coefs):
+            # a part's own arithmetic is the stack's, unless a complex part has no imaginary part
+            if own.dtype == np.float64 or mat.imag.any():
+                vars(part).update(_own=mat, _coef=coef)
+    return SeparabilityReport((q, *parts), recon, 0, exit=exit)
+
+
+def certified_split(w, mats, exit):
+    """The certificate of the decomposition built from an order split of W,
+    the stack (X, Y) of its matrices in the search's dtype, or None: q from
+    the trace of X, the parts divided by their weights, made Hermitian and
+    renormalized to trace d_O as one stack, which :func:`certified_stack`
+    checks as it stands. A part of weight below 1e-6 must pass one Cholesky
+    factorization of part + tau I, tau W's rounding bound; the kept part is
+    then checked next to the neutral process."""
+    from icolab.process import ProcessMatrix, _identity, neutral_process
+
+    lay, d_o = w.layout, w.expected_trace
+    q = min(max(float(np.real(np.trace(mats[0]))) / d_o, 0.0), 1.0)
+    weights = np.array((q, 1.0 - q))
+    kept = weights >= 1e-6
+    if not kept.all():
+        if not _cholesky_exists(mats[~kept] + w._rounding * _identity(lay.dim)):
+            return None
+        mats, weights = mats[kept], weights[kept]
+    stack = mats / weights[:, None, None]
+    stack = 0.5 * (stack + stack.conj().swapaxes(-1, -2))
+    stack *= (d_o / np.real(np.trace(stack, axis1=-2, axis2=-1)))[:, None, None]
+    if kept.all():
+        return certified_stack(w, q, stack, exit)
+    parts = tuple(ProcessMatrix(stack[0], lay) if keep else neutral_process(lay) for keep in kept)
+    return certified_stack(w, q, np.array([part._own for part in parts]), exit, parts)
+
+
+def witness_value(w, s):
+    """tr(S W) for a Hermitian witness S on the process's space, with the
+    input checks of the retired ``icolab.process.witness_value``."""
+    from icolab.linalg import HERMITICITY_ATOL, as_matrix
+
+    m = w.matrix
+    s = as_matrix(s)
+    if s.shape != m.shape:
+        raise ValueError(f"witness shape {s.shape} does not match process {m.shape}")
+    if not (s.shape[0] == s.shape[1] and bool(np.max(np.abs(s - s.conj().T)) <= HERMITICITY_ATOL)):
+        raise ValueError("witness must be Hermitian")
+    return float(np.real(np.trace(s @ m)))
+
+
+def certify_witness(w, s, p_ab, p_ba):
+    """Check a causal nonseparability witness (Araujo et al., NJP 17,
+    102001, 2015) on its matrices alone: delta_X = -tr(S W)/d_O - allowance
+    - ||R_X|| positive and lambda_min(P_X) > -delta_X for both orders, read
+    from one basis change of (S - P_AB, S - P_BA) and one Cholesky
+    factorization of (P_AB + delta_AB I, P_BA + delta_BA I). Returns
+    tr(S W)/||S|| or None."""
+    from icolab.linalg import frobenius
+    from icolab.process import _identity, _order_mask, hs_basis
+
+    lay, parts = w.layout, np.stack((p_ab, p_ba))
+    coefs = hs_basis(lay).to_coef(s - parts)
+    # the basis is orthogonal: ||R_X|| is the norm of its masked coefficients
+    inside = [np.linalg.norm(_order_mask(lay, x) * coef) for coef, x in zip(coefs, ("AB", "BA"))]
+    slack = _rounding_bound(lay.dim, np.linalg.norm(p_ab) + np.linalg.norm(p_ba))
+    value = witness_value(w, s)
+    delta = -value / w.expected_trace - slack - np.array(inside)
+    if (delta > 0.0).all() and _cholesky_exists(parts + delta[:, None, None] * _identity(lay.dim)):
+        # the reported value divides by the complex128 norm of S, which report bytes pin
+        return value / frobenius(s)
+    return None

@@ -85,3 +85,52 @@ def test_append_adds_a_row_and_keeps_the_bytes_of_earlier_rows(tmp_path):
     path.write_text('{"commit": "a"}\n')
     with pytest.raises(ValueError):
         paired_bench.append_row(path, {"commit": "d"})
+
+
+def completed(returncode: int, stdout: str = "", stderr: str = ""):
+    return paired_bench.subprocess.CompletedProcess([], returncode, stdout, stderr)
+
+
+def test_a_failed_run_is_recorded_and_the_series_goes_on(monkeypatch, capsys):
+    # a crash (exit 1) and a run whose last line is no result keep their
+    # exit code and stderr tail and are left out of the medians and of the
+    # pairs compared; the other runs still give a summary, and main finishes
+    # every series, then names the failures and exits 1
+    names = [m["name"] for m in json.loads((paired_bench.ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    values = {"parent": [1.00, None, 0.98, 1.01], "change": [0.90, 0.91, None, 0.92]}
+    crash = completed(1, stderr="Traceback (most recent call last):\nMemoryError\n")
+    calls = {"parent": 0, "change": 0}
+
+    def fake(tree, workload, seed, seconds):
+        side = "change" if tree == paired_bench.ROOT else "parent"
+        calls[side] += 1
+        value = values[side][calls[side] - 1]
+        if value is None:
+            return crash if side == "parent" else completed(0, stdout="# no result line\nsetup_s 0.1\n")
+        metrics = {name: {"value": value, "unit": "s"} for name in names}
+        result = {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+        return completed(0, stdout=f"# {workload} seed={seed} env={json.dumps({'nproc': 2})}\n{json.dumps(result)}\n")
+
+    trees = {"parent": Path("parent"), "change": paired_bench.ROOT}
+    record, environment = paired_bench.measure(fake, trees, "process-family", 1, 4, 20.0, METRICS)
+    runs = record["runs"]
+    assert runs["parent"][1] == {"error": {"returncode": 1, "stderr_tail": crash.stderr.splitlines()}}
+    assert runs["change"][2] == {"error": {"returncode": 0, "stderr_tail": []}}
+    assert environment == {"nproc": 2} and not any("environment" in run for side in runs.values() for run in side)
+    op = record["summary"]["op_p50_s"]
+    # each side's median of its three results; two complete pairs, both won
+    assert (op["parent"]["median"], op["change"]["median"]) == (1.00, 0.91)
+    assert (op["wins"], op["pairs"], op["verdict"]) == (2, 4, "within bound")
+    out = capsys.readouterr().out
+    assert "pair 2 parent: run failed with exit code 1: Traceback (most recent call last): / MemoryError" in out
+    assert "pair 3 change: run failed with exit code 0: (no stderr)" in out
+
+    calls.update(parent=0, change=0)
+    monkeypatch.setattr(paired_bench, "_export", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(paired_bench, "_run", fake)
+    argv = ["--parent", "HEAD", "--workload", "process-family", "--seed", "1", "--seed", "2", "--pairs", "2"]
+    assert paired_bench.main(argv) == 1
+    captured = capsys.readouterr()
+    # seed 2 still runs after seed 1's failed pair
+    assert calls == {"parent": 4, "change": 4} and "== process-family seed 2" in captured.out
+    assert captured.err.splitlines() == ["failed run: seed 1, pair 2, parent", "failed run: seed 2, pair 1, change"]

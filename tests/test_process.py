@@ -2656,3 +2656,179 @@ def test_mix_validates_inputs():
     other = neutral_process(standard_layout(2))
     with pytest.raises(ValueError):
         mix(w, other, 0.5)
+
+
+# The checkers against the retired ones kept in tests/oracles.py: the same
+# inputs give the same outcome, bit for bit
+
+
+def checker_outcome(fn, *args):
+    """``fn`` on fresh copies of its array arguments: its result, or the
+    type and message of the exception it raises."""
+    args = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc), str(exc)
+
+
+def same_float(a: float | None, b: float | None) -> bool:
+    return a is b if a is None or b is None else a == b and np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def assert_same_outcome(label: str, got, want) -> None:
+    """The same exception type and message, None, witness value or report:
+    equal q, ``residual`` and ``witness_value`` floats, equal part bytes and
+    the same cached state in each part."""
+    if want is None or isinstance(want, tuple):
+        assert got is None if want is None else got == want, label
+    elif not isinstance(want, process.SeparabilityReport):
+        assert isinstance(got, float) and same_float(got, want), label
+    else:
+        assert isinstance(got, process.SeparabilityReport), label
+        assert (got.exit, got.iterations, got.verdict) == (want.exit, want.iterations, want.verdict), label
+        assert same_float(got.residual, want.residual) and same_float(got.witness_value, want.witness_value), label
+        assert same_float(got.certificate[0], want.certificate[0]), label
+        for part, ref in zip(got.certificate[1:], want.certificate[1:]):
+            assert part.layout == ref.layout and sorted(vars(part)) == sorted(vars(ref)), label
+            for key in ("matrix", "_own", "_coef"):
+                if key in vars(ref):
+                    a, b = vars(part)[key], vars(ref)[key]
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (label, key)
+                    assert not a.flags.writeable and not b.flags.writeable, (label, key)
+
+
+def retired_checker_cases() -> list[tuple[str, object, object, tuple]]:
+    """(label, checker, its retired copy, arguments): every split and
+    witness that the searches of :func:`builder_exit_pool` check, each gate
+    probe at 0.5 and 2 times its allowance, a NaN entry and a skew of 0.5
+    and 2 times HERMITICITY_ATOL."""
+    split, wit = process._certified_split, process._certify_witness
+    pairs = {
+        "split": (split, oracles.certified_split),
+        "stack": (process._certified_stack, oracles.certified_stack),
+        "witness": (wit, oracles.certify_witness),
+    }
+    cases = []
+
+    def add(label, kind, *args):
+        cases.append((label, *pairs[kind], args))
+
+    def recorded_split(w, mats, exit):
+        add(f"search {exit}", "split", w, mats.copy(), exit)
+        return split(w, mats, exit)
+
+    def recorded_witness(w, *witness):
+        add("search witness", "witness", w, *(x.copy() for x in witness))
+        return wit(w, *witness)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(process, "_certified_split", recorded_split)
+        patch.setattr(process, "_certify_witness", recorded_witness)
+        for w in builder_exit_pool():
+            separability_heuristic(w)
+
+    def add_decomposition(label, w, q, parts):
+        add(label, "stack", w, q, np.array([p._own for p in parts]), "decomposition", tuple(parts))
+
+    q = 0.3
+    for slot in (0, 1):
+        order = ("AB", "BA")[slot]
+        for factor in (0.5, 2.0):
+            for gate in ("trace", "order", "reconstruction"):
+                parts = damped_ordered_parts()
+                part, lay = parts[slot], parts[slot].layout
+                w = mix(*parts, q)
+                if gate == "reconstruction":
+                    parts[slot] = off_reconstruction(w, q, parts, slot, factor)
+                else:
+                    m = part.matrix
+                    m = m * (1.0 + factor * tau_of(m) / part.expected_trace) if gate == "trace" else (
+                        m + factor * tau_of(m) * unit_component(lay, 1.0 - _order_mask(lay, order), 2))
+                    parts[slot] = ProcessMatrix(m, lay)
+                    w = ProcessMatrix(q * parts[0].matrix + (1.0 - q) * parts[1].matrix, lay)
+                add_decomposition(f"{gate} {factor} {order}", w, q, parts)
+            for dim, kind in ((16, "real"), (16, "complex"), (64, "real"), (64, "complex")):
+                parts = psd_boundary_parts(dim, kind)
+                parts[slot] = with_least_eigenvalue(parts[slot], -factor * tau_of(parts[slot].matrix))
+                w = ProcessMatrix(q * parts[0].matrix + (1.0 - q) * parts[1].matrix, parts[0].layout)
+                add_decomposition(f"psd {factor} {order} {dim} {kind}", w, q, parts)
+    widest = identity_channel_on_the_widest_first_output()
+    lay = widest.layout
+    widest = mix(widest, neutral_process(lay), 0.9)
+    for factor in (0.5, 2.0):
+        outside = factor * tau_of(widest.matrix) * unit_component(lay, 1.0 - _validity_mask(lay), 1)
+        probe = ProcessMatrix(widest.matrix + outside, lay)
+        add_decomposition(f"valid span {factor}", probe, 1.0, [probe, neutral_process(lay)])
+    parts = damped_ordered_parts()
+    for weight in (-0.1, 1.1):
+        w = ProcessMatrix(weight * parts[0].matrix + (1.0 - weight) * parts[1].matrix, parts[0].layout)
+        add_decomposition(f"weight {weight}", w, weight, parts)
+    # a part that the split drops or keeps, least eigenvalue at 0.5 and 2
+    # times its allowance below 0, as the face tests above move them
+    w = mix(pure_ordered_process("AB", 3), pure_ordered_process("AB", 4), 0.4)
+    step = pure_ordered_process("AB", 3).matrix - pure_ordered_process("AB", 4).matrix
+    undamped = undamped_ordered_mixtures(1, 1)[0]
+    face = process._face_solve(undamped)[2]
+    v, d_o = process._range_basis(undamped), undamped.expected_trace
+    k = v @ np.linalg.eigh(v.conj().T @ face[1] @ v)[1][:, 0]
+    kk, weight = np.outer(k, k.conj()), np.real(np.trace(face[1])) / d_o
+    for factor in (0.5, 2.0):
+        y = factor * w._rounding / -float(np.linalg.eigvalsh(step)[0]) * step
+        add(f"dropped part {factor}", "split", w, np.stack((w.matrix - y, y)), "face-split")
+        t = factor * tau_of(face[1] / weight) * weight
+        add(f"kept part {factor}", "split", undamped, face + t * np.stack((kk, -kk)), "face-split")
+    for name in ("real", "complex"):
+        w, clean = stack_pair(name)
+        for defect in ("nan-at-(3, 3)", "nan-at-(0, 5)", "asymmetry-0.5", "asymmetry-2.0"):
+            entry, value = stack_defects()[defect]
+            for slot in (0, 1):
+                mats = clean.copy()
+                spoiled(mats[slot], defect, entry, value)
+                add(f"{defect} {name} {slot}", "stack", w, 0.5, mats, "decomposition")
+                add(f"{defect} {name} {slot} as a split", "split", w, mats / 2.0, "start-split")
+    for name, make in NONSEPARABLE.items():
+        w = make()
+        s, *halves = separability_heuristic(w).witness
+        deltas = witness_allowances(w, s, *halves)
+        eye = np.eye(w.layout.dim)
+        for factor in (0.5, 2.0):
+            for slot in (0, 1):
+                probe = list(halves)
+                probe[slot] = lowered_half(halves[slot], w.layout, ("AB", "BA")[slot], -factor * deltas[slot])
+                add(f"{name} half {slot} {factor}", "witness", w, s, *probe)
+            # the gap -tr(S W)/d_O - max ||R_X|| at about factor times the allowance
+            slack = rounding_bound(w.layout.dim, frobenius(halves[0]) + frobenius(halves[1]))
+            c = (deltas.min() + slack - factor * slack) * w.expected_trace / np.real(np.trace(w.matrix))
+            add(f"{name} allowance {factor}", "witness", w, s + c * eye, *(h + c * eye for h in halves))
+            skewed = np.array(s, dtype=np.complex128)
+            skewed[0, 1] += factor * HERMITICITY_ATOL
+            add(f"{name} skew {factor}", "witness", w, skewed, *halves)
+        for spoilt in (0, 1, 2):
+            args = [np.array(x, dtype=np.complex128) for x in (s, *halves)]
+            args[spoilt][3, 3] = np.nan
+            add(f"{name} nan in argument {spoilt}", "witness", w, *args)
+    return cases
+
+
+def test_the_checkers_agree_bit_for_bit_with_the_retired_ones():
+    # the rewritten decomposition and witness checkers reach the same gates
+    # in fewer numpy calls: on every input, the same exception type, None,
+    # or the same floats and part bytes as the retired code
+    cases = retired_checker_cases()
+    kinds = {label.split()[0] for label, *_ in cases}
+    searched = {" ".join(label.split()[:2]) for label, *_ in cases}
+    exits = (*LINE_EXITS, "early-stop", "face-split", "converged", "witness")
+    assert {f"search {exit}" for exit in exits} <= searched
+    probes = {"trace", "order", "reconstruction", "psd", "valid", "weight", "dropped", "kept", "switch"}
+    assert {"search", *probes} <= kinds
+    outcomes = []
+    for label, new, old, args in cases:
+        want = checker_outcome(old, *args)
+        assert_same_outcome(label, checker_outcome(new, *args), want)
+        outcomes.append(want)
+    # every kind of outcome is reached: certificates, refusals and both errors' type
+    assert any(isinstance(x, process.SeparabilityReport) for x in outcomes) and None in outcomes
+    assert any(isinstance(x, float) for x in outcomes)
+    assert {x[0] for x in outcomes if isinstance(x, tuple)} == {ValueError}

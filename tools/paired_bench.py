@@ -29,7 +29,12 @@ the medians against the parent's quartile spread, and a verdict:
   the medians differ by more than the parent's quartile spread;
 - ``within bound`` otherwise.
 
-It also prints ``correct`` and ``failed`` for every run. ``--append FILE``
+It also prints ``correct`` and ``failed`` for every run. A run that exits
+non-zero, or whose last stdout line is not a result, is recorded with its
+exit code and the tail of its stderr under ``error`` and left out of the
+medians and of the pairs compared (a pair it leaves incomplete counts as no
+win); the series goes on, the failure is printed, and the script exits 1
+once every series is done. ``--append FILE``
 adds one row to the JSON list in ``FILE`` (created if missing): the working
 tree's commit and whether it had uncommitted changes, the parent, the date,
 the environment (``nproc``, load average, Python, numpy and scipy versions
@@ -65,6 +70,21 @@ def parse_run(stdout: str) -> dict:
     return result
 
 
+def result_of(done: subprocess.CompletedProcess) -> dict:
+    """The result of one finished run (:func:`parse_run`), or, when it exited
+    non-zero or its last stdout line is not a result, ``{"error": ...}`` with
+    its exit code and the last lines of its stderr."""
+    if done.returncode == 0:
+        try:
+            result = parse_run(done.stdout)
+            if isinstance(result.get("metrics"), dict):
+                return result
+        except (ValueError, IndexError, TypeError, AttributeError):  # a JSONDecodeError is a ValueError
+            pass
+    tail = (done.stderr or "").strip().splitlines()[-5:]
+    return {"error": {"returncode": done.returncode, "stderr_tail": tail}}
+
+
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
@@ -74,14 +94,17 @@ def summarize(runs: dict[str, list[dict]], spec: list[dict]) -> dict[str, dict]:
     """Per end-to-end metric of ``spec`` (BENCHMARK.json's ``end_to_end``):
     both sides' median and quartiles, the pairs the change wins, and the
     verdict described in the module docstring. ``runs`` holds each side's
-    results in pair order."""
+    results in pair order; failed runs (``error``) are left out, and each
+    side needs two results."""
     out = {}
+    pairs = len(runs["parent"])
+    good = [(p, c) for p, c in zip(runs["parent"], runs["change"]) if "error" not in p and "error" not in c]
     for metric in spec:
         name, lower = metric["name"], metric["better"] == "lower"
-        values = {side: [run["metrics"][name]["value"] for run in runs[side]] for side in SIDES}
+        values = {side: [run["metrics"][name]["value"] for run in runs[side] if "error" not in run] for side in SIDES}
         (p1, pm, p3), (c1, cm, c3) = (_quartiles(values[side]) for side in SIDES)
         sign = -1.0 if lower else 1.0
-        wins = sum(sign * (c - p) > 0.0 for p, c in zip(values["parent"], values["change"]))
+        wins = sum(sign * (c["metrics"][name]["value"] - p["metrics"][name]["value"]) > 0.0 for p, c in good)
         worse = -sign * (cm - pm) / pm
         spread = (p3 - p1) / pm
         all_better = min(sign * c for c in values["change"]) > max(sign * p for p in values["parent"])
@@ -89,7 +112,7 @@ def summarize(runs: dict[str, list[dict]], spec: list[dict]) -> dict[str, dict]:
             verdict = "regression"
         elif spread > metric["bound"] and not all_better:
             verdict = "unresolved"
-        elif wins >= 0.9 * len(values["parent"]) and sign * (cm - pm) > p3 - p1:
+        elif wins >= 0.9 * pairs and sign * (cm - pm) > p3 - p1:
             verdict = "gain"
         else:
             verdict = "within bound"
@@ -99,7 +122,7 @@ def summarize(runs: dict[str, list[dict]], spec: list[dict]) -> dict[str, dict]:
             "change": {"median": cm, "q1": c1, "q3": c3},
             "relative": (cm - pm) / pm,
             "wins": wins,
-            "pairs": len(values["parent"]),
+            "pairs": pairs,
             "difference": cm - pm,
             "parent_spread": p3 - p1,
             "verdict": verdict,
@@ -150,11 +173,44 @@ def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> subprocess.CompletedProcess:
     args = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed)]
     args += ["--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(args, cwd=tree, capture_output=True, text=True, check=True)
-    return parse_run(done.stdout)
+    return subprocess.run(args, cwd=tree, capture_output=True, text=True)
+
+
+def measure(
+    run, trees: dict[str, Path], workload: str, seed: int, pairs: int, seconds: float, spec: list[dict]
+) -> tuple[dict, dict]:
+    """One series: ``pairs`` alternating pairs of ``run`` (:func:`_run`'s
+    signature; the parent first in odd pairs), each line printed as it
+    ends. Returns the series record
+    (seed, runs without their environment, summary or None when a side has
+    fewer than two results) and the first change run's environment."""
+    runs, environment = {side: [] for side in SIDES}, {}
+    for pair in range(1, pairs + 1):
+        for side in SIDES if pair % 2 else SIDES[::-1]:
+            result = result_of(run(trees[side], workload, seed, seconds))
+            runs[side].append(result)
+            if "error" in result:
+                err = result["error"]
+                print(f"seed {seed} pair {pair} {side}: run failed with exit code {err['returncode']}:"
+                      f" {' / '.join(err['stderr_tail']) or '(no stderr)'}", flush=True)
+                continue
+            environment = environment or (result["environment"] if side == "change" else {})
+            print(f"seed {seed} pair {pair} {side}: correct={result['correct']}"
+                  f" attempted={result['attempted']} failed={result['failed']}", flush=True)
+    summary = None
+    if all(sum("error" not in r for r in runs[side]) >= 2 for side in SIDES):
+        summary = summarize(runs, spec)
+        print(f"== {workload} seed {seed}, {pairs} pairs of {seconds:g} s")
+        print("\n".join(format_summary(summary)), flush=True)
+    else:
+        print(f"== {workload} seed {seed}: fewer than two results on a side, no summary", flush=True)
+    for side in SIDES:
+        for result in runs[side]:
+            result.pop("environment", None)
+    return {"seed": seed, "runs": runs, "summary": summary}, environment
 
 
 def main(argv: list[str]) -> int:
@@ -175,21 +231,11 @@ def main(argv: list[str]) -> int:
         parent = _export(args.parent, Path(tmp))
         trees = {"parent": Path(tmp), "change": ROOT}
         for seed in args.seed:
-            runs = {side: [] for side in SIDES}
-            for pair in range(1, args.pairs + 1):
-                for side in SIDES if pair % 2 else SIDES[::-1]:
-                    result = _run(trees[side], args.workload, seed, seconds)
-                    environment = environment or (result["environment"] if side == "change" else {})
-                    runs[side].append(result)
-                    print(f"seed {seed} pair {pair} {side}: correct={result['correct']}"
-                          f" attempted={result['attempted']} failed={result['failed']}", flush=True)
-            summary = summarize(runs, spec)
-            print(f"== {args.workload} seed {seed}, {args.pairs} pairs of {seconds:g} s")
-            print("\n".join(format_summary(summary)), flush=True)
-            for side in SIDES:
-                for run in runs[side]:
-                    run.pop("environment")
-            series.append({"seed": seed, "runs": runs, "summary": summary})
+            record, env = measure(_run, trees, args.workload, seed, args.pairs, seconds, spec)
+            series.append(record)
+            environment = environment or env
+    failures = [(r["seed"], side, k + 1) for r in series for side in SIDES
+                for k, run in enumerate(r["runs"][side]) if "error" in run]
     if args.append is not None:
         row = {
             "commit": _git("rev-parse", "HEAD"),
@@ -204,7 +250,9 @@ def main(argv: list[str]) -> int:
             "series": series,
         }
         append_row(args.append, row)
-    return 0
+    for seed, side, pair in failures:
+        print(f"failed run: seed {seed}, pair {pair}, {side}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
