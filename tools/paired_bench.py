@@ -183,10 +183,10 @@ def measure(
     run, trees: dict[str, Path], workload: str, seed: int, pairs: int, seconds: float, spec: list[dict]
 ) -> tuple[dict, dict]:
     """One series: ``pairs`` alternating pairs of ``run`` (:func:`_run`'s
-    signature; the parent first in odd pairs), each line printed as it
-    ends. Returns the series record
-    (seed, runs without their environment, summary or None when a side has
-    fewer than two results) and the first change run's environment."""
+    signature; the parent first in odd pairs), each run's line printed as it
+    ends. Returns the series record (seed, the runs without their
+    environment, and the summary, or None when a side has fewer than two
+    results) and the first change run's environment."""
     runs, environment = {side: [] for side in SIDES}, {}
     for pair in range(1, pairs + 1):
         for side in SIDES if pair % 2 else SIDES[::-1]:
