@@ -2669,7 +2669,7 @@ def checker_outcome(fn, *args):
     try:
         with np.errstate(invalid="ignore", over="ignore"):
             return fn(*args)
-    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+    except Exception as exc:  # any exception: its type and message are compared
         return type(exc), str(exc)
 
 
@@ -2814,8 +2814,8 @@ def retired_checker_cases() -> list[tuple[str, object, object, tuple]]:
 
 def test_the_checkers_agree_bit_for_bit_with_the_retired_ones():
     # the rewritten decomposition and witness checkers reach the same gates
-    # in fewer numpy calls: on every input, the same exception type, None,
-    # or the same floats and part bytes as the retired code
+    # in fewer numpy calls: on every input, the same exception and message,
+    # None, or the same floats and part bytes as the retired code
     cases = retired_checker_cases()
     kinds = {label.split()[0] for label, *_ in cases}
     searched = {" ".join(label.split()[:2]) for label, *_ in cases}
@@ -2828,7 +2828,7 @@ def test_the_checkers_agree_bit_for_bit_with_the_retired_ones():
         want = checker_outcome(old, *args)
         assert_same_outcome(label, checker_outcome(new, *args), want)
         outcomes.append(want)
-    # every kind of outcome is reached: certificates, refusals and both errors' type
+    # every kind of outcome is reached: certificates, refusals, witness values and ValueError
     assert any(isinstance(x, process.SeparabilityReport) for x in outcomes) and None in outcomes
     assert any(isinstance(x, float) for x in outcomes)
     assert {x[0] for x in outcomes if isinstance(x, tuple)} == {ValueError}
