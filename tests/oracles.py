@@ -730,7 +730,7 @@ def _rounding_bound(n, norm):
     return n * n * float(np.finfo(np.float64).eps) * np.maximum(1.0, norm)
 
 
-def _structure_checked(m, layout, ndim):
+def _structure_checked(m: np.ndarray, layout: SpaceLayout, ndim: int) -> np.ndarray:
     """``m``, made read-only, once it passes :class:`ProcessMatrix`'s checks on
     ``layout`` (party labels, ``ndim`` axes ending in (dim, dim), finite,
     Hermitian within HERMITICITY_ATOL) in its own dtype, a stack at once."""
@@ -749,7 +749,7 @@ def _structure_checked(m, layout, ndim):
     return m
 
 
-def _views(stack, layout):
+def _views(stack: np.ndarray, layout: SpaceLayout) -> tuple[ProcessMatrix, ...]:
     """Read-only views, with no copy or check, of a checked complex128 stack."""
     from icolab.process import ProcessMatrix
 
@@ -780,14 +780,20 @@ def _cholesky_exists(mats):
     return True
 
 
-def certified_stack(w, q, own, exit, parts=None):
+def certified_stack(
+    w: ProcessMatrix, q: float, own: np.ndarray, exit: str, parts: tuple[ProcessMatrix, ...] | None = None
+) -> SeparabilityReport | None:
     """The one checker of a decomposition W = q X + (1-q) Y, given the stack
     ``own`` = (X, Y) in the parts' arithmetic: :class:`ProcessMatrix`'s
     structural checks once (ValueError), then q in [0, 1], each part PSD
     (one Cholesky factorization of the stack + tau I), of trace d_O and in
-    its order subspace, each within its rounding bound tau, and W reproduced
-    within tau(dim, 1) relative to max(1, ||W||). Certificate (``iterations``
-    0) or None."""
+    its order subspace (the masks nest, (1 - a)(1 - b) <= 1 - a, so validity
+    follows), each within its :func:`rounding_bound` tau, and W reproduced
+    within tau(dim, 1) relative to max(1, ||W||). Coefficients: the given
+    ``parts``' :attr:`_coef` if they share a dtype, else one
+    :meth:`HSBasis.to_coef` of the stack. Without ``parts``, the parts are
+    built once every gate has passed, as read-only complex128 views of the
+    stack with those coefficients cached. Certificate (``iterations`` 0) or None."""
     from icolab.process import SeparabilityReport, _identity, hs_basis
 
     m, lay = w.matrix, w.layout
@@ -820,14 +826,20 @@ def certified_stack(w, q, own, exit, parts=None):
     return SeparabilityReport((q, *parts), recon, 0, exit=exit)
 
 
-def certified_split(w, mats, exit):
+def certified_split(w: ProcessMatrix, mats: np.ndarray, exit: str) -> SeparabilityReport | None:
     """The certificate of the decomposition built from an order split of W,
-    the stack (X, Y) of its matrices in the search's dtype, or None: q from
-    the trace of X, the parts divided by their weights, made Hermitian and
-    renormalized to trace d_O as one stack, which :func:`certified_stack`
-    checks as it stands. A part of weight below 1e-6 must pass one Cholesky
-    factorization of part + tau I, tau W's rounding bound; the kept part is
-    then checked next to the neutral process."""
+    the stack (X, Y) of its matrices in the search's dtype, or None.
+
+    q comes from the trace of X. The parts are divided by their weights,
+    made Hermitian and renormalized to trace d_O as one stack, which
+    :func:`certified_stack` checks as it stands. A part of weight below
+    1e-6, a summand of W's split, must pass one Cholesky factorization of
+    part + tau I, tau W's :func:`rounding_bound`; the kept part is then
+    checked next to the neutral process. The certificate names ``exit``.
+    A kept part's trace is positive: every caller's X + Y is W up to
+    rounding and W is valid, so tr X + tr Y = d_O >= 1 within tau <
+    MAX_DIM^3 eps_mach < 1e-10. Divided by a weight of at least 1e-6, a
+    part has trace d_O within 1e-4; kept alone, above d_O - 1e-10."""
     from icolab.process import ProcessMatrix, _identity, neutral_process
 
     lay, d_o = w.layout, w.expected_trace
@@ -861,13 +873,24 @@ def witness_value(w, s):
     return float(np.real(np.trace(s @ m)))
 
 
-def certify_witness(w, s, p_ab, p_ba):
-    """Check a causal nonseparability witness (Araujo et al., NJP 17,
-    102001, 2015) on its matrices alone: delta_X = -tr(S W)/d_O - allowance
-    - ||R_X|| positive and lambda_min(P_X) > -delta_X for both orders, read
-    from one basis change of (S - P_AB, S - P_BA) and one Cholesky
-    factorization of (P_AB + delta_AB I, P_BA + delta_BA I). Returns
-    tr(S W)/||S|| or None."""
+def certify_witness(
+    w: ProcessMatrix, s: np.ndarray, p_ab: np.ndarray, p_ba: np.ndarray
+) -> float | None:
+    """Check a causal nonseparability witness (Araujo et al., "Witnessing
+    causal nonseparability", NJP 17, 102001, 2015) on its matrices alone.
+
+    For each order X, write S = P_X + R_X + Q_X with R_X the part of S - P_X
+    inside order X's subspace and Q_X orthogonal to it. With eps_X the
+    negative part of lambda_min(P_X) plus ||R_X||, every separable
+    W' = X' + Y' (trace d_O, each part PSD in its subspace, so ||X'|| <=
+    tr X') has tr(S W') >= -max(eps_AB, eps_BA) d_O. The witness certifies
+    when tr(S W) lies below that bound by more than a rounding allowance:
+    when delta_X = -tr(S W)/d_O - allowance - ||R_X|| is positive and
+    lambda_min(P_X) > -delta_X for both orders. Both are read from one
+    :meth:`HSBasis.to_coef` of (S - P_AB, S - P_BA) and one Cholesky
+    factorization of (P_AB + delta_AB I, P_BA + delta_BA I), up to a
+    backward error that the allowance, :func:`rounding_bound` of
+    ||P_AB|| + ||P_BA||, covers. Returns tr(S W)/||S|| or None."""
     from icolab.linalg import frobenius
     from icolab.process import _identity, _order_mask, hs_basis
 
