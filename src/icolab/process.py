@@ -311,6 +311,13 @@ class HSBasis:
     complex matrix (length 2) or the entries of a real one (length 1); masks
     broadcast over it, and both lengths give the same real-part
     coefficients. Use :func:`hs_basis` for the cached instance.
+
+    It also holds, read-only and built once from the chain-rule masks a and
+    b of :meth:`order_mask`: ``ab`` = a, ``ba`` = b, ``shared`` = a b,
+    ``valid`` = a + b - a b (the valid processes), ``orders`` = (a, b) and
+    ``off_orders`` = 1 - (a, b), ``lines`` = (a - a b, b - a b, a b) (AB only,
+    BA only, shared), the stacks with a parts axis, and ``eye``, the n x n
+    identity that shifts a positivity gate by its tau.
     """
 
     def __init__(self, layout: SpaceLayout) -> None:
@@ -323,6 +330,15 @@ class HSBasis:
         self._left = _block_basis(dims[:split])
         self._right = _block_basis(dims[split:])
         self._grid = tuple(d * d for d in dims)
+        self.ab, self.ba = a, b = self.order_mask("AB"), self.order_mask("BA")
+        self.shared = a * b
+        self.valid = a + b - self.shared
+        self.orders = np.stack((a, b))[:, None]
+        self.off_orders = 1.0 - self.orders
+        self.lines = np.stack((a - self.shared, b - self.shared, self.shared))[:, None]
+        self.eye = np.eye(layout.dim)
+        for frozen in (a, b, self.shared, self.valid, self.orders, self.off_orders, self.lines, self.eye):
+            frozen.flags.writeable = False
 
     def to_coef(self, m: np.ndarray) -> np.ndarray:
         """Coefficients of a complex128 matrix (two parts) or a float64 one
@@ -348,6 +364,21 @@ class HSBasis:
         for lab in labels:
             keep[(slice(None),) * self.layout.index(lab) + (slice(1, None),)] = 0.0
         return keep.reshape(self.shape)
+
+    def order_mask(self, order: str) -> np.ndarray:
+        """0/1 mask of the processes of one causal order: along the order's chain
+        (first party's input and output, then the second's, then F when the
+        layout has one), discarding what comes after an output leaves that output
+        free (Chiribella, D'Ariano and Perinotti, PRA 80, 022339, 2009). So a
+        product-basis term is kept when the last factor of the chain it acts on
+        nontrivially is an input or F, or when it is the identity."""
+        chain = _order_chain(order) + self.layout.labels[4:]
+        out = self.mask(chain)
+        for k, lab in enumerate(chain):
+            if not lab.endswith("_O"):
+                # the terms whose last nontrivial factor is lab
+                out = out + (1.0 - self.mask((lab,))) * self.mask(chain[k + 1 :])
+        return out
 
     def project(self, w: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Apply the projector with the given mask to a matrix."""
@@ -385,36 +416,6 @@ def _order_chain(order: str) -> tuple[str, ...]:
     return PARTY_LABELS if order == "AB" else PARTY_LABELS[2:] + PARTY_LABELS[:2]
 
 
-@lru_cache(maxsize=64)
-def _order_mask(layout: SpaceLayout, order: str) -> np.ndarray:
-    """0/1 mask of the processes of one causal order: along the order's chain
-    (first party's input and output, then the second's, then F when the
-    layout has one), discarding what comes after an output leaves that output
-    free (Chiribella, D'Ariano and Perinotti, PRA 80, 022339, 2009). So a
-    product-basis term is kept when the last factor of the chain it acts on
-    nontrivially is an input or F, or when it is the identity."""
-    chain = _order_chain(order) + layout.labels[4:]
-    m = hs_basis(layout).mask
-    out = m(chain)
-    for k, lab in enumerate(chain):
-        if not lab.endswith("_O"):
-            # the terms whose last nontrivial factor is lab
-            out = out + (1.0 - m((lab,))) * m(chain[k + 1 :])
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=32)
-def _validity_mask(layout: SpaceLayout) -> np.ndarray:
-    """0/1 mask of the span of the two order subspaces: the valid processes
-    (Araujo et al., NJP 17, 102001, 2015). With F it keeps every term that
-    acts on F, so it checks exactly that tr_F W is valid."""
-    a, b = _order_mask(layout, "AB"), _order_mask(layout, "BA")
-    out = a + b - a * b
-    out.flags.writeable = False
-    return out
-
-
 def validity_projection(w: np.ndarray, layout: SpaceLayout) -> np.ndarray:
     """Orthogonal projection onto the linear subspace of valid bipartite
     process matrices (no future factor).
@@ -425,7 +426,8 @@ def validity_projection(w: np.ndarray, layout: SpaceLayout) -> np.ndarray:
     """
     if layout.labels != PARTY_LABELS:
         raise ValueError(f"expected exactly the party factors, got {layout.labels}")
-    return hs_basis(layout).project(w, _validity_mask(layout))
+    basis = hs_basis(layout)
+    return basis.project(w, basis.valid)
 
 
 @dataclass(frozen=True)
@@ -471,7 +473,7 @@ def _validity_report(w: ProcessMatrix) -> ValidityReport:
     expected = lay.dim_of("A_O") * lay.dim_of("B_O")
     trace_error = float(np.real(np.trace(m)) - expected)
     # the basis is orthogonal: the distance is the norm of the masked-out coefficients
-    outside = (1.0 - _validity_mask(lay)) * coef
+    outside = (1.0 - hs_basis(lay).valid) * coef
     residual = float(np.linalg.norm(outside))
     ok = psd_margin >= -tau and abs(trace_error) <= tau and residual <= tau
     return ValidityReport(psd_margin, trace_error, residual, "valid" if ok else "invalid")
@@ -648,7 +650,8 @@ def order_projection(w: np.ndarray, layout: SpaceLayout, order: str) -> np.ndarr
     second-party, future; without it the second output itself terminates
     the chain. The projector is a mask in :class:`HSBasis`.
     """
-    return hs_basis(layout).project(w, _order_mask(layout, order))
+    basis = hs_basis(layout)
+    return basis.project(w, basis.ab if _order_chain(order) == PARTY_LABELS else basis.ba)
 
 
 def _psd_clip(m: np.ndarray) -> np.ndarray:
@@ -740,24 +743,6 @@ class SeparabilityReport:
         return out
 
 
-@lru_cache(maxsize=8)
-def _identity(n: int) -> np.ndarray:
-    """The read-only n x n identity that shifts a positivity gate by its tau."""
-    out = np.eye(n)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=64)
-def _order_masks(layout: SpaceLayout, off: bool) -> np.ndarray:
-    """Read-only stack (AB, BA) of the order masks, or (1 - AB, 1 - BA) with
-    ``off``, with a parts axis to broadcast over two parts' coefficients."""
-    out = np.stack((_order_mask(layout, "AB"), _order_mask(layout, "BA")))[:, None]
-    out = 1.0 - out if off else out
-    out.flags.writeable = False
-    return out
-
-
 def _frobenius(m: np.ndarray) -> float:
     """np.linalg.norm(m) of a float64 or complex128 array, by its same dot products."""
     x = m.ravel(order="K")
@@ -806,12 +791,12 @@ def _certified_stack(
     built once every gate has passed, as read-only complex128 views of the
     stack with those coefficients cached. Certificate (``iterations`` 0) or None.
     Norms are np.linalg.norm's own sums, and the gates compare Python floats."""
-    m, lay, n = w.matrix, w.layout, w.layout.dim
+    m, lay, n, basis = w.matrix, w.layout, w.layout.dim, hs_basis(w.layout)
     _structure_checked(own, lay, 3)
     if not 0.0 <= q <= 1.0:
         return None
     taus = [rounding_bound(n, sqrt(x)) for x in np.add.reduce((own.conj() * own).real, axis=(1, 2)).tolist()]
-    if not _cholesky_exists(own + np.array(taus)[:, None, None] * _identity(n)):
+    if not _cholesky_exists(own + np.array(taus)[:, None, None] * basis.eye):
         return None
     d_o = w.expected_trace
     if any(abs(t - d_o) > tau for t, tau in zip(own.trace(axis1=1, axis2=2).real.tolist(), taus)):
@@ -819,10 +804,10 @@ def _certified_stack(
     if parts is not None and parts[0]._own.dtype == parts[1]._own.dtype:
         coefs = np.array([p._coef for p in parts])
     else:  # the stack's, also for a real part next to a complex one
-        coefs = hs_basis(lay).to_coef(own)
+        coefs = basis.to_coef(own)
         coefs.flags.writeable = False
     # the basis is orthogonal: a distance to a subspace is the norm of the masked-out coefficients
-    off = _order_masks(lay, True) * coefs
+    off = basis.off_orders * coefs
     if any(sqrt(x) > tau for x, tau in zip(np.add.reduce((off * off).reshape(2, -1), axis=1).tolist(), taus)):
         return None
     recon = _frobenius(q * own[0] + (1 - q) * own[1] - m) / max(1.0, w._norm)
@@ -856,7 +841,7 @@ def _certified_split(w: ProcessMatrix, mats: np.ndarray, exit: str) -> Separabil
     weights = [x for x in (q, 1.0 - q) if x >= 1e-6]
     if len(weights) < 2:
         kept = np.array((q, 1.0 - q)) >= 1e-6
-        if not _cholesky_exists(mats[~kept] + w._rounding * _identity(lay.dim)):
+        if not _cholesky_exists(mats[~kept] + w._rounding * hs_basis(lay).eye):
             return None
         mats = mats[kept]
     stack = mats / np.array(weights)[:, None, None]
@@ -889,16 +874,16 @@ def _certify_witness(
     backward error that the allowance, :func:`rounding_bound` of
     ||P_AB|| + ||P_BA||, covers. S is cast and checked once, as
     :func:`witness_value` does. Returns tr(S W)/||S|| or None."""
-    lay, parts = w.layout, np.array((p_ab, p_ba))
-    coefs = hs_basis(lay).to_coef(s - parts)
+    lay, basis, parts = w.layout, hs_basis(w.layout), np.array((p_ab, p_ba))
+    coefs = basis.to_coef(s - parts)
     # the basis is orthogonal: ||R_X|| is the norm of its masked coefficients
-    inside = _order_masks(lay, False) * coefs
+    inside = basis.orders * coefs
     slack = rounding_bound(lay.dim, _frobenius(p_ab) + _frobenius(p_ba))
     s = as_matrix(s)
     value = _witness_value(w.matrix, s)
     bound = -value / w.expected_trace - slack
     delta = [bound - _frobenius(r) for r in inside]
-    if all(x > 0.0 for x in delta) and _cholesky_exists(parts + np.array(delta)[:, None, None] * _identity(lay.dim)):
+    if all(x > 0.0 for x in delta) and _cholesky_exists(parts + np.array(delta)[:, None, None] * basis.eye):
         # the reported value divides by the complex128 norm of S, which report bytes pin
         return value / _frobenius(s)
     return None
@@ -925,16 +910,6 @@ def _positive_definite(mats: np.ndarray) -> bool:
     return _cholesky_exists(mats)
 
 
-@lru_cache(maxsize=32)
-def _line_masks(layout: SpaceLayout) -> np.ndarray:
-    """Read-only stack of the AB-only, BA-only and shared masks, with a parts
-    axis: one product with W's coefficients gives its (A, B, S)."""
-    a, b = _order_mask(layout, "AB"), _order_mask(layout, "BA")
-    out = np.stack((a - a * b, b - a * b, a * b))[:, None]
-    out.flags.writeable = False
-    return out
-
-
 def _line_split(w: ProcessMatrix) -> SeparabilityReport | None:
     """The certificate of an order split of W on the line
     X = A + t S, Y = B + (1 - t) S through the search's start (t = 1/2), or
@@ -956,8 +931,8 @@ def _line_split(w: ProcessMatrix) -> SeparabilityReport | None:
     That midpoint split goes untested, as it stands, to
     :func:`_certified_split`, whose check gates positivity. None when S has
     no Cholesky factor, no split is found or the split does not certify."""
-    basis, masks = hs_basis(w.layout), _line_masks(w.layout)
-    mats = basis.to_mat(masks * w._coef)
+    basis = hs_basis(w.layout)
+    mats = basis.to_mat(basis.lines * w._coef)
     start = mats[:2] + 0.5 * mats[2]
     if _positive_definite(start):
         cert = _certified_split(w, start, "start-split")
@@ -974,13 +949,11 @@ def _line_split(w: ProcessMatrix) -> SeparabilityReport | None:
         t = 0.5 * (t_lo + t_hi)
         split, exit = mats[:2] + np.array((t, 1.0 - t))[:, None, None] * mats[2], "pencil-midpoint"
     else:
-        split, exit = _climbed_split(basis, masks[2], mats, inv, whitened), "climbed-line"
+        split, exit = _climbed_split(basis, mats, inv, whitened), "climbed-line"
     return None if split is None else _certified_split(w, split, exit)
 
 
-def _climbed_split(
-    basis: HSBasis, both: np.ndarray, mats: np.ndarray, inv: np.ndarray, whitened: np.ndarray
-) -> np.ndarray | None:
+def _climbed_split(basis: HSBasis, mats: np.ndarray, inv: np.ndarray, whitened: np.ndarray) -> np.ndarray | None:
     """The midpoint split of the first line (A + H + t S, B - H + (1 - t) S)
     whose interval of PSD splits is nonempty, climbed to from H = 0, or
     None. :func:`_line_split` hands the split, as it stands, to
@@ -1008,7 +981,7 @@ def _climbed_split(
     margin = 1.0 + vals[0, 0] + vals[1, 0]
     for _ in range(SEARCH_STEPS):
         u, v = vecs[:, :, 0] @ inv.conj()
-        g = basis.to_mat(both * basis.to_coef(np.outer(u, u.conj()) - np.outer(v, v.conj())))
+        g = basis.to_mat(basis.shared * basis.to_coef(np.outer(u, u.conj()) - np.outer(v, v.conj())))
         slope = float(np.real(u.conj() @ g @ u - v.conj() @ g @ v))
         if slope <= 0.0:
             return None
@@ -1091,7 +1064,7 @@ def _face_solve(
     basis = hs_basis(lay)
     # only the coefficients an order leaves out enter the problem: on qubit
     # parties 204 per order, of 256 without F and 4,096 with it
-    off_ab, off_ba = _order_mask(lay, "AB") == 0.0, _order_mask(lay, "BA") == 0.0
+    off_ab, off_ba = basis.ab == 0.0, basis.ba == 0.0
     herm = _hermitian_basis(v.shape[1], not np.iscomplexobj(v))
     phi = basis.to_coef(v @ herm @ v.conj().T)
     lhs = np.concatenate((phi[..., off_ab], phi[..., off_ba]), axis=-1).reshape(len(herm), -1)
@@ -1227,9 +1200,9 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
         if decided is not None:
             return decided
 
-    in_ab, in_ba = _order_mask(lay, "AB"), _order_mask(lay, "BA")
-    scale, d_o = max(1.0, w._norm), w.expected_trace
-    basis, both, cw = hs_basis(lay), in_ab * in_ba, w._coef
+    basis = hs_basis(lay)
+    in_ab, in_ba, both = basis.ab, basis.ba, basis.shared
+    scale, d_o, cw = max(1.0, w._norm), w.expected_trace, w._coef
     # tr(S W) = <gx, in_ab cw> + <gy, (1 - in_ab) in_ba cw>
     cw_a, cw_b = (in_ab * cw).ravel(), ((1.0 - in_ab) * in_ba * cw).ravel()
     zx, zy = _order_split(cw, cw / 2.0, cw / 2.0, in_ab, in_ba)

@@ -763,10 +763,12 @@ def _views(stack: np.ndarray, layout: SpaceLayout) -> tuple[ProcessMatrix, ...]:
 @lru_cache(maxsize=32)
 def _off_order_masks(layout):
     """Read-only stack (1 - AB, 1 - BA) of the masks of what each order
-    leaves out, with a parts axis, to broadcast over two parts' coefficients."""
-    from icolab.process import _order_mask
+    leaves out, with a parts axis, to broadcast over two parts' coefficients,
+    built here from the chain-rule masks, not read from the frame."""
+    from icolab.process import hs_basis
 
-    out = 1.0 - np.stack((_order_mask(layout, "AB"), _order_mask(layout, "BA")))[:, None]
+    basis = hs_basis(layout)
+    out = 1.0 - np.stack((basis.order_mask("AB"), basis.order_mask("BA")))[:, None]
     out.flags.writeable = False
     return out
 
@@ -794,14 +796,14 @@ def certified_stack(
     :meth:`HSBasis.to_coef` of the stack. Without ``parts``, the parts are
     built once every gate has passed, as read-only complex128 views of the
     stack with those coefficients cached. Certificate (``iterations`` 0) or None."""
-    from icolab.process import SeparabilityReport, _identity, hs_basis
+    from icolab.process import SeparabilityReport, hs_basis
 
     m, lay = w.matrix, w.layout
     _structure_checked(own, lay, 3)
     if not 0.0 <= q <= 1.0:
         return None
     taus = _rounding_bound(lay.dim, np.linalg.norm(own, axis=(-2, -1)))
-    if not _cholesky_exists(own + taus[:, None, None] * _identity(lay.dim)):
+    if not _cholesky_exists(own + taus[:, None, None] * np.eye(lay.dim)):
         return None
     if (np.abs(np.real(np.trace(own, axis1=-2, axis2=-1)) - w.expected_trace) > taus).any():
         return None
@@ -840,14 +842,14 @@ def certified_split(w: ProcessMatrix, mats: np.ndarray, exit: str) -> Separabili
     rounding and W is valid, so tr X + tr Y = d_O >= 1 within tau <
     MAX_DIM^3 eps_mach < 1e-10. Divided by a weight of at least 1e-6, a
     part has trace d_O within 1e-4; kept alone, above d_O - 1e-10."""
-    from icolab.process import ProcessMatrix, _identity, neutral_process
+    from icolab.process import ProcessMatrix, neutral_process
 
     lay, d_o = w.layout, w.expected_trace
     q = min(max(float(np.real(np.trace(mats[0]))) / d_o, 0.0), 1.0)
     weights = np.array((q, 1.0 - q))
     kept = weights >= 1e-6
     if not kept.all():
-        if not _cholesky_exists(mats[~kept] + w._rounding * _identity(lay.dim)):
+        if not _cholesky_exists(mats[~kept] + w._rounding * np.eye(lay.dim)):
             return None
         mats, weights = mats[kept], weights[kept]
     stack = mats / weights[:, None, None]
@@ -892,16 +894,17 @@ def certify_witness(
     backward error that the allowance, :func:`rounding_bound` of
     ||P_AB|| + ||P_BA||, covers. Returns tr(S W)/||S|| or None."""
     from icolab.linalg import frobenius
-    from icolab.process import _identity, _order_mask, hs_basis
+    from icolab.process import hs_basis
 
     lay, parts = w.layout, np.stack((p_ab, p_ba))
-    coefs = hs_basis(lay).to_coef(s - parts)
+    basis = hs_basis(lay)
+    coefs = basis.to_coef(s - parts)
     # the basis is orthogonal: ||R_X|| is the norm of its masked coefficients
-    inside = [np.linalg.norm(_order_mask(lay, x) * coef) for coef, x in zip(coefs, ("AB", "BA"))]
+    inside = [np.linalg.norm(basis.order_mask(x) * coef) for coef, x in zip(coefs, ("AB", "BA"))]
     slack = _rounding_bound(lay.dim, np.linalg.norm(p_ab) + np.linalg.norm(p_ba))
     value = witness_value(w, s)
     delta = -value / w.expected_trace - slack - np.array(inside)
-    if (delta > 0.0).all() and _cholesky_exists(parts + delta[:, None, None] * _identity(lay.dim)):
+    if (delta > 0.0).all() and _cholesky_exists(parts + delta[:, None, None] * np.eye(lay.dim)):
         # the reported value divides by the complex128 norm of S, which report bytes pin
         return value / frobenius(s)
     return None

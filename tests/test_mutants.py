@@ -21,3 +21,18 @@ def test_each_mutants_old_text_occurs_exactly_once(mutant):
 def test_mutant_names_are_unique():
     names = [m.name for m in mutants.MUTANTS]
     assert len(set(names)) == len(names)
+
+
+def test_a_mutant_whose_tests_stall_is_reported_as_a_timeout(monkeypatch, capsys):
+    # runs no pytest: the run raises TimeoutExpired as subprocess.run does
+    # once TIMEOUT_S has passed, and the table names the outcome and exits 1
+    def stalled(args, **kwargs):
+        assert kwargs["timeout"] == mutants.TIMEOUT_S
+        raise mutants.subprocess.TimeoutExpired(args, kwargs["timeout"])
+
+    monkeypatch.setattr(mutants.subprocess, "run", stalled)
+    name = mutants.MUTANTS[0].name
+    assert mutants.main(["--only", name]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith(f"{name} | timeout | no result after {mutants.TIMEOUT_S} s | ")
+    assert lines[1].startswith("1 mutants, 0 killed, in ")

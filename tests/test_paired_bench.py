@@ -134,3 +134,20 @@ def test_a_failed_run_is_recorded_and_the_series_goes_on(monkeypatch, capsys):
     # seed 2 still runs after seed 1's failed pair
     assert calls == {"parent": 4, "change": 4} and "== process-family seed 2" in captured.out
     assert captured.err.splitlines() == ["failed run: seed 1, pair 2, parent", "failed run: seed 2, pair 1, change"]
+
+
+def test_a_change_that_fails_more_ops_gets_no_gain():
+    # the change is 10% faster per op in every pair, but one of its runs
+    # fails 2 of its 100 ops: its failed-op share, 0.002 against the
+    # parent's 0, withholds the gain
+    runs = fake_runs()
+    runs["change"][4] = run(0.9 * 0.99, 99.5 * 1.05, 0.07, failed=2)
+    summary = paired_bench.summarize(runs, METRICS)
+    op = summary["op_p50_s"]
+    assert (op["wins"], op["difference"] < -op["parent_spread"]) == (10, True)
+    assert op["failed_share"] == {"parent": 0.0, "change": pytest.approx(0.002)}
+    assert op["verdict"] == "within bound" and summary["ops_per_s"]["verdict"] == "within bound"
+    assert "failed-op share 0 -> 0.002: within bound" in paired_bench.format_summary(summary)[0]
+    # the same runs with no failure are a gain, as in the fixed runs above
+    runs["change"][4] = run(0.9 * 0.99, 99.5 * 1.05, 0.07)
+    assert paired_bench.summarize(runs, METRICS)["op_p50_s"]["verdict"] == "gain"

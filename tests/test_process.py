@@ -33,10 +33,8 @@ from icolab.process import (
     choi_of_unitary,
     _certified_stack,
     _certify_witness,
-    _order_mask,
     _order_split,
     _psd_clip,
-    _validity_mask,
     certify_decomposition,
     depolarizing_choi,
     hs_basis,
@@ -301,7 +299,7 @@ def test_validity_gates_decide_on_either_side_of_the_rounding_bound(dim, gate):
         elif gate == "trace":
             probe = ProcessMatrix(w.matrix * (1.0 + factor * tau / w.expected_trace), lay)
         else:
-            probe = ProcessMatrix(w.matrix + factor * tau * unit_component(lay, 1.0 - _validity_mask(lay), 1), lay)
+            probe = ProcessMatrix(w.matrix + factor * tau * unit_component(lay, 1.0 - hs_basis(lay).valid, 1), lay)
         assert validate_process(probe).is_valid is valid, factor
         assert bool(validity_defect(probe, gate) <= probe._rounding) is valid, factor
 
@@ -399,10 +397,22 @@ def test_mask_projectors_match_reset_oracle(dims):
 def test_masks_are_commuting_zero_one_projectors(dims):
     rng = np.random.default_rng(len(dims) * 10 + dims[0] + 1)
     lay = _layout(dims)
-    a, b = _order_mask(lay, "AB"), _order_mask(lay, "BA")
-    masks = [a, b] + ([_validity_mask(lay)] if "F" not in lay.labels else [])
+    basis = hs_basis(lay)
+    a, b = basis.order_mask("AB"), basis.order_mask("BA")
+    # every array of the frame is read-only and has the bits of its defining expression
+    frame = {
+        "ab": a, "ba": b, "shared": a * b, "valid": a + b - a * b,
+        "orders": np.stack((a, b))[:, None], "off_orders": 1.0 - np.stack((a, b))[:, None],
+        "lines": np.stack((a - a * b, b - a * b, a * b))[:, None], "eye": np.eye(lay.dim),
+    }
+    for name, expected in frame.items():
+        got = getattr(basis, name)
+        assert not got.flags.writeable and got.dtype == np.float64, name
+        assert got.shape == expected.shape and np.array_equal(got, expected), name
+    assert np.array_equal(basis.lines.sum(axis=0)[0], basis.valid)
+    masks = [a, b, basis.shared] + ([basis.valid] if "F" not in lay.labels else [])
     for m in masks:
-        assert m.shape == hs_basis(lay).shape
+        assert m.shape == basis.shape
         assert set(np.unique(m)) <= {0.0, 1.0}
         assert np.array_equal(m * m, m)
     # The reset projectors behind the two order masks commute; that is what
@@ -432,7 +442,7 @@ def test_order_split_gives_ordered_parts_summing_to_w(dims):
     lay = _layout(dims)
     w = random_valid_process(rng).matrix if len(dims) == 4 else quantum_switch_process().matrix
     basis = hs_basis(lay)
-    a, b = _order_mask(lay, "AB"), _order_mask(lay, "BA")
+    a, b = basis.ab, basis.ba
     x0 = basis.to_coef(random_hermitian(rng, lay.dim))
     y0 = basis.to_coef(random_hermitian(rng, lay.dim))
     xc, yc = _order_split(basis.to_coef(w), x0, y0, a, b)
@@ -640,7 +650,8 @@ def test_witness_with_one_entry_perturbed_fails_verification():
     # move S's largest coefficient inside the AB mask by ||S||, in the
     # direction that does not lower tr(S W): S - P_AB then has a part in the
     # AB subspace, so S is no longer a witness of the stated form
-    basis, a = hs_basis(w.layout), _order_mask(w.layout, "AB")
+    basis = hs_basis(w.layout)
+    a = basis.ab
     coef = basis.to_coef(s)
     k = np.unravel_index(np.argmax(np.abs(coef) * a), coef.shape)
     bump = np.zeros_like(coef)
@@ -669,7 +680,7 @@ def test_split_that_is_already_psd_certifies_with_no_step():
     # is PSD the line's interval holds 1/2, and its midpoint is the
     # decomposition before any clip step
     basis = hs_basis(standard_layout(2))
-    in_ab, in_ba = _order_mask(basis.layout, "AB"), _order_mask(basis.layout, "BA")
+    in_ab, in_ba = basis.ab, basis.ba
     for noise in (0.5, 0.8):
         w = ocb_process(noise)
         cw = basis.to_coef(w.matrix)
@@ -1068,6 +1079,18 @@ def test_rank_cut_decides_on_either_side_of_the_rounding_bound():
         assert rep.verdict == "nonseparable" and (rep.iterations == 0) is deficient, factor
         assert rep.exit == ("face-witness" if deficient else "loop-witness"), factor
         assert oracles.witness_margin(w.matrix, lay, *rep.witness) < 0.0, factor
+    # the product process, in both orders, mixed the same way: at twice the
+    # bound it has full rank, and its start split (W/2, W/2) is positive
+    # definite and certified with no step; at half the bound it has rank 4,
+    # never reaches the line and is certified at the converged exit
+    product = product_processes()["product"]
+    lay = product.layout
+    for factor, deficient in ((0.5, True), (2.0, False)):
+        w = mix(neutral_process(lay), product, factor * tau_of(product.matrix) * lay.dim / product.expected_trace)
+        assert bool(w._eigenvalues[0] <= w._rounding) is deficient, factor
+        rep = separability_heuristic(w)
+        assert rep.verdict == "separable" and rep.iterations == int(deficient), factor
+        assert rep.exit == ("converged" if deficient else "start-split"), factor
 
 
 @pytest.mark.parametrize("name", ["switch", "switch-mixed-with-its-v1-z-copy"])
@@ -2086,9 +2109,9 @@ def decomposition_defect(part: ProcessMatrix, order: str, defect: str) -> Proces
     elif defect == "trace":
         m = m * (1.0 + 2.0 * tau_of(m) / d_o)
     elif defect == "invalid":
-        m = m + 1e-6 * unit_component(lay, 1.0 - _validity_mask(lay), 1)
+        m = m + 1e-6 * unit_component(lay, 1.0 - hs_basis(lay).valid, 1)
     elif defect == "other-order":
-        own, other = _order_mask(lay, order), _order_mask(lay, "BA" if order == "AB" else "AB")
+        own, other = hs_basis(lay).order_mask(order), hs_basis(lay).order_mask("BA" if order == "AB" else "AB")
         m = m + 1e-6 * unit_component(lay, other * (1.0 - own), 2)
     elif defect == "layout":
         # a trivial future: the same basis, masks and trace, another layout
@@ -2101,7 +2124,7 @@ def off_reconstruction(w: ProcessMatrix, q: float, parts: list, slot: int, facto
     the mixture misses W by ``factor`` times the reconstruction gate; every
     other gate passes it."""
     part, lay = parts[slot], w.layout
-    h = unit_component(lay, _order_mask(lay, ("AB", "BA")[slot]), 3)
+    h = unit_component(lay, hs_basis(lay).order_mask(("AB", "BA")[slot]), 3)
     # the identity lies in every order subspace: removing the trace keeps h inside
     h = h - np.trace(h) / lay.dim * np.eye(lay.dim)
     size = factor * recon_gate(lay.dim) * max(1.0, frobenius(w.matrix)) / (q, 1.0 - q)[slot]
@@ -2253,7 +2276,7 @@ def test_decomposition_gates_decide_on_either_side_of_the_rounding_bound(gate, s
             m = m * (1.0 + factor * tau_of(m) / d_o)
             defect = abs(float(np.real(np.trace(m))) - d_o)
         else:
-            m = m + factor * tau_of(m) * unit_component(lay, 1.0 - _order_mask(lay, order), 2)
+            m = m + factor * tau_of(m) * unit_component(lay, 1.0 - hs_basis(lay).order_mask(order), 2)
             defect = frobenius(oracles.order_projection(m, lay, order) - m)
         parts[slot] = ProcessMatrix(m, lay)
         w = ProcessMatrix(q * parts[0].matrix + (1.0 - q) * parts[1].matrix, lay)
@@ -2271,15 +2294,15 @@ def test_order_gate_at_the_largest_norm_implies_the_valid_span():
     widest = identity_channel_on_the_widest_first_output()
     lay = widest.layout
     for layout in (standard_layout(2), standard_layout(2, 4), lay):
-        outside = 1.0 - _validity_mask(layout)
+        outside = 1.0 - hs_basis(layout).valid
         for order in ("AB", "BA"):
-            assert (outside <= 1.0 - _order_mask(layout, order)).all()
+            assert (outside <= 1.0 - hs_basis(layout).order_mask(order)).all()
     # the ordered process of largest norm, damped so that only the subspace
     # gates can refuse it, with a term outside the valid span of half or
     # twice its tau: both gates pass the first and refuse the second
     part = mix(widest, neutral_process(lay), 0.9)
     for factor, passes in ((0.5, True), (2.0, False)):
-        m = part.matrix + factor * tau_of(part.matrix) * unit_component(lay, 1.0 - _validity_mask(lay), 1)
+        m = part.matrix + factor * tau_of(part.matrix) * unit_component(lay, 1.0 - hs_basis(lay).valid, 1)
         probe = ProcessMatrix(m, lay)
         assert (certify_decomposition(probe, 1.0, probe, neutral_process(lay)) is not None) is passes, factor
         assert validate_process(probe).is_valid is passes, factor
@@ -2326,7 +2349,8 @@ def test_witness_with_a_bad_ba_half_fails_verification(name):
     assert _certify_witness(w, s, p_ab, p_ba) is not None
     value = float(np.real(np.trace(s @ w.matrix)))
     assert value < 0.0
-    basis, ab, ba = hs_basis(lay), _order_mask(lay, "AB"), _order_mask(lay, "BA")
+    basis = hs_basis(lay)
+    ab, ba = basis.ab, basis.ba
     mutants = {}
     # P_BA lowered along a direction outside the BA subspace (so S - P_BA
     # stays outside it) until lambda_min(P_BA) is below -2 |tr(S W)| / d_O
@@ -2401,7 +2425,7 @@ def lowered_half(p: np.ndarray, lay: SpaceLayout, order: str, low: float) -> np.
     bisection finds c."""
     basis = hs_basis(lay)
     v = np.linalg.eigh(p)[1][:, :1]
-    y = basis.to_mat((1.0 - _order_mask(lay, order)) * basis.to_coef(v @ v.conj().T))
+    y = basis.to_mat((1.0 - hs_basis(lay).order_mask(order)) * basis.to_coef(v @ v.conj().T))
     y = 0.5 * (y + y.conj().T)
     assert np.real(v.conj().T @ y @ v)[0, 0] > 0.0
 
@@ -2745,7 +2769,7 @@ def retired_checker_cases() -> list[tuple[str, object, object, tuple]]:
                 else:
                     m = part.matrix
                     m = m * (1.0 + factor * tau_of(m) / part.expected_trace) if gate == "trace" else (
-                        m + factor * tau_of(m) * unit_component(lay, 1.0 - _order_mask(lay, order), 2))
+                        m + factor * tau_of(m) * unit_component(lay, 1.0 - hs_basis(lay).order_mask(order), 2))
                     parts[slot] = ProcessMatrix(m, lay)
                     w = ProcessMatrix(q * parts[0].matrix + (1.0 - q) * parts[1].matrix, lay)
                 add_decomposition(f"{gate} {factor} {order}", w, q, parts)
@@ -2758,7 +2782,7 @@ def retired_checker_cases() -> list[tuple[str, object, object, tuple]]:
     lay = widest.layout
     widest = mix(widest, neutral_process(lay), 0.9)
     for factor in (0.5, 2.0):
-        outside = factor * tau_of(widest.matrix) * unit_component(lay, 1.0 - _validity_mask(lay), 1)
+        outside = factor * tau_of(widest.matrix) * unit_component(lay, 1.0 - hs_basis(lay).valid, 1)
         probe = ProcessMatrix(widest.matrix + outside, lay)
         add_decomposition(f"valid span {factor}", probe, 1.0, [probe, neutral_process(lay)])
     parts = damped_ordered_parts()

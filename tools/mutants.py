@@ -12,13 +12,15 @@ that must fail once it is applied. For each mutant the script copies
 temporary directory, applies the mutant there, and runs
 ``python -m pytest -x -q`` on the named modules with one BLAS thread. A
 mutant is ``killed`` when pytest reports a failed test (the first one is
-named), ``survived`` when every test passes, and ``error`` for any other
-pytest exit (a collection error, for example). The working tree is never
-edited.
+named), ``survived`` when every test passes, ``error`` for any other
+pytest exit (a collection error, for example), and ``timeout`` when pytest
+has not finished after ``TIMEOUT_S`` seconds (it is then killed), so that a
+mutant which stalls a search cannot stall the table. The working tree is
+never edited.
 
 It prints one line per mutant (name, outcome, the killing test and the
 seconds it took), then the total wall time, and exits 1 when a mutant
-survived or errored. ``--list`` prints the table without running it;
+survived, errored or timed out. ``--list`` prints the table without running it;
 ``tests/test_mutants.py`` checks only that every old text occurs exactly
 once, so the table cannot go stale without notice.
 
@@ -41,6 +43,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "tools", "perfbench", "pyproject.toml")
 PROCESS = "src/icolab/process.py"
 PROCESS_TESTS = ("tests/test_process.py",)
+TIMEOUT_S = 300  # seconds one mutant's pytest run may take; unmutated, tests/test_process.py takes about 11
 
 
 class Mutant(NamedTuple):
@@ -77,8 +80,8 @@ MUTANTS = (
     Mutant(
         "decomposition: positivity gate at 4 tau",
         PROCESS,
-        "_cholesky_exists(own + np.array(taus)[:, None, None] * _identity(n))",
-        "_cholesky_exists(own + 4.0 * np.array(taus)[:, None, None] * _identity(n))",
+        "_cholesky_exists(own + np.array(taus)[:, None, None] * basis.eye)",
+        "_cholesky_exists(own + 4.0 * np.array(taus)[:, None, None] * basis.eye)",
         PROCESS_TESTS,
     ),
     Mutant(
@@ -105,8 +108,8 @@ MUTANTS = (
     Mutant(
         "split: a dropped part's positivity gate at 4 tau",
         PROCESS,
-        "_cholesky_exists(mats[~kept] + w._rounding * _identity(lay.dim))",
-        "_cholesky_exists(mats[~kept] + 4.0 * w._rounding * _identity(lay.dim))",
+        "_cholesky_exists(mats[~kept] + w._rounding * hs_basis(lay).eye)",
+        "_cholesky_exists(mats[~kept] + 4.0 * w._rounding * hs_basis(lay).eye)",
         PROCESS_TESTS,
     ),
     # the witness checker, _certify_witness
@@ -148,8 +151,8 @@ MUTANTS = (
     Mutant(
         "witness: positivity of P_X at 4 delta_X",
         PROCESS,
-        "_cholesky_exists(parts + np.array(delta)[:, None, None] * _identity(lay.dim))",
-        "_cholesky_exists(parts + 4.0 * np.array(delta)[:, None, None] * _identity(lay.dim))",
+        "_cholesky_exists(parts + np.array(delta)[:, None, None] * basis.eye)",
+        "_cholesky_exists(parts + 4.0 * np.array(delta)[:, None, None] * basis.eye)",
         PROCESS_TESTS,
     ),
     # the search: W's own start split is tested before any pencil is solved
@@ -163,6 +166,79 @@ MUTANTS = (
         "    except np.linalg.LinAlgError:\n"
         "        pass\n"
         "    if _positive_definite(start):\n",
+        PROCESS_TESTS,
+    ),
+    # the validity gates, _validity_report
+    Mutant(
+        "validity: PSD margin gate at 4 tau",
+        PROCESS,
+        "ok = psd_margin >= -tau and",
+        "ok = psd_margin >= -4.0 * tau and",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "validity: trace gate at 4 tau",
+        PROCESS,
+        "and abs(trace_error) <= tau and",
+        "and abs(trace_error) <= 4.0 * tau and",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "validity: subspace residual gate at 4 tau",
+        PROCESS,
+        "and residual <= tau\n",
+        "and residual <= 4.0 * tau\n",
+        PROCESS_TESTS,
+    ),
+    # the search's cuts on W's face
+    Mutant(
+        "face: split cut at 4 tau",
+        PROCESS,
+        "    if rho <= w._rounding:\n",
+        "    if rho <= 4.0 * w._rounding:\n",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "search: rank cut at 4 tau",
+        PROCESS,
+        "deficient, pure = w._eigenvalues[0] <= rounding,",
+        "deficient, pure = w._eigenvalues[0] <= 4.0 * rounding,",
+        PROCESS_TESTS,
+    ),
+    # the per-layout frame of HSBasis, which the search and every checker read
+    Mutant(
+        "frame: shared mask is the AB mask",
+        PROCESS,
+        "        self.shared = a * b\n",
+        "        self.shared = a\n",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "frame: validity mask counts the shared terms twice",
+        PROCESS,
+        "        self.valid = a + b - self.shared\n",
+        "        self.valid = a + b\n",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "frame: complement stack with the orders swapped",
+        PROCESS,
+        "        self.off_orders = 1.0 - self.orders\n",
+        "        self.off_orders = 1.0 - self.orders[::-1]\n",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "frame: line stack with the AB-only and BA-only rows swapped",
+        PROCESS,
+        "np.stack((a - self.shared, b - self.shared, self.shared))",
+        "np.stack((b - self.shared, a - self.shared, self.shared))",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "frame: identity scaled by 4",
+        PROCESS,
+        "        self.eye = np.eye(layout.dim)\n",
+        "        self.eye = 4.0 * np.eye(layout.dim)\n",
         PROCESS_TESTS,
     ),
 )
@@ -191,7 +267,10 @@ def run(mutant: Mutant, workdir: Path) -> tuple[str, str, float]:
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": str(workdir / "src")}
     args = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests]
-    done = subprocess.run(args, cwd=workdir, env=env, capture_output=True, text=True)
+    try:
+        done = subprocess.run(args, cwd=workdir, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout", f"no result after {TIMEOUT_S} s", time.perf_counter() - start
     seconds = time.perf_counter() - start
     lines = done.stdout.strip().splitlines() or [""]
     if done.returncode == 0:

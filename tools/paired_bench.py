@@ -25,11 +25,15 @@ the medians against the parent's quartile spread, and a verdict:
 - ``unresolved``: the parent's own quartile spread, relative to its median,
   exceeds the bound, and not every working-tree run is better than every
   parent run;
-- ``gain``: the working tree is better in at least nine pairs out of ten and
-  the medians differ by more than the parent's quartile spread;
+- ``gain``: the working tree is better in at least nine pairs out of ten,
+  the medians differ by more than the parent's quartile spread, and the
+  working tree's failed-op share is no higher than the parent's;
 - ``within bound`` otherwise.
 
-It also prints ``correct`` and ``failed`` for every run. A run that exits
+Each side's failed-op share (its runs' ``failed`` ops over their
+``attempted`` ops) is printed on every metric's line and kept in the
+summary, since a gain does not count when more ops fail. It also prints
+``correct`` and ``failed`` for every run. A run that exits
 non-zero, or whose last stdout line is not a result, is recorded with its
 exit code and the tail of its stderr under ``error`` and left out of the
 medians and of the pairs compared (a pair it leaves incomplete counts as no
@@ -92,13 +96,17 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarize(runs: dict[str, list[dict]], spec: list[dict]) -> dict[str, dict]:
     """Per end-to-end metric of ``spec`` (BENCHMARK.json's ``end_to_end``):
-    both sides' median and quartiles, the pairs the change wins, and the
-    verdict described in the module docstring. ``runs`` holds each side's
-    results in pair order; failed runs (``error``) are left out, and each
-    side needs two results."""
+    both sides' median and quartiles and failed-op share, the pairs the
+    change wins, and the verdict described in the module docstring. ``runs``
+    holds each side's results in pair order; failed runs (``error``) are left
+    out, and each side needs two results."""
     out = {}
     pairs = len(runs["parent"])
     good = [(p, c) for p, c in zip(runs["parent"], runs["change"]) if "error" not in p and "error" not in c]
+    failed_share = {}
+    for side in SIDES:
+        done = [run for run in runs[side] if "error" not in run]
+        failed_share[side] = sum(run["failed"] for run in done) / max(1, sum(run["attempted"] for run in done))
     for metric in spec:
         name, lower = metric["name"], metric["better"] == "lower"
         values = {side: [run["metrics"][name]["value"] for run in runs[side] if "error" not in run] for side in SIDES}
@@ -112,7 +120,7 @@ def summarize(runs: dict[str, list[dict]], spec: list[dict]) -> dict[str, dict]:
             verdict = "regression"
         elif spread > metric["bound"] and not all_better:
             verdict = "unresolved"
-        elif wins >= 0.9 * pairs and sign * (cm - pm) > p3 - p1:
+        elif wins >= 0.9 * pairs and sign * (cm - pm) > p3 - p1 and failed_share["change"] <= failed_share["parent"]:
             verdict = "gain"
         else:
             verdict = "within bound"
@@ -125,6 +133,7 @@ def summarize(runs: dict[str, list[dict]], spec: list[dict]) -> dict[str, dict]:
             "pairs": pairs,
             "difference": cm - pm,
             "parent_spread": p3 - p1,
+            "failed_share": failed_share,
             "verdict": verdict,
         }
     return out
@@ -133,15 +142,16 @@ def summarize(runs: dict[str, list[dict]], spec: list[dict]) -> dict[str, dict]:
 def format_summary(summary: dict[str, dict]) -> list[str]:
     """One line per metric: parent median (quartiles) -> change median
     (quartiles), relative change, pairs won, difference against the parent's
-    spread and the verdict."""
+    spread, both sides' failed-op shares and the verdict."""
     lines = []
     for name, s in summary.items():
-        p, c = s["parent"], s["change"]
+        p, c, f = s["parent"], s["change"], s["failed_share"]
         lines.append(
             f"{name} {p['median']:.4g} ({p['q1']:.4g}-{p['q3']:.4g}) -> {c['median']:.4g}"
             f" ({c['q1']:.4g}-{c['q3']:.4g}) {s['unit']}, {100.0 * s['relative']:+.1f}%,"
             f" better in {s['wins']}/{s['pairs']}, difference {s['difference']:.3g}"
-            f" against a parent spread of {s['parent_spread']:.3g}: {s['verdict']}"
+            f" against a parent spread of {s['parent_spread']:.3g},"
+            f" failed-op share {f['parent']:.3g} -> {f['change']:.3g}: {s['verdict']}"
         )
     return lines
 
