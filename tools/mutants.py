@@ -20,9 +20,9 @@ never edited.
 
 It prints one line per mutant (name, outcome, the killing test and the
 seconds it took), then the total wall time, and exits 1 when a mutant
-survived, errored or timed out. ``--list`` prints the table without running it;
-``tests/test_mutants.py`` checks only that every old text occurs exactly
-once, so the table cannot go stale without notice.
+survived, errored or timed out. ``--list`` prints the table without running
+it; ``tests/test_mutants.py`` checks only that every old text occurs
+exactly once, so the table cannot go stale without notice.
 
 A later change that adds a gate adds its row here.
 """
@@ -43,7 +43,7 @@ ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "tools", "perfbench", "pyproject.toml")
 PROCESS = "src/icolab/process.py"
 PROCESS_TESTS = ("tests/test_process.py",)
-TIMEOUT_S = 300  # seconds one mutant's pytest run may take; unmutated, tests/test_process.py takes about 11
+TIMEOUT_S = 300  # seconds one mutant's pytest run may take; unmutated, tests/test_process.py takes about 11 s
 
 
 class Mutant(NamedTuple):
