@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from math import prod, sqrt
+from math import inf, prod, sqrt
 
 import numpy as np
 
@@ -920,17 +920,33 @@ def _line_split(w: ProcessMatrix) -> SeparabilityReport | None:
     (A + S/2, B + S/2) goes first, as it stands, to :func:`_certified_split`
     when one batched Cholesky factorization finds both parts positive
     definite, with no eigenvalue problem solved. When it is not, or its
-    certificate is refused, the line is solved: with S = L L^dagger
-    positive definite, X(t) is PSD exactly when
-    t >= t_lo = lambda_max(-L^-1 A L^-dagger) and Y(t) exactly when
-    t <= t_hi = 1 - lambda_max(-L^-1 B L^-dagger), two symmetric-definite
-    generalized eigenvalue problems (Golub and Van Loan, Matrix
-    Computations, sec. 8.7). At the midpoint of a nonempty interval both
-    parts are >= (t_hi - t_lo)/2 S; when it is empty, :func:`_climbed_split`
-    looks for a shared H that opens it on the line through (A + H, B - H).
-    That midpoint split goes untested, as it stands, to
-    :func:`_certified_split`, whose check gates positivity. None when S has
-    no Cholesky factor, no split is found or the split does not certify."""
+    certificate is refused, the line is solved, and climbed. Every shared
+    H, a matrix both order masks keep, moves A and B along the order splits
+    of W; with S = L L^dagger positive definite, X(t) = A + H + t S is PSD
+    exactly when t >= t_lo = lambda_max(-L^-1 (A + H) L^-dagger) and
+    Y(t) = B - H + (1 - t) S exactly when
+    t <= t_hi = 1 - lambda_max(-L^-1 (B - H) L^-dagger), two
+    symmetric-definite generalized eigenvalue problems (Golub and Van Loan,
+    Matrix Computations, sec. 8.7) solved by one eigvalsh per iterate. At
+    the midpoint of a nonempty interval both parts are >= (t_hi - t_lo)/2 S,
+    and that split goes untested, as it stands, to :func:`_certified_split`,
+    whose check gates positivity: exit ``pencil-midpoint`` at iterate 0,
+    H = 0, the start line's own pencil, and ``climbed-line`` after a step.
+
+    The length of the interval,
+
+        l(H) = 1 + lambda_min(L^-1 (A + H) L^-dagger) + lambda_min(L^-1 (B - H) L^-dagger),
+
+    is concave, and a positive-definite split exists exactly where l > 0
+    (Lewis and Overton, Acta Numerica 5, 1996). Only before a step is one
+    eigh solved: with x, y the least eigenvectors of the two whitened
+    parts, u = L^-dagger x and v = L^-dagger y, the shared part g of
+    u u^dagger - v v^dagger is a supergradient with slope
+    u^dagger g u - v^dagger g v = ||g||^2, and the step H <- H - 2 l / slope g
+    aims the linear model at +|l|. The climb stops, with None, as soon as
+    the slope is not positive or l did not rise, and after SEARCH_STEPS
+    steps. None also when S has no Cholesky factor or the split does not
+    certify."""
     basis = hs_basis(w.layout)
     mats = basis.to_mat(basis.lines * w._coef)
     start = mats[:2] + 0.5 * mats[2]
@@ -942,59 +958,26 @@ def _line_split(w: ProcessMatrix) -> SeparabilityReport | None:
         inv = np.linalg.inv(np.linalg.cholesky(mats[2]))
     except np.linalg.LinAlgError:
         return None
-    whitened = inv @ mats[:2] @ inv.conj().T
-    least = np.linalg.eigvalsh(-whitened)[:, -1]
-    t_lo, t_hi = float(least[0]), 1.0 - float(least[1])
-    if t_lo < t_hi:
-        t = 0.5 * (t_lo + t_hi)
-        split, exit = mats[:2] + np.array((t, 1.0 - t))[:, None, None] * mats[2], "pencil-midpoint"
-    else:
-        split, exit = _climbed_split(basis, mats, inv, whitened), "climbed-line"
-    return None if split is None else _certified_split(w, split, exit)
-
-
-def _climbed_split(basis: HSBasis, mats: np.ndarray, inv: np.ndarray, whitened: np.ndarray) -> np.ndarray | None:
-    """The midpoint split of the first line (A + H + t S, B - H + (1 - t) S)
-    whose interval of PSD splits is nonempty, climbed to from H = 0, or
-    None. :func:`_line_split` hands the split, as it stands, to
-    :func:`_certified_split`.
-
-    ``mats`` is the stack (A, B, S) of :func:`_line_split`, ``inv`` = L^-1
-    with S = L L^dagger and ``whitened`` = L^-1 (A, B) L^-dagger. Every
-    shared H, a matrix both order masks keep, moves A and B along the order
-    splits of W. The length of the interval at H,
-
-        l(H) = 1 + lambda_min(L^-1 (A + H) L^-dagger) + lambda_min(L^-1 (B - H) L^-dagger),
-
-    is concave, and a positive-definite split exists exactly where l > 0
-    (Lewis and Overton, Acta Numerica 5, 1996). With x, y the least
-    eigenvectors of the two whitened parts, u = L^-dagger x and
-    v = L^-dagger y, the shared part g of u u^dagger - v v^dagger is a
-    supergradient with slope u^dagger g u - v^dagger g v = ||g||^2. Each
-    step H <- H - 2 l / slope g aims the linear model at +|l|. The climb
-    returns the midpoint split as soon as l > 0, where both parts are
-    >= l/2 S, and None as soon as the slope is not positive or l did not
-    rise; it takes at most SEARCH_STEPS steps."""
-    sign = np.array((1.0, -1.0))[:, None, None]
-    h = np.zeros_like(mats[2])
-    vals, vecs = np.linalg.eigh(whitened)
-    margin = 1.0 + vals[0, 0] + vals[1, 0]
-    for _ in range(SEARCH_STEPS):
-        u, v = vecs[:, :, 0] @ inv.conj()
+    whitened = cur = inv @ mats[:2] @ inv.conj().T
+    moved, exit, last, h = mats[:2], "pencil-midpoint", -inf, 0.0
+    for step in range(SEARCH_STEPS + 1):
+        least = np.linalg.eigvalsh(-cur)[:, -1]
+        t_lo, t_hi = float(least[0]), 1.0 - float(least[1])
+        if t_lo < t_hi:
+            t = 0.5 * (t_lo + t_hi)
+            return _certified_split(w, moved + np.array((t, 1.0 - t))[:, None, None] * mats[2], exit)
+        margin = t_hi - t_lo
+        if margin <= last or step == SEARCH_STEPS:
+            return None
+        u, v = np.linalg.eigh(cur)[1][:, :, 0] @ inv.conj()
         g = basis.to_mat(basis.shared * basis.to_coef(np.outer(u, u.conj()) - np.outer(v, v.conj())))
         slope = float(np.real(u.conj() @ g @ u - v.conj() @ g @ v))
         if slope <= 0.0:
             return None
         h = h - 2.0 * margin / slope * g
-        vals, vecs = np.linalg.eigh(whitened + sign * (inv @ h @ inv.conj().T))
-        last, margin = margin, 1.0 + vals[0, 0] + vals[1, 0]
-        if margin > 0.0:
-            # t_lo = -lambda_min of the first part, t_hi = 1 + lambda_min of the second
-            t = 0.5 * (1.0 - vals[0, 0] + vals[1, 0])
-            return mats[:2] + sign * h + np.array((t, 1.0 - t))[:, None, None] * mats[2]
-        if margin <= last:
-            return None
-    return None
+        sign = np.array((1.0, -1.0))[:, None, None]
+        cur = whitened + sign * (inv @ h @ inv.conj().T)
+        moved, exit, last = mats[:2] + sign * h, "climbed-line", margin
 
 
 @lru_cache(maxsize=32)
@@ -1126,11 +1109,11 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
     and shared coefficients: first the start split itself (t = 1/2, q =
     1/2) when one batched Cholesky factorization finds it positive
     definite, then the midpoint of the interval of t where both parts are
-    PSD, or of a line climbed off it (see :func:`_line_split` and
-    :func:`_climbed_split`). When :func:`_certified_stack`, which gates
-    positivity itself, accepts the split, the search stops with
-    ``iterations`` 0 and the certificate's reconstruction error as
-    ``residual``; otherwise the loop below runs unchanged.
+    PSD, or of a line climbed off it (see :func:`_line_split`). When
+    :func:`_certified_stack`, which gates positivity itself, accepts the
+    split, the search stops with ``iterations`` 0 and the certificate's
+    reconstruction error as ``residual``; otherwise the loop below runs
+    unchanged.
 
     On a feasible problem z converges to a fixed point, where b = a is a
     decomposition: when ||b - a|| < SEARCH_TOL max(1, ||W||), b is projected

@@ -151,3 +151,46 @@ def test_a_change_that_fails_more_ops_gets_no_gain():
     # the same runs with no failure are a gain, as in the fixed runs above
     runs["change"][4] = run(0.9 * 0.99, 99.5 * 1.05, 0.07)
     assert paired_bench.summarize(runs, METRICS)["op_p50_s"]["verdict"] == "gain"
+
+
+def test_a_row_reads_uncommitted_changes_to_the_run_paths_before_the_runs(monkeypatch, tmp_path, capsys):
+    # git is faked: status names a changed file under src before the runs and
+    # a second one after them; the row keeps the first reading, marks that it
+    # moved, and stderr says so. A status of paths the runs do not read is
+    # never asked for
+    names = [m["name"] for m in json.loads((paired_bench.ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    statuses, asked = iter([" M src/icolab/process.py", " M src/icolab/process.py\n M perfbench/run.py"]), []
+
+    def git(*args):
+        asked.append(args)
+        if args[0] == "status":
+            assert args == ("status", "--porcelain", "--", *paired_bench.RUN_PATHS)
+            return next(statuses)
+        assert args == ("rev-parse", "HEAD")
+        return "1" * 40
+
+    def fake(tree, workload, seed, seconds):
+        metrics = {name: {"value": 1.0, "unit": "s"} for name in names}
+        result = {"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}
+        assert [args[0] for args in asked] == ["status"]  # read before the first run
+        return completed(0, stdout=f"{json.dumps(result)}\n")
+
+    monkeypatch.setattr(paired_bench, "_git", git)
+    monkeypatch.setattr(paired_bench, "_export", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(paired_bench, "_run", fake)
+    path = tmp_path / "BENCH_process-family.json"
+    argv = ["--parent", "HEAD", "--workload", "process-family", "--seed", "1", "--pairs", "2", "--append", str(path)]
+    assert paired_bench.main(argv) == 0
+    assert paired_bench.RUN_PATHS == ("src", "perfbench", "tests/oracles.py", "BENCHMARK.json")
+    (row,) = json.loads(path.read_text())
+    assert (row["commit"], row["uncommitted_changes"], row["uncommitted_changes_moved"]) == ("1" * 40, True, True)
+    assert capsys.readouterr().err.splitlines() == [
+        "the uncommitted changes to src, perfbench, tests/oracles.py, BENCHMARK.json moved during the runs"
+    ]
+    # unchanged before and after: no line on stderr, and the row says so
+    statuses = iter(["", ""])
+    asked.clear()
+    assert paired_bench.main(argv) == 0
+    assert [row["uncommitted_changes_moved"] for row in json.loads(path.read_text())] == [True, False]
+    assert json.loads(path.read_text())[1]["uncommitted_changes"] is False
+    assert capsys.readouterr().err == ""

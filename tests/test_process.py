@@ -1504,7 +1504,7 @@ def test_a_start_split_inside_its_interval_is_certified_before_the_pencil(monkey
     # (A + S/2, B + S/2) is positive definite and certifies as it stands:
     # q = 1/2, no step, and no inverse or eigenvalue problem in the line;
     # the inputs whose start split is refused solve the pencil, and climb
-    # off the line only where its interval is empty
+    # off the line (an eigh before each step) only where its interval is empty
     calls = []
 
     def spied(name):
@@ -1522,9 +1522,8 @@ def test_a_start_split_inside_its_interval_is_certified_before_the_pencil(monkey
         calls.clear()
         rep = separability_heuristic(w)
         if not t_lo < 0.5 < t_hi:
-            climbs = ["eigh"] * (len(calls) - 2) if t_lo >= t_hi else []
-            assert rep.exit != "start-split" and calls == ["inv", "eigvalsh", *climbs], name
-            assert climbs or t_lo < t_hi, name
+            assert rep.exit != "start-split" and calls[:2] == ["inv", "eigvalsh"], name
+            assert ("eigh" in calls) is (t_lo >= t_hi), name
             solved += 1
             continue
         started += 1
@@ -1576,17 +1575,17 @@ def in_the_line(monkeypatch, name: str, fake) -> None:
 
 
 def recorded_climbs(monkeypatch) -> list[float]:
-    """Log the interval length 1 + lambda_min + lambda_min of each
-    eigendecomposition the climb makes, the line's only ones: its start and
-    one entry per step."""
+    """Log the interval length t_hi - t_lo that each eigvalsh of the line
+    reads, one per iterate: the start line's pencil, then one entry per
+    climbing step."""
     margins = []
 
-    def recorded(eigh, a, *args, **kwargs):
-        out = eigh(a, *args, **kwargs)
-        margins.append(1.0 + out[0][0, 0] + out[0][1, 0])
+    def recorded(eigvalsh, a, *args, **kwargs):
+        out = eigvalsh(a, *args, **kwargs)
+        margins.append(1.0 - out[1, -1] - out[0, -1])
         return out
 
-    in_the_line(monkeypatch, "eigh", recorded)
+    in_the_line(monkeypatch, "eigvalsh", recorded)
     return margins
 
 
@@ -1659,7 +1658,7 @@ def test_a_witness_input_climbs_one_step_and_keeps_its_report(monkeypatch):
     # on OCB with white noise the start split is refused and the interval
     # only shrinks: the climb stops after one step, hands no split to the
     # checks, and the first loop step finds the same witness as with the
-    # climb switched off
+    # whole line switched off
     log, margins = checked_splits(monkeypatch), recorded_climbs(monkeypatch)
     pool = (ocb_process(0.2), phase_rotated(ocb_process(0.2), 5))
     reports = []
@@ -1669,7 +1668,7 @@ def test_a_witness_input_climbs_one_step_and_keeps_its_report(monkeypatch):
         assert len(margins) == 2 and margins[1] < margins[0] < 0.0, margins
         assert reports[-1].exit == "loop-witness"
     assert log == []
-    monkeypatch.setattr(process, "_climbed_split", lambda *args: None)
+    monkeypatch.setattr(process, "_line_split", lambda w: None)
     for w, rep in zip(pool, reports):
         ref = separability_heuristic(w)
         assert rep.to_json_dict() == ref.to_json_dict() and ref.verdict == "nonseparable"
@@ -1681,27 +1680,79 @@ def test_a_witness_input_climbs_one_step_and_keeps_its_report(monkeypatch):
 def test_a_climb_with_no_slope_or_no_rise_leaves_the_search_to_the_loop(monkeypatch, name, stub):
     # "no-slope" gives both parts the same least eigenvector, so the
     # supergradient and its slope are 0; "no-rise" repeats the start's
-    # eigendecomposition, so the interval does not grow. Either stops the
-    # climb at once, and the search reports what the loop alone reports
+    # interval after the step, so it does not grow. Either stops the climb
+    # at once, and the search reports what the loop alone reports
     w = climbing_mixtures()[name]
-    calls = []
+    calls, firsts = [], []
 
-    def stubbed(eigh, a, *args, **kwargs):
-        calls.append(a)
-        vals, vecs = eigh(calls[0] if stub == "no-rise" else a, *args, **kwargs)
-        if stub == "no-slope":
-            vecs = np.stack((vecs[0], vecs[0]))
-        return vals, vecs
+    def stubbed(fn, original, a, *args, **kwargs):
+        calls.append(fn)
+        if fn == "eigvalsh":
+            firsts.append(a)
+            return original(firsts[0] if stub == "no-rise" else a, *args, **kwargs)
+        vals, vecs = original(a, *args, **kwargs)
+        return (vals, np.stack((vecs[0], vecs[0]))) if stub == "no-slope" else (vals, vecs)
 
-    # the loop's report alone, with the climbed line switched off
+    # the loop's report alone, with the climbed line's splits refused
     checked_splits(monkeypatch, "climbed-line")
     ref = separability_heuristic(w)
     monkeypatch.undo()
-    in_the_line(monkeypatch, "eigh", stubbed)
+    for fn in ("eigvalsh", "eigh"):
+        in_the_line(monkeypatch, fn, lambda *args, fn=fn, **kwargs: stubbed(fn, *args, **kwargs))
     rep = separability_heuristic(w)
-    assert len(calls) == (1 if stub == "no-slope" else 2)
+    # an eigh before the step the slope refuses; after the step, the
+    # unrisen interval's eigvalsh
+    assert calls == {"no-slope": ["eigvalsh", "eigh"], "no-rise": ["eigvalsh", "eigh", "eigvalsh"]}[stub]
     assert rep.to_json_dict() == ref.to_json_dict() and ref.verdict == "separable" and ref.iterations >= 1
     assert rep.exit == ref.exit == "early-stop"
+
+
+def test_the_line_solves_one_eigvalsh_per_iterate_and_an_eigh_only_before_a_step(monkeypatch):
+    # every full-rank input whose start split is refused inverts S's
+    # Cholesky factor once and reads each iterate's interval by one eigvalsh
+    # of -L^-1 (A + H, B - H) L^-dagger; one eigh, of that same iterate, runs
+    # only before a step: ["inv", "eigvalsh", *["eigh", "eigvalsh"] * steps].
+    # The pencil's midpoint takes no step, a climbed line one or two, and a
+    # climb whose interval did not grow stops with no eigh after its last
+    # step (a slope that is not positive, the one stop with a last eigh, is
+    # stubbed in the test above)
+    calls, log = [], checked_splits(monkeypatch)
+
+    def spied(name):
+        def call(original, a, *args, **kwargs):
+            calls.append((name, a))
+            return original(a, *args, **kwargs)
+
+        return call
+
+    for name in ("inv", "eigvalsh", "eigh"):
+        in_the_line(monkeypatch, name, spied(name))
+    tally = {}
+    for k, w in enumerate([*process_family_inputs(1), *climbing_mixtures().values()]):
+        if w._eigenvalues[0] <= w._rounding:
+            continue
+        calls.clear()
+        log.clear()
+        process._line_split(w)
+        names, handed = [name for name, _ in calls], [exit for exit, _, _ in log]
+        if handed[:1] == ["start-split"] and log[0][2] is not None:
+            assert names == [], k
+            continue
+        steps = names.count("eigh")
+        assert names == ["inv", "eigvalsh", *["eigh", "eigvalsh"] * steps], k
+        solved = [a for name, a in calls if name == "eigvalsh"]
+        for before, (_, a) in zip(solved, calls[2::2]):
+            # the eigh before a step solves the iterate whose interval was just read
+            assert np.array_equal(a, -before), k
+        assert not any(np.array_equal(a, solved[0]) for a in solved[1:]), k
+        exit = next((exit for exit in handed if exit != "start-split"), None)
+        tally[exit, steps] = tally.get((exit, steps), 0) + 1
+    # seed 1: 92 pencil midpoints, 35 climbed lines (one after two steps)
+    # and 25 noisy OCB inputs whose interval shrank after one step; then the
+    # real climbing mixture after one step and the complex one after two
+    assert tally[("pencil-midpoint", 0)] >= 80 and tally[(None, 1)] >= 20, tally
+    assert tally[("climbed-line", 1)] >= 30 and tally[("climbed-line", 2)] >= 2, tally
+    assert set(tally) == {("pencil-midpoint", 0), ("climbed-line", 1), ("climbed-line", 2), (None, 1)}, tally
 
 
 def test_a_shared_part_with_no_cholesky_factor_leaves_the_line_to_the_loop(monkeypatch):
@@ -1936,7 +1987,8 @@ def test_each_certified_split_is_converted_to_matrices_once(monkeypatch):
     # (the start splits of both inputs are refused) and goes to the builder
     # untested, the loop's is the one its test passed, and the builder takes
     # either as it stands: the check gates both parts by Cholesky, so with
-    # W's validity warm the pencil's is the only eigvalsh of the search
+    # W's validity warm the line's, one per iterate, are the only eigvalsh
+    # of the search
     passed, converted, eigvals = [], [], []
 
     def recorded_test(mats):
@@ -1959,21 +2011,22 @@ def test_each_certified_split_is_converted_to_matrices_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", recorded_eigvalsh)
     inputs = complex_search_inputs()
     # certified on the line through the start, on the line two climbing steps
-    # off it (each converts its supergradient), and, with the climb switched
-    # off, by the loop's early stop
-    cases = (("ordered-mixture-1", 0, 0, 0), ("ordered-mixture-4", 0, 2, 0), ("ordered-mixture-4", 7, None, 1))
-    for name, iterations, climb, tests_passed in cases:
+    # off it (each converts its supergradient), and, with the climbed line's
+    # split refused, by the loop's early stop
+    cases = (("ordered-mixture-1", 0, 0, 0, ()), ("ordered-mixture-4", 0, 2, 0, ()))
+    cases += (("ordered-mixture-4", 7, 2, 1, ("climbed-line",)),)
+    for name, iterations, climb, tests_passed, refused in cases:
         w = inputs[name]
         assert validate_process(w).is_valid
         for log in (passed, converted, eigvals):
             log.clear()
         with pytest.MonkeyPatch.context() as patch:
-            if climb is None:
-                patch.setattr(process, "_climbed_split", lambda *args: None)
+            checked_splits(patch, *refused)
             rep = separability_heuristic(w)
         assert (rep.verdict, rep.iterations, len(passed)) == ("separable", iterations, tests_passed), name
-        # the pencil's, of the stack (A, B) in S's frame, before any split passed
-        assert eigvals == [(2, 0)], name
+        # the pencil's and one per climbing step, of the stack (A, B) in
+        # S's frame, before any split passed
+        assert eigvals == [(2, 0)] * (1 + climb), name
         if iterations == 0:
             assert [m.shape for m in converted] == [(3, 16, 16)] + [(16, 16)] * climb, name
         else:
@@ -2487,7 +2540,7 @@ EIGENDECOMPOSITIONS = {"eig", "eigh", "eigvals", "eigvalsh"}
 
 
 def test_eigendecompositions_run_only_where_their_values_are_used():
-    # W's eigenvalues (validity margin, rank cut), the line's pencil, the
+    # W's eigenvalues (validity margin, rank cut), the line's pencil and the
     # climb off it, the range basis and the clip; every yes/no positivity
     # gate is a shifted Cholesky factorization instead, in the decomposition
     # checker _certified_stack that the search calls, in its wrapper
@@ -2500,7 +2553,7 @@ def test_eigendecompositions_run_only_where_their_values_are_used():
         for node in ast.walk(fn)
         if (node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)) in EIGENDECOMPOSITIONS
     }
-    assert users == {"_eigenvalues", "_line_split", "_climbed_split", "_range_basis", "_psd_clip"}
+    assert users == {"_eigenvalues", "_line_split", "_range_basis", "_psd_clip"}
     assert not users & {"certify_decomposition", "_certified_stack", "_structure_checked", "_certify_witness"}
 
 

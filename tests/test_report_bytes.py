@@ -85,6 +85,39 @@ def test_diff_ends_with_a_tally_per_moved_field(tmp_path):
     assert len(out.stdout.splitlines()) == 6
 
 
+def test_diff_counts_the_moved_search_records_by_their_exit(tmp_path):
+    # two climbed-line records move their q, one record's exit moves, an
+    # unmoved record and a moved run report and sweep (no exit) are not counted
+    def record(exit, q):
+        return json.dumps({"exit": exit, "iterations": 0, "q": q})
+
+    sections = [
+        ("search 0", 0, record("climbed-line", 0.4)),
+        ("search 1", 0, record("climbed-line", 0.3)),
+        ("search 2", 0, record("pencil-midpoint", 0.5)),
+        ("search 3", 0, record("early-stop", 0.6)),
+        ("run coherent", 0, report(-3.0e-16, -0.57)),
+        ("sweep coherent-eta", 0, sweep("2.5")),
+    ]
+    a = write(tmp_path / "a.searches", sections)
+    sections[0] = ("search 0", 0, record("climbed-line", 0.41))
+    sections[1] = ("search 1", 0, record("climbed-line", 0.31))
+    sections[3] = ("search 3", 0, record("converged", 0.6))
+    sections[4] = ("run coherent", 0, report(-4.0e-16, -0.57))
+    sections[5] = ("sweep coherent-eta", 0, sweep("2.6"))
+    out = diff(a, write(tmp_path / "b.searches", sections))
+    assert out.returncode == 1, out.stderr
+    assert out.stdout.splitlines()[-1] == "moved records by exit: 2 climbed-line, 1 early-stop -> converged"
+    # the per-field tally still comes before it
+    assert out.stdout.splitlines()[-2].startswith("1 exit, 1 process.validity.psd_margin")
+    # no moved record names an exit: no such line
+    sections = [("search 0", 0, record("climbed-line", 0.4)), ("sweep eta", 0, sweep("2.5"))]
+    a = write(tmp_path / "c.searches", sections)
+    sections[1] = ("sweep eta", 0, sweep("2.6"))
+    out = diff(a, write(tmp_path / "d.searches", sections))
+    assert out.stdout.splitlines()[-1] == "1 row 2 S_opt (max |Δ| 0.1)"
+
+
 def test_diff_of_equal_files_is_empty(tmp_path):
     sections = [("run coherent", 0, report(-3.0e-16, -0.57)), ("sweep eta", 0, sweep("2.5"))]
     out = diff(write(tmp_path / "a.bytes", sections), write(tmp_path / "b.bytes", sections))
@@ -127,7 +160,7 @@ def test_searches_write_one_report_per_search_input(tmp_path):
     assert len({rep["parts_sha256"] for rep in reports if rep["separable"]}) >= 1000
     # a moved field, of the search, of its parts or of the validity report, is named with its search
     moved = json.loads(lines[3])
-    change, margin = moved["residual"], moved["validity"]["psd_margin"]
+    change, margin, exit = moved["residual"], moved["validity"]["psd_margin"], moved["exit"]
     moved["exit"] = "early-stop"
     moved["residual"] *= 2.0
     moved["validity"]["psd_margin"] *= 2.0
@@ -140,6 +173,7 @@ def test_searches_write_one_report_per_search_input(tmp_path):
     want = (
         f"{label}: exit\n{label}: parts_sha256\n{label}: residual\n{label}: validity.psd_margin\n"
         f"1 exit, 1 parts_sha256, 1 residual (max |Δ| {change:.2g}), 1 validity.psd_margin (max |Δ| {margin:.2g})\n"
+        f"moved records by exit: 1 early-stop -> {exit}\n"
     )
     assert (found.returncode, found.stdout) == (1, want)
 

@@ -168,6 +168,56 @@ MUTANTS = (
         "    if _positive_definite(start):\n",
         PROCESS_TESTS,
     ),
+    # the line's exits, each switched off, and its iterates
+    Mutant(
+        "line: start-split exit switched off",
+        PROCESS,
+        '        cert = _certified_split(w, start, "start-split")\n',
+        "        cert = None\n",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "line: pencil-midpoint exit switched off",
+        PROCESS,
+        "        if t_lo < t_hi:\n",
+        "        if t_lo < t_hi and step > 0:\n",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "line: climbed-line exit switched off",
+        PROCESS,
+        "        if t_lo < t_hi:\n",
+        "        if t_lo < t_hi and step == 0:\n",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "line: interval read from the unstepped matrix",
+        PROCESS,
+        "np.linalg.eigvalsh(-cur)",
+        "np.linalg.eigvalsh(-whitened)",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "line: eigenvectors of the unstepped matrix reused at every step",
+        PROCESS,
+        "np.linalg.eigh(cur)",
+        "np.linalg.eigh(whitened)",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "line: climb steps on when the slope is not positive",
+        PROCESS,
+        "        if slope <= 0.0:\n            return None\n",
+        "        if slope <= 0.0:\n            slope = 1.0\n",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "line: climb steps on when l did not rise",
+        PROCESS,
+        "if margin <= last or",
+        "if margin < last or",
+        PROCESS_TESTS,
+    ),
     # the validity gates, _validity_report
     Mutant(
         "validity: PSD margin gate at 4 tau",

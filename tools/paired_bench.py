@@ -43,7 +43,11 @@ adds one row to the JSON list in ``FILE`` (created if missing): the working
 tree's commit and whether it had uncommitted changes, the parent, the date,
 the environment (``nproc``, load average, Python, numpy and scipy versions
 and BLAS, as the first working-tree run recorded them) and, per seed, every
-run and the summary. The rows before it keep their bytes.
+run and the summary. The rows before it keep their bytes. The uncommitted
+changes are ``git status`` of ``RUN_PATHS`` alone, the files the runs read,
+taken before the first run; when a second reading after the last run
+differs, the script says so on stderr, and the row records it under
+``uncommitted_changes_moved``.
 """
 from __future__ import annotations
 
@@ -62,6 +66,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+RUN_PATHS = ("src", "perfbench", "tests/oracles.py", "BENCHMARK.json")  # what a benchmark run reads
 
 
 def parse_run(stdout: str) -> dict:
@@ -183,6 +188,12 @@ def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
+def _uncommitted() -> str:
+    """``git status --porcelain`` of ``RUN_PATHS``: empty when the files the
+    runs read are the commit's."""
+    return _git("status", "--porcelain", "--", *RUN_PATHS)
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> subprocess.CompletedProcess:
     args = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed)]
     args += ["--seconds", str(seconds), "--trace", "0"]
@@ -236,6 +247,7 @@ def main(argv: list[str]) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     spec, seconds = bench["end_to_end"], bench["run_seconds"]
     load_start = os.getloadavg()
+    uncommitted = _uncommitted() if args.append is not None else ""
     series, environment = [], {}
     with tempfile.TemporaryDirectory(prefix="paired-bench-") as tmp:
         parent = _export(args.parent, Path(tmp))
@@ -247,9 +259,13 @@ def main(argv: list[str]) -> int:
     failures = [(r["seed"], side, k + 1) for r in series for side in SIDES
                 for k, run in enumerate(r["runs"][side]) if "error" in run]
     if args.append is not None:
+        moved = _uncommitted() != uncommitted
+        if moved:
+            print(f"the uncommitted changes to {', '.join(RUN_PATHS)} moved during the runs", file=sys.stderr)
         row = {
             "commit": _git("rev-parse", "HEAD"),
-            "uncommitted_changes": bool(_git("status", "--porcelain", "--untracked-files=no")),
+            "uncommitted_changes": bool(uncommitted),
+            "uncommitted_changes_moved": moved,
             "parent": parent,
             "date": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "workload": args.workload,

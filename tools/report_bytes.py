@@ -45,8 +45,11 @@ or search and per JSON path of a report (``process.validity.psd_margin``,
 S_opt``) or exit code that differs, and ends with one line that counts
 those lines per moved field and gives the largest absolute change of each
 numeric one (``127 iterations (max |Δ| 3), 127 q (max |Δ| 2.2e-16), 127
-residual (max |Δ| 2.5e-16)``). It exits 1 when anything differs, 0 when
-nothing does and 2 on a file it cannot read::
+residual (max |Δ| 2.5e-16)``). When moved records name their ``exit``, as
+``--searches`` records do, a last line counts the moved records by it
+(``moved records by exit: 122 climbed-line``; ``a -> b`` where the exit
+itself moved). It exits 1 when anything differs, 0 when nothing does and 2
+on a file it cannot read::
 
     python3 tools/report_bytes.py --diff parent.bytes change.bytes
 """
@@ -352,15 +355,38 @@ def tally(moved: list[tuple[str, float | None]]) -> str:
     )
 
 
+def exit_tally(path_a: Path, path_b: Path) -> str:
+    """How many moved records name each ``exit``, ``a -> b`` where the exit
+    itself moved, or "" when no moved record names one."""
+    a, b = _sections(path_a), _sections(path_b)
+    counts = Counter()
+    for label in [label for label in a if label in b and a[label][1] != b[label][1]]:
+        try:
+            exits = [json.loads("\n".join(lines)).get("exit") for _, lines in (a[label], b[label])]
+        except (json.JSONDecodeError, AttributeError):  # a sweep's CSV, or JSON that is no record
+            continue
+        if exits != [None, None]:
+            counts[exits[0] if exits[0] == exits[1] else f"{exits[0]} -> {exits[1]}"] += 1
+    if not counts:
+        return ""
+    return "moved records by exit: " + ", ".join(f"{n} {exit}" for exit, n in sorted(counts.items()))
+
+
 def main(argv: list[str]) -> int:
     if len(argv) == 3 and argv[0] == "--diff":
         try:
             moved = diff(Path(argv[1]), Path(argv[2]))
+            exits = exit_tally(Path(argv[1]), Path(argv[2]))
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        print("\n".join([*(line for line, _ in moved), tally(moved)]) if moved else "no differences")
-        return 1 if moved else 0
+        if not moved:
+            print("no differences")
+            return 0
+        print("\n".join([*(line for line, _ in moved), tally(moved)]))
+        if exits:
+            print(exits)
+        return 1
     searches = argv[:1] == ["--searches"]
     argv = argv[1:] if searches else argv
     if len(argv) != 2:
