@@ -9,6 +9,7 @@ classical bound 2 and quantum bound 2*sqrt(2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -158,8 +159,10 @@ def chsh(
     return CHSHResult(value=float(s), correlators=e, settings=settings)
 
 
+@cache
 def classical_chsh_bound() -> float:
-    """Maximum of S over the 16 deterministic local strategies (exactly 2)."""
+    """Maximum of S over the 16 deterministic local strategies (exactly 2),
+    enumerated on the first call and cached."""
     best = -np.inf
     for a0, a1, b0, b1 in product((1, -1), repeat=4):
         best = max(best, a0 * b0 + a0 * b1 + a1 * b0 - a1 * b1)

@@ -1003,46 +1003,11 @@ def _range_basis(w: ProcessMatrix) -> np.ndarray:
     return np.linalg.eigh(m)[1][:, len(m) - rank :]
 
 
-def _face_solve(
-    w: ProcessMatrix,
-) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray] | None, np.ndarray | None]:
-    """The best order split of W on its face: a witness when the face admits
-    none, the least-norm split otherwise.
-
-    Every part X of a decomposition satisfies X <= W, so it lies on the face
-    of W, the matrices supported on range(W) (facial reduction: Permenter
-    and Parrilo, Math. Program. 171, 2018). With V an orthonormal basis of
-    range(W), H_k an orthonormal basis of the r x r Hermitian matrices (real
-    symmetric for a real W) and Phi(x) the coefficients of V H(x) V^dagger,
-    one least-squares solve over the r^2 or r(r+1)/2 unknowns x gives
-
-        rho^2 = min ||(1 - AB) Phi(x)||^2 + ||(1 - BA) (W - Phi(x))||^2,
-
-    zero exactly when W = X + Y with X in AB and Y in BA on the face, PSD or
-    not. It counts as zero at or below W's rank cut ``w._rounding``.
-
-    When rho is above it no such split exists, and the residuals at the
-    optimum x* give a witness of the form of Araujo et al. (NJP 17, 102001,
-    2015). With R_AB = -(1 - AB) Phi(x*) and R_BA = -(1 - BA) (W - Phi(x*))
-    as matrices, the optimality condition says that D = R_AB - R_BA vanishes
-    on the face. With
-    M = eps Pi_range + t Pi_ker, eps = rho^2 / (2 tr W) and
-    t = ||V^dagger D||^2 / eps + ||Pi_ker D Pi_ker|| (a Schur-complement
-    bound that makes M + D PSD),
-
-        (S, P_AB, P_BA) = (R_AB + M, M, M + D)
-
-    has S - P_AB outside AB, S - P_BA outside BA and
-    tr(S W) = -rho^2 / 2 + (t - eps) tr(Pi_ker W).
-
-    When rho is at rounding, the least-norm solution x* gives X' = H(x*) and
-    Y' = V^dagger W V - X', mapped back to (V X' V^dagger, V Y' V^dagger),
-    which :func:`_certified_split` checks as they stand: the unique split
-    at nullity 0, one point of the line or plane of splits otherwise.
-
-    Returns rho, the witness or None and the split, a stack in the search's
-    dtype, or None: one of the two, which :func:`_certify_witness` or
-    :func:`_certified_split` still has to accept."""
+def _least_squares_face(w: ProcessMatrix) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The face problem of :func:`_face_solve` by one least-squares solve
+    over the coordinates x of X on range(W): rho, the basis V of range(W),
+    the residual coefficients (-R_AB, -R_BA) at the least-norm optimum x*
+    and its split (V X' V^dagger, V Y' V^dagger)."""
     lay, cw, v = w.layout, w._coef, _range_basis(w)
     basis = hs_basis(lay)
     # only the coefficients an order leaves out enter the problem: on qubit
@@ -1054,18 +1019,114 @@ def _face_solve(
     rhs = np.concatenate((np.zeros_like(cw[..., off_ab]), cw[..., off_ba]), axis=-1).ravel()
     x = np.linalg.lstsq(lhs.T, rhs)[0]
     fx = np.tensordot(x, phi, 1)
-    r_ab, r_ba = off_ab * fx, off_ba * (cw - fx)
-    rho = float(np.hypot(np.linalg.norm(r_ab), np.linalg.norm(r_ba)))
-    if rho <= w._rounding:
-        x_face = np.tensordot(x, herm, 1)
-        return rho, None, v @ np.stack((x_face, v.conj().T @ w._own @ v - x_face)) @ v.conj().T
-    r_ab, r_ba = -basis.to_mat(np.stack((r_ab, r_ba)))
-    d, range_proj = r_ab - r_ba, v @ v.conj().T
-    ker_proj = np.eye(lay.dim) - range_proj
+    residuals = np.stack((off_ab * fx, off_ba * (cw - fx)))
+    rho = float(np.hypot(np.linalg.norm(residuals[0]), np.linalg.norm(residuals[1])))
+    x_face = np.tensordot(x, herm, 1)
+    return rho, v, residuals, v @ np.stack((x_face, v.conj().T @ w._own @ v - x_face)) @ v.conj().T
+
+
+def _pure_weight(a: float, b: float) -> float:
+    """The weight s of the best split (s W, (1 - s) W) of a pure W whose
+    squared distances to the AB and BA subspaces are a and b: s = b/(a + b)
+    minimizes s^2 a + (1 - s)^2 b, and s = 0, the least-norm answer, when
+    a + b = 0."""
+    return b / (a + b) if a + b > 0.0 else 0.0
+
+
+def _pure_face(w: ProcessMatrix) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """The face problem of :func:`_face_solve` for a pure W, in closed form,
+    with what :func:`_least_squares_face` returns. Below W lie only its
+    multiples, so X = s W and Y = (1 - s) W, and with a = ||(1 - AB) c_W||^2
+    and b = ||(1 - BA) c_W||^2 read off W's coefficients c_W,
+    rho^2 = s^2 a + (1 - s)^2 b at s = :func:`_pure_weight` (a, b), and the
+    residuals are s (1 - AB) c_W and (1 - s) (1 - BA) c_W. V is W W e_j
+    normalized, j the index of W's largest diagonal entry: every nonzero
+    column of W = lambda u u^dagger is a multiple of u, and the power step
+    damps what lies below the rank cut. No eigenvalue problem and no
+    least-squares solve."""
+    m, basis = w._own, hs_basis(w.layout)
+    off = basis.off_orders * w._coef
+    a, b = np.add.reduce((off * off).reshape(2, -1), axis=1).tolist()
+    s = _pure_weight(a, b)
+    rho = sqrt(s * s * a + (1.0 - s) * (1.0 - s) * b)
+    u = m @ m[:, int(np.argmax(m.diagonal().real))]
+    weights = np.array((s, 1.0 - s))
+    return rho, (u / _frobenius(u))[:, None], off * weights[:, None, None, None], weights[:, None, None] * m
+
+
+def _lifted_witness(
+    w: ProcessMatrix, v: np.ndarray, rho: float, residuals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The witness (R_AB + M, M, M + D) of :func:`_face_solve`, lifted off
+    the face with range basis V (n x r) from its residual coefficients. It
+    applies Pi_ker = 1 - V V^dagger by rank-r updates, never as a matrix:
+    Pi_ker D Pi_ker = D - V (V^dagger D) - (D V) V^dagger + V (V^dagger D V) V^dagger
+    and M = (eps - t) V V^dagger + t 1, each O(n^2 r)."""
+    basis = hs_basis(w.layout)
+    r_ab, r_ba = -basis.to_mat(residuals)
+    d, vh = r_ab - r_ba, v.conj().T
+    vd, dv = vh @ d, d @ v
+    d_ker = d - v @ vd - (dv - v @ (vd @ v)) @ vh
     eps = rho**2 / (2.0 * float(np.trace(w._own).real))
-    t = np.linalg.norm(v.conj().T @ d) ** 2 / eps + np.linalg.norm(ker_proj @ d @ ker_proj)
-    m = eps * range_proj + t * ker_proj
-    return rho, (r_ab + m, m, m + d), None
+    t = np.linalg.norm(vd) ** 2 / eps + np.linalg.norm(d_ker)
+    m = v @ ((eps - t) * vh) + t * basis.eye
+    return r_ab + m, m, m + d
+
+
+def _face_solve(
+    w: ProcessMatrix,
+) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray] | None, np.ndarray | None]:
+    """The best order split of W on its face: a witness when the face admits
+    none, the best split of a pure W and the least-norm one otherwise.
+
+    Every part X of a decomposition satisfies X <= W, so it lies on the face
+    of W, the matrices supported on range(W) (facial reduction: Permenter
+    and Parrilo, Math. Program. 171, 2018). With V an orthonormal basis of
+    range(W), the unknowns are the coordinates x of X on the face,
+    X = V H(x) V^dagger, and with Phi(x) its coefficients
+
+        rho^2 = min ||(1 - AB) Phi(x)||^2 + ||(1 - BA) (W - Phi(x))||^2,
+
+    zero exactly when W = X + Y with X in AB and Y in BA on the face, PSD or
+    not. It counts as zero at or below W's rank cut ``w._rounding``.
+
+    A pure W (rank 1) has one unknown, X = s W, and :func:`_pure_face`
+    solves it in closed form, with V read off W itself. Any other W has
+    r^2 or r(r+1)/2 unknowns (r = rank W, the latter for a real W), over an
+    orthonormal basis H_k of the r x r Hermitian (real symmetric) matrices,
+    which :func:`_least_squares_face` solves by one eigh for V and one
+    least-squares solve.
+
+    When rho is above the cut no such split exists, and the residuals at the
+    optimum give a witness of the form of Araujo et al. (NJP 17, 102001,
+    2015). With R_AB = -(1 - AB) X* and R_BA = -(1 - BA) (W - X*)
+    as matrices, the optimality condition says that D = R_AB - R_BA vanishes
+    on the face. With
+    M = eps Pi_range + t Pi_ker, eps = rho^2 / (2 tr W) and
+    t = ||V^dagger D||^2 / eps + ||Pi_ker D Pi_ker|| (a Schur-complement
+    bound that makes M + D PSD),
+
+        (S, P_AB, P_BA) = (R_AB + M, M, M + D)
+
+    has S - P_AB outside AB, S - P_BA outside BA and
+    tr(S W) = -rho^2 / 2 + (t - eps) tr(Pi_ker W). :func:`_lifted_witness`
+    builds it for every rank.
+
+    When rho is at rounding, the split at the optimum goes to
+    :func:`_certified_split`, which checks it as it stands: (s W, (1 - s) W)
+    for a pure W; otherwise X' = H(x*) and Y' = V^dagger W V - X' at the
+    least-norm x*, mapped back to (V X' V^dagger, V Y' V^dagger), the
+    unique split at nullity 0, one point of the line or plane of splits
+    otherwise.
+
+    Returns rho, the witness or None and the split, a stack in the search's
+    dtype, or None: one of the two, which :func:`_certify_witness` or
+    :func:`_certified_split` still has to accept."""
+    pure = w._eigenvalues[-2] <= w._rounding
+    rho, v, residuals, split = (_pure_face if pure else _least_squares_face)(w)
+    if rho <= w._rounding:
+        return rho, None, split
+    return rho, _lifted_witness(w, v, rho, residuals), None
 
 
 def _face_decision(
@@ -1145,10 +1206,15 @@ def separability_heuristic(w: ProcessMatrix) -> SeparabilityReport:
     q X <= W makes every part of its decompositions singular.
 
     When W is rank-deficient (an eigenvalue at or below its
-    :func:`rounding_bound`), :func:`_face_decision` asks once, by one eigh
-    and one small least-squares solve, how W splits into the two orders on
-    its face. If it admits no split and :func:`_certify_witness` accepts
-    the witness that comes with the answer, the search stops
+    :func:`rounding_bound`), :func:`_face_decision` asks once how W splits
+    into the two orders on its face (see :func:`_face_solve`): for a W of
+    rank 1 in closed form, its one unknown the weight s of X = s W and its
+    range vector a column of W, with no eigenvalue problem and no
+    least-squares solve; otherwise by one eigh for a basis of range(W) and
+    one small least-squares solve. If it admits no split and
+    :func:`_certify_witness` accepts the witness lifted off the face with
+    the answer (the lift applies the kernel projector by rank-r updates,
+    at O(n^2 r) for every rank), the search stops
     ``nonseparable``; if :func:`_certified_split` accepts its split,
     ``separable`` with the certificate's reconstruction error as
     ``residual``. A W of rank 1 asks before the first step, since only

@@ -733,12 +733,14 @@ def test_real_process_is_searched_in_real_arithmetic(monkeypatch):
 
     seen, clips = [], recorded_clips(monkeypatch)
 
-    def recorded(a, *args, **kwargs):
-        seen.append(a.dtype)
-        return eigh(a, *args, **kwargs)
+    def recorded(w):
+        # the range vector and the split of the pure W's face
+        rho, v, residuals, split = pure_face(w)
+        seen.extend((v.dtype, split.dtype))
+        return rho, v, residuals, split
 
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    pure_face = process._pure_face
+    monkeypatch.setattr(process, "_pure_face", recorded)
     for proc, dtype in ((w, np.float64), (phase_rotated(w, 7), np.complex128)):
         # validity is computed once per process, outside the search
         validate_process(proc)
@@ -856,6 +858,87 @@ def test_coherent_preset_is_decided_on_its_face_with_no_step(monkeypatch):
     assert clips == []
 
 
+def config_process(name: str) -> ProcessMatrix:
+    """The W of one of tools/report_bytes.py's run configs."""
+    return _scenario_process(ScenarioConfig.from_dict(REPORT_BYTES.RUN_CONFIGS[name]).spec)[0]
+
+
+def switch_below_the_rank_cut() -> ProcessMatrix:
+    """The pure switch mixed with the neutral process at the weight that puts
+    its 63 least eigenvalues at half its rounding bound: rank 1 by the cut."""
+    switch = quantum_switch_process()
+    lay = switch.layout
+    return mix(neutral_process(lay), switch, 0.5 * tau_of(switch.matrix) * lay.dim / switch.expected_trace)
+
+
+RANK_ONE = {
+    **{
+        name: lambda name=name: config_process(name)
+        for name in ("coherent", "coherent-fixed-settings", "coherent-custom-input")
+    },
+    "switch": quantum_switch_process,
+    **{f"pure-{order}": lambda order=order: pure_ordered_process(order, 3) for order in ("AB", "BA")},
+    "coherent-rotated": lambda: phase_rotated(coherent_process(1.0), 7),
+    "switch-below-the-rank-cut": switch_below_the_rank_cut,
+}
+
+
+@pytest.mark.parametrize("name", list(RANK_ONE))
+def test_a_pure_faces_closed_form_agrees_with_the_least_squares_solve(monkeypatch, name):
+    # the general face solve, which serves faces of rank 2 or more, is the
+    # reference: with the pure branch switched off it solves the same face
+    # by eigh and lstsq. Same verdict and exit, rho within W's rank cut, and
+    # the closed form's certificate holds by the oracles
+    w = RANK_ONE[name]()
+    assert w._eigenvalues[-2] <= w._rounding  # rank 1
+    rho, witness, split = process._face_solve(w)
+    rep = separability_heuristic(w)
+    monkeypatch.setattr(process, "_pure_face", process._least_squares_face)
+    ref_rho, ref_witness, ref_split = process._face_solve(w)
+    ref = separability_heuristic(w)
+    assert (rep.verdict, rep.exit, rep.iterations) == (ref.verdict, ref.exit, ref.iterations)
+    assert rep.exit in ("face-split", "face-witness") and rep.iterations == 0
+    assert abs(rho - ref_rho) <= w._rounding
+    assert (witness is None, split is None) == (ref_witness is None, ref_split is None)
+    if rep.witness is not None:
+        assert oracles.witness_margin(w.matrix, w.layout, *rep.witness) < 0.0
+        assert rep.witness_value == pytest.approx(ref.witness_value, rel=1e-12)
+    else:
+        q, w_ab, w_ba = rep.certificate
+        worst, recon = oracles.decomposition_defects(w.matrix, w.layout, q, w_ab.matrix, w_ba.matrix)
+        assert worst <= tau_of(w.matrix) and recon <= recon_gate(w.layout.dim)
+        assert q == pytest.approx(ref.certificate[0], abs=1e-12)
+
+
+def test_the_search_of_a_pure_w_solves_no_eigenproblem_or_least_squares(monkeypatch):
+    # a pure W's face is decided in closed form, with its range vector read
+    # off W itself; switched to the general solve, the same searches call
+    # eigh and lstsq once each
+    calls = []
+
+    def recorded(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        original = getattr(np.linalg, name)
+        return call
+
+    for name in ("eigh", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, recorded(name))
+    for make in RANK_ONE.values():
+        w = make()
+        validate_process(w)
+        calls.clear()
+        assert separability_heuristic(w).iterations == 0
+        assert calls == []
+    monkeypatch.setattr(process, "_pure_face", process._least_squares_face)
+    for make in RANK_ONE.values():
+        calls.clear()
+        separability_heuristic(make())
+        assert calls == ["eigh", "lstsq"]
+
+
 FACE_UNIQUE = {
     **{f"undamped-{k}": lambda k=k: undamped_ordered_mixtures(1, 8)[k] for k in range(8)},
     **{f"pure-{order}": lambda order=order: pure_ordered_process(order, 3) for order in ("AB", "BA")},
@@ -950,27 +1033,27 @@ def assert_face_decides_or_loop_converges(rep, face_decides: bool, steps: int) -
 
 
 def shift_face_part(monkeypatch, shift: float) -> None:
-    """A mutant of the face solve of a rank-1 W: its one unknown, the AB part
-    X' = x on range(W), moves up by ``shift`` and so the BA part
-    Y' = V^dagger W V - X' moves down by as much."""
+    """A mutant of the face solve of a rank-1 W: its one unknown, the weight
+    s of the AB part X' = s W, moves up by ``shift`` and so the BA part
+    Y' = (1 - s) W moves down by ``shift`` W."""
 
-    def shifted(a, b, *args, **kwargs):
-        x, *rest = lstsq(a, b, *args, **kwargs)
-        return (x + shift, *rest)
+    def shifted(a, b):
+        return weight(a, b) + shift
 
-    lstsq = np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "lstsq", shifted)
+    weight = process._pure_weight
+    monkeypatch.setattr(process, "_pure_weight", shifted)
 
 
 def test_a_face_part_below_rounding_falls_through_to_the_loop(monkeypatch):
     # the BA part of the unique split is zero, up to rounding, and so of
-    # weight 0 and dropped: shifted by half W's rounding bound it still
+    # weight 0 and dropped: with its least eigenvalue shifted by half W's
+    # rounding bound below 0 (W's one nonzero eigenvalue is tr W) it still
     # certifies with no step, by twice it is refused and the loop runs to
     # its fixed point, whose split, checked as it stands, is refused too
     w = pure_ordered_process("AB", 3)
     for shift, face_decides in ((0.5, True), (2.0, False)):
         monkeypatch.undo()
-        shift_face_part(monkeypatch, shift * w._rounding)
+        shift_face_part(monkeypatch, shift * w._rounding / w.expected_trace)
         rho, witness, split = process._face_solve(w)
         assert rho <= w._rounding
         assert witness is None and split is not None
@@ -1042,7 +1125,7 @@ def test_face_split_cut_decides_on_either_side_of_the_rounding_bound(monkeypatch
     # the face solve's one unknown for a pure ordered process, moved down
     # off the optimum so that rho is half or twice W's rounding bound: the
     # first counts as the unique split, the second as no split. Neither
-    # certifies: the split's BA part, s W, is PSD and of weight 0, but it
+    # certifies: the split's BA part, (1 - s) W, is PSD and of weight 0, but it
     # lies outside BA, so padding it with the neutral process leaves a
     # reconstruction error of about 1.1 tau; the witness is refused. The
     # loop then runs to its fixed point, which certifies nothing
@@ -2541,7 +2624,8 @@ EIGENDECOMPOSITIONS = {"eig", "eigh", "eigvals", "eigvalsh"}
 
 def test_eigendecompositions_run_only_where_their_values_are_used():
     # W's eigenvalues (validity margin, rank cut), the line's pencil and the
-    # climb off it, the range basis and the clip; every yes/no positivity
+    # climb off it, the range basis of a face of rank 2 or more (a pure W's
+    # face reads its range vector off W) and the clip; every yes/no positivity
     # gate is a shifted Cholesky factorization instead, in the decomposition
     # checker _certified_stack that the search calls, in its wrapper
     # certify_decomposition and in the witness check
@@ -2555,6 +2639,7 @@ def test_eigendecompositions_run_only_where_their_values_are_used():
     }
     assert users == {"_eigenvalues", "_line_split", "_range_basis", "_psd_clip"}
     assert not users & {"certify_decomposition", "_certified_stack", "_structure_checked", "_certify_witness"}
+    assert not users & {"_pure_face", "_face_solve", "_lifted_witness"}
 
 
 def test_traced_future_switch_is_separable():

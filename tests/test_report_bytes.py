@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from icolab.process import EXITS
 
 SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "report_bytes.py"
@@ -176,6 +178,35 @@ def test_searches_write_one_report_per_search_input(tmp_path):
         f"moved records by exit: 1 early-stop -> {exit}\n"
     )
     assert (found.returncode, found.stdout) == (1, want)
+
+
+def test_blas_threads_set_each_childs_thread_count(tmp_path, monkeypatch):
+    # runs no child: every run, of the configs and sweeps or of the
+    # searches, gets the count in both variables, and one by default
+    monkeypatch.syspath_prepend(str(SCRIPT.parent))
+    import report_bytes
+
+    seen = []
+
+    def recorded(args, env, **kwargs):
+        seen.append((env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"]))
+        return subprocess.CompletedProcess(args, 0, stdout=b"")
+
+    monkeypatch.setattr(report_bytes.subprocess, "run", recorded)
+    src, out = str(SCRIPT.parents[1] / "src"), str(tmp_path / "out")
+    commands = len(report_bytes.RUN_CONFIGS) + len(report_bytes.SWEEPS)
+    for flags, threads, runs in (
+        ([], "1", commands),
+        (["--blas-threads", "2"], "2", commands),
+        (["--searches", "--blas-threads", "2"], "2", 1),
+    ):
+        seen.clear()
+        assert report_bytes.main([*flags, src, out]) == 0
+        assert seen == [(threads, threads)] * runs, flags
+    seen.clear()
+    with pytest.raises(SystemExit) as refused:
+        report_bytes.main(["--blas-threads", "0", src, out])
+    assert refused.value.code == 2 and seen == []
 
 
 def test_scan_writes_one_labelled_record_per_custom_config(tmp_path, monkeypatch):

@@ -240,12 +240,71 @@ MUTANTS = (
         "and residual <= 4.0 * tau\n",
         PROCESS_TESTS,
     ),
-    # the search's cuts on W's face
+    # the search's cuts on W's face, shared by the pure and the least-squares face
     Mutant(
         "face: split cut at 4 tau",
         PROCESS,
         "    if rho <= w._rounding:\n",
         "    if rho <= 4.0 * w._rounding:\n",
+        PROCESS_TESTS,
+    ),
+    # the closed form of a pure W's face and the witness lift of every face
+    Mutant(
+        "face: pure weight s = a/(a+b), the orders swapped",
+        PROCESS,
+        "    return b / (a + b) if a + b > 0.0 else 0.0\n",
+        "    return a / (a + b) if a + b > 0.0 else 0.0\n",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "face: pure rho from the AB residual alone",
+        PROCESS,
+        "    rho = sqrt(s * s * a + (1.0 - s) * (1.0 - s) * b)\n",
+        "    rho = sqrt(s * s * a)\n",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "face: lift's rank-r kernel correction dropped",
+        PROCESS,
+        "    d_ker = d - v @ vd - (dv - v @ (vd @ v)) @ vh\n",
+        "    d_ker = d\n",
+        PROCESS_TESTS,
+    ),
+    # the certificate exits past the start line, each switched off
+    Mutant(
+        "face: face-split exit switched off",
+        PROCESS,
+        '    cert = _certified_split(w, split, "face-split")\n',
+        "    cert = None\n",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "face: face-witness exit switched off",
+        PROCESS,
+        "        value = _certify_witness(w, *witness)\n",
+        "        value = None\n",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "loop: loop-witness exit switched off",
+        PROCESS,
+        "            value = _certify_witness(w, *candidate)\n",
+        "            value = None\n",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "loop: early-stop exit switched off",
+        PROCESS,
+        '            cert = _certified_split(w, split, "early-stop")\n',
+        "            cert = None\n",
+        PROCESS_TESTS,
+    ),
+    Mutant(
+        "loop: converged exit switched off",
+        PROCESS,
+        "        cert = _certified_split(w, basis.to_mat(np.stack(_order_split(cw, xb, yb, in_ab, in_ba))), "
+        '"converged")\n',
+        "        cert = None\n",
         PROCESS_TESTS,
     ),
     Mutant(

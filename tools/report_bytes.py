@@ -2,11 +2,12 @@
 
 Usage::
 
-    python3 tools/report_bytes.py SRC_DIR OUT
+    python3 tools/report_bytes.py [--searches] [--blas-threads N] SRC_DIR OUT
 
 ``SRC_DIR`` is the directory that holds the ``icolab`` package (a checkout's
 ``src``). The script runs that package's CLI with BLAS pinned to one thread
-(``OPENBLAS_NUM_THREADS=1``): ``icolab run`` on the 15 comparison configs
+(``OPENBLAS_NUM_THREADS=1`` and ``OMP_NUM_THREADS=1``), or to ``N`` threads
+with ``--blas-threads N``: ``icolab run`` on the 15 comparison configs
 below and ``icolab sweep`` over ``eta`` on the coherent preset and over ``q``
 on the baseline. ``OUT`` gets, for each command, a header line naming the
 config and the exit code, then the command's stdout. Wall time goes to
@@ -15,6 +16,12 @@ stderr, so two checkouts with the same outputs write the same file::
     python3 tools/report_bytes.py parent/src parent.bytes
     python3 tools/report_bytes.py src change.bytes
     cmp parent.bytes change.bytes
+
+The same ``cmp`` of one checkout's files at two thread counts shows whether
+its bytes depend on BLAS threading::
+
+    python3 tools/report_bytes.py --blas-threads 2 src change-2.bytes
+    cmp change.bytes change-2.bytes
 
 ``--searches`` writes, in the same layout, the separability report
 (``SeparabilityReport.to_json_dict``) of every search input, with the
@@ -55,6 +62,7 @@ on a file it cannot read::
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -113,13 +121,13 @@ ROTATED_VISIBILITY, ROTATION_SEED = 0.3, 7
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _child(paths: list[Path], args: list[str]) -> tuple[int, bytes]:
-    """Run python with ``args``, ``paths`` as its PYTHONPATH and BLAS on one thread."""
+def _child(paths: list[Path], args: list[str], threads: int = 1) -> tuple[int, bytes]:
+    """Run python with ``args``, ``paths`` as its PYTHONPATH and BLAS on ``threads`` threads."""
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join(map(str, paths)),
-        "OPENBLAS_NUM_THREADS": "1",
-        "OMP_NUM_THREADS": "1",
+        "OPENBLAS_NUM_THREADS": str(threads),
+        "OMP_NUM_THREADS": str(threads),
     }
     proc = subprocess.run([sys.executable, *args], env=env, stdout=subprocess.PIPE, check=False)
     return proc.returncode, proc.stdout
@@ -387,18 +395,21 @@ def main(argv: list[str]) -> int:
         if exits:
             print(exits)
         return 1
-    searches = argv[:1] == ["--searches"]
-    argv = argv[1:] if searches else argv
-    if len(argv) != 2:
-        print(__doc__, file=sys.stderr)
-        return 2
-    src, out = Path(argv[0]).resolve(), Path(argv[1])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--searches", action="store_true", help="record every search input's report")
+    parser.add_argument("--blas-threads", type=int, default=1, metavar="N", help="BLAS threads of each run (1)")
+    parser.add_argument("src", metavar="SRC_DIR", type=Path)
+    parser.add_argument("out", metavar="OUT", type=Path)
+    args = parser.parse_args(argv)
+    if args.blas_threads < 1:
+        parser.error(f"--blas-threads must be at least 1, got {args.blas_threads}")
+    src, out, threads = args.src.resolve(), args.out, args.blas_threads
     if not (src / "icolab" / "cli.py").is_file():
         print(f"error: {src} holds no icolab package", file=sys.stderr)
         return 2
-    if searches:
+    if args.searches:
         paths = [src, ROOT / "perfbench", ROOT / "tools"]
-        code, stdout = _child(paths, ["-c", "import report_bytes; report_bytes.searches()"])
+        code, stdout = _child(paths, ["-c", "import report_bytes; report_bytes.searches()"], threads)
         out.write_bytes(stdout)
         return code
     commands = [(f"run {name}", cfg, ["run"]) for name, cfg in RUN_CONFIGS.items()]
@@ -407,10 +418,10 @@ def main(argv: list[str]) -> int:
         for name, (cfg, param, grid) in SWEEPS.items()
     ]
     with tempfile.TemporaryDirectory() as tmp, out.open("wb") as fh:
-        for label, cfg, args in commands:
+        for label, cfg, command in commands:
             path = Path(tmp) / "config.json"
             path.write_text(json.dumps(cfg))
-            code, stdout = _child([src], ["-m", "icolab.cli", args[0], "--config", str(path), *args[1:]])
+            code, stdout = _child([src], ["-m", "icolab.cli", command[0], "--config", str(path), *command[1:]], threads)
             fh.write(f"== {label} exit {code}\n".encode())
             fh.write(stdout)
     return 0
