@@ -2639,7 +2639,6 @@ def test_eigendecompositions_run_only_where_their_values_are_used():
     }
     assert users == {"_eigenvalues", "_line_split", "_range_basis", "_psd_clip"}
     assert not users & {"certify_decomposition", "_certified_stack", "_structure_checked", "_certify_witness"}
-    assert not users & {"_pure_face", "_face_solve", "_lifted_witness"}
 
 
 def test_traced_future_switch_is_separable():
